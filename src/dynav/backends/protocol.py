@@ -231,9 +231,14 @@ def parse_response(payload: dict, request: DecisionRequest) -> DecisionResponse:
             op = raw.get("op")
             if op == "add_node":
                 loc = raw.get("location_m")
+                if loc:
+                    loc = (float(loc[0]), float(loc[1]))
+                    # json accepts NaN and Infinity; neither is a place
+                    if not all(map(math.isfinite, loc)):
+                        raise SchemaViolation(f"memory op location is not finite: {loc}")
                 ops.append(MemoryOp(op="add_node", name=str(raw["name"]),
                                     attributes=tuple(raw.get("attributes", ())),
-                                    location=(float(loc[0]), float(loc[1])) if loc else None))
+                                    location=loc or None))
             elif op == "add_edge":
                 ops.append(MemoryOp(op="add_edge", start=str(raw["start"]),
                                     target=str(raw["target"]), relation=str(raw["relation"])))
@@ -263,13 +268,21 @@ def parse_response(payload: dict, request: DecisionRequest) -> DecisionResponse:
 # -- request builders --------------------------------------------------------
 
 def _wire_rays(obs: Observation) -> Tuple[WireRay, ...]:
-    rays = []
-    for r in obs.rays:
-        label = r.hit.label if r.hit else None
-        attrs = r.hit.attributes if (r.hit and r.hit.kind == "object") else ()
-        tags = tuple(sorted(r.hit.tags)) if (r.hit and r.hit.kind == "object") else ()
-        rays.append(WireRay(math.degrees(r.theta), r.depth, label, tuple(attrs), tags))
-    return tuple(rays)
+    """The observation's rays in wire form.
+
+    Every request of a step carries the same rays, so they are converted once
+    and kept on the (immutable) observation.
+    """
+    rays = getattr(obs, "_wire_rays", None)
+    if rays is None:
+        rays = tuple(
+            WireRay(math.degrees(r.theta), r.depth, r.hit.label, tuple(r.hit.attributes),
+                    tuple(sorted(r.hit.tags)))
+            if r.hit is not None and r.hit.kind == "object"
+            else WireRay(math.degrees(r.theta), r.depth, r.hit.label if r.hit else None)
+            for r in obs.rays)
+        object.__setattr__(obs, "_wire_rays", rays)
+    return rays
 
 
 def _wire_candidates(cands: CandidateSet) -> Tuple[WireCandidate, ...]:

@@ -80,15 +80,19 @@ class EpisodeResult:
     goal_results: Tuple[GoalResult, ...]
     trajectory: Tuple[Pose, ...]
     termination: str
+    abort_reason: Optional[str] = None  # set when termination is ABORTED
 
     def to_dict(self) -> dict:
-        return {
+        d = {
             "episode_id": self.episode_id,
             "seed": self.seed,
             "termination": self.termination,
             "goals": [g.to_dict() for g in self.goal_results],
             "trajectory": [[p.x, p.y, p.heading] for p in self.trajectory],
         }
+        if self.abort_reason is not None:
+            d["abort_reason"] = self.abort_reason
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "EpisodeResult":
@@ -98,6 +102,7 @@ class EpisodeResult:
                 goal_results=tuple(GoalResult.from_dict(g) for g in d["goals"]),
                 trajectory=tuple(Pose(*p) for p in d.get("trajectory", ())),
                 termination=d["termination"],
+                abort_reason=d.get("abort_reason"),
             )
         except (KeyError, TypeError, ValueError) as e:
             raise SchemaViolation(f"bad episode result record: {e}") from e
@@ -127,8 +132,9 @@ def run_episode(spec: EpisodeSpec, backend, cfg: RunConfig,
     """Run every goal of the episode in order and account per-goal metrics.
 
     The caller's memory graph is copied, never mutated.  Termination reflects
-    the final sub-task: a clean stop, an exhausted budget, or an abort after
-    too many consecutive backend failures.
+    the final sub-task: a clean stop, an exhausted budget, or an abort.  An
+    episode aborts after too many consecutive backend failures, or at once
+    when a backend reply violates the protocol; the result names the reason.
     """
     body = AgentBody(radius=cfg.agent_radius, max_sense=cfg.d_max)
     rng = random.Random(spec.seed)
@@ -141,6 +147,7 @@ def run_episode(spec: EpisodeSpec, backend, cfg: RunConfig,
     trajectory: List[Pose] = [start]
     results: List[GoalResult] = []
     termination = STOPPED
+    abort_reason: Optional[str] = None
     consecutive_failures = 0
 
     for gi, goal in enumerate(spec.goals):
@@ -158,12 +165,18 @@ def run_episode(spec: EpisodeSpec, backend, cfg: RunConfig,
         traveled = 0.0
         steps_used = 0
         stopped = False
-        aborted = False
         state = AgentState(pose=state.pose, step_index=state.step_index, stop_streak=0)
         while steps_used < max_steps and traveled <= max_dist:
-            outcome = step(state, spec.world, mem, goal, backend, cfg,
-                           constraints=spec.constraints,
-                           session_id=spec.episode_id, rng=rng)
+            try:
+                outcome = step(state, spec.world, mem, goal, backend, cfg,
+                               constraints=spec.constraints,
+                               session_id=spec.episode_id, rng=rng)
+            except SchemaViolation as e:
+                # retrying would not heal a malformed backend: end this
+                # episode, not the batch
+                log.warning("episode %s: %s", spec.episode_id, e)
+                abort_reason = f"backend reply violates the protocol: {e}"
+                break
             if step_log is not None:
                 step_log.write(json.dumps(
                     _log_record(spec.episode_id, outcome, mem.version),
@@ -178,7 +191,7 @@ def run_episode(spec: EpisodeSpec, backend, cfg: RunConfig,
                 stopped = True
                 break
             if consecutive_failures > cfg.max_backend_failures:
-                aborted = True
+                abort_reason = f"{consecutive_failures} consecutive backend failures"
                 break
 
         if stopped:
@@ -193,13 +206,13 @@ def run_episode(spec: EpisodeSpec, backend, cfg: RunConfig,
         results.append(GoalResult(goal.text, goal.category or goal.text, ok,
                                   traveled, l_opt, steps_used, stopped))
         state = AgentState(pose=state.pose, step_index=state.step_index, stop_streak=0)
-        if aborted:
+        if abort_reason is not None:
             termination = ABORTED
             break
         termination = STOPPED if stopped else BUDGET_EXHAUSTED
 
     return EpisodeResult(spec.episode_id, spec.seed, tuple(results),
-                         tuple(trajectory), termination)
+                         tuple(trajectory), termination, abort_reason)
 
 
 def paired_memory_run(spec: EpisodeSpec, backend, cfg: RunConfig

@@ -13,6 +13,8 @@ from .world import WorldMap
 # advance below this is treated as contact with the blocking surface
 _CONTACT = 1e-4
 _EPS = 1e-9
+# bound on the rounding in a Lipschitz bound on computed clearances
+_SLACK = 1e-9
 
 
 def _max_travel(world: WorldMap, x0: float, y0: float, ux: float, uy: float,
@@ -60,6 +62,11 @@ def reactive_avoid(world: WorldMap, pose: Pose, body: AgentBody, clearance: floa
     2x clearance.  When the cap is reached without restoration the best
     still-collision-free sample along the ray is returned; if even that fails
     the agent is boxed in and NoEscape is raised.
+
+    Samples lie every ``min(0.01, clearance / 10)`` along the ray.  Clearance
+    is 1-Lipschitz in position, so a sample at offset t has at most
+    ``c + |t - s|`` for any sample at offset s already measured at c; samples
+    this bound rules out are never measured.
     """
     c0, nearest = world.clearance_with_nearest(pose.x, pose.y)
     if c0 >= clearance:
@@ -73,22 +80,47 @@ def reactive_avoid(world: WorldMap, pose: Pose, body: AgentBody, clearance: floa
         dx /= norm
         dy /= norm
     step = min(0.01, clearance / 10.0)
-    best_pose: Optional[Pose] = None
-    best_c = c0 if c0 >= body.radius else -math.inf
-    if best_c > -math.inf:
-        best_pose = pose
+    samples = []  # offset and position of every in-bounds sample, in order
     t = step
     cap = 2.0 * clearance
     while t <= cap + _EPS:
-        p = Pose(pose.x + dx * t, pose.y + dy * t, pose.heading)
-        if world.in_bounds(p.x, p.y):
-            c = world.clearance(p.x, p.y)
-            if c >= clearance:
-                return p
-            if c > best_c and c >= body.radius:
-                best_c = c
-                best_pose = p
+        x, y = pose.x + dx * t, pose.y + dy * t
+        if world.in_bounds(x, y):
+            samples.append((t, x, y))
         t += step
+
+    # the first sample that restores the clearance
+    found = []  # offset and clearance of the samples measured here, in order
+    low = c0  # min of c - s over the pose and the measured samples
+    for t, x, y in samples:
+        if low + t + _SLACK < clearance:
+            continue
+        c = world.clearance(x, y)
+        if c >= clearance:
+            return Pose(x, y, pose.heading)
+        found.append((t, c))
+        low = min(low, c - t)
+
+    # boxed in: the first sample with the most clearance, if that keeps the
+    # body clear; bounded by the measured samples on both sides
+    best_pose = pose if c0 >= body.radius else None
+    best_c = c0 if best_pose is not None else -math.inf
+    low = c0
+    ahead = iter(found + [(math.inf, math.inf)])
+    t_next, c_next = next(ahead)
+    for t, x, y in samples:
+        if t == t_next:
+            c = c_next
+            t_next, c_next = next(ahead)
+        else:
+            bound = min(low + t, c_next + (t_next - t)) + _SLACK
+            if bound <= best_c or bound < body.radius:
+                continue
+            c = world.clearance(x, y)
+        low = min(low, c - t)
+        if c > best_c and c >= body.radius:
+            best_c = c
+            best_pose = Pose(x, y, pose.heading)
     if best_pose is None:
         raise NoEscape("no collision-free displaced pose within 2x clearance")
     return best_pose

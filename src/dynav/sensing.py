@@ -12,6 +12,8 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from .errors import PoseOutOfBounds
 from .geometry import AgentBody, Pose, normalize_angle
 from .world import OBSTACLE, WorldMap
@@ -73,22 +75,17 @@ class Observation:
         }
 
 
-def _grid_raycast(world: WorldMap, x0: float, y0: float, dx: float, dy: float, t_max: float) -> float:
+def _grid_raycast(cells: bytes, stride: int, res: float, x0: float, y0: float,
+                  dx: float, dy: float, t_max: float) -> float:
     """Distance along the ray to the first obstacle cell, or inf.
 
-    Exact voxel traversal; ties where the ray crosses a cell corner step both
-    axes at once so zero-length grazes are not reported as hits.
+    Exact voxel traversal (Amanatides & Woo) over ``WorldMap.framed_cells``,
+    from a start point inside the world; ties where the ray crosses a cell
+    corner step both axes at once so zero-length grazes are not reported as
+    hits.
     """
-    res = world.resolution
-    grid = world.grid
-    w, h = world.width_cells, world.height_cells
     ix = int(x0 / res)
     iy = int(y0 / res)
-    if ix < 0 or iy < 0 or ix >= w or iy >= h:
-        return math.inf
-
-    step_x = 1 if dx > 0 else -1
-    step_y = 1 if dy > 0 else -1
     if dx != 0.0:
         nx = (ix + (1 if dx > 0 else 0)) * res
         t_next_x = (nx - x0) / dx
@@ -104,51 +101,57 @@ def _grid_raycast(world: WorldMap, x0: float, y0: float, dx: float, dy: float, t
         t_next_y = math.inf
         dt_y = math.inf
 
-    if grid[iy, ix] == OBSTACLE:
-        return 0.0
+    # walk the flat index: one cell along x, along y, or both at a corner
+    step_x = 1 if dx > 0 else -1
+    step_y = stride if dy > 0 else -stride
+    step_xy = step_x + step_y
+    k = (iy + 1) * stride + ix + 1
+    cell = cells[k]
+    if cell:  # an obstacle, or the frame when rounding puts the start past the edge
+        return 0.0 if cell == OBSTACLE else math.inf
     while True:
         if t_next_x < t_next_y - _TIE:
             t_enter = t_next_x
             t_next_x += dt_x
-            ix += step_x
+            k += step_x
         elif t_next_y < t_next_x - _TIE:
             t_enter = t_next_y
             t_next_y += dt_y
-            iy += step_y
+            k += step_y
         else:  # corner crossing: skip the zero-chord diagonal neighbors
             t_enter = t_next_x
             t_next_x += dt_x
             t_next_y += dt_y
-            ix += step_x
-            iy += step_y
+            k += step_xy
         if t_enter > t_max:
             return math.inf
-        if ix < 0 or iy < 0 or ix >= w or iy >= h:
-            return math.inf
-        if grid[iy, ix] == OBSTACLE:
-            return t_enter
+        cell = cells[k]
+        if cell:  # an obstacle, or the frame past the grid's edge
+            return t_enter if cell == OBSTACLE else math.inf
 
 
-def _object_raycast(world: WorldMap, x0: float, y0: float, dx: float, dy: float,
-                    t_max: float) -> Tuple[float, Optional[int]]:
-    """Nearest positive ray-disc intersection among all objects."""
-    best_t = math.inf
-    best_i: Optional[int] = None
+def _object_raycast(world: WorldMap, x0: float, y0: float, dx: np.ndarray, dy: np.ndarray,
+                    t_max: float) -> Tuple[List[float], List[int]]:
+    """Per ray, the nearest positive ray-disc intersection among all objects.
+
+    Returns the distances (inf on a miss) and the object indices (-1 on a
+    miss).  Rays are processed together, one object at a time; each ray sees
+    the same operations, in the same order, as a ray-by-ray loop would do.
+    """
+    best_t = np.full(len(dx), math.inf)
+    best_i = np.full(len(dx), -1)
     for i, obj in enumerate(world.objects):
         ocx = obj.center[0] - x0
         ocy = obj.center[1] - y0
         b = ocx * dx + ocy * dy
         disc = b * b - (ocx * ocx + ocy * ocy - obj.radius * obj.radius)
-        if disc <= _TIE:
-            continue
-        root = math.sqrt(disc)
-        t = b - root
-        if t <= 1e-9:
-            continue  # behind the sensor, or the sensor sits inside the disc
-        if t <= t_max and t < best_t:
-            best_t = t
-            best_i = i
-    return best_t, best_i
+        # a disc at or below _TIE is a miss; clamping it keeps sqrt defined
+        t = b - np.sqrt(np.maximum(disc, 0.0))
+        # t <= 1e-9: behind the sensor, or the sensor sits inside the disc
+        hit = (disc > _TIE) & (t > 1e-9) & (t <= t_max) & (t < best_t)
+        best_t[hit] = t[hit]
+        best_i[hit] = i
+    return best_t.tolist(), best_i.tolist()
 
 
 def sense(world: WorldMap, pose: Pose, body: AgentBody, n_rays: int,
@@ -164,20 +167,23 @@ def sense(world: WorldMap, pose: Pose, body: AgentBody, n_rays: int,
     if not world.in_bounds(pose.x, pose.y):
         raise PoseOutOfBounds(f"pose ({pose.x:.2f}, {pose.y:.2f}) is outside the world")
     d_max = body.max_sense
-    rays: List[Ray] = []
     half = fov / 2.0
-    for i in range(n_rays):
-        theta = -half + fov * i / (n_rays - 1)
-        ang = pose.heading + theta
-        dx = math.cos(ang)
-        dy = math.sin(ang)
-        t_wall = _grid_raycast(world, pose.x, pose.y, dx, dy, d_max)
-        t_obj, obj_i = _object_raycast(world, pose.x, pose.y, dx, dy, d_max)
-        if obj_i is not None and t_obj <= t_wall:
-            obj = world.objects[obj_i]
-            hit = Hit(kind="object", name=obj.name, category=obj.category,
-                      attributes=obj.attributes, tags=obj.tags)
-            rays.append(Ray(normalize_angle(theta), t_obj, hit))
+    thetas = [-half + fov * i / (n_rays - 1) for i in range(n_rays)]
+    # math.cos/sin, not numpy's: they round differently in the last bit
+    dxs = [math.cos(pose.heading + theta) for theta in thetas]
+    dys = [math.sin(pose.heading + theta) for theta in thetas]
+    t_objs, obj_is = _object_raycast(world, pose.x, pose.y, np.array(dxs), np.array(dys), d_max)
+    cells = world.framed_cells()
+    stride = world.width_cells + 2
+    res = world.resolution
+    hits = [Hit(kind="object", name=o.name, category=o.category,
+                attributes=o.attributes, tags=o.tags) for o in world.objects]
+    rays: List[Ray] = []
+    for theta, dx, dy, t_obj, obj_i in zip(thetas, dxs, dys, t_objs, obj_is):
+        # a wall only matters up to the object the ray already hits
+        t_wall = _grid_raycast(cells, stride, res, pose.x, pose.y, dx, dy, min(d_max, t_obj))
+        if obj_i >= 0 and t_obj <= t_wall:
+            rays.append(Ray(normalize_angle(theta), t_obj, hits[obj_i]))
         elif t_wall <= d_max:
             rays.append(Ray(normalize_angle(theta), t_wall, WALL_HIT))
         else:

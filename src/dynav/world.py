@@ -20,6 +20,7 @@ from .errors import SchemaViolation
 
 FREE = 0
 OBSTACLE = 1
+OUTSIDE = 2  # the frame around the grid in ``WorldMap.framed_cells``
 
 WORLD_FORMAT = "dynav-world/1"
 
@@ -98,8 +99,10 @@ class WorldMap:
             x, y = o.center
             if not (0.0 <= x <= self.width_m and 0.0 <= y <= self.height_m):
                 raise ValueError(f"object {o.name} center lies outside the world")
-        self._obstacle_tree: Optional[cKDTree] = None
-        self._obstacle_cells: Optional[np.ndarray] = None
+        # per-world indexes, built on first use
+        self._framed: Optional[bytes] = None
+        self._edge_cells: Optional[tuple] = None
+        self._tie_rank: Optional[np.ndarray] = None
         self._occupancy = None
         self._free_cache: dict = {}
         if self.objects:
@@ -141,19 +144,109 @@ class WorldMap:
             return True
         return self.grid[iy, ix] == OBSTACLE
 
-    def _ensure_obstacle_index(self):
-        if self._obstacle_cells is None:
+    def framed_cells(self) -> bytes:
+        """The grid as row-major bytes inside a one-cell frame of OUTSIDE.
+
+        Cell (ix, iy) sits at ``(iy + 1) * (width_cells + 2) + ix + 1``.  The
+        frame lets a walk that moves one cell at a time test the grid bounds
+        and the cell with a single lookup.
+        """
+        if self._framed is None:
+            self._framed = np.pad(self.grid, 1, constant_values=OUTSIDE).tobytes()
+        return self._framed
+
+    def _edge_index(self) -> tuple:
+        """Obstacle cells with a free 8-neighbour: their indices, and the
+        edges of their squares as arrays.
+
+        Seen from a point outside every obstacle cell, any other obstacle cell
+        lies at least one resolution farther than some edge cell, so the
+        nearest cell is always an edge cell.
+        """
+        if self._edge_cells is None:
+            free = np.pad(self.grid == FREE, 1)
+            near_free = np.zeros_like(self.grid, dtype=bool)
+            h, w = self.grid.shape
+            for oy in range(3):
+                for ox in range(3):
+                    near_free |= free[oy: oy + h, ox: ox + w]
+            iys, ixs = np.nonzero((self.grid == OBSTACLE) & near_free)
+            res = self.resolution
+            self._edge_cells = (list(zip(ixs.tolist(), iys.tolist())),
+                                ixs * res, (ixs + 1) * res, iys * res, (iys + 1) * res)
+        return self._edge_cells
+
+    def _tie_order(self, ix: int, iy: int) -> int:
+        """Rank of an obstacle cell for breaking exact distance ties.
+
+        The rank is a cell's position in a cKDTree built over all obstacle
+        cell centres in row-major order, which is the order a ball query
+        lists them in.  It is arbitrary but fixed: equally distant cells whose
+        nearest points differ are rare, yet the winner sets the direction of
+        an avoidance nudge, and the golden outputs under ``tests/fixtures``
+        pin it.  The tree is built only when such a tie first occurs.
+        """
+        if self._tie_rank is None:
             iys, ixs = np.nonzero(self.grid == OBSTACLE)
-            self._obstacle_cells = np.stack([ixs, iys], axis=1) if len(ixs) else np.zeros((0, 2), dtype=int)
-            if len(self._obstacle_cells):
-                centers = (self._obstacle_cells + 0.5) * self.resolution
-                self._obstacle_tree = cKDTree(centers)
+            tree = cKDTree((np.stack([ixs, iys], axis=1) + 0.5) * self.resolution)
+            rank = np.zeros(self.grid.shape, dtype=np.int64)
+            rank[iys[tree.indices], ixs[tree.indices]] = np.arange(len(ixs))
+            self._tie_rank = rank
+        return int(self._tie_rank[iy, ix])
 
     def _cell_rect_distance(self, x: float, y: float, ix: int, iy: int) -> float:
         res = self.resolution
         dx = max(ix * res - x, 0.0, x - (ix + 1) * res)
         dy = max(iy * res - y, 0.0, y - (iy + 1) * res)
         return math.hypot(dx, dy)
+
+    def _nearest_cell(self, x: float, y: float, bound: float):
+        """Distance to and nearest point on the closest obstacle cell, when
+        that distance is below ``bound``; None otherwise.  The point must lie
+        strictly inside the world.
+        """
+        res = self.resolution
+        w, h = self.width_cells, self.height_cells
+        ix = min(int(x / res), w - 1)
+        iy = min(int(y / res), h - 1)
+        if self.framed_cells()[(iy + 1) * (w + 2) + ix + 1] == OBSTACLE:
+            # within rounding of this cell: no cell outside its 3x3 block
+            # comes within a resolution of the point
+            cands = [(jx, jy) for jy in range(max(iy - 1, 0), min(iy + 2, h))
+                     for jx in range(max(ix - 1, 0), min(ix + 2, w))
+                     if self.grid[jy, jx] == OBSTACLE]
+        else:
+            cells, x0, x1, y0, y1 = self._edge_index()
+            if not cells:
+                return None
+            dx = np.maximum(np.maximum(x0 - x, x - x1), 0.0)
+            dy = np.maximum(np.maximum(y0 - y, y - y1), 0.0)
+            d2 = dx * dx + dy * dy
+            # squares order the cells as hypot does, up to rounding: keep a
+            # relative margin far above it and decide with hypot below
+            d2_min = float(d2.min())
+            if d2_min > bound * bound * (1.0 + 1e-9):
+                return None
+            cands = [cells[k] for k in np.flatnonzero(d2 <= d2_min * (1.0 + 1e-9)).tolist()]
+        best = bound
+        ties = []
+        for jx, jy in cands:
+            d = self._cell_rect_distance(x, y, jx, jy)
+            if d < best:
+                best = d
+                ties = [(jx, jy)]
+            elif d == best and ties:
+                ties.append((jx, jy))
+        if not ties:
+            return None
+        points = {self._clamp_to_cell(x, y, jx, jy) for jx, jy in ties}
+        if len(points) > 1:
+            ties = [min(ties, key=lambda c: self._tie_order(*c))]
+        return best, self._clamp_to_cell(x, y, *ties[0])
+
+    def _clamp_to_cell(self, x: float, y: float, ix: int, iy: int) -> Tuple[float, float]:
+        res = self.resolution
+        return (min(max(x, ix * res), (ix + 1) * res), min(max(y, iy * res), (iy + 1) * res))
 
     def clearance(self, x: float, y: float) -> float:
         """Exact distance from a point to the nearest blocking surface.
@@ -176,24 +269,17 @@ class WorldMap:
         else:
             nearest = (x, self.height_m)
 
-        self._ensure_obstacle_index()
-        if self._obstacle_tree is not None:
-            d_center, idx = self._obstacle_tree.query([x, y])
-            # exact rect distance can undercut the center distance by at most
-            # half a cell diagonal, so re-check every cell in that band
-            ball = self._obstacle_tree.query_ball_point([x, y], d_center + self.resolution * 0.7072)
-            for j in ball:
-                ix, iy = self._obstacle_cells[j]
-                d = self._cell_rect_distance(x, y, int(ix), int(iy))
-                if d < best:
-                    best = d
-                    res = self.resolution
-                    nearest = (
-                        min(max(x, ix * res), (ix + 1) * res),
-                        min(max(y, iy * res), (iy + 1) * res),
-                    )
+        # a cell must come strictly closer than the border, so it can only
+        # win for a point strictly inside the world
+        if best > 0.0:
+            cell = self._nearest_cell(x, y, best)
+            if cell is not None:
+                best, nearest = cell
 
-        if len(self._obj_centers):
+        # an object comes closer than best only if its centre lies within
+        # best + radius: a screen in plain floats, with a margin over rounding
+        if any((x - o.center[0]) ** 2 + (y - o.center[1]) ** 2 < (best + o.radius + 1e-9) ** 2
+               for o in self.objects):
             dd = np.hypot(self._obj_centers[:, 0] - x, self._obj_centers[:, 1] - y) - self._obj_radii
             k = int(np.argmin(dd))
             if dd[k] < best:

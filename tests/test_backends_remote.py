@@ -85,6 +85,25 @@ def test_stop_and_memory_requests_have_no_candidates(plant_world, body):
     assert filt.kind == FILTER and filt.to_dict()["candidates"]
     assert stop.template_id == "stop-check/1"
     assert mem.template_id == "memory-extract/1"
+    # the requests of one observation share one wire form of its rays
+    assert stop.rays is mem.rays is filt.rays
+
+
+def test_wire_rays_match_a_per_ray_conversion(cluttered_world, body):
+    obs = sense(cluttered_world, make_pose(7.5, 5.0, 0.0), body, n_rays=61)
+    hit_kinds = {r.hit.kind if r.hit else None for r in obs.rays}
+    assert hit_kinds == {"object", "wall"}
+    ctx = RequestContext(session_id="s", step=0, goal_text="chair")
+    rays = make_stop_request(ctx, obs).rays
+    assert len(rays) == obs.n_rays
+    for wire, r in zip(rays, obs.rays):
+        assert wire.theta_deg == math.degrees(r.theta) and wire.distance_m == r.depth
+        assert wire.label == r.hit.label
+        if r.hit.kind == "object":
+            assert wire.attributes == r.hit.attributes
+            assert wire.tags == tuple(sorted(r.hit.tags))
+        else:
+            assert wire.attributes == () and wire.tags == ()
 
 
 def test_request_dict_round_trip(plant_world, body):
@@ -157,6 +176,15 @@ def test_parse_response_memory_ops_and_defaults():
     resp = parse_response(ok_body(adjustments=[{"id": 1, "r_m": 1.5, "theta_deg": 45.0}]), req)
     assert resp.adjustments[0]["theta"] == pytest.approx(math.pi / 4)
     assert resp.adjustments[0]["r"] == 1.5
+
+
+@pytest.mark.parametrize("location", ["[NaN, 1.0]", "[1.0, Infinity]", "[-Infinity, NaN]"])
+def test_parse_response_rejects_non_finite_locations(location):
+    # Python's json reads NaN and Infinity; a memory node must not store them
+    payload = json.loads('{"version": "dynav/1", "kind": "score", "memory_ops": '
+                         '[{"op": "add_node", "name": "chair_9", "location_m": %s}]}' % location)
+    with pytest.raises(SchemaViolation, match="not finite"):
+        parse_response(payload, make_req())
 
 
 # -- HTTP client against the stub ----------------------------------------------------

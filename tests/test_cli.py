@@ -1,5 +1,6 @@
 """End-to-end command line checks: every subcommand plus exit-code mapping."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -84,8 +85,34 @@ def test_run_aborts_give_exit_2(tmp_path, episode_file):
         assert code == 2
         lines = (out / "results.jsonl").read_text().splitlines()
         assert all(json.loads(l)["termination"] == "aborted" for l in lines)
+        assert all("consecutive backend failures" in json.loads(l)["abort_reason"]
+                   for l in lines)
     finally:
         server.stop()
+
+
+def test_run_survives_a_malformed_backend_reply(tmp_path):
+    # every episode gets a non-JSON score reply at step 3: each one aborts on
+    # its own, and the batch still writes all results and the report
+    script = [
+        {"kind": "filter", "body": {}},
+        {"kind": "score", "scores_all": 0.5},
+        {"kind": "score", "step": 3, "raw_body": "not json"},
+        {"kind": "stop_check", "body": {"s_stop": 0.0}},
+    ]
+    spec = Path(__file__).resolve().parent.parent / "specs" / "objectnav_small.json"
+    out = tmp_path / "out"
+    with StubServer(script=script) as stub:
+        code = main(["run", "--episodes", str(spec), "--out", str(out),
+                     "--backend", "remote", "--endpoint", stub.endpoint])
+    assert code == 2
+    results = [json.loads(l) for l in (out / "results.jsonl").read_text().splitlines()]
+    assert [r["episode_id"] for r in results] == [f"objectnav-{i}" for i in range(5)]
+    for r in results:
+        assert r["termination"] == "aborted"
+        assert "not JSON" in r["abort_reason"]
+        assert r["goals"][0]["steps"] == 3
+    assert {"report.json", "report.txt"} <= run_dir_files(out)
 
 
 def test_run_missing_episode_file(tmp_path):

@@ -1,0 +1,396 @@
+"""The simulator kernels against plain scalar reference versions, bit for bit.
+
+``sense``, ``WorldMap.clearance_with_nearest`` and ``reactive_avoid`` use a
+flat framed grid, numpy over rays, a search over edge cells and Lipschitz
+skipping of avoidance samples.  The references below are the straightforward
+versions: a DDA over ``grid[iy, ix]``, one ray-disc test per ray and object, a
+kd-tree search over every obstacle cell, and a scan of every avoidance sample.
+Each test requires equal bits, not closeness.
+"""
+import math
+import random
+
+import numpy as np
+import pytest
+from scipy.spatial import cKDTree
+
+from dynav.errors import NoEscape
+from dynav.geometry import AgentBody, Pose, normalize_angle
+from dynav.motion import reactive_avoid
+from dynav.sensing import DEFAULT_FOV, WALL_HIT, Hit, Observation, Ray, sense
+from dynav.world import OBSTACLE, SemanticObject, WorldMap, empty_world
+from dynav.worldgen import WorldGenSpec, generate_world
+
+_TIE = 1e-12
+
+
+# -- references ----------------------------------------------------------------
+
+
+def ref_grid_raycast(world, x0, y0, dx, dy, t_max):
+    res = world.resolution
+    grid = world.grid
+    w, h = world.width_cells, world.height_cells
+    ix = int(x0 / res)
+    iy = int(y0 / res)
+    if ix < 0 or iy < 0 or ix >= w or iy >= h:
+        return math.inf
+    step_x = 1 if dx > 0 else -1
+    step_y = 1 if dy > 0 else -1
+    if dx != 0.0:
+        t_next_x = ((ix + (1 if dx > 0 else 0)) * res - x0) / dx
+        dt_x = res / abs(dx)
+    else:
+        t_next_x = dt_x = math.inf
+    if dy != 0.0:
+        t_next_y = ((iy + (1 if dy > 0 else 0)) * res - y0) / dy
+        dt_y = res / abs(dy)
+    else:
+        t_next_y = dt_y = math.inf
+    if grid[iy, ix] == OBSTACLE:
+        return 0.0
+    while True:
+        if t_next_x < t_next_y - _TIE:
+            t_enter = t_next_x
+            t_next_x += dt_x
+            ix += step_x
+        elif t_next_y < t_next_x - _TIE:
+            t_enter = t_next_y
+            t_next_y += dt_y
+            iy += step_y
+        else:
+            t_enter = t_next_x
+            t_next_x += dt_x
+            t_next_y += dt_y
+            ix += step_x
+            iy += step_y
+        if t_enter > t_max:
+            return math.inf
+        if ix < 0 or iy < 0 or ix >= w or iy >= h:
+            return math.inf
+        if grid[iy, ix] == OBSTACLE:
+            return t_enter
+
+
+def ref_object_raycast(world, x0, y0, dx, dy, t_max):
+    best_t, best_i = math.inf, None
+    for i, obj in enumerate(world.objects):
+        ocx = obj.center[0] - x0
+        ocy = obj.center[1] - y0
+        b = ocx * dx + ocy * dy
+        disc = b * b - (ocx * ocx + ocy * ocy - obj.radius * obj.radius)
+        if disc <= _TIE:
+            continue
+        t = b - math.sqrt(disc)
+        if t <= 1e-9:
+            continue
+        if t <= t_max and t < best_t:
+            best_t, best_i = t, i
+    return best_t, best_i
+
+
+def ref_sense(world, pose, body, n_rays, fov=DEFAULT_FOV, step=0):
+    d_max = body.max_sense
+    rays = []
+    half = fov / 2.0
+    for i in range(n_rays):
+        theta = -half + fov * i / (n_rays - 1)
+        ang = pose.heading + theta
+        dx, dy = math.cos(ang), math.sin(ang)
+        t_wall = ref_grid_raycast(world, pose.x, pose.y, dx, dy, d_max)
+        t_obj, obj_i = ref_object_raycast(world, pose.x, pose.y, dx, dy, d_max)
+        if obj_i is not None and t_obj <= t_wall:
+            o = world.objects[obj_i]
+            hit = Hit(kind="object", name=o.name, category=o.category,
+                      attributes=o.attributes, tags=o.tags)
+            rays.append(Ray(normalize_angle(theta), t_obj, hit))
+        elif t_wall <= d_max:
+            rays.append(Ray(normalize_angle(theta), t_wall, WALL_HIT))
+        else:
+            rays.append(Ray(normalize_angle(theta), d_max, None))
+    return Observation(pose=pose, rays=tuple(rays), fov=fov, step=step)
+
+
+class RefClearance:
+    """Every obstacle cell in a kd-tree; each query re-checks a ball of cells."""
+
+    def __init__(self, world):
+        self.world = world
+        iys, ixs = np.nonzero(world.grid == OBSTACLE)
+        self.cells = np.stack([ixs, iys], axis=1)
+        self.tree = cKDTree((self.cells + 0.5) * world.resolution) if len(ixs) else None
+
+    def __call__(self, x, y):
+        w = self.world
+        best = min(x, y, w.width_m - x, w.height_m - y)
+        if best == x:
+            nearest = (0.0, y)
+        elif best == y:
+            nearest = (x, 0.0)
+        elif best == w.width_m - x:
+            nearest = (w.width_m, y)
+        else:
+            nearest = (x, w.height_m)
+        res = w.resolution
+        if self.tree is not None:
+            d_center, _ = self.tree.query([x, y])
+            for j in self.tree.query_ball_point([x, y], d_center + res * 0.7072):
+                ix, iy = self.cells[j]
+                dx = max(ix * res - x, 0.0, x - (ix + 1) * res)
+                dy = max(iy * res - y, 0.0, y - (iy + 1) * res)
+                d = math.hypot(dx, dy)
+                if d < best:
+                    best = d
+                    nearest = (min(max(x, ix * res), (ix + 1) * res),
+                               min(max(y, iy * res), (iy + 1) * res))
+        if w.objects:
+            centers = np.array([o.center for o in w.objects], dtype=float)
+            radii = np.array([o.radius for o in w.objects], dtype=float)
+            dd = np.hypot(centers[:, 0] - x, centers[:, 1] - y) - radii
+            k = int(np.argmin(dd))
+            if dd[k] < best:
+                best = float(dd[k])
+                cx, cy = centers[k]
+                norm = math.hypot(x - cx, y - cy)
+                if norm > 1e-12:
+                    nearest = (cx + (x - cx) / norm * radii[k], cy + (y - cy) / norm * radii[k])
+                else:
+                    nearest = (cx + radii[k], cy)
+        return best, nearest
+
+
+def ref_reactive_avoid(world, pose, body, clearance):
+    """Every sample along the ray, measured in order."""
+    c0, nearest = world.clearance_with_nearest(pose.x, pose.y)
+    if c0 >= clearance:
+        return pose
+    dx, dy = pose.x - nearest[0], pose.y - nearest[1]
+    norm = math.hypot(dx, dy)
+    if norm < 1e-12:
+        dx, dy = 1.0, 0.0
+    else:
+        dx /= norm
+        dy /= norm
+    step = min(0.01, clearance / 10.0)
+    best_pose = pose if c0 >= body.radius else None
+    best_c = c0 if c0 >= body.radius else -math.inf
+    t = step
+    while t <= 2.0 * clearance + 1e-9:
+        p = Pose(pose.x + dx * t, pose.y + dy * t, pose.heading)
+        if world.in_bounds(p.x, p.y):
+            c = world.clearance(p.x, p.y)
+            if c >= clearance:
+                return p
+            if c > best_c and c >= body.radius:
+                best_c, best_pose = c, p
+        t += step
+    if best_pose is None:
+        raise NoEscape("boxed in")
+    return best_pose
+
+
+# -- inputs ------------------------------------------------------------------------
+
+
+def bits(*values):
+    return tuple(float(v).hex() for v in values)
+
+
+def ray_bits(obs):
+    return [(bits(r.theta, r.depth), r.hit) for r in obs.rays]
+
+
+@pytest.fixture(scope="module")
+def worlds():
+    """Generated worlds like the benchmark's, plus a room with a thick wall
+    block, a one-cell-wide slot and a disc, so that interior cells exist."""
+    out = [generate_world(WorldGenSpec.from_dict(dict(
+        rooms=2, categories=["chair", "table"], objects_per_category=2)), s) for s in (0, 3)]
+    out.append(generate_world(WorldGenSpec.from_dict(dict(
+        rooms=3, categories=["chair", "table", "plant"], objects_per_category=2,
+        hazards=["sign"])), 5))
+    grid = empty_world(6.0, 5.0).grid.copy()
+    grid[20:32, 25:32] = OBSTACLE        # a solid block with interior cells
+    grid[20:32, 29] = 0                  # cut by a one-cell slot
+    grid[10, 10] = OBSTACLE              # a lone pillar
+    out.append(WorldMap(grid, 0.1, [SemanticObject("plant_1", "plant", (1.5, 3.5), 0.3)]))
+    return out
+
+
+def free_cell_centers(world, rng, n):
+    iys, ixs = np.nonzero(world.grid != OBSTACLE)
+    picks = [rng.randrange(len(ixs)) for _ in range(n)]
+    return [world.cell_center(int(ixs[k]), int(iys[k])) for k in picks]
+
+
+def corner_headings(world, x, y, rng, n):
+    """Headings from (x, y) to obstacle cell corners: rays that graze corners."""
+    iys, ixs = np.nonzero(world.grid == OBSTACLE)
+    out = []
+    for _ in range(n):
+        k = rng.randrange(len(ixs))
+        cx, cy = int(ixs[k]) * world.resolution, int(iys[k]) * world.resolution
+        out.append(math.atan2(cy - y, cx - x))
+    return out
+
+
+def sense_poses(world, rng):
+    res = world.resolution
+    poses = []
+    for x, y in free_cell_centers(world, rng, 40):
+        poses.append(Pose(x, y, rng.uniform(-math.pi, math.pi)))
+        # the central ray of an odd fan points at the heading: aim it at corners
+        poses += [Pose(x, y, h) for h in corner_headings(world, x, y, rng, 2)]
+        ix, iy = world.cell_of(x, y)
+        poses.append(Pose(ix * res, y, rng.choice([0.0, math.pi / 2, math.pi / 4])))  # cell edge
+        poses.append(Pose(ix * res, iy * res, math.pi / 4))  # cell corner, diagonal
+    return [p for p in poses if world.in_bounds(p.x, p.y)]
+
+
+# -- tests -------------------------------------------------------------------------
+
+
+def test_sense_matches_scalar_reference(worlds):
+    body = AgentBody()
+    rng = random.Random(7)
+    checked = 0
+    for world in worlds:
+        for pose in sense_poses(world, rng):
+            got = sense(world, pose, body, 181)
+            assert ray_bits(got) == ray_bits(ref_sense(world, pose, body, 181)), pose
+            checked += 1
+    assert checked >= 600
+
+
+def test_sense_matches_reference_with_short_range_and_inside_a_wall(worlds):
+    rng = random.Random(8)
+    body = AgentBody(max_sense=1.5)
+    world = worlds[-1]
+    poses = [Pose(2.75, 2.55, rng.uniform(-math.pi, math.pi)) for _ in range(5)]  # in the block
+    poses += [Pose(x, y, rng.uniform(-math.pi, math.pi))
+              for x, y in free_cell_centers(world, rng, 40)]
+    for pose in poses:
+        assert ray_bits(sense(world, pose, body, 91)) == ray_bits(ref_sense(world, pose, body, 91))
+
+
+def clearance_points(world, rng):
+    res = world.resolution
+    pts = []
+    for x, y in free_cell_centers(world, rng, 150):
+        ix, iy = world.cell_of(x, y)
+        pts += [(x, y), (ix * res, y), (x, iy * res), (ix * res, iy * res),
+                (x + rng.uniform(-0.5, 0.5) * res, y + rng.uniform(-0.5, 0.5) * res)]
+    iys, ixs = np.nonzero(world.grid == OBSTACLE)
+    for _ in range(100):  # inside obstacle cells, at centres and anywhere
+        k = rng.randrange(len(ixs))
+        x, y = world.cell_center(int(ixs[k]), int(iys[k]))
+        pts += [(x, y), (x + rng.uniform(-0.5, 0.5) * res, y + rng.uniform(-0.5, 0.5) * res)]
+    for _ in range(100):
+        pts.append((rng.uniform(0.0, world.width_m), rng.uniform(0.0, world.height_m)))
+    pts += [(0.0, 1.0), (world.width_m, 1.0), (1.0, world.height_m), (-0.5, 1.0)]  # border
+    return pts
+
+
+def test_clearance_matches_kd_tree_reference(worlds):
+    rng = random.Random(11)
+    for world in worlds:
+        ref = RefClearance(world)
+        for x, y in clearance_points(world, rng):
+            d, (nx, ny) = world.clearance_with_nearest(x, y)
+            rd, (rx, ry) = ref(x, y)
+            assert bits(d, nx, ny) == bits(rd, rx, ry), (x, y)
+
+
+def test_clearance_ties_between_cells_keep_the_reference_winner(worlds):
+    """A cell centre in the one-cell slot lies exactly as far from the wall
+    cell on its left as from the one on its right (for this column, in
+    floating point too); the two nearest points differ."""
+    world = worlds[-1]
+    ref = RefClearance(world)
+    for iy in range(20, 32):
+        x, y = world.cell_center(29, iy)
+        d, (nx, ny) = world.clearance_with_nearest(x, y)
+        rd, (rx, ry) = ref(x, y)
+        assert bits(d, nx, ny) == bits(rd, rx, ry)
+        left, right = (world._cell_rect_distance(x, y, ix, iy) for ix in (28, 30))
+        assert left == right == d
+
+
+def nudge_cases(world, rng, n):
+    """Cell-centre poses closer to a surface than the avoidance clearance."""
+    poses = []
+    for x, y in free_cell_centers(world, rng, 20 * n):
+        if world.clearance(x, y) < 0.32:
+            poses.append(Pose(x, y, rng.uniform(-math.pi, math.pi)))
+        if len(poses) == n:
+            break
+    return poses
+
+
+def outcome(fn, world, pose, body, clearance):
+    try:
+        p = fn(world, pose, body, clearance)
+    except NoEscape:
+        return "NoEscape"
+    return bits(p.x, p.y, p.heading)
+
+
+def test_reactive_avoid_matches_full_scan(worlds):
+    body = AgentBody()
+    rng = random.Random(5)
+    kinds = {"restored": 0, "best": 0, "NoEscape": 0}
+    for world in worlds:
+        for pose in nudge_cases(world, rng, 60):
+            for clearance in (0.32, 0.6):
+                got = outcome(reactive_avoid, world, pose, body, clearance)
+                assert got == outcome(ref_reactive_avoid, world, pose, body, clearance), pose
+                if got == "NoEscape":
+                    kinds["NoEscape"] += 1
+                else:
+                    p = Pose(*(float.fromhex(v) for v in got))
+                    kinds["restored" if world.clearance(p.x, p.y) >= clearance else "best"] += 1
+    # a 0.6 m clearance cannot be restored in most rooms' corners and slots
+    assert kinds["restored"] > 0 and kinds["best"] > 0
+
+
+def test_reactive_avoid_boxed_in_cases_match_full_scan():
+    """A corridor too narrow to restore the clearance, and a slot too narrow
+    for the body: the best sample, then NoEscape, as the full scan gives."""
+    body = AgentBody()
+    grid = empty_world(4.0, 3.0).grid.copy()
+    grid[10:13, 5:35] = OBSTACLE
+    grid[16:19, 5:35] = OBSTACLE      # corridor rows 13-15: 0.3 m wide
+    grid[5:8, 5:35] = OBSTACLE        # slot row 8-9 with row 10 above: 0.2 m wide
+    world = WorldMap(grid, 0.1)
+    seen = set()
+    for x in np.arange(0.55, 3.45, 0.1):
+        for y in (1.45, 1.5, 0.85, 0.9, 0.95):
+            pose = Pose(float(x), y, 0.3)
+            got = outcome(reactive_avoid, world, pose, body, 0.32)
+            assert got == outcome(ref_reactive_avoid, world, pose, body, 0.32), pose
+            seen.add("NoEscape" if got == "NoEscape" else "moved" if got != bits(
+                pose.x, pose.y, pose.heading) else "stayed")
+    assert "NoEscape" in seen and ("moved" in seen or "stayed" in seen)
+
+
+def test_reactive_avoid_measures_fewer_samples_than_a_full_scan(box_world):
+    """Next to a single wall the clearance grows along the ray, and the
+    Lipschitz bound skips the samples that cannot restore it yet."""
+    calls = []
+    measure = box_world.clearance_with_nearest
+
+    class Counting:
+        def __getattr__(self, name):
+            return getattr(box_world, name)
+
+        def clearance_with_nearest(self, x, y):
+            calls.append((x, y))
+            return measure(x, y)
+
+        def clearance(self, x, y):
+            return self.clearance_with_nearest(x, y)[0]
+
+    pose = Pose(0.25, 4.0, 0.0)  # 0.15 m from the wall face at x = 0.1
+    out = reactive_avoid(Counting(), pose, AgentBody(), 0.32)
+    assert out == ref_reactive_avoid(box_world, pose, AgentBody(), 0.32)
+    assert len(calls) <= 4  # a full scan measures 18
