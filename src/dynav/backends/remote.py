@@ -31,7 +31,6 @@ class BackendConfig:
     endpoint: str
     timeout_ms: int = 10_000
     max_retries: int = 2
-    template_dir: Optional[str] = None
 
     def __post_init__(self):
         if self.timeout_ms <= 0:

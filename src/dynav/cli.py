@@ -12,7 +12,6 @@ import argparse
 import concurrent.futures
 import json
 import logging
-import math
 import os
 import sys
 from typing import List, Optional
@@ -94,6 +93,8 @@ def cmd_worldgen(args) -> int:
 
 
 def cmd_memory(args) -> int:
+    if args.action in ("export", "merge") and args.out is None:
+        raise ConfigError(f"memory {args.action} needs --out")
     if args.action == "export":
         g = load_graph(args.paths[0])
         save_graph(g, args.out)

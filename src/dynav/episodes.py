@@ -9,17 +9,19 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import random
-from dataclasses import dataclass, field
-from typing import IO, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import IO, List, Optional, Tuple
 
 from .config import RunConfig
 from .errors import SchemaViolation, Unreachable
 from .geometry import AgentBody, Pose
 from .goals import GoalSpec
 from .memory import MemoryGraph
+from .motion import success
 from .planning import shortest_path
-from .policy import AgentState, ConstraintSet, step
+from .policy import AgentState, step
 from .world import WorldMap
 from .worldgen import WorldGenSpec, generate_world, random_free_pose
 
@@ -36,7 +38,7 @@ class EpisodeSpec:
     world: WorldMap
     goals: Tuple[GoalSpec, ...]
     start: Optional[Pose] = None
-    constraints: ConstraintSet = ConstraintSet()
+    constraints: Tuple[str, ...] = ()
     seed: int = 0
     max_steps: Optional[int] = None        # per goal; None falls back to cfg
     max_distance_m: Optional[float] = None
@@ -194,15 +196,10 @@ def run_episode(spec: EpisodeSpec, backend, cfg: RunConfig,
                 abort_reason = f"{consecutive_failures} consecutive backend failures"
                 break
 
-        if stopped:
-            from .motion import success as success_check
-            from .sensing import sense
-            obs = sense(spec.world, state.pose, body, cfg.n_rays, fov=cfg.fov,
-                        step=state.step_index)
-            ok = success_check(spec.world, state.pose, goal, obs,
-                               cfg.success_threshold_m, cfg.visibility_required)
-        else:
-            ok = False
+        # a stop leaves the pose unchanged, so the stop step's scan is the
+        # view from the final pose
+        ok = stopped and success(spec.world, state.pose, goal, outcome.observation,
+                                 cfg.success_threshold_m, cfg.visibility_required)
         results.append(GoalResult(goal.text, goal.category or goal.text, ok,
                                   traveled, l_opt, steps_used, stopped))
         state = AgentState(pose=state.pose, step_index=state.step_index, stop_streak=0)
@@ -234,8 +231,6 @@ def _goal_from_dict(d: dict) -> GoalSpec:
 
 def load_episode_specs(path: str, cfg: RunConfig) -> List[EpisodeSpec]:
     """Read an episode spec file (see docs/formats.md) into runnable specs."""
-    import os
-
     with open(path) as fh:
         try:
             raw = json.load(fh)
@@ -267,11 +262,9 @@ def load_episode_specs(path: str, cfg: RunConfig) -> List[EpisodeSpec]:
                 start = Pose(float(s["x"]), float(s["y"]),
                              math.radians(float(s.get("heading_deg", 0.0))))
             goals = tuple(_goal_from_dict(g) for g in e["goals"])
-            constraints = ConstraintSet(tuple(e.get("constraints", ())),
-                                        hazard_clearance=cfg.hazard_clearance_m)
             specs.append(EpisodeSpec(
                 episode_id=episode_id, world=world, goals=goals, start=start,
-                constraints=constraints, seed=seed,
+                constraints=tuple(e.get("constraints", ())), seed=seed,
                 max_steps=e.get("max_steps"), max_distance_m=e.get("max_distance_m")))
         except SchemaViolation:
             raise

@@ -10,10 +10,9 @@ idempotent so agents can exchange memories in any order.
 from __future__ import annotations
 
 import json
-import re
-import threading
+import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import EmptyName, NoPath, SchemaViolation, SelfLoop, UnknownNode
@@ -36,8 +35,10 @@ class MemoryNode:
             raise EmptyName("node name must be non-empty")
         object.__setattr__(self, "attributes", frozenset(self.attributes))
         if self.location is not None:
-            object.__setattr__(self, "location",
-                               (float(self.location[0]), float(self.location[1])))
+            x, y = float(self.location[0]), float(self.location[1])
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"node {self.name!r} location must be finite")
+            object.__setattr__(self, "location", (x, y))
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,6 @@ class MemoryGraph:
         self.nodes: Dict[str, MemoryNode] = {}
         self.edges: Dict[Tuple[str, str, str], MemoryEdge] = {}
         self.version: int = 0
-        self._lock = threading.Lock()
 
     # -- mutation -----------------------------------------------------------
 
@@ -124,24 +124,23 @@ class MemoryGraph:
         never decreases.  No-op updates leave the version untouched.
         """
         incoming = MemoryNode(name, frozenset(attributes), location, step, agent)
-        with self._lock:
-            old = self.nodes.get(name)
-            if old is None:
-                self.nodes[name] = incoming
-                self.version += 1
-                return
-            attributes_u = old.attributes | incoming.attributes
-            last_seen = max(old.last_seen, incoming.last_seen)
-            if incoming.last_seen >= old.last_seen and incoming.location is not None:
-                loc = incoming.location
-                agent_out = incoming.source_agent
-            else:
-                loc = old.location
-                agent_out = old.source_agent
-            new = MemoryNode(name, attributes_u, loc, last_seen, agent_out)
-            if new != old:
-                self.nodes[name] = new
-                self.version += 1
+        old = self.nodes.get(name)
+        if old is None:
+            self.nodes[name] = incoming
+            self.version += 1
+            return
+        attributes_u = old.attributes | incoming.attributes
+        last_seen = max(old.last_seen, incoming.last_seen)
+        if incoming.last_seen >= old.last_seen and incoming.location is not None:
+            loc = incoming.location
+            agent_out = incoming.source_agent
+        else:
+            loc = old.location
+            agent_out = old.source_agent
+        new = MemoryNode(name, attributes_u, loc, last_seen, agent_out)
+        if new != old:
+            self.nodes[name] = new
+            self.version += 1
 
     def add_edge(self, start: str, target: str, relation: str) -> None:
         """Insert a directed relation; duplicates are idempotent no-ops.
@@ -149,17 +148,16 @@ class MemoryGraph:
         Missing endpoints are auto-created as bare nodes.
         """
         edge = MemoryEdge(start, target, relation)  # validates non-empty, no self-loop
-        with self._lock:
-            changed = False
-            for name in (start, target):
-                if name not in self.nodes:
-                    self.nodes[name] = MemoryNode(name)
-                    changed = True
-            if edge.key not in self.edges:
-                self.edges[edge.key] = edge
+        changed = False
+        for name in (start, target):
+            if name not in self.nodes:
+                self.nodes[name] = MemoryNode(name)
                 changed = True
-            if changed:
-                self.version += 1
+        if edge.key not in self.edges:
+            self.edges[edge.key] = edge
+            changed = True
+        if changed:
+            self.version += 1
 
     def copy(self) -> "MemoryGraph":
         g = MemoryGraph()
@@ -362,7 +360,7 @@ def merge(a: MemoryGraph, b: MemoryGraph) -> MemoryGraph:
 
 def save_graph(g: MemoryGraph, path) -> None:
     with open(path, "w") as fh:
-        json.dump(g.to_dict(), fh, sort_keys=True, indent=1)
+        json.dump(g.to_dict(), fh, sort_keys=True, indent=1, allow_nan=False)
 
 
 def load_graph(path) -> MemoryGraph:

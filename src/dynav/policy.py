@@ -1,18 +1,23 @@
-"""Per-step decision logic: prompt assembly, scoring, and the stop rule.
+"""Per-step decision logic: sense, propose and filter, score and stop, act.
 
-Each step senses, extracts the navigable boundary, samples candidates, lets
-the backend filter them, then makes two logical backend calls: one scoring the
-annotated candidates and one judging stop confidence on the raw observation.
-Stop requires the confidence to exceed the threshold on two consecutive
-steps.  Backend failures and empty boundaries degrade to a rotation in place.
+Each step senses and builds one request context, extracts the navigable
+boundary and samples candidates, lets the backend filter them, then makes two
+logical backend calls: one scoring the annotated candidates and one judging
+stop confidence on the raw observation.  Stop requires the confidence to
+exceed the threshold on two consecutive steps.  Backend failures and empty
+boundaries degrade to a rotation in place.
 """
 from __future__ import annotations
 
 import logging
 import random
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
+# sample_initial and make_filter_request are called through their modules, where
+# perfbench/spans.py patches them
+from . import proposer
+from .backends import protocol
 from .backends.protocol import (RequestContext, TEMPLATES, make_score_request,
                                 make_stop_request)
 from .errors import BackendUnavailable, EmptyBoundary, NoEscape
@@ -20,22 +25,10 @@ from .geometry import AgentBody, PolarAction, Pose
 from .goals import GoalSpec, INSTANCE
 from .memory import MemoryGraph, SemanticFilter
 from .motion import execute, reactive_avoid
-from .proposer import CandidateSet, ConstraintSet, propose
+from .proposer import CandidateSet, apply_filter_response, boundary
 from .sensing import Observation, sense, traversability_mask
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class PromptBundle:
-    """Everything a scoring backend needs for one step."""
-
-    observation: Observation
-    candidates: CandidateSet
-    template_id: str
-    goal_text: str
-    memory_text: str
-    constraints: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -82,19 +75,6 @@ def memory_excerpt(mem: Optional[MemoryGraph], goal: GoalSpec, cfg) -> str:
     return sub.render_text(cfg.memory_budget)
 
 
-def build_prompt(obs: Observation, candidates: CandidateSet, mem: Optional[MemoryGraph],
-                 goal: GoalSpec, constraints: ConstraintSet, cfg) -> PromptBundle:
-    """Bundle the annotated observation with a goal-focused memory excerpt."""
-    return PromptBundle(
-        observation=obs,
-        candidates=candidates,
-        template_id=TEMPLATES[goal.kind],
-        goal_text=goal.text,
-        memory_text=memory_excerpt(mem, goal, cfg),
-        constraints=constraints.constraints,
-    )
-
-
 def pick_best(scores: Dict[int, float]) -> int:
     """Highest score wins; exact ties go to the lowest candidate id."""
     best = max(scores.values())
@@ -107,8 +87,32 @@ def _fallback(theta_delta: float, streak: int, failed: bool = False) -> StepDeci
                         fallback=True, backend_failed=failed)
 
 
-def select_action(bundle: PromptBundle, backend, cfg, stop_streak: int,
-                  session_id: str = "adhoc") -> Tuple[StepDecision, Tuple]:
+def propose(ctx: RequestContext, obs: Observation, traversability: Sequence[bool],
+            backend, cfg) -> CandidateSet:
+    """Boundary, far-first sampling, then backend filtering.
+
+    ``cfg`` supplies alpha, theta_delta, and r_min.  Raises EmptyBoundary when
+    no ray is traversable.  An empty initial set skips the filter call; on
+    backend failure the unfiltered set is returned unchanged and the score
+    call decides how to degrade.
+    """
+    points = boundary(obs, traversability)
+    initial = proposer.sample_initial(points, cfg.alpha, cfg.theta_delta, cfg.r_min)
+    if not initial.candidates:
+        return initial
+    try:
+        resp = backend.decide(protocol.make_filter_request(ctx, obs, initial))
+    except BackendUnavailable:
+        log.warning("filter backend unavailable; keeping unfiltered candidates")
+        return initial
+    ray_gap = obs.fov / max(1, obs.n_rays - 1)
+    return apply_filter_response(initial, points, resp.removals, resp.adjustments,
+                                 obs.fov, ray_gap)
+
+
+def select_action(ctx: RequestContext, obs: Observation, candidates: CandidateSet,
+                  template_id: str, backend, cfg,
+                  stop_streak: int) -> Tuple[StepDecision, Tuple]:
     """Score candidates, update the stop streak, and choose the action.
 
     Returns the decision plus any memory operations the backend emitted.  The
@@ -117,24 +121,20 @@ def select_action(bundle: PromptBundle, backend, cfg, stop_streak: int,
     one.  On backend failure the streak is left unchanged and the agent falls
     back to rotating by theta_delta.
     """
-    ctx = RequestContext(session_id=session_id, step=bundle.observation.step,
-                         goal_text=bundle.goal_text, memory_text=bundle.memory_text,
-                         constraints=bundle.constraints)
     memory_ops: Tuple = ()
     scores: Dict[int, float] = {}
     try:
-        if bundle.candidates.candidates:
+        if candidates.candidates:
             score_resp = backend.decide(
-                make_score_request(ctx, bundle.observation, bundle.candidates,
-                                   bundle.template_id))
+                make_score_request(ctx, obs, candidates, template_id))
             scores = dict(score_resp.scores)
             memory_ops = score_resp.memory_ops
-        stop_resp = backend.decide(make_stop_request(ctx, bundle.observation))
+        stop_resp = backend.decide(make_stop_request(ctx, obs))
     except BackendUnavailable as e:
-        log.warning("backend unavailable at step %d: %s", bundle.observation.step, e)
+        log.warning("backend unavailable at step %d: %s", obs.step, e)
         return _fallback(cfg.theta_delta, stop_streak, failed=True), ()
 
-    for c in bundle.candidates.candidates:
+    for c in candidates.candidates:
         if c.id not in scores:
             log.warning("backend omitted a score for candidate %d; assuming 0", c.id)
             scores[c.id] = 0.0
@@ -145,7 +145,7 @@ def select_action(bundle: PromptBundle, backend, cfg, stop_streak: int,
         chosen = PolarAction.stop_action()
     elif scores:
         best = pick_best(scores)
-        cand = bundle.candidates.by_id(best)
+        cand = candidates.by_id(best)
         chosen = PolarAction(cand.r, cand.theta)
     else:
         # nothing survived filtering: rotate to look elsewhere
@@ -168,23 +168,22 @@ def apply_memory_ops(mem: MemoryGraph, ops, step_index: int, agent: str) -> None
 
 
 def step(state: AgentState, world, mem: Optional[MemoryGraph], goal: GoalSpec,
-         backend, cfg, constraints: ConstraintSet = ConstraintSet(),
+         backend, cfg, constraints: Tuple[str, ...] = (),
          session_id: str = "adhoc", rng: Optional[random.Random] = None) -> StepOutcome:
     """One full perceive-propose-decide-act cycle.
 
-    Memory is updated in place when enabled.  A stop decision leaves the pose
-    untouched and marks the state terminated.
+    Every request of the step shares one context.  Memory is updated in place
+    when enabled.  A stop decision leaves the pose untouched and marks the
+    state terminated.
     """
     body = AgentBody(radius=cfg.agent_radius, max_sense=cfg.d_max)
     obs = sense(world, state.pose, body, cfg.n_rays, fov=cfg.fov, step=state.step_index)
     mask = traversability_mask(obs, cfg.epsilon_mask, rng)
-    memory_text = memory_excerpt(mem, goal, cfg)
     ctx = RequestContext(session_id=session_id, step=state.step_index,
-                         goal_text=goal.text, memory_text=memory_text,
-                         constraints=constraints.constraints)
+                         goal_text=goal.text, memory_text=memory_excerpt(mem, goal, cfg),
+                         constraints=constraints)
     try:
-        candidates = propose(obs, constraints, backend, cfg,
-                             traversability=mask, context=ctx)
+        candidates = propose(ctx, obs, mask, backend, cfg)
     except EmptyBoundary:
         decision = _fallback(cfg.theta_delta, state.stop_streak)
         motion = execute(world, state.pose, body, decision.chosen)
@@ -193,10 +192,8 @@ def step(state: AgentState, world, mem: Optional[MemoryGraph], goal: GoalSpec,
                            CandidateSet((), cfg.alpha, cfg.theta_delta),
                            (motion.new_pose,), 0.0, False)
 
-    bundle = PromptBundle(obs, candidates, TEMPLATES[goal.kind], goal.text,
-                          memory_text, constraints.constraints)
-    decision, memory_ops = select_action(bundle, backend, cfg, state.stop_streak,
-                                         session_id=session_id)
+    decision, memory_ops = select_action(ctx, obs, candidates, TEMPLATES[goal.kind],
+                                         backend, cfg, state.stop_streak)
     if mem is not None and cfg.memory_enabled and memory_ops:
         apply_memory_ops(mem, memory_ops, step_index=state.step_index, agent=session_id)
 

@@ -3,16 +3,18 @@
 A candidate action is a (range, bearing) pair selected from the navigable
 boundary of the current observation: per traversable ray, the farthest
 contiguous free extent.  Sampling keeps far points first while enforcing a
-minimum angular gap, then a decision backend may remove or nudge candidates.
+minimum angular gap.  This module is pure geometry: the policy sends the
+sampled set to a decision backend, which may remove or nudge candidates, and
+``apply_filter_response`` applies the reply under safety clamps.
 """
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
-from .errors import BackendUnavailable, EmptyBoundary
+from .errors import EmptyBoundary
 from .geometry import angular_distance
 from .sensing import Observation
 
@@ -60,19 +62,6 @@ class CandidateSet:
 
     def __len__(self) -> int:
         return len(self.candidates)
-
-
-@dataclass(frozen=True)
-class ConstraintSet:
-    """Free-form navigation constraints plus the hazard standoff distance."""
-
-    constraints: Tuple[str, ...] = ()
-    hazard_clearance: float = 0.5
-
-    def __post_init__(self):
-        if self.hazard_clearance < 0:
-            raise ValueError("hazard clearance must be >= 0")
-        object.__setattr__(self, "constraints", tuple(self.constraints))
 
 
 def boundary(obs: Observation, traversability: Sequence[bool]) -> List[BoundaryPoint]:
@@ -175,32 +164,3 @@ def apply_filter_response(initial: CandidateSet, points: Sequence[BoundaryPoint]
                 c = orig
         final.append(c)
     return CandidateSet(tuple(final), initial.alpha, initial.theta_delta)
-
-
-def propose(obs: Observation, constraints: ConstraintSet, backend, cfg,
-            traversability: Optional[Sequence[bool]] = None,
-            context=None) -> CandidateSet:
-    """Full proposal pipeline: boundary, sampling, then backend filtering.
-
-    ``cfg`` supplies alpha, theta_delta, and r_min.  On backend failure the
-    unfiltered candidate set is returned unchanged (the caller decides how to
-    degrade); an empty initial set skips the backend call entirely.
-    """
-    from .backends.protocol import RequestContext, make_filter_request
-
-    mask = traversability if traversability is not None else [True] * obs.n_rays
-    points = boundary(obs, mask)
-    initial = sample_initial(points, cfg.alpha, cfg.theta_delta, cfg.r_min)
-    if not initial.candidates:
-        return initial
-    ctx = context or RequestContext(session_id="adhoc", step=obs.step, goal_text="",
-                                    memory_text="", constraints=constraints.constraints)
-    req = make_filter_request(ctx, obs, initial)
-    try:
-        resp = backend.decide(req)
-    except BackendUnavailable:
-        log.warning("filter backend unavailable; keeping unfiltered candidates")
-        return initial
-    ray_gap = obs.fov / max(1, obs.n_rays - 1)
-    return apply_filter_response(initial, points, resp.removals, resp.adjustments,
-                                 obs.fov, ray_gap)

@@ -37,15 +37,13 @@ from dynav.goals import GoalSpec
 from dynav.memory import MemoryGraph, load_graph, merge, save_graph
 from dynav.metrics import compute_metrics
 from dynav.planning import SQRT2, goal_cells, shortest_path
-from dynav.policy import PromptBundle, select_action
+from dynav.policy import propose, select_action
 from dynav.proposer import (
     BoundaryPoint,
     Candidate,
     CandidateSet,
-    ConstraintSet,
     apply_filter_response,
     boundary,
-    propose,
     sample_initial,
 )
 from dynav.sensing import sense
@@ -403,6 +401,7 @@ def test_6_stop_rule_exhaustive_truth_table():
     obs = sense(world, Pose(5.0, 4.0, 0.0), AgentBody(), n_rays=11)
     cset = CandidateSet((Candidate(1, 2.0, 0.0),), alpha=0.8,
                         theta_delta=math.radians(15.0))
+    ctx = RequestContext(session_id="adhoc", step=obs.step, goal_text="chair")
     problems = []
     for length in range(1, 5):
         for seq in itertools.product((0.0, tau, tau + eps), repeat=length):
@@ -411,11 +410,8 @@ def test_6_stop_rule_exhaustive_truth_table():
             backend = _StopScript(seq)
             streak, got = 0, None
             for i in range(length):
-                bundle = PromptBundle(observation=obs, candidates=cset,
-                                      template_id=TEMPLATES["name"],
-                                      goal_text="chair", memory_text="",
-                                      constraints=())
-                decision, _ = select_action(bundle, backend, cfg, streak)
+                decision, _ = select_action(ctx, obs, cset, TEMPLATES["name"],
+                                            backend, cfg, streak)
                 streak = decision.stop_streak
                 if decision.chosen.stop:
                     got = i
@@ -584,7 +580,7 @@ def test_9_hazard_candidates_always_filtered():
     cfg = RunConfig()
     body = AgentBody()
     backend = _oracle(cfg)
-    constraints = ConstraintSet(("avoid the caution sign",))
+    constraints = ("avoid the caution sign",)
     rng = random.Random(99)
     problems = []
     removed_total = 0
@@ -593,7 +589,9 @@ def test_9_hazard_candidates_always_filtered():
         obs = sense(world, pose, body, n_rays=cfg.n_rays, fov=cfg.fov, step=i)
         initial = sample_initial(boundary(obs, [True] * obs.n_rays),
                                  cfg.alpha, cfg.theta_delta, cfg.r_min)
-        final = propose(obs, constraints, backend, cfg)
+        ctx = RequestContext(session_id="adhoc", step=i, goal_text="",
+                             constraints=constraints)
+        final = propose(ctx, obs, [True] * obs.n_rays, backend, cfg)
         removed_total += len(initial.candidates) - len(final.candidates)
         for c in final.candidates:
             ex = pose.x + c.r * math.cos(pose.heading + c.theta)

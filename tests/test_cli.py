@@ -191,6 +191,14 @@ def test_memory_merge_needs_two_inputs(tmp_path):
     assert main(["memory", "merge", str(pa), "--out", str(tmp_path / "m.json")]) == 1
 
 
+@pytest.mark.parametrize("action", ["export", "merge"])
+def test_memory_write_needs_out(tmp_path, capsys, action):
+    _, _, pa, pb = graph_pair(tmp_path)
+    assert main(["memory", action, str(pa), str(pb)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: memory {action} needs --out\n"
+
+
 def test_eval_recomputes_report(tmp_path, episode_file, capsys):
     out = tmp_path / "out"
     main(["run", "--episodes", str(episode_file), "--out", str(out), "--n-rays", "61"])

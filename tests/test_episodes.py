@@ -21,8 +21,11 @@ from dynav.episodes import (
     run_episode,
 )
 from dynav.errors import BackendUnavailable, SchemaViolation
+from dynav.geometry import AgentBody
 from dynav.goals import GoalSpec
 from dynav.memory import MemoryGraph
+from dynav.motion import success
+from dynav.sensing import sense
 from dynav.world import OBSTACLE, SemanticObject, WorldMap, empty_world
 
 from conftest import make_pose
@@ -75,6 +78,47 @@ def test_visible_goal_reached_quickly():
     assert res.termination == STOPPED
     assert g.shortest == pytest.approx(2.4, abs=0.2)
     assert g.path_length >= g.shortest - 0.5
+
+
+class StopInPlace:
+    """Filters every candidate away and is sure it should stop: the agent
+    rotates by theta_delta once, then stops."""
+
+    def decide(self, req):
+        if req.kind == FILTER:
+            return DecisionResponse(kind=FILTER, removals=req.candidate_ids())
+        if req.kind == STOP_CHECK:
+            return DecisionResponse(kind=STOP_CHECK, s_stop=1.0)
+        return DecisionResponse(kind=req.kind)
+
+
+def fresh_success(world, pose, goal, cfg):
+    """Success judged on a new scan at the final pose."""
+    body = AgentBody(radius=cfg.agent_radius, max_sense=cfg.d_max)
+    obs = sense(world, pose, body, cfg.n_rays, fov=cfg.fov)
+    return success(world, pose, goal, obs, cfg.success_threshold_m, True)
+
+
+@pytest.mark.parametrize("backend, start, expected", [
+    ("oracle", make_pose(5.0, 4.0, 0.0), True),         # walks up to the chair
+    ("stop_in_place", make_pose(7.5, 4.0, 0.0), True),  # beside it, facing it
+    ("stop_in_place", make_pose(7.5, 4.0, 180.0), False),  # beside it, facing away
+])
+def test_visibility_required_judges_the_final_view(backend, start, expected):
+    # the avoidance nudge keeps 0.32 m from the chair, so widen the threshold
+    cfg = RunConfig(n_rays=61, visibility_required=True, success_threshold_m=0.5)
+    world = chair_world()
+    goal = GoalSpec.name_goal("chair")
+    spec = EpisodeSpec(episode_id="vis", world=world, goals=(goal,), start=start)
+    res = run_episode(spec, oracle(cfg) if backend == "oracle" else StopInPlace(), cfg)
+    g = res.goal_results[0]
+    assert g.stopped and res.termination == STOPPED
+    final = res.trajectory[-1]
+    assert g.success == fresh_success(world, final, goal, cfg) == expected
+    # without the flag, standing within the threshold is enough
+    plain = run_episode(spec, oracle(cfg) if backend == "oracle" else StopInPlace(),
+                        cfg.with_overrides(visibility_required=False))
+    assert plain.goal_results[0].success
 
 
 def test_step_budget_exhaustion():
@@ -248,7 +292,7 @@ def test_load_episode_specs(tmp_path):
     specs = load_episode_specs(str(path), cfg)
     assert [s.episode_id for s in specs] == ["alpha", "ep0001", "generated"]
     assert specs[0].start.heading == pytest.approx(math.pi / 2)
-    assert specs[0].constraints.constraints == ("avoid the rug",)
+    assert specs[0].constraints == ("avoid the rug",)
     assert specs[0].max_steps == 50
     assert specs[0].seed == 100 and specs[1].seed == 101
     # the same world file is loaded once and shared

@@ -1,5 +1,6 @@
 """Graph memory: update semantics, queries, merge algebra, persistence."""
 import json
+import math
 from collections import deque
 
 import pytest
@@ -7,14 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynav.errors import EmptyName, NoPath, SchemaViolation, SelfLoop, UnknownNode
+from dynav.backends.protocol import MemoryOp
 from dynav.memory import (
     Hop,
     MemoryGraph,
+    MemoryNode,
     SemanticFilter,
     load_graph,
     merge,
     save_graph,
 )
+from dynav.policy import apply_memory_ops
 
 NAMES = ("lamp", "sofa", "door", "sink", "oven", "rug")
 ATTRS = ("red", "tall", "metal", "soft")
@@ -319,3 +323,53 @@ def test_saved_file_is_sorted_json(tmp_path):
     names = [n["name"] for n in payload["nodes"]]
     assert names == sorted(names)
     assert payload["format"] == "dynav-graph/1"
+
+
+# -- non-finite locations ------------------------------------------------------------
+
+NON_FINITE = [(math.nan, 1.0), (1.0, math.inf), (-math.inf, math.nan)]
+
+
+@pytest.mark.parametrize("loc", NON_FINITE)
+def test_node_rejects_non_finite_location(loc):
+    with pytest.raises(ValueError):
+        MemoryNode("chair_9", location=loc)
+    g = MemoryGraph()
+    with pytest.raises(ValueError):
+        g.add_node("chair_9", (), loc, step=1)
+    assert g.nodes == {} and g.version == 0
+
+
+def test_load_rejects_non_finite_location(tmp_path):
+    # Python's json reads the bare NaN / Infinity tokens other writers emit
+    path = tmp_path / "g.json"
+    path.write_text('{"format": "dynav-graph/1", "version": 1, "edges": [], '
+                    '"nodes": [{"name": "x", "location": [NaN, Infinity]}]}')
+    with pytest.raises(SchemaViolation):
+        load_graph(path)
+
+
+def test_memory_ops_with_non_finite_location_are_dropped(caplog):
+    g = MemoryGraph()
+    g.add_node("chair_1", (), (2.0, 1.0), step=1)
+    ops = [MemoryOp(op="add_node", name="chair_1", location=(math.nan, 1.0)),
+           MemoryOp(op="add_node", name="lamp_1", location=(1.0, 1.0))]
+    apply_memory_ops(g, ops, step_index=1, agent="a")
+    assert g.nodes["chair_1"].location == (2.0, 1.0)
+    assert "lamp_1" in g.nodes
+    assert any("dropping malformed memory op" in r.message for r in caplog.records)
+    # with the NaN sighting refused, a tie merges the same in either order
+    b = MemoryGraph()
+    b.add_node("chair_1", (), (3.0, 1.0), step=1)
+    assert merge(g, b).same_content(merge(b, g))
+    assert merge(g, b).nodes["chair_1"].location == (2.0, 1.0)
+
+
+def test_save_refuses_non_finite_numbers(tmp_path):
+    g = demo_graph()
+    name = sorted(g.nodes)[0]
+    # bypass the node check to reach the writer
+    object.__setattr__(g.nodes[name], "location", (math.nan, 0.0))
+    path = tmp_path / "g.json"
+    with pytest.raises(ValueError):
+        save_graph(g, path)

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynav.backends.protocol import (
+    FILTER,
     SCORE,
     STOP_CHECK,
     DecisionResponse,
     MemoryOp,
+    RequestContext,
     TEMPLATES,
 )
 from dynav.config import RunConfig
@@ -19,16 +21,15 @@ from dynav.goals import GoalSpec
 from dynav.memory import MemoryGraph
 from dynav.policy import (
     AgentState,
-    PromptBundle,
     apply_memory_ops,
-    build_prompt,
     goal_filter,
     memory_excerpt,
     pick_best,
+    propose,
     select_action,
     step,
 )
-from dynav.proposer import Candidate, CandidateSet, ConstraintSet
+from dynav.proposer import Candidate, CandidateSet, boundary, sample_initial
 from dynav.sensing import sense
 
 from conftest import make_pose
@@ -60,11 +61,12 @@ class Scripted:
         return DecisionResponse(kind=req.kind)
 
 
-def bundle_with(candidates, obs):
+CTX = RequestContext(session_id="s", step=0, goal_text="chair")
+
+
+def select_with(candidates, obs, backend, cfg, streak):
     cset = CandidateSet(tuple(candidates), alpha=0.8, theta_delta=math.radians(15.0))
-    return PromptBundle(observation=obs, candidates=cset,
-                        template_id=TEMPLATES["name"], goal_text="chair",
-                        memory_text="", constraints=())
+    return select_action(CTX, obs, cset, TEMPLATES["name"], backend, cfg, streak)
 
 
 @pytest.fixture
@@ -78,8 +80,7 @@ def drive_stops(obs, stops, tau):
     backend = Scripted(stops=list(stops))
     streak = 0
     for i in range(len(stops)):
-        bundle = bundle_with([Candidate(1, 2.0, 0.0)], obs)
-        decision, _ = select_action(bundle, backend, cfg, streak)
+        decision, _ = select_with([Candidate(1, 2.0, 0.0)], obs, backend, cfg, streak)
         streak = decision.stop_streak
         if decision.chosen.stop:
             return i
@@ -111,7 +112,7 @@ def test_pick_best_is_argmax(scores):
 
 def test_select_action_picks_highest_score(obs):
     cands = [Candidate(1, 1.0, -0.3), Candidate(2, 4.0, 0.0), Candidate(3, 2.0, 0.3)]
-    decision, _ = select_action(bundle_with(cands, obs), Scripted(), RunConfig(), 0)
+    decision, _ = select_with(cands, obs, Scripted(), RunConfig(), 0)
     assert decision.chosen == PolarAction(4.0, 0.0)
     assert not decision.fallback
     assert decision.scores[2] == pytest.approx(0.4)
@@ -120,15 +121,14 @@ def test_select_action_picks_highest_score(obs):
 def test_select_action_fills_missing_scores(obs):
     cands = [Candidate(1, 1.0, -0.3), Candidate(2, 4.0, 0.0)]
     backend = Scripted(scores={1: 0.3})
-    decision, _ = select_action(bundle_with(cands, obs), backend, RunConfig(), 0)
+    decision, _ = select_with(cands, obs, backend, RunConfig(), 0)
     assert decision.scores == {1: 0.3, 2: 0.0}
     assert decision.chosen.r == pytest.approx(1.0)
 
 
 def test_select_action_backend_failure_degrades(obs):
     cands = [Candidate(1, 1.0, 0.0)]
-    decision, ops = select_action(bundle_with(cands, obs), Scripted(fail=True),
-                                  RunConfig(), stop_streak=1)
+    decision, ops = select_with(cands, obs, Scripted(fail=True), RunConfig(), 1)
     assert decision.fallback and decision.backend_failed
     assert decision.stop_streak == 1  # failure leaves the streak unchanged
     assert decision.chosen.r == 0.0
@@ -137,8 +137,7 @@ def test_select_action_backend_failure_degrades(obs):
 
 
 def test_select_action_no_candidates_rotates(obs):
-    bundle = bundle_with([], obs)
-    decision, _ = select_action(bundle, Scripted(stops=[0.9]), RunConfig(), 0)
+    decision, _ = select_with([], obs, Scripted(stops=[0.9]), RunConfig(), 0)
     assert decision.fallback and not decision.backend_failed
     assert decision.chosen.r == 0.0
     assert decision.s_stop == 0.9
@@ -148,16 +147,16 @@ def test_select_action_no_candidates_rotates(obs):
 def test_select_action_stop_wins_over_scores(obs):
     cands = [Candidate(1, 5.0, 0.0)]
     backend = Scripted(stops=[0.9, 0.9])
-    streak = select_action(bundle_with(cands, obs), backend, RunConfig(), 0)[0].stop_streak
-    decision, _ = select_action(bundle_with(cands, obs), backend, RunConfig(), streak)
+    streak = select_with(cands, obs, backend, RunConfig(), 0)[0].stop_streak
+    decision, _ = select_with(cands, obs, backend, RunConfig(), streak)
     assert decision.chosen.stop
     assert decision.stop_streak == 2
 
 
 def test_select_action_is_deterministic(obs):
     cands = [Candidate(1, 1.0, -0.3), Candidate(2, 4.0, 0.0)]
-    a, _ = select_action(bundle_with(cands, obs), Scripted(), RunConfig(), 0)
-    b, _ = select_action(bundle_with(cands, obs), Scripted(), RunConfig(), 0)
+    a, _ = select_with(cands, obs, Scripted(), RunConfig(), 0)
+    b, _ = select_with(cands, obs, Scripted(), RunConfig(), 0)
     assert a == b
 
 
@@ -195,17 +194,62 @@ def test_apply_memory_ops_skips_malformed():
     assert ("chair_1", "chair_1", "near") not in mem.edges
 
 
-def test_build_prompt_carries_memory_and_template(box_world, body):
-    obs = sense(box_world, make_pose(5.0, 4.0, 0.0), body, n_rays=5)
-    cset = CandidateSet((Candidate(1, 1.0, 0.0),), 0.8, 0.1)
+# -- proposal with backend filtering ---------------------------------------------
+
+
+class ScriptedFilter:
+    def __init__(self, removals=(), fail=False):
+        self.removals = removals
+        self.fail = fail
+        self.requests = []
+
+    def decide(self, req):
+        self.requests.append(req)
+        if self.fail:
+            raise BackendUnavailable("scripted outage")
+        return DecisionResponse(kind=FILTER, removals=tuple(self.removals))
+
+
+def test_propose_pipeline(box_world, body, run_cfg):
+    obs = sense(box_world, make_pose(5.0, 4.0, 0.0), body, n_rays=21)
+    backend = ScriptedFilter(removals=[1])
+    out = propose(CTX, obs, [True] * 21, backend, run_cfg)
+    assert 1 not in out.ids()
+    req = backend.requests[0]
+    assert req.kind == FILTER
+    assert req.version == "dynav/1"
+    assert req.session_id == "s" and req.goal_text == "chair"
+    assert len(req.candidates) == len(out.ids()) + 1
+
+
+def test_propose_survives_backend_outage(box_world, body, run_cfg):
+    obs = sense(box_world, make_pose(5.0, 4.0, 0.0), body, n_rays=21)
+    out = propose(CTX, obs, [True] * 21, ScriptedFilter(fail=True), run_cfg)
+    ref = sample_initial(boundary(obs, [True] * 21), run_cfg.alpha, run_cfg.theta_delta,
+                         run_cfg.r_min)
+    assert out == ref
+
+
+def test_step_requests_share_one_context(box_world):
+    """Filter, score and stop requests of a step carry one identity, with the
+    goal's template, the memory excerpt and the constraints."""
+    cfg = RunConfig(n_rays=31)
     mem = MemoryGraph()
     mem.add_node("chair_9", [], (3.0, 3.0), step=1)
-    goal = GoalSpec.name_goal("chair")
-    bundle = build_prompt(obs, cset, mem, goal, ConstraintSet(("keep right",)), RunConfig())
-    assert bundle.template_id == "goal-name/1"
-    assert bundle.goal_text == "chair"
-    assert "chair_9" in bundle.memory_text
-    assert bundle.constraints == ("keep right",)
+    seen = []
+
+    class Recording(Scripted):
+        def decide(self, req):
+            seen.append(req)
+            return super().decide(req)
+
+    step(AgentState(pose=make_pose(2.0, 4.0, 0.0), step_index=7), box_world, mem,
+         GoalSpec.name_goal("chair"), Recording(), cfg,
+         constraints=("keep right",), session_id="ep1")
+    assert [r.kind for r in seen] == [FILTER, SCORE, STOP_CHECK]
+    assert {(r.session_id, r.step, r.goal_text, r.memory_text, r.constraints)
+            for r in seen} == {("ep1", 7, "chair", "chair_9 at (3.0, 3.0).", ("keep right",))}
+    assert seen[1].template_id == "goal-name/1"
 
 
 # -- full step cycle -------------------------------------------------------------

@@ -5,18 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynav.backends.protocol import DecisionResponse, FILTER
-from dynav.config import RunConfig
-from dynav.errors import BackendUnavailable, EmptyBoundary
+from dynav.errors import EmptyBoundary
 from dynav.geometry import angular_distance
 from dynav.proposer import (
     BoundaryPoint,
     Candidate,
     CandidateSet,
-    ConstraintSet,
     apply_filter_response,
     boundary,
-    propose,
     sample_initial,
 )
 from dynav.sensing import sense
@@ -216,43 +212,6 @@ def test_filter_ignores_adjustment_for_removed_id():
     assert out.ids() == (1, 3)
 
 
-# -- full proposal pipeline -----------------------------------------------------
-
-
-class ScriptedFilter:
-    def __init__(self, removals=(), adjustments=(), fail=False):
-        self.removals = removals
-        self.adjustments = adjustments
-        self.fail = fail
-        self.requests = []
-
-    def decide(self, req):
-        self.requests.append(req)
-        if self.fail:
-            raise BackendUnavailable("scripted outage")
-        return DecisionResponse(kind=FILTER, removals=tuple(self.removals),
-                                adjustments=tuple(self.adjustments))
-
-
-def test_propose_pipeline(box_world, body, run_cfg):
-    obs = sense(box_world, make_pose(5.0, 4.0, 0.0), body, n_rays=21)
-    backend = ScriptedFilter(removals=[1])
-    out = propose(obs, ConstraintSet(), backend, run_cfg)
-    assert 1 not in out.ids()
-    req = backend.requests[0]
-    assert req.kind == FILTER
-    assert req.version == "dynav/1"
-    assert len(req.candidates) == len(out.ids()) + 1
-
-
-def test_propose_survives_backend_outage(box_world, body, run_cfg):
-    obs = sense(box_world, make_pose(5.0, 4.0, 0.0), body, n_rays=21)
-    out = propose(obs, ConstraintSet(), ScriptedFilter(fail=True), run_cfg)
-    ref = sample_initial(boundary(obs, [True] * 21), run_cfg.alpha, run_cfg.theta_delta,
-                         run_cfg.r_min)
-    assert out == ref
-
-
 def test_candidate_validation():
     with pytest.raises(ValueError):
         Candidate(0, 1.0, 0.0)
@@ -262,5 +221,3 @@ def test_candidate_validation():
         Candidate(1, math.inf, 0.0)
     with pytest.raises(ValueError):
         CandidateSet((Candidate(1, 1.0, 0.0), Candidate(1, 2.0, 0.5)), 0.8, 0.1)
-    with pytest.raises(ValueError):
-        ConstraintSet(hazard_clearance=-0.1)
