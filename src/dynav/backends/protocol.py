@@ -9,6 +9,7 @@ only).
 """
 from __future__ import annotations
 
+import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -83,40 +84,35 @@ class DecisionRequest:
         return tuple(c.id for c in self.candidates)
 
     def to_dict(self) -> dict:
-        d = {
-            "version": self.version,
-            "kind": self.kind,
-            "session_id": self.session_id,
-            "step": self.step,
-            "goal_text": self.goal_text,
-            "observation": {
-                "pose": {"x_m": self.pose[0], "y_m": self.pose[1],
-                         "heading_deg": self.pose[2]},
-                "rays": [
-                    {
-                        "theta_deg": r.theta_deg,
-                        "distance_m": r.distance_m,
-                        "label": r.label,
-                        "attributes": list(r.attributes),
-                        "tags": list(r.tags),
-                    }
-                    for r in self.rays
-                ],
-            },
-            "memory_text": self.memory_text,
-            "constraints": list(self.constraints),
-            "template_id": self.template_id,
-        }
+        return {**self._head(), "observation": {"pose": self._pose(), "rays": self._rays()},
+                **self._tail()}
+
+    # to_dict in three parts, so that encode_request can reuse an encoded
+    # observation; the order of the keys is the order on the wire
+    def _head(self) -> dict:
+        return {"version": self.version, "kind": self.kind, "session_id": self.session_id,
+                "step": self.step, "goal_text": self.goal_text}
+
+    def _pose(self) -> dict:
+        return {"x_m": self.pose[0], "y_m": self.pose[1], "heading_deg": self.pose[2]}
+
+    def _rays(self) -> list:
+        return [{"theta_deg": r.theta_deg, "distance_m": r.distance_m, "label": r.label,
+                 "attributes": list(r.attributes), "tags": list(r.tags)}
+                for r in self.rays]
+
+    def _tail(self) -> dict:
+        d = {"memory_text": self.memory_text, "constraints": list(self.constraints),
+             "template_id": self.template_id}
         if self.kind in (FILTER, SCORE):
-            d["candidates"] = [
-                {"id": c.id, "r_m": c.r_m, "theta_deg": c.theta_deg}
-                for c in self.candidates
-            ]
+            d["candidates"] = [{"id": c.id, "r_m": c.r_m, "theta_deg": c.theta_deg}
+                               for c in self.candidates]
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "DecisionRequest":
         try:
+            d = _object(d, "request")
             if d.get("version") != PROTOCOL_VERSION:
                 raise SchemaViolation(f"bad request version: {d.get('version')!r}")
             kind = d["kind"]
@@ -125,6 +121,7 @@ class DecisionRequest:
             obs = d["observation"]
             pose = (float(obs["pose"]["x_m"]), float(obs["pose"]["y_m"]),
                     float(obs["pose"]["heading_deg"]))
+            # r["theta_deg"] comes first: anything but an object fails there
             rays = tuple(
                 WireRay(float(r["theta_deg"]), float(r["distance_m"]), r.get("label"),
                         tuple(r.get("attributes", ())), tuple(r.get("tags", ())))
@@ -145,8 +142,26 @@ class DecisionRequest:
             )
         except SchemaViolation:
             raise
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise SchemaViolation(f"bad request payload: {e}") from e
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaViolation(f"{what} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaViolation(f"{what} must be a JSON list, not {type(value).__name__}")
+    return value
+
+
+def _strings(value, what: str) -> Tuple[str, ...]:
+    if not all(isinstance(v, str) for v in _list(value, what)):
+        raise SchemaViolation(f"{what} must be a list of strings")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -200,6 +215,20 @@ def _clamp_unit(value: float, what: str) -> float:
     return value
 
 
+def _location(loc) -> Optional[Tuple[float, float]]:
+    """A memory op's ``location_m``: null, or two finite numbers."""
+    if loc is None:
+        return None
+    if not (isinstance(loc, list) and len(loc) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in loc)):
+        raise SchemaViolation("memory op location_m must be null or a list of two numbers")
+    x, y = float(loc[0]), float(loc[1])
+    # json accepts NaN and Infinity; neither is a place
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise SchemaViolation(f"memory op location is not finite: {(x, y)}")
+    return x, y
+
+
 def parse_response(payload: dict, request: DecisionRequest) -> DecisionResponse:
     """Validate a raw response dict against its request and normalize it.
 
@@ -216,29 +245,25 @@ def parse_response(payload: dict, request: DecisionRequest) -> DecisionResponse:
         raise SchemaViolation(f"response kind {kind!r} does not match request {request.kind!r}")
     known = set(request.candidate_ids())
     try:
-        removals = tuple(int(i) for i in payload.get("removals", ()))
+        removals = tuple(int(i) for i in _list(payload.get("removals", []), "removals"))
         adjustments = []
-        for a in payload.get("adjustments", ()):
+        for a in _list(payload.get("adjustments", []), "adjustments"):
             adjustments.append({"id": int(a["id"]),
                                 "r": float(a["r_m"]),
                                 "theta": math.radians(float(a["theta_deg"]))})
         scores: Dict[int, float] = {}
-        for entry in payload.get("scores", ()):
+        for entry in _list(payload.get("scores", []), "scores"):
             scores[int(entry["id"])] = _clamp_unit(float(entry["s"]), "score")
         s_stop = _clamp_unit(float(payload.get("s_stop", 0.0)), "s_stop")
         ops: List[MemoryOp] = []
-        for raw in payload.get("memory_ops", ()):
+        for raw in _list(payload.get("memory_ops", []), "memory_ops"):
+            raw = _object(raw, "memory op")
             op = raw.get("op")
             if op == "add_node":
-                loc = raw.get("location_m")
-                if loc:
-                    loc = (float(loc[0]), float(loc[1]))
-                    # json accepts NaN and Infinity; neither is a place
-                    if not all(map(math.isfinite, loc)):
-                        raise SchemaViolation(f"memory op location is not finite: {loc}")
                 ops.append(MemoryOp(op="add_node", name=str(raw["name"]),
-                                    attributes=tuple(raw.get("attributes", ())),
-                                    location=loc or None))
+                                    attributes=_strings(raw.get("attributes", []),
+                                                        "memory op attributes"),
+                                    location=_location(raw.get("location_m"))))
             elif op == "add_edge":
                 ops.append(MemoryOp(op="add_edge", start=str(raw["start"]),
                                     target=str(raw["target"]), relation=str(raw["relation"])))
@@ -246,7 +271,7 @@ def parse_response(payload: dict, request: DecisionRequest) -> DecisionResponse:
                 raise SchemaViolation(f"unknown memory op: {op!r}")
     except SchemaViolation:
         raise
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise SchemaViolation(f"bad response payload: {e}") from e
 
     for i in removals:
@@ -263,6 +288,35 @@ def parse_response(payload: dict, request: DecisionRequest) -> DecisionResponse:
         adjustments=tuple(adjustments), scores=scores, s_stop=s_stop,
         memory_ops=tuple(ops), rationale=str(payload.get("rationale", "")),
     )
+
+
+# -- wire encoding -----------------------------------------------------------
+
+_encode = json.JSONEncoder(allow_nan=False).encode
+
+
+def encode_request(req: DecisionRequest, memo: Optional[list] = None) -> bytes:
+    """The request body: ``json.dumps(req.to_dict(), allow_nan=False).encode()``,
+    byte for byte.
+
+    ``memo`` is a caller-owned list ``[rays, text]`` holding the last rays tuple
+    encoded and its JSON text.  A request carrying that same tuple reuses the
+    text, so the requests of one step, which share one rays tuple, encode the
+    ray fan once.  Raises SchemaViolation on a non-finite number.
+    """
+    try:
+        if memo is not None and memo[0] is req.rays:
+            rays = memo[1]
+        else:
+            rays = _encode(req._rays())
+            if memo is not None:
+                memo[:] = [req.rays, rays]
+        head, tail = _encode(req._head()), _encode(req._tail())
+        text = (f'{head[:-1]}, "observation": {{"pose": {_encode(req._pose())}, '
+                f'"rays": {rays}}}, {tail[1:]}')
+    except (TypeError, ValueError) as e:
+        raise SchemaViolation(f"request cannot be encoded: {e}") from e
+    return text.encode()
 
 
 # -- request builders --------------------------------------------------------

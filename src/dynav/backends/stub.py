@@ -4,7 +4,8 @@ The stub answers POST /decide from a canned response table keyed by
 ``(kind, step)``; an entry with ``step: null`` acts as a wildcard for its
 kind.  Entries may delay before answering, return arbitrary HTTP statuses or
 raw bodies, or expand ``scores_all`` into a score for every candidate in the
-request, which keeps canned scripts valid while candidate ids vary.
+request, which keeps canned scripts valid while candidate ids vary.  The stub
+speaks keep-alive HTTP/1.1.
 """
 from __future__ import annotations
 
@@ -45,6 +46,12 @@ class StubServer:
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
+            # keep-alive, like a real decision server; headers and body go out
+            # in two writes, so without TCP_NODELAY the body waits for the
+            # client's delayed ACK
+            protocol_version = "HTTP/1.1"
+            disable_nagle_algorithm = True
+
             def log_message(self, *args):  # keep test output clean
                 pass
 

@@ -27,14 +27,18 @@ from .worldgen import WorldGenSpec, generate_world
 log = logging.getLogger(__name__)
 
 
-def _build_backend(cfg: RunConfig):
+def _backend_factory(cfg: RunConfig):
+    """A function building one episode's backend; checks the endpoint first."""
     if cfg.backend == "remote":
-        return RemoteBackend(BackendConfig(endpoint=cfg.endpoint,
-                                           timeout_ms=cfg.timeout_ms,
-                                           max_retries=cfg.max_retries))
-    return OracleBackend(hazard_clearance=cfg.hazard_clearance_m,
-                         success_threshold=cfg.success_threshold_m,
-                         r_scale=cfg.d_max)
+        try:
+            bcfg = BackendConfig(endpoint=cfg.endpoint, timeout_ms=cfg.timeout_ms,
+                                 max_retries=cfg.max_retries)
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
+        return lambda: RemoteBackend(bcfg)
+    return lambda: OracleBackend(hazard_clearance=cfg.hazard_clearance_m,
+                                 success_threshold=cfg.success_threshold_m,
+                                 r_scale=cfg.d_max)
 
 
 def cmd_run(args) -> int:
@@ -47,13 +51,17 @@ def cmd_run(args) -> int:
         overrides["memory_enabled"] = False
     cfg = load_config(args.config, overrides)
     specs = load_episode_specs(args.episodes, cfg)
+    make_backend = _backend_factory(cfg)
     os.makedirs(args.out, exist_ok=True)
 
     def run_one(spec) -> EpisodeResult:
-        backend = _build_backend(cfg)
+        backend = make_backend()
         log_path = os.path.join(args.out, f"{spec.episode_id}.steps.jsonl")
-        with open(log_path, "w") as fh:
-            return run_episode(spec, backend, cfg, step_log=fh)
+        try:
+            with open(log_path, "w") as fh:
+                return run_episode(spec, backend, cfg, step_log=fh)
+        finally:
+            getattr(backend, "close", lambda: None)()
 
     results: List[EpisodeResult] = []
     try:

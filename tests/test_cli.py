@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from dynav.backends import RemoteBackend
 from dynav.backends.stub import StubServer
 from dynav.cli import main
 from dynav.memory import MemoryGraph, load_graph, merge, save_graph
@@ -113,6 +114,51 @@ def test_run_survives_a_malformed_backend_reply(tmp_path):
         assert "not JSON" in r["abort_reason"]
         assert r["goals"][0]["steps"] == 3
     assert {"report.json", "report.txt"} <= run_dir_files(out)
+
+
+def test_run_survives_a_malformed_memory_op(tmp_path):
+    # a score reply at step 3 whose memory op has a one-number location
+    script = [
+        {"kind": "filter", "body": {}},
+        {"kind": "score", "scores_all": 0.5},
+        {"kind": "score", "step": 3, "scores_all": 0.5, "body": {"memory_ops": [
+            {"op": "add_node", "name": "a", "location_m": [1]}]}},
+        {"kind": "stop_check", "body": {"s_stop": 0.0}},
+    ]
+    spec = Path(__file__).resolve().parent.parent / "specs" / "objectnav_small.json"
+    out = tmp_path / "out"
+    with StubServer(script=script) as stub:
+        code = main(["run", "--episodes", str(spec), "--out", str(out),
+                     "--backend", "remote", "--endpoint", stub.endpoint])
+    assert code == 2
+    results = [json.loads(l) for l in (out / "results.jsonl").read_text().splitlines()]
+    assert len(results) == 5
+    for r in results:
+        assert r["termination"] == "aborted"
+        assert "location_m" in r["abort_reason"]
+        assert r["goals"][0]["steps"] == 3
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_closes_each_episode_backend(tmp_path, episode_file, monkeypatch, workers):
+    closed = []
+    original = RemoteBackend.close
+    monkeypatch.setattr(RemoteBackend, "close",
+                        lambda self: (closed.append(self), original(self)))
+    script = [{"kind": "filter", "body": {}}, {"kind": "score", "scores_all": 0.5},
+              {"kind": "stop_check", "body": {"s_stop": 0.0}}]
+    with StubServer(script=script) as stub:
+        assert main(["run", "--episodes", str(episode_file), "--out", str(tmp_path / "out"),
+                     "--backend", "remote", "--endpoint", stub.endpoint, "--n-rays", "31",
+                     "--max-steps", "5", "--workers", str(workers)]) == 0
+    assert len(closed) == len(set(map(id, closed))) == 2
+
+
+def test_run_rejects_a_non_http_endpoint(tmp_path, episode_file, capsys):
+    assert main(["run", "--episodes", str(episode_file), "--out", str(tmp_path / "out"),
+                 "--backend", "remote", "--endpoint", "ftp://127.0.0.1/decide"]) == 1
+    assert "http://" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_missing_episode_file(tmp_path):
