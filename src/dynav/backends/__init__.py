@@ -2,11 +2,11 @@
 from .oracle import OracleBackend
 from .protocol import (DecisionRequest, DecisionResponse, MemoryOp, RequestContext,
                        PROTOCOL_VERSION, parse_response)
-from .remote import BackendConfig, RemoteBackend, remote_call
-from .stub import StubServer, serve_stub
+from .remote import BackendConfig, RemoteBackend
+from .stub import StubServer
 
 __all__ = [
     "BackendConfig", "DecisionRequest", "DecisionResponse", "MemoryOp",
     "OracleBackend", "PROTOCOL_VERSION", "RemoteBackend", "RequestContext",
-    "StubServer", "parse_response", "remote_call", "serve_stub",
+    "StubServer", "parse_response",
 ]

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SchemaViolation
-from .protocol import (FILTER, MEMORY_EXTRACT, PROTOCOL_VERSION, SCORE, STOP_CHECK,
-                       DecisionRequest, DecisionResponse, MemoryOp, WireRay)
+from .protocol import (FILTER, PROTOCOL_VERSION, SCORE, STOP_CHECK, DecisionRequest,
+                       DecisionResponse, MemoryOp, WireRay)
 
 _STOPWORDS = {
     "a", "an", "the", "of", "to", "from", "and", "or", "is", "are", "in", "on",
@@ -74,7 +74,7 @@ def parse_goal_text(text: str) -> _GoalPattern:
 
 
 class OracleBackend:
-    """Deterministic scoring, filtering, stop checks, and memory extraction.
+    """Deterministic scoring, filtering, and stop checks.
 
     Behavior per request kind:
 
@@ -88,7 +88,6 @@ class OracleBackend:
       memory operations for every labeled sighting.
     * stop_check: full confidence exactly when the goal is visible within the
       success distance, zero otherwise.
-    * memory_extract: memory operations only.
     """
 
     def __init__(self, hazard_clearance: float = 0.5, success_threshold: float = 0.3,
@@ -112,8 +111,6 @@ class OracleBackend:
             return self._score(req)
         if req.kind == STOP_CHECK:
             return self._stop(req)
-        if req.kind == MEMORY_EXTRACT:
-            return DecisionResponse(kind=MEMORY_EXTRACT, memory_ops=self._memory_ops(req))
         raise SchemaViolation(f"unknown request kind {req.kind!r}")
 
     @staticmethod
@@ -233,7 +230,7 @@ class OracleBackend:
         near = any(r.distance_m <= self.success_threshold for r in self._goal_rays(req))
         return DecisionResponse(kind=STOP_CHECK, s_stop=1.0 if near else 0.0)
 
-    # -- memory extraction ------------------------------------------------------
+    # -- memory operations, sent on score replies -------------------------------
 
     def _memory_ops(self, req: DecisionRequest) -> Tuple[MemoryOp, ...]:
         sightings: Dict[str, WireRay] = {}

@@ -1,11 +1,10 @@
 """Wire protocol between the navigation policy and decision backends.
 
 Requests and responses are JSON with angles in degrees and distances in
-meters; both directions carry ``version: "dynav/1"``.  Four request kinds
+meters; both directions carry ``version: "dynav/1"``.  Three request kinds
 exist: ``filter`` (prune/nudge candidates), ``score`` (rate candidates and
-optionally emit memory operations), ``stop_check`` (rate stop confidence on
-the raw, un-annotated observation), and ``memory_extract`` (memory operations
-only).
+optionally emit memory operations), and ``stop_check`` (rate stop confidence
+on the raw, un-annotated observation).
 """
 from __future__ import annotations
 
@@ -13,7 +12,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import SchemaViolation
 from ..proposer import CandidateSet
@@ -26,8 +25,7 @@ PROTOCOL_VERSION = "dynav/1"
 FILTER = "filter"
 SCORE = "score"
 STOP_CHECK = "stop_check"
-MEMORY_EXTRACT = "memory_extract"
-KINDS = (FILTER, SCORE, STOP_CHECK, MEMORY_EXTRACT)
+KINDS = (FILTER, SCORE, STOP_CHECK)
 
 TEMPLATES = {
     "name": "goal-name/1",
@@ -35,7 +33,6 @@ TEMPLATES = {
     "instance": "goal-instance/1",
     "stop": "stop-check/1",
     "filter": "filter/1",
-    "memory": "memory-extract/1",
 }
 
 
@@ -367,7 +364,3 @@ def make_score_request(ctx: RequestContext, obs: Observation, candidates: Candid
 def make_stop_request(ctx: RequestContext, obs: Observation) -> DecisionRequest:
     # stop confidence is judged on the raw observation: no candidates attached
     return _base(ctx, obs, STOP_CHECK, (), TEMPLATES["stop"])
-
-
-def make_memory_request(ctx: RequestContext, obs: Observation) -> DecisionRequest:
-    return _base(ctx, obs, MEMORY_EXTRACT, (), TEMPLATES["memory"])

@@ -17,7 +17,7 @@ import os
 import select
 import time
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 from urllib.parse import urlsplit
 
 from ..errors import RequestTimeout, SchemaViolation, TransportError
@@ -91,62 +91,6 @@ class Connection:
         self._http.close()
 
 
-def _exchange(cfg: BackendConfig, conn, req: DecisionRequest, body: bytes,
-              sleep) -> DecisionResponse:
-    """POST an encoded request, with retries on transient failures."""
-    headers = {"Content-Type": "application/json"}
-    token = os.environ.get(TOKEN_ENV)
-    if token:
-        headers["Authorization"] = f"Bearer {token}"
-    attempts = cfg.max_retries + 1
-    last_exc: Exception = TransportError("no attempt made")
-    for attempt in range(attempts):
-        if attempt:
-            sleep(BACKOFF_BASE_S * BACKOFF_FACTOR ** (attempt - 1))
-        try:
-            status, data = conn.post(body, headers)
-        except TimeoutError:
-            last_exc = RequestTimeout(f"no answer within {cfg.timeout_ms} ms")
-            log.warning("attempt %d/%d timed out", attempt + 1, attempts)
-            continue
-        except (OSError, http.client.HTTPException) as e:
-            last_exc = TransportError(str(e) or type(e).__name__)
-            log.warning("attempt %d/%d failed: %s", attempt + 1, attempts, e)
-            continue
-        if 500 <= status < 600:
-            last_exc = TransportError(f"server error {status}")
-            log.warning("attempt %d/%d got HTTP %d", attempt + 1, attempts, status)
-            continue
-        if status != 200:
-            raise SchemaViolation(f"unexpected HTTP status {status}")
-        try:
-            payload = json.loads(data)
-        except (ValueError, RecursionError) as e:
-            raise SchemaViolation(f"response body is not JSON: {e}") from e
-        return parse_response(payload, req)
-    raise last_exc
-
-
-def remote_call(cfg: BackendConfig, req: DecisionRequest, conn: Optional[Connection] = None,
-                sleep=time.sleep) -> DecisionResponse:
-    """One logical decision call, with retries on transient failures.
-
-    ``conn`` is any object with ``Connection.post``; without one, the call
-    opens and closes its own connection.  Raises RequestTimeout /
-    TransportError after ``max_retries`` extra attempts, or SchemaViolation
-    without retrying on a request that cannot be encoded or a malformed or
-    mismatched response (including HTTP 3xx and 4xx).
-    """
-    body = encode_request(req)
-    if conn is not None:
-        return _exchange(cfg, conn, req, body, sleep)
-    conn = Connection(cfg)
-    try:
-        return _exchange(cfg, conn, req, body, sleep)
-    finally:
-        conn.close()
-
-
 class RemoteBackend:
     """Decision backend bound to a remote endpoint over one keep-alive
     connection.
@@ -162,8 +106,46 @@ class RemoteBackend:
         self._memo: list = [None, ""]
 
     def decide(self, req: DecisionRequest) -> DecisionResponse:
-        return _exchange(self.cfg, self._conn, req, encode_request(req, self._memo),
-                         time.sleep)
+        """One logical decision call, with retries on transient failures.
+
+        Raises RequestTimeout / TransportError after ``max_retries`` extra
+        attempts, or SchemaViolation without retrying on a request that cannot
+        be encoded or a malformed or mismatched response (including HTTP 3xx
+        and 4xx).
+        """
+        cfg = self.cfg
+        body = encode_request(req, self._memo)
+        headers = {"Content-Type": "application/json"}
+        token = os.environ.get(TOKEN_ENV)
+        if token:
+            headers["Authorization"] = f"Bearer {token}"
+        attempts = cfg.max_retries + 1
+        last_exc: Exception = TransportError("no attempt made")
+        for attempt in range(attempts):
+            if attempt:
+                time.sleep(BACKOFF_BASE_S * BACKOFF_FACTOR ** (attempt - 1))
+            try:
+                status, data = self._conn.post(body, headers)
+            except TimeoutError:
+                last_exc = RequestTimeout(f"no answer within {cfg.timeout_ms} ms")
+                log.warning("attempt %d/%d timed out", attempt + 1, attempts)
+                continue
+            except (OSError, http.client.HTTPException) as e:
+                last_exc = TransportError(str(e) or type(e).__name__)
+                log.warning("attempt %d/%d failed: %s", attempt + 1, attempts, e)
+                continue
+            if 500 <= status < 600:
+                last_exc = TransportError(f"server error {status}")
+                log.warning("attempt %d/%d got HTTP %d", attempt + 1, attempts, status)
+                continue
+            if status != 200:
+                raise SchemaViolation(f"unexpected HTTP status {status}")
+            try:
+                payload = json.loads(data)
+            except (ValueError, RecursionError) as e:
+                raise SchemaViolation(f"response body is not JSON: {e}") from e
+            return parse_response(payload, req)
+        raise last_exc
 
     def close(self):
         self._conn.close()

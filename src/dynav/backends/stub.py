@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import BindFailure
 
 _WILD = None
+
+# how often serve_forever looks for a shutdown request; the default 0.5 s
+# makes every stop() wait most of that
+POLL_INTERVAL_S = 0.05
 
 
 class _Script:
@@ -71,7 +74,9 @@ class StubServer:
                     return
                 delay = entry.get("delay_ms", 0)
                 if delay:
-                    time.sleep(delay / 1000.0)
+                    # not time.sleep, which a test may patch to skip the
+                    # client's backoff
+                    threading.Event().wait(delay / 1000.0)
                 status = entry.get("status", 200)
                 if "raw_body" in entry:
                     body = entry["raw_body"].encode()
@@ -104,7 +109,8 @@ class StubServer:
         except OSError as e:
             raise BindFailure(f"cannot bind stub server on port {port}: {e}") from e
         self.port = self._httpd.server_address[1]
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        self._thread = threading.Thread(target=self._httpd.serve_forever,
+                                        args=(POLL_INTERVAL_S,), daemon=True)
 
     @property
     def endpoint(self) -> str:
@@ -124,7 +130,3 @@ class StubServer:
     def __exit__(self, *exc):
         self.stop()
 
-
-def serve_stub(port: int, script: Optional[List[dict]] = None) -> StubServer:
-    """Start a stub server (port 0 picks a free one); caller must stop() it."""
-    return StubServer(port=port, script=script).start()

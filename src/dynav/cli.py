@@ -120,7 +120,7 @@ def cmd_memory(args) -> int:
     return 0
 
 
-def cmd_serve_stub(args) -> int:
+def cmd_stub(args) -> int:
     from .backends.stub import StubServer
 
     script = None
@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     stub = sub.add_parser("serve-stub", help="run the scripted protocol stub")
     stub.add_argument("--port", type=int, default=8808)
     stub.add_argument("--script", default=None, help="canned response script JSON")
-    stub.set_defaults(func=cmd_serve_stub)
+    stub.set_defaults(func=cmd_stub)
 
     ev = sub.add_parser("eval", help="recompute a report from results.jsonl")
     ev.add_argument("--results", required=True)

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .errors import ConfigError
@@ -41,6 +41,10 @@ class RunConfig:
     max_backend_failures: int = 5      # consecutive failures before aborting
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, not {value}")
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigError("alpha must lie in (0, 1]")
         if self.theta_delta_deg < 0 or self.tau_stop < 0 or self.tau_stop > 1:
@@ -53,6 +57,8 @@ class RunConfig:
             raise ConfigError("epsilon_mask must lie in [0, 1]")
         if self.workers < 1 or self.max_steps < 1 or self.max_distance_m <= 0:
             raise ConfigError("workers and budgets must be positive")
+        if self.memory_hops < 0 or self.memory_budget < 0:
+            raise ConfigError("memory_hops and memory_budget must be >= 0")
         if self.backend not in ("oracle", "remote"):
             raise ConfigError(f"unknown backend {self.backend!r}")
         if self.backend == "remote" and not self.endpoint:
@@ -72,10 +78,6 @@ class RunConfig:
         if self.avoid_clearance_m is not None:
             return self.avoid_clearance_m
         return self.agent_radius + 0.15
-
-    def with_overrides(self, **kwargs) -> "RunConfig":
-        clean = {k: v for k, v in kwargs.items() if v is not None}
-        return replace(self, **clean) if clean else self
 
 
 _FIELDS = {f.name for f in fields(RunConfig)}

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import IO, List, Optional, Tuple
 
 from .config import RunConfig
-from .errors import SchemaViolation, Unreachable
+from .errors import GenerationFailed, SchemaViolation, Unreachable
 from .geometry import AgentBody, Pose
 from .goals import GoalSpec
 from .memory import MemoryGraph
@@ -212,64 +212,106 @@ def run_episode(spec: EpisodeSpec, backend, cfg: RunConfig,
                          tuple(trajectory), termination, abort_reason)
 
 
-def paired_memory_run(spec: EpisodeSpec, backend, cfg: RunConfig
-                      ) -> Tuple[EpisodeResult, EpisodeResult]:
-    """Run the same episode with and without memory; returns (with, without)."""
-    with_mem = run_episode(spec, backend, cfg.with_overrides(memory_enabled=True))
-    without = run_episode(spec, backend, cfg.with_overrides(memory_enabled=False))
-    return with_mem, without
-
-
 # -- episode spec files -------------------------------------------------------
 
-def _goal_from_dict(d: dict) -> GoalSpec:
-    try:
-        return GoalSpec.from_dict(d)
-    except (KeyError, ValueError) as e:
-        raise SchemaViolation(f"bad goal record: {e}") from e
+def _check(value, ok: bool, what: str):
+    """``value``, or a SchemaViolation saying what it must be."""
+    if not ok:
+        raise SchemaViolation(f"{what}, not {value!r:.60}")
+    return value
+
+
+def _strings(value, what: str) -> Tuple[str, ...]:
+    return tuple(_check(value, isinstance(value, list)
+                        and all(isinstance(v, str) for v in value),
+                        f"{what} must be a list of strings"))
+
+
+def _finite(value, what: str) -> float:
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return float(_check(value, number and math.isfinite(value),
+                        f"{what} must be a finite number"))
+
+
+def _integer(value, what: str) -> int:
+    return _check(value, isinstance(value, int) and not isinstance(value, bool),
+                  f"{what} must be an integer")
+
+
+def _goal_from_dict(d) -> GoalSpec:
+    _check(d, isinstance(d, dict), "a goal must be an object")
+    for key in ("kind", "category", "text"):
+        _check(d.get(key, ""), isinstance(d.get(key, ""), str), f"goal {key} must be a string")
+    for key in ("attributes", "relation_hints"):
+        _strings(d.get(key, []), f"goal {key}")
+    return GoalSpec.from_dict(d)
+
+
+def _episode_from_dict(e, i: int, base: str, cfg: RunConfig, worlds: dict) -> EpisodeSpec:
+    _check(e, isinstance(e, dict), "an episode must be an object")
+    episode_id = e.get("id", f"ep{i:04d}")
+    # the id names the episode's step log file
+    _check(episode_id, isinstance(episode_id, str) and episode_id != ""
+           and not set(episode_id) & set("/\\\0"), "id must be a file name")
+    seed = _integer(e.get("seed", cfg.seed + i), "seed")
+    if ("world" in e) == ("worldgen" in e):
+        raise SchemaViolation("needs exactly one of 'world' and 'worldgen'")
+    if "world" in e:
+        wpath = os.path.join(base, _check(e["world"], isinstance(e["world"], str),
+                                          "world must be a path"))
+        if wpath not in worlds:
+            worlds[wpath] = WorldMap.load(wpath)
+        world = worlds[wpath]
+    else:
+        wg = dict(_check(e["worldgen"], isinstance(e["worldgen"], dict),
+                         "worldgen must be an object"))
+        wg_seed = _integer(wg.pop("seed", seed), "worldgen seed")
+        world = generate_world(WorldGenSpec.from_dict(wg), wg_seed)
+    start = None
+    if "start" in e:
+        s = _check(e["start"], isinstance(e["start"], dict), "start must be an object")
+        start = Pose(_finite(s["x"], "start x"), _finite(s["y"], "start y"),
+                     math.radians(_finite(s.get("heading_deg", 0.0), "start heading_deg")))
+    goals = _check(e["goals"], isinstance(e["goals"], list), "goals must be a list")
+    max_steps, max_dist = e.get("max_steps"), e.get("max_distance_m")
+    if max_steps is not None:
+        _check(max_steps, _integer(max_steps, "max_steps") > 0, "max_steps must be positive")
+    if max_dist is not None:
+        _check(max_dist, _finite(max_dist, "max_distance_m") > 0,
+               "max_distance_m must be positive")
+    return EpisodeSpec(episode_id=episode_id, world=world,
+                       goals=tuple(_goal_from_dict(g) for g in goals), start=start,
+                       constraints=_strings(e.get("constraints", []), "constraints"),
+                       seed=seed, max_steps=max_steps, max_distance_m=max_dist)
 
 
 def load_episode_specs(path: str, cfg: RunConfig) -> List[EpisodeSpec]:
-    """Read an episode spec file (see docs/formats.md) into runnable specs."""
+    """Read an episode spec file (see docs/formats.md) into runnable specs.
+
+    Any malformed content raises SchemaViolation, and so do a world file that
+    cannot be read and a ``worldgen`` request that cannot be met.
+    """
     with open(path) as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as e:
             raise SchemaViolation(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
-    if not isinstance(raw, dict) or "episodes" not in raw:
-        raise SchemaViolation("episode spec must be an object with an 'episodes' list")
+        except (UnicodeDecodeError, RecursionError) as e:
+            raise SchemaViolation(f"{path}: not valid JSON: {e}") from e
+    episodes = raw.get("episodes") if isinstance(raw, dict) else None
+    if not isinstance(episodes, list) or not episodes:
+        raise SchemaViolation("episode spec must be an object with a non-empty 'episodes' list")
     base = os.path.dirname(os.path.abspath(path))
-    specs: List[EpisodeSpec] = []
-    worlds_cache: dict = {}
-    for i, e in enumerate(raw["episodes"]):
+    worlds: dict = {}
+    specs: dict = {}
+    for i, e in enumerate(episodes):
         try:
-            episode_id = e.get("id", f"ep{i:04d}")
-            seed = int(e.get("seed", cfg.seed + i))
-            if "world" in e:
-                wpath = os.path.join(base, e["world"])
-                if wpath not in worlds_cache:
-                    worlds_cache[wpath] = WorldMap.load(wpath)
-                world = worlds_cache[wpath]
-            elif "worldgen" in e:
-                wg = dict(e["worldgen"])
-                wg_seed = int(wg.pop("seed", seed))
-                world = generate_world(WorldGenSpec.from_dict(wg), wg_seed)
-            else:
-                raise SchemaViolation(f"episode {episode_id} needs 'world' or 'worldgen'")
-            start = None
-            if "start" in e:
-                s = e["start"]
-                start = Pose(float(s["x"]), float(s["y"]),
-                             math.radians(float(s.get("heading_deg", 0.0))))
-            goals = tuple(_goal_from_dict(g) for g in e["goals"])
-            specs.append(EpisodeSpec(
-                episode_id=episode_id, world=world, goals=goals, start=start,
-                constraints=tuple(e.get("constraints", ())), seed=seed,
-                max_steps=e.get("max_steps"), max_distance_m=e.get("max_distance_m")))
-        except SchemaViolation:
-            raise
-        except (KeyError, TypeError, ValueError) as ex:
+            spec = _episode_from_dict(e, i, base, cfg, worlds)
+        except (SchemaViolation, KeyError, TypeError, ValueError, OverflowError, OSError,
+                GenerationFailed) as ex:
             raise SchemaViolation(f"bad episode record {i}: {ex}") from ex
-    if not specs:
-        raise SchemaViolation("episode spec file lists no episodes")
-    return specs
+        if spec.episode_id in specs:
+            # a second episode would overwrite the first one's step log
+            raise SchemaViolation(f"episode id {spec.episode_id!r} is not unique")
+        specs[spec.episode_id] = spec
+    return list(specs.values())

@@ -33,14 +33,6 @@ class SelfLoop(DynavError):
     """Graph edges must connect two distinct nodes."""
 
 
-class UnknownNode(DynavError):
-    """A graph query referenced a node that does not exist."""
-
-
-class NoPath(DynavError):
-    """No path connects the two queried graph nodes."""
-
-
 class SchemaViolation(DynavError):
     """A payload (file or wire message) does not match its documented schema."""
 

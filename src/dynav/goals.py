@@ -10,7 +10,7 @@ Three goal styles are supported:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 from .world import SemanticObject
@@ -61,16 +61,6 @@ class GoalSpec:
         if self.kind == DESCRIPTION:
             return obj.category == self.category and set(self.attributes) <= set(obj.attributes)
         return set(self.attributes) <= set(obj.attributes)
-
-    def terms(self) -> Tuple[str, ...]:
-        """Search terms for memory retrieval: category plus attribute words."""
-        out = []
-        if self.category:
-            out.append(self.category)
-        out.extend(self.attributes)
-        for hint in self.relation_hints:
-            out.extend(w for w in hint.split() if len(w) > 3)
-        return tuple(out)
 
     def to_dict(self) -> dict:
         return {

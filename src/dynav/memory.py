@@ -11,15 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import EmptyName, NoPath, SchemaViolation, SelfLoop, UnknownNode
+from .errors import EmptyName, SchemaViolation, SelfLoop
 
 GRAPH_FORMAT = "dynav-graph/1"
-
-DEFAULT_MAX_HOPS = 3
 
 
 @dataclass(frozen=True)
@@ -63,29 +60,18 @@ class SemanticFilter:
     """Node selector for spatial queries.
 
     ``name_pattern`` is a case-insensitive substring; ``required_attributes``
-    must all be present; ``relation`` selects nodes incident to an edge with
-    that relation.  ``hops`` expands the matched set along edges (both
+    must all be present.  ``hops`` expands the matched set along edges (both
     directions) before the induced subgraph is taken.
     """
 
     name_pattern: Optional[str] = None
     required_attributes: frozenset = frozenset()
-    relation: Optional[str] = None
     hops: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "required_attributes", frozenset(self.required_attributes))
         if self.hops < 0:
             raise ValueError("hops must be >= 0")
-
-
-@dataclass(frozen=True)
-class Hop:
-    """One step of an inferred path: the relation used and the node reached."""
-
-    relation: str
-    node: str
-    forward: bool  # False when the stored edge was traversed target-to-start
 
 
 def _merge_node(a: MemoryNode, b: MemoryNode) -> MemoryNode:
@@ -180,19 +166,10 @@ class MemoryGraph:
     def _matches(self, node: MemoryNode, flt: SemanticFilter) -> bool:
         if flt.name_pattern is not None and flt.name_pattern.lower() not in node.name.lower():
             return False
-        if flt.required_attributes and not flt.required_attributes <= node.attributes:
-            return False
-        if flt.relation is not None:
-            incident = any(r == flt.relation and node.name in (s, t)
-                           for (s, t, r) in self.edges)
-            if not incident:
-                return False
-        return True
+        return flt.required_attributes <= node.attributes
 
-    def spatial_query(self, flt: SemanticFilter, max_hops: int = DEFAULT_MAX_HOPS) -> "MemoryGraph":
+    def spatial_query(self, flt: SemanticFilter) -> "MemoryGraph":
         """Induced subgraph around filter matches, expanded ``flt.hops`` hops."""
-        if flt.hops > max_hops:
-            raise ValueError(f"hops {flt.hops} exceeds the configured maximum {max_hops}")
         selected = {n for n, node in self.nodes.items() if self._matches(node, flt)}
         frontier = set(selected)
         for _ in range(flt.hops):
@@ -212,47 +189,6 @@ class MemoryGraph:
                 g.edges[key] = edge
         g.version = 1 if (g.nodes or g.edges) else 0
         return g
-
-    def path_inference(self, start: str, target: str) -> List[Hop]:
-        """Minimum-hop path treating edges as bidirectional.
-
-        Equal-length paths tie-break to the lexicographically smallest node
-        sequence.  Returns an empty list when start == target.
-        """
-        for name in (start, target):
-            if name not in self.nodes:
-                raise UnknownNode(name)
-        if start == target:
-            return []
-        # distance-to-target field, then walk greedily by smallest node name
-        dist = {target: 0}
-        q = deque([target])
-        while q:
-            cur = q.popleft()
-            for nb in self._neighbors(cur):
-                if nb not in dist:
-                    dist[nb] = dist[cur] + 1
-                    q.append(nb)
-        if start not in dist:
-            raise NoPath(f"no path from {start!r} to {target!r}")
-        hops: List[Hop] = []
-        cur = start
-        while cur != target:
-            nxt = min(nb for nb in self._neighbors(cur) if dist.get(nb, -1) == dist[cur] - 1)
-            hops.append(Hop(self._pick_relation(cur, nxt), nxt,
-                            forward=self._has_forward(cur, nxt)))
-            cur = nxt
-        return hops
-
-    def _has_forward(self, a: str, b: str) -> bool:
-        return any(s == a and t == b for (s, t, _r) in self.edges)
-
-    def _pick_relation(self, a: str, b: str) -> str:
-        fwd = sorted(r for (s, t, r) in self.edges if s == a and t == b)
-        if fwd:
-            return fwd[0]
-        back = sorted(r for (s, t, r) in self.edges if s == b and t == a)
-        return back[0]
 
     def render_text(self, budget: int) -> str:
         """Natural-language listing: one clause per node and per edge.

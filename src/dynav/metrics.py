@@ -58,16 +58,6 @@ class Report:
             "excluded_unreachable": self.excluded_unreachable,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Report":
-        return cls(
-            n_episodes=d["n_episodes"], n_subtasks=d["n_subtasks"], sr=d["sr"],
-            spl=d["spl"], acd_m=d.get("acd_m"),
-            per_episode_sr=d["per_episode_sr"],
-            per_category={k: CategoryStats(**v) for k, v in d.get("per_category", {}).items()},
-            excluded_unreachable=d.get("excluded_unreachable", 0),
-        )
-
     def to_text(self) -> str:
         rows = [("category", "n", "SR %", "SPL")]
         for cat in sorted(self.per_category):

@@ -70,8 +70,7 @@ def goal_filter(goal: GoalSpec, hops: int) -> SemanticFilter:
 def memory_excerpt(mem: Optional[MemoryGraph], goal: GoalSpec, cfg) -> str:
     if mem is None or not cfg.memory_enabled:
         return ""
-    sub = mem.spatial_query(goal_filter(goal, cfg.memory_hops),
-                            max_hops=max(cfg.memory_hops, 3))
+    sub = mem.spatial_query(goal_filter(goal, cfg.memory_hops))
     return sub.render_text(cfg.memory_budget)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import ndimage
@@ -138,11 +138,6 @@ class WorldMap:
 
     def cell_center(self, ix: int, iy: int) -> Tuple[float, float]:
         return (ix + 0.5) * self.resolution, (iy + 0.5) * self.resolution
-
-    def is_obstacle_cell(self, ix: int, iy: int) -> bool:
-        if ix < 0 or iy < 0 or ix >= self.width_cells or iy >= self.height_cells:
-            return True
-        return self.grid[iy, ix] == OBSTACLE
 
     def framed_cells(self) -> bytes:
         """The grid as row-major bytes inside a one-cell frame of OUTSIDE.
@@ -383,16 +378,3 @@ class WorldMap:
                 raise SchemaViolation(f"world file is not valid JSON: {e}") from e
         return cls.from_dict(payload)
 
-
-def empty_world(width_m: float, height_m: float, resolution: float = 0.1,
-                objects: Iterable[SemanticObject] = (), walled: bool = True) -> WorldMap:
-    """Convenience constructor: open floor, optionally with a one-cell wall ring."""
-    w = int(round(width_m / resolution))
-    h = int(round(height_m / resolution))
-    grid = np.zeros((h, w), dtype=np.uint8)
-    if walled:
-        grid[0, :] = OBSTACLE
-        grid[-1, :] = OBSTACLE
-        grid[:, 0] = OBSTACLE
-        grid[:, -1] = OBSTACLE
-    return WorldMap(grid, resolution, tuple(objects))

@@ -1,15 +1,28 @@
-"""Shared fixtures: small deterministic worlds and a ready oracle backend."""
+"""Shared fixtures and helpers: small deterministic worlds, and JSON fuzzing."""
 from __future__ import annotations
 
+import copy
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from dynav.config import RunConfig
 from dynav.geometry import AgentBody, Pose
-from dynav.world import FREE, OBSTACLE, SemanticObject, WorldMap, empty_world
+from dynav.world import OBSTACLE, SemanticObject, WorldMap
+
+
+def empty_world(width_m: float, height_m: float, resolution: float = 0.1,
+                objects=(), walled: bool = True) -> WorldMap:
+    """Open floor, optionally with a one-cell wall ring."""
+    grid = np.zeros((int(round(height_m / resolution)), int(round(width_m / resolution))),
+                    dtype=np.uint8)
+    if walled:
+        grid[0, :] = grid[-1, :] = OBSTACLE
+        grid[:, 0] = grid[:, -1] = OBSTACLE
+    return WorldMap(grid, resolution, tuple(objects))
 
 
 @pytest.fixture
@@ -67,3 +80,35 @@ def random_grid_world(rng: random.Random, n: int = 64, fill: float = 0.25,
 
 def make_pose(x: float, y: float, heading_deg: float = 0.0) -> Pose:
     return Pose(x, y, math.radians(heading_deg))
+
+
+# -- fuzzing: arbitrary JSON, and valid payloads with one field replaced -------
+
+# json reads NaN, Infinity and integers of any size; Hypothesis draws them rarely
+edge_numbers = st.sampled_from([math.nan, math.inf, -math.inf, 1e300, 10 ** 400, -(10 ** 400)])
+scalars = (st.none() | st.booleans() | st.integers() | st.floats() | edge_numbers
+           | st.text(max_size=6))
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=10)
+# a value for one field of a valid message; MISSING removes the field
+MISSING = object()
+replacements = json_values | st.lists(scalars, max_size=3) | st.just(MISSING)
+
+
+def replaced(valid: dict, path: tuple, value) -> dict:
+    d = copy.deepcopy(valid)
+    node = d
+    for key in path[:-1]:
+        node = node[key]
+    if value is MISSING:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return d
+
+
+def dotted(path) -> str:
+    return ".".join(map(str, path))

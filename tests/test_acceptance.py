@@ -12,6 +12,7 @@ import json
 import math
 import random
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,8 +30,7 @@ from dynav.backends.protocol import (
 )
 from dynav.backends.stub import StubServer
 from dynav.config import RunConfig
-from dynav.episodes import EpisodeResult, EpisodeSpec, GoalResult, STOPPED, \
-    paired_memory_run, run_episode
+from dynav.episodes import EpisodeResult, EpisodeSpec, GoalResult, STOPPED, run_episode
 from dynav.errors import RequestTimeout, SchemaViolation, TransportError, Unreachable
 from dynav.geometry import AgentBody, Pose, angular_distance
 from dynav.goals import GoalSpec
@@ -47,10 +47,10 @@ from dynav.proposer import (
     sample_initial,
 )
 from dynav.sensing import sense
-from dynav.world import OBSTACLE, SemanticObject, WorldMap, empty_world
+from dynav.world import OBSTACLE, SemanticObject, WorldMap
 from dynav.worldgen import WorldGenSpec, generate_world, random_free_pose
 
-from conftest import random_grid_world
+from conftest import empty_world, random_grid_world
 
 
 def _verdict(k, label, problems):
@@ -351,7 +351,8 @@ def test_5_memory_improves_revisit_efficiency():
             goals=(GoalSpec.name_goal("chair"), GoalSpec.name_goal("table")),
             start=start, seed=seed)
         rec = _SightingRecorder(_oracle(cfg))
-        w, wo = paired_memory_run(spec, rec, cfg)
+        w = run_episode(spec, rec, replace(cfg, memory_enabled=True))
+        wo = run_episode(spec, rec, replace(cfg, memory_enabled=False))
         if rec.seen:
             picked.append(seed)
             w_sel.append(w)
@@ -549,7 +550,6 @@ def test_8_wire_protocol_conformance():
         {"kind": "stop_check", "body": {"s_stop": 0.0}},
         {"kind": "stop_check", "step": 4, "body": {"s_stop": 0.9}},
         {"kind": "stop_check", "step": 5, "body": {"s_stop": 0.9}},
-        {"kind": "memory_extract", "body": {}},
     ]
     server = StubServer(port=0, script=script).start()
     try:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from dynav.backends.oracle import OracleBackend, parse_goal_text
 from dynav.backends.protocol import (
     FILTER,
-    MEMORY_EXTRACT,
     PROTOCOL_VERSION,
     SCORE,
     STOP_CHECK,
@@ -212,14 +211,14 @@ def test_stop_confidence_requires_goal_within_threshold(backend):
     assert backend.decide(near).kind == STOP_CHECK
 
 
-# -- memory extraction ----------------------------------------------------------------
+# -- memory operations on score replies ---------------------------------------------
 
 
 def test_memory_ops_add_nodes_at_ray_endpoints(backend):
     rays = [WireRay(0.0, 2.0, "chair_1", ("red",)), WireRay(90.0, 3.0, "wall"),
             WireRay(45.0, 9.0, None)]
-    resp = backend.decide(make_req(kind=MEMORY_EXTRACT, rays=rays, pose=(1.0, 1.0, 0.0)))
-    assert resp.kind == MEMORY_EXTRACT
+    resp = backend.decide(make_req(kind=SCORE, rays=rays, pose=(1.0, 1.0, 0.0)))
+    assert resp.kind == SCORE
     assert len(resp.memory_ops) == 1
     op = resp.memory_ops[0]
     assert op.op == "add_node" and op.name == "chair_1"
@@ -230,7 +229,7 @@ def test_memory_ops_add_nodes_at_ray_endpoints(backend):
 
 def test_memory_ops_keep_nearest_sighting(backend):
     rays = [WireRay(0.0, 2.0, "chair_1"), WireRay(2.0, 1.5, "chair_1")]
-    resp = backend.decide(make_req(kind=MEMORY_EXTRACT, rays=rays))
+    resp = backend.decide(make_req(kind=SCORE, rays=rays))
     assert len(resp.memory_ops) == 1
     assert math.hypot(*resp.memory_ops[0].location) == pytest.approx(1.5)
 
@@ -239,7 +238,7 @@ def test_memory_ops_adjacency_edge(backend):
     # endpoints 0.4 m apart: adjacent; a third object far away is not linked
     rays = [WireRay(0.0, 2.0, "chair_1"), WireRay(11.0, 2.1, "table_1"),
             WireRay(-60.0, 6.0, "sofa_1")]
-    resp = backend.decide(make_req(kind=MEMORY_EXTRACT, rays=rays))
+    resp = backend.decide(make_req(kind=SCORE, rays=rays))
     edges = [op for op in resp.memory_ops if op.op == "add_edge"]
     assert len(edges) == 1
     assert (edges[0].start, edges[0].target) == ("chair_1", "table_1")
@@ -273,3 +272,6 @@ def test_oracle_rejects_bad_version_and_kind(backend):
     object.__setattr__(bad_kind, "kind", "prophecy")
     with pytest.raises(SchemaViolation):
         backend.decide(bad_kind)
+    # memory operations come back on score replies; there is no kind for them
+    with pytest.raises(SchemaViolation, match="unknown request kind"):
+        backend.decide(make_req(kind="memory_extract"))

@@ -1,5 +1,4 @@
 """Wire protocol serialization plus the HTTP client against the scriptable stub."""
-import copy
 import http.client
 import json
 import logging
@@ -8,18 +7,17 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import closing
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dynav.backends.oracle import OracleBackend
 from dynav.backends.protocol import (
     FILTER,
-    MEMORY_EXTRACT,
     PROTOCOL_VERSION,
     SCORE,
     STOP_CHECK,
@@ -29,13 +27,13 @@ from dynav.backends.protocol import (
     WireRay,
     encode_request,
     make_filter_request,
-    make_memory_request,
     make_score_request,
     make_stop_request,
     parse_response,
 )
-from dynav.backends.remote import BackendConfig, RemoteBackend, remote_call
-from dynav.backends.stub import StubServer, serve_stub
+from dynav.backends import remote
+from dynav.backends.remote import BackendConfig, RemoteBackend
+from dynav.backends.stub import POLL_INTERVAL_S, StubServer
 from dynav.config import RunConfig
 from dynav.errors import BindFailure, RequestTimeout, SchemaViolation, TransportError
 from dynav.goals import GoalSpec
@@ -43,12 +41,12 @@ from dynav.policy import AgentState, step
 from dynav.proposer import Candidate, CandidateSet
 from dynav.sensing import sense
 
-from conftest import make_pose
+from conftest import MISSING, dotted, json_values, make_pose, replaced, replacements
 
 
 def make_req(kind=SCORE, step=0, n_cands=2):
     cands = tuple(WireCandidate(i + 1, 2.0 + i, 10.0 * i) for i in range(n_cands))
-    if kind in (STOP_CHECK, MEMORY_EXTRACT):
+    if kind == STOP_CHECK:
         cands = ()
     return DecisionRequest(
         version=PROTOCOL_VERSION, kind=kind, session_id="s1", step=step,
@@ -90,20 +88,17 @@ def test_score_request_golden(plant_world, body):
     assert d["candidates"] == [{"id": 1, "r_m": 2.16, "theta_deg": 0.0}]
 
 
-def test_stop_and_memory_requests_have_no_candidates(plant_world, body):
+def test_stop_requests_have_no_candidates(plant_world, body):
     obs = sense(plant_world, make_pose(5.0, 4.0, 0.0), body, n_rays=3)
     cands = CandidateSet((Candidate(1, 2.0, 0.0),), 0.8, 0.1)
     ctx = RequestContext(session_id="s", step=0, goal_text="plant")
     stop = make_stop_request(ctx, obs)
-    mem = make_memory_request(ctx, obs)
     filt = make_filter_request(ctx, obs, cands)
     assert stop.kind == STOP_CHECK and "candidates" not in stop.to_dict()
-    assert mem.kind == MEMORY_EXTRACT and "candidates" not in mem.to_dict()
     assert filt.kind == FILTER and filt.to_dict()["candidates"]
     assert stop.template_id == "stop-check/1"
-    assert mem.template_id == "memory-extract/1"
     # the requests of one observation share one wire form of its rays
-    assert stop.rays is mem.rays is filt.rays
+    assert stop.rays is filt.rays
 
 
 def test_wire_rays_match_a_per_ray_conversion(cluttered_world, body):
@@ -139,6 +134,8 @@ def test_request_from_dict_validation():
         DecisionRequest.from_dict(dict(good, version="dynav/0"))
     with pytest.raises(SchemaViolation):
         DecisionRequest.from_dict(dict(good, kind="mystery"))
+    with pytest.raises(SchemaViolation, match="unknown request kind"):
+        DecisionRequest.from_dict(dict(make_req(STOP_CHECK).to_dict(), kind="memory_extract"))
     with pytest.raises(SchemaViolation):
         DecisionRequest.from_dict(dict(good, candidates=[]))  # score needs candidates
     with pytest.raises(SchemaViolation):
@@ -212,7 +209,8 @@ def test_remote_round_trip_records_request():
                "body": {"rationale": "canned"}}]
     with StubServer(script=script) as stub:
         cfg = BackendConfig(endpoint=stub.endpoint, timeout_ms=2000)
-        resp = remote_call(cfg, make_req(step=3))
+        with closing(RemoteBackend(cfg)) as backend:
+            resp = backend.decide(make_req(step=3))
         assert resp.scores == {1: 0.5, 2: 0.5}
         assert resp.rationale == "canned"
         assert len(stub.requests) == 1
@@ -223,13 +221,14 @@ def test_remote_round_trip_records_request():
         assert DecisionRequest.from_dict(seen) == make_req(step=3)
 
 
-def test_remote_timeout_retries_then_raises():
+def test_remote_timeout_retries_then_raises(monkeypatch):
     script = [{"kind": "score", "delay_ms": 400, "scores_all": 0.5}]
     sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
     with StubServer(script=script) as stub:
         cfg = BackendConfig(endpoint=stub.endpoint, timeout_ms=100, max_retries=2)
-        with pytest.raises(RequestTimeout):
-            remote_call(cfg, make_req(), sleep=sleeps.append)
+        with closing(RemoteBackend(cfg)) as backend, pytest.raises(RequestTimeout):
+            backend.decide(make_req())
         assert len(stub.requests) == 3  # initial try plus two retries
     assert sleeps == [0.25, 0.5]  # exponential backoff
 
@@ -254,70 +253,77 @@ def reply(status, payload=None):
     return status, b"" if payload is None else json.dumps(payload).encode()
 
 
-def test_remote_retries_5xx_then_succeeds():
+def fake_backend(monkeypatch, replies, sleeps=None, **cfg):
+    """A RemoteBackend on a FakeConnection answering ``replies``; backoff
+    sleeps go to ``sleeps`` instead of the clock."""
+    conn = FakeConnection(replies)
+    monkeypatch.setattr(remote, "Connection", lambda cfg: conn)
+    monkeypatch.setattr(time, "sleep", [].append if sleeps is None else sleeps.append)
+    return RemoteBackend(BackendConfig(endpoint="http://x/decide", **cfg)), conn
+
+
+def test_remote_retries_5xx_then_succeeds(monkeypatch):
     ok = reply(200, ok_body(scores=[{"id": 1, "s": 0.9}, {"id": 2, "s": 0.1}]))
-    conn = FakeConnection([reply(500), ok])
-    cfg = BackendConfig(endpoint="http://x/decide", max_retries=2)
-    resp = remote_call(cfg, make_req(), conn=conn, sleep=lambda s: None)
+    backend, conn = fake_backend(monkeypatch, [reply(500), ok], max_retries=2)
+    resp = backend.decide(make_req())
     assert resp.scores[1] == 0.9
     assert len(conn.calls) == 2
     # the retry sends the same encoded body
     assert conn.calls[0]["body"] == conn.calls[1]["body"] == encode_request(make_req())
 
 
-def test_remote_exhausts_retries_on_5xx():
-    conn = FakeConnection([reply(503)] * 3)
-    cfg = BackendConfig(endpoint="http://x/decide", max_retries=2)
+def test_remote_exhausts_retries_on_5xx(monkeypatch):
+    backend, conn = fake_backend(monkeypatch, [reply(503)] * 3, max_retries=2)
     with pytest.raises(TransportError):
-        remote_call(cfg, make_req(), conn=conn, sleep=lambda s: None)
+        backend.decide(make_req())
     assert len(conn.calls) == 3
 
 
-def test_remote_4xx_is_not_retried():
-    conn = FakeConnection([reply(404)])
-    cfg = BackendConfig(endpoint="http://x/decide", max_retries=5)
+def test_remote_4xx_is_not_retried(monkeypatch):
+    backend, conn = fake_backend(monkeypatch, [reply(404)], max_retries=5)
     with pytest.raises(SchemaViolation):
-        remote_call(cfg, make_req(), conn=conn, sleep=lambda s: None)
+        backend.decide(make_req())
     assert len(conn.calls) == 1
 
 
-def test_remote_3xx_is_not_followed():
-    conn = FakeConnection([(302, b"")])
-    cfg = BackendConfig(endpoint="http://x/decide", max_retries=5)
+def test_remote_3xx_is_not_followed(monkeypatch):
+    backend, conn = fake_backend(monkeypatch, [(302, b"")], max_retries=5)
     with pytest.raises(SchemaViolation, match="302"):
-        remote_call(cfg, make_req(), conn=conn, sleep=lambda s: None)
+        backend.decide(make_req())
     assert len(conn.calls) == 1
 
 
-def test_remote_bad_schema_is_not_retried():
-    conn = FakeConnection([reply(200, {"version": "dynav/0", "kind": SCORE})])
-    cfg = BackendConfig(endpoint="http://x/decide", max_retries=5)
+def test_remote_bad_schema_is_not_retried(monkeypatch):
+    backend, conn = fake_backend(
+        monkeypatch, [reply(200, {"version": "dynav/0", "kind": SCORE})], max_retries=5)
     with pytest.raises(SchemaViolation):
-        remote_call(cfg, make_req(), conn=conn, sleep=lambda s: None)
+        backend.decide(make_req())
     assert len(conn.calls) == 1
 
 
-def test_remote_transport_failures_are_retried():
+def test_remote_transport_failures_are_retried(monkeypatch):
     ok = reply(200, ok_body(scores=[{"id": 1, "s": 0.5}, {"id": 2, "s": 0.5}]))
-    conn = FakeConnection([ConnectionResetError(104, "reset"),
-                           http.client.RemoteDisconnected("closed"), ok])
     sleeps = []
-    cfg = BackendConfig(endpoint="http://x/decide", max_retries=2)
-    assert remote_call(cfg, make_req(), conn=conn, sleep=sleeps.append).scores[1] == 0.5
+    backend, conn = fake_backend(monkeypatch, [ConnectionResetError(104, "reset"),
+                                               http.client.RemoteDisconnected("closed"), ok],
+                                 sleeps, max_retries=2)
+    assert backend.decide(make_req()).scores[1] == 0.5
     assert sleeps == [0.25, 0.5]
-    conn = FakeConnection([TimeoutError()] * 2 + [ConnectionRefusedError(111, "refused")])
+    backend, conn = fake_backend(
+        monkeypatch, [TimeoutError()] * 2 + [ConnectionRefusedError(111, "refused")],
+        max_retries=2)
     with pytest.raises(TransportError, match="refused"):
-        remote_call(cfg, make_req(), conn=conn, sleep=lambda s: None)
-    conn = FakeConnection([TimeoutError()] * 3)
+        backend.decide(make_req())
+    backend, conn = fake_backend(monkeypatch, [TimeoutError()] * 3, max_retries=2)
     with pytest.raises(RequestTimeout):
-        remote_call(cfg, make_req(), conn=conn, sleep=lambda s: None)
+        backend.decide(make_req())
 
 
-def test_non_finite_request_is_never_sent():
-    conn = FakeConnection([])
+def test_non_finite_request_is_never_sent(monkeypatch):
+    backend, conn = fake_backend(monkeypatch, [])
     req = replace(make_req(), pose=(math.nan, 2.0, 30.0))
     with pytest.raises(SchemaViolation, match="encoded"):
-        remote_call(BackendConfig(endpoint="http://x/decide"), req, conn=conn)
+        backend.decide(req)
     assert conn.calls == []
 
 
@@ -325,22 +331,22 @@ def test_remote_non_json_body_raises():
     script = [{"kind": "score", "raw_body": "{not json"}]
     with StubServer(script=script) as stub:
         cfg = BackendConfig(endpoint=stub.endpoint)
-        with pytest.raises(SchemaViolation):
-            remote_call(cfg, make_req())
+        with closing(RemoteBackend(cfg)) as backend, pytest.raises(SchemaViolation):
+            backend.decide(make_req())
 
 
 def test_remote_unscripted_kind_is_schema_error():
     with StubServer(script=[]) as stub:
         cfg = BackendConfig(endpoint=stub.endpoint)
-        with pytest.raises(SchemaViolation):
-            remote_call(cfg, make_req())
+        with closing(RemoteBackend(cfg)) as backend, pytest.raises(SchemaViolation):
+            backend.decide(make_req())
 
 
 def test_remote_sends_bearer_token(monkeypatch):
     monkeypatch.setenv("DYNAV_TOKEN", "sesame")
     ok = reply(200, ok_body(scores=[{"id": 1, "s": 0.5}, {"id": 2, "s": 0.5}]))
-    conn = FakeConnection([ok])
-    remote_call(BackendConfig(endpoint="http://x/decide"), make_req(), conn=conn)
+    backend, conn = fake_backend(monkeypatch, [ok])
+    backend.decide(make_req())
     assert conn.calls[0]["headers"]["Authorization"] == "Bearer sesame"
     assert conn.calls[0]["headers"]["Content-Type"] == "application/json"
 
@@ -367,15 +373,6 @@ def test_stub_rejects_double_bind():
     with StubServer() as stub:
         with pytest.raises(BindFailure):
             StubServer(port=stub.port)
-
-
-def test_serve_stub_helper():
-    stub = serve_stub(0, [{"kind": "stop_check", "body": {"s_stop": 0.2}}])
-    try:
-        resp = remote_call(BackendConfig(endpoint=stub.endpoint), make_req(kind=STOP_CHECK))
-        assert resp.s_stop == 0.2
-    finally:
-        stub.stop()
 
 
 def test_backend_config_validation():
@@ -418,36 +415,6 @@ def test_parse_response_rejects_malformed_fields(field, value):
 
 
 # -- fuzzing the wire parsers --------------------------------------------------------
-
-# json reads NaN, Infinity and integers of any size; Hypothesis draws them rarely
-edge_numbers = st.sampled_from([math.nan, math.inf, -math.inf, 1e300, 10 ** 400, -(10 ** 400)])
-scalars = (st.none() | st.booleans() | st.integers() | st.floats() | edge_numbers
-           | st.text(max_size=6))
-json_values = st.recursive(
-    scalars,
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
-    max_leaves=10)
-# a value for one field of a valid message; MISSING removes the field
-MISSING = object()
-replacements = json_values | st.lists(scalars, max_size=3) | st.just(MISSING)
-
-
-def replaced(valid: dict, path: tuple, value) -> dict:
-    d = copy.deepcopy(valid)
-    node = d
-    for key in path[:-1]:
-        node = node[key]
-    if value is MISSING:
-        del node[path[-1]]
-    else:
-        node[path[-1]] = value
-    return d
-
-
-def dotted(path) -> str:
-    return ".".join(map(str, path))
-
 
 VALID_RESPONSE = ok_body(
     removals=[1], adjustments=[{"id": 2, "r_m": 1.5, "theta_deg": 5.0}],
@@ -536,7 +503,7 @@ def dumped(req) -> bytes:
     return json.dumps(req.to_dict(), allow_nan=False).encode()
 
 
-@pytest.mark.parametrize("kind", [FILTER, SCORE, STOP_CHECK, MEMORY_EXTRACT])
+@pytest.mark.parametrize("kind", [FILTER, SCORE, STOP_CHECK])
 def test_encode_request_matches_json_dumps(kind, cluttered_world, body):
     obs = sense(cluttered_world, make_pose(7.5, 5.0, -0.0), body, n_rays=61)
     ctx = RequestContext(session_id="sé", step=3, goal_text="chair \"red\"",
@@ -544,8 +511,7 @@ def test_encode_request_matches_json_dumps(kind, cluttered_world, body):
     cands = CandidateSet((Candidate(1, 2.0, 0.1), Candidate(2, 1.5, -0.4)), 0.8, 0.2)
     req = {FILTER: lambda: make_filter_request(ctx, obs, cands),
            SCORE: lambda: make_score_request(ctx, obs, cands, "goal-name/1"),
-           STOP_CHECK: lambda: make_stop_request(ctx, obs),
-           MEMORY_EXTRACT: lambda: make_memory_request(ctx, obs)}[kind]()
+           STOP_CHECK: lambda: make_stop_request(ctx, obs)}[kind]()
     assert encode_request(req) == dumped(req)
     assert encode_request(make_req(kind)) == dumped(make_req(kind))
 
@@ -615,7 +581,8 @@ class KeepAliveServer:
 
         self._httpd = Server(("127.0.0.1", 0), Handler)
         self.endpoint = f"http://127.0.0.1:{self._httpd.server_address[1]}/decide"
-        threading.Thread(target=self._httpd.serve_forever, daemon=True).start()
+        threading.Thread(target=self._httpd.serve_forever, args=(POLL_INTERVAL_S,),
+                         daemon=True).start()
 
     def __enter__(self):
         return self

@@ -8,7 +8,9 @@ from dynav.backends import RemoteBackend
 from dynav.backends.stub import StubServer
 from dynav.cli import main
 from dynav.memory import MemoryGraph, load_graph, merge, save_graph
-from dynav.world import WorldMap, SemanticObject, empty_world
+from dynav.world import WorldMap, SemanticObject
+
+from conftest import empty_world
 
 
 @pytest.fixture()
@@ -72,7 +74,7 @@ def test_run_no_memory_flag(tmp_path, episode_file):
 
 def test_run_aborts_give_exit_2(tmp_path, episode_file):
     script = [{"kind": k, "status": 500, "body": {}}
-              for k in ("filter", "score", "stop_check", "memory_extract")]
+              for k in ("filter", "score", "stop_check")]
     server = StubServer(port=0, script=script).start()
     try:
         cfg_path = tmp_path / "cfg.json"
@@ -174,6 +176,28 @@ def test_run_bad_config_file(tmp_path, episode_file):
     cfg.write_text(json.dumps({"warp_drive": True}))
     assert main(["run", "--episodes", str(episode_file),
                  "--out", str(tmp_path / "out"), "--config", str(cfg)]) == 1
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--d-max", "nan"], {}),
+    ([], {"memory_hops": -1}),
+    ([], {"memory_budget": -4}),
+])
+def test_run_rejects_bad_config_values_before_running(tmp_path, episode_file, flags, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--episodes", str(episode_file), "--out", str(tmp_path / "out"),
+                 "--config", str(cfg)] + flags) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_a_bad_episode_record_before_running(tmp_path, episode_file, capsys):
+    payload = json.loads(episode_file.read_text())
+    payload["episodes"][1]["max_steps"] = -3
+    episode_file.write_text(json.dumps(payload))
+    assert main(["run", "--episodes", str(episode_file), "--out", str(tmp_path / "out")]) == 1
+    assert "max_steps" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_worldgen_writes_loadable_world(tmp_path, capsys):

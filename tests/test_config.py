@@ -33,17 +33,16 @@ def test_defaults_are_valid():
     {"max_distance_m": 0.0},
     {"backend": "psychic"},
     {"backend": "remote"},  # remote without an endpoint
+    {"memory_hops": -1},
+    {"memory_budget": -1},
+    {"d_max": math.nan},
+    {"tau_stop": math.nan},
+    {"max_distance_m": math.inf},
+    {"avoid_clearance_m": -math.inf},
 ])
 def test_validation_rejects(bad):
     with pytest.raises(ConfigError):
         RunConfig(**bad)
-
-
-def test_with_overrides_skips_none():
-    cfg = RunConfig()
-    assert cfg.with_overrides(alpha=None, seed=None) is cfg
-    bumped = cfg.with_overrides(alpha=0.5, seed=None)
-    assert bumped.alpha == 0.5 and bumped.seed == cfg.seed
 
 
 def test_load_config_precedence(tmp_path):

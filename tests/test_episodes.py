@@ -2,9 +2,11 @@
 import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from dynav.backends.oracle import OracleBackend
 from dynav.backends.protocol import FILTER, SCORE, STOP_CHECK, DecisionResponse
@@ -17,7 +19,6 @@ from dynav.episodes import (
     EpisodeSpec,
     GoalResult,
     load_episode_specs,
-    paired_memory_run,
     run_episode,
 )
 from dynav.errors import BackendUnavailable, SchemaViolation
@@ -26,9 +27,9 @@ from dynav.goals import GoalSpec
 from dynav.memory import MemoryGraph
 from dynav.motion import success
 from dynav.sensing import sense
-from dynav.world import OBSTACLE, SemanticObject, WorldMap, empty_world
+from dynav.world import OBSTACLE, SemanticObject, WorldMap
 
-from conftest import make_pose
+from conftest import MISSING, dotted, empty_world, json_values, make_pose, replaced, replacements
 
 
 def chair_world():
@@ -117,7 +118,7 @@ def test_visibility_required_judges_the_final_view(backend, start, expected):
     assert g.success == fresh_success(world, final, goal, cfg) == expected
     # without the flag, standing within the threshold is enough
     plain = run_episode(spec, oracle(cfg) if backend == "oracle" else StopInPlace(),
-                        cfg.with_overrides(visibility_required=False))
+                        replace(cfg, visibility_required=False))
     assert plain.goal_results[0].success
 
 
@@ -221,17 +222,6 @@ def test_step_log_records_every_step():
     assert versions == sorted(versions)
 
 
-def test_paired_memory_run_toggles_memory():
-    cfg = RunConfig(n_rays=61)
-    spec = EpisodeSpec(episode_id="pair", world=chair_world(),
-                       goals=(GoalSpec.name_goal("chair"),),
-                       start=make_pose(5.0, 4.0, 0.0))
-    with_mem, without = paired_memory_run(spec, oracle(cfg), cfg)
-    assert with_mem.goal_results[0].success
-    assert without.goal_results[0].success
-    assert with_mem.episode_id == without.episode_id
-
-
 def test_episode_spec_validation():
     with pytest.raises(ValueError):
         EpisodeSpec(episode_id="bad", world=chair_world(), goals=())
@@ -320,3 +310,104 @@ def test_load_episode_specs_rejects_bad_files(tmp_path):
         {"worldgen": {"rooms": 1}, "goals": [{"kind": "telepathy"}]}]}))
     with pytest.raises(SchemaViolation):
         load_episode_specs(str(bad), cfg)
+
+def write_spec(directory, payload) -> str:
+    path = directory / "episodes.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def one_episode(**fields) -> dict:
+    episode = {"id": "a", "world": "world.json", "goals": [{"kind": "name", "category": "chair"}]}
+    episode.update(fields)
+    return {"episodes": [episode]}
+
+
+BAD_RECORDS = {
+    "episodes-not-a-list": {"episodes": 5},
+    "episode-not-an-object": {"episodes": ["x"]},
+    "start-nan": one_episode(start={"x": math.nan, "y": 4.0}),
+    "start-huge-int": one_episode(start={"x": 5.0, "y": 10 ** 400}),
+    "max-steps-string": one_episode(max_steps="5"),
+    "max-steps-negative": one_episode(max_steps=-3),
+    "max-steps-zero": one_episode(max_steps=0),
+    "max-distance-negative": one_episode(max_distance_m=-1.0),
+    "constraints-string": one_episode(constraints="avoid"),
+    "id-with-separator": one_episode(id="../a"),
+    "id-repeated": {"episodes": one_episode()["episodes"] * 2},
+    "seed-string": one_episode(seed="7"),
+    "world-file-absent": one_episode(world="absent.json"),
+    "world-and-worldgen": one_episode(worldgen={"rooms": 2}),
+    "goal-category-list": one_episode(goals=[{"kind": "name", "category": ["chair"]}]),
+    "goal-attributes-string": one_episode(goals=[{"kind": "instance", "attributes": "red"}]),
+    "goal-not-an-object": one_episode(goals=["chair"]),
+    "worldgen-not-an-object": {"episodes": [{"worldgen": [["rooms", 2]],
+                                             "goals": [{"kind": "name", "category": "chair"}]}]},
+    "worldgen-impossible": {"episodes": [{
+        "worldgen": {"width_m": 4.0, "height_m": 4.0, "objects_per_category": 40,
+                     "max_attempts": 2},
+        "goals": [{"kind": "name", "category": "chair"}]}]},
+}
+
+
+@pytest.mark.parametrize("payload", BAD_RECORDS.values(), ids=BAD_RECORDS.keys())
+def test_load_episode_specs_rejects_bad_records(tmp_path, payload):
+    chair_world().save(tmp_path / "world.json")
+    with pytest.raises(SchemaViolation):
+        load_episode_specs(write_spec(tmp_path, payload), RunConfig())
+
+
+@pytest.fixture(scope="module")
+def spec_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("specs")
+    chair_world().save(directory / "world.json")
+    return directory
+
+
+VALID_SPEC = one_episode(
+    seed=3, start={"x": 5.0, "y": 4.0, "heading_deg": 90.0},
+    goals=[{"kind": "description", "category": "chair", "attributes": ["red"],
+            "relation_hints": ["near the door"], "text": "the red chair"}],
+    constraints=["avoid the rug"], max_steps=5, max_distance_m=20.0)
+# paths into VALID_SPEC; a list index is replaced, never removed
+SPEC_PATHS = [
+    ("episodes",), ("episodes", 0), ("episodes", 0, "id"), ("episodes", 0, "seed"),
+    ("episodes", 0, "world"), ("episodes", 0, "start"),
+    ("episodes", 0, "start", "x"), ("episodes", 0, "start", "heading_deg"),
+    ("episodes", 0, "goals"), ("episodes", 0, "goals", 0),
+    ("episodes", 0, "goals", 0, "kind"), ("episodes", 0, "goals", 0, "category"),
+    ("episodes", 0, "goals", 0, "attributes"), ("episodes", 0, "goals", 0, "relation_hints"),
+    ("episodes", 0, "goals", 0, "text"), ("episodes", 0, "constraints"),
+    ("episodes", 0, "max_steps"), ("episodes", 0, "max_distance_m"),
+]
+GENERATED_SPEC = {"episodes": [{"worldgen": {"rooms": 1, "categories": ["chair"], "seed": 2},
+                                "goals": [{"kind": "name", "category": "chair"}]}]}
+FIELDS = ([(VALID_SPEC, path) for path in SPEC_PATHS]
+          + [(GENERATED_SPEC, ("episodes", 0, "worldgen")),
+             (GENERATED_SPEC, ("episodes", 0, "worldgen", "seed"))])
+
+
+def loads_or_violates(directory, payload):
+    try:
+        specs = load_episode_specs(write_spec(directory, payload), RunConfig())
+    except SchemaViolation:
+        return
+    for spec in specs:
+        assert spec.max_steps is None or spec.max_steps >= 1
+        assert all(isinstance(c, str) for c in spec.constraints)
+        assert spec.start is None or all(map(math.isfinite, (spec.start.x, spec.start.y)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(payload=json_values)
+def test_load_episode_specs_raises_only_schema_violation(spec_dir, payload):
+    loads_or_violates(spec_dir, payload)
+
+
+@pytest.mark.parametrize("valid, path", FIELDS, ids=[dotted(path) for _, path in FIELDS])
+@settings(max_examples=30, deadline=None)
+@given(value=replacements)
+def test_load_episode_specs_field_raises_only_schema_violation(spec_dir, valid, path, value):
+    if isinstance(path[-1], int) and value is MISSING:
+        return
+    loads_or_violates(spec_dir, replaced(valid, path, value))

@@ -18,8 +18,10 @@ from dynav.errors import NoEscape
 from dynav.geometry import AgentBody, Pose, normalize_angle
 from dynav.motion import reactive_avoid
 from dynav.sensing import DEFAULT_FOV, WALL_HIT, Hit, Observation, Ray, sense
-from dynav.world import OBSTACLE, SemanticObject, WorldMap, empty_world
+from dynav.world import OBSTACLE, SemanticObject, WorldMap
 from dynav.worldgen import WorldGenSpec, generate_world
+
+from conftest import empty_world
 
 _TIE = 1e-12
 

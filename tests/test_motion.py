@@ -10,9 +10,9 @@ from dynav.geometry import AgentBody, PolarAction, Pose
 from dynav.goals import GoalSpec
 from dynav.motion import execute, reactive_avoid, success
 from dynav.sensing import sense
-from dynav.world import OBSTACLE, SemanticObject, WorldMap, empty_world
+from dynav.world import OBSTACLE, SemanticObject, WorldMap
 
-from conftest import make_pose
+from conftest import empty_world, make_pose
 
 REF_STEP = 5e-4
 

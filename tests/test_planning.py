@@ -11,9 +11,9 @@ from dynav.errors import Unreachable, UnresolvableGoal
 from dynav.geometry import AgentBody, Pose
 from dynav.goals import GoalSpec
 from dynav.planning import SQRT2, goal_cells, shortest_path
-from dynav.world import OBSTACLE, SemanticObject, WorldMap, empty_world
+from dynav.world import OBSTACLE, SemanticObject, WorldMap
 
-from conftest import make_pose, random_grid_world
+from conftest import empty_world, make_pose, random_grid_world
 
 
 def csgraph_shortest(world, start, goal, threshold, body):

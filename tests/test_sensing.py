@@ -8,9 +8,9 @@ import pytest
 from dynav.errors import PoseOutOfBounds
 from dynav.geometry import AgentBody, Pose
 from dynav.sensing import DEFAULT_FOV, sense, traversability_mask
-from dynav.world import OBSTACLE, SemanticObject, empty_world
+from dynav.world import OBSTACLE, SemanticObject
 
-from conftest import make_pose
+from conftest import empty_world, make_pose
 
 STEP = 5e-4  # reference march step; bounds the depth error of the oracle
 

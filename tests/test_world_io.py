@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynav.errors import SchemaViolation
-from dynav.world import FREE, OBSTACLE, WORLD_FORMAT, SemanticObject, WorldMap, empty_world
+from dynav.world import FREE, OBSTACLE, WORLD_FORMAT, SemanticObject, WorldMap
 
-from conftest import random_grid_world
+from conftest import empty_world, random_grid_world
 
 
 def brute_clearance(world: WorldMap, x: float, y: float) -> float:
