@@ -12,9 +12,9 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from ..errors import SchemaViolation
+from ..errors import SchemaViolation, check_strings
 from ..proposer import CandidateSet
 from ..sensing import Observation
 
@@ -47,8 +47,7 @@ class RequestContext:
     constraints: Tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class WireRay:
+class WireRay(NamedTuple):
     theta_deg: float
     distance_m: float
     label: Optional[str]
@@ -56,8 +55,7 @@ class WireRay:
     tags: Tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class WireCandidate:
+class WireCandidate(NamedTuple):
     id: int
     r_m: float
     theta_deg: float
@@ -153,12 +151,6 @@ def _list(value, what: str) -> list:
     if not isinstance(value, list):
         raise SchemaViolation(f"{what} must be a JSON list, not {type(value).__name__}")
     return value
-
-
-def _strings(value, what: str) -> Tuple[str, ...]:
-    if not all(isinstance(v, str) for v in _list(value, what)):
-        raise SchemaViolation(f"{what} must be a list of strings")
-    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -258,8 +250,8 @@ def parse_response(payload: dict, request: DecisionRequest) -> DecisionResponse:
             op = raw.get("op")
             if op == "add_node":
                 ops.append(MemoryOp(op="add_node", name=str(raw["name"]),
-                                    attributes=_strings(raw.get("attributes", []),
-                                                        "memory op attributes"),
+                                    attributes=check_strings(raw.get("attributes", []),
+                                                             "memory op attributes"),
                                     location=_location(raw.get("location_m"))))
             elif op == "add_edge":
                 ops.append(MemoryOp(op="add_edge", start=str(raw["start"]),
@@ -327,11 +319,11 @@ def _wire_rays(obs: Observation) -> Tuple[WireRay, ...]:
     rays = getattr(obs, "_wire_rays", None)
     if rays is None:
         rays = tuple(
-            WireRay(math.degrees(r.theta), r.depth, r.hit.label, tuple(r.hit.attributes),
-                    tuple(sorted(r.hit.tags)))
-            if r.hit is not None and r.hit.kind == "object"
-            else WireRay(math.degrees(r.theta), r.depth, r.hit.label if r.hit else None)
-            for r in obs.rays)
+            WireRay(math.degrees(theta), depth, hit.label, tuple(hit.attributes),
+                    tuple(sorted(hit.tags)))
+            if hit is not None and hit.kind == "object"
+            else WireRay(math.degrees(theta), depth, hit.label if hit else None)
+            for theta, depth, hit in obs.rays)
         object.__setattr__(obs, "_wire_rays", rays)
     return rays
 

@@ -19,7 +19,7 @@ from typing import List, Optional
 from .backends import BackendConfig, OracleBackend, RemoteBackend
 from .config import RunConfig, load_config
 from .episodes import ABORTED, EpisodeResult, load_episode_specs, run_episode
-from .errors import ConfigError, DynavError, SchemaViolation
+from .errors import ConfigError, DynavError, SchemaViolation, check, check_integer
 from .memory import load_graph, merge, save_graph
 from .metrics import compute_metrics, export_report, load_results
 from .worldgen import WorldGenSpec, generate_world
@@ -88,7 +88,8 @@ def cmd_worldgen(args) -> int:
     if args.spec:
         with open(args.spec) as fh:
             raw = json.load(fh)
-        seed = args.seed if args.seed is not None else int(raw.pop("seed", 0))
+        check(raw, isinstance(raw, dict), "a worldgen spec must be an object")
+        seed = args.seed if args.seed is not None else check_integer(raw.pop("seed", 0), "seed")
         spec = WorldGenSpec.from_dict(raw)
     else:
         spec = WorldGenSpec()

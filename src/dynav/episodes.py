@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import IO, List, Optional, Tuple
 
 from .config import RunConfig
-from .errors import GenerationFailed, SchemaViolation, Unreachable
+from .errors import (GenerationFailed, SchemaViolation, Unreachable, check, check_finite,
+                     check_integer, check_strings)
 from .geometry import AgentBody, Pose
 from .goals import GoalSpec
 from .memory import MemoryGraph
@@ -214,74 +215,52 @@ def run_episode(spec: EpisodeSpec, backend, cfg: RunConfig,
 
 # -- episode spec files -------------------------------------------------------
 
-def _check(value, ok: bool, what: str):
-    """``value``, or a SchemaViolation saying what it must be."""
-    if not ok:
-        raise SchemaViolation(f"{what}, not {value!r:.60}")
-    return value
-
-
-def _strings(value, what: str) -> Tuple[str, ...]:
-    return tuple(_check(value, isinstance(value, list)
-                        and all(isinstance(v, str) for v in value),
-                        f"{what} must be a list of strings"))
-
-
-def _finite(value, what: str) -> float:
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    return float(_check(value, number and math.isfinite(value),
-                        f"{what} must be a finite number"))
-
-
-def _integer(value, what: str) -> int:
-    return _check(value, isinstance(value, int) and not isinstance(value, bool),
-                  f"{what} must be an integer")
-
-
 def _goal_from_dict(d) -> GoalSpec:
-    _check(d, isinstance(d, dict), "a goal must be an object")
+    check(d, isinstance(d, dict), "a goal must be an object")
     for key in ("kind", "category", "text"):
-        _check(d.get(key, ""), isinstance(d.get(key, ""), str), f"goal {key} must be a string")
+        check(d.get(key, ""), isinstance(d.get(key, ""), str), f"goal {key} must be a string")
     for key in ("attributes", "relation_hints"):
-        _strings(d.get(key, []), f"goal {key}")
+        check_strings(d.get(key, []), f"goal {key}")
     return GoalSpec.from_dict(d)
 
 
 def _episode_from_dict(e, i: int, base: str, cfg: RunConfig, worlds: dict) -> EpisodeSpec:
-    _check(e, isinstance(e, dict), "an episode must be an object")
+    check(e, isinstance(e, dict), "an episode must be an object")
     episode_id = e.get("id", f"ep{i:04d}")
     # the id names the episode's step log file
-    _check(episode_id, isinstance(episode_id, str) and episode_id != ""
-           and not set(episode_id) & set("/\\\0"), "id must be a file name")
-    seed = _integer(e.get("seed", cfg.seed + i), "seed")
+    check(episode_id, isinstance(episode_id, str) and episode_id != ""
+          and not set(episode_id) & set("/\\\0"), "id must be a file name")
+    seed = check_integer(e.get("seed", cfg.seed + i), "seed")
     if ("world" in e) == ("worldgen" in e):
         raise SchemaViolation("needs exactly one of 'world' and 'worldgen'")
     if "world" in e:
-        wpath = os.path.join(base, _check(e["world"], isinstance(e["world"], str),
-                                          "world must be a path"))
+        wpath = os.path.join(base, check(e["world"], isinstance(e["world"], str),
+                                         "world must be a path"))
         if wpath not in worlds:
             worlds[wpath] = WorldMap.load(wpath)
         world = worlds[wpath]
     else:
-        wg = dict(_check(e["worldgen"], isinstance(e["worldgen"], dict),
-                         "worldgen must be an object"))
-        wg_seed = _integer(wg.pop("seed", seed), "worldgen seed")
+        wg = dict(check(e["worldgen"], isinstance(e["worldgen"], dict),
+                        "worldgen must be an object"))
+        wg_seed = check_integer(wg.pop("seed", seed), "worldgen seed")
         world = generate_world(WorldGenSpec.from_dict(wg), wg_seed)
     start = None
     if "start" in e:
-        s = _check(e["start"], isinstance(e["start"], dict), "start must be an object")
-        start = Pose(_finite(s["x"], "start x"), _finite(s["y"], "start y"),
-                     math.radians(_finite(s.get("heading_deg", 0.0), "start heading_deg")))
-    goals = _check(e["goals"], isinstance(e["goals"], list), "goals must be a list")
+        s = check(e["start"], isinstance(e["start"], dict), "start must be an object")
+        heading = check_finite(s.get("heading_deg", 0.0), "start heading_deg")
+        start = Pose(check_finite(s["x"], "start x"), check_finite(s["y"], "start y"),
+                     math.radians(heading))
+    goals = check(e["goals"], isinstance(e["goals"], list), "goals must be a list")
     max_steps, max_dist = e.get("max_steps"), e.get("max_distance_m")
     if max_steps is not None:
-        _check(max_steps, _integer(max_steps, "max_steps") > 0, "max_steps must be positive")
+        check(max_steps, check_integer(max_steps, "max_steps") > 0,
+              "max_steps must be positive")
     if max_dist is not None:
-        _check(max_dist, _finite(max_dist, "max_distance_m") > 0,
-               "max_distance_m must be positive")
+        check(max_dist, check_finite(max_dist, "max_distance_m") > 0,
+              "max_distance_m must be positive")
     return EpisodeSpec(episode_id=episode_id, world=world,
                        goals=tuple(_goal_from_dict(g) for g in goals), start=start,
-                       constraints=_strings(e.get("constraints", []), "constraints"),
+                       constraints=check_strings(e.get("constraints", []), "constraints"),
                        seed=seed, max_steps=max_steps, max_distance_m=max_dist)
 
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks with which the
+file and wire loaders raise SchemaViolation."""
+import math
+from typing import Tuple
 
 
 class DynavError(Exception):
@@ -63,3 +66,34 @@ class Unreachable(DynavError):
 
 class ConfigError(DynavError):
     """Invalid configuration file or flag combination."""
+
+
+# -- schema checks for values read from JSON -----------------------------------
+
+def check(value, ok: bool, what: str):
+    """``value``, or a SchemaViolation saying what it must be."""
+    if not ok:
+        raise SchemaViolation(f"{what}, not {value!r:.60}")
+    return value
+
+
+def check_strings(value, what: str) -> Tuple[str, ...]:
+    """A JSON list of strings, as a tuple; a bare string is refused, not split."""
+    return tuple(check(value, isinstance(value, list)
+                       and all(isinstance(v, str) for v in value),
+                       f"{what} must be a list of strings"))
+
+
+def check_finite(value, what: str) -> float:
+    """A finite JSON number (an integer, or a float but not NaN or infinity)."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    try:
+        ok = number and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        ok = False
+    return float(check(value, ok, f"{what} must be a finite number"))
+
+
+def check_integer(value, what: str) -> int:
+    return check(value, isinstance(value, int) and not isinstance(value, bool),
+                 f"{what} must be an integer")

@@ -12,17 +12,16 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .errors import EmptyBoundary
-from .geometry import angular_distance
+from .geometry import TWO_PI, angular_distance
 from .sensing import Observation
 
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
+class BoundaryPoint(NamedTuple):
     r: float      # meters of contiguous traversable extent along the ray
     theta: float  # ray bearing relative to heading, radians
 
@@ -73,8 +72,8 @@ def boundary(obs: Observation, traversability: Sequence[bool]) -> List[BoundaryP
     """
     if len(traversability) != obs.n_rays:
         raise ValueError("mask length must equal the ray count")
-    points = [BoundaryPoint(ray.depth, ray.theta)
-              for ray, ok in zip(obs.rays, traversability) if ok and ray.depth > 0.0]
+    points = [BoundaryPoint(depth, theta)
+              for (theta, depth, _), ok in zip(obs.rays, traversability) if ok and depth > 0.0]
     if not points:
         raise EmptyBoundary("no traversable ray in this observation")
     return points
@@ -94,11 +93,18 @@ def sample_initial(points: Sequence[BoundaryPoint], alpha: float, theta_delta: f
         raise ValueError("alpha must lie in (0, 1]")
     if theta_delta < 0:
         raise ValueError("theta_delta must be >= 0")
-    scaled = [(p.r * alpha, p.theta) for p in points if p.r * alpha >= r_min]
+    scaled = [(r * alpha, theta) for r, theta in points if r * alpha >= r_min]
     scaled.sort(key=lambda rt: (-rt[0], abs(rt[1]), rt[1]))
+    pi = math.pi
     kept: List[Tuple[float, float]] = []
     for r, theta in scaled:
-        if all(angular_distance(theta, k_theta) >= theta_delta for _, k_theta in kept):
+        for _, k_theta in kept:
+            # angular_distance(theta, k_theta) inlined: the same float
+            # operations in the same order, so the same bits; "not >=" keeps
+            # its handling of NaN
+            if not abs((theta - k_theta + pi) % TWO_PI - pi) >= theta_delta:
+                break
+        else:
             kept.append((r, theta))
     kept.sort(key=lambda rt: rt[1])
     cands = tuple(Candidate(i + 1, r, theta) for i, (r, theta) in enumerate(kept))

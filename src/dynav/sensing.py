@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -41,8 +41,7 @@ class Hit:
 WALL_HIT = Hit(kind="wall")
 
 
-@dataclass(frozen=True)
-class Ray:
+class Ray(NamedTuple):
     theta: float          # relative to agent heading, radians
     depth: float          # meters, capped at the sensing range
     hit: Optional[Hit]    # None when nothing lies within range

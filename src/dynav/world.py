@@ -16,7 +16,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from .errors import SchemaViolation
+from .errors import SchemaViolation, check, check_finite, check_integer, check_strings
 
 FREE = 0
 OBSTACLE = 1
@@ -43,8 +43,10 @@ class SemanticObject:
     def __post_init__(self):
         if not self.name:
             raise ValueError("object name must be non-empty")
-        if self.radius <= 0:
-            raise ValueError("object radius must be positive")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"object radius must be positive and finite, not {self.radius}")
+        if not (len(self.center) == 2 and all(map(math.isfinite, self.center))):
+            raise ValueError(f"object center must be two finite numbers, not {self.center}")
         object.__setattr__(self, "attributes", tuple(self.attributes))
         object.__setattr__(self, "tags", frozenset(self.tags))
 
@@ -64,16 +66,22 @@ class SemanticObject:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SemanticObject":
+        check(d, isinstance(d, dict), "an object record must be an object")
         try:
+            center = d["center"]
+            check(center, isinstance(center, list) and len(center) == 2,
+                  "object center must be a list of two numbers")
             return cls(
-                name=d["name"],
-                category=d["category"],
-                center=(float(d["center"][0]), float(d["center"][1])),
-                radius=float(d["radius"]),
-                attributes=tuple(d.get("attributes", ())),
-                tags=frozenset(d.get("tags", ())),
+                name=check(d["name"], isinstance(d["name"], str), "object name must be a string"),
+                category=check(d["category"], isinstance(d["category"], str),
+                               "object category must be a string"),
+                center=(check_finite(center[0], "object center"),
+                        check_finite(center[1], "object center")),
+                radius=check_finite(d["radius"], "object radius"),
+                attributes=check_strings(d.get("attributes", []), "object attributes"),
+                tags=frozenset(check_strings(d.get("tags", []), "object tags")),
             )
-        except (KeyError, TypeError, IndexError) as e:
+        except (KeyError, ValueError) as e:
             raise SchemaViolation(f"bad object record: {e}") from e
 
 
@@ -81,8 +89,8 @@ class WorldMap:
     """Immutable world: occupancy grid, resolution, and semantic objects."""
 
     def __init__(self, grid: np.ndarray, resolution: float, objects: Sequence[SemanticObject] = ()):
-        if resolution <= 0:
-            raise ValueError("resolution must be positive")
+        if not 0.0 < resolution < math.inf:
+            raise ValueError(f"resolution must be positive and finite, not {resolution}")
         grid = np.ascontiguousarray(grid, dtype=np.uint8)
         if grid.ndim != 2 or grid.size == 0:
             raise ValueError("grid must be a non-empty 2D array")
@@ -340,29 +348,41 @@ class WorldMap:
 
     @classmethod
     def from_dict(cls, d: dict) -> "WorldMap":
+        check(d, isinstance(d, dict), "a world must be an object")
         try:
             if d.get("format") != WORLD_FORMAT:
                 raise SchemaViolation(f"unknown world format: {d.get('format')!r}")
-            width = int(d["width"])
-            height = int(d["height"])
-            rows = d["grid"]
+            width = check_integer(d["width"], "width")
+            height = check_integer(d["height"], "height")
+            rows = check(d["grid"], isinstance(d["grid"], list), "grid must be a list of rows")
             if len(rows) != height:
                 raise SchemaViolation("grid row count does not match height")
-            grid = np.zeros((height, width), dtype=np.uint8)
+            # every row is checked before the grid is allocated, so a huge
+            # width or height costs nothing unless the rows really encode it
+            for iy, runs in enumerate(rows):
+                check(runs, isinstance(runs, list), f"row {iy} must be a list of runs")
+                ix = 0
+                for run in runs:
+                    if not (isinstance(run, list) and len(run) == 2
+                            and all(type(v) is int for v in run)
+                            and run[0] > 0 and run[1] in (FREE, OBSTACLE)):
+                        raise SchemaViolation(f"bad run {run!r:.40} in row {iy}")
+                    ix += run[0]
+                if ix != width:
+                    raise SchemaViolation(f"row {iy} encodes {ix} cells, expected {width}")
+            grid = np.empty((height, width), dtype=np.uint8)
             for iy, runs in enumerate(rows):
                 ix = 0
                 for count, value in runs:
-                    if value not in (FREE, OBSTACLE) or count <= 0:
-                        raise SchemaViolation(f"bad run {count}x{value} in row {iy}")
                     grid[iy, ix: ix + count] = value
                     ix += count
-                if ix != width:
-                    raise SchemaViolation(f"row {iy} encodes {ix} cells, expected {width}")
-            objects = [SemanticObject.from_dict(o) for o in d.get("objects", [])]
-            return cls(grid, float(d["resolution"]), objects)
+            objects = d.get("objects", [])
+            check(objects, isinstance(objects, list), "objects must be a list")
+            objects = [SemanticObject.from_dict(o) for o in objects]
+            return cls(grid, check_finite(d["resolution"], "resolution"), objects)
         except SchemaViolation:
             raise
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, ValueError) as e:
             raise SchemaViolation(f"bad world payload: {e}") from e
 
     def save(self, path) -> None:

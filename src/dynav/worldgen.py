@@ -9,7 +9,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy import ndimage
 
-from .errors import GenerationFailed, SchemaViolation
+from .errors import (GenerationFailed, SchemaViolation, check, check_finite, check_integer,
+                     check_strings)
 from .geometry import AgentBody, Pose
 from .world import FREE, OBSTACLE, SemanticObject, WorldMap
 
@@ -18,6 +19,9 @@ _PALETTE = (
     "white", "black", "red", "blue", "green", "gray", "brown",
     "wooden", "metal", "plastic", "leather", "striped", "tall", "small",
 )
+
+# the WorldGenSpec fields that are counts; the other scalars are lengths
+_INTEGER_FIELDS = ("rooms", "objects_per_category", "max_attempts")
 
 
 @dataclass(frozen=True)
@@ -50,17 +54,35 @@ class WorldGenSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "WorldGenSpec":
+        """A spec from its JSON form (docs/formats.md).  An unknown key, or a
+        value of the wrong type, raises SchemaViolation; a bare string is
+        never split into a list of characters."""
+        check(d, isinstance(d, dict), "worldgen must be an object")
         known = {f for f in cls.__dataclass_fields__}  # type: ignore[attr-defined]
         unknown = set(d) - known - {"seed"}
         if unknown:
             raise SchemaViolation(f"unknown worldgen keys: {sorted(unknown)}")
-        kwargs = {k: v for k, v in d.items() if k in known}
-        for key in ("categories", "hazards", "category_counts"):
-            if kwargs.get(key) is not None:
-                kwargs[key] = tuple(kwargs[key])
-        if "object_radius_m" in kwargs:
-            kwargs["object_radius_m"] = tuple(kwargs["object_radius_m"])
-        return cls(**kwargs)
+        kwargs = {}
+        for key, value in d.items():
+            what = f"worldgen {key}"
+            if key in _INTEGER_FIELDS:
+                kwargs[key] = check_integer(value, what)
+            elif key in ("categories", "hazards"):
+                kwargs[key] = check_strings(value, what)
+            elif key == "category_counts":
+                check(value, value is None or isinstance(value, list), f"{what} must be a list")
+                kwargs[key] = None if value is None else tuple(
+                    check_integer(v, f"{what} entry") for v in value)
+            elif key == "object_radius_m":
+                check(value, isinstance(value, list) and len(value) == 2,
+                      f"{what} must be a list of two numbers")
+                kwargs[key] = tuple(check_finite(v, what) for v in value)
+            elif key != "seed":
+                kwargs[key] = check_finite(value, what)
+        try:
+            return cls(**kwargs)
+        except ValueError as e:
+            raise SchemaViolation(f"bad worldgen spec: {e}") from e
 
 
 def _carve_rect(grid: np.ndarray, x0: int, y0: int, x1: int, y1: int) -> None:

@@ -112,3 +112,25 @@ def replaced(valid: dict, path: tuple, value) -> dict:
 
 def dotted(path) -> str:
     return ".".join(map(str, path))
+
+
+# worldgen values that WorldGenSpec.from_dict, and so the spec loader, refuses
+BAD_WORLDGEN = {
+    "categories-string": {"categories": "chair"},
+    "hazards-string": {"hazards": "sign"},
+    "category-counts-string": {"categories": ["chair"], "category_counts": "2"},
+    "category-counts-floats": {"categories": ["chair"], "category_counts": [2.0]},
+    "category-counts-misaligned": {"categories": ["chair"], "category_counts": [1, 2]},
+    "categories-numbers": {"categories": [1, 2]},
+    "radius-one-number": {"object_radius_m": [0.3]},
+    "radius-string": {"object_radius_m": "0.3"},
+    "radius-nan": {"object_radius_m": [0.2, math.nan]},
+    "width-nan": {"width_m": math.nan},
+    "height-infinite": {"height_m": math.inf},
+    "width-huge-int": {"width_m": 10 ** 400},
+    "resolution-string": {"resolution": "0.1"},
+    "rooms-float": {"rooms": 2.5},
+    "rooms-bool": {"rooms": True},
+    "attempts-null": {"max_attempts": None},
+    "a-list": ["rooms", 2],
+}

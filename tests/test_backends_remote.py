@@ -38,8 +38,8 @@ from dynav.config import RunConfig
 from dynav.errors import BindFailure, RequestTimeout, SchemaViolation, TransportError
 from dynav.goals import GoalSpec
 from dynav.policy import AgentState, step
-from dynav.proposer import Candidate, CandidateSet
-from dynav.sensing import sense
+from dynav.proposer import BoundaryPoint, Candidate, CandidateSet
+from dynav.sensing import Ray, sense
 
 from conftest import MISSING, dotted, json_values, make_pose, replaced, replacements
 
@@ -516,7 +516,8 @@ def test_encode_request_matches_json_dumps(kind, cluttered_world, body):
     assert encode_request(make_req(kind)) == dumped(make_req(kind))
 
 
-def test_encode_request_reuses_the_rays_of_a_step(cluttered_world):
+def step_requests(world, pose):
+    """The filter, score and stop requests of one real step."""
     seen = []
 
     class Recording(OracleBackend):
@@ -524,10 +525,31 @@ def test_encode_request_reuses_the_rays_of_a_step(cluttered_world):
             seen.append(req)
             return super().decide(req)
 
-    cfg = RunConfig()
-    step(AgentState(pose=make_pose(3.0, 5.0, 0.0)), cluttered_world, None,
-         GoalSpec.name_goal("chair"), Recording(), cfg)
+    step(AgentState(pose=pose), world, None,
+         GoalSpec.name_goal("chair"), Recording(), RunConfig())
     assert [r.kind for r in seen] == [FILTER, SCORE, STOP_CHECK]
+    return seen
+
+
+def test_request_dict_round_trip_of_a_real_step(cluttered_world):
+    for req in step_requests(cluttered_world, make_pose(7.5, 5.0, 0.0)):
+        assert any(r.attributes for r in req.rays)  # object hits, not only walls
+        assert DecisionRequest.from_dict(req.to_dict()) == req
+        assert DecisionRequest.from_dict(json.loads(encode_request(req))) == req
+
+
+@pytest.mark.parametrize("record", [
+    Ray(0.1, 2.0, None), BoundaryPoint(2.0, 0.1),
+    WireRay(5.0, 2.0, "chair_1", ("red",), ("hazard",)), WireCandidate(1, 2.0, 5.0)],
+    ids=lambda record: type(record).__name__)
+def test_per_ray_records_are_immutable(record):
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1.0)
+
+
+def test_encode_request_reuses_the_rays_of_a_step(cluttered_world):
+    seen = step_requests(cluttered_world, make_pose(3.0, 5.0, 0.0))
     memo = [None, ""]
     for req in seen:
         assert encode_request(req, memo) == dumped(req)

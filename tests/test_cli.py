@@ -222,6 +222,14 @@ def test_worldgen_spec_file_and_seed_precedence(tmp_path):
     assert cats == {"chair"}
 
 
+@pytest.mark.parametrize("payload", [["rooms", 2], {"seed": "9"}, {"categories": "chair"}])
+def test_worldgen_bad_spec_exits_1(tmp_path, payload):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(payload))
+    assert main(["worldgen", "--spec", str(spec), "--out", str(tmp_path / "w.json")]) == 1
+    assert not (tmp_path / "w.json").exists()
+
+
 def test_worldgen_impossible_spec_exits_2(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"width_m": 4.0, "height_m": 4.0,

@@ -29,7 +29,8 @@ from dynav.motion import success
 from dynav.sensing import sense
 from dynav.world import OBSTACLE, SemanticObject, WorldMap
 
-from conftest import MISSING, dotted, empty_world, json_values, make_pose, replaced, replacements
+from conftest import (BAD_WORLDGEN, MISSING, dotted, empty_world, json_values, make_pose, replaced,
+                      replacements)
 
 
 def chair_world():
@@ -343,6 +344,9 @@ BAD_RECORDS = {
     "goal-not-an-object": one_episode(goals=["chair"]),
     "worldgen-not-an-object": {"episodes": [{"worldgen": [["rooms", 2]],
                                              "goals": [{"kind": "name", "category": "chair"}]}]},
+    **{f"worldgen-{name}": {"episodes": [{"worldgen": worldgen,
+                                         "goals": [{"kind": "name", "category": "chair"}]}]}
+       for name, worldgen in BAD_WORLDGEN.items()},
     "worldgen-impossible": {"episodes": [{
         "worldgen": {"width_m": 4.0, "height_m": 4.0, "objects_per_category": 40,
                      "max_attempts": 2},

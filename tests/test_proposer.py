@@ -123,6 +123,35 @@ def test_sampling_invariants(points, alpha, theta_delta, r_min):
     assert [(c.r, c.theta) for c in cands] == ref
 
 
+# A small pool of values, so that duplicate bearings, exact range ties and
+# -0.0 against 0.0 come up often; bearings run past +-pi on both sides.
+_TIE_RANGES = st.sampled_from([0.05, 0.5, 1.0, 2.0, 2.0000000000000004, 7.5])
+_TIE_BEARINGS = st.sampled_from([0.0, -0.0, 0.1, -0.1, 0.2, math.pi, -math.pi, 3.5, -3.5,
+                                 2 * math.pi, -2 * math.pi, 7.0, -9.0, 1e-16])
+exactness_points = st.lists(
+    st.builds(BoundaryPoint,
+              r=_TIE_RANGES | st.floats(min_value=0.01, max_value=10.0),
+              theta=_TIE_BEARINGS | st.floats(min_value=-4 * math.pi, max_value=4 * math.pi)),
+    min_size=0, max_size=30)
+
+
+def bits(pairs):
+    return [(r.hex(), theta.hex()) for r, theta in pairs]
+
+
+@settings(max_examples=500, deadline=None)
+@given(points=exactness_points,
+       alpha=st.sampled_from([1.0, 0.8]) | st.floats(min_value=0.1, max_value=1.0),
+       theta_delta=st.sampled_from([0.0, 0.1, 0.2, math.pi, 4.0])
+       | st.floats(min_value=0.0, max_value=7.0),
+       r_min=st.sampled_from([0.0, 0.5, 2.0]) | st.floats(min_value=0.0, max_value=3.0))
+def test_sample_initial_equals_reference_bit_for_bit(points, alpha, theta_delta, r_min):
+    # the sampler inlines angular_distance; the reference calls it
+    out = sample_initial(points, alpha, theta_delta, r_min)
+    assert bits((c.r, c.theta) for c in out.candidates) == bits(
+        reference_sample(points, alpha, theta_delta, r_min))
+
+
 def test_boundary_masking(box_world, body):
     obs = sense(box_world, make_pose(5.0, 4.0, 0.0), body, n_rays=5)
     pts = boundary(obs, [True] * 5)

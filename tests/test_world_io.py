@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from dynav.errors import SchemaViolation
 from dynav.world import FREE, OBSTACLE, WORLD_FORMAT, SemanticObject, WorldMap
 
-from conftest import empty_world, random_grid_world
+from conftest import (MISSING, dotted, empty_world, json_values, random_grid_world, replaced,
+                      replacements)
 
 
 def brute_clearance(world: WorldMap, x: float, y: float) -> float:
@@ -55,6 +56,28 @@ def test_object_validation():
         SemanticObject.from_dict({"name": "c", "category": "chair"})
 
 
+@pytest.mark.parametrize("center, radius", [
+    ((math.nan, 1.0), 0.3), ((1.0, math.inf), 0.3), ((1.0, 1.0), math.inf),
+    ((1.0, 1.0), math.nan), ((1.0,), 0.3)])
+def test_object_refuses_non_finite_geometry(center, radius):
+    with pytest.raises(ValueError):
+        SemanticObject(name="c", category="chair", center=center, radius=radius)
+
+
+GOOD_OBJECT = {"name": "c", "category": "chair", "center": [1.0, 1.0], "radius": 0.3,
+               "attributes": ["red"], "tags": []}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("name", 5), ("category", None), ("center", "12"), ("center", [1.0]),
+    ("center", [1.0, "2"]), ("center", [1.0, math.nan]), ("radius", math.inf),
+    ("radius", "0.3"), pytest.param("radius", 10 ** 400, id="radius-huge-int"),
+    ("attributes", "red"), ("tags", "hazard")])
+def test_object_from_dict_refuses_bad_fields(field, value):
+    with pytest.raises(SchemaViolation):
+        SemanticObject.from_dict(dict(GOOD_OBJECT, **{field: value}))
+
+
 # -- construction invariants --------------------------------------------------
 
 
@@ -65,8 +88,9 @@ def test_grid_is_locked(box_world):
 
 def test_constructor_rejects_bad_inputs():
     grid = np.zeros((4, 4), dtype=np.uint8)
-    with pytest.raises(ValueError):
-        WorldMap(grid, resolution=0.0)
+    for resolution in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            WorldMap(grid, resolution)
     with pytest.raises(ValueError):
         WorldMap(np.ones((4, 4), dtype=np.uint8), resolution=0.1)
     with pytest.raises(ValueError):
@@ -204,6 +228,20 @@ def test_load_rejects_bad_payloads(tmp_path, box_world):
     with pytest.raises(SchemaViolation):
         WorldMap.from_dict({"format": WORLD_FORMAT})
 
+    for payload in ([], "world", None, 5):
+        with pytest.raises(SchemaViolation):
+            WorldMap.from_dict(payload)
+
+    for field, value in [("resolution", math.nan), ("resolution", "0.1"), ("width", 4.0),
+                         ("grid", {}), ("objects", {})]:
+        with pytest.raises(SchemaViolation):
+            WorldMap.from_dict(dict(good, **{field: value}))
+
+    # the rows are checked before the grid is allocated: a width no memory
+    # could hold fails on the first row, not in numpy
+    with pytest.raises(SchemaViolation):
+        WorldMap.from_dict(dict(good, width=10 ** 15))
+
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     with pytest.raises(SchemaViolation):
@@ -216,3 +254,50 @@ def test_save_is_plain_json(tmp_path, plant_world):
     payload = json.loads(path.read_text())
     assert payload["format"] == WORLD_FORMAT
     assert payload["objects"][0]["name"] == "plant_1"
+
+
+# -- fuzzing: world payloads raise SchemaViolation and nothing else -------------
+
+SMALL_WORLD = {
+    "format": WORLD_FORMAT, "resolution": 0.5, "width": 3, "height": 2,
+    "grid": [[[3, FREE]], [[1, OBSTACLE], [2, FREE]]],
+    "objects": [{"name": "chair_1", "category": "chair", "center": [1.0, 0.5],
+                 "radius": 0.2, "attributes": ["red"], "tags": ["hazard"]}],
+}
+WORLD_PATHS = [
+    ("format",), ("resolution",), ("width",), ("height",), ("grid",), ("grid", 0),
+    ("grid", 1, 0), ("grid", 1, 0, 0), ("grid", 1, 0, 1), ("objects",), ("objects", 0),
+    ("objects", 0, "name"), ("objects", 0, "category"), ("objects", 0, "center"),
+    ("objects", 0, "center", 1), ("objects", 0, "radius"), ("objects", 0, "attributes"),
+    ("objects", 0, "tags"),
+]
+
+
+def loads_or_violates(payload):
+    try:
+        world = WorldMap.from_dict(payload)
+    except SchemaViolation:
+        return
+    assert math.isfinite(world.resolution) and world.resolution > 0
+    for o in world.objects:
+        assert all(map(math.isfinite, (*o.center, o.radius)))
+        assert all(isinstance(a, str) for a in (*o.attributes, *o.tags))
+
+
+def test_small_world_loads():
+    assert WorldMap.from_dict(SMALL_WORLD).to_dict() == SMALL_WORLD
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=json_values)
+def test_world_from_dict_raises_only_schema_violation(payload):
+    loads_or_violates(payload)
+
+
+@pytest.mark.parametrize("path", WORLD_PATHS, ids=dotted)
+@settings(max_examples=30, deadline=None)
+@given(value=replacements)
+def test_world_field_raises_only_schema_violation(path, value):
+    if isinstance(path[-1], int) and value is MISSING:
+        return
+    loads_or_violates(replaced(SMALL_WORLD, path, value))

@@ -9,6 +9,8 @@ from dynav.errors import GenerationFailed, SchemaViolation
 from dynav.geometry import AgentBody
 from dynav.worldgen import WorldGenSpec, generate_world, random_free_pose
 
+from conftest import BAD_WORLDGEN
+
 SPEC = WorldGenSpec()
 
 
@@ -115,6 +117,19 @@ def test_spec_from_dict():
     assert spec.hazards == ("sign",)
     with pytest.raises(SchemaViolation):
         WorldGenSpec.from_dict({"rooms": 2, "towers": 9})
+
+
+@pytest.mark.parametrize("d", BAD_WORLDGEN.values(), ids=BAD_WORLDGEN.keys())
+def test_spec_from_dict_refuses_bad_values(d):
+    with pytest.raises(SchemaViolation):
+        WorldGenSpec.from_dict(d)
+
+
+def test_spec_from_dict_takes_integers_for_numbers():
+    spec = WorldGenSpec.from_dict({"width_m": 10, "object_radius_m": [0.25, 1],
+                                   "category_counts": None})
+    assert spec.width_m == 10.0 and spec.object_radius_m == (0.25, 1.0)
+    assert spec.category_counts is None
 
 
 def test_spec_validation():
