@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from ..errors import SchemaViolation, check_strings
+from ..errors import SchemaViolation, check_location, check_strings, check_type
 from ..proposer import CandidateSet
 from ..sensing import Observation
 
@@ -107,7 +107,7 @@ class DecisionRequest:
     @classmethod
     def from_dict(cls, d: dict) -> "DecisionRequest":
         try:
-            d = _object(d, "request")
+            check_type(d, dict, "a request")
             if d.get("version") != PROTOCOL_VERSION:
                 raise SchemaViolation(f"bad request version: {d.get('version')!r}")
             kind = d["kind"]
@@ -135,22 +135,8 @@ class DecisionRequest:
                 constraints=tuple(d.get("constraints", ())),
                 template_id=str(d.get("template_id", "")),
             )
-        except SchemaViolation:
-            raise
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise SchemaViolation(f"bad request payload: {e}") from e
-
-
-def _object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise SchemaViolation(f"{what} must be a JSON object, not {type(value).__name__}")
-    return value
-
-
-def _list(value, what: str) -> list:
-    if not isinstance(value, list):
-        raise SchemaViolation(f"{what} must be a JSON list, not {type(value).__name__}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -177,7 +163,7 @@ class DecisionResponse:
     version: str = PROTOCOL_VERSION
     kind: str = SCORE
     removals: Tuple[int, ...] = ()
-    adjustments: Tuple[dict, ...] = ()       # {"id", "r_m", "theta_deg"}
+    adjustments: Tuple[dict, ...] = ()       # {"id", "r", "theta"}: meters, radians
     scores: Dict[int, float] = field(default_factory=dict)
     s_stop: float = 0.0
     memory_ops: Tuple[MemoryOp, ...] = ()
@@ -188,7 +174,8 @@ class DecisionResponse:
             "version": self.version,
             "kind": self.kind,
             "removals": list(self.removals),
-            "adjustments": [dict(a) for a in self.adjustments],
+            "adjustments": [{"id": a["id"], "r_m": a["r"], "theta_deg": math.degrees(a["theta"])}
+                            for a in self.adjustments],
             "scores": [{"id": i, "s": s} for i, s in sorted(self.scores.items())],
             "s_stop": self.s_stop,
             "memory_ops": [op.to_dict() for op in self.memory_ops],
@@ -204,20 +191,6 @@ def _clamp_unit(value: float, what: str) -> float:
     return value
 
 
-def _location(loc) -> Optional[Tuple[float, float]]:
-    """A memory op's ``location_m``: null, or two finite numbers."""
-    if loc is None:
-        return None
-    if not (isinstance(loc, list) and len(loc) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in loc)):
-        raise SchemaViolation("memory op location_m must be null or a list of two numbers")
-    x, y = float(loc[0]), float(loc[1])
-    # json accepts NaN and Infinity; neither is a place
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise SchemaViolation(f"memory op location is not finite: {(x, y)}")
-    return x, y
-
-
 def parse_response(payload: dict, request: DecisionRequest) -> DecisionResponse:
     """Validate a raw response dict against its request and normalize it.
 
@@ -225,56 +198,48 @@ def parse_response(payload: dict, request: DecisionRequest) -> DecisionResponse:
     (wrong version, kind mismatch, unknown candidate ids, malformed fields)
     raise SchemaViolation.
     """
-    if not isinstance(payload, dict):
-        raise SchemaViolation("response must be a JSON object")
+    check_type(payload, dict, "a response")
     if payload.get("version") != PROTOCOL_VERSION:
         raise SchemaViolation(f"bad response version: {payload.get('version')!r}")
     kind = payload.get("kind")
     if kind != request.kind:
         raise SchemaViolation(f"response kind {kind!r} does not match request {request.kind!r}")
     known = set(request.candidate_ids())
+    lists = {k: check_type(payload.get(k, []), list, k)
+             for k in ("removals", "adjustments", "scores", "memory_ops")}
     try:
-        removals = tuple(int(i) for i in _list(payload.get("removals", []), "removals"))
-        adjustments = []
-        for a in _list(payload.get("adjustments", []), "adjustments"):
-            adjustments.append({"id": int(a["id"]),
-                                "r": float(a["r_m"]),
-                                "theta": math.radians(float(a["theta_deg"]))})
-        scores: Dict[int, float] = {}
-        for entry in _list(payload.get("scores", []), "scores"):
-            scores[int(entry["id"])] = _clamp_unit(float(entry["s"]), "score")
+        removals = tuple(int(i) for i in lists["removals"])
+        adjustments = tuple({"id": int(a["id"]), "r": float(a["r_m"]),
+                             "theta": math.radians(float(a["theta_deg"]))}
+                            for a in lists["adjustments"])
+        scores = {int(e["id"]): _clamp_unit(float(e["s"]), "score") for e in lists["scores"]}
         s_stop = _clamp_unit(float(payload.get("s_stop", 0.0)), "s_stop")
         ops: List[MemoryOp] = []
-        for raw in _list(payload.get("memory_ops", []), "memory_ops"):
-            raw = _object(raw, "memory op")
+        for raw in lists["memory_ops"]:
+            check_type(raw, dict, "a memory op")
             op = raw.get("op")
             if op == "add_node":
                 ops.append(MemoryOp(op="add_node", name=str(raw["name"]),
                                     attributes=check_strings(raw.get("attributes", []),
                                                              "memory op attributes"),
-                                    location=_location(raw.get("location_m"))))
+                                    location=check_location(raw.get("location_m"),
+                                                            "memory op location_m")))
             elif op == "add_edge":
                 ops.append(MemoryOp(op="add_edge", start=str(raw["start"]),
                                     target=str(raw["target"]), relation=str(raw["relation"])))
             else:
                 raise SchemaViolation(f"unknown memory op: {op!r}")
-    except SchemaViolation:
-        raise
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise SchemaViolation(f"bad response payload: {e}") from e
 
-    for i in removals:
-        if i not in known:
-            raise SchemaViolation(f"removal references unknown candidate id {i}")
-    for a in adjustments:
-        if a["id"] not in known:
-            raise SchemaViolation(f"adjustment references unknown candidate id {a['id']}")
-    for i in scores:
-        if i not in known:
-            raise SchemaViolation(f"score references unknown candidate id {i}")
+    for what, ids in (("removal", removals), ("adjustment", [a["id"] for a in adjustments]),
+                      ("score", scores)):
+        for i in ids:
+            if i not in known:
+                raise SchemaViolation(f"{what} references unknown candidate id {i}")
     return DecisionResponse(
         version=PROTOCOL_VERSION, kind=kind, removals=removals,
-        adjustments=tuple(adjustments), scores=scores, s_stop=s_stop,
+        adjustments=adjustments, scores=scores, s_stop=s_stop,
         memory_ops=tuple(ops), rationale=str(payload.get("rationale", "")),
     )
 

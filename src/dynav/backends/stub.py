@@ -14,7 +14,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import BindFailure
+from ..errors import BindFailure, check_finite, check_integer, check_type
 
 _WILD = None
 
@@ -25,15 +25,22 @@ POLL_INTERVAL_S = 0.05
 
 class _Script:
     def __init__(self, entries: List[dict]):
+        """Index the entries; one of the wrong shape raises SchemaViolation."""
         self.exact: Dict[Tuple[str, int], dict] = {}
         self.wild: Dict[str, dict] = {}
-        for e in entries:
-            kind = e["kind"]
+        for e in check_type(entries, list, "a stub script"):
+            check_type(e, dict, "a script entry")
+            kind = check_type(e.get("kind"), str, "script entry kind")
+            check_type(e.get("body", {}), dict, "script entry body")
+            check_type(e.get("raw_body", ""), str, "script entry raw_body")
+            check_integer(e.get("status", 200), "script entry status")
+            check_finite(e.get("delay_ms", 0), "script entry delay_ms")
+            check_finite(e.get("scores_all", 0), "script entry scores_all")
             step = e.get("step", _WILD)
             if step is _WILD:
                 self.wild[kind] = e
             else:
-                self.exact[(kind, int(step))] = e
+                self.exact[(kind, check_integer(step, "script entry step"))] = e
 
     def lookup(self, kind: str, step: int) -> Optional[dict]:
         return self.exact.get((kind, step)) or self.wild.get(kind)
@@ -43,7 +50,7 @@ class StubServer:
     """Threaded stub server; records every request it receives."""
 
     def __init__(self, port: int = 0, script: Optional[List[dict]] = None):
-        self._script = _Script(script or [])
+        self._script = _Script([] if script is None else script)
         self.requests: List[dict] = []
         self._lock = threading.Lock()
         outer = self

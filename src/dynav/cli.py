@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import logging
 import os
@@ -19,7 +20,7 @@ from typing import List, Optional
 from .backends import BackendConfig, OracleBackend, RemoteBackend
 from .config import RunConfig, load_config
 from .episodes import ABORTED, EpisodeResult, load_episode_specs, run_episode
-from .errors import ConfigError, DynavError, SchemaViolation, check, check_integer
+from .errors import ConfigError, DynavError, SchemaViolation, check_integer, read_json
 from .memory import load_graph, merge, save_graph
 from .metrics import compute_metrics, export_report, load_results
 from .worldgen import WorldGenSpec, generate_world
@@ -85,15 +86,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_worldgen(args) -> int:
-    if args.spec:
-        with open(args.spec) as fh:
-            raw = json.load(fh)
-        check(raw, isinstance(raw, dict), "a worldgen spec must be an object")
-        seed = args.seed if args.seed is not None else check_integer(raw.pop("seed", 0), "seed")
-        spec = WorldGenSpec.from_dict(raw)
-    else:
-        spec = WorldGenSpec()
-        seed = args.seed or 0
+    raw = read_json(args.spec) if args.spec else {}
+    spec = WorldGenSpec.from_dict(raw)
+    seed = args.seed if args.seed is not None else check_integer(raw.get("seed", 0), "seed")
     world = generate_world(spec, seed)
     world.save(args.out)
     print(f"wrote {args.out}: {world.width_cells}x{world.height_cells} cells, "
@@ -105,15 +100,11 @@ def cmd_memory(args) -> int:
     if args.action in ("export", "merge") and args.out is None:
         raise ConfigError(f"memory {args.action} needs --out")
     if args.action == "export":
-        g = load_graph(args.paths[0])
-        save_graph(g, args.out)
+        save_graph(load_graph(args.paths[0]), args.out)
     elif args.action == "merge":
         if len(args.paths) < 2:
             raise ConfigError("memory merge needs two input files")
-        merged = merge(load_graph(args.paths[0]), load_graph(args.paths[1]))
-        for extra in args.paths[2:]:
-            merged = merge(merged, load_graph(extra))
-        save_graph(merged, args.out)
+        save_graph(functools.reduce(merge, map(load_graph, args.paths)), args.out)
     elif args.action == "show":
         g = load_graph(args.paths[0])
         print(g.render_text(budget=args.budget) or "(empty graph)")
@@ -124,10 +115,7 @@ def cmd_memory(args) -> int:
 def cmd_stub(args) -> int:
     from .backends.stub import StubServer
 
-    script = None
-    if args.script:
-        with open(args.script) as fh:
-            script = json.load(fh)
+    script = read_json(args.script) if args.script else None
     server = StubServer(port=args.port, script=script)
     print(f"stub listening on {server.endpoint}")
     try:
@@ -209,7 +197,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except (ConfigError, SchemaViolation, OSError, json.JSONDecodeError) as e:
+    except (ConfigError, SchemaViolation, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except DynavError as e:

@@ -1,12 +1,12 @@
 """Run configuration with defaults, file loading, and flag precedence."""
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from .errors import ConfigError
+from .errors import (ConfigError, SchemaViolation, check_finite, check_integer, check_type,
+                     read_json)
 
 
 @dataclass(frozen=True)
@@ -80,26 +80,38 @@ class RunConfig:
         return self.agent_radius + 0.15
 
 
-_FIELDS = {f.name for f in fields(RunConfig)}
+# each field's type, as written: "float", "int", "bool", "str" or "Optional[...]"
+_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_CHECKS = {"float": check_finite, "int": check_integer,
+           "bool": lambda v, what: check_type(v, bool, what),
+           "str": lambda v, what: check_type(v, str, what)}
+
+
+def _checked(key: str, value):
+    """A config-file value, checked against the JSON type of its field."""
+    if value is None and _TYPES[key].startswith("Optional["):
+        return None
+    return _CHECKS[_TYPES[key].removeprefix("Optional[").rstrip("]")](value, f"config key {key}")
 
 
 def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> RunConfig:
-    """Defaults, then config-file values, then explicit flag overrides."""
+    """Defaults, then config-file values, then explicit flag overrides.
+
+    A config file that cannot be read or decoded, is not a JSON object, or has
+    an unknown key or a value of the wrong JSON type raises ConfigError.
+    """
     values: dict = {}
     if path:
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
-        except OSError as e:
-            raise ConfigError(f"cannot read config file: {e}") from e
+        raw = read_json(path, ConfigError)
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
-        unknown = set(raw) - _FIELDS
+        unknown = set(raw) - set(_TYPES)
         if unknown:
             raise ConfigError(f"{path}: unknown config keys: {sorted(unknown)}")
-        values.update(raw)
+        try:
+            values.update((key, _checked(key, value)) for key, value in raw.items())
+        except SchemaViolation as e:
+            raise ConfigError(f"{path}: {e}") from e
     for key, val in (overrides or {}).items():
         if val is not None:
             values[key] = val

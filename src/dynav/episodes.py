@@ -16,7 +16,7 @@ from typing import IO, List, Optional, Tuple
 
 from .config import RunConfig
 from .errors import (GenerationFailed, SchemaViolation, Unreachable, check, check_finite,
-                     check_integer, check_strings)
+                     check_integer, check_strings, check_type, read_json)
 from .geometry import AgentBody, Pose
 from .goals import GoalSpec
 from .memory import MemoryGraph
@@ -69,11 +69,17 @@ class GoalResult:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "GoalResult":
-        return cls(d["goal_text"], d["category"], bool(d["success"]),
-                   float(d["path_length"]),
-                   None if d.get("shortest") is None else float(d["shortest"]),
-                   int(d["steps"]), bool(d["stopped"]), bool(d.get("unreachable", False)))
+    def from_dict(cls, d) -> "GoalResult":
+        check_type(d, dict, "a goal result")
+        shortest = d.get("shortest")
+        return cls(check_type(d.get("goal_text"), str, "goal_text"),
+                   check_type(d.get("category"), str, "category"),
+                   check_type(d.get("success"), bool, "success"),
+                   check_finite(d.get("path_length"), "path_length"),
+                   None if shortest is None else check_finite(shortest, "shortest"),
+                   check_integer(d.get("steps"), "steps"),
+                   check_type(d.get("stopped"), bool, "stopped"),
+                   check_type(d.get("unreachable", False), bool, "unreachable"))
 
 
 @dataclass(frozen=True)
@@ -98,17 +104,25 @@ class EpisodeResult:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "EpisodeResult":
-        try:
-            return cls(
-                episode_id=d["episode_id"], seed=int(d.get("seed", 0)),
-                goal_results=tuple(GoalResult.from_dict(g) for g in d["goals"]),
-                trajectory=tuple(Pose(*p) for p in d.get("trajectory", ())),
-                termination=d["termination"],
-                abort_reason=d.get("abort_reason"),
-            )
-        except (KeyError, TypeError, ValueError) as e:
-            raise SchemaViolation(f"bad episode result record: {e}") from e
+    def from_dict(cls, d) -> "EpisodeResult":
+        """A result from its JSON form; anything malformed raises SchemaViolation."""
+        check_type(d, dict, "an episode result")
+        reason = d.get("abort_reason")
+        return cls(
+            episode_id=check_type(d.get("episode_id"), str, "episode_id"),
+            seed=check_integer(d.get("seed", 0), "seed"),
+            goal_results=tuple(GoalResult.from_dict(g)
+                               for g in check_type(d.get("goals"), list, "goals")),
+            trajectory=tuple(_trajectory_pose(p)
+                             for p in check_type(d.get("trajectory", []), list, "trajectory")),
+            termination=check_type(d.get("termination"), str, "termination"),
+            abort_reason=None if reason is None else check_type(reason, str, "abort_reason"),
+        )
+
+
+def _trajectory_pose(p) -> Pose:
+    check(p, isinstance(p, list) and len(p) == 3, "a trajectory pose must be [x, y, heading]")
+    return Pose(*(check_finite(v, "trajectory pose") for v in p))
 
 
 def _log_record(episode_id: str, outcome, mem_version: int) -> dict:
@@ -215,17 +229,8 @@ def run_episode(spec: EpisodeSpec, backend, cfg: RunConfig,
 
 # -- episode spec files -------------------------------------------------------
 
-def _goal_from_dict(d) -> GoalSpec:
-    check(d, isinstance(d, dict), "a goal must be an object")
-    for key in ("kind", "category", "text"):
-        check(d.get(key, ""), isinstance(d.get(key, ""), str), f"goal {key} must be a string")
-    for key in ("attributes", "relation_hints"):
-        check_strings(d.get(key, []), f"goal {key}")
-    return GoalSpec.from_dict(d)
-
-
 def _episode_from_dict(e, i: int, base: str, cfg: RunConfig, worlds: dict) -> EpisodeSpec:
-    check(e, isinstance(e, dict), "an episode must be an object")
+    check_type(e, dict, "an episode")
     episode_id = e.get("id", f"ep{i:04d}")
     # the id names the episode's step log file
     check(episode_id, isinstance(episode_id, str) and episode_id != ""
@@ -234,23 +239,21 @@ def _episode_from_dict(e, i: int, base: str, cfg: RunConfig, worlds: dict) -> Ep
     if ("world" in e) == ("worldgen" in e):
         raise SchemaViolation("needs exactly one of 'world' and 'worldgen'")
     if "world" in e:
-        wpath = os.path.join(base, check(e["world"], isinstance(e["world"], str),
-                                         "world must be a path"))
+        wpath = os.path.join(base, check_type(e["world"], str, "world"))
         if wpath not in worlds:
             worlds[wpath] = WorldMap.load(wpath)
         world = worlds[wpath]
     else:
-        wg = dict(check(e["worldgen"], isinstance(e["worldgen"], dict),
-                        "worldgen must be an object"))
-        wg_seed = check_integer(wg.pop("seed", seed), "worldgen seed")
-        world = generate_world(WorldGenSpec.from_dict(wg), wg_seed)
+        wg = e["worldgen"]
+        world = generate_world(WorldGenSpec.from_dict(wg),
+                               check_integer(wg.get("seed", seed), "worldgen seed"))
     start = None
     if "start" in e:
-        s = check(e["start"], isinstance(e["start"], dict), "start must be an object")
+        s = check_type(e["start"], dict, "start")
         heading = check_finite(s.get("heading_deg", 0.0), "start heading_deg")
         start = Pose(check_finite(s["x"], "start x"), check_finite(s["y"], "start y"),
                      math.radians(heading))
-    goals = check(e["goals"], isinstance(e["goals"], list), "goals must be a list")
+    goals = check_type(e["goals"], list, "goals")
     max_steps, max_dist = e.get("max_steps"), e.get("max_distance_m")
     if max_steps is not None:
         check(max_steps, check_integer(max_steps, "max_steps") > 0,
@@ -259,7 +262,7 @@ def _episode_from_dict(e, i: int, base: str, cfg: RunConfig, worlds: dict) -> Ep
         check(max_dist, check_finite(max_dist, "max_distance_m") > 0,
               "max_distance_m must be positive")
     return EpisodeSpec(episode_id=episode_id, world=world,
-                       goals=tuple(_goal_from_dict(g) for g in goals), start=start,
+                       goals=tuple(GoalSpec.from_dict(g) for g in goals), start=start,
                        constraints=check_strings(e.get("constraints", []), "constraints"),
                        seed=seed, max_steps=max_steps, max_distance_m=max_dist)
 
@@ -270,13 +273,7 @@ def load_episode_specs(path: str, cfg: RunConfig) -> List[EpisodeSpec]:
     Any malformed content raises SchemaViolation, and so do a world file that
     cannot be read and a ``worldgen`` request that cannot be met.
     """
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise SchemaViolation(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
-        except (UnicodeDecodeError, RecursionError) as e:
-            raise SchemaViolation(f"{path}: not valid JSON: {e}") from e
+    raw = read_json(path)
     episodes = raw.get("episodes") if isinstance(raw, dict) else None
     if not isinstance(episodes, list) or not episodes:
         raise SchemaViolation("episode spec must be an object with a non-empty 'episodes' list")
@@ -286,7 +283,7 @@ def load_episode_specs(path: str, cfg: RunConfig) -> List[EpisodeSpec]:
     for i, e in enumerate(episodes):
         try:
             spec = _episode_from_dict(e, i, base, cfg, worlds)
-        except (SchemaViolation, KeyError, TypeError, ValueError, OverflowError, OSError,
+        except (SchemaViolation, KeyError, TypeError, ValueError, OverflowError,
                 GenerationFailed) as ex:
             raise SchemaViolation(f"bad episode record {i}: {ex}") from ex
         if spec.episode_id in specs:

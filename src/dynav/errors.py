@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and the checks with which the
-file and wire loaders raise SchemaViolation."""
+"""Exception types shared across the package, the one reader of JSON files,
+and the checks with which the file and wire loaders raise SchemaViolation."""
+import json
 import math
-from typing import Tuple
+from typing import Optional, Tuple
 
 
 class DynavError(Exception):
@@ -68,13 +69,44 @@ class ConfigError(DynavError):
     """Invalid configuration file or flag combination."""
 
 
-# -- schema checks for values read from JSON -----------------------------------
+# -- reading JSON files, and the schema checks for what they hold ---------------
+
+def read_json(path, error=SchemaViolation, lines: bool = False):
+    """The JSON value in the file at ``path``, or with ``lines`` the values on
+    its non-blank lines.  A file that cannot be read or decoded raises ``error``
+    (``path:line:col: msg`` for a syntax error)."""
+    line0 = 0
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        if not lines:
+            return json.loads(text)
+        values = []
+        for line0, line in enumerate(text.split("\n")):
+            if line.strip():
+                values.append(json.loads(line))
+        return values
+    except OSError as e:
+        raise error(f"cannot read {path}: {e.strerror or e}") from e
+    except json.JSONDecodeError as e:
+        raise error(f"{path}:{line0 + e.lineno}:{e.colno}: {e.msg}") from e
+    except (ValueError, RecursionError) as e:  # not UTF-8, too long an integer, too deep
+        raise error(f"{path}: not valid JSON: {e}") from e
+
 
 def check(value, ok: bool, what: str):
     """``value``, or a SchemaViolation saying what it must be."""
     if not ok:
         raise SchemaViolation(f"{what}, not {value!r:.60}")
     return value
+
+
+_JSON_NAMES = {dict: "an object", list: "a list", str: "a string", bool: "true or false"}
+
+
+def check_type(value, kind: type, what: str):
+    """``value`` if its JSON type is ``kind``: dict, list, str or bool."""
+    return check(value, type(value) is kind, f"{what} must be {_JSON_NAMES[kind]}")
 
 
 def check_strings(value, what: str) -> Tuple[str, ...]:
@@ -86,14 +118,25 @@ def check_strings(value, what: str) -> Tuple[str, ...]:
 
 def check_finite(value, what: str) -> float:
     """A finite JSON number (an integer, or a float but not NaN or infinity)."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    check(value, isinstance(value, (int, float)) and not isinstance(value, bool),
+          f"{what} must be a number")
     try:
-        ok = number and math.isfinite(value)
+        if math.isfinite(value):
+            return float(value)
     except OverflowError:  # an integer too large for a float
-        ok = False
-    return float(check(value, ok, f"{what} must be a finite number"))
+        pass
+    raise SchemaViolation(f"{what} is not finite: {value!r:.60}")
 
 
 def check_integer(value, what: str) -> int:
     return check(value, isinstance(value, int) and not isinstance(value, bool),
                  f"{what} must be an integer")
+
+
+def check_location(value, what: str) -> Optional[Tuple[float, float]]:
+    """A place: null, or a list of two finite numbers (as a tuple of floats)."""
+    if value is None:
+        return None
+    check(value, isinstance(value, list) and len(value) == 2,
+          f"{what} must be null or a list of two numbers")
+    return check_finite(value[0], what), check_finite(value[1], what)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
+from .errors import SchemaViolation, check_strings, check_type
 from .world import SemanticObject
 
 NAME = "name"
@@ -72,23 +73,21 @@ class GoalSpec:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "GoalSpec":
-        return cls(
-            kind=d["kind"],
-            category=d.get("category", ""),
-            attributes=tuple(d.get("attributes", ())),
-            relation_hints=tuple(d.get("relation_hints", ())),
-            text=d.get("text", ""),
-        )
+    def from_dict(cls, d) -> "GoalSpec":
+        """A goal from its JSON form; anything malformed raises SchemaViolation."""
+        check_type(d, dict, "a goal")
+        texts = {k: check_type(d.get(k, ""), str, f"goal {k}")
+                 for k in ("kind", "category", "text")}
+        lists = {k: check_strings(d.get(k, []), f"goal {k}")
+                 for k in ("attributes", "relation_hints")}
+        try:
+            return cls(**texts, **lists)
+        except ValueError as e:
+            raise SchemaViolation(f"bad goal: {e}") from e
 
     @classmethod
     def name_goal(cls, category: str) -> "GoalSpec":
         return cls(kind=NAME, category=category)
-
-    @classmethod
-    def description_goal(cls, category: str, attributes=(), hints=()) -> "GoalSpec":
-        return cls(kind=DESCRIPTION, category=category, attributes=tuple(attributes),
-                   relation_hints=tuple(hints))
 
     @classmethod
     def instance_goal(cls, signature) -> "GoalSpec":

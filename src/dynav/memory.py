@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import EmptyName, SchemaViolation, SelfLoop
+from .errors import (EmptyName, SchemaViolation, SelfLoop, check_integer, check_location,
+                     check_strings, check_type, read_json)
 
 GRAPH_FORMAT = "dynav-graph/1"
 
@@ -154,15 +155,6 @@ class MemoryGraph:
 
     # -- queries ------------------------------------------------------------
 
-    def _neighbors(self, name: str) -> List[str]:
-        out = set()
-        for (s, t, _r) in self.edges:
-            if s == name:
-                out.add(t)
-            elif t == name:
-                out.add(s)
-        return sorted(out)
-
     def _matches(self, node: MemoryNode, flt: SemanticFilter) -> bool:
         if flt.name_pattern is not None and flt.name_pattern.lower() not in node.name.lower():
             return False
@@ -171,11 +163,16 @@ class MemoryGraph:
     def spatial_query(self, flt: SemanticFilter) -> "MemoryGraph":
         """Induced subgraph around filter matches, expanded ``flt.hops`` hops."""
         selected = {n for n, node in self.nodes.items() if self._matches(node, flt)}
+        neighbours: Dict[str, set] = {}
+        if flt.hops:
+            for s, t, _r in self.edges:
+                neighbours.setdefault(s, set()).add(t)
+                neighbours.setdefault(t, set()).add(s)
         frontier = set(selected)
         for _ in range(flt.hops):
             nxt = set()
             for name in frontier:
-                nxt.update(self._neighbors(name))
+                nxt.update(neighbours.get(name, ()))
             nxt -= selected
             if not nxt:
                 break
@@ -243,31 +240,31 @@ class MemoryGraph:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "MemoryGraph":
-        if not isinstance(d, dict) or d.get("format") != GRAPH_FORMAT:
-            raise SchemaViolation(f"unknown graph format: {d.get('format')!r}"
-                                  if isinstance(d, dict) else "graph payload must be an object")
+    def from_dict(cls, d) -> "MemoryGraph":
+        """A graph from its JSON form; anything malformed raises SchemaViolation."""
+        check_type(d, dict, "a graph")
+        if d.get("format") != GRAPH_FORMAT:
+            raise SchemaViolation(f"unknown graph format: {d.get('format')!r:.60}")
         g = cls()
         try:
-            for nd in d.get("nodes", []):
-                loc = nd.get("location")
-                g.nodes[nd["name"]] = MemoryNode(
-                    name=nd["name"],
-                    attributes=frozenset(nd.get("attributes", ())),
-                    location=tuple(loc) if loc is not None else None,
-                    last_seen=int(nd.get("last_seen", 0)),
-                    source_agent=nd.get("source_agent", ""),
-                )
-            for ed in d.get("edges", []):
-                edge = MemoryEdge(ed["start"], ed["target"], ed["relation"])
+            for nd in check_type(d.get("nodes", []), list, "nodes"):
+                check_type(nd, dict, "a node")
+                name = check_type(nd.get("name"), str, "node name")
+                g.nodes[name] = MemoryNode(
+                    name, frozenset(check_strings(nd.get("attributes", []), "node attributes")),
+                    check_location(nd.get("location"), "node location"),
+                    check_integer(nd.get("last_seen", 0), "node last_seen"),
+                    check_type(nd.get("source_agent", ""), str, "node source_agent"))
+            for ed in check_type(d.get("edges", []), list, "edges"):
+                check_type(ed, dict, "an edge")
+                edge = MemoryEdge(*(check_type(ed.get(k), str, f"edge {k}")
+                                    for k in ("start", "target", "relation")))
                 if edge.start not in g.nodes or edge.target not in g.nodes:
                     raise SchemaViolation(f"edge {edge.key} references a missing node")
                 g.edges[edge.key] = edge
-        except SchemaViolation:
-            raise
-        except (KeyError, TypeError, ValueError, EmptyName, SelfLoop) as e:
+        except (EmptyName, SelfLoop) as e:
             raise SchemaViolation(f"bad graph payload: {e}") from e
-        g.version = int(d.get("version", 0))
+        g.version = check_integer(d.get("version", 0), "graph version")
         return g
 
 
@@ -300,9 +297,4 @@ def save_graph(g: MemoryGraph, path) -> None:
 
 
 def load_graph(path) -> MemoryGraph:
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise SchemaViolation(f"graph file is not valid JSON: {e}") from e
-    return MemoryGraph.from_dict(payload)
+    return MemoryGraph.from_dict(read_json(path))

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from .episodes import EpisodeResult
-from .errors import EmptyInput
+from .errors import EmptyInput, read_json
 
 log = logging.getLogger(__name__)
 
@@ -142,10 +142,4 @@ def export_report(report: Report, out_dir: str) -> None:
 
 def load_results(path: str) -> List[EpisodeResult]:
     """Read an episode-results JSON-lines file back into memory."""
-    out: List[EpisodeResult] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(EpisodeResult.from_dict(json.loads(line)))
-    return out
+    return [EpisodeResult.from_dict(d) for d in read_json(path, lines=True)]

@@ -16,7 +16,8 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from .errors import SchemaViolation, check, check_finite, check_integer, check_strings
+from .errors import (SchemaViolation, check, check_finite, check_integer, check_strings,
+                     check_type, read_json)
 
 FREE = 0
 OBSTACLE = 1
@@ -66,15 +67,14 @@ class SemanticObject:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SemanticObject":
-        check(d, isinstance(d, dict), "an object record must be an object")
+        check_type(d, dict, "an object record")
         try:
             center = d["center"]
             check(center, isinstance(center, list) and len(center) == 2,
                   "object center must be a list of two numbers")
             return cls(
-                name=check(d["name"], isinstance(d["name"], str), "object name must be a string"),
-                category=check(d["category"], isinstance(d["category"], str),
-                               "object category must be a string"),
+                name=check_type(d["name"], str, "object name"),
+                category=check_type(d["category"], str, "object category"),
                 center=(check_finite(center[0], "object center"),
                         check_finite(center[1], "object center")),
                 radius=check_finite(d["radius"], "object radius"),
@@ -348,19 +348,19 @@ class WorldMap:
 
     @classmethod
     def from_dict(cls, d: dict) -> "WorldMap":
-        check(d, isinstance(d, dict), "a world must be an object")
+        check_type(d, dict, "a world")
         try:
             if d.get("format") != WORLD_FORMAT:
                 raise SchemaViolation(f"unknown world format: {d.get('format')!r}")
             width = check_integer(d["width"], "width")
             height = check_integer(d["height"], "height")
-            rows = check(d["grid"], isinstance(d["grid"], list), "grid must be a list of rows")
+            rows = check_type(d["grid"], list, "grid")
             if len(rows) != height:
                 raise SchemaViolation("grid row count does not match height")
             # every row is checked before the grid is allocated, so a huge
             # width or height costs nothing unless the rows really encode it
             for iy, runs in enumerate(rows):
-                check(runs, isinstance(runs, list), f"row {iy} must be a list of runs")
+                check_type(runs, list, f"row {iy}")
                 ix = 0
                 for run in runs:
                     if not (isinstance(run, list) and len(run) == 2
@@ -376,12 +376,9 @@ class WorldMap:
                 for count, value in runs:
                     grid[iy, ix: ix + count] = value
                     ix += count
-            objects = d.get("objects", [])
-            check(objects, isinstance(objects, list), "objects must be a list")
-            objects = [SemanticObject.from_dict(o) for o in objects]
+            objects = [SemanticObject.from_dict(o)
+                       for o in check_type(d.get("objects", []), list, "objects")]
             return cls(grid, check_finite(d["resolution"], "resolution"), objects)
-        except SchemaViolation:
-            raise
         except (KeyError, ValueError) as e:
             raise SchemaViolation(f"bad world payload: {e}") from e
 
@@ -391,10 +388,5 @@ class WorldMap:
 
     @classmethod
     def load(cls, path) -> "WorldMap":
-        with open(path) as fh:
-            try:
-                payload = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise SchemaViolation(f"world file is not valid JSON: {e}") from e
-        return cls.from_dict(payload)
+        return cls.from_dict(read_json(path))
 

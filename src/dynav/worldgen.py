@@ -10,7 +10,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import (GenerationFailed, SchemaViolation, check, check_finite, check_integer,
-                     check_strings)
+                     check_strings, check_type)
 from .geometry import AgentBody, Pose
 from .world import FREE, OBSTACLE, SemanticObject, WorldMap
 
@@ -51,13 +51,24 @@ class WorldGenSpec:
                 raise ValueError("category_counts must align with categories")
         if self.width_m <= 2 or self.height_m <= 2 or self.resolution <= 0:
             raise ValueError("world dimensions must be positive and non-trivial")
+        # refused before _try_generate lists one placement per wanted object
+        cells = round(self.width_m / self.resolution) * round(self.height_m / self.resolution)
+        n_objects = sum(self.counts) + len(self.hazards)
+        if max(n_objects, self.rooms) > cells:
+            raise ValueError(f"{n_objects} objects or {self.rooms} rooms do not fit in a grid "
+                             f"of {cells} cells")
+
+    @property
+    def counts(self) -> Tuple[int, ...]:
+        """How many objects of each category to place."""
+        return self.category_counts or (self.objects_per_category,) * len(self.categories)
 
     @classmethod
     def from_dict(cls, d: dict) -> "WorldGenSpec":
         """A spec from its JSON form (docs/formats.md).  An unknown key, or a
         value of the wrong type, raises SchemaViolation; a bare string is
         never split into a list of characters."""
-        check(d, isinstance(d, dict), "worldgen must be an object")
+        check_type(d, dict, "worldgen")
         known = {f for f in cls.__dataclass_fields__}  # type: ignore[attr-defined]
         unknown = set(d) - known - {"seed"}
         if unknown:
@@ -70,9 +81,8 @@ class WorldGenSpec:
             elif key in ("categories", "hazards"):
                 kwargs[key] = check_strings(value, what)
             elif key == "category_counts":
-                check(value, value is None or isinstance(value, list), f"{what} must be a list")
                 kwargs[key] = None if value is None else tuple(
-                    check_integer(v, f"{what} entry") for v in value)
+                    check_integer(v, f"{what} entry") for v in check_type(value, list, what))
             elif key == "object_radius_m":
                 check(value, isinstance(value, list) and len(value) == 2,
                       f"{what} must be a list of two numbers")
@@ -81,7 +91,7 @@ class WorldGenSpec:
                 kwargs[key] = check_finite(value, what)
         try:
             return cls(**kwargs)
-        except ValueError as e:
+        except (ValueError, OverflowError) as e:  # OverflowError: a grid too large to count
             raise SchemaViolation(f"bad worldgen spec: {e}") from e
 
 
@@ -90,13 +100,13 @@ def _carve_rect(grid: np.ndarray, x0: int, y0: int, x1: int, y1: int) -> None:
     grid[max(1, y0): min(h - 1, y1), max(1, x0): min(w - 1, x1)] = FREE
 
 
-def _main_component(free: np.ndarray) -> np.ndarray:
+def _main_component(free: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The largest 4-connected component of ``free``, and the sizes of all."""
     labels, n = ndimage.label(free)  # 4-connected by default
-    if n == 0:
-        return np.zeros_like(free, dtype=bool)
     sizes = ndimage.sum(free, labels, index=range(1, n + 1))
-    main = int(np.argmax(sizes)) + 1
-    return labels == main
+    if n == 0:
+        return np.zeros_like(free, dtype=bool), sizes
+    return labels == int(np.argmax(sizes)) + 1, sizes
 
 
 def _try_generate(spec: WorldGenSpec, rng: random.Random) -> Optional[WorldMap]:
@@ -127,8 +137,7 @@ def _try_generate(spec: WorldGenSpec, rng: random.Random) -> Optional[WorldMap]:
     # place objects on free floor with enough standoff from walls
     objects: List[SemanticObject] = []
     probe = WorldMap(grid, res)
-    counts = spec.category_counts or tuple(spec.objects_per_category for _ in spec.categories)
-    wanted = [(cat, ()) for cat, n in zip(spec.categories, counts) for _ in range(n)]
+    wanted = [(cat, ()) for cat, n in zip(spec.categories, spec.counts) for _ in range(n)]
     wanted += [(cat, ("hazard",)) for cat in spec.hazards]
     counters: dict = {}
     free_cells = np.argwhere(grid == FREE)
@@ -166,14 +175,11 @@ def _try_generate(spec: WorldGenSpec, rng: random.Random) -> Optional[WorldMap]:
     # reject layouts whose walkable space (inflated by the agent) is split, or
     # where some object's goal band is not reachable from the main component
     free = world.free_with_clearance(spec.agent_radius_m)
-    main = _main_component(free)
+    main, sizes = _main_component(free)
     if main.sum() < 10:
         return None
-    labels_all, n_all = ndimage.label(free)
-    if n_all > 1:
-        sizes = ndimage.sum(free, labels_all, index=range(1, n_all + 1))
-        if sorted(sizes)[-2] > 25:  # a second sizable pocket means split space
-            return None
+    if len(sizes) > 1 and sorted(sizes)[-2] > 25:  # a second sizable pocket means split space
+        return None
     ys, xs = np.nonzero(main)
     cx = (xs + 0.5) * res
     cy = (ys + 0.5) * res
@@ -199,7 +205,7 @@ def random_free_pose(world: WorldMap, rng: random.Random,
                      body: AgentBody = AgentBody(), margin: float = 0.05) -> Pose:
     """A pose in the largest walkable component with body clearance plus margin."""
     free = world.free_with_clearance(body.radius + margin)
-    main = _main_component(free)
+    main, _sizes = _main_component(free)
     cells = np.argwhere(main)
     if not len(cells):
         raise GenerationFailed("world has no free pose with the requested clearance")

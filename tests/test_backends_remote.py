@@ -22,6 +22,8 @@ from dynav.backends.protocol import (
     SCORE,
     STOP_CHECK,
     DecisionRequest,
+    DecisionResponse,
+    MemoryOp,
     RequestContext,
     WireCandidate,
     WireRay,
@@ -412,6 +414,40 @@ def test_parse_response_rejects_malformed_memory_ops(ops):
 def test_parse_response_rejects_malformed_fields(field, value):
     with pytest.raises(SchemaViolation):
         parse_response(ok_body(**{field: value}), make_req())
+
+
+def test_response_to_dict_parses_back():
+    # a server that answers with to_dict, as the benchmark's does, must be able
+    # to send every field, adjustments included
+    resp = DecisionResponse(
+        kind=SCORE, removals=(1,), adjustments=({"id": 2, "r": 1.5, "theta": 0.3},),
+        scores={1: 0.25, 2: 0.75}, s_stop=0.5, rationale="r",
+        memory_ops=(MemoryOp(op="add_node", name="chair_1", attributes=("red",),
+                             location=(1.0, 2.0)),
+                    MemoryOp(op="add_node", name="lamp_1"),
+                    MemoryOp(op="add_edge", start="chair_1", target="lamp_1",
+                             relation="near")))
+    again = parse_response(json.loads(json.dumps(resp.to_dict())), make_req())
+    (adj,) = again.adjustments
+    assert adj["id"] == 2 and adj["r"] == 1.5
+    assert adj["theta"] == pytest.approx(0.3, abs=1e-12)
+    assert replace(again, adjustments=resp.adjustments) == resp
+
+
+@pytest.mark.parametrize("script", [
+    [{"kind": "score"}, 5],
+    {"kind": "score"},
+    [{"step": 1}],
+    [{"kind": "score", "step": "1"}],
+    [{"kind": "score", "body": []}],
+    [{"kind": "score", "raw_body": 5}],
+    [{"kind": "score", "status": "500"}],
+    [{"kind": "score", "delay_ms": None}],
+    [{"kind": "score", "scores_all": "0.5"}],
+])
+def test_stub_refuses_a_malformed_script(script):
+    with pytest.raises(SchemaViolation):
+        StubServer(port=0, script=script)
 
 
 # -- fuzzing the wire parsers --------------------------------------------------------

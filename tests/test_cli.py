@@ -182,6 +182,8 @@ def test_run_bad_config_file(tmp_path, episode_file):
     (["--d-max", "nan"], {}),
     ([], {"memory_hops": -1}),
     ([], {"memory_budget": -4}),
+    ([], {"n_rays": 2.5}),
+    ([], {"memory_enabled": "false"}),
 ])
 def test_run_rejects_bad_config_values_before_running(tmp_path, episode_file, flags, config):
     cfg = tmp_path / "cfg.json"
@@ -291,3 +293,57 @@ def test_eval_recomputes_report(tmp_path, episode_file, capsys):
 
 def test_eval_missing_results_exits_1(tmp_path):
     assert main(["eval", "--results", str(tmp_path / "nope.jsonl")]) == 1
+
+# -- every command that reads a file exits 1 on one it cannot use ----------------------
+
+READERS = {
+    "run --episodes": ["run", "--episodes", "{bad}", "--out", "{out}"],
+    "run --config": ["run", "--episodes", "{episodes}", "--config", "{bad}", "--out", "{out}"],
+    "worldgen --spec": ["worldgen", "--spec", "{bad}", "--out", "{out}"],
+    "memory show": ["memory", "show", "{bad}"],
+    "memory merge": ["memory", "merge", "{good}", "{bad}", "--out", "{out}"],
+    "memory export": ["memory", "export", "{bad}", "--out", "{out}"],
+    "eval --results": ["eval", "--results", "{bad}"],
+    "serve-stub --script": ["serve-stub", "--port", "0", "--script", "{bad}"],
+}
+UNUSABLE = {
+    "nested": b"[" * 100_000,
+    "latin-1": '{"name": "café"}'.encode("latin-1"),
+    "long-integer": b"1" * 5000,
+    "wrong-type": b'"text"',
+}
+
+
+@pytest.mark.parametrize("content", UNUSABLE.values(), ids=UNUSABLE.keys())
+@pytest.mark.parametrize("argv", READERS.values(), ids=READERS.keys())
+def test_unusable_file_exits_1(tmp_path, episode_file, capsys, argv, content):
+    _, _, good, _ = graph_pair(tmp_path)
+    bad, out = tmp_path / "bad.json", tmp_path / "out"
+    bad.write_bytes(content)
+    assert main([a.format(bad=bad, good=good, episodes=episode_file, out=out)
+                 for a in argv]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, content", [
+    (READERS["memory show"], {"format": "dynav-graph/1", "nodes": [5]}),
+    (READERS["memory show"], {"format": "dynav-graph/1",
+                              "nodes": [{"name": "a", "attributes": "red"}]}),
+    (READERS["serve-stub --script"], [{"kind": "score"}, 5]),
+], ids=["graph-node-not-an-object", "graph-attributes-string", "script-entry-not-an-object"])
+def test_mistyped_record_exits_1(tmp_path, capsys, argv, content):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content))
+    assert main([a.format(bad=bad) for a in argv]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_eval_refuses_a_success_that_is_not_a_boolean(tmp_path, episode_file, capsys):
+    out = tmp_path / "out"
+    main(["run", "--episodes", str(episode_file), "--out", str(out), "--n-rays", "61"])
+    results = out / "results.jsonl"
+    results.write_text(results.read_text().replace('"success": true', '"success": "false"'))
+    capsys.readouterr()
+    assert main(["eval", "--results", str(results)]) == 1
+    assert "success" in capsys.readouterr().err

@@ -1,11 +1,15 @@
 """RunConfig validation and the defaults < file < flags precedence chain."""
+import dataclasses
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
 
 from dynav.config import RunConfig, load_config
 from dynav.errors import ConfigError
+
+from conftest import json_values, replaced, replacements
 
 
 def test_defaults_are_valid():
@@ -84,3 +88,70 @@ def test_load_config_missing_file(tmp_path):
 def test_load_config_rejects_bad_override_key():
     with pytest.raises(ConfigError):
         load_config(None, {"flux": 1})
+
+# -- config files: each key is checked against the JSON type of its field ----------
+
+@pytest.mark.parametrize("raw", [
+    {"memory_enabled": "false"},   # a true string, which would keep memory on
+    {"n_rays": 2.5},
+    {"n_rays": True},
+    {"alpha": "0.5"},
+    {"alpha": None},
+    {"avoid_clearance_m": "0.4"},
+    {"endpoint": 8080},
+    {"backend": ["oracle"]},
+    {"d_max": 10 ** 400},
+], ids=repr)
+def test_load_config_refuses_a_wrong_type(tmp_path, raw):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError, match=next(iter(raw))):
+        load_config(str(path))
+
+
+def test_load_config_takes_integers_for_floats_and_null_for_optionals(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"alpha": 1, "avoid_clearance_m": None, "endpoint": None,
+                                "memory_enabled": False, "backend": "oracle"}))
+    cfg = load_config(str(path))
+    assert cfg.alpha == 1.0 and isinstance(cfg.alpha, float)
+    assert cfg.avoid_clearance_m is None and cfg.memory_enabled is False
+
+
+def test_load_config_takes_a_file_of_every_default(tmp_path):
+    # every field's type is one that load_config knows how to check
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dataclasses.asdict(RunConfig())))
+    assert load_config(str(path)) == RunConfig()
+
+
+VALID_CONFIG = {"alpha": 0.5, "n_rays": 91, "memory_enabled": True, "avoid_clearance_m": 0.4,
+                "backend": "remote", "endpoint": "http://127.0.0.1:1/decide", "seed": 3}
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "cfg.json"
+
+
+def loads_or_refuses(path, payload):
+    path.write_text(json.dumps(payload))
+    try:
+        cfg = load_config(str(path))
+    except ConfigError:
+        return
+    assert isinstance(cfg.n_rays, int) and isinstance(cfg.memory_enabled, bool)
+    assert isinstance(cfg.alpha, float) and math.isfinite(cfg.alpha)
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=json_values)
+def test_load_config_raises_only_config_error(config_path, payload):
+    loads_or_refuses(config_path, payload)
+
+
+@pytest.mark.parametrize("key", sorted(VALID_CONFIG))
+@settings(max_examples=30, deadline=None)
+@given(value=replacements)
+def test_load_config_field_raises_only_config_error(config_path, key, value):
+    loads_or_refuses(config_path, replaced(VALID_CONFIG, (key,), value))

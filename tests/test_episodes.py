@@ -347,6 +347,9 @@ BAD_RECORDS = {
     **{f"worldgen-{name}": {"episodes": [{"worldgen": worldgen,
                                          "goals": [{"kind": "name", "category": "chair"}]}]}
        for name, worldgen in BAD_WORLDGEN.items()},
+    "worldgen-more-objects-than-cells": {"episodes": [{
+        "worldgen": {"objects_per_category": 2_000_000, "max_attempts": 1},
+        "goals": [{"kind": "name", "category": "chair"}]}]},
     "worldgen-impossible": {"episodes": [{
         "worldgen": {"width_m": 4.0, "height_m": 4.0, "objects_per_category": 40,
                      "max_attempts": 2},
@@ -359,6 +362,16 @@ def test_load_episode_specs_rejects_bad_records(tmp_path, payload):
     chair_world().save(tmp_path / "world.json")
     with pytest.raises(SchemaViolation):
         load_episode_specs(write_spec(tmp_path, payload), RunConfig())
+
+
+@pytest.mark.parametrize("d", [
+    "chair", None, {"kind": 5}, {"kind": "name"}, {"kind": "name", "category": ["chair"]},
+    {"kind": "instance", "attributes": "red"}, {"kind": "description", "category": "table"},
+    {"kind": "name", "category": "chair", "text": None},
+], ids=repr)
+def test_goal_from_dict_raises_only_schema_violation(d):
+    with pytest.raises(SchemaViolation):
+        GoalSpec.from_dict(d)
 
 
 @pytest.fixture(scope="module")

@@ -18,6 +18,8 @@ from dynav.memory import (
 )
 from dynav.policy import apply_memory_ops
 
+from conftest import MISSING, dotted, json_values, replaced, replacements
+
 NAMES = ("lamp", "sofa", "door", "sink", "oven", "rug")
 ATTRS = ("red", "tall", "metal", "soft")
 RELS = ("near", "left of")
@@ -294,3 +296,77 @@ def test_save_refuses_non_finite_numbers(tmp_path):
     path = tmp_path / "g.json"
     with pytest.raises(ValueError):
         save_graph(g, path)
+
+
+# -- graph files: every field is checked, and only SchemaViolation escapes ------------
+
+VALID_GRAPH = {
+    "format": "dynav-graph/1", "version": 3,
+    "nodes": [{"name": "chair_1", "attributes": ["red"], "location": [1.0, 2.0],
+               "last_seen": 2, "source_agent": "ep0"},
+              {"name": "lamp_1", "attributes": [], "location": None, "last_seen": 1,
+               "source_agent": ""}],
+    "edges": [{"start": "chair_1", "target": "lamp_1", "relation": "near"}],
+}
+GRAPH_PATHS = [
+    ("format",), ("version",), ("nodes",), ("nodes", 0), ("nodes", 0, "name"),
+    ("nodes", 0, "attributes"), ("nodes", 0, "attributes", 0), ("nodes", 0, "location"),
+    ("nodes", 0, "location", 1), ("nodes", 0, "last_seen"), ("nodes", 0, "source_agent"),
+    ("edges",), ("edges", 0), ("edges", 0, "start"), ("edges", 0, "relation"),
+]
+
+
+def test_valid_graph_loads():
+    assert MemoryGraph.from_dict(VALID_GRAPH).to_dict() == VALID_GRAPH
+
+
+@pytest.mark.parametrize("path, value", [
+    (("nodes", 0, "attributes"), "red"),  # not the attributes {"r", "e", "d"}
+    (("nodes",), [5]),
+    (("nodes", 0, "last_seen"), math.inf),
+    (("nodes", 0, "last_seen"), 2.0),
+    (("nodes", 0, "location"), [1.0]),
+    (("nodes", 0, "name"), 7),
+    (("nodes", 0, "source_agent"), None),
+    (("edges", 0), "chair_1 near lamp_1"),
+    (("edges", 0, "relation"), ["near"]),
+    (("version",), "3"),
+    (("edges",), {}),
+], ids=lambda v: dotted(v) if isinstance(v, tuple) else repr(v))
+def test_from_dict_refuses_a_wrong_type(path, value):
+    with pytest.raises(SchemaViolation):
+        MemoryGraph.from_dict(replaced(VALID_GRAPH, path, value))
+
+
+def test_load_refuses_an_infinite_last_seen(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(VALID_GRAPH).replace('"last_seen": 2', '"last_seen": Infinity'))
+    with pytest.raises(SchemaViolation, match="last_seen"):
+        load_graph(path)
+
+
+def loads_or_violates(payload):
+    try:
+        g = MemoryGraph.from_dict(payload)
+    except SchemaViolation:
+        return
+    for n in g.nodes.values():
+        assert isinstance(n.name, str) and isinstance(n.last_seen, int)
+        assert all(isinstance(a, str) for a in n.attributes)
+        assert n.location is None or all(map(math.isfinite, n.location))
+    json.dumps(g.to_dict(), allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=json_values)
+def test_from_dict_raises_only_schema_violation(payload):
+    loads_or_violates(payload)
+
+
+@pytest.mark.parametrize("path", GRAPH_PATHS, ids=dotted)
+@settings(max_examples=30, deadline=None)
+@given(value=replacements)
+def test_from_dict_field_raises_only_schema_violation(path, value):
+    if isinstance(path[-1], int) and value is MISSING:
+        return
+    loads_or_violates(replaced(VALID_GRAPH, path, value))

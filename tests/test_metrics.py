@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynav.episodes import EpisodeResult, GoalResult
-from dynav.errors import EmptyInput
+from dynav.errors import EmptyInput, SchemaViolation
 from dynav.geometry import Pose
 from dynav.metrics import compute_metrics, export_report, load_results, spl_term
 
@@ -128,3 +128,51 @@ def test_load_results_jsonl(tmp_path):
         fh.write("\n")  # trailing blank line is tolerated
     loaded = load_results(str(path))
     assert loaded == eps
+
+
+def write_results(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+VALID_RESULT = episode("a", [goal_result(True), goal_result(False, unreachable=True)]).to_dict()
+VALID_RESULT["abort_reason"] = "why"
+
+
+@pytest.mark.parametrize("path, value", [
+    (("goals", 0, "success"), "false"),  # bool("false") would count a success
+    (("goals", 0, "stopped"), 1),
+    (("goals", 0, "unreachable"), None),
+    (("goals", 0, "path_length"), "10"),
+    (("goals", 0, "path_length"), float("nan")),
+    (("goals", 1, "shortest"), [8.0]),
+    (("goals", 0, "steps"), 12.0),
+    (("goals", 0, "goal_text"), None),
+    (("goals", 0), "chair"),
+    (("goals",), {}),
+    (("trajectory", 0), [1.0, 1.0]),
+    (("trajectory", 0, 2), float("inf")),
+    (("trajectory",), None),
+    (("episode_id",), 5),
+    (("seed",), "0"),
+    (("termination",), None),
+    (("abort_reason",), 3),
+], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else repr(v))
+def test_load_results_refuses_a_wrong_type(tmp_path, path, value):
+    record = json.loads(json.dumps(VALID_RESULT))
+    node = record
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    write_results(tmp_path / "results.jsonl", [VALID_RESULT, record])
+    with pytest.raises(SchemaViolation):
+        load_results(str(tmp_path / "results.jsonl"))
+
+
+def test_load_results_names_the_line_of_a_syntax_error(tmp_path):
+    path = tmp_path / "results.jsonl"
+    path.write_text(json.dumps(VALID_RESULT) + "\n\n" + '{"episode_id": "b",,}\n')
+    with pytest.raises(SchemaViolation, match=r"results.jsonl:3:20:"):
+        load_results(str(path))
+    write_results(path, [VALID_RESULT])
+    (again,) = load_results(str(path))
+    assert again.to_dict() == VALID_RESULT

@@ -146,3 +146,22 @@ def test_random_free_pose_is_clear_and_deterministic():
     b = random_free_pose(world, random.Random(4), body)
     assert a == b
     assert world.clearance(a.x, a.y) >= body.radius + 0.05
+
+
+@pytest.mark.parametrize("d", [
+    {"objects_per_category": 2_000_000, "max_attempts": 1},  # 4 000 000 objects, 19 200 cells
+    {"categories": ["chair"], "category_counts": [19_200], "hazards": ["sign"]},
+    {"rooms": 19_201},
+    {"width_m": 1e308, "resolution": 1e-300},  # too many cells to count
+])
+def test_spec_refuses_more_objects_or_rooms_than_cells(d):
+    with pytest.raises(SchemaViolation):
+        WorldGenSpec.from_dict(d)
+
+
+def test_spec_bound_admits_one_object_per_cell():
+    spec = WorldGenSpec(width_m=4.0, height_m=3.0, resolution=0.5, categories=("chair",),
+                        objects_per_category=47, hazards=("sign",))  # 8 x 6 cells
+    assert sum(spec.counts) + len(spec.hazards) == 48
+    with pytest.raises(ValueError, match="48 cells"):
+        WorldGenSpec(width_m=4.0, height_m=3.0, resolution=0.5, rooms=49)
