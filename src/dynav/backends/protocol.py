@@ -129,11 +129,13 @@ class DecisionRequest:
             if kind in (FILTER, SCORE) and not cands:
                 raise SchemaViolation(f"{kind} requests must carry at least one candidate")
             return cls(
-                version=d["version"], kind=kind, session_id=str(d["session_id"]),
-                step=int(d["step"]), goal_text=str(d.get("goal_text", "")), pose=pose,
-                rays=rays, candidates=cands, memory_text=str(d.get("memory_text", "")),
-                constraints=tuple(d.get("constraints", ())),
-                template_id=str(d.get("template_id", "")),
+                version=d["version"], kind=kind,
+                session_id=check_type(d["session_id"], str, "session_id"),
+                step=int(d["step"]), goal_text=check_type(d.get("goal_text", ""), str, "goal_text"),
+                pose=pose, rays=rays, candidates=cands,
+                memory_text=check_type(d.get("memory_text", ""), str, "memory_text"),
+                constraints=check_strings(d.get("constraints", []), "constraints"),
+                template_id=check_type(d.get("template_id", ""), str, "template_id"),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise SchemaViolation(f"bad request payload: {e}") from e
@@ -219,14 +221,17 @@ def parse_response(payload: dict, request: DecisionRequest) -> DecisionResponse:
             check_type(raw, dict, "a memory op")
             op = raw.get("op")
             if op == "add_node":
-                ops.append(MemoryOp(op="add_node", name=str(raw["name"]),
+                ops.append(MemoryOp(op="add_node",
+                                    name=check_type(raw["name"], str, "memory op name"),
                                     attributes=check_strings(raw.get("attributes", []),
                                                              "memory op attributes"),
                                     location=check_location(raw.get("location_m"),
                                                             "memory op location_m")))
             elif op == "add_edge":
-                ops.append(MemoryOp(op="add_edge", start=str(raw["start"]),
-                                    target=str(raw["target"]), relation=str(raw["relation"])))
+                ops.append(MemoryOp(
+                    op="add_edge", start=check_type(raw["start"], str, "memory op start"),
+                    target=check_type(raw["target"], str, "memory op target"),
+                    relation=check_type(raw["relation"], str, "memory op relation")))
             else:
                 raise SchemaViolation(f"unknown memory op: {op!r}")
     except (KeyError, TypeError, ValueError, OverflowError) as e:

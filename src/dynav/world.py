@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import ndimage
-from scipy.spatial import cKDTree
 
 from .errors import (SchemaViolation, check, check_finite, check_integer, check_strings,
                      check_type, read_json)
@@ -187,9 +185,12 @@ class WorldMap:
         lists them in.  It is arbitrary but fixed: equally distant cells whose
         nearest points differ are rare, yet the winner sets the direction of
         an avoidance nudge, and the golden outputs under ``tests/fixtures``
-        pin it.  The tree is built only when such a tie first occurs.
+        pin it.  The tree, and scipy with it, is loaded only when such a tie
+        first occurs.
         """
         if self._tie_rank is None:
+            from scipy.spatial import cKDTree
+
             iys, ixs = np.nonzero(self.grid == OBSTACLE)
             tree = cKDTree((np.stack([ixs, iys], axis=1) + 0.5) * self.resolution)
             rank = np.zeros(self.grid.shape, dtype=np.int64)
@@ -203,10 +204,11 @@ class WorldMap:
         dy = max(iy * res - y, 0.0, y - (iy + 1) * res)
         return math.hypot(dx, dy)
 
-    def _nearest_cell(self, x: float, y: float, bound: float):
+    def _nearest_cell(self, x: float, y: float, bound: float, rank_ties: bool):
         """Distance to and nearest point on the closest obstacle cell, when
         that distance is below ``bound``; None otherwise.  The point must lie
-        strictly inside the world.
+        strictly inside the world.  Without ``rank_ties`` an exact tie between
+        cells goes to any of them: the distance is the same.
         """
         res = self.resolution
         w, h = self.width_cells, self.height_cells
@@ -242,8 +244,7 @@ class WorldMap:
                 ties.append((jx, jy))
         if not ties:
             return None
-        points = {self._clamp_to_cell(x, y, jx, jy) for jx, jy in ties}
-        if len(points) > 1:
+        if rank_ties and len({self._clamp_to_cell(x, y, jx, jy) for jx, jy in ties}) > 1:
             ties = [min(ties, key=lambda c: self._tie_order(*c))]
         return best, self._clamp_to_cell(x, y, *ties[0])
 
@@ -257,10 +258,16 @@ class WorldMap:
         Obstacle cells are axis-aligned squares, objects are discs, and the
         map border counts as a wall (the world ends there).
         """
-        return self.clearance_with_nearest(x, y)[0]
+        return self.clearance_with_nearest(x, y, rank_ties=False)[0]
 
-    def clearance_with_nearest(self, x: float, y: float) -> Tuple[float, Tuple[float, float]]:
-        """Clearance plus the closest point on the nearest blocking surface."""
+    def clearance_with_nearest(self, x: float, y: float, rank_ties: bool = True
+                               ) -> Tuple[float, Tuple[float, float]]:
+        """Clearance plus the closest point on the nearest blocking surface.
+
+        ``rank_ties=False`` leaves an exact tie between cells whose nearest
+        points differ unranked, so the point is any of theirs; ``clearance``
+        passes it, since a tie never changes the distance.
+        """
         best = min(x, y, self.width_m - x, self.height_m - y)
         # border: closest point is the orthogonal projection onto that wall
         if best == x:
@@ -275,7 +282,7 @@ class WorldMap:
         # a cell must come strictly closer than the border, so it can only
         # win for a point strictly inside the world
         if best > 0.0:
-            cell = self._nearest_cell(x, y, best)
+            cell = self._nearest_cell(x, y, best, rank_ties)
             if cell is not None:
                 best, nearest = cell
 
@@ -300,26 +307,61 @@ class WorldMap:
         """Boolean grid: cell blocked by an obstacle cell or an object disc.
 
         A cell counts as object-blocked when its center lies inside the disc.
+        Each disc is tested only on the cells of its bounding box plus one.
         """
         if self._occupancy is None:
             occ = self.grid == OBSTACLE
-            if len(self._obj_centers):
-                ys, xs = np.mgrid[0: self.height_cells, 0: self.width_cells]
-                cx = (xs + 0.5) * self.resolution
-                cy = (ys + 0.5) * self.resolution
-                for (ox, oy), r in zip(self._obj_centers, self._obj_radii):
-                    occ = occ | (np.hypot(cx - ox, cy - oy) <= r)
+            h, w = occ.shape
+            res = self.resolution
+            for (ox, oy), r in zip(self._obj_centers.tolist(), self._obj_radii.tolist()):
+                x0, x1 = max(int((ox - r) / res) - 1, 0), min(int((ox + r) / res) + 2, w)
+                y0, y1 = max(int((oy - r) / res) - 1, 0), min(int((oy + r) / res) + 2, h)
+                cx = (np.arange(x0, x1) + 0.5) * res
+                cy = (np.arange(y0, y1) + 0.5) * res
+                occ[y0: y1, x0: x1] |= np.hypot(cx - ox, cy[:, None] - oy) <= r
             self._occupancy = occ
             self._occupancy.setflags(write=False)
         return self._occupancy
 
     def free_with_clearance(self, radius: float) -> np.ndarray:
-        """Cells whose center keeps the given radius clear of any occupancy."""
+        """Cells whose center keeps the given radius clear of any occupancy.
+
+        The mask ``distance_transform_edt(~occ, sampling=res) > radius`` of
+        ``scipy.ndimage``, without scipy: a cell is blocked when an occupied
+        cell lies at an offset (dx, dy) with ``sqrt((dy*res)**2 + (dx*res)**2)
+        <= radius``, in the transform's float operations.  For each row offset
+        the blocking column offsets form an interval [-m, m], so the mask takes
+        one sliding-window count per row offset.  It differs from the transform
+        only where that has no answer or picks one arbitrarily: with no
+        occupied cell every cell is free, and of two exactly tied offsets whose
+        floats differ in the last bit, such as (9, 2) and (6, 7), the nearer
+        float decides.
+        """
         key = round(radius, 9)
         if key not in self._free_cache:
             occ = self.occupancy_with_objects()
-            dist = ndimage.distance_transform_edt(~occ, sampling=self.resolution)
-            mask = dist > radius
+            h, w = occ.shape
+            res = self.resolution
+
+            def blocks(dy: int, dx: int) -> bool:
+                a, b = dy * res, dx * res
+                return math.sqrt(a * a + b * b) <= radius
+
+            counts = np.zeros((h, w + 1), dtype=np.int32)  # occupied cells left of each column
+            np.cumsum(occ, axis=1, out=counts[:, 1:])
+            cols = np.arange(w)
+            blocked = np.zeros((h, w), dtype=bool)
+            m = int(min(radius / res + 2, w))  # past the widest blocking offset, or the width
+            for dy in range(h):
+                while m >= 0 and not blocks(dy, m):
+                    m -= 1
+                if m < 0:
+                    break
+                # rows holding an occupied cell within m columns of each column
+                near = counts[:, np.minimum(cols + m + 1, w)] > counts[:, np.maximum(cols - m, 0)]
+                blocked[dy:] |= near[: h - dy]
+                blocked[: h - dy] |= near[dy:]
+            mask = ~blocked
             mask.setflags(write=False)
             self._free_cache[key] = mask
         return self._free_cache[key]

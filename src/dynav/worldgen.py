@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import (GenerationFailed, SchemaViolation, check, check_finite, check_integer,
                      check_strings, check_type)
@@ -22,6 +21,10 @@ _PALETTE = (
 
 # the WorldGenSpec fields that are counts; the other scalars are lengths
 _INTEGER_FIELDS = ("rooms", "objects_per_category", "max_attempts")
+
+# the most grid cells a spec may ask for: 16 MiB of uint8 grid (a 409.6 m
+# square at 0.1 m); a larger request is refused before anything is allocated
+MAX_CELLS = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -51,8 +54,11 @@ class WorldGenSpec:
                 raise ValueError("category_counts must align with categories")
         if self.width_m <= 2 or self.height_m <= 2 or self.resolution <= 0:
             raise ValueError("world dimensions must be positive and non-trivial")
-        # refused before _try_generate lists one placement per wanted object
+        # refused before _try_generate allocates the grid and lists one
+        # placement per wanted object
         cells = round(self.width_m / self.resolution) * round(self.height_m / self.resolution)
+        if cells > MAX_CELLS:
+            raise ValueError(f"a grid of {cells} cells exceeds the limit of {MAX_CELLS}")
         n_objects = sum(self.counts) + len(self.hazards)
         if max(n_objects, self.rooms) > cells:
             raise ValueError(f"{n_objects} objects or {self.rooms} rooms do not fit in a grid "
@@ -101,12 +107,46 @@ def _carve_rect(grid: np.ndarray, x0: int, y0: int, x1: int, y1: int) -> None:
 
 
 def _main_component(free: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The largest 4-connected component of ``free``, and the sizes of all."""
-    labels, n = ndimage.label(free)  # 4-connected by default
-    sizes = ndimage.sum(free, labels, index=range(1, n + 1))
-    if n == 0:
-        return np.zeros_like(free, dtype=bool), sizes
-    return labels == int(np.argmax(sizes)) + 1, sizes
+    """The largest 4-connected component of ``free``, and the sizes of all.
+
+    Run-based two-scan labelling (He, Chao & Suzuki, IEEE TIP 2008): the
+    horizontal runs of free cells are the nodes of a union-find, joined where
+    runs in adjacent rows share a column.  Components are numbered in raster
+    order of their first cell, as ``scipy.ndimage.label`` numbers them, so the
+    sizes come in the same order and a tie for the largest goes the same way.
+    """
+    h, w = free.shape
+    edges = np.diff(free.astype(np.int8), axis=1, prepend=0, append=0)  # (h, w + 1)
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    if not len(starts):
+        return np.zeros_like(free, dtype=bool), np.zeros(0, dtype=np.int64)
+    # a run in row y touches the runs of row y - 1 that end after it starts
+    # and start before it ends: a contiguous range of run indices
+    above = w + 1
+    first = np.searchsorted(ends, starts - above, side="right")
+    last = np.searchsorted(starts, ends - above, side="left")
+    parent = list(range(len(starts)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for run, (lo, hi) in enumerate(zip(first.tolist(), last.tolist())):
+        for other in range(lo, hi):
+            a, b = root(run), root(other)
+            # the earlier run stays the root, so a root is its component's first run
+            parent[max(a, b)] = min(a, b)
+    roots = np.array([root(i) for i in range(len(starts))])
+    _, labels = np.unique(roots, return_inverse=True)
+    sizes = np.bincount(labels, weights=ends - starts).astype(np.int64)
+    marks = np.zeros(h * above, dtype=np.int8)
+    keep = labels == int(np.argmax(sizes))
+    marks[starts[keep]] = 1
+    marks[ends[keep]] = -1
+    main = np.cumsum(marks).reshape(h, above)[:, :w] > 0
+    return main, sizes
 
 
 def _try_generate(spec: WorldGenSpec, rng: random.Random) -> Optional[WorldMap]:

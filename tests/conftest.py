@@ -128,6 +128,7 @@ BAD_WORLDGEN = {
     "width-nan": {"width_m": math.nan},
     "height-infinite": {"height_m": math.inf},
     "width-huge-int": {"width_m": 10 ** 400},
+    "grid-too-large": {"width_m": 1e7, "height_m": 1e7, "resolution": 0.1},  # 10**16 cells
     "resolution-string": {"resolution": "0.1"},
     "rooms-float": {"rooms": 2.5},
     "rooms-bool": {"rooms": True},

@@ -144,6 +144,16 @@ def test_request_from_dict_validation():
         DecisionRequest.from_dict({"version": PROTOCOL_VERSION, "kind": SCORE})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("constraints", "avoid"), ("constraints", [1]), ("constraints", None),
+    ("session_id", 5), ("session_id", None), ("goal_text", ["chair"]),
+    ("memory_text", None), ("template_id", 1),
+])
+def test_request_from_dict_refuses_mistyped_text(field, value):
+    with pytest.raises(SchemaViolation, match=field):
+        DecisionRequest.from_dict(dict(make_req().to_dict(), **{field: value}))
+
+
 # -- response parsing ----------------------------------------------------------------
 
 
@@ -401,6 +411,11 @@ def test_backend_config_validation():
     [{"op": "add_node", "name": "a", "location_m": ["1", "2"]}],
     [{"op": "add_node", "name": "a", "attributes": [["red"]]}],
     {"op": "add_node", "name": "a"},
+    [{"op": "add_node", "name": None}],
+    [{"op": "add_node", "name": 7}],
+    [{"op": "add_edge", "start": "a", "target": "b", "relation": ["near"]}],
+    [{"op": "add_edge", "start": None, "target": "b", "relation": "near"}],
+    [{"op": "add_edge", "start": "a", "target": 2, "relation": "near"}],
 ])
 def test_parse_response_rejects_malformed_memory_ops(ops):
     with pytest.raises(SchemaViolation):

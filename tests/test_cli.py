@@ -224,12 +224,25 @@ def test_worldgen_spec_file_and_seed_precedence(tmp_path):
     assert cats == {"chair"}
 
 
-@pytest.mark.parametrize("payload", [["rooms", 2], {"seed": "9"}, {"categories": "chair"}])
+HUGE_GRID = {"width_m": 1e7, "height_m": 1e7, "resolution": 0.1}  # 10**16 cells
+
+
+@pytest.mark.parametrize("payload", [["rooms", 2], {"seed": "9"}, {"categories": "chair"},
+                                     HUGE_GRID])
 def test_worldgen_bad_spec_exits_1(tmp_path, payload):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(payload))
     assert main(["worldgen", "--spec", str(spec), "--out", str(tmp_path / "w.json")]) == 1
     assert not (tmp_path / "w.json").exists()
+
+
+def test_run_refuses_a_grid_over_the_cell_limit(tmp_path, capsys):
+    episodes = tmp_path / "episodes.json"
+    episodes.write_text(json.dumps({"episodes": [
+        {"worldgen": HUGE_GRID, "goals": [{"kind": "name", "category": "chair"}]}]}))
+    assert main(["run", "--episodes", str(episodes), "--out", str(tmp_path / "out")]) == 1
+    assert "exceeds the limit" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_worldgen_impossible_spec_exits_2(tmp_path):

@@ -318,6 +318,17 @@ def test_clearance_ties_between_cells_keep_the_reference_winner(worlds):
         assert left == right == d
 
 
+def test_clearance_leaves_exact_ties_unranked(worlds):
+    """``clearance`` returns the distance only, so the slot's ties cost it no
+    tie rank (and no scipy import); the distance is the ranked one's."""
+    fresh = WorldMap(np.array(worlds[-1].grid), worlds[-1].resolution)
+    points = [fresh.cell_center(29, iy) for iy in range(20, 32)]
+    plain = [fresh.clearance(x, y) for x, y in points]
+    assert fresh._tie_rank is None
+    assert bits(*plain) == bits(*(fresh.clearance_with_nearest(x, y)[0] for x, y in points))
+    assert fresh._tie_rank is not None
+
+
 def nudge_cases(world, rng, n):
     """Cell-centre poses closer to a surface than the avoidance clearance."""
     poses = []

@@ -1,15 +1,21 @@
-"""Module layering: the proposer is pure geometry and never reaches a backend.
+"""Module layering: the proposer is pure geometry and never reaches a backend,
+and nothing on a start-up or set-up path imports scipy.
 
 ``dynav.backends.protocol`` imports ``dynav.proposer`` for ``CandidateSet``;
 an import in the other direction, even one deferred into a function, would
-bring the import cycle back.
+bring the import cycle back.  Importing scipy's ``ndimage`` and ``spatial``
+costs about half a second, so the package imports it only inside
+``WorldMap._tie_order``, at the first exact nearest-point tie.
 """
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "dynav"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "dynav"
 
 
 def imported_modules(path: Path):
@@ -50,3 +56,43 @@ def test_proposer_imports_nothing_from_backends():
 @pytest.mark.parametrize("module", ["proposer.py", "episodes.py"])
 def test_no_function_level_imports(module):
     assert [(n, line) for n, line, nested in imported_modules(SRC / module) if nested] == []
+
+
+def enclosing_functions(path: Path):
+    """line -> name of the innermost function around it, for every line."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    where = {}
+    for node in ast.walk(tree):  # outer functions come first, inner ones overwrite
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for line in range(node.lineno, node.end_lineno + 1):
+                where[line] = node.name
+    return where
+
+
+def test_scipy_is_imported_only_in_the_tie_rank():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        where = enclosing_functions(path)
+        found += [(str(path.relative_to(SRC)), where.get(line) if nested else None)
+                  for name, line, nested in imported_modules(path)
+                  if name == "scipy" or name.startswith("scipy.")]
+    assert set(found) <= {("world.py", "_tie_order")}
+
+
+def run_python(code: str, cwd: Path) -> str:
+    return subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd,
+        env={"PYTHONPATH": str(ROOT / "src"), "PATH": ""},
+        capture_output=True, text=True, check=True).stdout.strip()
+
+
+def test_cli_import_and_run_leave_scipy_out(tmp_path):
+    assert run_python("import sys, dynav.cli; print('scipy' in sys.modules)", tmp_path) == "False"
+    spec = ROOT / "specs" / "multigoal_demo.json"
+    out = run_python(
+        "import contextlib, io, sys\n"
+        "from dynav.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main(['run', '--episodes', {str(spec)!r}, '--out', 'out'])\n"
+        "print(code, 'scipy' in sys.modules)", tmp_path)
+    assert out == "0 False"

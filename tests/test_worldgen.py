@@ -159,6 +159,13 @@ def test_spec_refuses_more_objects_or_rooms_than_cells(d):
         WorldGenSpec.from_dict(d)
 
 
+def test_spec_bound_on_grid_cells():
+    side = 2 ** 12 * 0.1  # 4096 x 4096 cells: exactly the limit
+    assert WorldGenSpec(width_m=side, height_m=side).width_m == side
+    with pytest.raises(ValueError, match="exceeds the limit of 16777216"):
+        WorldGenSpec(width_m=side, height_m=side + 0.1)
+
+
 def test_spec_bound_admits_one_object_per_cell():
     spec = WorldGenSpec(width_m=4.0, height_m=3.0, resolution=0.5, categories=("chair",),
                         objects_per_category=47, hazards=("sign",))  # 8 x 6 cells
