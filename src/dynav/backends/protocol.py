@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from ..errors import SchemaViolation, check_location, check_strings, check_type
+from ..errors import (SchemaViolation, check_finite, check_integer, check_location,
+                      check_strings, check_type)
 from ..proposer import CandidateSet
 from ..sensing import Observation
 
@@ -114,8 +115,7 @@ class DecisionRequest:
             if kind not in KINDS:
                 raise SchemaViolation(f"unknown request kind: {kind!r}")
             obs = d["observation"]
-            pose = (float(obs["pose"]["x_m"]), float(obs["pose"]["y_m"]),
-                    float(obs["pose"]["heading_deg"]))
+            pose = tuple(check_finite(obs["pose"][k], k) for k in ("x_m", "y_m", "heading_deg"))
             # r["theta_deg"] comes first: anything but an object fails there
             rays = tuple(
                 WireRay(float(r["theta_deg"]), float(r["distance_m"]), r.get("label"),
@@ -123,7 +123,9 @@ class DecisionRequest:
                 for r in obs["rays"]
             )
             cands = tuple(
-                WireCandidate(int(c["id"]), float(c["r_m"]), float(c["theta_deg"]))
+                WireCandidate(check_integer(c["id"], "candidate id"),
+                              check_finite(c["r_m"], "candidate r_m"),
+                              check_finite(c["theta_deg"], "candidate theta_deg"))
                 for c in d.get("candidates", ())
             )
             if kind in (FILTER, SCORE) and not cands:
@@ -131,7 +133,8 @@ class DecisionRequest:
             return cls(
                 version=d["version"], kind=kind,
                 session_id=check_type(d["session_id"], str, "session_id"),
-                step=int(d["step"]), goal_text=check_type(d.get("goal_text", ""), str, "goal_text"),
+                step=check_integer(d["step"], "step"),
+                goal_text=check_type(d.get("goal_text", ""), str, "goal_text"),
                 pose=pose, rays=rays, candidates=cands,
                 memory_text=check_type(d.get("memory_text", ""), str, "memory_text"),
                 constraints=check_strings(d.get("constraints", []), "constraints"),

@@ -26,6 +26,9 @@ class Pose:
     heading: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.heading)):
+            raise ValueError(f"pose must be three finite numbers, not "
+                             f"({self.x}, {self.y}, {self.heading})")
         object.__setattr__(self, "heading", normalize_angle(self.heading))
 
     def distance_to(self, other: "Pose") -> float:

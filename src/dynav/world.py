@@ -108,7 +108,6 @@ class WorldMap:
         # per-world indexes, built on first use
         self._framed: Optional[bytes] = None
         self._edge_cells: Optional[tuple] = None
-        self._tie_rank: Optional[np.ndarray] = None
         self._occupancy = None
         self._free_cache: dict = {}
         if self.objects:
@@ -177,38 +176,18 @@ class WorldMap:
                                 ixs * res, (ixs + 1) * res, iys * res, (iys + 1) * res)
         return self._edge_cells
 
-    def _tie_order(self, ix: int, iy: int) -> int:
-        """Rank of an obstacle cell for breaking exact distance ties.
-
-        The rank is a cell's position in a cKDTree built over all obstacle
-        cell centres in row-major order, which is the order a ball query
-        lists them in.  It is arbitrary but fixed: equally distant cells whose
-        nearest points differ are rare, yet the winner sets the direction of
-        an avoidance nudge, and the golden outputs under ``tests/fixtures``
-        pin it.  The tree, and scipy with it, is loaded only when such a tie
-        first occurs.
-        """
-        if self._tie_rank is None:
-            from scipy.spatial import cKDTree
-
-            iys, ixs = np.nonzero(self.grid == OBSTACLE)
-            tree = cKDTree((np.stack([ixs, iys], axis=1) + 0.5) * self.resolution)
-            rank = np.zeros(self.grid.shape, dtype=np.int64)
-            rank[iys[tree.indices], ixs[tree.indices]] = np.arange(len(ixs))
-            self._tie_rank = rank
-        return int(self._tie_rank[iy, ix])
-
     def _cell_rect_distance(self, x: float, y: float, ix: int, iy: int) -> float:
         res = self.resolution
         dx = max(ix * res - x, 0.0, x - (ix + 1) * res)
         dy = max(iy * res - y, 0.0, y - (iy + 1) * res)
         return math.hypot(dx, dy)
 
-    def _nearest_cell(self, x: float, y: float, bound: float, rank_ties: bool):
+    def _nearest_cell(self, x: float, y: float, bound: float):
         """Distance to and nearest point on the closest obstacle cell, when
         that distance is below ``bound``; None otherwise.  The point must lie
-        strictly inside the world.  Without ``rank_ties`` an exact tie between
-        cells goes to any of them: the distance is the same.
+        strictly inside the world.  Candidates come in row-major order and the
+        first strictly nearer one is kept, so an exact tie between cells goes
+        to the lowest ``iy``, then the lowest ``ix``.
         """
         res = self.resolution
         w, h = self.width_cells, self.height_cells
@@ -233,20 +212,14 @@ class WorldMap:
             if d2_min > bound * bound * (1.0 + 1e-9):
                 return None
             cands = [cells[k] for k in np.flatnonzero(d2 <= d2_min * (1.0 + 1e-9)).tolist()]
-        best = bound
-        ties = []
+        best, nearest = bound, None
         for jx, jy in cands:
             d = self._cell_rect_distance(x, y, jx, jy)
             if d < best:
-                best = d
-                ties = [(jx, jy)]
-            elif d == best and ties:
-                ties.append((jx, jy))
-        if not ties:
+                best, nearest = d, (jx, jy)
+        if nearest is None:
             return None
-        if rank_ties and len({self._clamp_to_cell(x, y, jx, jy) for jx, jy in ties}) > 1:
-            ties = [min(ties, key=lambda c: self._tie_order(*c))]
-        return best, self._clamp_to_cell(x, y, *ties[0])
+        return best, self._clamp_to_cell(x, y, *nearest)
 
     def _clamp_to_cell(self, x: float, y: float, ix: int, iy: int) -> Tuple[float, float]:
         res = self.resolution
@@ -258,16 +231,10 @@ class WorldMap:
         Obstacle cells are axis-aligned squares, objects are discs, and the
         map border counts as a wall (the world ends there).
         """
-        return self.clearance_with_nearest(x, y, rank_ties=False)[0]
+        return self.clearance_with_nearest(x, y)[0]
 
-    def clearance_with_nearest(self, x: float, y: float, rank_ties: bool = True
-                               ) -> Tuple[float, Tuple[float, float]]:
-        """Clearance plus the closest point on the nearest blocking surface.
-
-        ``rank_ties=False`` leaves an exact tie between cells whose nearest
-        points differ unranked, so the point is any of theirs; ``clearance``
-        passes it, since a tie never changes the distance.
-        """
+    def clearance_with_nearest(self, x: float, y: float) -> Tuple[float, Tuple[float, float]]:
+        """Clearance plus the closest point on the nearest blocking surface."""
         best = min(x, y, self.width_m - x, self.height_m - y)
         # border: closest point is the orthogonal projection onto that wall
         if best == x:
@@ -282,7 +249,7 @@ class WorldMap:
         # a cell must come strictly closer than the border, so it can only
         # win for a point strictly inside the world
         if best > 0.0:
-            cell = self._nearest_cell(x, y, best, rank_ties)
+            cell = self._nearest_cell(x, y, best)
             if cell is not None:
                 best, nearest = cell
 
@@ -337,8 +304,7 @@ class WorldMap:
         floats differ in the last bit, such as (9, 2) and (6, 7), the nearer
         float decides.
         """
-        key = round(radius, 9)
-        if key not in self._free_cache:
+        if radius not in self._free_cache:
             occ = self.occupancy_with_objects()
             h, w = occ.shape
             res = self.resolution
@@ -363,8 +329,8 @@ class WorldMap:
                 blocked[: h - dy] |= near[dy:]
             mask = ~blocked
             mask.setflags(write=False)
-            self._free_cache[key] = mask
-        return self._free_cache[key]
+            self._free_cache[radius] = mask
+        return self._free_cache[radius]
 
     # -- serialization ------------------------------------------------------
 

@@ -154,6 +154,20 @@ def test_request_from_dict_refuses_mistyped_text(field, value):
         DecisionRequest.from_dict(dict(make_req().to_dict(), **{field: value}))
 
 
+@pytest.mark.parametrize("path, value", [
+    (("observation", "pose", "x_m"), "nan"), (("observation", "pose", "x_m"), math.nan),
+    (("observation", "pose", "y_m"), "1e999"), (("observation", "pose", "y_m"), -math.inf),
+    (("observation", "pose", "heading_deg"), True), (("observation", "pose", "heading_deg"), None),
+    (("step",), 3.7), (("step",), "3"), (("step",), False),
+    (("candidates", 0, "id"), 1.0), (("candidates", 0, "id"), "1"),
+    (("candidates", 0, "r_m"), "2.0"), (("candidates", 0, "r_m"), math.inf),
+    (("candidates", 1, "theta_deg"), math.nan), (("candidates", 1, "theta_deg"), [10.0]),
+], ids=lambda v: dotted(v) if isinstance(v, tuple) else repr(v))
+def test_request_from_dict_refuses_mistyped_numbers(path, value):
+    with pytest.raises(SchemaViolation, match=path[-1]):
+        DecisionRequest.from_dict(replaced(make_req().to_dict(), path, value))
+
+
 # -- response parsing ----------------------------------------------------------------
 
 

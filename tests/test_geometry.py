@@ -45,6 +45,15 @@ def test_pose_wraps_heading():
     assert math.isclose(math.cos(p.heading), math.cos(3 * math.pi), abs_tol=1e-12)
 
 
+@pytest.mark.parametrize("x, y, heading", [
+    (math.nan, 1.0, 0.0), (1.0, math.inf, 0.0), (1.0, 1.0, -math.inf),
+    (math.nan, 1.0, math.inf), (-math.inf, math.nan, math.nan),
+])
+def test_pose_refuses_non_finite_numbers(x, y, heading):
+    with pytest.raises(ValueError, match="finite"):
+        Pose(x, y, heading)
+
+
 def test_pose_distance():
     assert Pose(0, 0).distance_to(Pose(3, 4)) == pytest.approx(5.0)
 

@@ -5,7 +5,8 @@ flat framed grid, numpy over rays, a search over edge cells and Lipschitz
 skipping of avoidance samples.  The references below are the straightforward
 versions: a DDA over ``grid[iy, ix]``, one ray-disc test per ray and object, a
 kd-tree search over every obstacle cell, and a scan of every avoidance sample.
-Each test requires equal bits, not closeness.
+Each test requires equal bits, not closeness.  Of equally near obstacle cells
+the one first in row-major order wins: the lowest ``iy``, then the lowest ``ix``.
 """
 import math
 import random
@@ -114,7 +115,8 @@ def ref_sense(world, pose, body, n_rays, fov=DEFAULT_FOV, step=0):
 
 
 class RefClearance:
-    """Every obstacle cell in a kd-tree; each query re-checks a ball of cells."""
+    """Every obstacle cell in a kd-tree; each query re-checks a ball of cells
+    in row-major order and keeps the first strictly nearer one."""
 
     def __init__(self, world):
         self.world = world
@@ -136,7 +138,8 @@ class RefClearance:
         res = w.resolution
         if self.tree is not None:
             d_center, _ = self.tree.query([x, y])
-            for j in self.tree.query_ball_point([x, y], d_center + res * 0.7072):
+            # the cells are listed row-major, so sorted indices are sorted (iy, ix)
+            for j in sorted(self.tree.query_ball_point([x, y], d_center + res * 0.7072)):
                 ix, iy = self.cells[j]
                 dx = max(ix * res - x, 0.0, x - (ix + 1) * res)
                 dy = max(iy * res - y, 0.0, y - (iy + 1) * res)
@@ -306,7 +309,8 @@ def test_clearance_matches_kd_tree_reference(worlds):
 def test_clearance_ties_between_cells_keep_the_reference_winner(worlds):
     """A cell centre in the one-cell slot lies exactly as far from the wall
     cell on its left as from the one on its right (for this column, in
-    floating point too); the two nearest points differ."""
+    floating point too); the two nearest points differ, and the left cell,
+    with the lower ``ix``, wins.  ``clearance`` gives the same distance."""
     world = worlds[-1]
     ref = RefClearance(world)
     for iy in range(20, 32):
@@ -316,17 +320,8 @@ def test_clearance_ties_between_cells_keep_the_reference_winner(worlds):
         assert bits(d, nx, ny) == bits(rd, rx, ry)
         left, right = (world._cell_rect_distance(x, y, ix, iy) for ix in (28, 30))
         assert left == right == d
-
-
-def test_clearance_leaves_exact_ties_unranked(worlds):
-    """``clearance`` returns the distance only, so the slot's ties cost it no
-    tie rank (and no scipy import); the distance is the ranked one's."""
-    fresh = WorldMap(np.array(worlds[-1].grid), worlds[-1].resolution)
-    points = [fresh.cell_center(29, iy) for iy in range(20, 32)]
-    plain = [fresh.clearance(x, y) for x, y in points]
-    assert fresh._tie_rank is None
-    assert bits(*plain) == bits(*(fresh.clearance_with_nearest(x, y)[0] for x, y in points))
-    assert fresh._tie_rank is not None
+        assert bits(nx, ny) == bits(29 * world.resolution, y)  # the left cell's right edge
+        assert bits(world.clearance(x, y)) == bits(d)
 
 
 def nudge_cases(world, rng, n):

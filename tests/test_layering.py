@@ -1,11 +1,11 @@
 """Module layering: the proposer is pure geometry and never reaches a backend,
-and nothing on a start-up or set-up path imports scipy.
+and the package runs on numpy alone.
 
 ``dynav.backends.protocol`` imports ``dynav.proposer`` for ``CandidateSet``;
 an import in the other direction, even one deferred into a function, would
-bring the import cycle back.  Importing scipy's ``ndimage`` and ``spatial``
-costs about half a second, so the package imports it only inside
-``WorldMap._tie_order``, at the first exact nearest-point tie.
+bring the import cycle back.  scipy is a test-only dependency: the tests use
+it as a reference, and importing its ``ndimage`` and ``spatial`` would cost
+a run about half a second.
 """
 import ast
 import subprocess
@@ -58,25 +58,12 @@ def test_no_function_level_imports(module):
     assert [(n, line) for n, line, nested in imported_modules(SRC / module) if nested] == []
 
 
-def enclosing_functions(path: Path):
-    """line -> name of the innermost function around it, for every line."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    where = {}
-    for node in ast.walk(tree):  # outer functions come first, inner ones overwrite
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for line in range(node.lineno, node.end_lineno + 1):
-                where[line] = node.name
-    return where
-
-
-def test_scipy_is_imported_only_in_the_tie_rank():
-    found = []
-    for path in sorted(SRC.rglob("*.py")):
-        where = enclosing_functions(path)
-        found += [(str(path.relative_to(SRC)), where.get(line) if nested else None)
-                  for name, line, nested in imported_modules(path)
-                  if name == "scipy" or name.startswith("scipy.")]
-    assert set(found) <= {("world.py", "_tie_order")}
+def test_no_module_imports_scipy():
+    found = [(str(path.relative_to(SRC)), line)
+             for path in sorted(SRC.rglob("*.py"))
+             for name, line, _ in imported_modules(path)
+             if name == "scipy" or name.startswith("scipy.")]
+    assert found == []
 
 
 def run_python(code: str, cwd: Path) -> str:
@@ -96,3 +83,22 @@ def test_cli_import_and_run_leave_scipy_out(tmp_path):
         f"    code = main(['run', '--episodes', {str(spec)!r}, '--out', 'out'])\n"
         "print(code, 'scipy' in sys.modules)", tmp_path)
     assert out == "0 False"
+
+
+def test_exact_clearance_ties_leave_scipy_out(tmp_path):
+    """The one-cell slot of ``test_kernels_exact``: each cell centre in column
+    29 lies exactly as far from the wall cell on its left as from the one on
+    its right, and the nearest points differ."""
+    out = run_python(
+        "import sys\n"
+        "import numpy as np\n"
+        "from dynav.world import WorldMap\n"
+        "grid = np.zeros((50, 60), dtype=np.uint8)\n"
+        "grid[0, :] = grid[-1, :] = grid[:, 0] = grid[:, -1] = 1\n"
+        "grid[20:32, 25:32] = 1\n"
+        "grid[20:32, 29] = 0\n"
+        "world = WorldMap(grid, 0.1)\n"
+        "for iy in range(20, 32):\n"
+        "    world.clearance_with_nearest(*world.cell_center(29, iy))\n"
+        "print('scipy' in sys.modules)", tmp_path)
+    assert out == "False"

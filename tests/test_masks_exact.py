@@ -121,6 +121,17 @@ def test_free_mask_on_random_grids_and_far_radii():
             assert np.array_equal(world.free_with_clearance(r), dist > r), r
 
 
+def test_free_mask_cache_keeps_near_radii_apart():
+    """A radius 4e-10 below one already asked for gets its own mask, which
+    here blocks fewer cells."""
+    world = generate_world(WorldGenSpec(), 0)
+    fresh = WorldMap(world.grid, world.resolution, world.objects)
+    r = 0.2 - 4e-10
+    world.free_with_clearance(0.2)
+    assert np.array_equal(world.free_with_clearance(r), fresh.free_with_clearance(r))
+    assert not np.array_equal(fresh.free_with_clearance(r), fresh.free_with_clearance(0.2))
+
+
 def test_free_mask_without_occupied_cells_is_all_free():
     """The one intended difference from scipy: with no occupied cell, the
     transform measures from a cell outside the grid, while nothing blocks."""
