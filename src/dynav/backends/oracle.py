@@ -13,6 +13,8 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..errors import SchemaViolation
 from .protocol import (FILTER, PROTOCOL_VERSION, SCORE, STOP_CHECK, DecisionRequest,
                        DecisionResponse, MemoryOp, WireRay)
@@ -125,7 +127,6 @@ class OracleBackend:
     # -- filter ---------------------------------------------------------------
 
     def _filter(self, req: DecisionRequest) -> DecisionResponse:
-        removals: List[int] = []
         hazard_groups: Dict[str, List[Tuple[float, float]]] = {}
         gaps: Dict[str, float] = {}
         prev: Dict[str, Tuple[float, float]] = {}
@@ -137,30 +138,51 @@ class OracleBackend:
                     gap = math.dist(prev[ray.label], pt)
                     gaps[ray.label] = max(gaps.get(ray.label, 0.0), gap)
                 prev[ray.label] = pt
+        # the visible endpoints trace only the near arc; pad the standoff by
+        # the apparent extent (plus sampling slack) so a candidate behind the
+        # object is still caught
+        hazards: List[Tuple[List[Tuple[float, float]], float]] = []
+        for label, pts in hazard_groups.items():
+            extent = max(math.dist(p, q) for p in pts for q in pts) if len(pts) > 1 else 0.0
+            pad = extent + 2.0 * gaps.get(label, 0.0) + 0.05
+            hazards.append((pts, self.hazard_clearance + pad))
 
         constraint_words = set()
         for c in req.constraints:
             constraint_words |= _tokens(c)
+        nearest = self._nearest_rays(req) if constraint_words and req.candidates else None
 
-        for cand in req.candidates:
+        removals: List[int] = []
+        for k, cand in enumerate(req.candidates):
             cx, cy = self._candidate_xy(req, cand)
-            hit = False
-            for label, pts in hazard_groups.items():
-                # the visible endpoints trace only the near arc; pad the
-                # standoff by the apparent extent (plus sampling slack) so a
-                # candidate behind the object is still caught
-                extent = max(math.dist(p, q) for p in pts for q in pts) if len(pts) > 1 else 0.0
-                pad = extent + 2.0 * gaps.get(label, 0.0) + 0.05
-                if min(math.dist((cx, cy), p) for p in pts) <= self.hazard_clearance + pad:
-                    hit = True
-                    break
-            if not hit and constraint_words:
-                ray = min(req.rays, key=lambda r: abs(r.theta_deg - cand.theta_deg))
-                if ray.label and ray.label != "wall" and _tokens(ray.label) & constraint_words:
-                    hit = True
+            hit = any(min(math.dist((cx, cy), p) for p in pts) <= reach
+                      for pts, reach in hazards)
+            if not hit and nearest is not None:
+                ray = req.rays[nearest[k]]
+                hit = bool(ray.label and ray.label != "wall"
+                           and _tokens(ray.label) & constraint_words)
             if hit:
                 removals.append(cand.id)
         return DecisionResponse(kind=FILTER, removals=tuple(removals))
+
+    @staticmethod
+    def _nearest_rays(req: DecisionRequest) -> List[int]:
+        """Per candidate, the index that ``min(req.rays, key=lambda r:
+        abs(r.theta_deg - cand.theta_deg))`` picks: the first least difference,
+        where a NaN difference never wins unless it is the first ray's.
+
+        Raises ValueError when there are no rays, as that ``min`` does.
+        """
+        if not req.rays:
+            raise ValueError("no ray to match a candidate against")
+        thetas = np.array([r.theta_deg for r in req.rays])
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = np.abs(thetas - np.array([[c.theta_deg] for c in req.candidates]))
+        first_nan = np.isnan(diff[:, 0])
+        diff[np.isnan(diff)] = np.inf
+        nearest = diff.argmin(axis=1)
+        nearest[first_nan] = 0
+        return nearest.tolist()
 
     # -- score ----------------------------------------------------------------
 

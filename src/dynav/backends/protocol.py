@@ -199,8 +199,9 @@ def _clamp_unit(value: float, what: str) -> float:
 def parse_response(payload: dict, request: DecisionRequest) -> DecisionResponse:
     """Validate a raw response dict against its request and normalize it.
 
-    Out-of-range scores are clamped with a warning; structural problems
-    (wrong version, kind mismatch, unknown candidate ids, malformed fields)
+    Finite out-of-range scores are clamped with a warning; structural problems
+    (wrong version, kind mismatch, unknown candidate ids, malformed fields, an
+    id that is not an integer, a number that is not a finite JSON number)
     raise SchemaViolation.
     """
     check_type(payload, dict, "a response")
@@ -213,12 +214,16 @@ def parse_response(payload: dict, request: DecisionRequest) -> DecisionResponse:
     lists = {k: check_type(payload.get(k, []), list, k)
              for k in ("removals", "adjustments", "scores", "memory_ops")}
     try:
-        removals = tuple(int(i) for i in lists["removals"])
-        adjustments = tuple({"id": int(a["id"]), "r": float(a["r_m"]),
-                             "theta": math.radians(float(a["theta_deg"]))}
-                            for a in lists["adjustments"])
-        scores = {int(e["id"]): _clamp_unit(float(e["s"]), "score") for e in lists["scores"]}
-        s_stop = _clamp_unit(float(payload.get("s_stop", 0.0)), "s_stop")
+        removals = tuple(check_integer(i, "removal id") for i in lists["removals"])
+        adjustments = tuple(
+            {"id": check_integer(a["id"], "adjustment id"),
+             "r": check_finite(a["r_m"], "adjustment r_m"),
+             "theta": math.radians(check_finite(a["theta_deg"], "adjustment theta_deg"))}
+            for a in lists["adjustments"])
+        scores = {check_integer(e["id"], "score id"):
+                  _clamp_unit(check_finite(e["s"], "score"), "score")
+                  for e in lists["scores"]}
+        s_stop = _clamp_unit(check_finite(payload.get("s_stop", 0.0), "s_stop"), "s_stop")
         ops: List[MemoryOp] = []
         for raw in lists["memory_ops"]:
             check_type(raw, dict, "a memory op")

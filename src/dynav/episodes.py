@@ -151,7 +151,8 @@ def run_episode(spec: EpisodeSpec, backend, cfg: RunConfig,
     The caller's memory graph is copied, never mutated.  Termination reflects
     the final sub-task: a clean stop, an exhausted budget, or an abort.  An
     episode aborts after too many consecutive backend failures, or at once
-    when a backend reply violates the protocol; the result names the reason.
+    when a backend reply violates the protocol or a step raises any other
+    exception; the result names the reason.
     """
     body = AgentBody(radius=cfg.agent_radius, max_sense=cfg.d_max)
     rng = random.Random(spec.seed)
@@ -193,6 +194,11 @@ def run_episode(spec: EpisodeSpec, backend, cfg: RunConfig,
                 # episode, not the batch
                 log.warning("episode %s: %s", spec.episode_id, e)
                 abort_reason = f"backend reply violates the protocol: {e}"
+                break
+            except Exception as e:
+                # a fault in one episode ends that episode, never the batch
+                log.exception("episode %s: step failed", spec.episode_id)
+                abort_reason = f"step raised {type(e).__name__}: {e}"
                 break
             if step_log is not None:
                 step_log.write(json.dumps(

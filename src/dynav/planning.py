@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import List, Set, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -26,61 +26,77 @@ def goal_cells(world: WorldMap, goal: GoalSpec, threshold: float,
     """Boolean mask of inflated-free cells within the goal region.
 
     The effective threshold never drops below agent radius plus one cell:
-    anything tighter admits no pose the body could legally occupy.
+    anything tighter admits no pose the body could legally occupy.  Each
+    matching object is measured only on the cells of its bounding box padded
+    by that threshold plus one cell; every cell outside lies farther away.
     """
     matching = [o for o in world.objects if goal.matches(o)]
     if not matching:
         raise UnresolvableGoal(f"no object matches goal {goal.text!r}")
     free = world.free_with_clearance(body.radius)
     eff = max(threshold, body.radius + world.resolution)
-    ys, xs = np.mgrid[0: world.height_cells, 0: world.width_cells]
-    cx = (xs + 0.5) * world.resolution
-    cy = (ys + 0.5) * world.resolution
+    h, w = free.shape
+    res = world.resolution
     near = np.full(free.shape, np.inf)
     for o in matching:
-        near = np.minimum(near, np.hypot(cx - o.center[0], cy - o.center[1]) - o.radius)
+        (ox, oy), reach = o.center, o.radius + eff
+        x0, x1 = max(int((ox - reach) / res) - 1, 0), min(int((ox + reach) / res) + 2, w)
+        y0, y1 = max(int((oy - reach) / res) - 1, 0), min(int((oy + reach) / res) + 2, h)
+        cx = (np.arange(x0, x1) + 0.5) * res
+        cy = (np.arange(y0, y1) + 0.5) * res
+        box = near[y0: y1, x0: x1]
+        np.minimum(box, np.hypot(cx - ox, cy[:, None] - oy) - o.radius, out=box)
     return free & (near <= eff)
 
 
 def shortest_path(world: WorldMap, start: Pose, goal: GoalSpec, threshold: float,
                   body: AgentBody = AgentBody()) -> float:
-    """Metric length of the shortest grid path from start into the goal region."""
+    """Metric length of the shortest grid path from start into the goal region.
+
+    Dijkstra over flat lists of a grid framed by one blocked cell, so a move
+    needs no bounds test.  Float addition is monotone, so the popped distance
+    of a cell is the least sequentially rounded path sum whatever order the
+    heap breaks ties in.
+    """
     goals = goal_cells(world, goal, threshold, body)
     if not goals.any():
         raise Unreachable(f"goal region for {goal.text!r} is empty after inflation")
-    free = np.array(world.free_with_clearance(body.radius))
+    h, w = goals.shape
     six, siy = world.cell_of(start.x, start.y)
-    if not (0 <= six < world.width_cells and 0 <= siy < world.height_cells):
+    if not (0 <= six < w and 0 <= siy < h):
         raise Unreachable("start pose lies outside the world")
-    free[siy, six] = True  # the agent demonstrably occupies its own cell
-
-    res = world.resolution
-    h, w = free.shape
-    dist = np.full((h, w), np.inf)
-    dist[siy, six] = 0.0
-    pq: List[Tuple[float, int, int]] = [(0.0, six, siy)]
-    goal_set = goals
+    stride = w + 2
+    free = np.pad(world.free_with_clearance(body.radius), 1).ravel().tolist()
+    is_goal = np.pad(goals, 1).ravel().tolist()
+    # a start cell the mask blocks is still trusted: the search expands it
+    # without a test, and the only other use of its mask, as the corner of a
+    # diagonal between two of its neighbours, cannot matter, since the start
+    # reaches both neighbours in one straight move
+    src = (siy + 1) * stride + six + 1
+    straight = (-stride, -1, 1, stride)
+    # a diagonal move may not cut a corner: both orthogonal cells must be free
+    diagonal = tuple((dy * stride + dx, dy * stride, dx)
+                     for dy in (-1, 1) for dx in (-1, 1))
+    dist = [math.inf] * len(free)
+    dist[src] = 0.0
+    pq: List[Tuple[float, int]] = [(0.0, src)]
+    push, pop = heapq.heappush, heapq.heappop
     while pq:
-        d, x, y = heapq.heappop(pq)
-        if d > dist[y, x]:
+        d, i = pop(pq)
+        if d > dist[i]:
             continue
-        if goal_set[y, x]:
-            return d * res
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                if dx == 0 and dy == 0:
-                    continue
-                nx, ny = x + dx, y + dy
-                if nx < 0 or ny < 0 or nx >= w or ny >= h or not free[ny, nx]:
-                    continue
-                if dx != 0 and dy != 0:
-                    # no corner cutting: both orthogonal neighbors must be free
-                    if not (free[y, nx] and free[ny, x]):
-                        continue
-                    nd = d + SQRT2
-                else:
-                    nd = d + 1.0
-                if nd < dist[ny, nx]:
-                    dist[ny, nx] = nd
-                    heapq.heappush(pq, (nd, nx, ny))
+        if is_goal[i]:
+            return d * world.resolution
+        nd = d + 1.0
+        for off in straight:
+            j = i + off
+            if free[j] and nd < dist[j]:
+                dist[j] = nd
+                push(pq, (nd, j))
+        nd = d + SQRT2
+        for off, oy, ox in diagonal:
+            j = i + off
+            if free[j] and free[i + oy] and free[i + ox] and nd < dist[j]:
+                dist[j] = nd
+                push(pq, (nd, j))
     raise Unreachable(f"no collision-free path reaches {goal.text!r}")

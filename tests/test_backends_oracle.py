@@ -2,10 +2,10 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dynav.backends.oracle import OracleBackend, parse_goal_text
+from dynav.backends.oracle import OracleBackend, _tokens, parse_goal_text
 from dynav.backends.protocol import (
     FILTER,
     PROTOCOL_VERSION,
@@ -196,6 +196,84 @@ def test_filter_clean_scene_removes_nothing(backend):
     resp = backend.decide(make_req(kind=FILTER, rays=rays, candidates=cands))
     assert resp.removals == ()
     assert resp.adjustments == ()  # the oracle never nudges, only removes
+
+
+def reference_filter(backend, req):
+    """The filter as first written: each hazard's extent is recomputed per
+    candidate, and each candidate scans every ray for its nearest one."""
+    removals = []
+    hazard_groups, gaps, prev = {}, {}, {}
+    for ray in req.rays:
+        if ray.label and "hazard" in ray.tags:
+            pt = backend._endpoint(req, ray.theta_deg, ray.distance_m)
+            hazard_groups.setdefault(ray.label, []).append(pt)
+            if ray.label in prev:
+                gap = math.dist(prev[ray.label], pt)
+                gaps[ray.label] = max(gaps.get(ray.label, 0.0), gap)
+            prev[ray.label] = pt
+    constraint_words = set()
+    for c in req.constraints:
+        constraint_words |= _tokens(c)
+    for cand in req.candidates:
+        cx, cy = backend._candidate_xy(req, cand)
+        hit = False
+        for label, pts in hazard_groups.items():
+            extent = max(math.dist(p, q) for p in pts for q in pts) if len(pts) > 1 else 0.0
+            pad = extent + 2.0 * gaps.get(label, 0.0) + 0.05
+            if min(math.dist((cx, cy), p) for p in pts) <= backend.hazard_clearance + pad:
+                hit = True
+                break
+        if not hit and constraint_words:
+            ray = min(req.rays, key=lambda r: abs(r.theta_deg - cand.theta_deg))
+            if ray.label and ray.label != "wall" and _tokens(ray.label) & constraint_words:
+                hit = True
+        if hit:
+            removals.append(cand.id)
+    return tuple(removals)
+
+
+def outcome(fn, *args):
+    """The result of ``fn(*args)``, or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as e:
+        return type(e)
+
+
+# thetas arrive through float(), so NaN and +-inf reach the filter; a small
+# pool makes duplicate thetas common.  An infinite theta on a hazard ray makes
+# both filters raise, so the special values come rarely.
+_thetas = st.one_of(st.floats(-200.0, 200.0), st.floats(-60.0, 60.0),
+                    st.sampled_from((-30.0, 0.0, 12.5, 90.0)),
+                    st.sampled_from((math.nan, math.inf, -math.inf, 0.0, 5.0, 10.0)))
+_rays = st.lists(st.builds(
+    WireRay, _thetas, st.one_of(st.floats(0.05, 5.0), st.just(math.nan)),
+    st.sampled_from((None, "wall", "sign_1", "sign_2", "oven_3", "cone_4", "chair_1")),
+    st.just(()), st.sampled_from(((), ("hazard",)))), max_size=40)
+_cands = st.lists(st.builds(WireCandidate, st.integers(0, 40), st.floats(0.1, 5.0),
+                            st.floats(-180.0, 180.0)), max_size=30)
+_constraints = st.sampled_from(((), ("stay away from the oven",), ("avoid sign and cone",)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(rays=_rays, cands=_cands, constraints=_constraints,
+       pose=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.floats(-180.0, 180.0)))
+@example(rays=[WireRay(math.nan, 3.0, "chair_1"), WireRay(0.0, 3.0, "oven_3")],
+         cands=[WireCandidate(1, 2.0, 0.0)], constraints=("stay away from the oven",),
+         pose=(0.0, 0.0, 0.0))
+@example(rays=[WireRay(0.0, 3.0, "oven_3"), WireRay(math.nan, 3.0, "chair_1"),
+               WireRay(0.0, 3.0, "chair_1"), WireRay(math.inf, 3.0, "oven_3")],
+         cands=[WireCandidate(1, 2.0, 5.0)], constraints=("stay away from the oven",),
+         pose=(0.0, 0.0, 0.0))
+@example(rays=[], cands=[WireCandidate(1, 2.0, 5.0)], constraints=("stay away from the oven",),
+         pose=(0.0, 0.0, 0.0))
+def test_filter_matches_reference(rays, cands, constraints, pose):
+    backend = OracleBackend()
+    req = make_req(kind=FILTER, rays=rays, candidates=cands, constraints=constraints,
+                   pose=pose)
+    want = outcome(reference_filter, backend, req)
+    got = outcome(lambda r: backend.decide(r).removals, req)
+    assert got == want
 
 
 # -- stop check --------------------------------------------------------------------

@@ -227,6 +227,33 @@ def test_parse_response_rejects_non_finite_locations(location):
         parse_response(payload, make_req())
 
 
+@pytest.mark.parametrize("field, body", [
+    ("score id", {"scores": [{"id": 1.7, "s": 0.5}]}),
+    ("score id", {"scores": [{"id": True, "s": 0.5}]}),
+    ("score id", {"scores": [{"id": "2", "s": 0.5}]}),
+    ("score", {"scores": [{"id": 1, "s": "0.5"}]}),
+    ("score", {"scores": [{"id": 1, "s": math.nan}]}),
+    ("score", {"scores": [{"id": 2, "s": math.inf}]}),
+    ("s_stop", {"s_stop": "1e999"}),
+    ("s_stop", {"s_stop": -math.inf}),
+    ("s_stop", {"s_stop": math.nan}),
+    ("s_stop", {"s_stop": True}),
+    ("removal id", {"removals": [1.0]}),
+    ("removal id", {"removals": [True]}),
+    ("removal id", {"removals": ["2"]}),
+    ("adjustment id", {"adjustments": [{"id": 2.0, "r_m": 1.0, "theta_deg": 0.0}]}),
+    ("adjustment id", {"adjustments": [{"id": False, "r_m": 1.0, "theta_deg": 0.0}]}),
+    ("adjustment r_m", {"adjustments": [{"id": 1, "r_m": "1.5", "theta_deg": 0.0}]}),
+    ("adjustment r_m", {"adjustments": [{"id": 1, "r_m": math.inf, "theta_deg": 0.0}]}),
+    ("adjustment theta_deg", {"adjustments": [{"id": 1, "r_m": 1.0, "theta_deg": math.nan}]}),
+    ("adjustment theta_deg", {"adjustments": [{"id": 1, "r_m": 1.0, "theta_deg": "45"}]}),
+], ids=repr)
+def test_parse_response_refuses_mistyped_numbers(field, body):
+    # int() and float() would read each of these as a valid id or number
+    with pytest.raises(SchemaViolation, match=field):
+        parse_response(ok_body(**body), make_req())
+
+
 # -- HTTP client against the stub ----------------------------------------------------
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from dynav.backends import RemoteBackend
+from dynav.backends.oracle import OracleBackend
 from dynav.backends.stub import StubServer
 from dynav.cli import main
 from dynav.memory import MemoryGraph, load_graph, merge, save_graph
@@ -139,6 +140,37 @@ def test_run_survives_a_malformed_memory_op(tmp_path):
         assert r["termination"] == "aborted"
         assert "location_m" in r["abort_reason"]
         assert r["goals"][0]["steps"] == 3
+
+
+def test_run_survives_an_episode_that_raises(tmp_path, episode_file, monkeypatch):
+    # a fault of any type in one episode aborts that episode alone; the
+    # others finish exactly as in a clean run
+    payload = json.loads(episode_file.read_text())
+    payload["episodes"].append(dict(payload["episodes"][0], id="c",
+                                    start={"x": 2.0, "y": 2.0, "heading_deg": 90.0}))
+    episode_file.write_text(json.dumps(payload))
+    argv = ["run", "--episodes", str(episode_file), "--n-rays", "61"]
+    assert main(argv + ["--out", str(tmp_path / "clean")]) == 0
+    clean = (tmp_path / "clean" / "results.jsonl").read_text().splitlines()
+
+    original = OracleBackend.decide
+
+    def faulty(self, req):
+        if req.session_id == "b" and req.step >= 2:
+            raise RuntimeError("sensor cable unplugged")
+        return original(self, req)
+
+    monkeypatch.setattr(OracleBackend, "decide", faulty)
+    out = tmp_path / "faulty"
+    assert main(argv + ["--out", str(out)]) == 2
+    lines = (out / "results.jsonl").read_text().splitlines()
+    assert len(lines) == 3
+    assert [lines[0], lines[2]] == [clean[0], clean[2]]
+    b = json.loads(lines[1])
+    assert b["episode_id"] == "b" and b["termination"] == "aborted"
+    assert "RuntimeError" in b["abort_reason"] and b["goals"][0]["steps"] == 2
+    for name in ("a.steps.jsonl", "c.steps.jsonl"):
+        assert (out / name).read_text() == (tmp_path / "clean" / name).read_text()
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -1,4 +1,6 @@
-"""Grid shortest-path ground truth, checked against a sparse-graph solver."""
+"""Grid shortest-path ground truth, checked against a sparse-graph solver and,
+for exact equality, against the planner as first written."""
+import heapq
 import math
 import random
 
@@ -11,7 +13,7 @@ from dynav.errors import Unreachable, UnresolvableGoal
 from dynav.geometry import AgentBody, Pose
 from dynav.goals import GoalSpec
 from dynav.planning import SQRT2, goal_cells, shortest_path
-from dynav.world import OBSTACLE, SemanticObject, WorldMap
+from dynav.world import FREE, OBSTACLE, SemanticObject, WorldMap
 
 from conftest import empty_world, make_pose, random_grid_world
 
@@ -45,6 +47,84 @@ def csgraph_shortest(world, start, goal, threshold, body):
     goals = goal_cells(world, goal, threshold, body)
     best = min(dist[idx(x, y)] for (y, x) in np.argwhere(goals))
     return best * world.resolution
+
+
+def reference_goal_cells(world, goal, threshold, body):
+    """goal_cells as first written: every object measured on the whole grid."""
+    matching = [o for o in world.objects if goal.matches(o)]
+    if not matching:
+        raise UnresolvableGoal(f"no object matches goal {goal.text!r}")
+    free = world.free_with_clearance(body.radius)
+    eff = max(threshold, body.radius + world.resolution)
+    ys, xs = np.mgrid[0: world.height_cells, 0: world.width_cells]
+    cx = (xs + 0.5) * world.resolution
+    cy = (ys + 0.5) * world.resolution
+    near = np.full(free.shape, np.inf)
+    for o in matching:
+        near = np.minimum(near, np.hypot(cx - o.center[0], cy - o.center[1]) - o.radius)
+    return free & (near <= eff)
+
+
+def reference_shortest_path(world, start, goal, threshold, body):
+    """shortest_path as first written: Dijkstra indexing numpy arrays per
+    neighbour, heap entries (d, x, y)."""
+    goals = reference_goal_cells(world, goal, threshold, body)
+    if not goals.any():
+        raise Unreachable(f"goal region for {goal.text!r} is empty after inflation")
+    free = np.array(world.free_with_clearance(body.radius))
+    six, siy = world.cell_of(start.x, start.y)
+    if not (0 <= six < world.width_cells and 0 <= siy < world.height_cells):
+        raise Unreachable("start pose lies outside the world")
+    free[siy, six] = True
+    h, w = free.shape
+    dist = np.full((h, w), np.inf)
+    dist[siy, six] = 0.0
+    pq = [(0.0, six, siy)]
+    while pq:
+        d, x, y = heapq.heappop(pq)
+        if d > dist[y, x]:
+            continue
+        if goals[y, x]:
+            return d * world.resolution
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                if dx == 0 and dy == 0:
+                    continue
+                nx, ny = x + dx, y + dy
+                if nx < 0 or ny < 0 or nx >= w or ny >= h or not free[ny, nx]:
+                    continue
+                if dx != 0 and dy != 0:
+                    if not (free[y, nx] and free[ny, x]):
+                        continue
+                    nd = d + SQRT2
+                else:
+                    nd = d + 1.0
+                if nd < dist[ny, nx]:
+                    dist[ny, nx] = nd
+                    heapq.heappush(pq, (nd, nx, ny))
+    raise Unreachable(f"no collision-free path reaches {goal.text!r}")
+
+
+def outcome(fn, *args):
+    """The result of ``fn(*args)``, or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except (Unreachable, UnresolvableGoal) as e:
+        return type(e)
+
+
+def assert_matches_reference(world, start, goal, threshold, body):
+    """goal_cells and shortest_path equal the references exactly; returns the
+    path outcome."""
+    want = outcome(reference_goal_cells, world, goal, threshold, body)
+    got = outcome(goal_cells, world, goal, threshold, body)
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+    else:
+        assert got is want
+    want = outcome(reference_shortest_path, world, start, goal, threshold, body)
+    assert outcome(shortest_path, world, start, goal, threshold, body) == want
+    return want
 
 
 def place_object(world_grid, rng, resolution=0.1):
@@ -129,3 +209,70 @@ def test_matches_sparse_graph_reference(seed, body):
         assert math.isinf(csgraph_shortest(world, start, goal, 0.3, body))
         return
     assert got == pytest.approx(csgraph_shortest(world, start, goal, 0.3, body), abs=1e-9)
+
+
+def random_planner_world(rng):
+    """A small non-square grid, walled or open at its edges, with boxes and
+    balls anywhere on it, edges included."""
+    h, w = rng.randint(6, 60), rng.randint(6, 60)
+    res = rng.choice((0.05, 0.1, 0.25))
+    grid = np.zeros((h, w), dtype=np.uint8)
+    if rng.random() < 0.5:
+        grid[0, :] = grid[-1, :] = OBSTACLE
+        grid[:, 0] = grid[:, -1] = OBSTACLE
+    for _ in range(int(rng.uniform(0.0, 0.3) * h * w / 4)):
+        iy, ix = rng.randrange(h), rng.randrange(w)
+        grid[iy:iy + rng.randint(1, 3), ix:ix + rng.randint(1, 3)] = OBSTACLE
+    grid[rng.randrange(h), rng.randrange(w)] = FREE  # a world needs one free cell
+    objects = [SemanticObject(name=f"o{k}", category=rng.choice(("box", "box", "ball")),
+                              center=(rng.uniform(0.0, w * res), rng.uniform(0.0, h * res)),
+                              radius=rng.uniform(0.02, 0.6))
+               for k in range(rng.randint(1, 3))]
+    return WorldMap(grid, res, objects)
+
+
+def test_planner_matches_reference_exactly_on_random_worlds():
+    seen = set()
+    for seed in range(240):
+        rng = random.Random(seed)
+        world = random_planner_world(rng)
+        body = AgentBody(radius=rng.uniform(0.02, 0.4))
+        start = Pose(rng.uniform(0.0, world.width_cells * world.resolution),
+                     rng.uniform(0.0, world.height_cells * world.resolution), 0.0)
+        got = assert_matches_reference(world, start, GoalSpec.name_goal("box"),
+                                       rng.uniform(0.01, 1.0), body)
+        seen.add(got if isinstance(got, type) else "path" if got > 0 else "zero")
+    # the sweep reaches every outcome: a path, a start already in the goal
+    # region, an empty or sealed-off region, and no matching object
+    assert seen == {"path", "zero", Unreachable, UnresolvableGoal}
+
+
+def box_world(center, blocked=()):
+    """A walled 10 x 8 m room holding one box, with the given blocks filled."""
+    grid = np.array(empty_world(10.0, 8.0).grid)
+    for rows, cols in blocked:
+        grid[rows, cols] = OBSTACLE
+    obj = SemanticObject(name="t", category="box", center=center, radius=0.3)
+    return WorldMap(grid, 0.1, [obj])
+
+
+@pytest.mark.parametrize("world, start, want", [
+    # the start hugs a wall closer than the inflation radius: blocked, trusted
+    (box_world((8.0, 4.0)), make_pose(0.15, 4.05), "blocked start"),
+    (box_world((5.0, 4.0)), make_pose(5.0, 4.55), "start in goal"),
+    (box_world((8.0, 4.0), [(slice(20, 60), slice(60, 99))]), make_pose(2.0, 4.0),
+     "empty region"),
+    (box_world((8.0, 4.0), [(slice(None), 60)]), make_pose(2.0, 4.0), "sealed region"),
+], ids=["blocked-start", "start-in-goal", "empty-region", "sealed-region"])
+def test_planner_matches_reference_exactly_on_edge_cases(world, start, want, body):
+    goal = GoalSpec.name_goal("box")
+    got = assert_matches_reference(world, start, goal, 0.3, body)
+    region = goal_cells(world, goal, 0.3, body)
+    ix, iy = world.cell_of(start.x, start.y)
+    if want == "blocked start":
+        assert not world.free_with_clearance(body.radius)[iy, ix] and got > 0.0
+    elif want == "start in goal":
+        assert region[iy, ix] and got == 0.0
+    else:
+        # the empty region fails before the search, the sealed one after it
+        assert got is Unreachable and region.any() == (want == "sealed region")
