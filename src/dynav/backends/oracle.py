@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import SchemaViolation
+from ..errors import SchemaViolation, check
 from .protocol import (FILTER, PROTOCOL_VERSION, SCORE, STOP_CHECK, DecisionRequest,
                        DecisionResponse, MemoryOp, WireRay)
 
@@ -32,7 +32,9 @@ _LOCATED = re.compile(
 
 def _hash_unit(session_id: str, step: int, cid: int) -> float:
     """Stable pseudo-random value in [0, 1) for reproducible tie-breaking."""
-    digest = hashlib.sha256(f"{session_id}:{step}:{cid}".encode()).digest()
+    # a JSON string may hold a lone surrogate; other strings encode as in UTF-8
+    key = f"{session_id}:{step}:{cid}".encode("utf-8", "surrogatepass")
+    digest = hashlib.sha256(key).digest()
     return int.from_bytes(digest[:8], "big") / 2 ** 64
 
 
@@ -107,16 +109,32 @@ class OracleBackend:
     def decide(self, req: DecisionRequest) -> DecisionResponse:
         if req.version != PROTOCOL_VERSION:
             raise SchemaViolation(f"bad request version {req.version!r}")
-        if req.kind == FILTER:
-            return self._filter(req)
-        if req.kind == SCORE:
-            return self._score(req)
-        if req.kind == STOP_CHECK:
-            return self._stop(req)
+        try:
+            if req.kind == FILTER:
+                return self._filter(req)
+            if req.kind == SCORE:
+                return self._score(req)
+            if req.kind == STOP_CHECK:
+                return self._stop(req)
+        except (TypeError, AttributeError):
+            # a ray's label and attributes reach the oracle unchecked (the
+            # request parser leaves that per-ray cost out) and fail where they
+            # are used: name a mistyped one; with none, the fault is ours
+            for i, ray in enumerate(req.rays):
+                check(ray.label, ray.label is None or type(ray.label) is str,
+                      f"ray {i} label must be a string or null")
+                check(ray.attributes, all(type(a) is str for a in ray.attributes),
+                      f"ray {i} attributes must be strings")
+            raise
         raise SchemaViolation(f"unknown request kind {req.kind!r}")
 
     @staticmethod
     def _endpoint(req: DecisionRequest, theta_deg: float, dist: float) -> Tuple[float, float]:
+        # a ray's numbers reach the oracle unchecked (the request parser
+        # passes them through float()); the ones it uses must be finite
+        if not (math.isfinite(theta_deg) and math.isfinite(dist)):
+            raise SchemaViolation(f"ray theta_deg {theta_deg} and distance_m {dist} "
+                                  "must be finite")
         ang = math.radians(req.pose[2] + theta_deg)
         return (req.pose[0] + dist * math.cos(ang), req.pose[1] + dist * math.sin(ang))
 
@@ -171,10 +189,12 @@ class OracleBackend:
         abs(r.theta_deg - cand.theta_deg))`` picks: the first least difference,
         where a NaN difference never wins unless it is the first ray's.
 
-        Raises ValueError when there are no rays, as that ``min`` does.
+        Raises SchemaViolation when there are no rays, where that ``min``
+        raises ValueError.
         """
         if not req.rays:
-            raise ValueError("no ray to match a candidate against")
+            raise SchemaViolation("a constrained filter request needs a ray to match "
+                                  "each candidate against")
         thetas = np.array([r.theta_deg for r in req.rays])
         with np.errstate(over="ignore", invalid="ignore"):
             diff = np.abs(thetas - np.array([[c.theta_deg] for c in req.candidates]))

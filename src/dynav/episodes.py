@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import IO, List, Optional, Tuple
 
 from .config import RunConfig
-from .errors import (GenerationFailed, SchemaViolation, Unreachable, check, check_finite,
-                     check_integer, check_strings, check_type, read_json)
+from .errors import (GenerationFailed, SchemaViolation, Unreachable, UnresolvableGoal, check,
+                     check_finite, check_integer, check_strings, check_type, read_json)
 from .geometry import AgentBody, Pose
 from .goals import GoalSpec
 from .memory import MemoryGraph
@@ -151,8 +151,9 @@ def run_episode(spec: EpisodeSpec, backend, cfg: RunConfig,
     The caller's memory graph is copied, never mutated.  Termination reflects
     the final sub-task: a clean stop, an exhausted budget, or an abort.  An
     episode aborts after too many consecutive backend failures, or at once
-    when a backend reply violates the protocol or a step raises any other
-    exception; the result names the reason.
+    when a goal matches no object in the world, a backend reply violates the
+    protocol or a step raises any other exception; the result names the
+    reason.
     """
     body = AgentBody(radius=cfg.agent_radius, max_sense=cfg.d_max)
     rng = random.Random(spec.seed)
@@ -179,6 +180,12 @@ def run_episode(spec: EpisodeSpec, backend, cfg: RunConfig,
             results.append(GoalResult(goal.text, goal.category or goal.text, False,
                                       0.0, None, 0, False, unreachable=True))
             continue
+        except UnresolvableGoal as e:
+            # no object in this world matches the goal: no later goal runs
+            log.warning("episode %s goal %d: %s", spec.episode_id, gi, e)
+            abort_reason = str(e)
+            termination = ABORTED
+            break
 
         traveled = 0.0
         steps_used = 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -156,8 +156,8 @@ class WorldMap:
         return self._framed
 
     def _edge_index(self) -> tuple:
-        """Obstacle cells with a free 8-neighbour: their indices, and the
-        edges of their squares as arrays.
+        """Obstacle cells with a free 8-neighbour: their indices, the edges of
+        their squares as arrays, and the four edges of each square as rows.
 
         Seen from a point outside every obstacle cell, any other obstacle cell
         lies at least one resolution farther than some edge cell, so the
@@ -172,9 +172,17 @@ class WorldMap:
                     near_free |= free[oy: oy + h, ox: ox + w]
             iys, ixs = np.nonzero((self.grid == OBSTACLE) & near_free)
             res = self.resolution
-            self._edge_cells = (list(zip(ixs.tolist(), iys.tolist())),
-                                ixs * res, (ixs + 1) * res, iys * res, (iys + 1) * res)
+            x0, x1, y0, y1 = ixs * res, (ixs + 1) * res, iys * res, (iys + 1) * res
+            self._edge_cells = (list(zip(ixs.tolist(), iys.tolist())), x0, x1, y0, y1,
+                                np.stack([x0, x1, y0, y1], axis=1))
         return self._edge_cells
+
+    def _edge_d2(self, x: float, y: float) -> np.ndarray:
+        """Squared distances from a point to the square of every edge cell."""
+        _, x0, x1, y0, y1, _ = self._edge_index()
+        dx = np.maximum(np.maximum(x0 - x, x - x1), 0.0)
+        dy = np.maximum(np.maximum(y0 - y, y - y1), 0.0)
+        return dx * dx + dy * dy
 
     def _cell_rect_distance(self, x: float, y: float, ix: int, iy: int) -> float:
         res = self.resolution
@@ -182,12 +190,13 @@ class WorldMap:
         dy = max(iy * res - y, 0.0, y - (iy + 1) * res)
         return math.hypot(dx, dy)
 
-    def _nearest_cell(self, x: float, y: float, bound: float):
+    def _nearest_cell(self, x: float, y: float, bound: float, scan: Optional[list] = None):
         """Distance to and nearest point on the closest obstacle cell, when
         that distance is below ``bound``; None otherwise.  The point must lie
         strictly inside the world.  Candidates come in row-major order and the
         first strictly nearer one is kept, so an exact tie between cells goes
-        to the lowest ``iy``, then the lowest ``ix``.
+        to the lowest ``iy``, then the lowest ``ix``.  The squared distances to
+        the edge cells, when measured, are appended to ``scan``.
         """
         res = self.resolution
         w, h = self.width_cells, self.height_cells
@@ -200,12 +209,12 @@ class WorldMap:
                      for jx in range(max(ix - 1, 0), min(ix + 2, w))
                      if self.grid[jy, jx] == OBSTACLE]
         else:
-            cells, x0, x1, y0, y1 = self._edge_index()
+            cells = self._edge_index()[0]
             if not cells:
                 return None
-            dx = np.maximum(np.maximum(x0 - x, x - x1), 0.0)
-            dy = np.maximum(np.maximum(y0 - y, y - y1), 0.0)
-            d2 = dx * dx + dy * dy
+            d2 = self._edge_d2(x, y)
+            if scan is not None:
+                scan.append(d2)
             # squares order the cells as hypot does, up to rounding: keep a
             # relative margin far above it and decide with hypot below
             d2_min = float(d2.min())
@@ -233,8 +242,13 @@ class WorldMap:
         """
         return self.clearance_with_nearest(x, y)[0]
 
-    def clearance_with_nearest(self, x: float, y: float) -> Tuple[float, Tuple[float, float]]:
-        """Clearance plus the closest point on the nearest blocking surface."""
+    def clearance_with_nearest(self, x: float, y: float, *, scan: Optional[list] = None
+                               ) -> Tuple[float, Tuple[float, float]]:
+        """Clearance plus the closest point on the nearest blocking surface.
+
+        ``scan``, for ``local_clearance``, receives the squared distances to
+        the edge cells if the search measures them.
+        """
         best = min(x, y, self.width_m - x, self.height_m - y)
         # border: closest point is the orthogonal projection onto that wall
         if best == x:
@@ -249,7 +263,7 @@ class WorldMap:
         # a cell must come strictly closer than the border, so it can only
         # win for a point strictly inside the world
         if best > 0.0:
-            cell = self._nearest_cell(x, y, best)
+            cell = self._nearest_cell(x, y, best, scan)
             if cell is not None:
                 best, nearest = cell
 
@@ -269,6 +283,57 @@ class WorldMap:
                 else:
                     nearest = (cx + self._obj_radii[k], cy)
         return best, nearest
+
+    def local_clearance(self, x: float, y: float,
+                        reach: float) -> Tuple[float, Callable[[float, float], float]]:
+        """Clearance at p = (x, y), and a function giving ``clearance(q)``,
+        bit for bit, for any q within ``reach`` of p.
+
+        Clearance is 1-Lipschitz, so c(q) <= c(p) + reach, and whatever sets
+        c(q) lies within c(p) + 2*reach of p.  The full query at p keeps its
+        squared distances to the edge cells, and the cells and objects that
+        come that close are kept, with a margin far above rounding (it also
+        covers a q a rounding error beyond ``reach``).  A query scans only
+        those in plain Python, with the float expressions of the full query
+        and the same ``np.hypot`` for objects; a q inside an obstacle cell
+        takes the full query.  The kept cells give the same least distance,
+        not always the same tied cell, so the function gives the value alone.
+        """
+        scan: list = []
+        c = self.clearance_with_nearest(x, y, scan=scan)[0]
+        within = c + 2.0 * reach + 1e-6
+        cells, *_, rows = self._edge_index()
+        rects: list = []
+        if within > 0.0 and cells:
+            d2 = scan[0] if scan else self._edge_d2(x, y)
+            rects = rows[np.flatnonzero(d2 <= within * within)].tolist()
+        objs = [(*o.center, o.radius) for o in self.objects
+                if o.boundary_distance(x, y) <= within]
+        res, w, h = self.resolution, self.width_cells, self.height_cells
+        width_m, height_m = self.width_m, self.height_m
+        framed = self.framed_cells()
+        hypot = np.hypot
+
+        def clearance_near(qx: float, qy: float) -> float:
+            best = min(qx, qy, width_m - qx, height_m - qy)
+            if best > 0.0:
+                ix = min(int(qx / res), w - 1)
+                iy = min(int(qy / res), h - 1)
+                if framed[(iy + 1) * (w + 2) + ix + 1] == OBSTACLE:
+                    return self.clearance(qx, qy)
+                for ax, bx, ay, by in rects:
+                    d = math.hypot(max(ax - qx, 0.0, qx - bx), max(ay - qy, 0.0, qy - by))
+                    if d < best:
+                        best = d
+            for ox, oy, r in objs:
+                # the full query's screen, then its hypot on this one object
+                if (qx - ox) ** 2 + (qy - oy) ** 2 < (best + r + 1e-9) ** 2:
+                    d = float(hypot(ox - qx, oy - qy)) - r
+                    if d < best:
+                        best = d
+            return best
+
+        return c, clearance_near
 
     def occupancy_with_objects(self) -> np.ndarray:
         """Boolean grid: cell blocked by an obstacle cell or an object disc.

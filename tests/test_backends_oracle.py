@@ -272,8 +272,104 @@ def test_filter_matches_reference(rays, cands, constraints, pose):
     req = make_req(kind=FILTER, rays=rays, candidates=cands, constraints=constraints,
                    pose=pose)
     want = outcome(reference_filter, backend, req)
+    # where the reference's ``min`` finds no ray, the oracle names the request bad
+    want = SchemaViolation if want is ValueError else want
     got = outcome(lambda r: backend.decide(r).removals, req)
     assert got == want
+
+
+# -- requests the parser accepts ------------------------------------------------------
+
+# JSON values of any shape, for the per-ray fields the parser passes through
+_json = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(),
+              st.sampled_from(("chair_1", "hazard", "red", "wall", "sign_2"))),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.sampled_from(("hazard", "red", "k")), inner,
+                                            max_size=2)),
+    max_leaves=5)
+# what float() takes: numbers, booleans and numeric strings, finite or not
+_wire_number = st.one_of(st.floats(-400.0, 400.0), st.floats(), st.booleans(),
+                         st.integers(-10 ** 6, 10 ** 6),
+                         st.sampled_from(("1e400", "-inf", "nan", "7.5", " 3 ")))
+_label = st.one_of(st.sampled_from((None, "wall", "chair_1", "chair_2", "sign_1", "oven_3", "")),
+                   _json)
+_names = st.one_of(st.lists(st.sampled_from(("hazard", "red", "wooden")), max_size=2),
+                   st.sampled_from(("hazard", "red")), _json)
+_wire_ray = st.fixed_dictionaries(
+    {"theta_deg": _wire_number, "distance_m": _wire_number},
+    optional={"label": _label, "attributes": _names, "tags": _names})
+# lone surrogates are valid in a JSON string
+_text = st.text(st.one_of(st.characters(), st.characters(categories=("Cs",))), max_size=6)
+_finite = st.floats(-1e6, 1e6)
+_request = st.fixed_dictionaries({
+    "version": st.just(PROTOCOL_VERSION),
+    "kind": st.sampled_from((FILTER, SCORE, STOP_CHECK)),
+    "session_id": _text,
+    "step": st.integers(-5, 10 ** 6),
+    "goal_text": st.one_of(st.sampled_from(("chair", "chair (red)", "object with red", "")),
+                           _text),
+    "observation": st.fixed_dictionaries({
+        "pose": st.fixed_dictionaries({"x_m": _finite, "y_m": _finite,
+                                       "heading_deg": _finite}),
+        "rays": st.lists(_wire_ray, max_size=8)}),
+    "candidates": st.lists(st.fixed_dictionaries({
+        "id": st.integers(0, 20), "r_m": _finite, "theta_deg": _finite}), max_size=4),
+    "memory_text": st.one_of(
+        st.sampled_from(("", "chair_1 (red) at (3.0, 1.5); sign_2 at (-1.0, 2.0)",
+                         "chair_9 at (1" + "0" * 400 + ", 2.0)")), _text),
+    "constraints": st.lists(st.sampled_from(("stay away from the oven", "avoid sign_1")),
+                            max_size=2),
+    "template_id": _text,
+})
+
+
+@settings(max_examples=600, deadline=None)
+@given(payload=_request)
+@example(payload={"version": PROTOCOL_VERSION, "kind": FILTER, "session_id": "s", "step": 0,
+                  "observation": {"pose": {"x_m": 0.0, "y_m": 0.0, "heading_deg": 0.0},
+                                  "rays": [{"theta_deg": "inf", "distance_m": 2.0,
+                                            "label": "sign_1", "tags": ["hazard"]}]},
+                  "candidates": [{"id": 1, "r_m": 1.0, "theta_deg": 0.0}]})
+@example(payload={"version": PROTOCOL_VERSION, "kind": SCORE, "session_id": "s", "step": 0,
+                  "observation": {"pose": {"x_m": 0.0, "y_m": 0.0, "heading_deg": 0.0},
+                                  "rays": [{"theta_deg": "-inf", "distance_m": 2.0,
+                                            "label": "chair_1"}]},
+                  "candidates": [{"id": 1, "r_m": 1.0, "theta_deg": 0.0}]})
+@example(payload={"version": PROTOCOL_VERSION, "kind": FILTER, "session_id": "s", "step": 0,
+                  "observation": {"pose": {"x_m": 0.0, "y_m": 0.0, "heading_deg": 0.0},
+                                  "rays": []},
+                  "candidates": [{"id": 1, "r_m": 1.0, "theta_deg": 0.0}],
+                  "constraints": ["stay away from the oven"]})
+def test_decide_returns_or_raises_schema_violation_on_any_parsed_request(payload):
+    """A request the server's parser accepts either gets a reply or is
+    refused as a schema violation, never another exception."""
+    try:
+        req = DecisionRequest.from_dict(payload)
+    except SchemaViolation:
+        return
+    try:
+        OracleBackend().decide(req)
+    except SchemaViolation:
+        pass
+
+
+def test_decide_names_a_mistyped_ray_field_and_keeps_its_own_faults(backend, monkeypatch):
+    rays = [WireRay(0.0, 2.0, "chair_1"), WireRay(5.0, 2.0, ["chair"])]
+    cands = [WireCandidate(1, 1.0, 0.0)]
+    with pytest.raises(SchemaViolation, match="ray 1 label must be a string or null"):
+        backend.decide(make_req(kind=SCORE, rays=rays, candidates=cands))
+    rays = [WireRay(0.0, 2.0, "chair_1", ("red", [1]))]
+    with pytest.raises(SchemaViolation, match="ray 0 attributes must be strings"):
+        backend.decide(make_req(kind=SCORE, goal="chair (red)", rays=rays, candidates=cands))
+
+    def broken(self, req):
+        raise TypeError("a fault of the oracle itself")
+
+    monkeypatch.setattr(OracleBackend, "_score", broken)
+    with pytest.raises(TypeError, match="a fault of the oracle itself"):
+        backend.decide(make_req(kind=SCORE, rays=[WireRay(0.0, 2.0, "chair_1")],
+                                candidates=cands))
 
 
 # -- stop check --------------------------------------------------------------------

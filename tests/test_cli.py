@@ -173,6 +173,26 @@ def test_run_survives_an_episode_that_raises(tmp_path, episode_file, monkeypatch
         assert (out / name).read_text() == (tmp_path / "clean" / name).read_text()
 
 
+def test_run_aborts_only_the_episode_whose_goal_matches_no_object(tmp_path, episode_file):
+    # the world holds only chair_1: episode b's sofa cannot be resolved
+    argv = ["run", "--episodes", str(episode_file), "--n-rays", "61"]
+    assert main(argv + ["--out", str(tmp_path / "clean")]) == 0
+    payload = json.loads(episode_file.read_text())
+    payload["episodes"][1]["goals"] = [{"kind": "name", "category": "sofa"}]
+    episode_file.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    lines = (out / "results.jsonl").read_text().splitlines()
+    assert len(lines) == 2
+    assert lines[0] == (tmp_path / "clean" / "results.jsonl").read_text().splitlines()[0]
+    b = json.loads(lines[1])
+    assert b["episode_id"] == "b" and b["termination"] == "aborted"
+    assert b["abort_reason"] == "no object matches goal 'sofa'" and b["goals"] == []
+    assert (out / "b.steps.jsonl").read_text() == ""
+    assert (out / "a.steps.jsonl").read_text() == (tmp_path / "clean" / "a.steps.jsonl").read_text()
+    assert (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_closes_each_episode_backend(tmp_path, episode_file, monkeypatch, workers):
     closed = []

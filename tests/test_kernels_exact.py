@@ -1,23 +1,27 @@
 """The simulator kernels against plain scalar reference versions, bit for bit.
 
-``sense``, ``WorldMap.clearance_with_nearest`` and ``reactive_avoid`` use a
-flat framed grid, numpy over rays, a search over edge cells and Lipschitz
-skipping of avoidance samples.  The references below are the straightforward
-versions: a DDA over ``grid[iy, ix]``, one ray-disc test per ray and object, a
-kd-tree search over every obstacle cell, and a scan of every avoidance sample.
-Each test requires equal bits, not closeness.  Of equally near obstacle cells
-the one first in row-major order wins: the lowest ``iy``, then the lowest ``ix``.
+``sense``, ``WorldMap.clearance_with_nearest``, ``WorldMap.local_clearance``,
+``reactive_avoid`` and ``execute`` use a flat framed grid, numpy over rays, a
+search over edge cells, local clearance views and Lipschitz skipping of
+avoidance samples.  The references below are the straightforward versions: a
+DDA over ``grid[iy, ix]``, one ray-disc test per ray and object, a kd-tree
+search over every obstacle cell, a full query for every point and a scan of
+every avoidance sample.  Each test requires equal bits, not closeness.  Of
+equally near obstacle cells the one first in row-major order wins: the lowest
+``iy``, then the lowest ``ix``.
 """
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from dynav.errors import NoEscape
-from dynav.geometry import AgentBody, Pose, normalize_angle
-from dynav.motion import reactive_avoid
+from dynav.geometry import AgentBody, PolarAction, Pose, normalize_angle
+from dynav.motion import execute, reactive_avoid
 from dynav.sensing import DEFAULT_FOV, WALL_HIT, Hit, Observation, Ray, sense
 from dynav.world import OBSTACLE, SemanticObject, WorldMap
 from dynav.worldgen import WorldGenSpec, generate_world
@@ -383,7 +387,8 @@ def test_reactive_avoid_boxed_in_cases_match_full_scan():
 
 def test_reactive_avoid_measures_fewer_samples_than_a_full_scan(box_world):
     """Next to a single wall the clearance grows along the ray, and the
-    Lipschitz bound skips the samples that cannot restore it yet."""
+    Lipschitz bound skips the samples that cannot restore it yet.  Every
+    measured sample counts, whether a full query or a local view answers it."""
     calls = []
     measure = box_world.clearance_with_nearest
 
@@ -398,7 +403,182 @@ def test_reactive_avoid_measures_fewer_samples_than_a_full_scan(box_world):
         def clearance(self, x, y):
             return self.clearance_with_nearest(x, y)[0]
 
+        def local_clearance(self, x, y, reach):
+            calls.append((x, y))
+            c, view = box_world.local_clearance(x, y, reach)
+
+            def counted(qx, qy):
+                calls.append((qx, qy))
+                return view(qx, qy)
+
+            return c, counted
+
     pose = Pose(0.25, 4.0, 0.0)  # 0.15 m from the wall face at x = 0.1
     out = reactive_avoid(Counting(), pose, AgentBody(), 0.32)
     assert out == ref_reactive_avoid(box_world, pose, AgentBody(), 0.32)
     assert len(calls) <= 4  # a full scan measures 18
+
+
+# -- local clearance views ---------------------------------------------------------
+
+
+@st.composite
+def view_worlds(draw):
+    """Rooms cut by walls along rows and columns, so that slots and corridors
+    with cells tied in distance are common, plus a few lone cells and discs."""
+    res = draw(st.one_of(st.sampled_from((0.05, 0.1, 0.25)), st.floats(0.05, 0.25)))
+    w, h = draw(st.integers(6, 40)), draw(st.integers(6, 40))
+    grid = np.zeros((h, w), dtype=np.uint8)
+    if draw(st.booleans()):
+        grid[0, :] = grid[-1, :] = grid[:, 0] = grid[:, -1] = OBSTACLE
+    for _ in range(draw(st.integers(0, 6))):
+        a, b = sorted(draw(st.integers(0, max(w, h))) for _ in range(2))
+        k, thick = draw(st.integers(0, max(w, h) - 1)), draw(st.integers(1, 2))
+        if draw(st.booleans()):
+            grid[a: b + 1, k: k + thick] = OBSTACLE
+        else:
+            grid[k: k + thick, a: b + 1] = OBSTACLE
+    for _ in range(draw(st.integers(0, 4))):
+        grid[draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))] = OBSTACLE
+    if not (grid == 0).any():
+        grid[h // 2, w // 2] = 0
+    objects = [SemanticObject(f"thing_{i}", "thing",
+                              (draw(st.floats(0.0, w * res)), draw(st.floats(0.0, h * res))),
+                              draw(st.floats(0.05, 0.6)))
+               for i in range(draw(st.integers(0, 3)))]
+    return WorldMap(grid, res, objects)
+
+
+def slot_ties(world, rng, n):
+    """Points halfway between two obstacle cells facing each other across a
+    row or a column of free cells, with the direction to the first cell: the
+    two cells are equally near in exact arithmetic, and rounding decides."""
+    res = world.resolution
+    iys, ixs = np.nonzero(world.grid == 0)
+    out = []
+    for _ in range(n):
+        k = rng.randrange(len(ixs))
+        ix, iy = int(ixs[k]), int(iys[k])
+        row, col = world.grid[iy], world.grid[:, ix]
+        left = [j for j in range(ix) if row[j] == OBSTACLE]
+        right = [j for j in range(ix + 1, world.width_cells) if row[j] == OBSTACLE]
+        if left and right:
+            x = ((left[-1] + 1) * res + right[0] * res) / 2
+            out.append(((x, (iy + rng.random()) * res), (-1.0, 0.0)))
+        below = [j for j in range(iy) if col[j] == OBSTACLE]
+        above = [j for j in range(iy + 1, world.height_cells) if col[j] == OBSTACLE]
+        if below and above:
+            y = ((below[-1] + 1) * res + above[0] * res) / 2
+            out.append((((ix + rng.random()) * res, y), (0.0, 1.0)))
+    return out
+
+
+def view_probes(world, rng):
+    """Special points, each with a direction: cell edges and corners, free cell
+    centres, obstacle interiors, the map border, disc boundaries and centres,
+    and slot ties."""
+    res, wm, hm = world.resolution, world.width_m, world.height_m
+    pts = []
+    for x, y in free_cell_centers(world, rng, 6):
+        ix, iy = world.cell_of(x, y)
+        pts += [(x, y), (ix * res, y), (x, iy * res), (ix * res, iy * res)]
+    iys, ixs = np.nonzero(world.grid == OBSTACLE)
+    for _ in range(3 if len(ixs) else 0):
+        k = rng.randrange(len(ixs))
+        pts.append(((int(ixs[k]) + rng.random()) * res, (int(iys[k]) + rng.random()) * res))
+    pts += [(0.0, rng.uniform(0.0, hm)), (wm, rng.uniform(0.0, hm)),
+            (rng.uniform(0.0, wm), 0.0), (rng.uniform(0.0, wm), hm), (1e-12, 1e-12)]
+    for o in world.objects:
+        a = rng.uniform(-math.pi, math.pi)
+        pts += [o.center, (o.center[0] + o.radius * math.cos(a),
+                           o.center[1] + o.radius * math.sin(a))]
+    out = []
+    for p in pts:
+        a = rng.uniform(-math.pi, math.pi)
+        out.append((p, (math.cos(a), math.sin(a))))
+    return out + slot_ties(world, rng, 6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(world=view_worlds(), seed=st.integers(0, 2 ** 32 - 1),
+       reach=st.one_of(st.just(0.1), st.floats(0.01, 0.6)))
+def test_local_view_matches_full_query(world, seed, reach):
+    """Each probe point s is queried from a view centred on it and from one
+    centred ``reach`` away along its direction, so that s lies on the edge of
+    the view; other points lie anywhere within ``reach`` of the centre."""
+    rng = random.Random(seed)
+    for (sx, sy), (ux, uy) in view_probes(world, rng):
+        for px, py in ((sx, sy), (sx + reach * ux, sy + reach * uy)):
+            c, view = world.local_clearance(px, py, reach)
+            assert bits(c) == bits(world.clearance(px, py))
+            qs = [(sx, sy), (px - reach * ux, py - reach * uy)]
+            for _ in range(3):
+                a, d = rng.uniform(-math.pi, math.pi), reach * rng.random()
+                qs.append((px + d * math.cos(a), py + d * math.sin(a)))
+            for qx, qy in qs:
+                assert bits(view(qx, qy)) == bits(world.clearance(qx, qy)), (px, py, qx, qy)
+
+
+def test_local_view_keeps_both_cells_of_a_slot_tie():
+    """Across a slot, the point s halfway between the two walls is, in exact
+    arithmetic, as near to one as to the other, and a view centred ``reach``
+    from s toward one wall sees the other at exactly c + 2*reach.  Rounding
+    decides which wall is nearer to s, and to s as computed back from the
+    centre, which may lie a rounding error beyond ``reach``; the view must keep
+    the far wall, and the margin on c + 2*reach is what keeps it.  Walls run
+    the height of a tall room, so that the slot's walls are the nearest."""
+    rng = random.Random(3)
+    checked = 0
+    for res in (0.05, 0.07, 0.1, 0.13, 0.17, 0.25):
+        grid = np.zeros((40, 400), dtype=np.uint8)
+        walls = [0]
+        while walls[-1] + 17 < 400:  # slots of 3 to 16 free cells
+            walls.append(walls[-1] + rng.randint(4, 17))
+        grid[:, walls] = OBSTACLE
+        world = WorldMap(grid, res)
+        for a, b in zip(walls, walls[1:]):
+            sx = ((a + 1) * res + b * res) / 2
+            half = (b - a - 1) * res / 2
+            for reach in (0.1, 0.5 * half, 0.9 * half):
+                if reach >= half:
+                    continue
+                for iy in (19, 20):
+                    sy = (iy + rng.random()) * res
+                    for ux in (-1.0, 1.0):
+                        px = sx + reach * ux
+                        c, view = world.local_clearance(px, sy, reach)
+                        for qx in (sx, px - reach * ux):
+                            assert bits(view(qx, sy)) == bits(world.clearance(qx, sy)), (res, qx)
+                            checked += 1
+    assert checked > 3000
+
+
+def march_by_full_queries(world, pose, body, action):
+    """``execute`` as first written: every marching point a full query."""
+    heading = normalize_angle(pose.heading + action.theta)
+    ux, uy = math.cos(heading), math.sin(heading)
+    t = 0.0
+    while t < action.r - 1e-9:
+        c = world.clearance(pose.x + t * ux, pose.y + t * uy) - body.radius
+        if c <= 1e-4:
+            break
+        t += min(c, action.r - t)
+    return Pose(pose.x + t * ux, pose.y + t * uy, heading)
+
+
+def test_execute_matches_a_march_of_full_queries(worlds):
+    """Marches that graze walls, slots and discs, so that many points are
+    answered from local views."""
+    body = AgentBody()
+    rng = random.Random(13)
+    for world in worlds:
+        free = world.free_with_clearance(body.radius)
+        iys, ixs = np.nonzero(free)
+        for _ in range(150):
+            k = rng.randrange(len(ixs))
+            x, y = world.cell_center(int(ixs[k]), int(iys[k]))
+            pose = Pose(x, y, rng.uniform(-math.pi, math.pi))
+            action = PolarAction(rng.uniform(0.05, 4.0), rng.uniform(-math.pi, math.pi))
+            got = execute(world, pose, body, action).new_pose
+            want = march_by_full_queries(world, pose, body, action)
+            assert bits(got.x, got.y, got.heading) == bits(want.x, want.y, want.heading)

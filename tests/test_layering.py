@@ -1,5 +1,6 @@
 """Module layering: the proposer is pure geometry and never reaches a backend,
-and the package runs on numpy alone.
+the clearance kernels stay inside the world module, and the package runs on
+numpy alone.
 
 ``dynav.backends.protocol`` imports ``dynav.proposer`` for ``CandidateSet``;
 an import in the other direction, even one deferred into a function, would
@@ -56,6 +57,34 @@ def test_proposer_imports_nothing_from_backends():
 @pytest.mark.parametrize("module", ["proposer.py", "episodes.py"])
 def test_no_function_level_imports(module):
     assert [(n, line) for n, line, nested in imported_modules(SRC / module) if nested] == []
+
+
+# ``WorldMap``'s private clearance kernel: its edge-cell index, the nearest-cell
+# search and the object arrays.  Motion asks ``clearance`` or
+# ``local_clearance``; which cells can matter is the world's business.
+WORLD_KERNEL = {"_edge_index", "_edge_d2", "_nearest_cell", "_cell_rect_distance",
+                "_obj_centers", "_obj_radii"}
+
+
+def kernel_uses(path: Path):
+    """(name, line) of every attribute or string naming a kernel member."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [(n.attr if isinstance(n, ast.Attribute) else n.value, n.lineno)
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and n.attr in WORLD_KERNEL
+            or isinstance(n, ast.Constant) and n.value in WORLD_KERNEL]
+
+
+def test_kernel_uses_finds_the_world_modules_own_uses():
+    assert {name for name, _ in kernel_uses(SRC / "world.py")} >= {
+        "_edge_index", "_nearest_cell", "_obj_centers", "_obj_radii"}
+
+
+def test_world_kernel_stays_in_the_world_module():
+    found = [(str(path.relative_to(SRC)), name, line)
+             for path in sorted(SRC.rglob("*.py")) if path != SRC / "world.py"
+             for name, line in kernel_uses(path)]
+    assert found == []
 
 
 def test_no_module_imports_scipy():
