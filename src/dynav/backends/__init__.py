@@ -1,12 +1,15 @@
-"""Decision backends: wire protocol, deterministic oracle, HTTP client, stub."""
+"""Decision backends: wire protocol, deterministic oracle, HTTP client.
+
+The scripted test stub lives in ``dynav.backends.stub``; it is not
+re-exported, so importing the package does not load ``http.server``.
+"""
 from .oracle import OracleBackend
 from .protocol import (DecisionRequest, DecisionResponse, MemoryOp, RequestContext,
                        PROTOCOL_VERSION, parse_response)
 from .remote import BackendConfig, RemoteBackend
-from .stub import StubServer
 
 __all__ = [
     "BackendConfig", "DecisionRequest", "DecisionResponse", "MemoryOp",
     "OracleBackend", "PROTOCOL_VERSION", "RemoteBackend", "RequestContext",
-    "StubServer", "parse_response",
+    "parse_response",
 ]

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import SchemaViolation, check
+from ..memory import MemoryGraph
 from .protocol import (FILTER, PROTOCOL_VERSION, SCORE, STOP_CHECK, DecisionRequest,
                        DecisionResponse, MemoryOp, WireRay)
 
@@ -24,10 +25,6 @@ _STOPWORDS = {
     "at", "with", "near", "next", "by", "stay", "away", "avoid", "keep", "do",
     "not", "don't", "object", "find", "go", "reach",
 }
-
-# clause like "chair_2 (red, wooden) at (3.0, 1.5)" produced by memory rendering
-_LOCATED = re.compile(
-    r"(?P<name>[\w\- ]+?)(?: \((?P<attrs>[^)]*)\))? at \((?P<x>-?\d+(?:\.\d+)?), (?P<y>-?\d+(?:\.\d+)?)\)")
 
 
 def _hash_unit(session_id: str, step: int, cid: int) -> float:
@@ -46,15 +43,6 @@ def _tokens(text: str) -> set:
 class _GoalPattern:
     category: str
     attributes: Tuple[str, ...]
-
-    def matches_ray(self, ray: WireRay) -> bool:
-        if ray.label is None or ray.label == "wall":
-            return False
-        if self.category and self.category.lower() not in ray.label.lower():
-            return False
-        if self.attributes and not set(self.attributes) <= set(ray.attributes):
-            return False
-        return bool(self.category or self.attributes)
 
     def matches_clause(self, name: str, attrs: Sequence[str]) -> bool:
         if self.category and self.category.lower() not in name.lower():
@@ -208,7 +196,8 @@ class OracleBackend:
 
     def _goal_rays(self, req: DecisionRequest) -> List[WireRay]:
         pattern = parse_goal_text(req.goal_text)
-        return [r for r in req.rays if pattern.matches_ray(r)]
+        return [r for r in req.rays if r.label is not None and r.label != "wall"
+                and pattern.matches_clause(r.label, r.attributes)]
 
     def _remembered_target(self, req: DecisionRequest) -> Optional[Tuple[float, float]]:
         if not req.memory_text:
@@ -216,11 +205,9 @@ class OracleBackend:
         pattern = parse_goal_text(req.goal_text)
         best = None
         best_d = math.inf
-        for m in _LOCATED.finditer(req.memory_text):
-            attrs = tuple(a.strip() for a in (m.group("attrs") or "").split(",") if a.strip())
-            if not pattern.matches_clause(m.group("name").strip(), attrs):
+        for name, attrs, (x, y) in MemoryGraph.located_clauses(req.memory_text):
+            if not pattern.matches_clause(name, attrs):
                 continue
-            x, y = float(m.group("x")), float(m.group("y"))
             d = math.hypot(x - req.pose[0], y - req.pose[1])
             if d < best_d:
                 best, best_d = (x, y), d

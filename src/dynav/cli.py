@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import functools
 import json
 import logging
@@ -43,11 +44,9 @@ def _backend_factory(cfg: RunConfig):
 
 
 def cmd_run(args) -> int:
-    overrides = {k: getattr(args, k) for k in (
-        "alpha", "theta_delta_deg", "r_min", "tau_stop", "success_threshold_m",
-        "d_max", "n_rays", "fov_deg", "seed", "workers", "backend", "endpoint",
-        "epsilon_mask", "max_steps", "max_distance_m",
-    )}
+    # every run flag named after a RunConfig field overrides it
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    overrides = {k: v for k, v in vars(args).items() if k in fields}
     if args.no_memory:
         overrides["memory_enabled"] = False
     cfg = load_config(args.config, overrides)

@@ -59,6 +59,8 @@ class RunConfig:
             raise ConfigError("workers and budgets must be positive")
         if self.memory_hops < 0 or self.memory_budget < 0:
             raise ConfigError("memory_hops and memory_budget must be >= 0")
+        if self.max_backend_failures < 0:
+            raise ConfigError("max_backend_failures must be >= 0")
         if self.backend not in ("oracle", "remote"):
             raise ConfigError(f"unknown backend {self.backend!r}")
         if self.backend == "remote" and not self.endpoint:

@@ -151,13 +151,18 @@ def run_episode(spec: EpisodeSpec, backend, cfg: RunConfig,
     The caller's memory graph is copied, never mutated.  Termination reflects
     the final sub-task: a clean stop, an exhausted budget, or an abort.  An
     episode aborts after too many consecutive backend failures, or at once
-    when a goal matches no object in the world, a backend reply violates the
-    protocol or a step raises any other exception; the result names the
-    reason.
+    when it has no start pose and its world has no free one, a goal matches
+    no object in the world, a backend reply violates the protocol or a step
+    raises any other exception; the result names the reason.
     """
     body = AgentBody(radius=cfg.agent_radius, max_sense=cfg.d_max)
     rng = random.Random(spec.seed)
-    start = spec.start or random_free_pose(spec.world, rng, body)
+    try:
+        start = spec.start or random_free_pose(spec.world, rng, body)
+    except GenerationFailed as e:
+        log.warning("episode %s: %s", spec.episode_id, e)
+        return EpisodeResult(spec.episode_id, spec.seed, (), (), ABORTED,
+                             f"no start pose: {e}")
     mem = mem0.copy() if (mem0 is not None and cfg.memory_enabled) else MemoryGraph()
     max_steps = spec.max_steps or cfg.max_steps
     max_dist = spec.max_distance_m or cfg.max_distance_m

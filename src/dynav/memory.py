@@ -1,23 +1,32 @@
 """Graph memory of named entities and their spatial relations.
 
-Nodes are keyed by name; re-adding a name updates the stored node (attribute
-sets union, the location follows the most recent sighting, last_seen is
-monotone).  Edges are directed (start, target, relation) triples, unique as
-triples, with endpoints auto-created on demand.  Queries treat edges as
-bidirectional.  Merging two graphs is commutative, associative, and
-idempotent so agents can exchange memories in any order.
+Nodes are keyed by name.  One rule, the join ``_merge_node``, resolves every
+update of a node: attributes union, last_seen takes the max, the more recent
+sighting keeps its location and agent (so a newer sighting without a location
+leaves the node unlocated), and on equal last_seen the smallest non-null
+location and the smallest non-empty agent win.  ``add_node`` joins a
+sighting, ``add_edge`` joins a bare node (which changes no node) for each
+endpoint, and ``merge`` joins one graph's nodes into a copy of the other, so
+merging agents' graphs in any order gives what replaying all their operations
+into one graph gives.  Edges are directed (start, target, relation) triples,
+unique as triples; queries treat them as bidirectional.
 """
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (EmptyName, SchemaViolation, SelfLoop, check_integer, check_location,
                      check_strings, check_type, read_json)
 
 GRAPH_FORMAT = "dynav-graph/1"
+
+# a located node clause of render_text: "chair_2 (red, wooden) at (3.0, 1.5)"
+_LOCATED = re.compile(
+    r"(?P<name>[\w\- ]+?)(?: \((?P<attrs>[^)]*)\))? at \((?P<x>-?\d+(?:\.\d+)?), (?P<y>-?\d+(?:\.\d+)?)\)")
 
 
 @dataclass(frozen=True)
@@ -31,6 +40,8 @@ class MemoryNode:
     def __post_init__(self):
         if not self.name:
             raise EmptyName("node name must be non-empty")
+        if self.last_seen < 0:
+            raise ValueError(f"node {self.name!r} last_seen must be >= 0")
         object.__setattr__(self, "attributes", frozenset(self.attributes))
         if self.location is not None:
             x, y = float(self.location[0]), float(self.location[1])
@@ -76,19 +87,16 @@ class SemanticFilter:
 
 
 def _merge_node(a: MemoryNode, b: MemoryNode) -> MemoryNode:
-    """Field-wise, order-independent union of two sightings of one entity."""
+    """The join of two sightings of one entity (see the module docstring)."""
     assert a.name == b.name
-    attributes = a.attributes | b.attributes
-    last_seen = max(a.last_seen, b.last_seen)
     if a.last_seen != b.last_seen:
         winner = a if a.last_seen > b.last_seen else b
-        location = winner.location
-        agent = winner.source_agent
+        location, agent = winner.location, winner.source_agent
     else:
-        locs = [l for l in (a.location, b.location) if l is not None]
-        location = min(locs) if locs else None
-        agent = min(a.source_agent, b.source_agent)
-    return MemoryNode(a.name, attributes, location, last_seen, agent)
+        location = min((l for l in (a.location, b.location) if l is not None), default=None)
+        agent = min((g for g in (a.source_agent, b.source_agent) if g), default="")
+    return MemoryNode(a.name, a.attributes | b.attributes, location,
+                      max(a.last_seen, b.last_seen), agent)
 
 
 class MemoryGraph:
@@ -101,45 +109,29 @@ class MemoryGraph:
 
     # -- mutation -----------------------------------------------------------
 
+    def _join(self, node: MemoryNode) -> bool:
+        """Join a sighting into the stored node; True when that changed it."""
+        old = self.nodes.get(node.name)
+        new = node if old is None else _merge_node(old, node)
+        if new == old:
+            return False
+        self.nodes[node.name] = new
+        return True
+
     def add_node(self, name: str, attributes: Sequence[str] = (),
                  location: Optional[Tuple[float, float]] = None,
                  step: int = 0, agent: str = "") -> None:
-        """Insert or update a node.
-
-        Attributes union with what is stored; the location is overwritten only
-        when this sighting is at least as recent as the stored one; last_seen
-        never decreases.  No-op updates leave the version untouched.
-        """
-        incoming = MemoryNode(name, frozenset(attributes), location, step, agent)
-        old = self.nodes.get(name)
-        if old is None:
-            self.nodes[name] = incoming
-            self.version += 1
-            return
-        attributes_u = old.attributes | incoming.attributes
-        last_seen = max(old.last_seen, incoming.last_seen)
-        if incoming.last_seen >= old.last_seen and incoming.location is not None:
-            loc = incoming.location
-            agent_out = incoming.source_agent
-        else:
-            loc = old.location
-            agent_out = old.source_agent
-        new = MemoryNode(name, attributes_u, loc, last_seen, agent_out)
-        if new != old:
-            self.nodes[name] = new
+        """Join one sighting into the graph; a no-op leaves the version untouched."""
+        if self._join(MemoryNode(name, frozenset(attributes), location, step, agent)):
             self.version += 1
 
     def add_edge(self, start: str, target: str, relation: str) -> None:
-        """Insert a directed relation; duplicates are idempotent no-ops.
+        """Insert a directed relation, joining a bare node for each endpoint.
 
-        Missing endpoints are auto-created as bare nodes.
+        Duplicates are idempotent no-ops.
         """
         edge = MemoryEdge(start, target, relation)  # validates non-empty, no self-loop
-        changed = False
-        for name in (start, target):
-            if name not in self.nodes:
-                self.nodes[name] = MemoryNode(name)
-                changed = True
+        changed = self._join(MemoryNode(start)) | self._join(MemoryNode(target))
         if edge.key not in self.edges:
             self.edges[edge.key] = edge
             changed = True
@@ -212,6 +204,14 @@ class MemoryGraph:
         clauses = [clause for *_rank, clause in items[:budget]]
         return ". ".join(clauses) + "." if clauses else ""
 
+    @staticmethod
+    def located_clauses(text: str) -> Iterator[Tuple[str, Tuple[str, ...], Tuple[float, float]]]:
+        """(name, attributes, location) of each located node clause of a
+        ``render_text`` listing; unlocated nodes and edges yield nothing."""
+        for m in _LOCATED.finditer(text):
+            attrs = tuple(a.strip() for a in (m.group("attrs") or "").split(",") if a.strip())
+            yield m.group("name").strip(), attrs, (float(m.group("x")), float(m.group("y")))
+
     # -- equality (for tests and merge laws; version excluded) ---------------
 
     def same_content(self, other: "MemoryGraph") -> bool:
@@ -262,30 +262,21 @@ class MemoryGraph:
                 if edge.start not in g.nodes or edge.target not in g.nodes:
                     raise SchemaViolation(f"edge {edge.key} references a missing node")
                 g.edges[edge.key] = edge
-        except (EmptyName, SelfLoop) as e:
+        except (EmptyName, SelfLoop, ValueError) as e:
             raise SchemaViolation(f"bad graph payload: {e}") from e
         g.version = check_integer(d.get("version", 0), "graph version")
         return g
 
 
 def merge(a: MemoryGraph, b: MemoryGraph) -> MemoryGraph:
-    """Union of two graphs with field-wise node resolution.
+    """``a`` with every node of ``b`` joined in and b's edges added.
 
-    Attribute sets union; last_seen takes the max; on a strict recency win the
-    winner's location and source agent are kept, on a tie the smallest
-    non-null location (and smallest agent id) wins so the result is
-    independent of argument order.
+    The content is independent of argument order; the version is the larger
+    of the two.
     """
-    out = MemoryGraph()
-    for name in set(a.nodes) | set(b.nodes):
-        na, nb = a.nodes.get(name), b.nodes.get(name)
-        if na is None:
-            out.nodes[name] = nb
-        elif nb is None:
-            out.nodes[name] = na
-        else:
-            out.nodes[name] = _merge_node(na, nb)
-    out.edges = dict(a.edges)
+    out = a.copy()
+    for node in b.nodes.values():
+        out._join(node)
     out.edges.update(b.edges)
     out.version = max(a.version, b.version)
     return out

@@ -52,13 +52,18 @@ def test_parse_goal_text_forms():
     assert hinted.category == "toilet"
 
 
-def test_goal_pattern_matching():
+def test_goal_pattern_matching(backend):
     p = parse_goal_text("chair (red)")
-    assert p.matches_ray(WireRay(0.0, 2.0, "chair_1", ("red", "wooden"), ()))
-    assert not p.matches_ray(WireRay(0.0, 2.0, "chair_1", ("blue",), ()))
-    assert not p.matches_ray(WireRay(0.0, 2.0, "table_1", ("red",), ()))
-    assert not p.matches_ray(WireRay(0.0, 2.0, "wall", ("red",), ()))
-    assert not p.matches_ray(WireRay(0.0, 2.0, None))
+    assert p.matches_clause("chair_1", ("red", "wooden"))
+    assert not p.matches_clause("chair_1", ("blue",))
+    assert not p.matches_clause("table_1", ("red",))
+    # a goal ray is a labelled, non-wall ray whose label and attributes match
+    rays = [WireRay(0.0, 2.0, "chair_1", ("red", "wooden"), ()),
+            WireRay(1.0, 2.0, "chair_1", ("blue",), ()),
+            WireRay(2.0, 2.0, "wall", ("red",), ()),
+            WireRay(3.0, 2.0, None)]
+    assert backend._goal_rays(make_req(goal="chair (red)", rays=rays)) == rays[:1]
+    assert backend._goal_rays(make_req(goal="object with red", rays=rays)) == rays[:1]
 
 
 # -- scoring: goal visible ----------------------------------------------------------

@@ -750,8 +750,10 @@ def test_late_reply_is_not_read_as_the_next_answer():
 
 
 def test_cli_import_leaves_requests_out():
+    # nor the test stub's http.server, which the CLI imports only for serve-stub
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, dynav.cli; print('requests' in sys.modules)"],
+        [sys.executable, "-c",
+         "import sys, dynav.cli; print('requests' in sys.modules, 'http.server' in sys.modules)"],
         env={"PYTHONPATH": str(src), "PATH": ""}, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"

@@ -1,15 +1,21 @@
 """End-to-end command line checks: every subcommand plus exit-code mapping."""
+import argparse
+import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import dynav.cli
 from dynav.backends import RemoteBackend
 from dynav.backends.oracle import OracleBackend
 from dynav.backends.stub import StubServer
-from dynav.cli import main
+from dynav.cli import build_parser, main
+from dynav.config import RunConfig
+from dynav.errors import ConfigError
 from dynav.memory import MemoryGraph, load_graph, merge, save_graph
-from dynav.world import WorldMap, SemanticObject
+from dynav.world import OBSTACLE, WorldMap, SemanticObject
 
 from conftest import empty_world
 
@@ -191,6 +197,57 @@ def test_run_aborts_only_the_episode_whose_goal_matches_no_object(tmp_path, epis
     assert (out / "b.steps.jsonl").read_text() == ""
     assert (out / "a.steps.jsonl").read_text() == (tmp_path / "clean" / "a.steps.jsonl").read_text()
     assert (out / "report.json").exists()
+
+
+def test_run_aborts_only_the_episode_whose_world_has_no_start_pose(tmp_path, episode_file):
+    # episode b gives no start, and its world's only free cells form a 0.2 m
+    # pocket, too small for the agent's body
+    argv = ["run", "--episodes", str(episode_file), "--n-rays", "61"]
+    assert main(argv + ["--out", str(tmp_path / "clean")]) == 0
+    grid = np.full((20, 20), OBSTACLE, dtype=np.uint8)
+    grid[9:11, 9:11] = 0
+    WorldMap(grid, 0.1).save(tmp_path / "pocket.json")
+    payload = json.loads(episode_file.read_text())
+    payload["episodes"][1]["world"] = "pocket.json"
+    del payload["episodes"][1]["start"]
+    episode_file.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    lines = (out / "results.jsonl").read_text().splitlines()
+    assert len(lines) == 2
+    assert lines[0] == (tmp_path / "clean" / "results.jsonl").read_text().splitlines()[0]
+    b = json.loads(lines[1])
+    assert b["episode_id"] == "b" and b["termination"] == "aborted"
+    assert "no free pose" in b["abort_reason"]
+    assert b["goals"] == [] and b["trajectory"] == []
+    assert (out / "report.json").exists()
+
+
+def test_every_run_flag_reaches_the_config(tmp_path, monkeypatch):
+    # a flag the parser takes but cmd_run dropped would run with the default
+    run = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices["run"]
+    flags = [a for a in run._actions
+             if a.dest not in ("help", "episodes", "out", "config", "no_memory")]
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert [a.dest for a in flags if a.dest not in fields] == []
+    values = {"backend": "remote", "endpoint": "http://127.0.0.1:1/decide"}
+    values.update((a.dest, {int: 3, float: 0.5}[a.type]) for a in flags if a.dest not in values)
+    assert all(values[k] != getattr(RunConfig(), k) for k in values)
+
+    seen = []
+
+    def load_episode_specs(path, cfg):
+        seen.append(cfg)
+        raise ConfigError("stop before running")
+
+    monkeypatch.setattr(dynav.cli, "load_episode_specs", load_episode_specs)
+    argv = ["run", "--episodes", "e.json", "--out", str(tmp_path), "--no-memory"]
+    for a in flags:
+        argv += [a.option_strings[0], str(values[a.dest])]
+    assert main(argv) == 1
+    assert {k: getattr(seen[0], k) for k in values} == values
+    assert seen[0].memory_enabled is False
 
 
 @pytest.mark.parametrize("workers", [1, 2])

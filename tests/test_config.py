@@ -39,6 +39,7 @@ def test_defaults_are_valid():
     {"backend": "remote"},  # remote without an endpoint
     {"memory_hops": -1},
     {"memory_budget": -1},
+    {"max_backend_failures": -1},
     {"d_max": math.nan},
     {"tau_stop": math.nan},
     {"max_distance_m": math.inf},

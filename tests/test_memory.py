@@ -1,4 +1,5 @@
 """Graph memory: update semantics, queries, merge algebra, persistence."""
+import functools
 import json
 import math
 
@@ -92,6 +93,38 @@ def test_version_bumps_only_on_change():
     assert g.version == v
 
 
+def test_a_newer_sighting_without_a_location_leaves_the_node_unlocated():
+    seen_by_a = ("node", "sofa", (), (1.0, 1.0), 5, "A")
+    seen_by_b = ("node", "sofa", (), None, 7, "B")
+    expected = MemoryNode("sofa", (), None, 7, "B")
+    assert build([seen_by_a, seen_by_b]).nodes["sofa"] == expected
+    assert build([seen_by_b, seen_by_a]).nodes["sofa"] == expected
+    assert merge(build([seen_by_a]), build([seen_by_b])).nodes["sofa"] == expected
+
+
+def test_a_same_step_tie_keeps_the_smallest_location_and_agent():
+    sightings = [((2.0, 2.0), "b"), ((1.0, 1.0), "c"), (None, "")]
+    for order in (sightings, sightings[::-1]):
+        g = MemoryGraph()
+        for loc, agent in order:
+            g.add_node("sofa", [], loc, step=5, agent=agent)
+        assert g.nodes["sofa"] == MemoryNode("sofa", (), (1.0, 1.0), 5, "b")
+
+
+def test_add_edge_changes_no_stored_node():
+    g = MemoryGraph()
+    g.add_node("lamp", ["red"], (1.0, 1.0), step=0, agent="a")
+    lamp = g.nodes["lamp"]
+    g.add_edge("lamp", "door", "near")
+    assert g.nodes["lamp"] == lamp
+    assert g.nodes["door"] == MemoryNode("door")
+    v = g.version
+    g.add_edge("door", "lamp", "near")
+    assert g.version == v + 1  # a new edge, and no node changed
+    g.add_edge("door", "lamp", "near")
+    assert g.version == v + 1 and g.nodes["lamp"] == lamp
+
+
 def test_add_edge_autocreates_and_validates():
     g = MemoryGraph()
     g.add_edge("lamp", "door", "near")
@@ -163,6 +196,31 @@ def test_render_text_content_and_budget():
     assert g.render_text(budget=2) == short  # stable
 
 
+clause_names = st.from_regex(r"[a-z][a-z0-9_\-]{0,8}", fullmatch=True)
+coordinates = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nodes=st.dictionaries(clause_names, st.tuples(
+           st.sets(st.sampled_from(ATTRS), max_size=3),
+           st.one_of(st.none(), st.tuples(coordinates, coordinates))), max_size=6),
+       edges=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.sampled_from(RELS)),
+                      max_size=8))
+def test_render_then_parse_recovers_every_located_node(nodes, edges):
+    g = MemoryGraph()
+    for step, (name, (attrs, loc)) in enumerate(sorted(nodes.items())):
+        g.add_node(name, attrs, loc, step=step)
+    names = sorted(nodes)
+    for s, t, r in edges:
+        if s < len(names) and t < len(names) and s != t:
+            g.add_edge(names[s], names[t], r)
+    parsed = list(MemoryGraph.located_clauses(g.render_text(budget=100)))
+    expected = {name: (tuple(sorted(attrs)), (float(f"{loc[0]:.1f}"), float(f"{loc[1]:.1f}")))
+                for name, (attrs, loc) in nodes.items() if loc is not None}
+    assert {name: (attrs, loc) for name, attrs, loc in parsed} == expected
+    assert len(parsed) == len(expected)
+
+
 def test_render_text_counts_clauses():
     g = demo_graph()
     assert g.render_text(budget=3).count(". ") + 1 == 3
@@ -208,6 +266,31 @@ def test_merge_node_resolution_rules():
     tie = merge(a, c)
     assert tie.nodes["sofa"].location == (0.5, 9.0)  # tie: smallest location
     assert tie.nodes["sofa"].source_agent == "a"     # tie: smallest agent id
+
+
+# Adversarial operation streams: few names, steps and locations, so equal
+# steps, null and repeated locations and empty and repeated agents are common.
+LOCATIONS = (None, (0.0, 0.0), (1.0, 2.0), (2.0, 1.0))
+sighting_op = st.tuples(
+    st.just("node"),
+    st.sampled_from(NAMES[:3]),
+    st.sets(st.sampled_from(ATTRS), max_size=2),
+    st.sampled_from(LOCATIONS),
+    st.integers(0, 3),
+    st.sampled_from(("", "agent_a", "agent_b")),
+)
+split_stream = st.lists(st.tuples(st.integers(0, 2), st.one_of(sighting_op, edge_op)),
+                        max_size=30)
+
+
+@settings(max_examples=500, deadline=None)
+@given(stream=split_stream, data=st.data())
+def test_replicas_agree_with_one_replay_on_any_split_and_order(stream, data):
+    ops = [op for _agent, op in stream]
+    whole = build(ops)
+    assert build(data.draw(st.permutations(ops))).same_content(whole)
+    replicas = [build([op for agent, op in stream if agent == k]) for k in range(3)]
+    assert functools.reduce(merge, replicas).same_content(whole)
 
 
 # -- persistence ------------------------------------------------------------------
@@ -336,6 +419,14 @@ def test_valid_graph_loads():
 def test_from_dict_refuses_a_wrong_type(path, value):
     with pytest.raises(SchemaViolation):
         MemoryGraph.from_dict(replaced(VALID_GRAPH, path, value))
+
+
+def test_a_negative_last_seen_is_refused():
+    # steps start at 0, so the bare node add_edge joins changes no stored node
+    with pytest.raises(ValueError):
+        MemoryNode("x", last_seen=-1)
+    with pytest.raises(SchemaViolation, match="last_seen"):
+        MemoryGraph.from_dict(replaced(VALID_GRAPH, ("nodes", 0, "last_seen"), -1))
 
 
 def test_load_refuses_an_infinite_last_seen(tmp_path):
