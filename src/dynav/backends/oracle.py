@@ -20,6 +20,9 @@ from ..memory import MemoryGraph
 from .protocol import (FILTER, PROTOCOL_VERSION, SCORE, STOP_CHECK, DecisionRequest,
                        DecisionResponse, MemoryOp, WireRay)
 
+# two objects sighted within this distance of each other get a "next to" edge
+ADJACENCY_M = 1.0
+
 _STOPWORDS = {
     "a", "an", "the", "of", "to", "from", "and", "or", "is", "are", "in", "on",
     "at", "with", "near", "next", "by", "stay", "away", "avoid", "keep", "do",
@@ -83,10 +86,9 @@ class OracleBackend:
     """
 
     def __init__(self, hazard_clearance: float = 0.5, success_threshold: float = 0.3,
-                 adjacency_m: float = 1.0, r_scale: float = 10.0):
+                 r_scale: float = 10.0):
         self.hazard_clearance = hazard_clearance
         self.success_threshold = success_threshold
-        self.adjacency_m = adjacency_m
         # fixed range normalization (sensor reach); normalizing by the set max
         # instead would stretch sub-centimeter differences between cramped
         # candidates past the dither amplitude and deadlock in corners
@@ -279,7 +281,7 @@ class OracleBackend:
             located.append((label, pt))
         for i, (name_a, pt_a) in enumerate(located):
             for name_b, pt_b in located[i + 1:]:
-                if math.dist(pt_a, pt_b) <= self.adjacency_m:
+                if math.dist(pt_a, pt_b) <= ADJACENCY_M:
                     a, b = sorted((name_a, name_b))
                     ops.append(MemoryOp(op="add_edge", start=a, target=b, relation="next to"))
         return tuple(ops)

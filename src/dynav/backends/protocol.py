@@ -39,11 +39,14 @@ TEMPLATES = {
 
 @dataclass(frozen=True)
 class RequestContext:
-    """Per-step identity and text shared by every request of that step."""
+    """Per-step identity, text and observation shared by every request of
+    that step; built by ``request_context``."""
 
     session_id: str
     step: int
     goal_text: str
+    pose: Tuple[float, float, float]  # x_m, y_m, heading_deg
+    rays: Tuple[WireRay, ...]
     memory_text: str = ""
     constraints: Tuple[str, ...] = ()
 
@@ -288,49 +291,45 @@ def encode_request(req: DecisionRequest, memo: Optional[list] = None) -> bytes:
 
 # -- request builders --------------------------------------------------------
 
-def _wire_rays(obs: Observation) -> Tuple[WireRay, ...]:
-    """The observation's rays in wire form.
+def request_context(obs: Observation, session_id: str, goal_text: str,
+                    memory_text: str = "", constraints: Tuple[str, ...] = ()) -> RequestContext:
+    """The context of the step that sensed ``obs``.
 
-    Every request of a step carries the same rays, so they are converted once
-    and kept on the (immutable) observation.
+    The pose and rays are converted to wire form here, once: every request of
+    the step carries the same rays tuple, which ``encode_request`` encodes
+    once.
     """
-    rays = getattr(obs, "_wire_rays", None)
-    if rays is None:
-        rays = tuple(
-            WireRay(math.degrees(theta), depth, hit.label, tuple(hit.attributes),
-                    tuple(sorted(hit.tags)))
-            if hit is not None and hit.kind == "object"
-            else WireRay(math.degrees(theta), depth, hit.label if hit else None)
-            for theta, depth, hit in obs.rays)
-        object.__setattr__(obs, "_wire_rays", rays)
-    return rays
+    degrees = math.degrees
+    return RequestContext(
+        session_id=session_id, step=obs.step, goal_text=goal_text,
+        pose=(obs.pose.x, obs.pose.y, degrees(obs.pose.heading)),
+        rays=tuple(WireRay(degrees(theta), depth, label, attributes, tags)
+                   for theta, depth, label, attributes, tags in obs.rays),
+        memory_text=memory_text, constraints=constraints)
 
 
 def _wire_candidates(cands: CandidateSet) -> Tuple[WireCandidate, ...]:
     return tuple(WireCandidate(c.id, c.r, math.degrees(c.theta)) for c in cands.candidates)
 
 
-def _base(ctx: RequestContext, obs: Observation, kind: str,
-          candidates: Tuple[WireCandidate, ...], template_id: str) -> DecisionRequest:
+def _base(ctx: RequestContext, kind: str, candidates: Tuple[WireCandidate, ...],
+          template_id: str) -> DecisionRequest:
     return DecisionRequest(
         version=PROTOCOL_VERSION, kind=kind, session_id=ctx.session_id, step=ctx.step,
-        goal_text=ctx.goal_text,
-        pose=(obs.pose.x, obs.pose.y, math.degrees(obs.pose.heading)),
-        rays=_wire_rays(obs), candidates=candidates, memory_text=ctx.memory_text,
-        constraints=ctx.constraints, template_id=template_id,
+        goal_text=ctx.goal_text, pose=ctx.pose, rays=ctx.rays, candidates=candidates,
+        memory_text=ctx.memory_text, constraints=ctx.constraints, template_id=template_id,
     )
 
 
-def make_filter_request(ctx: RequestContext, obs: Observation,
-                        candidates: CandidateSet) -> DecisionRequest:
-    return _base(ctx, obs, FILTER, _wire_candidates(candidates), TEMPLATES["filter"])
+def make_filter_request(ctx: RequestContext, candidates: CandidateSet) -> DecisionRequest:
+    return _base(ctx, FILTER, _wire_candidates(candidates), TEMPLATES["filter"])
 
 
-def make_score_request(ctx: RequestContext, obs: Observation, candidates: CandidateSet,
+def make_score_request(ctx: RequestContext, candidates: CandidateSet,
                        template_id: str) -> DecisionRequest:
-    return _base(ctx, obs, SCORE, _wire_candidates(candidates), template_id)
+    return _base(ctx, SCORE, _wire_candidates(candidates), template_id)
 
 
-def make_stop_request(ctx: RequestContext, obs: Observation) -> DecisionRequest:
+def make_stop_request(ctx: RequestContext) -> DecisionRequest:
     # stop confidence is judged on the raw observation: no candidates attached
-    return _base(ctx, obs, STOP_CHECK, (), TEMPLATES["stop"])
+    return _base(ctx, STOP_CHECK, (), TEMPLATES["stop"])

@@ -25,10 +25,6 @@ class GenerationFailed(DynavError):
     """Procedural world generation could not satisfy the request."""
 
 
-class EmptyBoundary(DynavError):
-    """No traversable ray remains; the caller should rotate in place."""
-
-
 class EmptyName(DynavError):
     """Graph node names must be non-empty."""
 

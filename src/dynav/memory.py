@@ -26,7 +26,8 @@ GRAPH_FORMAT = "dynav-graph/1"
 
 # a located node clause of render_text: "chair_2 (red, wooden) at (3.0, 1.5)"
 _LOCATED = re.compile(
-    r"(?P<name>[\w\- ]+?)(?: \((?P<attrs>[^)]*)\))? at \((?P<x>-?\d+(?:\.\d+)?), (?P<y>-?\d+(?:\.\d+)?)\)")
+    r"(?P<name>.+?)(?: \((?P<attrs>[^)]*)\))? at \((?P<x>-?\d+(?:\.\d+)?), (?P<y>-?\d+(?:\.\d+)?)\)",
+    re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -207,10 +208,14 @@ class MemoryGraph:
     @staticmethod
     def located_clauses(text: str) -> Iterator[Tuple[str, Tuple[str, ...], Tuple[float, float]]]:
         """(name, attributes, location) of each located node clause of a
-        ``render_text`` listing; unlocated nodes and edges yield nothing."""
-        for m in _LOCATED.finditer(text):
-            attrs = tuple(a.strip() for a in (m.group("attrs") or "").split(",") if a.strip())
-            yield m.group("name").strip(), attrs, (float(m.group("x")), float(m.group("y")))
+        ``render_text`` listing; unlocated nodes and edges yield nothing.
+        Clauses are split on render_text's ". " separator, so a name may hold
+        any other character."""
+        for clause in text.removesuffix(".").split(". "):
+            m = _LOCATED.fullmatch(clause)
+            if m:
+                attrs = tuple(a.strip() for a in (m.group("attrs") or "").split(",") if a.strip())
+                yield m.group("name"), attrs, (float(m.group("x")), float(m.group("y")))
 
     # -- equality (for tests and merge laws; version excluded) ---------------
 

@@ -187,6 +187,5 @@ def success(world: WorldMap, pose: Pose, goal: GoalSpec, obs: Optional[Observati
         if obs is None:
             return False
         names = {o.name for o in matching}
-        return any(r.hit is not None and r.hit.kind == "object" and r.hit.name in names
-                   for r in obs.rays)
+        return any(r.label in names for r in obs.rays)
     return True

@@ -5,7 +5,7 @@ boundary and samples candidates, lets the backend filter them, then makes two
 logical backend calls: one scoring the annotated candidates and one judging
 stop confidence on the raw observation.  Stop requires the confidence to
 exceed the threshold on two consecutive steps.  Backend failures and empty
-boundaries degrade to a rotation in place.
+candidate sets degrade to a rotation in place.
 """
 from __future__ import annotations
 
@@ -19,8 +19,8 @@ from typing import Dict, Optional, Sequence, Tuple
 from . import proposer
 from .backends import protocol
 from .backends.protocol import (RequestContext, TEMPLATES, make_score_request,
-                                make_stop_request)
-from .errors import BackendUnavailable, EmptyBoundary, NoEscape
+                                make_stop_request, request_context)
+from .errors import BackendUnavailable, NoEscape
 from .geometry import AgentBody, PolarAction, Pose
 from .goals import GoalSpec, INSTANCE
 from .memory import MemoryGraph, SemanticFilter
@@ -90,17 +90,17 @@ def propose(ctx: RequestContext, obs: Observation, traversability: Sequence[bool
             backend, cfg) -> CandidateSet:
     """Boundary, far-first sampling, then backend filtering.
 
-    ``cfg`` supplies alpha, theta_delta, and r_min.  Raises EmptyBoundary when
-    no ray is traversable.  An empty initial set skips the filter call; on
-    backend failure the unfiltered set is returned unchanged and the score
-    call decides how to degrade.
+    ``cfg`` supplies alpha, theta_delta, and r_min.  An empty initial set,
+    as an observation without a traversable ray gives, skips the filter
+    call; on backend failure the unfiltered set is returned unchanged and
+    the score call decides how to degrade.
     """
     points = boundary(obs, traversability)
     initial = proposer.sample_initial(points, cfg.alpha, cfg.theta_delta, cfg.r_min)
     if not initial.candidates:
         return initial
     try:
-        resp = backend.decide(protocol.make_filter_request(ctx, obs, initial))
+        resp = backend.decide(protocol.make_filter_request(ctx, initial))
     except BackendUnavailable:
         log.warning("filter backend unavailable; keeping unfiltered candidates")
         return initial
@@ -109,9 +109,8 @@ def propose(ctx: RequestContext, obs: Observation, traversability: Sequence[bool
                                  obs.fov, ray_gap)
 
 
-def select_action(ctx: RequestContext, obs: Observation, candidates: CandidateSet,
-                  template_id: str, backend, cfg,
-                  stop_streak: int) -> Tuple[StepDecision, Tuple]:
+def select_action(ctx: RequestContext, candidates: CandidateSet, template_id: str,
+                  backend, cfg, stop_streak: int) -> Tuple[StepDecision, Tuple]:
     """Score candidates, update the stop streak, and choose the action.
 
     Returns the decision plus any memory operations the backend emitted.  The
@@ -124,13 +123,12 @@ def select_action(ctx: RequestContext, obs: Observation, candidates: CandidateSe
     scores: Dict[int, float] = {}
     try:
         if candidates.candidates:
-            score_resp = backend.decide(
-                make_score_request(ctx, obs, candidates, template_id))
+            score_resp = backend.decide(make_score_request(ctx, candidates, template_id))
             scores = dict(score_resp.scores)
             memory_ops = score_resp.memory_ops
-        stop_resp = backend.decide(make_stop_request(ctx, obs))
+        stop_resp = backend.decide(make_stop_request(ctx))
     except BackendUnavailable as e:
-        log.warning("backend unavailable at step %d: %s", obs.step, e)
+        log.warning("backend unavailable at step %d: %s", ctx.step, e)
         return _fallback(cfg.theta_delta, stop_streak, failed=True), ()
 
     for c in candidates.candidates:
@@ -178,20 +176,10 @@ def step(state: AgentState, world, mem: Optional[MemoryGraph], goal: GoalSpec,
     body = AgentBody(radius=cfg.agent_radius, max_sense=cfg.d_max)
     obs = sense(world, state.pose, body, cfg.n_rays, fov=cfg.fov, step=state.step_index)
     mask = traversability_mask(obs, cfg.epsilon_mask, rng)
-    ctx = RequestContext(session_id=session_id, step=state.step_index,
-                         goal_text=goal.text, memory_text=memory_excerpt(mem, goal, cfg),
-                         constraints=constraints)
-    try:
-        candidates = propose(ctx, obs, mask, backend, cfg)
-    except EmptyBoundary:
-        decision = _fallback(cfg.theta_delta, state.stop_streak)
-        motion = execute(world, state.pose, body, decision.chosen)
-        new_state = AgentState(motion.new_pose, state.step_index + 1, decision.stop_streak)
-        return StepOutcome(new_state, decision, obs,
-                           CandidateSet((), cfg.alpha, cfg.theta_delta),
-                           (motion.new_pose,), 0.0, False)
-
-    decision, memory_ops = select_action(ctx, obs, candidates, TEMPLATES[goal.kind],
+    ctx = request_context(obs, session_id, goal.text, memory_excerpt(mem, goal, cfg),
+                          constraints)
+    candidates = propose(ctx, obs, mask, backend, cfg)
+    decision, memory_ops = select_action(ctx, candidates, TEMPLATES[goal.kind],
                                          backend, cfg, state.stop_streak)
     if mem is not None and cfg.memory_enabled and memory_ops:
         apply_memory_ops(mem, memory_ops, step_index=state.step_index, agent=session_id)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence, Tuple
 
-from .errors import EmptyBoundary
 from .geometry import TWO_PI, angular_distance
 from .sensing import Observation
 
@@ -68,15 +67,14 @@ def boundary(obs: Observation, traversability: Sequence[bool]) -> List[BoundaryP
 
     The first non-traversable surface terminates the contiguous extent, which
     is exactly what the ray depth measures; rays masked non-traversable are
-    omitted entirely.  Raises EmptyBoundary when nothing remains.
+    omitted entirely, so an observation without a traversable ray has an
+    empty boundary.
     """
     if len(traversability) != obs.n_rays:
         raise ValueError("mask length must equal the ray count")
-    points = [BoundaryPoint(depth, theta)
-              for (theta, depth, _), ok in zip(obs.rays, traversability) if ok and depth > 0.0]
-    if not points:
-        raise EmptyBoundary("no traversable ray in this observation")
-    return points
+    return [BoundaryPoint(depth, theta)
+            for (theta, depth, _, _, _), ok in zip(obs.rays, traversability)
+            if ok and depth > 0.0]
 
 
 def sample_initial(points: Sequence[BoundaryPoint], alpha: float, theta_delta: float,

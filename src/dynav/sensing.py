@@ -23,28 +23,20 @@ DEFAULT_FOV = math.radians(131.0)
 _TIE = 1e-12
 
 
-@dataclass(frozen=True)
-class Hit:
-    """What a ray struck: a wall cell or a semantic object."""
-
-    kind: str  # "wall" or "object"
-    name: str = ""
-    category: str = ""
-    attributes: Tuple[str, ...] = ()
-    tags: frozenset = frozenset()
-
-    @property
-    def label(self) -> str:
-        return "wall" if self.kind == "wall" else self.name
-
-
-WALL_HIT = Hit(kind="wall")
-
-
 class Ray(NamedTuple):
+    """One ray of the fan, as every consumer of the observation sees it.
+
+    ``label`` is ``"wall"`` for an obstacle cell, the object's name for an
+    object disc (no object may be named ``"wall"``) and None when nothing lies
+    within range; ``attributes`` and ``tags`` are the hit object's, tags
+    sorted, and empty otherwise.
+    """
+
     theta: float          # relative to agent heading, radians
     depth: float          # meters, capped at the sensing range
-    hit: Optional[Hit]    # None when nothing lies within range
+    label: Optional[str]
+    attributes: Tuple[str, ...] = ()
+    tags: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -57,21 +49,6 @@ class Observation:
     @property
     def n_rays(self) -> int:
         return len(self.rays)
-
-    def to_dict(self) -> dict:
-        return {
-            "pose": self.pose.to_dict(),
-            "fov_deg": math.degrees(self.fov),
-            "step": self.step,
-            "rays": [
-                {
-                    "theta_deg": math.degrees(r.theta),
-                    "depth": r.depth,
-                    "label": r.hit.label if r.hit else None,
-                }
-                for r in self.rays
-            ],
-        }
 
 
 def _grid_raycast(cells: bytes, stride: int, res: float, x0: float, y0: float,
@@ -175,16 +152,15 @@ def sense(world: WorldMap, pose: Pose, body: AgentBody, n_rays: int,
     cells = world.framed_cells()
     stride = world.width_cells + 2
     res = world.resolution
-    hits = [Hit(kind="object", name=o.name, category=o.category,
-                attributes=o.attributes, tags=o.tags) for o in world.objects]
+    hits = [(o.name, o.attributes, tuple(sorted(o.tags))) for o in world.objects]
     rays: List[Ray] = []
     for theta, dx, dy, t_obj, obj_i in zip(thetas, dxs, dys, t_objs, obj_is):
         # a wall only matters up to the object the ray already hits
         t_wall = _grid_raycast(cells, stride, res, pose.x, pose.y, dx, dy, min(d_max, t_obj))
         if obj_i >= 0 and t_obj <= t_wall:
-            rays.append(Ray(normalize_angle(theta), t_obj, hits[obj_i]))
+            rays.append(Ray(normalize_angle(theta), t_obj, *hits[obj_i]))
         elif t_wall <= d_max:
-            rays.append(Ray(normalize_angle(theta), t_wall, WALL_HIT))
+            rays.append(Ray(normalize_angle(theta), t_wall, "wall"))
         else:
             rays.append(Ray(normalize_angle(theta), d_max, None))
     return Observation(pose=pose, rays=tuple(rays), fov=fov, step=step)

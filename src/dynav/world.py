@@ -42,6 +42,9 @@ class SemanticObject:
     def __post_init__(self):
         if not self.name:
             raise ValueError("object name must be non-empty")
+        if self.name == "wall":
+            # a ray that hits this object would be reported like a wall cell
+            raise ValueError('object name "wall" is reserved for walls')
         if not 0.0 < self.radius < math.inf:
             raise ValueError(f"object radius must be positive and finite, not {self.radius}")
         if not (len(self.center) == 2 and all(map(math.isfinite, self.center))):

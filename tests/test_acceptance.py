@@ -25,8 +25,8 @@ from dynav.backends.protocol import (
     STOP_CHECK,
     TEMPLATES,
     DecisionResponse,
-    RequestContext,
     make_score_request,
+    request_context,
 )
 from dynav.backends.stub import StubServer
 from dynav.config import RunConfig
@@ -402,7 +402,7 @@ def test_6_stop_rule_exhaustive_truth_table():
     obs = sense(world, Pose(5.0, 4.0, 0.0), AgentBody(), n_rays=11)
     cset = CandidateSet((Candidate(1, 2.0, 0.0),), alpha=0.8,
                         theta_delta=math.radians(15.0))
-    ctx = RequestContext(session_id="adhoc", step=obs.step, goal_text="chair")
+    ctx = request_context(obs, session_id="adhoc", goal_text="chair")
     problems = []
     for length in range(1, 5):
         for seq in itertools.product((0.0, tau, tau + eps), repeat=length):
@@ -411,7 +411,7 @@ def test_6_stop_rule_exhaustive_truth_table():
             backend = _StopScript(seq)
             streak, got = 0, None
             for i in range(length):
-                decision, _ = select_action(ctx, obs, cset, TEMPLATES["name"],
+                decision, _ = select_action(ctx, cset, TEMPLATES["name"],
                                             backend, cfg, streak)
                 streak = decision.stop_streak
                 if decision.chosen.stop:
@@ -474,10 +474,10 @@ def _plant_request():
     world = empty_world(10.0, 8.0, objects=[plant])
     obs = sense(world, Pose(5.0, 4.0, 0.0), AgentBody(), n_rays=3,
                 fov=math.radians(131.0), step=2)
-    ctx = RequestContext(session_id="golden", step=2, goal_text="plant")
+    ctx = request_context(obs, session_id="golden", goal_text="plant")
     cset = CandidateSet((Candidate(1, 2.16, 0.0),), alpha=0.8,
                         theta_delta=math.radians(15.0))
-    return make_score_request(ctx, obs, cset, TEMPLATES["name"])
+    return make_score_request(ctx, cset, TEMPLATES["name"])
 
 
 def test_8_wire_protocol_conformance():
@@ -589,8 +589,8 @@ def test_9_hazard_candidates_always_filtered():
         obs = sense(world, pose, body, n_rays=cfg.n_rays, fov=cfg.fov, step=i)
         initial = sample_initial(boundary(obs, [True] * obs.n_rays),
                                  cfg.alpha, cfg.theta_delta, cfg.r_min)
-        ctx = RequestContext(session_id="adhoc", step=i, goal_text="",
-                             constraints=constraints)
+        ctx = request_context(obs, session_id="adhoc", goal_text="",
+                              constraints=constraints)
         final = propose(ctx, obs, [True] * obs.n_rays, backend, cfg)
         removed_total += len(initial.candidates) - len(final.candidates)
         for c in final.candidates:

@@ -24,7 +24,6 @@ from dynav.backends.protocol import (
     DecisionRequest,
     DecisionResponse,
     MemoryOp,
-    RequestContext,
     WireCandidate,
     WireRay,
     encode_request,
@@ -32,6 +31,7 @@ from dynav.backends.protocol import (
     make_score_request,
     make_stop_request,
     parse_response,
+    request_context,
 )
 from dynav.backends import remote
 from dynav.backends.remote import BackendConfig, RemoteBackend
@@ -67,11 +67,11 @@ def ok_body(**extra):
 
 
 def test_score_request_golden(plant_world, body):
-    obs = sense(plant_world, make_pose(5.0, 4.0, 0.0), body, n_rays=3)
+    obs = sense(plant_world, make_pose(5.0, 4.0, 0.0), body, n_rays=3, step=4)
     cands = CandidateSet((Candidate(1, 2.16, 0.0),), alpha=0.8, theta_delta=math.radians(15))
-    ctx = RequestContext(session_id="ep1", step=4, goal_text="plant",
-                         memory_text="plant_1 at (8.0, 4.0)", constraints=("keep right",))
-    d = make_score_request(ctx, obs, cands, "goal-name/1").to_dict()
+    ctx = request_context(obs, session_id="ep1", goal_text="plant",
+                          memory_text="plant_1 at (8.0, 4.0)", constraints=("keep right",))
+    d = make_score_request(ctx, cands, "goal-name/1").to_dict()
     assert d["version"] == "dynav/1"
     assert d["kind"] == "score"
     assert d["session_id"] == "ep1" and d["step"] == 4
@@ -93,39 +93,31 @@ def test_score_request_golden(plant_world, body):
 def test_stop_requests_have_no_candidates(plant_world, body):
     obs = sense(plant_world, make_pose(5.0, 4.0, 0.0), body, n_rays=3)
     cands = CandidateSet((Candidate(1, 2.0, 0.0),), 0.8, 0.1)
-    ctx = RequestContext(session_id="s", step=0, goal_text="plant")
-    stop = make_stop_request(ctx, obs)
-    filt = make_filter_request(ctx, obs, cands)
+    ctx = request_context(obs, session_id="s", goal_text="plant")
+    stop = make_stop_request(ctx)
+    filt = make_filter_request(ctx, cands)
     assert stop.kind == STOP_CHECK and "candidates" not in stop.to_dict()
     assert filt.kind == FILTER and filt.to_dict()["candidates"]
     assert stop.template_id == "stop-check/1"
-    # the requests of one observation share one wire form of its rays
-    assert stop.rays is filt.rays
+    # the requests of one context share one wire form of its rays
+    assert stop.rays is filt.rays is ctx.rays
 
 
 def test_wire_rays_match_a_per_ray_conversion(cluttered_world, body):
     obs = sense(cluttered_world, make_pose(7.5, 5.0, 0.0), body, n_rays=61)
-    hit_kinds = {r.hit.kind if r.hit else None for r in obs.rays}
-    assert hit_kinds == {"object", "wall"}
-    ctx = RequestContext(session_id="s", step=0, goal_text="chair")
-    rays = make_stop_request(ctx, obs).rays
+    assert any(r.attributes for r in obs.rays) and any(r.label == "wall" for r in obs.rays)
+    rays = request_context(obs, session_id="s", goal_text="chair").rays
     assert len(rays) == obs.n_rays
     for wire, r in zip(rays, obs.rays):
-        assert wire.theta_deg == math.degrees(r.theta) and wire.distance_m == r.depth
-        assert wire.label == r.hit.label
-        if r.hit.kind == "object":
-            assert wire.attributes == r.hit.attributes
-            assert wire.tags == tuple(sorted(r.hit.tags))
-        else:
-            assert wire.attributes == () and wire.tags == ()
+        assert wire == (math.degrees(r.theta), r.depth, r.label, r.attributes, r.tags)
 
 
 def test_request_dict_round_trip(plant_world, body):
-    obs = sense(plant_world, make_pose(5.0, 4.0, 20.0), body, n_rays=5)
+    obs = sense(plant_world, make_pose(5.0, 4.0, 20.0), body, n_rays=5, step=7)
     cands = CandidateSet((Candidate(1, 2.0, 0.1), Candidate(2, 3.0, 0.4)), 0.8, 0.2)
-    ctx = RequestContext(session_id="rt", step=7, goal_text="plant (green)",
-                         memory_text="m", constraints=("c1", "c2"))
-    req = make_score_request(ctx, obs, cands, "goal-description/1")
+    ctx = request_context(obs, session_id="rt", goal_text="plant (green)",
+                          memory_text="m", constraints=("c1", "c2"))
+    req = make_score_request(ctx, cands, "goal-description/1")
     again = DecisionRequest.from_dict(json.loads(json.dumps(req.to_dict())))
     assert again == req
 
@@ -597,13 +589,13 @@ def dumped(req) -> bytes:
 
 @pytest.mark.parametrize("kind", [FILTER, SCORE, STOP_CHECK])
 def test_encode_request_matches_json_dumps(kind, cluttered_world, body):
-    obs = sense(cluttered_world, make_pose(7.5, 5.0, -0.0), body, n_rays=61)
-    ctx = RequestContext(session_id="sé", step=3, goal_text="chair \"red\"",
-                         memory_text="chair_1 at (9.0, 5.0).", constraints=("keep right",))
+    obs = sense(cluttered_world, make_pose(7.5, 5.0, -0.0), body, n_rays=61, step=3)
+    ctx = request_context(obs, session_id="sé", goal_text="chair \"red\"",
+                          memory_text="chair_1 at (9.0, 5.0).", constraints=("keep right",))
     cands = CandidateSet((Candidate(1, 2.0, 0.1), Candidate(2, 1.5, -0.4)), 0.8, 0.2)
-    req = {FILTER: lambda: make_filter_request(ctx, obs, cands),
-           SCORE: lambda: make_score_request(ctx, obs, cands, "goal-name/1"),
-           STOP_CHECK: lambda: make_stop_request(ctx, obs)}[kind]()
+    req = {FILTER: lambda: make_filter_request(ctx, cands),
+           SCORE: lambda: make_score_request(ctx, cands, "goal-name/1"),
+           STOP_CHECK: lambda: make_stop_request(ctx)}[kind]()
     assert encode_request(req) == dumped(req)
     assert encode_request(make_req(kind)) == dumped(make_req(kind))
 
@@ -631,7 +623,7 @@ def test_request_dict_round_trip_of_a_real_step(cluttered_world):
 
 
 @pytest.mark.parametrize("record", [
-    Ray(0.1, 2.0, None), BoundaryPoint(2.0, 0.1),
+    Ray(0.1, 2.0, "chair_1", ("red",), ("hazard",)), BoundaryPoint(2.0, 0.1),
     WireRay(5.0, 2.0, "chair_1", ("red",), ("hazard",)), WireCandidate(1, 2.0, 5.0)],
     ids=lambda record: type(record).__name__)
 def test_per_ray_records_are_immutable(record):

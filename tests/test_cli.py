@@ -311,6 +311,15 @@ def test_run_rejects_a_bad_episode_record_before_running(tmp_path, episode_file,
     assert not (tmp_path / "out").exists()
 
 
+def test_run_refuses_an_object_named_wall(tmp_path, episode_file, capsys):
+    world = json.loads((tmp_path / "world.json").read_text())
+    world["objects"][0]["name"] = "wall"
+    (tmp_path / "world.json").write_text(json.dumps(world))
+    assert main(["run", "--episodes", str(episode_file), "--out", str(tmp_path / "out")]) == 1
+    assert '"wall" is reserved' in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_worldgen_writes_loadable_world(tmp_path, capsys):
     out = tmp_path / "w.json"
     assert main(["worldgen", "--out", str(out), "--seed", "3"]) == 0

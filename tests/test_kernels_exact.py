@@ -22,7 +22,7 @@ from scipy.spatial import cKDTree
 from dynav.errors import NoEscape
 from dynav.geometry import AgentBody, PolarAction, Pose, normalize_angle
 from dynav.motion import execute, reactive_avoid
-from dynav.sensing import DEFAULT_FOV, WALL_HIT, Hit, Observation, Ray, sense
+from dynav.sensing import DEFAULT_FOV, Observation, Ray, sense
 from dynav.world import OBSTACLE, SemanticObject, WorldMap
 from dynav.worldgen import WorldGenSpec, generate_world
 
@@ -108,11 +108,10 @@ def ref_sense(world, pose, body, n_rays, fov=DEFAULT_FOV, step=0):
         t_obj, obj_i = ref_object_raycast(world, pose.x, pose.y, dx, dy, d_max)
         if obj_i is not None and t_obj <= t_wall:
             o = world.objects[obj_i]
-            hit = Hit(kind="object", name=o.name, category=o.category,
-                      attributes=o.attributes, tags=o.tags)
-            rays.append(Ray(normalize_angle(theta), t_obj, hit))
+            rays.append(Ray(normalize_angle(theta), t_obj, o.name, o.attributes,
+                            tuple(sorted(o.tags))))
         elif t_wall <= d_max:
-            rays.append(Ray(normalize_angle(theta), t_wall, WALL_HIT))
+            rays.append(Ray(normalize_angle(theta), t_wall, "wall"))
         else:
             rays.append(Ray(normalize_angle(theta), d_max, None))
     return Observation(pose=pose, rays=tuple(rays), fov=fov, step=step)
@@ -206,7 +205,7 @@ def bits(*values):
 
 
 def ray_bits(obs):
-    return [(bits(r.theta, r.depth), r.hit) for r in obs.rays]
+    return [(bits(r.theta, r.depth), r[2:]) for r in obs.rays]
 
 
 @pytest.fixture(scope="module")

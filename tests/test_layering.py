@@ -1,6 +1,6 @@
 """Module layering: the proposer is pure geometry and never reaches a backend,
-the clearance kernels stay inside the world module, and the package runs on
-numpy alone.
+the clearance kernels stay inside the world module, the package runs on
+numpy alone, and no code writes into a frozen record it did not build.
 
 ``dynav.backends.protocol`` imports ``dynav.proposer`` for ``CandidateSet``;
 an import in the other direction, even one deferred into a function, would
@@ -131,3 +131,25 @@ def test_exact_clearance_ties_leave_scipy_out(tmp_path):
         "    world.clearance_with_nearest(*world.cell_center(29, iy))\n"
         "print('scipy' in sys.modules)", tmp_path)
     assert out == "False"
+
+
+def foreign_setattrs(source: str):
+    """Line of every ``object.__setattr__`` call whose target is not ``self``."""
+    return [n.lineno for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr == "__setattr__"
+            and isinstance(n.func.value, ast.Name) and n.func.value.id == "object"
+            and not (n.args and isinstance(n.args[0], ast.Name) and n.args[0].id == "self")]
+
+
+def test_foreign_setattrs_skips_a_records_own_set_up():
+    assert foreign_setattrs("object.__setattr__(self, 'x', 1)\n"
+                            "object.__setattr__(obs, 'y', 2)\n") == [2]
+
+
+def test_frozen_records_are_only_set_up_by_themselves():
+    """A frozen record may finish its own ``__post_init__``; no other code
+    writes into one, so a value once built is the value every reader sees."""
+    found = [(str(path.relative_to(SRC)), line)
+             for path in sorted(SRC.rglob("*.py")) for line in foreign_setattrs(path.read_text())]
+    assert found == []

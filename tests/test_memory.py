@@ -4,7 +4,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynav.errors import EmptyName, SchemaViolation, SelfLoop
@@ -196,7 +196,8 @@ def test_render_text_content_and_budget():
     assert g.render_text(budget=2) == short  # stable
 
 
-clause_names = st.from_regex(r"[a-z][a-z0-9_\-]{0,8}", fullmatch=True)
+# dots inside a name are fine; one ending a name would read as the ". " separator
+clause_names = st.from_regex(r"[a-z](?:[a-z0-9_.\-]{0,7}[a-z0-9_\-])?", fullmatch=True)
 coordinates = st.floats(-1e3, 1e3, allow_nan=False)
 
 
@@ -206,6 +207,7 @@ coordinates = st.floats(-1e3, 1e3, allow_nan=False)
            st.one_of(st.none(), st.tuples(coordinates, coordinates))), max_size=6),
        edges=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.sampled_from(RELS)),
                       max_size=8))
+@example(nodes={"tv.stand": ({"black"}, (1.0, 2.0)), "sofa": (set(), (3.0, 1.0))}, edges=[])
 def test_render_then_parse_recovers_every_located_node(nodes, edges):
     g = MemoryGraph()
     for step, (name, (attrs, loc)) in enumerate(sorted(nodes.items())):

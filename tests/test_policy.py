@@ -1,5 +1,6 @@
 """Step policy: scoring, the two-consecutive-step stop rule, and fallbacks."""
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +12,8 @@ from dynav.backends.protocol import (
     STOP_CHECK,
     DecisionResponse,
     MemoryOp,
-    RequestContext,
     TEMPLATES,
+    request_context,
 )
 from dynav.config import RunConfig
 from dynav.errors import BackendUnavailable
@@ -61,12 +62,13 @@ class Scripted:
         return DecisionResponse(kind=req.kind)
 
 
-CTX = RequestContext(session_id="s", step=0, goal_text="chair")
+def ctx_of(obs):
+    return request_context(obs, session_id="s", goal_text="chair")
 
 
 def select_with(candidates, obs, backend, cfg, streak):
     cset = CandidateSet(tuple(candidates), alpha=0.8, theta_delta=math.radians(15.0))
-    return select_action(CTX, obs, cset, TEMPLATES["name"], backend, cfg, streak)
+    return select_action(ctx_of(obs), cset, TEMPLATES["name"], backend, cfg, streak)
 
 
 @pytest.fixture
@@ -213,7 +215,7 @@ class ScriptedFilter:
 def test_propose_pipeline(box_world, body, run_cfg):
     obs = sense(box_world, make_pose(5.0, 4.0, 0.0), body, n_rays=21)
     backend = ScriptedFilter(removals=[1])
-    out = propose(CTX, obs, [True] * 21, backend, run_cfg)
+    out = propose(ctx_of(obs), obs, [True] * 21, backend, run_cfg)
     assert 1 not in out.ids()
     req = backend.requests[0]
     assert req.kind == FILTER
@@ -224,7 +226,7 @@ def test_propose_pipeline(box_world, body, run_cfg):
 
 def test_propose_survives_backend_outage(box_world, body, run_cfg):
     obs = sense(box_world, make_pose(5.0, 4.0, 0.0), body, n_rays=21)
-    out = propose(CTX, obs, [True] * 21, ScriptedFilter(fail=True), run_cfg)
+    out = propose(ctx_of(obs), obs, [True] * 21, ScriptedFilter(fail=True), run_cfg)
     ref = sample_initial(boundary(obs, [True] * 21), run_cfg.alpha, run_cfg.theta_delta,
                          run_cfg.r_min)
     assert out == ref
@@ -232,7 +234,8 @@ def test_propose_survives_backend_outage(box_world, body, run_cfg):
 
 def test_step_requests_share_one_context(box_world):
     """Filter, score and stop requests of a step carry one identity, with the
-    goal's template, the memory excerpt and the constraints."""
+    goal's template, the memory excerpt and the constraints, and one rays
+    tuple."""
     cfg = RunConfig(n_rays=31)
     mem = MemoryGraph()
     mem.add_node("chair_9", [], (3.0, 3.0), step=1)
@@ -250,6 +253,23 @@ def test_step_requests_share_one_context(box_world):
     assert {(r.session_id, r.step, r.goal_text, r.memory_text, r.constraints)
             for r in seen} == {("ep1", 7, "chair", "chair_9 at (3.0, 3.0).", ("keep right",))}
     assert seen[1].template_id == "goal-name/1"
+    assert seen[0].rays is seen[1].rays is seen[2].rays
+
+
+def test_step_without_traversable_ray_checks_stop_and_rotates(box_world):
+    """An empty boundary is an empty candidate set: one stop check, no filter
+    or score request, and a rotation by theta_delta."""
+    cfg = RunConfig(n_rays=31, epsilon_mask=1.0)
+    backend = Scripted(stops=[0.5])
+    state = AgentState(pose=make_pose(5.0, 4.0, 0.0))
+    out = step(state, box_world, None, GoalSpec.name_goal("chair"), backend, cfg,
+               rng=random.Random(0))
+    assert backend.kinds == [STOP_CHECK]
+    assert len(out.candidates) == 0
+    assert out.decision.fallback and out.decision.s_stop == 0.5
+    assert out.decision.chosen == PolarAction(0.0, cfg.theta_delta)
+    assert out.state.pose.heading == pytest.approx(cfg.theta_delta)
+    assert (out.state.pose.x, out.state.pose.y) == (5.0, 4.0)
 
 
 # -- full step cycle -------------------------------------------------------------

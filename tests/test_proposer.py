@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynav.errors import EmptyBoundary
 from dynav.geometry import angular_distance
 from dynav.proposer import (
     BoundaryPoint,
@@ -161,8 +160,7 @@ def test_boundary_masking(box_world, body):
 
     pts = boundary(obs, [True, False, True, False, True])
     assert len(pts) == 3
-    with pytest.raises(EmptyBoundary):
-        boundary(obs, [False] * 5)
+    assert boundary(obs, [False] * 5) == []
     with pytest.raises(ValueError):
         boundary(obs, [True] * 4)
 

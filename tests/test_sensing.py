@@ -55,16 +55,13 @@ def test_frozen_depths(box_world, plant_world, body):
     center = obs.rays[30]
     assert center.theta == pytest.approx(0.0, abs=1e-12)
     assert center.depth == pytest.approx(4.9, abs=1e-9)
-    assert center.hit is not None and center.hit.label == "wall"
+    assert center[2:] == ("wall", (), ())
 
     # plant disc center (8, 4) radius 0.3 dead ahead: 3.0 - 0.3
     obs = sense(plant_world, make_pose(5.0, 4.0, 0.0), body, n_rays=61)
     center = obs.rays[30]
     assert center.depth == pytest.approx(2.7, abs=1e-9)
-    assert center.hit is not None
-    assert center.hit.label == "plant_1"
-    assert center.hit.category == "plant"
-    assert center.hit.attributes == ("green",)
+    assert center[2:] == ("plant_1", ("green",), ())
 
     # facing +y: wall face at y = 7.9
     obs = sense(box_world, make_pose(5.0, 4.0, 90.0), body, n_rays=61)
@@ -76,7 +73,7 @@ def test_out_of_range_reports_no_hit(body):
     obs = sense(world, make_pose(2.0, 4.0, 0.0), body, n_rays=5)
     center = obs.rays[2]
     assert center.depth == body.max_sense
-    assert center.hit is None
+    assert center[2:] == (None, (), ())
 
 
 def test_ray_fan_geometry(box_world, body):
@@ -90,12 +87,13 @@ def test_ray_fan_geometry(box_world, body):
 
 
 def test_occlusion_orders_by_depth(body):
-    near = SemanticObject(name="near", category="chair", center=(3.0, 4.0), radius=0.3)
+    near = SemanticObject(name="near", category="chair", center=(3.0, 4.0), radius=0.3,
+                          tags={"hazard", "fragile"})
     far = SemanticObject(name="far", category="chair", center=(6.0, 4.0), radius=0.3)
     world = empty_world(10.0, 8.0, objects=[near, far])
     obs = sense(world, make_pose(1.0, 4.0, 0.0), body, n_rays=3)
     center = obs.rays[1]
-    assert center.hit is not None and center.hit.name == "near"
+    assert center[2:] == ("near", (), ("fragile", "hazard"))  # tags sorted
     assert center.depth == pytest.approx(1.7, abs=1e-9)
 
 
@@ -109,7 +107,7 @@ def test_wall_occludes_object(body):
     world = WorldMap(grid, world.resolution, [hidden])
     obs = sense(world, make_pose(2.0, 4.0, 0.0), body, n_rays=3)
     center = obs.rays[1]
-    assert center.hit is not None and center.hit.label == "wall"
+    assert center.label == "wall"
     assert center.depth == pytest.approx(3.0, abs=1e-9)
 
 
@@ -118,16 +116,6 @@ def test_sense_validates_inputs(box_world, body):
         sense(box_world, make_pose(5.0, 4.0), body, n_rays=1)
     with pytest.raises(PoseOutOfBounds):
         sense(box_world, make_pose(-1.0, 4.0), body, n_rays=5)
-
-
-def test_observation_to_dict(plant_world, body):
-    obs = sense(plant_world, make_pose(5.0, 4.0, 0.0), body, n_rays=3, step=7)
-    d = obs.to_dict()
-    assert d["step"] == 7
-    assert d["fov_deg"] == pytest.approx(math.degrees(DEFAULT_FOV))
-    assert len(d["rays"]) == 3
-    assert d["rays"][1]["label"] == "plant_1"
-    assert d["rays"][1]["theta_deg"] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_traversability_mask(box_world, body):
