@@ -17,8 +17,8 @@ import numpy as np
 
 from ..errors import SchemaViolation, check
 from ..memory import MemoryGraph
-from .protocol import (FILTER, PROTOCOL_VERSION, SCORE, STOP_CHECK, DecisionRequest,
-                       DecisionResponse, MemoryOp, WireRay)
+from .protocol import (FILTER, SCORE, STOP_CHECK, DecisionRequest, DecisionResponse,
+                       MemoryOp, RequestContext, WireRay)
 
 # two objects sighted within this distance of each other get a "next to" edge
 ADJACENCY_M = 1.0
@@ -97,8 +97,6 @@ class OracleBackend:
     # -- plumbing -----------------------------------------------------------
 
     def decide(self, req: DecisionRequest) -> DecisionResponse:
-        if req.version != PROTOCOL_VERSION:
-            raise SchemaViolation(f"bad request version {req.version!r}")
         try:
             if req.kind == FILTER:
                 return self._filter(req)
@@ -110,7 +108,7 @@ class OracleBackend:
             # a ray's label and attributes reach the oracle unchecked (the
             # request parser leaves that per-ray cost out) and fail where they
             # are used: name a mistyped one; with none, the fault is ours
-            for i, ray in enumerate(req.rays):
+            for i, ray in enumerate(req.context.rays):
                 check(ray.label, ray.label is None or type(ray.label) is str,
                       f"ray {i} label must be a string or null")
                 check(ray.attributes, all(type(a) is str for a in ray.attributes),
@@ -119,28 +117,25 @@ class OracleBackend:
         raise SchemaViolation(f"unknown request kind {req.kind!r}")
 
     @staticmethod
-    def _endpoint(req: DecisionRequest, theta_deg: float, dist: float) -> Tuple[float, float]:
+    def _endpoint(pose: tuple, theta_deg: float, dist: float) -> Tuple[float, float]:
         # a ray's numbers reach the oracle unchecked (the request parser
         # passes them through float()); the ones it uses must be finite
         if not (math.isfinite(theta_deg) and math.isfinite(dist)):
             raise SchemaViolation(f"ray theta_deg {theta_deg} and distance_m {dist} "
                                   "must be finite")
-        ang = math.radians(req.pose[2] + theta_deg)
-        return (req.pose[0] + dist * math.cos(ang), req.pose[1] + dist * math.sin(ang))
-
-    @staticmethod
-    def _candidate_xy(req: DecisionRequest, cand) -> Tuple[float, float]:
-        return OracleBackend._endpoint(req, cand.theta_deg, cand.r_m)
+        ang = math.radians(pose[2] + theta_deg)
+        return (pose[0] + dist * math.cos(ang), pose[1] + dist * math.sin(ang))
 
     # -- filter ---------------------------------------------------------------
 
     def _filter(self, req: DecisionRequest) -> DecisionResponse:
+        ctx = req.context
         hazard_groups: Dict[str, List[Tuple[float, float]]] = {}
         gaps: Dict[str, float] = {}
         prev: Dict[str, Tuple[float, float]] = {}
-        for ray in req.rays:
+        for ray in ctx.rays:
             if ray.label and "hazard" in ray.tags:
-                pt = self._endpoint(req, ray.theta_deg, ray.distance_m)
+                pt = self._endpoint(ctx.pose, ray.theta_deg, ray.distance_m)
                 hazard_groups.setdefault(ray.label, []).append(pt)
                 if ray.label in prev:
                     gap = math.dist(prev[ray.label], pt)
@@ -156,17 +151,17 @@ class OracleBackend:
             hazards.append((pts, self.hazard_clearance + pad))
 
         constraint_words = set()
-        for c in req.constraints:
+        for c in ctx.constraints:
             constraint_words |= _tokens(c)
         nearest = self._nearest_rays(req) if constraint_words and req.candidates else None
 
         removals: List[int] = []
         for k, cand in enumerate(req.candidates):
-            cx, cy = self._candidate_xy(req, cand)
+            cx, cy = self._endpoint(ctx.pose, cand.theta_deg, cand.r_m)
             hit = any(min(math.dist((cx, cy), p) for p in pts) <= reach
                       for pts, reach in hazards)
             if not hit and nearest is not None:
-                ray = req.rays[nearest[k]]
+                ray = ctx.rays[nearest[k]]
                 hit = bool(ray.label and ray.label != "wall"
                            and _tokens(ray.label) & constraint_words)
             if hit:
@@ -175,17 +170,18 @@ class OracleBackend:
 
     @staticmethod
     def _nearest_rays(req: DecisionRequest) -> List[int]:
-        """Per candidate, the index that ``min(req.rays, key=lambda r:
+        """Per candidate, the index that ``min(req.context.rays, key=lambda r:
         abs(r.theta_deg - cand.theta_deg))`` picks: the first least difference,
         where a NaN difference never wins unless it is the first ray's.
 
         Raises SchemaViolation when there are no rays, where that ``min``
         raises ValueError.
         """
-        if not req.rays:
+        rays = req.context.rays
+        if not rays:
             raise SchemaViolation("a constrained filter request needs a ray to match "
                                   "each candidate against")
-        thetas = np.array([r.theta_deg for r in req.rays])
+        thetas = np.array([r.theta_deg for r in rays])
         with np.errstate(over="ignore", invalid="ignore"):
             diff = np.abs(thetas - np.array([[c.theta_deg] for c in req.candidates]))
         first_nan = np.isnan(diff[:, 0])
@@ -196,40 +192,41 @@ class OracleBackend:
 
     # -- score ----------------------------------------------------------------
 
-    def _goal_rays(self, req: DecisionRequest) -> List[WireRay]:
-        pattern = parse_goal_text(req.goal_text)
-        return [r for r in req.rays if r.label is not None and r.label != "wall"
+    def _goal_rays(self, ctx: RequestContext) -> List[WireRay]:
+        pattern = parse_goal_text(ctx.goal_text)
+        return [r for r in ctx.rays if r.label is not None and r.label != "wall"
                 and pattern.matches_clause(r.label, r.attributes)]
 
-    def _remembered_target(self, req: DecisionRequest) -> Optional[Tuple[float, float]]:
-        if not req.memory_text:
+    def _remembered_target(self, ctx: RequestContext) -> Optional[Tuple[float, float]]:
+        if not ctx.memory_text:
             return None
-        pattern = parse_goal_text(req.goal_text)
+        pattern = parse_goal_text(ctx.goal_text)
         best = None
         best_d = math.inf
-        for name, attrs, (x, y) in MemoryGraph.located_clauses(req.memory_text):
+        for name, attrs, (x, y) in MemoryGraph.located_clauses(ctx.memory_text):
             if not pattern.matches_clause(name, attrs):
                 continue
-            d = math.hypot(x - req.pose[0], y - req.pose[1])
+            d = math.hypot(x - ctx.pose[0], y - ctx.pose[1])
             if d < best_d:
                 best, best_d = (x, y), d
         return best
 
     def _score(self, req: DecisionRequest) -> DecisionResponse:
+        ctx = req.context
         scores: Dict[int, float] = {}
-        goal_rays = self._goal_rays(req)
+        goal_rays = self._goal_rays(ctx)
         if goal_rays:
             ref = min(goal_rays, key=lambda r: r.distance_m)
             for c in req.candidates:
                 delta = abs(math.radians(c.theta_deg - ref.theta_deg))
                 scores[c.id] = max(0.0, 1.0 - delta / math.pi)
         else:
-            target = self._remembered_target(req)
+            target = self._remembered_target(ctx)
             if target is not None:
-                bearing = math.atan2(target[1] - req.pose[1], target[0] - req.pose[0])
-                rel = bearing - math.radians(req.pose[2])
+                bearing = math.atan2(target[1] - ctx.pose[1], target[0] - ctx.pose[0])
+                rel = bearing - math.radians(ctx.pose[2])
                 rel = (rel + math.pi) % (2 * math.pi) - math.pi
-                d_now = math.hypot(target[0] - req.pose[0], target[1] - req.pose[1])
+                d_now = math.hypot(target[0] - ctx.pose[0], target[1] - ctx.pose[1])
                 for c in req.candidates:
                     delta = abs((math.radians(c.theta_deg) - rel + math.pi) % (2 * math.pi) - math.pi)
                     direction = 1.0 - delta / math.pi
@@ -244,7 +241,7 @@ class OracleBackend:
                     reach = min(c.r_m, d_now) / self.r_scale
                     scores[c.id] = min(1.0, 0.7 * direction * feas
                                        + 0.29 * min(1.0, reach)
-                                       + 0.01 * _hash_unit(req.session_id, req.step, c.id))
+                                       + 0.01 * _hash_unit(ctx.session_id, ctx.step, c.id))
             else:
                 # compare reach at 1 m granularity; the dither then picks
                 # among comparable rays, which varies the sweep direction
@@ -252,20 +249,20 @@ class OracleBackend:
                 for c in req.candidates:
                     coarse = min(self.r_scale, math.floor(c.r_m))
                     scores[c.id] = min(1.0, 0.99 * coarse / self.r_scale
-                                       + 0.01 * _hash_unit(req.session_id, req.step, c.id))
-        return DecisionResponse(kind=SCORE, scores=scores, memory_ops=self._memory_ops(req))
+                                       + 0.01 * _hash_unit(ctx.session_id, ctx.step, c.id))
+        return DecisionResponse(kind=SCORE, scores=scores, memory_ops=self._memory_ops(ctx))
 
     # -- stop -----------------------------------------------------------------
 
     def _stop(self, req: DecisionRequest) -> DecisionResponse:
-        near = any(r.distance_m <= self.success_threshold for r in self._goal_rays(req))
+        near = any(r.distance_m <= self.success_threshold for r in self._goal_rays(req.context))
         return DecisionResponse(kind=STOP_CHECK, s_stop=1.0 if near else 0.0)
 
     # -- memory operations, sent on score replies -------------------------------
 
-    def _memory_ops(self, req: DecisionRequest) -> Tuple[MemoryOp, ...]:
+    def _memory_ops(self, ctx: RequestContext) -> Tuple[MemoryOp, ...]:
         sightings: Dict[str, WireRay] = {}
-        for ray in req.rays:
+        for ray in ctx.rays:
             if ray.label is None or ray.label == "wall":
                 continue
             cur = sightings.get(ray.label)
@@ -275,7 +272,7 @@ class OracleBackend:
         located: List[Tuple[str, Tuple[float, float]]] = []
         for label in sorted(sightings):
             ray = sightings[label]
-            pt = self._endpoint(req, ray.theta_deg, ray.distance_m)
+            pt = self._endpoint(ctx.pose, ray.theta_deg, ray.distance_m)
             ops.append(MemoryOp(op="add_node", name=label, attributes=ray.attributes,
                                 location=pt))
             located.append((label, pt))

@@ -12,11 +12,12 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..errors import (SchemaViolation, check_finite, check_integer, check_location,
                       check_strings, check_type)
-from ..proposer import CandidateSet
+from ..proposer import Adjustment, CandidateSet
 from ..sensing import Observation
 
 log = logging.getLogger(__name__)
@@ -37,20 +38,6 @@ TEMPLATES = {
 }
 
 
-@dataclass(frozen=True)
-class RequestContext:
-    """Per-step identity, text and observation shared by every request of
-    that step; built by ``request_context``."""
-
-    session_id: str
-    step: int
-    goal_text: str
-    pose: Tuple[float, float, float]  # x_m, y_m, heading_deg
-    rays: Tuple[WireRay, ...]
-    memory_text: str = ""
-    constraints: Tuple[str, ...] = ()
-
-
 class WireRay(NamedTuple):
     theta_deg: float
     distance_m: float
@@ -66,42 +53,59 @@ class WireCandidate(NamedTuple):
 
 
 @dataclass(frozen=True)
-class DecisionRequest:
-    version: str
-    kind: str
+class RequestContext:
+    """Per-step identity, text and observation shared by every request of
+    that step; built by ``request_context``."""
+
     session_id: str
     step: int
     goal_text: str
     pose: Tuple[float, float, float]  # x_m, y_m, heading_deg
     rays: Tuple[WireRay, ...]
+    memory_text: str = ""
+    constraints: Tuple[str, ...] = ()
+
+    def observation(self) -> dict:
+        return {"pose": {"x_m": self.pose[0], "y_m": self.pose[1], "heading_deg": self.pose[2]},
+                "rays": [{"theta_deg": r.theta_deg, "distance_m": r.distance_m,
+                          "label": r.label, "attributes": list(r.attributes),
+                          "tags": list(r.tags)}
+                         for r in self.rays]}
+
+    @cached_property
+    def observation_json(self) -> str:
+        """``observation()`` as JSON text, encoded on first use: the requests
+        of a step share their context, so the step encodes it once.  Raises
+        ValueError on a non-finite number."""
+        return _encode(self.observation())
+
+
+@dataclass(frozen=True)
+class DecisionRequest:
+    """One question about a step: its kind, the step's context, the
+    candidates asked about (none for a stop check) and the prompt template."""
+
+    kind: str
+    context: RequestContext
     candidates: Tuple[WireCandidate, ...]
-    memory_text: str
-    constraints: Tuple[str, ...]
     template_id: str
 
     def candidate_ids(self) -> Tuple[int, ...]:
         return tuple(c.id for c in self.candidates)
 
     def to_dict(self) -> dict:
-        return {**self._head(), "observation": {"pose": self._pose(), "rays": self._rays()},
-                **self._tail()}
+        return {**self._head(), "observation": self.context.observation(), **self._tail()}
 
-    # to_dict in three parts, so that encode_request can reuse an encoded
-    # observation; the order of the keys is the order on the wire
+    # to_dict on either side of the observation, which encode_request takes
+    # from the context; the order of the keys is the order on the wire
     def _head(self) -> dict:
-        return {"version": self.version, "kind": self.kind, "session_id": self.session_id,
-                "step": self.step, "goal_text": self.goal_text}
-
-    def _pose(self) -> dict:
-        return {"x_m": self.pose[0], "y_m": self.pose[1], "heading_deg": self.pose[2]}
-
-    def _rays(self) -> list:
-        return [{"theta_deg": r.theta_deg, "distance_m": r.distance_m, "label": r.label,
-                 "attributes": list(r.attributes), "tags": list(r.tags)}
-                for r in self.rays]
+        ctx = self.context
+        return {"version": PROTOCOL_VERSION, "kind": self.kind, "session_id": ctx.session_id,
+                "step": ctx.step, "goal_text": ctx.goal_text}
 
     def _tail(self) -> dict:
-        d = {"memory_text": self.memory_text, "constraints": list(self.constraints),
+        ctx = self.context
+        d = {"memory_text": ctx.memory_text, "constraints": list(ctx.constraints),
              "template_id": self.template_id}
         if self.kind in (FILTER, SCORE):
             d["candidates"] = [{"id": c.id, "r_m": c.r_m, "theta_deg": c.theta_deg}
@@ -133,16 +137,15 @@ class DecisionRequest:
             )
             if kind in (FILTER, SCORE) and not cands:
                 raise SchemaViolation(f"{kind} requests must carry at least one candidate")
-            return cls(
-                version=d["version"], kind=kind,
+            context = RequestContext(
                 session_id=check_type(d["session_id"], str, "session_id"),
                 step=check_integer(d["step"], "step"),
                 goal_text=check_type(d.get("goal_text", ""), str, "goal_text"),
-                pose=pose, rays=rays, candidates=cands,
+                pose=pose, rays=rays,
                 memory_text=check_type(d.get("memory_text", ""), str, "memory_text"),
-                constraints=check_strings(d.get("constraints", []), "constraints"),
-                template_id=check_type(d.get("template_id", ""), str, "template_id"),
-            )
+                constraints=check_strings(d.get("constraints", []), "constraints"))
+            return cls(kind, context, cands,
+                       check_type(d.get("template_id", ""), str, "template_id"))
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise SchemaViolation(f"bad request payload: {e}") from e
 
@@ -168,10 +171,9 @@ class MemoryOp:
 
 @dataclass(frozen=True)
 class DecisionResponse:
-    version: str = PROTOCOL_VERSION
     kind: str = SCORE
     removals: Tuple[int, ...] = ()
-    adjustments: Tuple[dict, ...] = ()       # {"id", "r", "theta"}: meters, radians
+    adjustments: Tuple[Adjustment, ...] = ()
     scores: Dict[int, float] = field(default_factory=dict)
     s_stop: float = 0.0
     memory_ops: Tuple[MemoryOp, ...] = ()
@@ -179,10 +181,10 @@ class DecisionResponse:
 
     def to_dict(self) -> dict:
         return {
-            "version": self.version,
+            "version": PROTOCOL_VERSION,
             "kind": self.kind,
             "removals": list(self.removals),
-            "adjustments": [{"id": a["id"], "r_m": a["r"], "theta_deg": math.degrees(a["theta"])}
+            "adjustments": [{"id": a.id, "r_m": a.r, "theta_deg": math.degrees(a.theta)}
                             for a in self.adjustments],
             "scores": [{"id": i, "s": s} for i, s in sorted(self.scores.items())],
             "s_stop": self.s_stop,
@@ -219,9 +221,9 @@ def parse_response(payload: dict, request: DecisionRequest) -> DecisionResponse:
     try:
         removals = tuple(check_integer(i, "removal id") for i in lists["removals"])
         adjustments = tuple(
-            {"id": check_integer(a["id"], "adjustment id"),
-             "r": check_finite(a["r_m"], "adjustment r_m"),
-             "theta": math.radians(check_finite(a["theta_deg"], "adjustment theta_deg"))}
+            Adjustment(check_integer(a["id"], "adjustment id"),
+                       check_finite(a["r_m"], "adjustment r_m"),
+                       math.radians(check_finite(a["theta_deg"], "adjustment theta_deg")))
             for a in lists["adjustments"])
         scores = {check_integer(e["id"], "score id"):
                   _clamp_unit(check_finite(e["s"], "score"), "score")
@@ -248,14 +250,13 @@ def parse_response(payload: dict, request: DecisionRequest) -> DecisionResponse:
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise SchemaViolation(f"bad response payload: {e}") from e
 
-    for what, ids in (("removal", removals), ("adjustment", [a["id"] for a in adjustments]),
+    for what, ids in (("removal", removals), ("adjustment", [a.id for a in adjustments]),
                       ("score", scores)):
         for i in ids:
             if i not in known:
                 raise SchemaViolation(f"{what} references unknown candidate id {i}")
     return DecisionResponse(
-        version=PROTOCOL_VERSION, kind=kind, removals=removals,
-        adjustments=adjustments, scores=scores, s_stop=s_stop,
+        kind=kind, removals=removals, adjustments=adjustments, scores=scores, s_stop=s_stop,
         memory_ops=tuple(ops), rationale=str(payload.get("rationale", "")),
     )
 
@@ -265,25 +266,17 @@ def parse_response(payload: dict, request: DecisionRequest) -> DecisionResponse:
 _encode = json.JSONEncoder(allow_nan=False).encode
 
 
-def encode_request(req: DecisionRequest, memo: Optional[list] = None) -> bytes:
+def encode_request(req: DecisionRequest) -> bytes:
     """The request body: ``json.dumps(req.to_dict(), allow_nan=False).encode()``,
     byte for byte.
 
-    ``memo`` is a caller-owned list ``[rays, text]`` holding the last rays tuple
-    encoded and its JSON text.  A request carrying that same tuple reuses the
-    text, so the requests of one step, which share one rays tuple, encode the
-    ray fan once.  Raises SchemaViolation on a non-finite number.
+    The observation is the context's ``observation_json``, encoded once for
+    all the requests of a step.  Raises SchemaViolation on a non-finite
+    number.
     """
     try:
-        if memo is not None and memo[0] is req.rays:
-            rays = memo[1]
-        else:
-            rays = _encode(req._rays())
-            if memo is not None:
-                memo[:] = [req.rays, rays]
         head, tail = _encode(req._head()), _encode(req._tail())
-        text = (f'{head[:-1]}, "observation": {{"pose": {_encode(req._pose())}, '
-                f'"rays": {rays}}}, {tail[1:]}')
+        text = f'{head[:-1]}, "observation": {req.context.observation_json}, {tail[1:]}'
     except (TypeError, ValueError) as e:
         raise SchemaViolation(f"request cannot be encoded: {e}") from e
     return text.encode()
@@ -296,7 +289,7 @@ def request_context(obs: Observation, session_id: str, goal_text: str,
     """The context of the step that sensed ``obs``.
 
     The pose and rays are converted to wire form here, once: every request of
-    the step carries the same rays tuple, which ``encode_request`` encodes
+    the step holds this context, whose observation ``encode_request`` encodes
     once.
     """
     degrees = math.degrees
@@ -312,24 +305,15 @@ def _wire_candidates(cands: CandidateSet) -> Tuple[WireCandidate, ...]:
     return tuple(WireCandidate(c.id, c.r, math.degrees(c.theta)) for c in cands.candidates)
 
 
-def _base(ctx: RequestContext, kind: str, candidates: Tuple[WireCandidate, ...],
-          template_id: str) -> DecisionRequest:
-    return DecisionRequest(
-        version=PROTOCOL_VERSION, kind=kind, session_id=ctx.session_id, step=ctx.step,
-        goal_text=ctx.goal_text, pose=ctx.pose, rays=ctx.rays, candidates=candidates,
-        memory_text=ctx.memory_text, constraints=ctx.constraints, template_id=template_id,
-    )
-
-
 def make_filter_request(ctx: RequestContext, candidates: CandidateSet) -> DecisionRequest:
-    return _base(ctx, FILTER, _wire_candidates(candidates), TEMPLATES["filter"])
+    return DecisionRequest(FILTER, ctx, _wire_candidates(candidates), TEMPLATES["filter"])
 
 
 def make_score_request(ctx: RequestContext, candidates: CandidateSet,
                        template_id: str) -> DecisionRequest:
-    return _base(ctx, SCORE, _wire_candidates(candidates), template_id)
+    return DecisionRequest(SCORE, ctx, _wire_candidates(candidates), template_id)
 
 
 def make_stop_request(ctx: RequestContext) -> DecisionRequest:
     # stop confidence is judged on the raw observation: no candidates attached
-    return _base(ctx, STOP_CHECK, (), TEMPLATES["stop"])
+    return DecisionRequest(STOP_CHECK, ctx, (), TEMPLATES["stop"])

@@ -96,14 +96,13 @@ class RemoteBackend:
     connection.
 
     Serves one thread: ``dynav run`` builds one backend per episode, and the
-    benchmark's pool one per thread.  It keeps the last encoded rays, so the
-    filter, score and stop requests of a step encode the observation once.
+    benchmark's pool one per thread.  It holds no encoding state: the requests
+    of a step share one context, which encodes the observation once.
     """
 
     def __init__(self, cfg: BackendConfig):
         self.cfg = cfg
         self._conn = Connection(cfg)
-        self._memo: list = [None, ""]
 
     def decide(self, req: DecisionRequest) -> DecisionResponse:
         """One logical decision call, with retries on transient failures.
@@ -114,7 +113,7 @@ class RemoteBackend:
         and 4xx).
         """
         cfg = self.cfg
-        body = encode_request(req, self._memo)
+        body = encode_request(req)
         headers = {"Content-Type": "application/json"}
         token = os.environ.get(TOKEN_ENV)
         if token:

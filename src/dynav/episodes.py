@@ -235,7 +235,6 @@ def run_episode(spec: EpisodeSpec, backend, cfg: RunConfig,
                                  cfg.success_threshold_m, cfg.visibility_required)
         results.append(GoalResult(goal.text, goal.category or goal.text, ok,
                                   traveled, l_opt, steps_used, stopped))
-        state = AgentState(pose=state.pose, step_index=state.step_index, stop_streak=0)
         if abort_reason is not None:
             termination = ABORTED
             break

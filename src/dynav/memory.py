@@ -30,6 +30,15 @@ _LOCATED = re.compile(
     re.DOTALL)
 
 
+def check_clause_name(name: str, what: str) -> None:
+    """Refuse a ``name`` that holds ". " or ends in ".": ``render_text`` joins
+    its clauses with ". " and ends in ".", so ``located_clauses`` could not
+    read such a name back whole."""
+    if ". " in name or name.endswith("."):
+        raise ValueError(f"{what} {name!r} holds '. ' or ends in '.', "
+                         "which the memory text cannot carry")
+
+
 @dataclass(frozen=True)
 class MemoryNode:
     name: str
@@ -41,6 +50,7 @@ class MemoryNode:
     def __post_init__(self):
         if not self.name:
             raise EmptyName("node name must be non-empty")
+        check_clause_name(self.name, "node name")
         if self.last_seen < 0:
             raise ValueError(f"node {self.name!r} last_seen must be >= 0")
         object.__setattr__(self, "attributes", frozenset(self.attributes))

@@ -25,6 +25,12 @@ class BoundaryPoint(NamedTuple):
     theta: float  # ray bearing relative to heading, radians
 
 
+class Adjustment(NamedTuple):  # a backend's nudge of one candidate
+    id: int
+    r: float      # new range, meters
+    theta: float  # new bearing relative to heading, radians
+
+
 @dataclass(frozen=True)
 class Candidate:
     id: int
@@ -120,7 +126,7 @@ def _boundary_limit(points: Sequence[BoundaryPoint], theta: float, gap: float) -
 
 
 def apply_filter_response(initial: CandidateSet, points: Sequence[BoundaryPoint],
-                          removals: Sequence[int], adjustments: Sequence[dict],
+                          removals: Sequence[int], adjustments: Sequence[Adjustment],
                           fov: float, ray_gap: float) -> CandidateSet:
     """Apply backend removals and adjustments under the safety clamps.
 
@@ -130,11 +136,9 @@ def apply_filter_response(initial: CandidateSet, points: Sequence[BoundaryPoint]
     candidate's original range, respects the traversable extent at the new
     bearing, and preserves the pairwise angular separation of the set.
     """
-    removed = set(int(i) for i in removals)
+    removed = set(removals)
     survivors = [c for c in initial.candidates if c.id not in removed]
-    adj_by_id = {}
-    for a in adjustments:
-        adj_by_id[int(a["id"])] = a
+    adj_by_id = {a.id: a for a in adjustments}
 
     out: List[Candidate] = []
     for c in survivors:
@@ -142,19 +146,17 @@ def apply_filter_response(initial: CandidateSet, points: Sequence[BoundaryPoint]
         if a is None:
             out.append(c)
             continue
-        r_new = float(a.get("r", c.r))
-        theta_new = float(a.get("theta", c.theta))
         ok = (
-            math.isfinite(r_new) and 0.0 < r_new <= c.r + 1e-9
-            and angular_distance(theta_new, c.theta) <= initial.theta_delta / 2.0 + 1e-9
-            and abs(theta_new) <= fov / 2.0 + 1e-9
-            and r_new <= initial.alpha * _boundary_limit(points, theta_new, ray_gap) + 1e-9
+            math.isfinite(a.r) and 0.0 < a.r <= c.r + 1e-9
+            and angular_distance(a.theta, c.theta) <= initial.theta_delta / 2.0 + 1e-9
+            and abs(a.theta) <= fov / 2.0 + 1e-9
+            and a.r <= initial.alpha * _boundary_limit(points, a.theta, ray_gap) + 1e-9
         )
         if not ok:
             log.warning("dropping invalid adjustment for candidate %d", c.id)
             out.append(c)
             continue
-        out.append(Candidate(c.id, r_new, theta_new))
+        out.append(Candidate(c.id, a.r, a.theta))
 
     # re-validate pairwise separation after adjustments, in id order; a
     # violating adjustment reverts to the original candidate

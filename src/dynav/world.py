@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (SchemaViolation, check, check_finite, check_integer, check_strings,
                      check_type, read_json)
+from .memory import check_clause_name
 
 FREE = 0
 OBSTACLE = 1
@@ -45,6 +46,7 @@ class SemanticObject:
         if self.name == "wall":
             # a ray that hits this object would be reported like a wall cell
             raise ValueError('object name "wall" is reserved for walls')
+        check_clause_name(self.name, "object name")
         if not 0.0 < self.radius < math.inf:
             raise ValueError(f"object radius must be positive and finite, not {self.radius}")
         if not (len(self.center) == 2 and all(map(math.isfinite, self.center))):

@@ -122,6 +122,9 @@ BAD_WORLDGEN = {
     "category-counts-floats": {"categories": ["chair"], "category_counts": [2.0]},
     "category-counts-misaligned": {"categories": ["chair"], "category_counts": [1, 2]},
     "categories-numbers": {"categories": [1, 2]},
+    # names the memory text could not read back whole
+    "category-with-separator": {"categories": ["a. b"]},
+    "hazard-ending-in-dot": {"hazards": ["tv."]},
     "radius-one-number": {"object_radius_m": [0.3]},
     "radius-string": {"object_radius_m": "0.3"},
     "radius-nan": {"object_radius_m": [0.2, math.nan]},

@@ -39,6 +39,7 @@ from dynav.metrics import compute_metrics
 from dynav.planning import SQRT2, goal_cells, shortest_path
 from dynav.policy import propose, select_action
 from dynav.proposer import (
+    Adjustment,
     BoundaryPoint,
     Candidate,
     CandidateSet,
@@ -272,15 +273,12 @@ def test_3_candidate_sampling_invariants_in_bulk():
         for c in cands:
             roll = rng.random()
             if roll < 0.2:
-                adjustments.append({"id": c.id, "theta": c.theta +
-                                    rng.uniform(-theta_delta / 2, theta_delta / 2),
-                                    "r": c.r * rng.uniform(0.3, 1.0)})
+                theta = c.theta + rng.uniform(-theta_delta / 2, theta_delta / 2)
+                adjustments.append(Adjustment(c.id, c.r * rng.uniform(0.3, 1.0), theta))
             elif roll < 0.3:  # invalid: r grows or flips sign
-                adjustments.append({"id": c.id, "theta": c.theta,
-                                    "r": c.r * rng.choice((1.5, -1.0))})
+                adjustments.append(Adjustment(c.id, c.r * rng.choice((1.5, -1.0)), c.theta))
             elif roll < 0.35:  # invalid: angular move beyond the half-gap
-                adjustments.append({"id": c.id,
-                                    "theta": c.theta + theta_delta * 1.1, "r": c.r})
+                adjustments.append(Adjustment(c.id, c.r, c.theta + theta_delta * 1.1))
         gap = fov / (n - 1)
         final = apply_filter_response(out, points, removals, adjustments, fov, gap)
         if not {c.id for c in final.candidates} <= set(ids) - set(removals):
@@ -333,8 +331,8 @@ class _SightingRecorder:
         self.seen = False
 
     def decide(self, req):
-        if req.kind == SCORE and req.goal_text == "chair":
-            if any(r.label and "table" in r.label for r in req.rays):
+        if req.kind == SCORE and req.context.goal_text == "chair":
+            if any(r.label and "table" in r.label for r in req.context.rays):
                 self.seen = True
         return self.inner.decide(req)
 

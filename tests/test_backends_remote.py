@@ -24,6 +24,7 @@ from dynav.backends.protocol import (
     DecisionRequest,
     DecisionResponse,
     MemoryOp,
+    RequestContext,
     WireCandidate,
     WireRay,
     encode_request,
@@ -33,28 +34,25 @@ from dynav.backends.protocol import (
     parse_response,
     request_context,
 )
-from dynav.backends import remote
+from dynav.backends import protocol, remote
 from dynav.backends.remote import BackendConfig, RemoteBackend
 from dynav.backends.stub import POLL_INTERVAL_S, StubServer
 from dynav.config import RunConfig
 from dynav.errors import BindFailure, RequestTimeout, SchemaViolation, TransportError
 from dynav.goals import GoalSpec
 from dynav.policy import AgentState, step
-from dynav.proposer import BoundaryPoint, Candidate, CandidateSet
+from dynav.proposer import Adjustment, BoundaryPoint, Candidate, CandidateSet
 from dynav.sensing import Ray, sense
 
 from conftest import MISSING, dotted, json_values, make_pose, replaced, replacements
 
 
-def make_req(kind=SCORE, step=0, n_cands=2):
+def make_req(kind=SCORE, step=0, n_cands=2, rays=(), pose=(1.0, 2.0, 30.0)):
     cands = tuple(WireCandidate(i + 1, 2.0 + i, 10.0 * i) for i in range(n_cands))
     if kind == STOP_CHECK:
         cands = ()
-    return DecisionRequest(
-        version=PROTOCOL_VERSION, kind=kind, session_id="s1", step=step,
-        goal_text="chair", pose=(1.0, 2.0, 30.0), rays=(), candidates=cands,
-        memory_text="", constraints=(), template_id="goal-name/1",
-    )
+    ctx = RequestContext(session_id="s1", step=step, goal_text="chair", pose=pose, rays=rays)
+    return DecisionRequest(kind, ctx, cands, "goal-name/1")
 
 
 def ok_body(**extra):
@@ -99,8 +97,8 @@ def test_stop_requests_have_no_candidates(plant_world, body):
     assert stop.kind == STOP_CHECK and "candidates" not in stop.to_dict()
     assert filt.kind == FILTER and filt.to_dict()["candidates"]
     assert stop.template_id == "stop-check/1"
-    # the requests of one context share one wire form of its rays
-    assert stop.rays is filt.rays is ctx.rays
+    # the requests of one step hold its one context
+    assert stop.context is filt.context is ctx
 
 
 def test_wire_rays_match_a_per_ray_conversion(cluttered_world, body):
@@ -206,8 +204,8 @@ def test_parse_response_memory_ops_and_defaults():
     assert edge.relation == "next to"
     # adjustments arrive in degrees and are converted to radians
     resp = parse_response(ok_body(adjustments=[{"id": 1, "r_m": 1.5, "theta_deg": 45.0}]), req)
-    assert resp.adjustments[0]["theta"] == pytest.approx(math.pi / 4)
-    assert resp.adjustments[0]["r"] == 1.5
+    assert resp.adjustments[0].theta == pytest.approx(math.pi / 4)
+    assert resp.adjustments[0].r == 1.5
 
 
 @pytest.mark.parametrize("location", ["[NaN, 1.0]", "[1.0, Infinity]", "[-Infinity, NaN]"])
@@ -366,7 +364,7 @@ def test_remote_transport_failures_are_retried(monkeypatch):
 
 def test_non_finite_request_is_never_sent(monkeypatch):
     backend, conn = fake_backend(monkeypatch, [])
-    req = replace(make_req(), pose=(math.nan, 2.0, 30.0))
+    req = make_req(pose=(math.nan, 2.0, 30.0))
     with pytest.raises(SchemaViolation, match="encoded"):
         backend.decide(req)
     assert conn.calls == []
@@ -468,7 +466,7 @@ def test_response_to_dict_parses_back():
     # a server that answers with to_dict, as the benchmark's does, must be able
     # to send every field, adjustments included
     resp = DecisionResponse(
-        kind=SCORE, removals=(1,), adjustments=({"id": 2, "r": 1.5, "theta": 0.3},),
+        kind=SCORE, removals=(1,), adjustments=(Adjustment(2, 1.5, 0.3),),
         scores={1: 0.25, 2: 0.75}, s_stop=0.5, rationale="r",
         memory_ops=(MemoryOp(op="add_node", name="chair_1", attributes=("red",),
                              location=(1.0, 2.0)),
@@ -477,8 +475,8 @@ def test_response_to_dict_parses_back():
                              relation="near")))
     again = parse_response(json.loads(json.dumps(resp.to_dict())), make_req())
     (adj,) = again.adjustments
-    assert adj["id"] == 2 and adj["r"] == 1.5
-    assert adj["theta"] == pytest.approx(0.3, abs=1e-12)
+    assert adj.id == 2 and adj.r == 1.5
+    assert adj.theta == pytest.approx(0.3, abs=1e-12)
     assert replace(again, adjustments=resp.adjustments) == resp
 
 
@@ -545,7 +543,7 @@ def test_parse_response_field_raises_only_schema_violation(path, value):
     parses_or_violates(replaced(VALID_RESPONSE, path, value))
 
 
-VALID_REQUEST = replace(make_req(), rays=(
+VALID_REQUEST = make_req(rays=(
     WireRay(-10.0, 2.5, None),
     WireRay(10.0, 3.0, "chair_1", ("red",), ("hazard",)))).to_dict()
 REQUEST_PATHS = [
@@ -587,17 +585,39 @@ def dumped(req) -> bytes:
     return json.dumps(req.to_dict(), allow_nan=False).encode()
 
 
-@pytest.mark.parametrize("kind", [FILTER, SCORE, STOP_CHECK])
-def test_encode_request_matches_json_dumps(kind, cluttered_world, body):
+def recorded_encodings(monkeypatch):
+    """Every JSON text the protocol module encodes from now on."""
+    texts = []
+    encode = protocol._encode
+
+    def recording(value):
+        texts.append(encode(value))
+        return texts[-1]
+
+    monkeypatch.setattr(protocol, "_encode", recording)
+    return texts
+
+
+@pytest.mark.parametrize("kinds", [(FILTER,), (SCORE,), (STOP_CHECK,),
+                                   (FILTER, SCORE, STOP_CHECK)], ids="+".join)
+def test_encode_request_matches_json_dumps(kinds, cluttered_world, body, monkeypatch):
     obs = sense(cluttered_world, make_pose(7.5, 5.0, -0.0), body, n_rays=61, step=3)
     ctx = request_context(obs, session_id="sé", goal_text="chair \"red\"",
                           memory_text="chair_1 at (9.0, 5.0).", constraints=("keep right",))
     cands = CandidateSet((Candidate(1, 2.0, 0.1), Candidate(2, 1.5, -0.4)), 0.8, 0.2)
-    req = {FILTER: lambda: make_filter_request(ctx, cands),
-           SCORE: lambda: make_score_request(ctx, cands, "goal-name/1"),
-           STOP_CHECK: lambda: make_stop_request(ctx)}[kind]()
-    assert encode_request(req) == dumped(req)
-    assert encode_request(make_req(kind)) == dumped(make_req(kind))
+    build = {FILTER: lambda: make_filter_request(ctx, cands),
+             SCORE: lambda: make_score_request(ctx, cands, "goal-name/1"),
+             STOP_CHECK: lambda: make_stop_request(ctx)}
+    texts = recorded_encodings(monkeypatch)
+    for kind in kinds:
+        req = build[kind]()
+        assert encode_request(req) == dumped(req)
+    # the requests of one context, each encoded on its own, encode its
+    # observation once: one pose and each ray once
+    assert sum(t.count('"heading_deg"') for t in texts) == 1
+    assert sum(t.count('"distance_m"') for t in texts) == len(ctx.rays) == 61
+    for kind in kinds:
+        assert encode_request(make_req(kind)) == dumped(make_req(kind))
 
 
 def step_requests(world, pose):
@@ -617,7 +637,7 @@ def step_requests(world, pose):
 
 def test_request_dict_round_trip_of_a_real_step(cluttered_world):
     for req in step_requests(cluttered_world, make_pose(7.5, 5.0, 0.0)):
-        assert any(r.attributes for r in req.rays)  # object hits, not only walls
+        assert any(r.attributes for r in req.context.rays)  # object hits, not only walls
         assert DecisionRequest.from_dict(req.to_dict()) == req
         assert DecisionRequest.from_dict(json.loads(encode_request(req))) == req
 
@@ -632,21 +652,16 @@ def test_per_ray_records_are_immutable(record):
             setattr(record, name, 1.0)
 
 
-def test_encode_request_reuses_the_rays_of_a_step(cluttered_world):
+def test_encode_request_of_a_real_step(cluttered_world):
     seen = step_requests(cluttered_world, make_pose(3.0, 5.0, 0.0))
-    memo = [None, ""]
+    ctx = seen[0].context
+    assert all(req.context is ctx for req in seen)
     for req in seen:
-        assert encode_request(req, memo) == dumped(req)
-        assert memo[0] is seen[0].rays  # one encoding for the step
-    # a moved pose with the same rays, then equal rays in a new tuple
-    moved = replace(seen[2], pose=(1.0, -0.0, 45.5))
-    assert encode_request(moved, memo) == dumped(moved)
-    fresh = replace(seen[2], rays=tuple(list(seen[2].rays)))
-    assert fresh.rays is not seen[2].rays
-    assert encode_request(fresh, memo) == dumped(fresh)
-    assert memo[0] is fresh.rays
-    other = replace(seen[2], rays=seen[2].rays[:5])
-    assert encode_request(other, memo) == dumped(other)
+        assert encode_request(req) == dumped(req)
+    # a changed context, even one with the same rays, encodes its own observation
+    for other in (replace(ctx, pose=(1.0, -0.0, 45.5)), replace(ctx, rays=ctx.rays[:5])):
+        req = replace(seen[2], context=other)
+        assert encode_request(req) == dumped(req)
 
 
 # -- the keep-alive connection -------------------------------------------------------

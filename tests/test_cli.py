@@ -162,7 +162,7 @@ def test_run_survives_an_episode_that_raises(tmp_path, episode_file, monkeypatch
     original = OracleBackend.decide
 
     def faulty(self, req):
-        if req.session_id == "b" and req.step >= 2:
+        if req.context.session_id == "b" and req.context.step >= 2:
             raise RuntimeError("sensor cable unplugged")
         return original(self, req)
 
@@ -311,12 +311,17 @@ def test_run_rejects_a_bad_episode_record_before_running(tmp_path, episode_file,
     assert not (tmp_path / "out").exists()
 
 
-def test_run_refuses_an_object_named_wall(tmp_path, episode_file, capsys):
+@pytest.mark.parametrize("name, message", [
+    ("wall", '"wall" is reserved'),  # a ray could not tell it from a wall
+    ("a. b", "cannot carry"), ("tv.", "cannot carry")],  # nor the memory text read it
+    ids=("wall", "a. b", "tv."))
+def test_run_refuses_an_object_name_a_ray_or_the_memory_text_cannot_carry(
+        tmp_path, episode_file, capsys, name, message):
     world = json.loads((tmp_path / "world.json").read_text())
-    world["objects"][0]["name"] = "wall"
+    world["objects"][0]["name"] = name
     (tmp_path / "world.json").write_text(json.dumps(world))
     assert main(["run", "--episodes", str(episode_file), "--out", str(tmp_path / "out")]) == 1
-    assert '"wall" is reserved' in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -346,7 +351,7 @@ HUGE_GRID = {"width_m": 1e7, "height_m": 1e7, "resolution": 0.1}  # 10**16 cells
 
 
 @pytest.mark.parametrize("payload", [["rooms", 2], {"seed": "9"}, {"categories": "chair"},
-                                     HUGE_GRID])
+                                     HUGE_GRID, {"categories": ["a. b"]}, {"hazards": ["tv."]}])
 def test_worldgen_bad_spec_exits_1(tmp_path, payload):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(payload))

@@ -1,6 +1,7 @@
 """Module layering: the proposer is pure geometry and never reaches a backend,
 the clearance kernels stay inside the world module, the package runs on
-numpy alone, and no code writes into a frozen record it did not build.
+numpy alone, no code writes into a frozen record it did not build, and only
+the protocol module builds request records.
 
 ``dynav.backends.protocol`` imports ``dynav.proposer`` for ``CandidateSet``;
 an import in the other direction, even one deferred into a function, would
@@ -152,4 +153,37 @@ def test_frozen_records_are_only_set_up_by_themselves():
     writes into one, so a value once built is the value every reader sees."""
     found = [(str(path.relative_to(SRC)), line)
              for path in sorted(SRC.rglob("*.py")) for line in foreign_setattrs(path.read_text())]
+    assert found == []
+
+
+REQUEST_RECORDS = {"DecisionRequest", "RequestContext"}
+
+
+def record_calls(source: str):
+    """(name, line) of every call of a request record's class, bare or dotted."""
+    found = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Call):
+            name = (n.func.id if isinstance(n.func, ast.Name)
+                    else n.func.attr if isinstance(n.func, ast.Attribute) else None)
+            if name in REQUEST_RECORDS:
+                found.append((name, n.lineno))
+    return sorted(found, key=lambda f: f[1])
+
+
+def test_record_calls_finds_bare_and_dotted_calls():
+    assert record_calls("DecisionRequest(1)\n"
+                        "p.RequestContext(2)\n"
+                        "isinstance(r, DecisionRequest)\n") == [
+        ("DecisionRequest", 1), ("RequestContext", 2)]
+
+
+def test_request_records_are_built_only_by_the_protocol_module():
+    """One request builder per step: the step's context and its requests
+    come from ``dynav.backends.protocol`` alone."""
+    protocol = SRC / "backends" / "protocol.py"
+    assert {name for name, _ in record_calls(protocol.read_text())} == REQUEST_RECORDS
+    found = [(str(path.relative_to(SRC)), name, line)
+             for path in sorted(SRC.rglob("*.py")) if path != protocol
+             for name, line in record_calls(path.read_text())]
     assert found == []

@@ -223,6 +223,26 @@ def test_render_then_parse_recovers_every_located_node(nodes, edges):
     assert len(parsed) == len(expected)
 
 
+def test_names_the_memory_text_cannot_carry_are_refused(caplog):
+    # render_text of "a. b" and "tv." would read back as "b" and "(black)"
+    for name in ("a. b", "tv."):
+        with pytest.raises(ValueError):
+            MemoryNode(name)
+        graph = {"format": "dynav-graph/1", "nodes": [{"name": name}]}
+        with pytest.raises(SchemaViolation, match="holds"):
+            MemoryGraph.from_dict(graph)
+    g = MemoryGraph()
+    ops = [MemoryOp(op="add_node", name="a. b", location=(3.0, 4.0)),
+           MemoryOp(op="add_node", name="tv.", attributes=("black",), location=(1.0, 2.0)),
+           MemoryOp(op="add_node", name="tv.stand", attributes=("black",), location=(1.0, 2.0)),
+           MemoryOp(op="add_edge", start="tv.stand", target="tv.", relation="near")]
+    apply_memory_ops(g, ops, step_index=1, agent="a")
+    assert set(g.nodes) == {"tv.stand"} and not g.edges
+    assert sum("dropping malformed memory op" in r.message for r in caplog.records) == 3
+    assert list(MemoryGraph.located_clauses(g.render_text(budget=10))) == [
+        ("tv.stand", ("black",), (1.0, 2.0))]
+
+
 def test_render_text_counts_clauses():
     g = demo_graph()
     assert g.render_text(budget=3).count(". ") + 1 == 3

@@ -219,8 +219,8 @@ def test_propose_pipeline(box_world, body, run_cfg):
     assert 1 not in out.ids()
     req = backend.requests[0]
     assert req.kind == FILTER
-    assert req.version == "dynav/1"
-    assert req.session_id == "s" and req.goal_text == "chair"
+    assert req.to_dict()["version"] == "dynav/1"
+    assert req.context.session_id == "s" and req.context.goal_text == "chair"
     assert len(req.candidates) == len(out.ids()) + 1
 
 
@@ -234,8 +234,8 @@ def test_propose_survives_backend_outage(box_world, body, run_cfg):
 
 def test_step_requests_share_one_context(box_world):
     """Filter, score and stop requests of a step carry one identity, with the
-    goal's template, the memory excerpt and the constraints, and one rays
-    tuple."""
+    goal's template, the memory excerpt and the constraints: one context
+    record."""
     cfg = RunConfig(n_rays=31)
     mem = MemoryGraph()
     mem.add_node("chair_9", [], (3.0, 3.0), step=1)
@@ -250,10 +250,11 @@ def test_step_requests_share_one_context(box_world):
          GoalSpec.name_goal("chair"), Recording(), cfg,
          constraints=("keep right",), session_id="ep1")
     assert [r.kind for r in seen] == [FILTER, SCORE, STOP_CHECK]
-    assert {(r.session_id, r.step, r.goal_text, r.memory_text, r.constraints)
-            for r in seen} == {("ep1", 7, "chair", "chair_9 at (3.0, 3.0).", ("keep right",))}
+    ctx = seen[0].context
+    assert (ctx.session_id, ctx.step, ctx.goal_text, ctx.memory_text, ctx.constraints) == (
+        "ep1", 7, "chair", "chair_9 at (3.0, 3.0).", ("keep right",))
     assert seen[1].template_id == "goal-name/1"
-    assert seen[0].rays is seen[1].rays is seen[2].rays
+    assert seen[1].context is ctx and seen[2].context is ctx
 
 
 def test_step_without_traversable_ray_checks_stop_and_rotates(box_world):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dynav.geometry import angular_distance
 from dynav.proposer import (
+    Adjustment,
     BoundaryPoint,
     Candidate,
     CandidateSet,
@@ -188,17 +189,17 @@ def test_filter_removals():
 def test_filter_applies_valid_adjustment():
     points, initial = make_set()
     # candidate 2 is (3.2, 0 deg); nudge within theta_delta/2 and below its range
-    out = apply(initial, points, adjustments=[{"id": 2, "r": 2.0, "theta": 5 * DEG}])
+    out = apply(initial, points, adjustments=[Adjustment(2, 2.0, 5 * DEG)])
     c = out.by_id(2)
     assert c.r == pytest.approx(2.0)
     assert c.theta == pytest.approx(5 * DEG)
 
 
 @pytest.mark.parametrize("adj", [
-    {"id": 2, "r": 9.0, "theta": 0.0},             # extends beyond the original range
-    {"id": 2, "r": 2.0, "theta": 9 * DEG},         # moves more than theta_delta/2
-    {"id": 2, "r": -1.0, "theta": 0.0},            # non-positive range
-    {"id": 2, "r": float("nan"), "theta": 0.0},    # non-finite range
+    Adjustment(2, 9.0, 0.0),           # extends beyond the original range
+    Adjustment(2, 2.0, 9 * DEG),       # moves more than theta_delta/2
+    Adjustment(2, -1.0, 0.0),          # non-positive range
+    Adjustment(2, float("nan"), 0.0),  # non-finite range
 ])
 def test_filter_drops_invalid_adjustments(adj):
     points, initial = make_set()
@@ -209,14 +210,14 @@ def test_filter_drops_invalid_adjustments(adj):
 def test_filter_respects_boundary_extent():
     points, initial = make_set()
     # at 5 deg the nearby boundary support is 4.0 m; alpha caps travel at 3.2
-    out = apply(initial, points, adjustments=[{"id": 2, "r": 3.5, "theta": 5 * DEG}])
+    out = apply(initial, points, adjustments=[Adjustment(2, 3.5, 5 * DEG)])
     assert out.by_id(2) == initial.by_id(2)
 
 
 def test_filter_fov_clamp():
     points = [BoundaryPoint(5.0, -60 * DEG), BoundaryPoint(4.0, -52 * DEG)]
     initial = sample_initial(points, alpha=1.0, theta_delta=5 * DEG, r_min=0.1)
-    out = apply_filter_response(initial, points, [], [{"id": 1, "r": 1.0, "theta": -62 * DEG}],
+    out = apply_filter_response(initial, points, [], [Adjustment(1, 1.0, -62 * DEG)],
                                 fov=120 * DEG, ray_gap=10 * DEG)
     # -62 deg falls outside the 120 deg field of view: adjustment dropped
     assert out.by_id(1) == initial.by_id(1)
@@ -228,14 +229,14 @@ def test_filter_reverts_separation_breakers():
               BoundaryPoint(5.0, 30 * DEG)]
     initial = sample_initial(points, alpha=0.8, theta_delta=15 * DEG, r_min=0.1)
     assert [round(math.degrees(c.theta)) for c in initial.candidates] == [-30, -15, 30]
-    out = apply(initial, points, adjustments=[{"id": 1, "r": 1.0, "theta": -22.5 * DEG}])
+    out = apply(initial, points, adjustments=[Adjustment(1, 1.0, -22.5 * DEG)])
     assert out.by_id(1) == initial.by_id(1)
     assert out.by_id(2) == initial.by_id(2)
 
 
 def test_filter_ignores_adjustment_for_removed_id():
     points, initial = make_set()
-    out = apply(initial, points, removals=[2], adjustments=[{"id": 2, "r": 1.0, "theta": 0.0}])
+    out = apply(initial, points, removals=[2], adjustments=[Adjustment(2, 1.0, 0.0)])
     assert out.ids() == (1, 3)
 
 
