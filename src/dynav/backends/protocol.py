@@ -1,10 +1,11 @@
 """Wire protocol between the navigation policy and decision backends.
 
 Requests and responses are JSON with angles in degrees and distances in
-meters; both directions carry ``version: "dynav/1"``.  Three request kinds
-exist: ``filter`` (prune/nudge candidates), ``score`` (rate candidates and
-optionally emit memory operations), and ``stop_check`` (rate stop confidence
-on the raw, un-annotated observation).
+meters; both directions carry ``version: "dynav/2"``.  A request carries its
+step's rays as columns, plus one table of the distinct hits they index.
+Three request kinds exist: ``filter`` (prune/nudge candidates), ``score``
+(rate candidates and optionally emit memory operations), and ``stop_check``
+(rate stop confidence on the raw, un-annotated observation).
 """
 from __future__ import annotations
 
@@ -13,16 +14,17 @@ import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from ..errors import (SchemaViolation, check_finite, check_integer, check_location,
+from ..errors import (SchemaViolation, check, check_finite, check_integer, check_location,
                       check_strings, check_type)
 from ..proposer import Adjustment, CandidateSet
 from ..sensing import Observation
 
 log = logging.getLogger(__name__)
 
-PROTOCOL_VERSION = "dynav/1"
+PROTOCOL_VERSION = "dynav/2"
 
 FILTER = "filter"
 SCORE = "score"
@@ -66,11 +68,16 @@ class RequestContext:
     constraints: Tuple[str, ...] = ()
 
     def observation(self) -> dict:
+        """The pose, the rays as three columns, and the table of distinct
+        ``(label, attributes, tags)`` hits in order of first appearance,
+        which ``rays.hit`` indexes."""
+        table: Dict[tuple, int] = {}  # (label, attributes, tags) -> its index
+        hit = [table.setdefault(r[2:], len(table)) for r in self.rays]
         return {"pose": {"x_m": self.pose[0], "y_m": self.pose[1], "heading_deg": self.pose[2]},
-                "rays": [{"theta_deg": r.theta_deg, "distance_m": r.distance_m,
-                          "label": r.label, "attributes": list(r.attributes),
-                          "tags": list(r.tags)}
-                         for r in self.rays]}
+                "rays": {"theta_deg": [r.theta_deg for r in self.rays],
+                         "distance_m": [r.distance_m for r in self.rays], "hit": hit},
+                "hits": [{"label": label, "attributes": list(attributes), "tags": list(tags)}
+                         for label, attributes, tags in table]}
 
     @cached_property
     def observation_json(self) -> str:
@@ -121,14 +128,9 @@ class DecisionRequest:
             kind = d["kind"]
             if kind not in KINDS:
                 raise SchemaViolation(f"unknown request kind: {kind!r}")
-            obs = d["observation"]
+            obs = check_type(d["observation"], dict, "observation")
             pose = tuple(check_finite(obs["pose"][k], k) for k in ("x_m", "y_m", "heading_deg"))
-            # r["theta_deg"] comes first: anything but an object fails there
-            rays = tuple(
-                WireRay(float(r["theta_deg"]), float(r["distance_m"]), r.get("label"),
-                        tuple(r.get("attributes", ())), tuple(r.get("tags", ())))
-                for r in obs["rays"]
-            )
+            rays = _parse_rays(obs["rays"], obs["hits"])
             cands = tuple(
                 WireCandidate(check_integer(c["id"], "candidate id"),
                               check_finite(c["r_m"], "candidate r_m"),
@@ -148,6 +150,50 @@ class DecisionRequest:
                        check_type(d.get("template_id", ""), str, "template_id"))
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise SchemaViolation(f"bad request payload: {e}") from e
+
+
+_NUMBER_TYPES = frozenset((float, int))
+
+
+def _numbers(values, what: str) -> List[float]:
+    """A ray column of finite JSON numbers, as floats.  A valid column is
+    checked and converted in C-level passes, not per ray."""
+    types = set(map(type, check_type(values, list, what)))
+    try:
+        if types <= _NUMBER_TYPES and all(map(math.isfinite, values)):
+            return values if types == {float} else list(map(float, values))
+    except OverflowError:  # an integer too large for a float
+        pass
+    return [check_finite(v, what) for v in values]  # raises at the first value at fault
+
+
+def _parse_rays(columns, hits) -> Tuple[WireRay, ...]:
+    """The rays of ``observation.rays`` and ``observation.hits``.  A column
+    of the wrong type or length, a malformed hits entry, or a ``hit`` that is
+    not an index into the hits raises SchemaViolation."""
+    check_type(columns, dict, "observation rays")
+    thetas = _numbers(columns["theta_deg"], "ray theta_deg")
+    dists = _numbers(columns["distance_m"], "ray distance_m")
+    index = check_type(columns["hit"], list, "ray hit")
+    if not len(thetas) == len(dists) == len(index):
+        raise SchemaViolation(f"ray columns differ in length: {len(thetas)} theta_deg, "
+                              f"{len(dists)} distance_m, {len(index)} hit")
+    labels, attributes, tags = [], [], []
+    for entry in check_type(hits, list, "observation hits"):
+        check_type(entry, dict, "a hits entry")
+        label = entry["label"]
+        labels.append(check(label, label is None or type(label) is str,
+                            "a hits entry label must be a string or null"))
+        attributes.append(check_strings(entry["attributes"], "a hits entry attributes"))
+        tags.append(check_strings(entry["tags"], "a hits entry tags"))
+    n = len(labels)
+    if index and not (set(map(type, index)) <= {int} and 0 <= min(index) and max(index) < n):
+        for i in index:  # raises at the first index at fault
+            check(i, type(i) is int and 0 <= i < n, f"ray hit must index the {n} hits")
+    # WireRay._make of each row, without a Python-level call per ray
+    return tuple(map(tuple.__new__, repeat(WireRay),
+                     zip(thetas, dists, map(labels.__getitem__, index),
+                         map(attributes.__getitem__, index), map(tags.__getitem__, index))))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """HTTP client for a remote decision endpoint.
 
-POSTs the request JSON to the configured ``http://`` or ``https://`` URL and
-validates the reply against the wire schema.  A ``RemoteBackend`` keeps one
+POSTs each request as ``dynav/2`` JSON, whose observation carries the step's
+rays as columns plus one table of the distinct hits (docs/protocol.md), to
+the configured ``http://`` or ``https://`` URL, and validates the reply
+against the wire schema.  A ``RemoteBackend`` keeps one
 keep-alive HTTP/1.1 connection (stdlib ``http.client``) and serves one thread.
 Transport failures and HTTP 5xx are retried with exponential backoff; schema
 problems are never retried because a malformed server will not heal on its

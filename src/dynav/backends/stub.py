@@ -15,6 +15,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import BindFailure, check_finite, check_integer, check_type
+from .protocol import PROTOCOL_VERSION
 
 _WILD = None
 
@@ -89,7 +90,7 @@ class StubServer:
                     body = entry["raw_body"].encode()
                 else:
                     payload = dict(entry.get("body", {}))
-                    payload.setdefault("version", "dynav/1")
+                    payload.setdefault("version", PROTOCOL_VERSION)
                     payload.setdefault("kind", req.get("kind"))
                     if "scores_all" in entry:
                         payload["scores"] = [

@@ -39,6 +39,16 @@ def check_clause_name(name: str, what: str) -> None:
                          "which the memory text cannot carry")
 
 
+def check_clause_attribute(attribute: str, what: str) -> None:
+    """Refuse an ``attribute`` that ``located_clauses`` could not read back
+    from ``render_text``'s ``name (attr, attr) at (x, y)``: one that holds
+    ",", ")" or ". ", is empty, or starts or ends in white space."""
+    if (not attribute or attribute != attribute.strip() or "," in attribute
+            or ")" in attribute or ". " in attribute):
+        raise ValueError(f"{what} {attribute!r} is empty, is padded with white space, or "
+                         "holds ',', ')' or '. ', which the memory text cannot carry")
+
+
 @dataclass(frozen=True)
 class MemoryNode:
     name: str
@@ -54,6 +64,8 @@ class MemoryNode:
         if self.last_seen < 0:
             raise ValueError(f"node {self.name!r} last_seen must be >= 0")
         object.__setattr__(self, "attributes", frozenset(self.attributes))
+        for attribute in self.attributes:
+            check_clause_attribute(attribute, f"node {self.name!r} attribute")
         if self.location is not None:
             x, y = float(self.location[0]), float(self.location[1])
             if not (math.isfinite(x) and math.isfinite(y)):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (SchemaViolation, check, check_finite, check_integer, check_strings,
                      check_type, read_json)
-from .memory import check_clause_name
+from .memory import check_clause_attribute, check_clause_name
 
 FREE = 0
 OBSTACLE = 1
@@ -52,6 +52,8 @@ class SemanticObject:
         if not (len(self.center) == 2 and all(map(math.isfinite, self.center))):
             raise ValueError(f"object center must be two finite numbers, not {self.center}")
         object.__setattr__(self, "attributes", tuple(self.attributes))
+        for attribute in self.attributes:
+            check_clause_attribute(attribute, f"object {self.name!r} attribute")
         object.__setattr__(self, "tags", frozenset(self.tags))
 
     def boundary_distance(self, x: float, y: float) -> float:

@@ -491,11 +491,12 @@ def test_8_wire_protocol_conformance():
         rec = server.requests[-1]
         if rec != req.to_dict():
             problems.append(("request drifted on the wire", rec))
-        ray = rec["observation"]["rays"][1]
-        if not (rec["version"] == "dynav/1" and rec["kind"] == "score"
+        rays = rec["observation"]["rays"]
+        hit = rec["observation"]["hits"][rays["hit"][1]]
+        if not (rec["version"] == "dynav/2" and rec["kind"] == "score"
                 and rec["template_id"] == "goal-name/1"
-                and ray["label"] == "plant_1" and abs(ray["distance_m"] - 2.7) < 1e-6
-                and ray["theta_deg"] == 0.0 and ray["attributes"] == ["green"]
+                and hit["label"] == "plant_1" and abs(rays["distance_m"][1] - 2.7) < 1e-6
+                and rays["theta_deg"][1] == 0.0 and hit["attributes"] == ["green"]
                 and rec["candidates"] == [{"id": 1, "r_m": 2.16, "theta_deg": 0.0}]
                 and rec["observation"]["pose"] == {"x_m": 5.0, "y_m": 4.0,
                                                    "heading_deg": 0.0}):

@@ -245,9 +245,10 @@ def outcome(fn, *args):
         return type(e)
 
 
-# thetas arrive through float(), so NaN and +-inf reach the filter; a small
-# pool makes duplicate thetas common.  An infinite theta on a hazard ray makes
-# both filters raise, so the special values come rarely.
+# the wire parser refuses NaN and +-inf, but a request built in-process may
+# hold them, so they reach the filter; a small pool makes duplicate thetas
+# common.  An infinite theta on a hazard ray makes both filters raise, so the
+# special values come rarely.
 _thetas = st.one_of(st.floats(-200.0, 200.0), st.floats(-60.0, 60.0),
                     st.sampled_from((-30.0, 0.0, 12.5, 90.0)),
                     st.sampled_from((math.nan, math.inf, -math.inf, 0.0, 5.0, 10.0)))
@@ -285,7 +286,7 @@ def test_filter_matches_reference(rays, cands, constraints, pose):
 
 # -- requests the parser accepts ------------------------------------------------------
 
-# JSON values of any shape, for the per-ray fields the parser passes through
+# JSON values of any shape
 _json = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(),
               st.sampled_from(("chair_1", "hazard", "red", "wall", "sign_2"))),
@@ -293,20 +294,40 @@ _json = st.recursive(
                             st.dictionaries(st.sampled_from(("hazard", "red", "k")), inner,
                                             max_size=2)),
     max_leaves=5)
-# what float() takes: numbers, booleans and numeric strings, finite or not
-_wire_number = st.one_of(st.floats(-400.0, 400.0), st.floats(), st.booleans(),
-                         st.integers(-10 ** 6, 10 ** 6),
-                         st.sampled_from(("1e400", "-inf", "nan", "7.5", " 3 ")))
-_label = st.one_of(st.sampled_from((None, "wall", "chair_1", "chair_2", "sign_1", "oven_3", "")),
-                   _json)
-_names = st.one_of(st.lists(st.sampled_from(("hazard", "red", "wooden")), max_size=2),
-                   st.sampled_from(("hazard", "red")), _json)
-_wire_ray = st.fixed_dictionaries(
-    {"theta_deg": _wire_number, "distance_m": _wire_number},
-    optional={"label": _label, "attributes": _names, "tags": _names})
+# finite ray numbers, as JSON integers or floats, up to the largest floats
+_ray_number = st.one_of(st.floats(-400.0, 400.0), st.floats(-1e308, 1e308),
+                        st.integers(-10 ** 6, 10 ** 6))
+_hit_entry = st.fixed_dictionaries({
+    "label": st.sampled_from((None, "wall", "chair_1", "chair_2", "sign_1", "oven_3", "")),
+    "attributes": st.lists(st.sampled_from(("red", "wooden", "hazard")), max_size=2),
+    "tags": st.lists(st.sampled_from(("hazard", "red")), max_size=2)})
+# values the parser refuses somewhere in a ray column or a hits entry
+_bad_value = st.one_of(st.floats() | st.booleans(), _json,
+                       st.sampled_from(("1e400", "-inf", "nan", "7.5", " 3 ", -1, 9)))
 # lone surrogates are valid in a JSON string
 _text = st.text(st.one_of(st.characters(), st.characters(categories=("Cs",))), max_size=6)
 _finite = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def _observation(draw):
+    """A valid observation of up to 8 rays; one time in four, one value of
+    its columns or hits is replaced by one the parser refuses."""
+    hits = draw(st.lists(_hit_entry, min_size=1, max_size=4))
+    n = draw(st.integers(0, 8))
+    rays = {"theta_deg": draw(st.lists(_ray_number, min_size=n, max_size=n)),
+            "distance_m": draw(st.lists(_ray_number, min_size=n, max_size=n)),
+            "hit": draw(st.lists(st.integers(0, len(hits) - 1), min_size=n, max_size=n))}
+    if draw(st.integers(0, 3)) == 0:
+        column, i = draw(st.sampled_from(sorted(rays))), draw(st.integers(0, 8))
+        if i < n:
+            rays[column][i] = draw(_bad_value)
+        else:
+            key = draw(st.sampled_from(("label", "attributes", "tags")))
+            draw(st.sampled_from(hits))[key] = draw(_bad_value)
+    return {"pose": draw(st.fixed_dictionaries({"x_m": _finite, "y_m": _finite,
+                                                "heading_deg": _finite})),
+            "rays": rays, "hits": hits}
 _request = st.fixed_dictionaries({
     "version": st.just(PROTOCOL_VERSION),
     "kind": st.sampled_from((FILTER, SCORE, STOP_CHECK)),
@@ -314,10 +335,7 @@ _request = st.fixed_dictionaries({
     "step": st.integers(-5, 10 ** 6),
     "goal_text": st.one_of(st.sampled_from(("chair", "chair (red)", "object with red", "")),
                            _text),
-    "observation": st.fixed_dictionaries({
-        "pose": st.fixed_dictionaries({"x_m": _finite, "y_m": _finite,
-                                       "heading_deg": _finite}),
-        "rays": st.lists(_wire_ray, max_size=8)}),
+    "observation": _observation(),
     "candidates": st.lists(st.fixed_dictionaries({
         "id": st.integers(0, 20), "r_m": _finite, "theta_deg": _finite}), max_size=4),
     "memory_text": st.one_of(
@@ -327,23 +345,29 @@ _request = st.fixed_dictionaries({
                             max_size=2),
     "template_id": _text,
 })
+_POSE = {"x_m": 0.0, "y_m": 0.0, "heading_deg": 0.0}
 
 
 @settings(max_examples=600, deadline=None)
 @given(payload=_request)
 @example(payload={"version": PROTOCOL_VERSION, "kind": FILTER, "session_id": "s", "step": 0,
-                  "observation": {"pose": {"x_m": 0.0, "y_m": 0.0, "heading_deg": 0.0},
-                                  "rays": [{"theta_deg": "inf", "distance_m": 2.0,
-                                            "label": "sign_1", "tags": ["hazard"]}]},
+                  "observation": {"pose": _POSE,
+                                  "rays": {"theta_deg": ["inf"], "distance_m": [2.0],
+                                           "hit": [0]},
+                                  "hits": [{"label": "sign_1", "attributes": [],
+                                            "tags": ["hazard"]}]},
                   "candidates": [{"id": 1, "r_m": 1.0, "theta_deg": 0.0}]})
 @example(payload={"version": PROTOCOL_VERSION, "kind": SCORE, "session_id": "s", "step": 0,
-                  "observation": {"pose": {"x_m": 0.0, "y_m": 0.0, "heading_deg": 0.0},
-                                  "rays": [{"theta_deg": "-inf", "distance_m": 2.0,
-                                            "label": "chair_1"}]},
+                  "observation": {"pose": _POSE,
+                                  "rays": {"theta_deg": [-1.7976931348623157e308],
+                                           "distance_m": [1e308], "hit": [0]},
+                                  "hits": [{"label": "chair_1", "attributes": [],
+                                            "tags": []}]},
                   "candidates": [{"id": 1, "r_m": 1.0, "theta_deg": 0.0}]})
 @example(payload={"version": PROTOCOL_VERSION, "kind": FILTER, "session_id": "s", "step": 0,
-                  "observation": {"pose": {"x_m": 0.0, "y_m": 0.0, "heading_deg": 0.0},
-                                  "rays": []},
+                  "observation": {"pose": _POSE,
+                                  "rays": {"theta_deg": [], "distance_m": [], "hit": []},
+                                  "hits": []},
                   "candidates": [{"id": 1, "r_m": 1.0, "theta_deg": 0.0}],
                   "constraints": ["stay away from the oven"]})
 def test_decide_returns_or_raises_schema_violation_on_any_parsed_request(payload):

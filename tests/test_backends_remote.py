@@ -3,6 +3,8 @@ import http.client
 import json
 import logging
 import math
+import random
+import struct
 import subprocess
 import sys
 import threading
@@ -14,10 +16,12 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynav.backends.oracle import OracleBackend
 from dynav.backends.protocol import (
     FILTER,
+    KINDS,
     PROTOCOL_VERSION,
     SCORE,
     STOP_CHECK,
@@ -38,11 +42,14 @@ from dynav.backends import protocol, remote
 from dynav.backends.remote import BackendConfig, RemoteBackend
 from dynav.backends.stub import POLL_INTERVAL_S, StubServer
 from dynav.config import RunConfig
+from dynav.episodes import EpisodeSpec, run_episode
 from dynav.errors import BindFailure, RequestTimeout, SchemaViolation, TransportError
+from dynav.geometry import AgentBody
 from dynav.goals import GoalSpec
 from dynav.policy import AgentState, step
 from dynav.proposer import Adjustment, BoundaryPoint, Candidate, CandidateSet
 from dynav.sensing import Ray, sense
+from dynav.worldgen import WorldGenSpec, generate_world, random_free_pose
 
 from conftest import MISSING, dotted, json_values, make_pose, replaced, replacements
 
@@ -70,7 +77,7 @@ def test_score_request_golden(plant_world, body):
     ctx = request_context(obs, session_id="ep1", goal_text="plant",
                           memory_text="plant_1 at (8.0, 4.0)", constraints=("keep right",))
     d = make_score_request(ctx, cands, "goal-name/1").to_dict()
-    assert d["version"] == "dynav/1"
+    assert d["version"] == "dynav/2"
     assert d["kind"] == "score"
     assert d["session_id"] == "ep1" and d["step"] == 4
     assert d["goal_text"] == "plant"
@@ -79,12 +86,15 @@ def test_score_request_golden(plant_world, body):
     assert d["template_id"] == "goal-name/1"
     pose = d["observation"]["pose"]
     assert pose == {"x_m": 5.0, "y_m": 4.0, "heading_deg": 0.0}
-    rays = d["observation"]["rays"]
-    assert [r["theta_deg"] for r in rays] == pytest.approx([-65.5, 0.0, 65.5])
-    assert rays[1] == {"theta_deg": 0.0, "distance_m": pytest.approx(2.7),
-                       "label": "plant_1", "attributes": ["green"], "tags": []}
-    assert rays[0]["label"] == "wall" and rays[0]["attributes"] == []
-    assert rays[0]["distance_m"] == pytest.approx(3.9 / math.sin(math.radians(65.5)))
+    rays, hits = d["observation"]["rays"], d["observation"]["hits"]
+    assert set(rays) == {"theta_deg", "distance_m", "hit"}
+    assert rays["theta_deg"] == pytest.approx([-65.5, 0.0, 65.5])
+    # the two walls share the table's first entry, the plant is its second
+    assert rays["hit"] == [0, 1, 0]
+    assert rays["theta_deg"][1] == 0.0 and rays["distance_m"][1] == pytest.approx(2.7)
+    assert hits[rays["hit"][1]] == {"label": "plant_1", "attributes": ["green"], "tags": []}
+    assert hits[rays["hit"][0]] == {"label": "wall", "attributes": [], "tags": []}
+    assert rays["distance_m"][0] == pytest.approx(3.9 / math.sin(math.radians(65.5)))
     assert d["candidates"] == [{"id": 1, "r_m": 2.16, "theta_deg": 0.0}]
 
 
@@ -211,7 +221,7 @@ def test_parse_response_memory_ops_and_defaults():
 @pytest.mark.parametrize("location", ["[NaN, 1.0]", "[1.0, Infinity]", "[-Infinity, NaN]"])
 def test_parse_response_rejects_non_finite_locations(location):
     # Python's json reads NaN and Infinity; a memory node must not store them
-    payload = json.loads('{"version": "dynav/1", "kind": "score", "memory_ops": '
+    payload = json.loads('{"version": "dynav/2", "kind": "score", "memory_ops": '
                          '[{"op": "add_node", "name": "chair_9", "location_m": %s}]}' % location)
     with pytest.raises(SchemaViolation, match="not finite"):
         parse_response(payload, make_req())
@@ -258,7 +268,7 @@ def test_remote_round_trip_records_request():
         assert resp.rationale == "canned"
         assert len(stub.requests) == 1
         seen = stub.requests[0]
-        assert seen["version"] == "dynav/1"
+        assert seen["version"] == "dynav/2"
         assert seen["step"] == 3
         # the recorded payload parses back into the identical request
         assert DecisionRequest.from_dict(seen) == make_req(step=3)
@@ -543,27 +553,45 @@ def test_parse_response_field_raises_only_schema_violation(path, value):
     parses_or_violates(replaced(VALID_RESPONSE, path, value))
 
 
-VALID_REQUEST = make_req(rays=(
+VALID_REQ = make_req(rays=(
     WireRay(-10.0, 2.5, None),
-    WireRay(10.0, 3.0, "chair_1", ("red",), ("hazard",)))).to_dict()
+    WireRay(10.0, 3.0, "chair_1", ("red",), ("hazard",)),
+    WireRay(20.0, 2.0, None)))
+VALID_REQUEST = VALID_REQ.to_dict()
 REQUEST_PATHS = [
     ("version",), ("kind",), ("session_id",), ("step",), ("goal_text",),
     ("observation",), ("observation", "pose"), ("observation", "pose", "x_m"),
-    ("observation", "rays"), ("observation", "rays", 1),
-    ("observation", "rays", 1, "theta_deg"), ("observation", "rays", 1, "label"),
-    ("observation", "rays", 1, "attributes"), ("observation", "rays", 1, "tags"),
+    ("observation", "rays"), ("observation", "rays", "theta_deg"),
+    ("observation", "rays", "distance_m"), ("observation", "rays", "hit"),
+    ("observation", "rays", "theta_deg", 1), ("observation", "rays", "distance_m", 1),
+    ("observation", "rays", "hit", 1), ("observation", "hits"), ("observation", "hits", 1),
+    ("observation", "hits", 1, "label"), ("observation", "hits", 1, "attributes"),
+    ("observation", "hits", 1, "tags"),
     ("candidates",), ("candidates", 0), ("candidates", 0, "id"), ("candidates", 0, "r_m"),
     ("memory_text",), ("constraints",), ("template_id",),
 ]
 
 
+def parses_or_refuses_request(d):
+    """``from_dict(d)`` raises SchemaViolation or gives rays that hold what
+    the wire promises: finite floats, a label that is a string or null, and
+    attributes and tags that are tuples of strings."""
+    try:
+        req = DecisionRequest.from_dict(d)
+    except SchemaViolation:
+        return
+    for theta, dist, label, attributes, tags in req.context.rays:
+        assert type(theta) is float and math.isfinite(theta)
+        assert type(dist) is float and math.isfinite(dist)
+        assert label is None or type(label) is str
+        for names in (attributes, tags):
+            assert type(names) is tuple and all(type(n) is str for n in names)
+
+
 @settings(max_examples=200, deadline=None)
 @given(json_values)
 def test_request_from_dict_raises_only_schema_violation(d):
-    try:
-        DecisionRequest.from_dict(d)
-    except SchemaViolation:
-        pass
+    parses_or_refuses_request(d)
 
 
 @pytest.mark.parametrize("path", REQUEST_PATHS, ids=dotted)
@@ -572,10 +600,97 @@ def test_request_from_dict_raises_only_schema_violation(d):
 def test_request_from_dict_field_raises_only_schema_violation(path, value):
     if isinstance(path[-1], int) and value is MISSING:
         return
-    try:
+    parses_or_refuses_request(replaced(VALID_REQUEST, path, value))
+
+
+def test_valid_request_parses():
+    # the fuzzed and the refused requests are this one with one field changed
+    assert VALID_REQUEST["observation"]["rays"]["hit"] == [0, 1, 0]
+    assert DecisionRequest.from_dict(VALID_REQUEST) == VALID_REQ
+
+
+@pytest.mark.parametrize("path, value, match", [
+    (("observation", "rays", "theta_deg"), [0.0, 1.0], "columns differ in length"),
+    (("observation", "rays", "distance_m"), [], "columns differ in length"),
+    (("observation", "rays", "hit"), [0, 1, 0, 1], "columns differ in length"),
+    (("observation", "rays", "theta_deg", 1), True, "ray theta_deg must be a number"),
+    (("observation", "rays", "theta_deg", 1), "10.0", "ray theta_deg must be a number"),
+    (("observation", "rays", "theta_deg", 2), math.nan, "ray theta_deg is not finite"),
+    (("observation", "rays", "distance_m", 0), math.inf, "ray distance_m is not finite"),
+    (("observation", "rays", "distance_m", 0), 10 ** 400, "ray distance_m is not finite"),
+    (("observation", "rays", "distance_m", 0), None, "ray distance_m must be a number"),
+    (("observation", "rays", "distance_m"), "2.5", "ray distance_m must be a list"),
+    (("observation", "rays", "hit", 1), -1, "ray hit must index the 2 hits"),
+    (("observation", "rays", "hit", 1), 2, "ray hit must index the 2 hits"),
+    (("observation", "rays", "hit", 1), True, "ray hit must index the 2 hits"),
+    (("observation", "rays", "hit", 1), 1.0, "ray hit must index the 2 hits"),
+    (("observation", "hits"), [], "ray hit must index the 0 hits"),
+    (("observation", "hits"), {}, "observation hits must be a list"),
+    (("observation", "hits", 1), "chair_1", "a hits entry must be an object"),
+    (("observation", "hits", 1, "label"), ["chair_1"], "label must be a string or null"),
+    (("observation", "hits", 1, "label"), 3, "label must be a string or null"),
+    (("observation", "hits", 1, "attributes"), "red", "attributes must be a list of strings"),
+    (("observation", "hits", 1, "attributes"), ["red", 1], "attributes must be a list of str"),
+    (("observation", "hits", 1, "tags"), [None], "tags must be a list of strings"),
+    (("observation", "hits", 1, "tags"), "hazard", "tags must be a list of strings"),
+    (("observation", "rays"), [], "observation rays must be an object"),
+], ids=repr)
+def test_request_from_dict_checks_each_ray(path, value, match):
+    with pytest.raises(SchemaViolation, match=match):
         DecisionRequest.from_dict(replaced(VALID_REQUEST, path, value))
-    except SchemaViolation:
-        pass
+
+
+def test_request_from_dict_reads_integer_ray_numbers_as_floats():
+    d = replaced(VALID_REQUEST, ("observation", "rays", "distance_m"), [2, 3, -0.0])
+    rays = DecisionRequest.from_dict(d).context.rays
+    assert [r.distance_m for r in rays] == [2.0, 3.0, 0.0]
+    assert [type(r.distance_m) for r in rays] == [float] * 3
+    assert math.copysign(1.0, rays[2].distance_m) == -1.0
+
+
+# the table of hits: null, wall and object labels, one label with two
+# attribute sets, and arbitrary text; a small pool makes repeats common
+_hit_keys = st.one_of(
+    st.sampled_from(((None, (), ()), ("wall", (), ()), ("chair_1", ("red", "wooden"), ()),
+                     ("chair_1", ("red",), ()), ("sign_1", (), ("hazard",)))),
+    st.tuples(st.none() | st.text(max_size=4),
+              st.lists(st.text(max_size=3), max_size=2).map(tuple),
+              st.lists(st.text(max_size=3), max_size=2).map(tuple)))
+_wire_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+     -1.7976931348623157e308, 0.1, 1e16))
+_contexts = st.builds(
+    RequestContext, session_id=st.text(max_size=6), step=st.integers(0, 10 ** 6),
+    goal_text=st.text(max_size=8),
+    pose=st.tuples(_wire_floats, _wire_floats, _wire_floats),
+    rays=st.lists(st.builds(lambda t, d, key: WireRay(t, d, *key),
+                            _wire_floats, _wire_floats, _hit_keys), max_size=40).map(tuple),
+    memory_text=st.text(max_size=8), constraints=st.lists(st.text(max_size=4)).map(tuple))
+_candidates = st.lists(st.builds(WireCandidate, st.integers(0, 50), _wire_floats, _wire_floats),
+                       min_size=1, max_size=4).map(tuple)
+
+
+def float_bits(req) -> bytes:
+    """The bits of every float of a request: the pose, the rays' angles and
+    distances, and the candidates' ranges and angles."""
+    ctx = req.context
+    values = [*ctx.pose, *(x for r in ctx.rays for x in r[:2]),
+              *(x for c in req.candidates for x in c[1:])]
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ctx=_contexts, kind=st.sampled_from(KINDS), cands=_candidates)
+def test_request_round_trips_through_the_wire_bit_for_bit(ctx, kind, cands):
+    req = DecisionRequest(kind, ctx, () if kind == STOP_CHECK else cands, "goal-name/1")
+    d = json.loads(encode_request(req))
+    again = DecisionRequest.from_dict(d)
+    assert again == req
+    assert float_bits(again) == float_bits(req)  # == takes -0.0 for 0.0; the bits do not
+    # one table entry per distinct hit, in order of first appearance
+    table = [(e["label"], tuple(e["attributes"]), tuple(e["tags"]))
+             for e in d["observation"]["hits"]]
+    assert table == list(dict.fromkeys(r[2:] for r in ctx.rays))
 
 
 # -- encoding ------------------------------------------------------------------------
@@ -613,9 +728,11 @@ def test_encode_request_matches_json_dumps(kinds, cluttered_world, body, monkeyp
         req = build[kind]()
         assert encode_request(req) == dumped(req)
     # the requests of one context, each encoded on its own, encode its
-    # observation once: one pose and each ray once
+    # observation once: one text holds the ray columns, with one pose and
+    # each ray once
+    assert [t for t in texts if '"distance_m"' in t] == [ctx.observation_json]
     assert sum(t.count('"heading_deg"') for t in texts) == 1
-    assert sum(t.count('"distance_m"') for t in texts) == len(ctx.rays) == 61
+    assert len(json.loads(ctx.observation_json)["rays"]["distance_m"]) == len(ctx.rays) == 61
     for kind in kinds:
         assert encode_request(make_req(kind)) == dumped(make_req(kind))
 
@@ -662,6 +779,31 @@ def test_encode_request_of_a_real_step(cluttered_world):
     for other in (replace(ctx, pose=(1.0, -0.0, 45.5)), replace(ctx, rays=ctx.rays[:5])):
         req = replace(seen[2], context=other)
         assert encode_request(req) == dumped(req)
+
+
+# The mean request body of the objectnav episodes of world seeds 0 and 1 (48
+# requests of 181 rays each) in the dynav/1 layout, where each ray was an
+# object with its hit's label, attributes and tags: 1 061 512 bytes in all.
+V1_MEAN_BODY_BYTES = 1061512 / 48
+
+
+def test_request_bodies_are_at_most_half_of_the_per_ray_layout():
+    bodies = []
+
+    class Recording(OracleBackend):
+        def decide(self, req):
+            bodies.append(len(encode_request(req)))
+            return super().decide(req)
+
+    spec = WorldGenSpec(categories=("chair", "table"), rooms=2, objects_per_category=2)
+    for seed in (0, 1):
+        world = generate_world(spec, seed)
+        start = random_free_pose(world, random.Random(seed + 1000), AgentBody())
+        run_episode(EpisodeSpec(episode_id=f"w{seed}", world=world, start=start, seed=seed,
+                                goals=(GoalSpec.name_goal("chair"),)),
+                    Recording(), RunConfig(max_distance_m=10000.0))
+    assert len(bodies) == 48
+    assert sum(bodies) / len(bodies) <= V1_MEAN_BODY_BYTES / 2
 
 
 # -- the keep-alive connection -------------------------------------------------------

@@ -325,6 +325,17 @@ def test_run_refuses_an_object_name_a_ray_or_the_memory_text_cannot_carry(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("attribute", ["red, tall", "x)"])
+def test_run_refuses_an_object_attribute_the_memory_text_cannot_carry(
+        tmp_path, episode_file, capsys, attribute):
+    world = json.loads((tmp_path / "world.json").read_text())
+    world["objects"][0]["attributes"] = [attribute]
+    (tmp_path / "world.json").write_text(json.dumps(world))
+    assert main(["run", "--episodes", str(episode_file), "--out", str(tmp_path / "out")]) == 1
+    assert "cannot carry" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_worldgen_writes_loadable_world(tmp_path, capsys):
     out = tmp_path / "w.json"
     assert main(["worldgen", "--out", str(out), "--seed", "3"]) == 0

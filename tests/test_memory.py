@@ -243,6 +243,56 @@ def test_names_the_memory_text_cannot_carry_are_refused(caplog):
         ("tv.stand", ("black",), (1.0, 2.0))]
 
 
+# attributes the memory text cannot read back: each splits, breaks or loses
+# its node clause
+UNCARRIED_ATTRIBUTES = ("red, tall", "red,tall", "x)", "a. b", "", " red", "red\n")
+
+
+def test_attributes_the_memory_text_cannot_carry_are_refused(caplog):
+    # render_text of chair_1 with "red, tall" would read back as "red" and
+    # "tall", and lamp_1 with "x)" as a node named "lamp_1 (x))"
+    for attribute in UNCARRIED_ATTRIBUTES:
+        with pytest.raises(ValueError, match="cannot carry"):
+            MemoryNode("chair_1", {attribute}, (1.0, 2.0))
+        graph = {"format": "dynav-graph/1",
+                 "nodes": [{"name": "chair_1", "attributes": ["red", attribute]}]}
+        with pytest.raises(SchemaViolation, match="cannot carry"):
+            MemoryGraph.from_dict(graph)
+    g = MemoryGraph()
+    ops = [MemoryOp(op="add_node", name="chair_1", attributes=("red, tall",), location=(1.0, 2.0)),
+           MemoryOp(op="add_node", name="lamp_1", attributes=("x)",), location=(3.0, 4.0)),
+           MemoryOp(op="add_node", name="lamp_2", attributes=("x", "tall"), location=(3.0, 4.0))]
+    apply_memory_ops(g, ops, step_index=1, agent="a")
+    assert set(g.nodes) == {"lamp_2"}
+    assert sum("dropping malformed memory op" in r.message for r in caplog.records) == 2
+    assert list(MemoryGraph.located_clauses(g.render_text(budget=10))) == [
+        ("lamp_2", ("tall", "x"), (3.0, 4.0))]
+
+
+def node_clause(attributes) -> str:
+    """render_text of a graph holding only chair_1 at (1, 2) with ``attributes``."""
+    listed = f" ({', '.join(sorted(attributes))})" if attributes else ""
+    return f"chair_1{listed} at (1.0, 2.0)."
+
+
+@settings(max_examples=300, deadline=None)
+@given(attributes=st.sets(st.text(st.sampled_from("ab ,.)(\n"), max_size=5)
+                          | st.text(max_size=4), max_size=3))
+@example(attributes={"red, tall"})
+@example(attributes={"x)"})
+@example(attributes={"tall.", "(old"})
+def test_a_node_holds_exactly_the_attributes_the_memory_text_reads_back(attributes):
+    reads_back = list(MemoryGraph.located_clauses(node_clause(attributes))) == [
+        ("chair_1", tuple(sorted(attributes)), (1.0, 2.0))]
+    g = MemoryGraph()
+    try:
+        g.add_node("chair_1", attributes, (1.0, 2.0))
+    except ValueError:
+        assert not reads_back
+    else:
+        assert reads_back and g.render_text(budget=10) == node_clause(attributes)
+
+
 def test_render_text_counts_clauses():
     g = demo_graph()
     assert g.render_text(budget=3).count(". ") + 1 == 3

@@ -219,7 +219,7 @@ def test_propose_pipeline(box_world, body, run_cfg):
     assert 1 not in out.ids()
     req = backend.requests[0]
     assert req.kind == FILTER
-    assert req.to_dict()["version"] == "dynav/1"
+    assert req.to_dict()["version"] == "dynav/2"
     assert req.context.session_id == "s" and req.context.goal_text == "chair"
     assert len(req.candidates) == len(out.ids()) + 1
 

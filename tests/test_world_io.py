@@ -58,6 +58,10 @@ def test_object_validation():
         with pytest.raises(ValueError, match="cannot carry"):
             SemanticObject(name=name, category="chair", center=(0, 0), radius=0.3)
     assert SemanticObject(name="tv.stand", category="tv", center=(0, 0), radius=0.3)
+    for attribute in ("red, tall", "x)"):  # nor an attribute like these
+        with pytest.raises(ValueError, match="cannot carry"):
+            SemanticObject(name="c", category="chair", center=(0, 0), radius=0.3,
+                           attributes=("red", attribute))
     with pytest.raises(SchemaViolation):
         SemanticObject.from_dict({"name": "c", "category": "chair"})
 
@@ -79,7 +83,7 @@ GOOD_OBJECT = {"name": "c", "category": "chair", "center": [1.0, 1.0], "radius":
     ("center", [1.0, "2"]), ("center", [1.0, math.nan]), ("radius", math.inf),
     ("radius", "0.3"), pytest.param("radius", 10 ** 400, id="radius-huge-int"),
     ("attributes", "red"), ("tags", "hazard"), ("name", "wall"), ("name", "a. b"),
-    ("name", "tv.")])
+    ("name", "tv."), ("attributes", ["red, tall"]), ("attributes", ["x)"])])
 def test_object_from_dict_refuses_bad_fields(field, value):
     with pytest.raises(SchemaViolation):
         SemanticObject.from_dict(dict(GOOD_OBJECT, **{field: value}))
