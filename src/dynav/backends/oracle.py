@@ -80,7 +80,9 @@ class OracleBackend:
       to the nearest goal sighting; else, if memory recalls a located match,
       by bearing toward it blended with range; else by range (frontier
       exploration) with a small deterministic hash perturbation.  Also emits
-      memory operations for every labeled sighting.
+      memory operations for every labeled sighting, and rates stop
+      confidence with the stop_check rule, so a score and a stop_check reply
+      on one context carry the same ``s_stop``.
     * stop_check: full confidence exactly when the goal is visible within the
       success distance, zero otherwise.
     """
@@ -250,13 +252,20 @@ class OracleBackend:
                     coarse = min(self.r_scale, math.floor(c.r_m))
                     scores[c.id] = min(1.0, 0.99 * coarse / self.r_scale
                                        + 0.01 * _hash_unit(ctx.session_id, ctx.step, c.id))
-        return DecisionResponse(kind=SCORE, scores=scores, memory_ops=self._memory_ops(ctx))
+        return DecisionResponse(kind=SCORE, scores=scores, s_stop=self._s_stop(goal_rays),
+                                memory_ops=self._memory_ops(ctx))
 
     # -- stop -----------------------------------------------------------------
 
     def _stop(self, req: DecisionRequest) -> DecisionResponse:
-        near = any(r.distance_m <= self.success_threshold for r in self._goal_rays(req.context))
-        return DecisionResponse(kind=STOP_CHECK, s_stop=1.0 if near else 0.0)
+        return DecisionResponse(kind=STOP_CHECK,
+                                s_stop=self._s_stop(self._goal_rays(req.context)))
+
+    def _s_stop(self, goal_rays: Sequence[WireRay]) -> float:
+        """Full confidence exactly when a goal ray ends within the success
+        distance."""
+        near = any(r.distance_m <= self.success_threshold for r in goal_rays)
+        return 1.0 if near else 0.0
 
     # -- memory operations, sent on score replies -------------------------------
 

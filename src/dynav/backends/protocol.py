@@ -1,11 +1,12 @@
 """Wire protocol between the navigation policy and decision backends.
 
 Requests and responses are JSON with angles in degrees and distances in
-meters; both directions carry ``version: "dynav/2"``.  A request carries its
+meters; both directions carry ``version: "dynav/3"``.  A request carries its
 step's rays as columns, plus one table of the distinct hits they index.
 Three request kinds exist: ``filter`` (prune/nudge candidates), ``score``
-(rate candidates and optionally emit memory operations), and ``stop_check``
-(rate stop confidence on the raw, un-annotated observation).
+(rate candidates and stop confidence, and optionally emit memory
+operations), and ``stop_check`` (rate stop confidence alone, for a step left
+with no candidate to score).
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from ..sensing import Observation
 
 log = logging.getLogger(__name__)
 
-PROTOCOL_VERSION = "dynav/2"
+PROTOCOL_VERSION = "dynav/3"
 
 FILTER = "filter"
 SCORE = "score"
@@ -32,9 +33,9 @@ STOP_CHECK = "stop_check"
 KINDS = (FILTER, SCORE, STOP_CHECK)
 
 TEMPLATES = {
-    "name": "goal-name/1",
-    "description": "goal-description/1",
-    "instance": "goal-instance/1",
+    "name": "goal-name/2",
+    "description": "goal-description/2",
+    "instance": "goal-instance/2",
     "stop": "stop-check/1",
     "filter": "filter/1",
 }
@@ -361,5 +362,5 @@ def make_score_request(ctx: RequestContext, candidates: CandidateSet,
 
 
 def make_stop_request(ctx: RequestContext) -> DecisionRequest:
-    # stop confidence is judged on the raw observation: no candidates attached
+    # for a step with no candidate to score: no candidates attached
     return DecisionRequest(STOP_CHECK, ctx, (), TEMPLATES["stop"])

@@ -1,14 +1,16 @@
 """HTTP client for a remote decision endpoint.
 
-POSTs each request as ``dynav/2`` JSON, whose observation carries the step's
+POSTs each request as ``dynav/3`` JSON, whose observation carries the step's
 rays as columns plus one table of the distinct hits (docs/protocol.md), to
 the configured ``http://`` or ``https://`` URL, and validates the reply
-against the wire schema.  A ``RemoteBackend`` keeps one
-keep-alive HTTP/1.1 connection (stdlib ``http.client``) and serves one thread.
-Transport failures and HTTP 5xx are retried with exponential backoff; schema
-problems are never retried because a malformed server will not heal on its
-own.  Redirects (3xx) are not followed, and proxy environment variables are
-not read.
+against the wire schema.  A step waits on at most two round trips: filter,
+then score, whose reply also rates stop confidence (a step left with no
+candidate sends one stop_check instead of the score).  A ``RemoteBackend``
+keeps one keep-alive HTTP/1.1 connection (stdlib ``http.client``) and serves
+one thread.  Transport failures and HTTP 5xx are retried with exponential
+backoff; schema problems are never retried because a malformed server will
+not heal on its own.  Redirects (3xx) are not followed, and proxy environment
+variables are not read.
 """
 from __future__ import annotations
 

@@ -31,11 +31,13 @@ _LOCATED = re.compile(
 
 
 def check_clause_name(name: str, what: str) -> None:
-    """Refuse a ``name`` that holds ". " or ends in ".": ``render_text`` joins
-    its clauses with ". " and ends in ".", so ``located_clauses`` could not
-    read such a name back whole."""
-    if ". " in name or name.endswith("."):
-        raise ValueError(f"{what} {name!r} holds '. ' or ends in '.', "
+    """Refuse a ``name`` that holds ". " or " (", or ends in ".":
+    ``render_text`` joins its clauses with ". " and ends in ".", and
+    ``located_clauses`` reads the first " (" of a node clause as the start of
+    its attributes or location, so it could not read such a name back whole
+    (``tv (old)`` would read back as ``tv`` with the attribute ``old``)."""
+    if ". " in name or " (" in name or name.endswith("."):
+        raise ValueError(f"{what} {name!r} holds '. ' or ' (', or ends in '.', "
                          "which the memory text cannot carry")
 
 

@@ -1,10 +1,11 @@
 """Per-step decision logic: sense, propose and filter, score and stop, act.
 
 Each step senses and builds one request context, extracts the navigable
-boundary and samples candidates, lets the backend filter them, then makes two
-logical backend calls: one scoring the annotated candidates and one judging
-stop confidence on the raw observation.  Stop requires the confidence to
-exceed the threshold on two consecutive steps.  Backend failures and empty
+boundary and samples candidates, lets the backend filter them, then makes one
+more backend call: a score request, whose reply rates the candidates and stop
+confidence together, or, when no candidate is left to score, a stop check.
+A step thus waits on at most two backend calls.  Stop requires the confidence
+to exceed the threshold on two consecutive steps.  Backend failures and empty
 candidate sets degrade to a rotation in place.
 """
 from __future__ import annotations
@@ -113,20 +114,22 @@ def select_action(ctx: RequestContext, candidates: CandidateSet, template_id: st
                   backend, cfg, stop_streak: int) -> Tuple[StepDecision, Tuple]:
     """Score candidates, update the stop streak, and choose the action.
 
-    Returns the decision plus any memory operations the backend emitted.  The
-    stop check runs on the raw observation in a separate call; stop fires only
-    when confidence has exceeded the threshold on this step and the previous
-    one.  On backend failure the streak is left unchanged and the agent falls
-    back to rotating by theta_delta.
+    Returns the decision plus any memory operations the backend emitted.  One
+    call gives the stop confidence: the score reply's, or a stop check's when
+    there is no candidate to score.  Stop fires only when confidence has
+    exceeded the threshold on this step and the previous one.  On backend
+    failure the streak is left unchanged and the agent falls back to rotating
+    by theta_delta.
     """
     memory_ops: Tuple = ()
     scores: Dict[int, float] = {}
     try:
         if candidates.candidates:
-            score_resp = backend.decide(make_score_request(ctx, candidates, template_id))
-            scores = dict(score_resp.scores)
-            memory_ops = score_resp.memory_ops
-        stop_resp = backend.decide(make_stop_request(ctx))
+            resp = backend.decide(make_score_request(ctx, candidates, template_id))
+            scores = dict(resp.scores)
+            memory_ops = resp.memory_ops
+        else:
+            resp = backend.decide(make_stop_request(ctx))
     except BackendUnavailable as e:
         log.warning("backend unavailable at step %d: %s", ctx.step, e)
         return _fallback(cfg.theta_delta, stop_streak, failed=True), ()
@@ -136,7 +139,7 @@ def select_action(ctx: RequestContext, candidates: CandidateSet, template_id: st
             log.warning("backend omitted a score for candidate %d; assuming 0", c.id)
             scores[c.id] = 0.0
 
-    s_stop = stop_resp.s_stop
+    s_stop = resp.s_stop
     streak = stop_streak + 1 if s_stop > cfg.tau_stop else 0
     if streak >= 2:
         chosen = PolarAction.stop_action()

@@ -390,7 +390,8 @@ class _StopScript:
     def decide(self, req):
         if req.kind == STOP_CHECK:
             return DecisionResponse(kind=STOP_CHECK, s_stop=self.stops.pop(0))
-        return DecisionResponse(kind=SCORE, scores={c.id: 0.5 for c in req.candidates})
+        return DecisionResponse(kind=SCORE, scores={c.id: 0.5 for c in req.candidates},
+                                s_stop=self.stops.pop(0))
 
 
 def test_6_stop_rule_exhaustive_truth_table():
@@ -493,8 +494,8 @@ def test_8_wire_protocol_conformance():
             problems.append(("request drifted on the wire", rec))
         rays = rec["observation"]["rays"]
         hit = rec["observation"]["hits"][rays["hit"][1]]
-        if not (rec["version"] == "dynav/2" and rec["kind"] == "score"
-                and rec["template_id"] == "goal-name/1"
+        if not (rec["version"] == "dynav/3" and rec["kind"] == "score"
+                and rec["template_id"] == "goal-name/2"
                 and hit["label"] == "plant_1" and abs(rays["distance_m"][1] - 2.7) < 1e-6
                 and rays["theta_deg"][1] == 0.0 and hit["attributes"] == ["green"]
                 and rec["candidates"] == [{"id": 1, "r_m": 2.16, "theta_deg": 0.0}]
@@ -547,8 +548,8 @@ def test_8_wire_protocol_conformance():
         {"kind": "filter", "body": {}},
         {"kind": "score", "scores_all": 0.5},
         {"kind": "stop_check", "body": {"s_stop": 0.0}},
-        {"kind": "stop_check", "step": 4, "body": {"s_stop": 0.9}},
-        {"kind": "stop_check", "step": 5, "body": {"s_stop": 0.9}},
+        {"kind": "score", "step": 4, "scores_all": 0.5, "body": {"s_stop": 0.9}},
+        {"kind": "score", "step": 5, "scores_all": 0.5, "body": {"s_stop": 0.9}},
     ]
     server = StubServer(port=0, script=script).start()
     try:

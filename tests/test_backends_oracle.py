@@ -1,5 +1,7 @@
 """Deterministic backend: scoring modes, hazard filtering, stop and memory ops."""
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,14 +18,18 @@ from dynav.backends.protocol import (
     WireCandidate,
     WireRay,
 )
+from dynav.config import RunConfig
+from dynav.episodes import load_episode_specs, run_episode
 from dynav.errors import SchemaViolation
+
+SPEC = Path(__file__).resolve().parent.parent / "specs" / "objectnav_small.json"
 
 
 def make_req(kind=SCORE, goal="chair", rays=(), candidates=(), memory="",
              constraints=(), pose=(0.0, 0.0, 0.0), session="s", step=0):
     ctx = RequestContext(session_id=session, step=step, goal_text=goal, pose=pose,
                          rays=tuple(rays), memory_text=memory, constraints=tuple(constraints))
-    return DecisionRequest(kind, ctx, tuple(candidates), "goal-name/1")
+    return DecisionRequest(kind, ctx, tuple(candidates), "goal-name/2")
 
 
 @pytest.fixture
@@ -412,6 +418,68 @@ def test_stop_confidence_requires_goal_within_threshold(backend):
     assert backend.decide(far).s_stop == 0.0
     assert backend.decide(none).s_stop == 0.0
     assert backend.decide(near).kind == STOP_CHECK
+
+
+def test_score_replies_rate_stop_confidence(backend):
+    cands = [WireCandidate(1, 1.0, 0.0)]
+    near = make_req(rays=[WireRay(5.0, 0.29, "chair_1")], candidates=cands)
+    far = make_req(rays=[WireRay(5.0, 0.31, "chair_1")], candidates=cands)
+    none = make_req(rays=[WireRay(5.0, 0.2, "table_1")], candidates=cands)
+    assert backend.decide(near).s_stop == 1.0
+    assert backend.decide(far).s_stop == 0.0
+    assert backend.decide(none).s_stop == 0.0
+
+
+def stop_confidences(backend, req):
+    """The s_stop of a score reply and of a stop_check reply on the context
+    of ``req``, which may be of any kind."""
+    scored = backend.decide(replace(req, kind=SCORE))
+    checked = backend.decide(replace(req, kind=STOP_CHECK, candidates=()))
+    return scored.s_stop, checked.s_stop
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=_request)
+@example(payload={"version": PROTOCOL_VERSION, "kind": SCORE, "session_id": "s", "step": 0,
+                  "goal_text": "chair (red)",
+                  "observation": {"pose": _POSE,
+                                  "rays": {"theta_deg": [-3.0, 4.0], "distance_m": [0.2, 0.25],
+                                           "hit": [0, 1]},
+                                  "hits": [{"label": "chair_1", "attributes": [], "tags": []},
+                                           {"label": "chair_2", "attributes": ["red"],
+                                            "tags": []}]},
+                  "candidates": [{"id": 1, "r_m": 1.0, "theta_deg": 0.0}]})
+def test_score_and_stop_check_agree_on_stop_confidence(payload):
+    """On any context the server's parser accepts, a score reply carries the
+    s_stop that a stop_check reply on that context carries."""
+    try:
+        req = DecisionRequest.from_dict(payload)
+    except SchemaViolation:
+        return
+    try:
+        scored, checked = stop_confidences(OracleBackend(), req)
+    except SchemaViolation:
+        return
+    assert scored == checked
+
+
+def test_score_and_stop_check_agree_on_every_step_of_a_spec():
+    cfg = RunConfig()
+    oracle = OracleBackend(hazard_clearance=cfg.hazard_clearance_m,
+                           success_threshold=cfg.success_threshold_m, r_scale=cfg.d_max)
+    pairs = []
+
+    class Comparing:
+        def decide(self, req):
+            if req.kind != FILTER:
+                pairs.append(stop_confidences(oracle, req))
+            return oracle.decide(req)
+
+    for spec in load_episode_specs(str(SPEC), cfg):
+        run_episode(spec, Comparing(), cfg)
+    assert len(pairs) == 40  # one per step of the spec's five episodes
+    assert all(scored == checked for scored, checked in pairs)
+    assert sum(scored == 1.0 for scored, _ in pairs) >= 5  # each episode's stop
 
 
 # -- memory operations on score replies ---------------------------------------------

@@ -25,6 +25,7 @@ from dynav.backends.protocol import (
     PROTOCOL_VERSION,
     SCORE,
     STOP_CHECK,
+    TEMPLATES,
     DecisionRequest,
     DecisionResponse,
     MemoryOp,
@@ -59,7 +60,7 @@ def make_req(kind=SCORE, step=0, n_cands=2, rays=(), pose=(1.0, 2.0, 30.0)):
     if kind == STOP_CHECK:
         cands = ()
     ctx = RequestContext(session_id="s1", step=step, goal_text="chair", pose=pose, rays=rays)
-    return DecisionRequest(kind, ctx, cands, "goal-name/1")
+    return DecisionRequest(kind, ctx, cands, "goal-name/2")
 
 
 def ok_body(**extra):
@@ -76,14 +77,14 @@ def test_score_request_golden(plant_world, body):
     cands = CandidateSet((Candidate(1, 2.16, 0.0),), alpha=0.8, theta_delta=math.radians(15))
     ctx = request_context(obs, session_id="ep1", goal_text="plant",
                           memory_text="plant_1 at (8.0, 4.0)", constraints=("keep right",))
-    d = make_score_request(ctx, cands, "goal-name/1").to_dict()
-    assert d["version"] == "dynav/2"
+    d = make_score_request(ctx, cands, "goal-name/2").to_dict()
+    assert d["version"] == "dynav/3"
     assert d["kind"] == "score"
     assert d["session_id"] == "ep1" and d["step"] == 4
     assert d["goal_text"] == "plant"
     assert d["memory_text"] == "plant_1 at (8.0, 4.0)"
     assert d["constraints"] == ["keep right"]
-    assert d["template_id"] == "goal-name/1"
+    assert d["template_id"] == "goal-name/2"
     pose = d["observation"]["pose"]
     assert pose == {"x_m": 5.0, "y_m": 4.0, "heading_deg": 0.0}
     rays, hits = d["observation"]["rays"], d["observation"]["hits"]
@@ -111,6 +112,18 @@ def test_stop_requests_have_no_candidates(plant_world, body):
     assert stop.context is filt.context is ctx
 
 
+def test_prompt_bundle_holds_one_text_per_template():
+    prompts = Path(__file__).resolve().parent.parent / "docs" / "prompts"
+    files = {p.name: p.read_text() for p in prompts.glob("*.txt")}
+    assert sorted(files) == sorted(f"{t.replace('/', '-')}.txt" for t in TEMPLATES.values())
+    for template in TEMPLATES.values():
+        text = files[f"{template.replace('/', '-')}.txt"]
+        assert text.startswith(f"template_id: {template}\n")
+        # a score reply rates stop confidence too, so its prompt asks for it
+        if template.startswith("goal-"):
+            assert "s_stop" in text and "{candidates}" in text
+
+
 def test_wire_rays_match_a_per_ray_conversion(cluttered_world, body):
     obs = sense(cluttered_world, make_pose(7.5, 5.0, 0.0), body, n_rays=61)
     assert any(r.attributes for r in obs.rays) and any(r.label == "wall" for r in obs.rays)
@@ -125,7 +138,7 @@ def test_request_dict_round_trip(plant_world, body):
     cands = CandidateSet((Candidate(1, 2.0, 0.1), Candidate(2, 3.0, 0.4)), 0.8, 0.2)
     ctx = request_context(obs, session_id="rt", goal_text="plant (green)",
                           memory_text="m", constraints=("c1", "c2"))
-    req = make_score_request(ctx, cands, "goal-description/1")
+    req = make_score_request(ctx, cands, "goal-description/2")
     again = DecisionRequest.from_dict(json.loads(json.dumps(req.to_dict())))
     assert again == req
 
@@ -221,7 +234,7 @@ def test_parse_response_memory_ops_and_defaults():
 @pytest.mark.parametrize("location", ["[NaN, 1.0]", "[1.0, Infinity]", "[-Infinity, NaN]"])
 def test_parse_response_rejects_non_finite_locations(location):
     # Python's json reads NaN and Infinity; a memory node must not store them
-    payload = json.loads('{"version": "dynav/2", "kind": "score", "memory_ops": '
+    payload = json.loads('{"version": "dynav/3", "kind": "score", "memory_ops": '
                          '[{"op": "add_node", "name": "chair_9", "location_m": %s}]}' % location)
     with pytest.raises(SchemaViolation, match="not finite"):
         parse_response(payload, make_req())
@@ -268,10 +281,22 @@ def test_remote_round_trip_records_request():
         assert resp.rationale == "canned"
         assert len(stub.requests) == 1
         seen = stub.requests[0]
-        assert seen["version"] == "dynav/2"
+        assert seen["version"] == "dynav/3"
         assert seen["step"] == 3
         # the recorded payload parses back into the identical request
         assert DecisionRequest.from_dict(seen) == make_req(step=3)
+
+
+def test_a_dynav_2_server_is_refused_at_once():
+    # a dynav/2 server answers a score request without stop confidence, so
+    # an agent served by it would never stop: its first reply is refused,
+    # and not retried
+    script = [{"kind": "score", "scores_all": 0.5, "body": {"version": "dynav/2"}}]
+    with StubServer(script=script) as stub:
+        with closing(RemoteBackend(BackendConfig(endpoint=stub.endpoint))) as backend:
+            with pytest.raises(SchemaViolation, match="bad response version: 'dynav/2'"):
+                backend.decide(make_req())
+        assert len(stub.requests) == 1
 
 
 def test_remote_timeout_retries_then_raises(monkeypatch):
@@ -682,7 +707,7 @@ def float_bits(req) -> bytes:
 @settings(max_examples=300, deadline=None)
 @given(ctx=_contexts, kind=st.sampled_from(KINDS), cands=_candidates)
 def test_request_round_trips_through_the_wire_bit_for_bit(ctx, kind, cands):
-    req = DecisionRequest(kind, ctx, () if kind == STOP_CHECK else cands, "goal-name/1")
+    req = DecisionRequest(kind, ctx, () if kind == STOP_CHECK else cands, "goal-name/2")
     d = json.loads(encode_request(req))
     again = DecisionRequest.from_dict(d)
     assert again == req
@@ -721,7 +746,7 @@ def test_encode_request_matches_json_dumps(kinds, cluttered_world, body, monkeyp
                           memory_text="chair_1 at (9.0, 5.0).", constraints=("keep right",))
     cands = CandidateSet((Candidate(1, 2.0, 0.1), Candidate(2, 1.5, -0.4)), 0.8, 0.2)
     build = {FILTER: lambda: make_filter_request(ctx, cands),
-             SCORE: lambda: make_score_request(ctx, cands, "goal-name/1"),
+             SCORE: lambda: make_score_request(ctx, cands, "goal-name/2"),
              STOP_CHECK: lambda: make_stop_request(ctx)}
     texts = recorded_encodings(monkeypatch)
     for kind in kinds:
@@ -738,7 +763,8 @@ def test_encode_request_matches_json_dumps(kinds, cluttered_world, body, monkeyp
 
 
 def step_requests(world, pose):
-    """The filter, score and stop requests of one real step."""
+    """The filter and score requests of one real step, plus a stop check on
+    the step's context, which a step without candidates would send."""
     seen = []
 
     class Recording(OracleBackend):
@@ -748,8 +774,8 @@ def step_requests(world, pose):
 
     step(AgentState(pose=pose), world, None,
          GoalSpec.name_goal("chair"), Recording(), RunConfig())
-    assert [r.kind for r in seen] == [FILTER, SCORE, STOP_CHECK]
-    return seen
+    assert [r.kind for r in seen] == [FILTER, SCORE]
+    return seen + [make_stop_request(seen[0].context)]
 
 
 def test_request_dict_round_trip_of_a_real_step(cluttered_world):
@@ -781,9 +807,11 @@ def test_encode_request_of_a_real_step(cluttered_world):
         assert encode_request(req) == dumped(req)
 
 
-# The mean request body of the objectnav episodes of world seeds 0 and 1 (48
-# requests of 181 rays each) in the dynav/1 layout, where each ray was an
-# object with its hit's label, attributes and tags: 1 061 512 bytes in all.
+# The mean request body of the objectnav episodes of world seeds 0 and 1 (16
+# steps of three requests, 48 requests of 181 rays each) in the dynav/1
+# layout, where each ray was an object with its hit's label, attributes and
+# tags: 1 061 512 bytes in all.  Its stop requests carried no candidates, so
+# the mean of its filter and score requests alone was larger still.
 V1_MEAN_BODY_BYTES = 1061512 / 48
 
 
@@ -802,7 +830,7 @@ def test_request_bodies_are_at_most_half_of_the_per_ray_layout():
         run_episode(EpisodeSpec(episode_id=f"w{seed}", world=world, start=start, seed=seed,
                                 goals=(GoalSpec.name_goal("chair"),)),
                     Recording(), RunConfig(max_distance_m=10000.0))
-    assert len(bodies) == 48
+    assert len(bodies) == 32  # the same 16 steps, each a filter and a score request
     assert sum(bodies) / len(bodies) <= V1_MEAN_BODY_BYTES / 2
 
 

@@ -313,8 +313,9 @@ def test_run_rejects_a_bad_episode_record_before_running(tmp_path, episode_file,
 
 @pytest.mark.parametrize("name, message", [
     ("wall", '"wall" is reserved'),  # a ray could not tell it from a wall
-    ("a. b", "cannot carry"), ("tv.", "cannot carry")],  # nor the memory text read it
-    ids=("wall", "a. b", "tv."))
+    ("a. b", "cannot carry"), ("tv.", "cannot carry"),  # nor the memory text read it
+    ("tv (old)", "cannot carry")],
+    ids=("wall", "a. b", "tv.", "tv (old)"))
 def test_run_refuses_an_object_name_a_ray_or_the_memory_text_cannot_carry(
         tmp_path, episode_file, capsys, name, message):
     world = json.loads((tmp_path / "world.json").read_text())

@@ -56,8 +56,8 @@ def oracle(cfg):
 class AlwaysStop:
     def decide(self, req):
         if req.kind == SCORE:
-            return DecisionResponse(kind=SCORE,
-                                    scores={c.id: 0.5 for c in req.candidates})
+            return DecisionResponse(kind=SCORE, scores={c.id: 0.5 for c in req.candidates},
+                                    s_stop=1.0)
         if req.kind == STOP_CHECK:
             return DecisionResponse(kind=STOP_CHECK, s_stop=1.0)
         return DecisionResponse(kind=req.kind)

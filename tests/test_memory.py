@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynav.errors import EmptyName, SchemaViolation, SelfLoop
-from dynav.backends.protocol import MemoryOp
+from dynav.backends.protocol import (PROTOCOL_VERSION, SCORE, DecisionRequest, MemoryOp,
+                                    RequestContext, WireCandidate, parse_response)
 from dynav.memory import (
     MemoryGraph,
     MemoryNode,
@@ -18,6 +19,7 @@ from dynav.memory import (
     save_graph,
 )
 from dynav.policy import apply_memory_ops
+from dynav.world import SemanticObject
 
 from conftest import MISSING, dotted, json_values, replaced, replacements
 
@@ -241,6 +243,54 @@ def test_names_the_memory_text_cannot_carry_are_refused(caplog):
     assert sum("dropping malformed memory op" in r.message for r in caplog.records) == 3
     assert list(MemoryGraph.located_clauses(g.render_text(budget=10))) == [
         ("tv.stand", ("black",), (1.0, 2.0))]
+
+
+# names the memory text misreads: located_clauses takes the first " (" of a
+# node clause for its attributes, so "tv (old)" at (1, 2) read back as "tv"
+# with the attribute "old", and "lamp at (9.0, 9.0)" as "lamp at" with the
+# attributes "9.0" and "9.0"
+PARENTHESISED_NAMES = ("tv (old)", "lamp at (9.0, 9.0)")
+
+
+def test_names_with_a_parenthesis_after_a_space_are_refused(caplog):
+    for name in PARENTHESISED_NAMES:
+        with pytest.raises(ValueError, match="cannot carry"):
+            SemanticObject(name=name, category="tv", center=(1.0, 2.0), radius=0.3)
+        with pytest.raises(ValueError, match="cannot carry"):
+            MemoryNode(name, location=(1.0, 2.0))
+        graph = {"format": "dynav-graph/1", "nodes": [{"name": name}]}
+        with pytest.raises(SchemaViolation, match="cannot carry"):
+            MemoryGraph.from_dict(graph)
+    # a score reply's add_node ops with such names parse, then are dropped as
+    # malformed where the node would be made; the well-formed op still lands
+    request = DecisionRequest(SCORE, RequestContext("s", 1, "tv", (0.0, 0.0, 0.0), ()),
+                              (WireCandidate(1, 1.0, 0.0),), "goal-name/2")
+    reply = {"version": PROTOCOL_VERSION, "kind": SCORE, "memory_ops": [
+        {"op": "add_node", "name": name, "location_m": [1.0, 2.0]}
+        for name in PARENTHESISED_NAMES + ("tv(old)",)]}
+    g = MemoryGraph()
+    apply_memory_ops(g, parse_response(reply, request).memory_ops, step_index=1, agent="a")
+    assert set(g.nodes) == {"tv(old)"}
+    assert sum("dropping malformed memory op" in r.message for r in caplog.records) == 2
+    assert list(MemoryGraph.located_clauses(g.render_text(budget=10))) == [
+        ("tv(old)", (), (1.0, 2.0))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.text(st.sampled_from("ab .()\n"), min_size=1, max_size=8)
+       | st.text(min_size=1, max_size=5),
+       attributes=st.sets(st.sampled_from(ATTRS), max_size=2))
+@example(name="tv (old)", attributes=set())
+@example(name="lamp at (9.0, 9.0)", attributes={"red"})
+@example(name="a) b", attributes={"red"})
+def test_every_name_a_node_accepts_reads_back_whole(name, attributes):
+    g = MemoryGraph()
+    try:
+        g.add_node(name, attributes, (1.0, 2.0))
+    except ValueError:
+        return
+    assert list(MemoryGraph.located_clauses(g.render_text(budget=10))) == [
+        (name, tuple(sorted(attributes)), (1.0, 2.0))]
 
 
 # attributes the memory text cannot read back: each splits, breaks or loses

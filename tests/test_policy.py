@@ -1,11 +1,16 @@
 """Step policy: scoring, the two-consecutive-step stop rule, and fallbacks."""
 import math
 import random
+from collections import Counter, defaultdict
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynav import episodes, policy
+from dynav.backends.oracle import OracleBackend
 from dynav.backends.protocol import (
     FILTER,
     SCORE,
@@ -16,6 +21,7 @@ from dynav.backends.protocol import (
     request_context,
 )
 from dynav.config import RunConfig
+from dynav.episodes import load_episode_specs, run_episode
 from dynav.errors import BackendUnavailable
 from dynav.geometry import PolarAction
 from dynav.goals import GoalSpec
@@ -31,13 +37,15 @@ from dynav.policy import (
     step,
 )
 from dynav.proposer import Candidate, CandidateSet, boundary, sample_initial
-from dynav.sensing import sense
+from dynav.sensing import sense, traversability_mask
 
 from conftest import make_pose
 
 
 class Scripted:
-    """Backend stub: fixed candidate scores plus a queue of stop confidences."""
+    """Backend stub: fixed candidate scores plus a queue of stop confidences,
+    one per step, answered on the score reply or, for a step with nothing to
+    score, on the stop check."""
 
     def __init__(self, scores=None, stops=(), memory_ops=(), fail=False):
         self.scores = scores
@@ -50,16 +58,16 @@ class Scripted:
         self.kinds.append(req.kind)
         if self.fail:
             raise BackendUnavailable("scripted outage")
+        if req.kind == FILTER:
+            return DecisionResponse(kind=FILTER)
+        s = self.stops.pop(0) if self.stops else 0.0
         if req.kind == STOP_CHECK:
-            s = self.stops.pop(0) if self.stops else 0.0
             return DecisionResponse(kind=STOP_CHECK, s_stop=s)
-        if req.kind == SCORE:
-            scores = self.scores
-            if scores is None:
-                scores = {c.id: c.r_m / 10.0 for c in req.candidates}
-            return DecisionResponse(kind=SCORE, scores=dict(scores),
-                                    memory_ops=self.memory_ops)
-        return DecisionResponse(kind=req.kind)
+        scores = self.scores
+        if scores is None:
+            scores = {c.id: c.r_m / 10.0 for c in req.candidates}
+        return DecisionResponse(kind=SCORE, scores=dict(scores), s_stop=s,
+                                memory_ops=self.memory_ops)
 
 
 def ctx_of(obs):
@@ -219,7 +227,7 @@ def test_propose_pipeline(box_world, body, run_cfg):
     assert 1 not in out.ids()
     req = backend.requests[0]
     assert req.kind == FILTER
-    assert req.to_dict()["version"] == "dynav/2"
+    assert req.to_dict()["version"] == "dynav/3"
     assert req.context.session_id == "s" and req.context.goal_text == "chair"
     assert len(req.candidates) == len(out.ids()) + 1
 
@@ -233,9 +241,10 @@ def test_propose_survives_backend_outage(box_world, body, run_cfg):
 
 
 def test_step_requests_share_one_context(box_world):
-    """Filter, score and stop requests of a step carry one identity, with the
+    """The filter and score requests of a step carry one identity, with the
     goal's template, the memory excerpt and the constraints: one context
-    record."""
+    record.  The score reply rates stop confidence, so no stop check is
+    sent."""
     cfg = RunConfig(n_rays=31)
     mem = MemoryGraph()
     mem.add_node("chair_9", [], (3.0, 3.0), step=1)
@@ -249,12 +258,12 @@ def test_step_requests_share_one_context(box_world):
     step(AgentState(pose=make_pose(2.0, 4.0, 0.0), step_index=7), box_world, mem,
          GoalSpec.name_goal("chair"), Recording(), cfg,
          constraints=("keep right",), session_id="ep1")
-    assert [r.kind for r in seen] == [FILTER, SCORE, STOP_CHECK]
+    assert [r.kind for r in seen] == [FILTER, SCORE]
     ctx = seen[0].context
     assert (ctx.session_id, ctx.step, ctx.goal_text, ctx.memory_text, ctx.constraints) == (
         "ep1", 7, "chair", "chair_9 at (3.0, 3.0).", ("keep right",))
-    assert seen[1].template_id == "goal-name/1"
-    assert seen[1].context is ctx and seen[2].context is ctx
+    assert seen[1].template_id == "goal-name/2"
+    assert seen[1].context is ctx
 
 
 def test_step_without_traversable_ray_checks_stop_and_rotates(box_world):
@@ -271,6 +280,93 @@ def test_step_without_traversable_ray_checks_stop_and_rotates(box_world):
     assert out.decision.chosen == PolarAction(0.0, cfg.theta_delta)
     assert out.state.pose.heading == pytest.approx(cfg.theta_delta)
     assert (out.state.pose.x, out.state.pose.y) == (5.0, 4.0)
+
+
+SPEC = Path(__file__).resolve().parent.parent / "specs" / "objectnav_small.json"
+
+
+class KindRecorder:
+    """The oracle, recording the request kinds each step sends.  Its filter
+    reply removes every candidate on steps 3, 10, 17, ... of an episode, and
+    the first score request of an episode that follows a confident reply is
+    refused as unavailable."""
+
+    def __init__(self, cfg):
+        self.oracle = OracleBackend(hazard_clearance=cfg.hazard_clearance_m,
+                                    success_threshold=cfg.success_threshold_m,
+                                    r_scale=cfg.d_max)
+        self.tau = cfg.tau_stop
+        self.kinds = defaultdict(list)  # (session, step) -> kinds sent
+        self.confident = set()  # sessions whose last stop confidence exceeded tau
+        self.failed = {}  # session -> the step whose score call failed
+        self.s_stop = {}  # (session, step) -> the stop confidence replied
+
+    def decide(self, req):
+        ctx = req.context
+        self.kinds[ctx.session_id, ctx.step].append(req.kind)
+        if (req.kind == SCORE and ctx.session_id in self.confident
+                and ctx.session_id not in self.failed):
+            self.failed[ctx.session_id] = ctx.step
+            raise BackendUnavailable("scripted outage")
+        resp = self.oracle.decide(req)
+        if req.kind == FILTER and ctx.step % 7 == 3:
+            return replace(resp, removals=req.candidate_ids())
+        if req.kind != FILTER:
+            self.s_stop[ctx.session_id, ctx.step] = resp.s_stop
+            (self.confident.add if resp.s_stop > self.tau
+             else self.confident.discard)(ctx.session_id)
+        return resp
+
+
+def test_request_kinds_sent_by_each_step(monkeypatch):
+    """Over the objectnav spec, a step with candidates sends filter then
+    score, whose reply carries the stop confidence; a step whose filter
+    removed every candidate sends filter then stop_check; a step with no
+    traversable ray (here steps 5, 12, 19, ..., whose mask is blanked) sends
+    only stop_check; and a score call that fails falls back, leaves the stop
+    streak unchanged and sends no stop_check."""
+    cfg = RunConfig()
+    outcomes = {}  # (session, step) -> (stop streak before the step, outcome)
+
+    def recorded_step(state, world, mem, goal, backend, cfg, **kw):
+        out = step(state, world, mem, goal, backend, cfg, **kw)
+        outcomes[kw["session_id"], state.step_index] = (state.stop_streak, out)
+        return out
+
+    def blinded(obs, epsilon, rng):
+        mask = traversability_mask(obs, epsilon, rng)
+        return [False] * len(mask) if obs.step % 7 == 5 else mask
+
+    monkeypatch.setattr(episodes, "step", recorded_step)
+    monkeypatch.setattr(policy, "traversability_mask", blinded)
+    backend = KindRecorder(cfg)
+    for spec in load_episode_specs(str(SPEC), cfg):
+        run_episode(spec, backend, cfg)
+
+    assert set(backend.kinds) == set(outcomes)
+    seen = Counter()
+    for (session, index), (streak, out) in sorted(outcomes.items()):
+        kinds, decision = backend.kinds[session, index], out.decision
+        if backend.failed.get(session) == index:
+            case = "score failed"
+            assert kinds == [FILTER, SCORE]
+            assert decision.fallback and decision.backend_failed
+            assert streak == decision.stop_streak == 1
+        elif index % 7 == 5:
+            case = "no traversable ray"
+            assert kinds == [STOP_CHECK] and len(out.candidates) == 0
+        elif index % 7 == 3:
+            case = "all filtered"
+            assert kinds == [FILTER, STOP_CHECK] and len(out.candidates) == 0
+            assert not decision.backend_failed
+        else:
+            case = "scored"
+            assert kinds == [FILTER, SCORE] and len(out.candidates) > 0
+            assert not decision.fallback
+        if case != "score failed":
+            assert decision.s_stop == backend.s_stop[session, index]
+        seen[case] += 1
+    assert set(seen) == {"score failed", "no traversable ray", "all filtered", "scored"}, seen
 
 
 # -- full step cycle -------------------------------------------------------------
