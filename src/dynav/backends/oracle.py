@@ -10,12 +10,12 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import SchemaViolation, check
+from ..errors import SchemaViolation
+from ..goals import parse_goal_text
 from ..memory import MemoryGraph
 from .protocol import (FILTER, SCORE, STOP_CHECK, DecisionRequest, DecisionResponse,
                        MemoryOp, RequestContext, WireRay)
@@ -42,30 +42,16 @@ def _tokens(text: str) -> set:
     return {w for w in re.split(r"[^a-z0-9]+", text.lower()) if w and w not in _STOPWORDS}
 
 
-@dataclass(frozen=True)
-class _GoalPattern:
-    category: str
-    attributes: Tuple[str, ...]
-
-    def matches_clause(self, name: str, attrs: Sequence[str]) -> bool:
-        if self.category and self.category.lower() not in name.lower():
-            return False
-        if self.attributes and not set(self.attributes) <= set(attrs):
-            return False
-        return bool(self.category or self.attributes)
-
-
-def parse_goal_text(text: str) -> _GoalPattern:
-    """Invert the canonical goal rendering back into category and attributes."""
-    text = text.strip()
-    m = re.match(r"^object with (.+)$", text)
-    if m:
-        return _GoalPattern("", tuple(a.strip() for a in m.group(1).split(",")))
-    m = re.match(r"^([\w\- ]+?)\s*\(([^)]*)\)", text)
-    if m:
-        attrs = tuple(a.strip() for a in m.group(2).split(",") if a.strip())
-        return _GoalPattern(m.group(1).strip(), attrs)
-    return _GoalPattern(text.split(";")[0].strip(), ())
+def _matches(goal: Tuple[str, Tuple[str, ...]], name: str, attrs: Sequence[str]) -> bool:
+    """Whether a sighting of ``name`` with ``attrs`` fits a goal's
+    ``(category, attributes)``: the category, ignoring case, is part of the
+    name, and every attribute is among ``attrs``.  An empty goal fits nothing."""
+    category, attributes = goal
+    if category and category.lower() not in name.lower():
+        return False
+    if attributes and not set(attributes) <= set(attrs):
+        return False
+    return bool(category or attributes)
 
 
 class OracleBackend:
@@ -99,34 +85,25 @@ class OracleBackend:
     # -- plumbing -----------------------------------------------------------
 
     def decide(self, req: DecisionRequest) -> DecisionResponse:
-        try:
-            if req.kind == FILTER:
-                return self._filter(req)
-            if req.kind == SCORE:
-                return self._score(req)
-            if req.kind == STOP_CHECK:
-                return self._stop(req)
-        except (TypeError, AttributeError):
-            # a ray's label and attributes reach the oracle unchecked (the
-            # request parser leaves that per-ray cost out) and fail where they
-            # are used: name a mistyped one; with none, the fault is ours
-            for i, ray in enumerate(req.context.rays):
-                check(ray.label, ray.label is None or type(ray.label) is str,
-                      f"ray {i} label must be a string or null")
-                check(ray.attributes, all(type(a) is str for a in ray.attributes),
-                      f"ray {i} attributes must be strings")
-            raise
+        if req.kind == FILTER:
+            return self._filter(req)
+        if req.kind == SCORE:
+            return self._score(req)
+        if req.kind == STOP_CHECK:
+            return self._stop(req)
         raise SchemaViolation(f"unknown request kind {req.kind!r}")
 
     @staticmethod
     def _endpoint(pose: tuple, theta_deg: float, dist: float) -> Tuple[float, float]:
-        # a ray's numbers reach the oracle unchecked (the request parser
-        # passes them through float()); the ones it uses must be finite
-        if not (math.isfinite(theta_deg) and math.isfinite(dist)):
-            raise SchemaViolation(f"ray theta_deg {theta_deg} and distance_m {dist} "
-                                  "must be finite")
+        # finite inputs can still sum past the largest float, and an
+        # in-process ray may hold NaN: the angle and point must be finite
         ang = math.radians(pose[2] + theta_deg)
-        return (pose[0] + dist * math.cos(ang), pose[1] + dist * math.sin(ang))
+        if math.isfinite(ang):
+            x, y = pose[0] + dist * math.cos(ang), pose[1] + dist * math.sin(ang)
+            if math.isfinite(x) and math.isfinite(y):
+                return x, y
+        raise SchemaViolation(f"the endpoint of theta_deg {theta_deg} and distance_m "
+                              f"{dist} from pose {pose} is not finite")
 
     # -- filter ---------------------------------------------------------------
 
@@ -195,18 +172,18 @@ class OracleBackend:
     # -- score ----------------------------------------------------------------
 
     def _goal_rays(self, ctx: RequestContext) -> List[WireRay]:
-        pattern = parse_goal_text(ctx.goal_text)
+        goal = parse_goal_text(ctx.goal_text)
         return [r for r in ctx.rays if r.label is not None and r.label != "wall"
-                and pattern.matches_clause(r.label, r.attributes)]
+                and _matches(goal, r.label, r.attributes)]
 
     def _remembered_target(self, ctx: RequestContext) -> Optional[Tuple[float, float]]:
         if not ctx.memory_text:
             return None
-        pattern = parse_goal_text(ctx.goal_text)
+        goal = parse_goal_text(ctx.goal_text)
         best = None
         best_d = math.inf
         for name, attrs, (x, y) in MemoryGraph.located_clauses(ctx.memory_text):
-            if not pattern.matches_clause(name, attrs):
+            if not _matches(goal, name, attrs):
                 continue
             d = math.hypot(x - ctx.pose[0], y - ctx.pose[1])
             if d < best_d:

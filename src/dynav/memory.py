@@ -31,13 +31,15 @@ _LOCATED = re.compile(
 
 
 def check_clause_name(name: str, what: str) -> None:
-    """Refuse a ``name`` that holds ". " or " (", or ends in ".":
-    ``render_text`` joins its clauses with ". " and ends in ".", and
-    ``located_clauses`` reads the first " (" of a node clause as the start of
-    its attributes or location, so it could not read such a name back whole
-    (``tv (old)`` would read back as ``tv`` with the attribute ``old``)."""
-    if ". " in name or " (" in name or name.endswith("."):
-        raise ValueError(f"{what} {name!r} holds '. ' or ' (', or ends in '.', "
+    """Refuse a node ``name`` or an edge relation that holds ". " or " (",
+    ends in ".", or is "at" or ends in " at": ``render_text`` joins its
+    clauses with ". " and ends in ".", ``located_clauses`` reads the first
+    " (" of a node clause as the start of its attributes or location (so
+    ``tv (old)`` would read back as ``tv`` with the attribute ``old``), and it
+    reads any clause that ends in " at (x, y)" as a located node (so an edge
+    ``a is near at (5, 6)`` would read back as a node ``a is near``)."""
+    if ". " in name or " (" in name or name.endswith(".") or f" {name}".endswith(" at"):
+        raise ValueError(f"{what} {name!r} holds '. ' or ' (', or ends in '.' or ' at', "
                          "which the memory text cannot carry")
 
 
@@ -86,6 +88,7 @@ class MemoryEdge:
             raise EmptyName("edge endpoints and relation must be non-empty")
         if self.start == self.target:
             raise SelfLoop(f"edge {self.start!r} -> itself")
+        check_clause_name(self.relation, "edge relation")
 
     @property
     def key(self) -> Tuple[str, str, str]:

@@ -1,4 +1,5 @@
 """Deterministic backend: scoring modes, hazard filtering, stop and memory ops."""
+import json
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dynav.backends.oracle import OracleBackend, _tokens, parse_goal_text
+from dynav.backends.oracle import OracleBackend, _tokens
 from dynav.backends.protocol import (
     FILTER,
     PROTOCOL_VERSION,
@@ -37,38 +38,21 @@ def backend():
     return OracleBackend()
 
 
-# -- goal text parsing -----------------------------------------------------------
+# -- goal matching -----------------------------------------------------------------
 
 
-def test_parse_goal_text_forms():
-    assert parse_goal_text("chair") == parse_goal_text("chair ")
-    assert parse_goal_text("chair").category == "chair"
-    assert parse_goal_text("chair").attributes == ()
-
-    desc = parse_goal_text("chair (red, wooden)")
-    assert desc.category == "chair"
-    assert desc.attributes == ("red", "wooden")
-
-    inst = parse_goal_text("object with red, tall")
-    assert inst.category == ""
-    assert inst.attributes == ("red", "tall")
-
-    hinted = parse_goal_text("toilet; near the sink")
-    assert hinted.category == "toilet"
-
-
-def test_goal_pattern_matching(backend):
-    p = parse_goal_text("chair (red)")
-    assert p.matches_clause("chair_1", ("red", "wooden"))
-    assert not p.matches_clause("chair_1", ("blue",))
-    assert not p.matches_clause("table_1", ("red",))
+def test_goal_rays_match_label_and_attributes(backend):
     # a goal ray is a labelled, non-wall ray whose label and attributes match
     rays = [WireRay(0.0, 2.0, "chair_1", ("red", "wooden"), ()),
             WireRay(1.0, 2.0, "chair_1", ("blue",), ()),
             WireRay(2.0, 2.0, "wall", ("red",), ()),
-            WireRay(3.0, 2.0, None)]
+            WireRay(3.0, 2.0, None),
+            WireRay(4.0, 2.0, "table_1", ("red",), ())]
     assert backend._goal_rays(make_req(goal="chair (red)", rays=rays).context) == rays[:1]
-    assert backend._goal_rays(make_req(goal="object with red", rays=rays).context) == rays[:1]
+    assert backend._goal_rays(make_req(goal="object with red", rays=rays).context) == [
+        rays[0], rays[4]]
+    assert backend._goal_rays(make_req(goal="Chair", rays=rays).context) == rays[:2]
+    assert backend._goal_rays(make_req(goal="", rays=rays).context) == []
 
 
 # -- scoring: goal visible ----------------------------------------------------------
@@ -313,6 +297,10 @@ _bad_value = st.one_of(st.floats() | st.booleans(), _json,
 # lone surrogates are valid in a JSON string
 _text = st.text(st.one_of(st.characters(), st.characters(categories=("Cs",))), max_size=6)
 _finite = st.floats(-1e6, 1e6)
+# a pose may be anywhere in the float range: added to a ray's numbers, it
+# can reach past the largest float
+_pose_number = st.one_of(_finite, st.floats(allow_nan=False, allow_infinity=False),
+                         st.sampled_from((1.7e308, -1.7976931348623157e308)))
 
 
 @st.composite
@@ -331,8 +319,8 @@ def _observation(draw):
         else:
             key = draw(st.sampled_from(("label", "attributes", "tags")))
             draw(st.sampled_from(hits))[key] = draw(_bad_value)
-    return {"pose": draw(st.fixed_dictionaries({"x_m": _finite, "y_m": _finite,
-                                                "heading_deg": _finite})),
+    return {"pose": draw(st.fixed_dictionaries({"x_m": _pose_number, "y_m": _pose_number,
+                                                "heading_deg": _pose_number})),
             "rays": rays, "hits": hits}
 _request = st.fixed_dictionaries({
     "version": st.just(PROTOCOL_VERSION),
@@ -376,35 +364,33 @@ _POSE = {"x_m": 0.0, "y_m": 0.0, "heading_deg": 0.0}
                                   "hits": []},
                   "candidates": [{"id": 1, "r_m": 1.0, "theta_deg": 0.0}],
                   "constraints": ["stay away from the oven"]})
+@example(payload={"version": PROTOCOL_VERSION, "kind": FILTER, "session_id": "s", "step": 0,
+                  "observation": {"pose": {**_POSE, "heading_deg": -1.7976931348623157e308},
+                                  "rays": {"theta_deg": [-1.7976931348623157e308],
+                                           "distance_m": [2.0], "hit": [0]},
+                                  "hits": [{"label": "sign_1", "attributes": [],
+                                            "tags": ["hazard"]}]},
+                  "candidates": [{"id": 1, "r_m": 1.0, "theta_deg": 0.0}]})
+@example(payload={"version": PROTOCOL_VERSION, "kind": SCORE, "session_id": "s", "step": 0,
+                  "observation": {"pose": {**_POSE, "x_m": 1.7e308},
+                                  "rays": {"theta_deg": [0.0], "distance_m": [1.7e308],
+                                           "hit": [0]},
+                                  "hits": [{"label": "chair_1", "attributes": [],
+                                            "tags": []}]},
+                  "candidates": [{"id": 1, "r_m": 1.0, "theta_deg": 0.0}]})
 def test_decide_returns_or_raises_schema_violation_on_any_parsed_request(payload):
-    """A request the server's parser accepts either gets a reply or is
-    refused as a schema violation, never another exception."""
+    """A request the server's parser accepts either gets a reply that encodes
+    as strict JSON, or is refused as a schema violation, never another
+    exception."""
     try:
         req = DecisionRequest.from_dict(payload)
     except SchemaViolation:
         return
     try:
-        OracleBackend().decide(req)
+        reply = OracleBackend().decide(req)
     except SchemaViolation:
-        pass
-
-
-def test_decide_names_a_mistyped_ray_field_and_keeps_its_own_faults(backend, monkeypatch):
-    rays = [WireRay(0.0, 2.0, "chair_1"), WireRay(5.0, 2.0, ["chair"])]
-    cands = [WireCandidate(1, 1.0, 0.0)]
-    with pytest.raises(SchemaViolation, match="ray 1 label must be a string or null"):
-        backend.decide(make_req(kind=SCORE, rays=rays, candidates=cands))
-    rays = [WireRay(0.0, 2.0, "chair_1", ("red", [1]))]
-    with pytest.raises(SchemaViolation, match="ray 0 attributes must be strings"):
-        backend.decide(make_req(kind=SCORE, goal="chair (red)", rays=rays, candidates=cands))
-
-    def broken(self, req):
-        raise TypeError("a fault of the oracle itself")
-
-    monkeypatch.setattr(OracleBackend, "_score", broken)
-    with pytest.raises(TypeError, match="a fault of the oracle itself"):
-        backend.decide(make_req(kind=SCORE, rays=[WireRay(0.0, 2.0, "chair_1")],
-                                candidates=cands))
+        return
+    json.dumps(reply.to_dict(), allow_nan=False)
 
 
 # -- stop check --------------------------------------------------------------------

@@ -311,6 +311,18 @@ def test_run_rejects_a_bad_episode_record_before_running(tmp_path, episode_file,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value", [("relation_hints", ["near the door"]),
+                                        ("text", "the red chair")])
+def test_run_refuses_a_goal_key_it_does_not_read(tmp_path, episode_file, capsys, key, value):
+    # a goal's text is always rendered from its kind, category and attributes
+    payload = json.loads(episode_file.read_text())
+    payload["episodes"][1]["goals"][0][key] = value
+    episode_file.write_text(json.dumps(payload))
+    assert main(["run", "--episodes", str(episode_file), "--out", str(tmp_path / "out")]) == 1
+    assert f"unknown goal keys: ['{key}']" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("name, message", [
     ("wall", '"wall" is reserved'),  # a ray could not tell it from a wall
     ("a. b", "cannot carry"), ("tv.", "cannot carry"),  # nor the memory text read it

@@ -368,6 +368,10 @@ def test_load_episode_specs_rejects_bad_records(tmp_path, payload):
     "chair", None, {"kind": 5}, {"kind": "name"}, {"kind": "name", "category": ["chair"]},
     {"kind": "instance", "attributes": "red"}, {"kind": "description", "category": "table"},
     {"kind": "name", "category": "chair", "text": None},
+    # keys older versions read: hints the text never carried, and free text
+    {"kind": "description", "category": "chair", "attributes": ["red"],
+     "relation_hints": ["near the door"]},
+    {"kind": "name", "category": "chair", "text": "the red chair"},
 ], ids=repr)
 def test_goal_from_dict_raises_only_schema_violation(d):
     with pytest.raises(SchemaViolation):
@@ -383,8 +387,7 @@ def spec_dir(tmp_path_factory):
 
 VALID_SPEC = one_episode(
     seed=3, start={"x": 5.0, "y": 4.0, "heading_deg": 90.0},
-    goals=[{"kind": "description", "category": "chair", "attributes": ["red"],
-            "relation_hints": ["near the door"], "text": "the red chair"}],
+    goals=[{"kind": "description", "category": "chair", "attributes": ["red"]}],
     constraints=["avoid the rug"], max_steps=5, max_distance_m=20.0)
 # paths into VALID_SPEC; a list index is replaced, never removed
 SPEC_PATHS = [
@@ -393,8 +396,7 @@ SPEC_PATHS = [
     ("episodes", 0, "start", "x"), ("episodes", 0, "start", "heading_deg"),
     ("episodes", 0, "goals"), ("episodes", 0, "goals", 0),
     ("episodes", 0, "goals", 0, "kind"), ("episodes", 0, "goals", 0, "category"),
-    ("episodes", 0, "goals", 0, "attributes"), ("episodes", 0, "goals", 0, "relation_hints"),
-    ("episodes", 0, "goals", 0, "text"), ("episodes", 0, "constraints"),
+    ("episodes", 0, "goals", 0, "attributes"), ("episodes", 0, "constraints"),
     ("episodes", 0, "max_steps"), ("episodes", 0, "max_distance_m"),
 ]
 GENERATED_SPEC = {"episodes": [{"worldgen": {"rooms": 1, "categories": ["chair"], "seed": 2},

@@ -11,6 +11,7 @@ from dynav.errors import EmptyName, SchemaViolation, SelfLoop
 from dynav.backends.protocol import (PROTOCOL_VERSION, SCORE, DecisionRequest, MemoryOp,
                                     RequestContext, WireCandidate, parse_response)
 from dynav.memory import (
+    MemoryEdge,
     MemoryGraph,
     MemoryNode,
     SemanticFilter,
@@ -317,6 +318,67 @@ def test_attributes_the_memory_text_cannot_carry_are_refused(caplog):
     assert sum("dropping malformed memory op" in r.message for r in caplog.records) == 2
     assert list(MemoryGraph.located_clauses(g.render_text(budget=10))) == [
         ("lamp_2", ("tall", "x"), (3.0, 4.0))]
+
+
+# relations an edge clause "start is relation target" cannot carry: the first
+# would plant a located clause for chair_9, the second and third make
+# "a is near at (5, 6)" and "a is at (5, 6)", which read as located nodes
+UNCARRIED_RELATIONS = ("x. chair_9 at (7.0, 8.0). y", "near at", "at", "near.", "near (x)")
+
+
+def test_relations_the_memory_text_cannot_carry_are_refused(caplog):
+    for relation in UNCARRIED_RELATIONS:
+        with pytest.raises(ValueError, match="cannot carry"):
+            MemoryEdge("a", "(5, 6)", relation)
+        graph = {"format": "dynav-graph/1", "nodes": [{"name": "a"}, {"name": "(5, 6)"}],
+                 "edges": [{"start": "a", "target": "(5, 6)", "relation": relation}]}
+        with pytest.raises(SchemaViolation, match="cannot carry"):
+            MemoryGraph.from_dict(graph)
+    # a score reply's add_edge ops with such relations parse, then are
+    # dropped as malformed; the well-formed op still lands
+    request = DecisionRequest(SCORE, RequestContext("s", 1, "a", (0.0, 0.0, 0.0), ()),
+                              (WireCandidate(1, 1.0, 0.0),), "goal-name/2")
+    reply = {"version": PROTOCOL_VERSION, "kind": SCORE, "memory_ops": [
+        {"op": "add_edge", "start": "a", "target": "(5, 6)", "relation": relation}
+        for relation in UNCARRIED_RELATIONS + ("next to",)]}
+    g = MemoryGraph()
+    apply_memory_ops(g, parse_response(reply, request).memory_ops, step_index=1, agent="a")
+    assert set(g.edges) == {("a", "(5, 6)", "next to")}
+    assert sum("dropping malformed memory op" in r.message
+               for r in caplog.records) == len(UNCARRIED_RELATIONS)
+    assert list(MemoryGraph.located_clauses(g.render_text(budget=10))) == []
+
+
+def test_names_ending_in_at_are_refused():
+    # "look at" with the attributes 1.0 and 2.0 rendered as "look at (1.0,
+    # 2.0)", which read back as "look" at (1.0, 2.0)
+    for name in ("look at", "at"):
+        with pytest.raises(ValueError, match="cannot carry"):
+            MemoryNode(name, {"1.0", "2.0"})
+        with pytest.raises(ValueError, match="cannot carry"):
+            SemanticObject(name=name, category="lamp", center=(1.0, 2.0), radius=0.3)
+    MemoryNode("look at it", {"1.0", "2.0"})
+    MemoryNode("hat", {"1.0", "2.0"})
+
+
+_clause_text = st.text(st.sampled_from("ab t.(5, 6)"), min_size=1, max_size=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=_clause_text, target=_clause_text, relation=_clause_text,
+       attributes=st.sets(st.sampled_from(("5", "6.0", "red")), max_size=2))
+@example(start="a", target="(5, 6)", relation="near at", attributes=set())
+@example(start="a", target="(5, 6)", relation="at", attributes=set())
+@example(start="look at", target="b", relation="near", attributes={"5", "6.0"})
+def test_no_unlocated_node_or_edge_reads_back_as_a_located_node(start, target, relation,
+                                                                 attributes):
+    g = MemoryGraph()
+    try:
+        g.add_node(start, attributes)
+        g.add_edge(start, target, relation)
+    except (ValueError, EmptyName, SelfLoop):
+        return
+    assert list(MemoryGraph.located_clauses(g.render_text(budget=10))) == []
 
 
 def node_clause(attributes) -> str:
