@@ -18,7 +18,7 @@ from ..errors import SchemaViolation
 from ..goals import parse_goal_text
 from ..memory import MemoryGraph
 from .protocol import (FILTER, SCORE, STOP_CHECK, DecisionRequest, DecisionResponse,
-                       MemoryOp, RequestContext, WireRay)
+                       MemoryOp, RequestContext, WireCandidate, WireRay)
 
 # two objects sighted within this distance of each other get a "next to" edge
 ADJACENCY_M = 1.0
@@ -62,13 +62,14 @@ class OracleBackend:
     * filter: removes candidates near hazard evidence (rays tagged ``hazard``,
       inflated by the apparent object extent so the true disc is covered) and
       candidates whose own ray label shares a keyword with a constraint.
-    * score: if the goal is visible, candidates are rated by angular proximity
-      to the nearest goal sighting; else, if memory recalls a located match,
-      by bearing toward it blended with range; else by range (frontier
-      exploration) with a small deterministic hash perturbation.  Also emits
-      memory operations for every labeled sighting, and rates stop
-      confidence with the stop_check rule, so a score and a stop_check reply
-      on one context carry the same ``s_stop``.
+    * score: removes candidates by the filter rule, then rates each survivor
+      on its own: if the goal is visible, by angular proximity to the nearest
+      goal sighting; else, if memory recalls a located match, by bearing
+      toward it blended with range; else by range (frontier exploration) with
+      a small deterministic hash perturbation.  Also emits memory operations
+      for every labeled sighting, and rates stop confidence with the
+      stop_check rule, so a score and a stop_check reply on one context carry
+      the same ``s_stop``.
     * stop_check: full confidence exactly when the goal is visible within the
       success distance, zero otherwise.
     """
@@ -86,7 +87,8 @@ class OracleBackend:
 
     def decide(self, req: DecisionRequest) -> DecisionResponse:
         if req.kind == FILTER:
-            return self._filter(req)
+            return DecisionResponse(kind=FILTER,
+                                    removals=self._removals(req.context, req.candidates))
         if req.kind == SCORE:
             return self._score(req)
         if req.kind == STOP_CHECK:
@@ -107,8 +109,9 @@ class OracleBackend:
 
     # -- filter ---------------------------------------------------------------
 
-    def _filter(self, req: DecisionRequest) -> DecisionResponse:
-        ctx = req.context
+    def _removals(self, ctx: RequestContext,
+                  candidates: Sequence[WireCandidate]) -> Tuple[int, ...]:
+        """The ids of the candidates the filter rule removes, in request order."""
         hazard_groups: Dict[str, List[Tuple[float, float]]] = {}
         gaps: Dict[str, float] = {}
         prev: Dict[str, Tuple[float, float]] = {}
@@ -132,10 +135,11 @@ class OracleBackend:
         constraint_words = set()
         for c in ctx.constraints:
             constraint_words |= _tokens(c)
-        nearest = self._nearest_rays(req) if constraint_words and req.candidates else None
+        nearest = (self._nearest_rays(ctx.rays, candidates)
+                   if constraint_words and candidates else None)
 
         removals: List[int] = []
-        for k, cand in enumerate(req.candidates):
+        for k, cand in enumerate(candidates):
             cx, cy = self._endpoint(ctx.pose, cand.theta_deg, cand.r_m)
             hit = any(min(math.dist((cx, cy), p) for p in pts) <= reach
                       for pts, reach in hazards)
@@ -145,24 +149,24 @@ class OracleBackend:
                            and _tokens(ray.label) & constraint_words)
             if hit:
                 removals.append(cand.id)
-        return DecisionResponse(kind=FILTER, removals=tuple(removals))
+        return tuple(removals)
 
     @staticmethod
-    def _nearest_rays(req: DecisionRequest) -> List[int]:
-        """Per candidate, the index that ``min(req.context.rays, key=lambda r:
+    def _nearest_rays(rays: Sequence[WireRay],
+                      candidates: Sequence[WireCandidate]) -> List[int]:
+        """Per candidate, the index that ``min(rays, key=lambda r:
         abs(r.theta_deg - cand.theta_deg))`` picks: the first least difference,
         where a NaN difference never wins unless it is the first ray's.
 
         Raises SchemaViolation when there are no rays, where that ``min``
         raises ValueError.
         """
-        rays = req.context.rays
         if not rays:
-            raise SchemaViolation("a constrained filter request needs a ray to match "
+            raise SchemaViolation("a constrained request with candidates needs a ray to match "
                                   "each candidate against")
         thetas = np.array([r.theta_deg for r in rays])
         with np.errstate(over="ignore", invalid="ignore"):
-            diff = np.abs(thetas - np.array([[c.theta_deg] for c in req.candidates]))
+            diff = np.abs(thetas - np.array([[c.theta_deg] for c in candidates]))
         first_nan = np.isnan(diff[:, 0])
         diff[np.isnan(diff)] = np.inf
         nearest = diff.argmin(axis=1)
@@ -192,11 +196,13 @@ class OracleBackend:
 
     def _score(self, req: DecisionRequest) -> DecisionResponse:
         ctx = req.context
+        removals = self._removals(ctx, req.candidates)
+        survivors = [c for c in req.candidates if c.id not in removals]
         scores: Dict[int, float] = {}
         goal_rays = self._goal_rays(ctx)
         if goal_rays:
             ref = min(goal_rays, key=lambda r: r.distance_m)
-            for c in req.candidates:
+            for c in survivors:
                 delta = abs(math.radians(c.theta_deg - ref.theta_deg))
                 scores[c.id] = max(0.0, 1.0 - delta / math.pi)
         else:
@@ -206,7 +212,7 @@ class OracleBackend:
                 rel = bearing - math.radians(ctx.pose[2])
                 rel = (rel + math.pi) % (2 * math.pi) - math.pi
                 d_now = math.hypot(target[0] - ctx.pose[0], target[1] - ctx.pose[1])
-                for c in req.candidates:
+                for c in survivors:
                     delta = abs((math.radians(c.theta_deg) - rel + math.pi) % (2 * math.pi) - math.pi)
                     direction = 1.0 - delta / math.pi
                     # cubic reach gate: a blocked bearing loses its pull, so
@@ -225,11 +231,12 @@ class OracleBackend:
                 # compare reach at 1 m granularity; the dither then picks
                 # among comparable rays, which varies the sweep direction
                 # step to step instead of replaying one sightline forever
-                for c in req.candidates:
+                for c in survivors:
                     coarse = min(self.r_scale, math.floor(c.r_m))
                     scores[c.id] = min(1.0, 0.99 * coarse / self.r_scale
                                        + 0.01 * _hash_unit(ctx.session_id, ctx.step, c.id))
-        return DecisionResponse(kind=SCORE, scores=scores, s_stop=self._s_stop(goal_rays),
+        return DecisionResponse(kind=SCORE, removals=removals, scores=scores,
+                                s_stop=self._s_stop(goal_rays),
                                 memory_ops=self._memory_ops(ctx))
 
     # -- stop -----------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Wire protocol between the navigation policy and decision backends.
 
 Requests and responses are JSON with angles in degrees and distances in
-meters; both directions carry ``version: "dynav/3"``.  A request carries its
+meters; both directions carry ``version: "dynav/4"``.  A request carries its
 step's rays as columns, plus one table of the distinct hits they index.
-Three request kinds exist: ``filter`` (prune/nudge candidates), ``score``
-(rate candidates and stop confidence, and optionally emit memory
-operations), and ``stop_check`` (rate stop confidence alone, for a step left
-with no candidate to score).
+A step sends exactly one request: ``score`` (prune/nudge the sampled
+candidates, rate the survivors and stop confidence, and optionally emit
+memory operations), or ``stop_check`` (rate stop confidence alone, for a
+step with no candidate).  A third kind, ``filter`` (prune/nudge alone),
+stays answerable, but the policy never sends it.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from ..sensing import Observation
 
 log = logging.getLogger(__name__)
 
-PROTOCOL_VERSION = "dynav/3"
+PROTOCOL_VERSION = "dynav/4"
 
 FILTER = "filter"
 SCORE = "score"
@@ -33,9 +34,9 @@ STOP_CHECK = "stop_check"
 KINDS = (FILTER, SCORE, STOP_CHECK)
 
 TEMPLATES = {
-    "name": "goal-name/2",
-    "description": "goal-description/2",
-    "instance": "goal-instance/2",
+    "name": "goal-name/3",
+    "description": "goal-description/3",
+    "instance": "goal-instance/3",
     "stop": "stop-check/1",
     "filter": "filter/1",
 }
@@ -353,6 +354,7 @@ def _wire_candidates(cands: CandidateSet) -> Tuple[WireCandidate, ...]:
 
 
 def make_filter_request(ctx: RequestContext, candidates: CandidateSet) -> DecisionRequest:
+    # answerable, but never sent by the policy: the score reply carries the filter
     return DecisionRequest(FILTER, ctx, _wire_candidates(candidates), TEMPLATES["filter"])
 
 

@@ -1,11 +1,12 @@
 """HTTP client for a remote decision endpoint.
 
-POSTs each request as ``dynav/3`` JSON, whose observation carries the step's
+POSTs each request as ``dynav/4`` JSON, whose observation carries the step's
 rays as columns plus one table of the distinct hits (docs/protocol.md), to
 the configured ``http://`` or ``https://`` URL, and validates the reply
-against the wire schema.  A step waits on at most two round trips: filter,
-then score, whose reply also rates stop confidence (a step left with no
-candidate sends one stop_check instead of the score).  A ``RemoteBackend``
+against the wire schema.  A step waits on exactly one round trip: a score
+request, whose reply removes or nudges candidates, rates the survivors and
+rates stop confidence together (a step without candidates sends one
+stop_check instead).  A reply of any other version is refused.  A ``RemoteBackend``
 keeps one keep-alive HTTP/1.1 connection (stdlib ``http.client``) and serves
 one thread.  Transport failures and HTTP 5xx are retried with exponential
 backoff; schema problems are never retried because a malformed server will

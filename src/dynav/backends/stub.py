@@ -4,7 +4,8 @@ The stub answers POST /decide from a canned response table keyed by
 ``(kind, step)``; an entry with ``step: null`` acts as a wildcard for its
 kind.  Entries may delay before answering, return arbitrary HTTP statuses or
 raw bodies, or expand ``scores_all`` into a score for every candidate in the
-request, which keeps canned scripts valid while candidate ids vary.  The stub
+request, which keeps canned scripts valid while candidate ids vary; those
+scores cover any ids the body removes too, and the policy ignores them.  The stub
 speaks keep-alive HTTP/1.1.
 """
 from __future__ import annotations

@@ -24,9 +24,11 @@ from .errors import (EmptyName, SchemaViolation, SelfLoop, check_integer, check_
 
 GRAPH_FORMAT = "dynav-graph/1"
 
-# a located node clause of render_text: "chair_2 (red, wooden) at (3.0, 1.5)"
+# a located node clause of render_text: "chair_2 (red, wooden) at (3.0, 1.5)";
+# a name holds no " (" (check_clause_name), so the first one ends the name
 _LOCATED = re.compile(
-    r"(?P<name>.+?)(?: \((?P<attrs>[^)]*)\))? at \((?P<x>-?\d+(?:\.\d+)?), (?P<y>-?\d+(?:\.\d+)?)\)",
+    r"(?P<name>(?:(?! \().)+?)(?: \((?P<attrs>[^)]*)\))?"
+    r" at \((?P<x>-?\d+(?:\.\d+)?), (?P<y>-?\d+(?:\.\d+)?)\)",
     re.DOTALL)
 
 

@@ -1,12 +1,13 @@
-"""Per-step decision logic: sense, propose and filter, score and stop, act.
+"""Per-step decision logic: sense, propose, decide, act.
 
 Each step senses and builds one request context, extracts the navigable
-boundary and samples candidates, lets the backend filter them, then makes one
-more backend call: a score request, whose reply rates the candidates and stop
-confidence together, or, when no candidate is left to score, a stop check.
-A step thus waits on at most two backend calls.  Stop requires the confidence
-to exceed the threshold on two consecutive steps.  Backend failures and empty
-candidate sets degrade to a rotation in place.
+boundary and samples candidates, then makes exactly one backend call: a
+score request carrying the sampled candidates, whose reply removes or nudges
+candidates, rates the survivors and rates stop confidence together, or, when
+no candidate was sampled, a stop check.  Stop requires the confidence to
+exceed the threshold on two consecutive steps.  A failed call and a step
+left with no candidate degrade to a rotation in place, so no candidate the
+backend has not cleared is ever executed.
 """
 from __future__ import annotations
 
@@ -15,10 +16,8 @@ import random
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
 
-# sample_initial and make_filter_request are called through their modules, where
-# perfbench/spans.py patches them
+# sample_initial is called through its module, where perfbench/spans.py patches it
 from . import proposer
-from .backends import protocol
 from .backends.protocol import (RequestContext, TEMPLATES, make_score_request,
                                 make_stop_request, request_context)
 from .errors import BackendUnavailable, NoEscape
@@ -87,71 +86,64 @@ def _fallback(theta_delta: float, streak: int, failed: bool = False) -> StepDeci
                         fallback=True, backend_failed=failed)
 
 
-def propose(ctx: RequestContext, obs: Observation, traversability: Sequence[bool],
-            backend, cfg) -> CandidateSet:
-    """Boundary, far-first sampling, then backend filtering.
+def propose(obs: Observation, traversability: Sequence[bool], cfg) -> CandidateSet:
+    """Boundary and far-first sampling; no backend call.
 
-    ``cfg`` supplies alpha, theta_delta, and r_min.  An empty initial set,
-    as an observation without a traversable ray gives, skips the filter
-    call; on backend failure the unfiltered set is returned unchanged and
-    the score call decides how to degrade.
+    ``cfg`` supplies alpha, theta_delta, and r_min.  The set keeps the
+    boundary points it was sampled from, which bound the adjustments of the
+    step's reply.  An observation without a traversable ray gives an empty
+    set.
     """
     points = boundary(obs, traversability)
-    initial = proposer.sample_initial(points, cfg.alpha, cfg.theta_delta, cfg.r_min)
-    if not initial.candidates:
-        return initial
-    try:
-        resp = backend.decide(protocol.make_filter_request(ctx, initial))
-    except BackendUnavailable:
-        log.warning("filter backend unavailable; keeping unfiltered candidates")
-        return initial
-    ray_gap = obs.fov / max(1, obs.n_rays - 1)
-    return apply_filter_response(initial, points, resp.removals, resp.adjustments,
-                                 obs.fov, ray_gap)
+    return proposer.sample_initial(points, cfg.alpha, cfg.theta_delta, cfg.r_min)
 
 
-def select_action(ctx: RequestContext, candidates: CandidateSet, template_id: str,
-                  backend, cfg, stop_streak: int) -> Tuple[StepDecision, Tuple]:
-    """Score candidates, update the stop streak, and choose the action.
+def select_action(ctx: RequestContext, obs: Observation, candidates: CandidateSet,
+                  template_id: str, backend, cfg,
+                  stop_streak: int) -> Tuple[StepDecision, CandidateSet, Tuple]:
+    """Send the step's one request, update the stop streak, and choose the action.
 
-    Returns the decision plus any memory operations the backend emitted.  One
-    call gives the stop confidence: the score reply's, or a stop check's when
-    there is no candidate to score.  Stop fires only when confidence has
-    exceeded the threshold on this step and the previous one.  On backend
-    failure the streak is left unchanged and the agent falls back to rotating
-    by theta_delta.
+    Candidates go in a score request, whose reply's removals and adjustments
+    apply under the proposer's clamps; the best-scored survivor is chosen
+    (scores of removed ids are ignored, a missing score counts 0).  Without
+    candidates a stop check is sent.  Stop fires only when the reply's
+    confidence has exceeded the threshold on this step and the previous one.
+
+    Returns the decision, the surviving candidates and the reply's memory
+    operations.  On backend failure the streak is left unchanged, no
+    candidate survives, and the agent falls back to rotating by theta_delta.
     """
-    memory_ops: Tuple = ()
-    scores: Dict[int, float] = {}
     try:
         if candidates.candidates:
             resp = backend.decide(make_score_request(ctx, candidates, template_id))
-            scores = dict(resp.scores)
-            memory_ops = resp.memory_ops
         else:
             resp = backend.decide(make_stop_request(ctx))
     except BackendUnavailable as e:
         log.warning("backend unavailable at step %d: %s", ctx.step, e)
-        return _fallback(cfg.theta_delta, stop_streak, failed=True), ()
+        return (_fallback(cfg.theta_delta, stop_streak, failed=True),
+                replace(candidates, candidates=()), ())
 
-    for c in candidates.candidates:
-        if c.id not in scores:
+    kept = apply_filter_response(candidates, resp.removals, resp.adjustments, obs.fov,
+                                 obs.fov / max(1, obs.n_rays - 1))
+    scores: Dict[int, float] = {}
+    for c in kept.candidates:
+        if c.id not in resp.scores:
             log.warning("backend omitted a score for candidate %d; assuming 0", c.id)
-            scores[c.id] = 0.0
+        scores[c.id] = resp.scores.get(c.id, 0.0)
 
     s_stop = resp.s_stop
     streak = stop_streak + 1 if s_stop > cfg.tau_stop else 0
     if streak >= 2:
         chosen = PolarAction.stop_action()
     elif scores:
-        best = pick_best(scores)
-        cand = candidates.by_id(best)
+        cand = kept.by_id(pick_best(scores))
         chosen = PolarAction(cand.r, cand.theta)
     else:
-        # nothing survived filtering: rotate to look elsewhere
-        return replace(_fallback(cfg.theta_delta, streak), s_stop=s_stop), memory_ops
-    return StepDecision(scores=scores, s_stop=s_stop, chosen=chosen,
-                        stop_streak=streak), memory_ops
+        # no candidate survived: rotate to look elsewhere
+        return (replace(_fallback(cfg.theta_delta, streak), s_stop=s_stop), kept,
+                resp.memory_ops)
+    return (StepDecision(scores=scores, s_stop=s_stop, chosen=chosen, stop_streak=streak),
+            kept, resp.memory_ops)
 
 
 def apply_memory_ops(mem: MemoryGraph, ops, step_index: int, agent: str) -> None:
@@ -172,18 +164,17 @@ def step(state: AgentState, world, mem: Optional[MemoryGraph], goal: GoalSpec,
          session_id: str = "adhoc", rng: Optional[random.Random] = None) -> StepOutcome:
     """One full perceive-propose-decide-act cycle.
 
-    Every request of the step shares one context.  Memory is updated in place
-    when enabled.  A stop decision leaves the pose untouched and marks the
-    state terminated.
+    Memory is updated in place when enabled.  A stop decision leaves the pose
+    untouched and marks the state terminated.
     """
     body = AgentBody(radius=cfg.agent_radius, max_sense=cfg.d_max)
     obs = sense(world, state.pose, body, cfg.n_rays, fov=cfg.fov, step=state.step_index)
     mask = traversability_mask(obs, cfg.epsilon_mask, rng)
     ctx = request_context(obs, session_id, goal.text, memory_excerpt(mem, goal, cfg),
                           constraints)
-    candidates = propose(ctx, obs, mask, backend, cfg)
-    decision, memory_ops = select_action(ctx, candidates, TEMPLATES[goal.kind],
-                                         backend, cfg, state.stop_streak)
+    decision, candidates, memory_ops = select_action(
+        ctx, obs, propose(obs, mask, cfg), TEMPLATES[goal.kind], backend, cfg,
+        state.stop_streak)
     if mem is not None and cfg.memory_enabled and memory_ops:
         apply_memory_ops(mem, memory_ops, step_index=state.step_index, agent=session_id)
 

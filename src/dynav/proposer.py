@@ -4,14 +4,14 @@ A candidate action is a (range, bearing) pair selected from the navigable
 boundary of the current observation: per traversable ray, the farthest
 contiguous free extent.  Sampling keeps far points first while enforcing a
 minimum angular gap.  This module is pure geometry: the policy sends the
-sampled set to a decision backend, which may remove or nudge candidates, and
-``apply_filter_response`` applies the reply under safety clamps.
+sampled set to a decision backend, whose reply may remove or nudge candidates,
+and ``apply_filter_response`` applies the reply under safety clamps.
 """
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .geometry import TWO_PI, angular_distance
@@ -49,6 +49,8 @@ class CandidateSet:
     candidates: Tuple[Candidate, ...]
     alpha: float
     theta_delta: float
+    # the boundary sampled from, which bounds adjustments (none without one)
+    points: Tuple[BoundaryPoint, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         ids = [c.id for c in self.candidates]
@@ -112,7 +114,7 @@ def sample_initial(points: Sequence[BoundaryPoint], alpha: float, theta_delta: f
             kept.append((r, theta))
     kept.sort(key=lambda rt: rt[1])
     cands = tuple(Candidate(i + 1, r, theta) for i, (r, theta) in enumerate(kept))
-    return CandidateSet(cands, alpha, theta_delta)
+    return CandidateSet(cands, alpha, theta_delta, tuple(points))
 
 
 def _boundary_limit(points: Sequence[BoundaryPoint], theta: float, gap: float) -> float:
@@ -125,16 +127,17 @@ def _boundary_limit(points: Sequence[BoundaryPoint], theta: float, gap: float) -
     return min(near) if near else -math.inf
 
 
-def apply_filter_response(initial: CandidateSet, points: Sequence[BoundaryPoint],
-                          removals: Sequence[int], adjustments: Sequence[Adjustment],
-                          fov: float, ray_gap: float) -> CandidateSet:
+def apply_filter_response(initial: CandidateSet, removals: Sequence[int],
+                          adjustments: Sequence[Adjustment], fov: float,
+                          ray_gap: float) -> CandidateSet:
     """Apply backend removals and adjustments under the safety clamps.
 
     An adjustment is dropped (keeping the original candidate) unless all of:
     it references a surviving id, moves the bearing by at most theta_delta/2,
     stays inside the field of view, keeps a positive range no larger than the
-    candidate's original range, respects the traversable extent at the new
-    bearing, and preserves the pairwise angular separation of the set.
+    candidate's original range, respects the traversable extent of
+    ``initial.points`` at the new bearing, and preserves the pairwise angular
+    separation of the set.
     """
     removed = set(removals)
     survivors = [c for c in initial.candidates if c.id not in removed]
@@ -150,7 +153,7 @@ def apply_filter_response(initial: CandidateSet, points: Sequence[BoundaryPoint]
             math.isfinite(a.r) and 0.0 < a.r <= c.r + 1e-9
             and angular_distance(a.theta, c.theta) <= initial.theta_delta / 2.0 + 1e-9
             and abs(a.theta) <= fov / 2.0 + 1e-9
-            and a.r <= initial.alpha * _boundary_limit(points, a.theta, ray_gap) + 1e-9
+            and a.r <= initial.alpha * _boundary_limit(initial.points, a.theta, ray_gap) + 1e-9
         )
         if not ok:
             log.warning("dropping invalid adjustment for candidate %d", c.id)
@@ -169,4 +172,4 @@ def apply_filter_response(initial: CandidateSet, points: Sequence[BoundaryPoint]
                 log.warning("adjustment for candidate %d broke angular separation; reverted", c.id)
                 c = orig
         final.append(c)
-    return CandidateSet(tuple(final), initial.alpha, initial.theta_delta)
+    return CandidateSet(tuple(final), initial.alpha, initial.theta_delta, initial.points)

@@ -280,7 +280,7 @@ def test_3_candidate_sampling_invariants_in_bulk():
             elif roll < 0.35:  # invalid: angular move beyond the half-gap
                 adjustments.append(Adjustment(c.id, c.r, c.theta + theta_delta * 1.1))
         gap = fov / (n - 1)
-        final = apply_filter_response(out, points, removals, adjustments, fov, gap)
+        final = apply_filter_response(out, removals, adjustments, fov, gap)
         if not {c.id for c in final.candidates} <= set(ids) - set(removals):
             problems.append((trial, "subset law broken"))
         for a, b in itertools.combinations(final.candidates, 2):
@@ -410,8 +410,8 @@ def test_6_stop_rule_exhaustive_truth_table():
             backend = _StopScript(seq)
             streak, got = 0, None
             for i in range(length):
-                decision, _ = select_action(ctx, cset, TEMPLATES["name"],
-                                            backend, cfg, streak)
+                decision = select_action(ctx, obs, cset, TEMPLATES["name"],
+                                         backend, cfg, streak)[0]
                 streak = decision.stop_streak
                 if decision.chosen.stop:
                     got = i
@@ -494,8 +494,8 @@ def test_8_wire_protocol_conformance():
             problems.append(("request drifted on the wire", rec))
         rays = rec["observation"]["rays"]
         hit = rec["observation"]["hits"][rays["hit"][1]]
-        if not (rec["version"] == "dynav/3" and rec["kind"] == "score"
-                and rec["template_id"] == "goal-name/2"
+        if not (rec["version"] == "dynav/4" and rec["kind"] == "score"
+                and rec["template_id"] == "goal-name/3"
                 and hit["label"] == "plant_1" and abs(rays["distance_m"][1] - 2.7) < 1e-6
                 and rays["theta_deg"][1] == 0.0 and hit["attributes"] == ["green"]
                 and rec["candidates"] == [{"id": 1, "r_m": 2.16, "theta_deg": 0.0}]
@@ -545,7 +545,6 @@ def test_8_wire_protocol_conformance():
                            radius=0.3)
     world = empty_world(10.0, 8.0, objects=[chair])
     script = [
-        {"kind": "filter", "body": {}},
         {"kind": "score", "scores_all": 0.5},
         {"kind": "stop_check", "body": {"s_stop": 0.0}},
         {"kind": "score", "step": 4, "scores_all": 0.5, "body": {"s_stop": 0.9}},
@@ -562,6 +561,8 @@ def test_8_wire_protocol_conformance():
         g = res.goal_results[0]
         if not (g.steps == 6 and g.stopped and res.termination == STOPPED):
             problems.append(("scripted episode", g.steps, g.stopped, res.termination))
+        if len(server.requests) != g.steps:  # one request per step
+            problems.append(("requests per episode", len(server.requests), g.steps))
     finally:
         server.stop()
 
@@ -591,7 +592,9 @@ def test_9_hazard_candidates_always_filtered():
                                  cfg.alpha, cfg.theta_delta, cfg.r_min)
         ctx = request_context(obs, session_id="adhoc", goal_text="",
                               constraints=constraints)
-        final = propose(ctx, obs, [True] * obs.n_rays, backend, cfg)
+        # the step's one request: its reply's removals apply in select_action
+        _, final, _ = select_action(ctx, obs, propose(obs, [True] * obs.n_rays, cfg),
+                                    TEMPLATES["name"], backend, cfg, 0)
         removed_total += len(initial.candidates) - len(final.candidates)
         for c in final.candidates:
             ex = pose.x + c.r * math.cos(pose.heading + c.theta)

@@ -30,7 +30,7 @@ def make_req(kind=SCORE, goal="chair", rays=(), candidates=(), memory="",
              constraints=(), pose=(0.0, 0.0, 0.0), session="s", step=0):
     ctx = RequestContext(session_id=session, step=step, goal_text=goal, pose=pose,
                          rays=tuple(rays), memory_text=memory, constraints=tuple(constraints))
-    return DecisionRequest(kind, ctx, tuple(candidates), "goal-name/2")
+    return DecisionRequest(kind, ctx, tuple(candidates), "goal-name/3")
 
 
 @pytest.fixture

@@ -39,6 +39,7 @@ from dynav.backends.protocol import (
     parse_response,
     request_context,
 )
+from dynav import cli
 from dynav.backends import protocol, remote
 from dynav.backends.remote import BackendConfig, RemoteBackend
 from dynav.backends.stub import POLL_INTERVAL_S, StubServer
@@ -60,7 +61,7 @@ def make_req(kind=SCORE, step=0, n_cands=2, rays=(), pose=(1.0, 2.0, 30.0)):
     if kind == STOP_CHECK:
         cands = ()
     ctx = RequestContext(session_id="s1", step=step, goal_text="chair", pose=pose, rays=rays)
-    return DecisionRequest(kind, ctx, cands, "goal-name/2")
+    return DecisionRequest(kind, ctx, cands, "goal-name/3")
 
 
 def ok_body(**extra):
@@ -77,14 +78,14 @@ def test_score_request_golden(plant_world, body):
     cands = CandidateSet((Candidate(1, 2.16, 0.0),), alpha=0.8, theta_delta=math.radians(15))
     ctx = request_context(obs, session_id="ep1", goal_text="plant",
                           memory_text="plant_1 at (8.0, 4.0)", constraints=("keep right",))
-    d = make_score_request(ctx, cands, "goal-name/2").to_dict()
-    assert d["version"] == "dynav/3"
+    d = make_score_request(ctx, cands, "goal-name/3").to_dict()
+    assert d["version"] == "dynav/4"
     assert d["kind"] == "score"
     assert d["session_id"] == "ep1" and d["step"] == 4
     assert d["goal_text"] == "plant"
     assert d["memory_text"] == "plant_1 at (8.0, 4.0)"
     assert d["constraints"] == ["keep right"]
-    assert d["template_id"] == "goal-name/2"
+    assert d["template_id"] == "goal-name/3"
     pose = d["observation"]["pose"]
     assert pose == {"x_m": 5.0, "y_m": 4.0, "heading_deg": 0.0}
     rays, hits = d["observation"]["rays"], d["observation"]["hits"]
@@ -119,9 +120,11 @@ def test_prompt_bundle_holds_one_text_per_template():
     for template in TEMPLATES.values():
         text = files[f"{template.replace('/', '-')}.txt"]
         assert text.startswith(f"template_id: {template}\n")
-        # a score reply rates stop confidence too, so its prompt asks for it
+        # a score reply carries the filter and rates stop confidence too, so
+        # its prompt asks for removals, adjustments and s_stop
         if template.startswith("goal-"):
-            assert "s_stop" in text and "{candidates}" in text
+            assert "{candidates}" in text and "{constraints}" in text
+            assert all(key in text for key in ("removals", "adjustments", "s_stop"))
 
 
 def test_wire_rays_match_a_per_ray_conversion(cluttered_world, body):
@@ -138,7 +141,7 @@ def test_request_dict_round_trip(plant_world, body):
     cands = CandidateSet((Candidate(1, 2.0, 0.1), Candidate(2, 3.0, 0.4)), 0.8, 0.2)
     ctx = request_context(obs, session_id="rt", goal_text="plant (green)",
                           memory_text="m", constraints=("c1", "c2"))
-    req = make_score_request(ctx, cands, "goal-description/2")
+    req = make_score_request(ctx, cands, "goal-description/3")
     again = DecisionRequest.from_dict(json.loads(json.dumps(req.to_dict())))
     assert again == req
 
@@ -234,7 +237,7 @@ def test_parse_response_memory_ops_and_defaults():
 @pytest.mark.parametrize("location", ["[NaN, 1.0]", "[1.0, Infinity]", "[-Infinity, NaN]"])
 def test_parse_response_rejects_non_finite_locations(location):
     # Python's json reads NaN and Infinity; a memory node must not store them
-    payload = json.loads('{"version": "dynav/3", "kind": "score", "memory_ops": '
+    payload = json.loads('{"version": "dynav/4", "kind": "score", "memory_ops": '
                          '[{"op": "add_node", "name": "chair_9", "location_m": %s}]}' % location)
     with pytest.raises(SchemaViolation, match="not finite"):
         parse_response(payload, make_req())
@@ -281,20 +284,20 @@ def test_remote_round_trip_records_request():
         assert resp.rationale == "canned"
         assert len(stub.requests) == 1
         seen = stub.requests[0]
-        assert seen["version"] == "dynav/3"
+        assert seen["version"] == "dynav/4"
         assert seen["step"] == 3
         # the recorded payload parses back into the identical request
         assert DecisionRequest.from_dict(seen) == make_req(step=3)
 
 
-def test_a_dynav_2_server_is_refused_at_once():
-    # a dynav/2 server answers a score request without stop confidence, so
-    # an agent served by it would never stop: its first reply is refused,
-    # and not retried
-    script = [{"kind": "score", "scores_all": 0.5, "body": {"version": "dynav/2"}}]
+def test_a_dynav_3_server_is_refused_at_once():
+    # a dynav/3 server scores a score request's candidates without filtering
+    # them, so an agent served by it could execute a candidate the filter
+    # would remove: its first reply is refused, and not retried
+    script = [{"kind": "score", "scores_all": 0.5, "body": {"version": "dynav/3"}}]
     with StubServer(script=script) as stub:
         with closing(RemoteBackend(BackendConfig(endpoint=stub.endpoint))) as backend:
-            with pytest.raises(SchemaViolation, match="bad response version: 'dynav/2'"):
+            with pytest.raises(SchemaViolation, match="bad response version: 'dynav/3'"):
                 backend.decide(make_req())
         assert len(stub.requests) == 1
 
@@ -707,7 +710,7 @@ def float_bits(req) -> bytes:
 @settings(max_examples=300, deadline=None)
 @given(ctx=_contexts, kind=st.sampled_from(KINDS), cands=_candidates)
 def test_request_round_trips_through_the_wire_bit_for_bit(ctx, kind, cands):
-    req = DecisionRequest(kind, ctx, () if kind == STOP_CHECK else cands, "goal-name/2")
+    req = DecisionRequest(kind, ctx, () if kind == STOP_CHECK else cands, "goal-name/3")
     d = json.loads(encode_request(req))
     again = DecisionRequest.from_dict(d)
     assert again == req
@@ -746,7 +749,7 @@ def test_encode_request_matches_json_dumps(kinds, cluttered_world, body, monkeyp
                           memory_text="chair_1 at (9.0, 5.0).", constraints=("keep right",))
     cands = CandidateSet((Candidate(1, 2.0, 0.1), Candidate(2, 1.5, -0.4)), 0.8, 0.2)
     build = {FILTER: lambda: make_filter_request(ctx, cands),
-             SCORE: lambda: make_score_request(ctx, cands, "goal-name/2"),
+             SCORE: lambda: make_score_request(ctx, cands, "goal-name/3"),
              STOP_CHECK: lambda: make_stop_request(ctx)}
     texts = recorded_encodings(monkeypatch)
     for kind in kinds:
@@ -763,8 +766,9 @@ def test_encode_request_matches_json_dumps(kinds, cluttered_world, body, monkeyp
 
 
 def step_requests(world, pose):
-    """The filter and score requests of one real step, plus a stop check on
-    the step's context, which a step without candidates would send."""
+    """The one score request of a real step, between a filter request on its
+    candidates, which a backend still answers, and a stop check on its
+    context, which a step without candidates would send."""
     seen = []
 
     class Recording(OracleBackend):
@@ -774,8 +778,10 @@ def step_requests(world, pose):
 
     step(AgentState(pose=pose), world, None,
          GoalSpec.name_goal("chair"), Recording(), RunConfig())
-    assert [r.kind for r in seen] == [FILTER, SCORE]
-    return seen + [make_stop_request(seen[0].context)]
+    assert [r.kind for r in seen] == [SCORE]
+    score = seen[0]
+    filt = DecisionRequest(FILTER, score.context, score.candidates, TEMPLATES["filter"])
+    return [filt, score, make_stop_request(score.context)]
 
 
 def test_request_dict_round_trip_of_a_real_step(cluttered_world):
@@ -830,7 +836,7 @@ def test_request_bodies_are_at_most_half_of_the_per_ray_layout():
         run_episode(EpisodeSpec(episode_id=f"w{seed}", world=world, start=start, seed=seed,
                                 goals=(GoalSpec.name_goal("chair"),)),
                     Recording(), RunConfig(max_distance_m=10000.0))
-    assert len(bodies) == 32  # the same 16 steps, each a filter and a score request
+    assert len(bodies) == 16  # the same 16 steps, each one score request
     assert sum(bodies) / len(bodies) <= V1_MEAN_BODY_BYTES / 2
 
 
@@ -838,13 +844,16 @@ def test_request_bodies_are_at_most_half_of_the_per_ray_layout():
 
 
 class KeepAliveServer:
-    """HTTP/1.1 server answering every request with an empty reply of its
-    kind.  Records the client port of each request; with ``hang_up`` it closes
-    each connection after one reply, without saying so in the headers, as a
-    server does when an idle keep-alive connection times out."""
+    """HTTP/1.1 server answering every request with ``answer(request)``, by
+    default an empty reply of its kind.  Records the client port and the
+    kind of each request; with ``hang_up`` it closes each connection after
+    one reply, without saying so in the headers, as a server does when an
+    idle keep-alive connection times out."""
 
-    def __init__(self, hang_up: bool = False):
+    def __init__(self, hang_up: bool = False,
+                 answer=lambda req: {"version": PROTOCOL_VERSION, "kind": req["kind"]}):
         self.ports = []
+        self.kinds = []
         self.hung_up = threading.Semaphore(0)
         outer = self
 
@@ -858,7 +867,8 @@ class KeepAliveServer:
             def do_POST(self):
                 req = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
                 outer.ports.append(self.client_address[1])
-                body = json.dumps({"version": PROTOCOL_VERSION, "kind": req["kind"]}).encode()
+                outer.kinds.append(req["kind"])
+                body = json.dumps(answer(req)).encode()
                 self.send_response(200)
                 self.send_header("Content-Length", str(len(body)))
                 self.end_headers()
@@ -924,6 +934,37 @@ def test_late_reply_is_not_read_as_the_next_answer():
             assert backend.decide(make_req(STOP_CHECK, step=2)).s_stop == 0.2
         finally:
             backend.close()
+
+
+SPEC = Path(__file__).resolve().parent.parent / "specs" / "objectnav_small.json"
+
+
+def test_a_remote_run_writes_the_in_process_run_byte_for_byte(tmp_path):
+    """``dynav run`` on the objectnav spec through RemoteBackend, against a
+    server answering with the oracle, writes the step logs and results of
+    the in-process run, byte for byte, and sends one request per step and no
+    filter request."""
+    cfg = RunConfig()
+    oracle = OracleBackend(hazard_clearance=cfg.hazard_clearance_m,
+                           success_threshold=cfg.success_threshold_m, r_scale=cfg.d_max)
+
+    def answer(payload):
+        return oracle.decide(DecisionRequest.from_dict(payload)).to_dict()
+
+    def outputs(name, *flags):
+        out = tmp_path / name
+        assert cli.main(["run", "--episodes", str(SPEC), "--out", str(out), *flags]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())
+                if p.name.endswith(".steps.jsonl") or p.name == "results.jsonl"}
+
+    with KeepAliveServer(answer=answer) as server:
+        remote = outputs("remote", "--backend", "remote", "--endpoint", server.endpoint)
+    local = outputs("local")
+    assert remote == local
+    assert len(local) == 6  # five step logs and the results
+    steps = sum(text.count(b"\n") for name, text in local.items() if name != "results.jsonl")
+    assert len(server.kinds) == steps
+    assert FILTER not in server.kinds
 
 
 def test_cli_import_leaves_requests_out():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from dynav.backends.oracle import OracleBackend
-from dynav.backends.protocol import FILTER, SCORE, STOP_CHECK, DecisionResponse
+from dynav.backends.protocol import DecisionResponse
 from dynav.config import RunConfig
 from dynav.episodes import (
     ABORTED,
@@ -55,12 +55,8 @@ def oracle(cfg):
 
 class AlwaysStop:
     def decide(self, req):
-        if req.kind == SCORE:
-            return DecisionResponse(kind=SCORE, scores={c.id: 0.5 for c in req.candidates},
-                                    s_stop=1.0)
-        if req.kind == STOP_CHECK:
-            return DecisionResponse(kind=STOP_CHECK, s_stop=1.0)
-        return DecisionResponse(kind=req.kind)
+        return DecisionResponse(kind=req.kind, scores={c.id: 0.5 for c in req.candidates},
+                                s_stop=1.0)
 
 
 class AlwaysDown:
@@ -83,15 +79,11 @@ def test_visible_goal_reached_quickly():
 
 
 class StopInPlace:
-    """Filters every candidate away and is sure it should stop: the agent
-    rotates by theta_delta once, then stops."""
+    """Removes every candidate and is sure it should stop: the agent rotates
+    by theta_delta once, then stops."""
 
     def decide(self, req):
-        if req.kind == FILTER:
-            return DecisionResponse(kind=FILTER, removals=req.candidate_ids())
-        if req.kind == STOP_CHECK:
-            return DecisionResponse(kind=STOP_CHECK, s_stop=1.0)
-        return DecisionResponse(kind=req.kind)
+        return DecisionResponse(kind=req.kind, removals=req.candidate_ids(), s_stop=1.0)
 
 
 def fresh_success(world, pose, goal, cfg):

@@ -265,7 +265,7 @@ def test_names_with_a_parenthesis_after_a_space_are_refused(caplog):
     # a score reply's add_node ops with such names parse, then are dropped as
     # malformed where the node would be made; the well-formed op still lands
     request = DecisionRequest(SCORE, RequestContext("s", 1, "tv", (0.0, 0.0, 0.0), ()),
-                              (WireCandidate(1, 1.0, 0.0),), "goal-name/2")
+                              (WireCandidate(1, 1.0, 0.0),), "goal-name/3")
     reply = {"version": PROTOCOL_VERSION, "kind": SCORE, "memory_ops": [
         {"op": "add_node", "name": name, "location_m": [1.0, 2.0]}
         for name in PARENTHESISED_NAMES + ("tv(old)",)]}
@@ -337,7 +337,7 @@ def test_relations_the_memory_text_cannot_carry_are_refused(caplog):
     # a score reply's add_edge ops with such relations parse, then are
     # dropped as malformed; the well-formed op still lands
     request = DecisionRequest(SCORE, RequestContext("s", 1, "a", (0.0, 0.0, 0.0), ()),
-                              (WireCandidate(1, 1.0, 0.0),), "goal-name/2")
+                              (WireCandidate(1, 1.0, 0.0),), "goal-name/3")
     reply = {"version": PROTOCOL_VERSION, "kind": SCORE, "memory_ops": [
         {"op": "add_edge", "start": "a", "target": "(5, 6)", "relation": relation}
         for relation in UNCARRIED_RELATIONS + ("next to",)]}
@@ -379,6 +379,38 @@ def test_no_unlocated_node_or_edge_reads_back_as_a_located_node(start, target, r
     except (ValueError, EmptyName, SelfLoop):
         return
     assert list(MemoryGraph.located_clauses(g.render_text(budget=10))) == []
+
+
+# names, attributes and relations over the characters the memory text is made of
+_clause_part = st.text(st.sampled_from("ab #.,()at-1 0"), min_size=1, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nodes=st.lists(st.tuples(_clause_part, st.sets(_clause_part, max_size=3),
+                                st.one_of(st.none(), st.tuples(coordinates, coordinates))),
+                      max_size=5),
+       edges=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), _clause_part),
+                      max_size=4))
+@example(nodes=[("n", {"# at (1.0", "2.0"}, None)], edges=[])
+def test_any_graph_the_checks_accept_reads_back_exactly_its_located_nodes(nodes, edges):
+    g = MemoryGraph()
+    for step, (name, attributes, location) in enumerate(nodes):
+        try:
+            g.add_node(name, attributes, location, step=step)
+        except (ValueError, EmptyName):
+            pass
+    names = sorted(g.nodes)
+    for s, t, relation in edges:
+        if s < len(names) and t < len(names):
+            try:
+                g.add_edge(names[s], names[t], relation)
+            except (ValueError, SelfLoop):
+                pass
+    parsed = list(MemoryGraph.located_clauses(g.render_text(budget=100)))
+    expected = [(n.name, tuple(sorted(n.attributes)),
+                 (float(f"{n.location[0]:.1f}"), float(f"{n.location[1]:.1f}")))
+                for n in g.nodes.values() if n.location is not None]
+    assert sorted(parsed) == sorted(expected)
 
 
 def node_clause(attributes) -> str:

@@ -1,4 +1,5 @@
-"""Step policy: scoring, the two-consecutive-step stop rule, and fallbacks."""
+"""Step policy: one request per step, the filter on the score reply, scoring,
+the two-consecutive-step stop rule, and fallbacks."""
 import math
 import random
 from collections import Counter, defaultdict
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynav import episodes, policy
+from dynav.backends import protocol
 from dynav.backends.oracle import OracleBackend
 from dynav.backends.protocol import (
     FILTER,
@@ -26,6 +28,7 @@ from dynav.errors import BackendUnavailable
 from dynav.geometry import PolarAction
 from dynav.goals import GoalSpec
 from dynav.memory import MemoryGraph
+from dynav.geometry import AgentBody
 from dynav.policy import (
     AgentState,
     apply_memory_ops,
@@ -36,37 +39,41 @@ from dynav.policy import (
     select_action,
     step,
 )
-from dynav.proposer import Candidate, CandidateSet, boundary, sample_initial
+from dynav.proposer import (Adjustment, BoundaryPoint, Candidate, CandidateSet, boundary,
+                            sample_initial)
 from dynav.sensing import sense, traversability_mask
+from dynav.world import SemanticObject
 
-from conftest import make_pose
+from conftest import empty_world, make_pose
 
 
 class Scripted:
-    """Backend stub: fixed candidate scores plus a queue of stop confidences,
-    one per step, answered on the score reply or, for a step with nothing to
-    score, on the stop check."""
+    """Backend stub: fixed candidate scores, removals and adjustments plus a
+    queue of stop confidences, one per step, answered on the score reply or,
+    for a step with nothing to score, on the stop check."""
 
-    def __init__(self, scores=None, stops=(), memory_ops=(), fail=False):
+    def __init__(self, scores=None, stops=(), memory_ops=(), fail=False, removals=(),
+                 adjustments=()):
         self.scores = scores
         self.stops = list(stops)
         self.memory_ops = tuple(memory_ops)
         self.fail = fail
+        self.removals = tuple(removals)
+        self.adjustments = tuple(adjustments)
         self.kinds = []
 
     def decide(self, req):
         self.kinds.append(req.kind)
         if self.fail:
             raise BackendUnavailable("scripted outage")
-        if req.kind == FILTER:
-            return DecisionResponse(kind=FILTER)
         s = self.stops.pop(0) if self.stops else 0.0
         if req.kind == STOP_CHECK:
             return DecisionResponse(kind=STOP_CHECK, s_stop=s)
         scores = self.scores
         if scores is None:
             scores = {c.id: c.r_m / 10.0 for c in req.candidates}
-        return DecisionResponse(kind=SCORE, scores=dict(scores), s_stop=s,
+        return DecisionResponse(kind=SCORE, removals=self.removals,
+                                adjustments=self.adjustments, scores=dict(scores), s_stop=s,
                                 memory_ops=self.memory_ops)
 
 
@@ -74,9 +81,11 @@ def ctx_of(obs):
     return request_context(obs, session_id="s", goal_text="chair")
 
 
-def select_with(candidates, obs, backend, cfg, streak):
-    cset = CandidateSet(tuple(candidates), alpha=0.8, theta_delta=math.radians(15.0))
-    return select_action(ctx_of(obs), cset, TEMPLATES["name"], backend, cfg, streak)
+def select_with(candidates, obs, backend, cfg, streak, points=()):
+    """select_action on a hand-made candidate set: (decision, survivors, memory ops)."""
+    cset = CandidateSet(tuple(candidates), alpha=0.8, theta_delta=math.radians(15.0),
+                        points=tuple(points))
+    return select_action(ctx_of(obs), obs, cset, TEMPLATES["name"], backend, cfg, streak)
 
 
 @pytest.fixture
@@ -90,7 +99,7 @@ def drive_stops(obs, stops, tau):
     backend = Scripted(stops=list(stops))
     streak = 0
     for i in range(len(stops)):
-        decision, _ = select_with([Candidate(1, 2.0, 0.0)], obs, backend, cfg, streak)
+        decision = select_with([Candidate(1, 2.0, 0.0)], obs, backend, cfg, streak)[0]
         streak = decision.stop_streak
         if decision.chosen.stop:
             return i
@@ -122,7 +131,7 @@ def test_pick_best_is_argmax(scores):
 
 def test_select_action_picks_highest_score(obs):
     cands = [Candidate(1, 1.0, -0.3), Candidate(2, 4.0, 0.0), Candidate(3, 2.0, 0.3)]
-    decision, _ = select_with(cands, obs, Scripted(), RunConfig(), 0)
+    decision = select_with(cands, obs, Scripted(), RunConfig(), 0)[0]
     assert decision.chosen == PolarAction(4.0, 0.0)
     assert not decision.fallback
     assert decision.scores[2] == pytest.approx(0.4)
@@ -131,15 +140,16 @@ def test_select_action_picks_highest_score(obs):
 def test_select_action_fills_missing_scores(obs):
     cands = [Candidate(1, 1.0, -0.3), Candidate(2, 4.0, 0.0)]
     backend = Scripted(scores={1: 0.3})
-    decision, _ = select_with(cands, obs, backend, RunConfig(), 0)
+    decision = select_with(cands, obs, backend, RunConfig(), 0)[0]
     assert decision.scores == {1: 0.3, 2: 0.0}
     assert decision.chosen.r == pytest.approx(1.0)
 
 
 def test_select_action_backend_failure_degrades(obs):
     cands = [Candidate(1, 1.0, 0.0)]
-    decision, ops = select_with(cands, obs, Scripted(fail=True), RunConfig(), 1)
+    decision, kept, ops = select_with(cands, obs, Scripted(fail=True), RunConfig(), 1)
     assert decision.fallback and decision.backend_failed
+    assert len(kept) == 0  # no candidate was cleared
     assert decision.stop_streak == 1  # failure leaves the streak unchanged
     assert decision.chosen.r == 0.0
     assert decision.chosen.theta == pytest.approx(math.radians(15.0))
@@ -147,7 +157,7 @@ def test_select_action_backend_failure_degrades(obs):
 
 
 def test_select_action_no_candidates_rotates(obs):
-    decision, _ = select_with([], obs, Scripted(stops=[0.9]), RunConfig(), 0)
+    decision = select_with([], obs, Scripted(stops=[0.9]), RunConfig(), 0)[0]
     assert decision.fallback and not decision.backend_failed
     assert decision.chosen.r == 0.0
     assert decision.s_stop == 0.9
@@ -158,16 +168,72 @@ def test_select_action_stop_wins_over_scores(obs):
     cands = [Candidate(1, 5.0, 0.0)]
     backend = Scripted(stops=[0.9, 0.9])
     streak = select_with(cands, obs, backend, RunConfig(), 0)[0].stop_streak
-    decision, _ = select_with(cands, obs, backend, RunConfig(), streak)
+    decision = select_with(cands, obs, backend, RunConfig(), streak)[0]
     assert decision.chosen.stop
     assert decision.stop_streak == 2
 
 
 def test_select_action_is_deterministic(obs):
     cands = [Candidate(1, 1.0, -0.3), Candidate(2, 4.0, 0.0)]
-    a, _ = select_with(cands, obs, Scripted(), RunConfig(), 0)
-    b, _ = select_with(cands, obs, Scripted(), RunConfig(), 0)
+    a = select_with(cands, obs, Scripted(), RunConfig(), 0)
+    b = select_with(cands, obs, Scripted(), RunConfig(), 0)
     assert a == b
+
+
+def test_a_removed_candidate_is_never_chosen(obs):
+    # the reply rates the candidate it removes highest: its score is ignored
+    cands = [Candidate(1, 1.0, -0.3), Candidate(2, 4.0, 0.0), Candidate(3, 2.0, 0.3)]
+    backend = Scripted(scores={1: 0.2, 2: 1.0, 3: 0.4}, removals=[2])
+    decision, kept, _ = select_with(cands, obs, backend, RunConfig(), 0)
+    assert backend.kinds == [SCORE]
+    assert kept.ids() == (1, 3)
+    assert decision.scores == {1: 0.2, 3: 0.4}
+    assert decision.chosen == PolarAction(2.0, 0.3)
+    # a reply that removes every candidate rotates, with its stop confidence
+    backend = Scripted(scores={1: 1.0, 2: 1.0, 3: 1.0}, removals=[1, 2, 3], stops=[0.9])
+    decision, kept, _ = select_with(cands, obs, backend, RunConfig(), 0)
+    assert len(kept) == 0 and decision.scores == {}
+    assert decision.fallback and not decision.backend_failed
+    assert decision.chosen == PolarAction(0.0, math.radians(15.0))
+    assert decision.s_stop == 0.9 and decision.stop_streak == 1
+
+
+def adjustment_set(obs):
+    """Four candidates 0.35 rad or more apart on a boundary of 5 m, except
+    1 m on ray 9 (about -0.114 rad), with ids 1..4 at -0.5, 0.0, 0.35 and
+    just inside the right edge of the field of view."""
+    points = [BoundaryPoint(1.0 if i == 9 else 5.0, ray.theta) for i, ray in enumerate(obs.rays)]
+    cands = [Candidate(1, 4.0, -0.5), Candidate(2, 4.0, 0.0), Candidate(3, 4.0, 0.35),
+             Candidate(4, 4.0, obs.fov / 2 - 0.02)]
+    return cands, points
+
+
+@pytest.mark.parametrize("adj, moved", [
+    (Adjustment(2, 3.0, 0.05), True),    # within every clamp
+    (Adjustment(2, 4.5, 0.0), False),    # range: longer than the candidate
+    (Adjustment(2, -1.0, 0.0), False),   # range: not positive
+    (Adjustment(1, 3.0, -0.36), False),  # bearing: moves more than theta_delta / 2
+    (Adjustment(4, 3.0, None), False),   # field of view: past its edge
+    (Adjustment(2, 3.0, -0.08), False),  # boundary: the 1 m ray lies within one ray gap
+    (Adjustment(2, 3.0, 0.12), False),   # separation: closer than theta_delta to id 3
+], ids=["within", "range", "positive", "bearing", "fov", "boundary", "separation"])
+def test_an_adjustment_moves_its_candidate_within_the_clamps_and_keeps_its_score(
+        obs, adj, moved):
+    """A score reply's adjustment that keeps every clamp moves its candidate;
+    one that breaks a clamp leaves the original.  Either way the candidate
+    keeps its score."""
+    if adj.theta is None:
+        adj = adj._replace(theta=obs.fov / 2 + 0.02)
+    cands, points = adjustment_set(obs)
+    scores = {c.id: 0.9 if c.id == adj.id else 0.1 * c.id for c in cands}
+    backend = Scripted(scores=scores, adjustments=[adj])
+    decision, kept, _ = select_with(cands, obs, backend, RunConfig(), 0, points=points)
+    before = {c.id: c for c in cands}
+    after = {c.id: c for c in kept.candidates}
+    expected = Candidate(adj.id, adj.r, adj.theta) if moved else before[adj.id]
+    assert after == {**before, adj.id: expected}
+    assert decision.scores == scores
+    assert decision.chosen == PolarAction(expected.r, expected.theta)
 
 
 # -- memory plumbing -------------------------------------------------------------
@@ -204,47 +270,88 @@ def test_apply_memory_ops_skips_malformed():
     assert ("chair_1", "chair_1", "near") not in mem.edges
 
 
-# -- proposal with backend filtering ---------------------------------------------
+# -- proposal, and the filter on the score reply -----------------------------------
 
 
-class ScriptedFilter:
-    def __init__(self, removals=(), fail=False):
-        self.removals = removals
-        self.fail = fail
-        self.requests = []
+def test_propose_samples_the_boundary_without_a_backend_call(box_world, body, run_cfg):
+    obs = sense(box_world, make_pose(5.0, 4.0, 0.0), body, n_rays=21)
+    points = boundary(obs, [True] * 21)
+    out = propose(obs, [True] * 21, run_cfg)
+    assert out == sample_initial(points, run_cfg.alpha, run_cfg.theta_delta, run_cfg.r_min)
+    assert len(out) > 0 and out.points == tuple(points)
+
+
+SIGN = SemanticObject(name="sign_1", category="sign", center=(5.0, 1.2), radius=0.25,
+                      attributes=("yellow",), tags=frozenset({"hazard"}))
+
+
+class HazardSeeker:
+    """The oracle, except that every score it sends rates the candidates the
+    oracle's filter rule removes 1.0.  When ``flaky``, the first call of each
+    step raises BackendUnavailable."""
+
+    def __init__(self, cfg, flaky):
+        self.oracle = OracleBackend(hazard_clearance=cfg.hazard_clearance_m,
+                                    success_threshold=cfg.success_threshold_m,
+                                    r_scale=cfg.d_max)
+        self.flaky = flaky
+        self.called = set()  # steps that have made a call
 
     def decide(self, req):
-        self.requests.append(req)
-        if self.fail:
+        first = req.context.step not in self.called
+        self.called.add(req.context.step)
+        if self.flaky and first:
             raise BackendUnavailable("scripted outage")
-        return DecisionResponse(kind=FILTER, removals=tuple(self.removals))
+        resp = self.oracle.decide(req)
+        if req.kind != SCORE:
+            return resp
+        removed = self.oracle.decide(replace(req, kind=FILTER)).removals
+        return replace(resp, scores={**resp.scores, **dict.fromkeys(removed, 1.0)})
 
 
-def test_propose_pipeline(box_world, body, run_cfg):
-    obs = sense(box_world, make_pose(5.0, 4.0, 0.0), body, n_rays=21)
-    backend = ScriptedFilter(removals=[1])
-    out = propose(ctx_of(obs), obs, [True] * 21, backend, run_cfg)
-    assert 1 not in out.ids()
-    req = backend.requests[0]
-    assert req.kind == FILTER
-    assert req.to_dict()["version"] == "dynav/3"
-    assert req.context.session_id == "s" and req.context.goal_text == "chair"
-    assert len(req.candidates) == len(out.ids()) + 1
+@pytest.mark.parametrize("flaky", [True, False], ids=["failed call", "removed scored 1.0"])
+def test_no_removed_or_unfiltered_candidate_is_ever_chosen(flaky):
+    """Twelve steps facing a hazard sign in front of a wall, with a backend
+    that rates the candidates near the sign highest.  When the step's call
+    fails, the step rotates in place; when it is answered, the agent never
+    takes a candidate the filter rule removes."""
+    cfg = RunConfig()
+    world = empty_world(10.0, 8.0, objects=[SIGN])
+    body = AgentBody(radius=cfg.agent_radius, max_sense=cfg.d_max)
+    backend = HazardSeeker(cfg, flaky)
+    constraints = ("avoid the caution sign",)
+    removed_total = 0
+    for i in range(12):
+        pose = make_pose(3.5 + 0.3 * i, 3.5, -90.0 + 5.0 * (i - 6))
+        out = step(AgentState(pose=pose, step_index=i), world, None,
+                   GoalSpec.name_goal("chair"), backend, cfg, constraints=constraints,
+                   session_id="s")
+        obs = out.observation
+        initial = sample_initial(boundary(obs, [True] * obs.n_rays), cfg.alpha,
+                                 cfg.theta_delta, cfg.r_min)
+        ctx = request_context(obs, "s", "chair", "", constraints)
+        removed = set(backend.oracle.decide(
+            protocol.make_filter_request(ctx, initial)).removals)
+        removed_total += len(removed)
+        unsafe = {(c.r, c.theta) for c in initial.candidates if c.id in removed}
+        chosen = out.decision.chosen
+        assert (chosen.r, chosen.theta) not in unsafe
+        if flaky:
+            assert out.decision.fallback and out.decision.backend_failed
+            assert chosen == PolarAction(0.0, cfg.theta_delta)
+            assert len(out.candidates) == 0
+            assert (out.state.pose.x, out.state.pose.y) == (pose.x, pose.y)
+        else:
+            assert not out.decision.fallback
+            assert not removed & set(out.candidates.ids())
+    assert removed_total >= 12  # the filter rule removes a candidate at every step
 
 
-def test_propose_survives_backend_outage(box_world, body, run_cfg):
-    obs = sense(box_world, make_pose(5.0, 4.0, 0.0), body, n_rays=21)
-    out = propose(ctx_of(obs), obs, [True] * 21, ScriptedFilter(fail=True), run_cfg)
-    ref = sample_initial(boundary(obs, [True] * 21), run_cfg.alpha, run_cfg.theta_delta,
-                         run_cfg.r_min)
-    assert out == ref
-
-
-def test_step_requests_share_one_context(box_world):
-    """The filter and score requests of a step carry one identity, with the
-    goal's template, the memory excerpt and the constraints: one context
-    record.  The score reply rates stop confidence, so no stop check is
-    sent."""
+def test_a_step_sends_one_score_request_with_its_context(box_world):
+    """A step with candidates sends one request: a score request holding the
+    step's context (identity, memory excerpt, constraints) and the goal's
+    template.  Its reply carries the filter and the stop confidence, so no
+    filter request or stop check is sent."""
     cfg = RunConfig(n_rays=31)
     mem = MemoryGraph()
     mem.add_node("chair_9", [], (3.0, 3.0), step=1)
@@ -258,17 +365,17 @@ def test_step_requests_share_one_context(box_world):
     step(AgentState(pose=make_pose(2.0, 4.0, 0.0), step_index=7), box_world, mem,
          GoalSpec.name_goal("chair"), Recording(), cfg,
          constraints=("keep right",), session_id="ep1")
-    assert [r.kind for r in seen] == [FILTER, SCORE]
+    assert [r.kind for r in seen] == [SCORE]
     ctx = seen[0].context
     assert (ctx.session_id, ctx.step, ctx.goal_text, ctx.memory_text, ctx.constraints) == (
         "ep1", 7, "chair", "chair_9 at (3.0, 3.0).", ("keep right",))
-    assert seen[1].template_id == "goal-name/2"
-    assert seen[1].context is ctx
+    assert seen[0].template_id == "goal-name/3"
+    assert seen[0].to_dict()["version"] == "dynav/4"
 
 
 def test_step_without_traversable_ray_checks_stop_and_rotates(box_world):
-    """An empty boundary is an empty candidate set: one stop check, no filter
-    or score request, and a rotation by theta_delta."""
+    """An empty boundary is an empty candidate set: one stop check, no score
+    request, and a rotation by theta_delta."""
     cfg = RunConfig(n_rays=31, epsilon_mask=1.0)
     backend = Scripted(stops=[0.5])
     state = AgentState(pose=make_pose(5.0, 4.0, 0.0))
@@ -286,7 +393,7 @@ SPEC = Path(__file__).resolve().parent.parent / "specs" / "objectnav_small.json"
 
 
 class KindRecorder:
-    """The oracle, recording the request kinds each step sends.  Its filter
+    """The oracle, recording the request kinds each step sends.  Its score
     reply removes every candidate on steps 3, 10, 17, ... of an episode, and
     the first score request of an episode that follows a confident reply is
     refused as unavailable."""
@@ -309,22 +416,22 @@ class KindRecorder:
             self.failed[ctx.session_id] = ctx.step
             raise BackendUnavailable("scripted outage")
         resp = self.oracle.decide(req)
-        if req.kind == FILTER and ctx.step % 7 == 3:
-            return replace(resp, removals=req.candidate_ids())
-        if req.kind != FILTER:
-            self.s_stop[ctx.session_id, ctx.step] = resp.s_stop
-            (self.confident.add if resp.s_stop > self.tau
-             else self.confident.discard)(ctx.session_id)
+        if req.kind == SCORE and ctx.step % 7 == 3:
+            resp = replace(resp, removals=req.candidate_ids())
+        self.s_stop[ctx.session_id, ctx.step] = resp.s_stop
+        (self.confident.add if resp.s_stop > self.tau
+         else self.confident.discard)(ctx.session_id)
         return resp
 
 
 def test_request_kinds_sent_by_each_step(monkeypatch):
-    """Over the objectnav spec, a step with candidates sends filter then
-    score, whose reply carries the stop confidence; a step whose filter
-    removed every candidate sends filter then stop_check; a step with no
-    traversable ray (here steps 5, 12, 19, ..., whose mask is blanked) sends
-    only stop_check; and a score call that fails falls back, leaves the stop
-    streak unchanged and sends no stop_check."""
+    """Over the objectnav spec, every step sends exactly one request.  A step
+    with candidates sends score, whose reply carries the filter and the stop
+    confidence; a step whose reply removed every candidate rotates with that
+    reply's confidence; a step with no traversable ray (here steps 5, 12,
+    19, ..., whose mask is blanked) sends only stop_check; and a score call
+    that fails falls back, leaves the stop streak unchanged and sends
+    nothing more."""
     cfg = RunConfig()
     outcomes = {}  # (session, step) -> (stop streak before the step, outcome)
 
@@ -349,24 +456,24 @@ def test_request_kinds_sent_by_each_step(monkeypatch):
         kinds, decision = backend.kinds[session, index], out.decision
         if backend.failed.get(session) == index:
             case = "score failed"
-            assert kinds == [FILTER, SCORE]
+            assert kinds == [SCORE] and len(out.candidates) == 0
             assert decision.fallback and decision.backend_failed
             assert streak == decision.stop_streak == 1
         elif index % 7 == 5:
             case = "no traversable ray"
             assert kinds == [STOP_CHECK] and len(out.candidates) == 0
         elif index % 7 == 3:
-            case = "all filtered"
-            assert kinds == [FILTER, STOP_CHECK] and len(out.candidates) == 0
-            assert not decision.backend_failed
+            case = "all removed"
+            assert kinds == [SCORE] and len(out.candidates) == 0
+            assert decision.fallback and not decision.backend_failed
         else:
             case = "scored"
-            assert kinds == [FILTER, SCORE] and len(out.candidates) > 0
+            assert kinds == [SCORE] and len(out.candidates) > 0
             assert not decision.fallback
         if case != "score failed":
             assert decision.s_stop == backend.s_stop[session, index]
         seen[case] += 1
-    assert set(seen) == {"score failed", "no traversable ray", "all filtered", "scored"}, seen
+    assert set(seen) == {"score failed", "no traversable ray", "all removed", "scored"}, seen
 
 
 # -- full step cycle -------------------------------------------------------------

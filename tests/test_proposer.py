@@ -176,7 +176,8 @@ def make_set():
 
 
 def apply(initial, points, removals=(), adjustments=()):
-    return apply_filter_response(initial, points, removals, adjustments,
+    assert initial.points == tuple(points)  # the set keeps the boundary it was sampled from
+    return apply_filter_response(initial, removals, adjustments,
                                  fov=math.radians(131.0), ray_gap=31 * DEG)
 
 
@@ -217,7 +218,7 @@ def test_filter_respects_boundary_extent():
 def test_filter_fov_clamp():
     points = [BoundaryPoint(5.0, -60 * DEG), BoundaryPoint(4.0, -52 * DEG)]
     initial = sample_initial(points, alpha=1.0, theta_delta=5 * DEG, r_min=0.1)
-    out = apply_filter_response(initial, points, [], [Adjustment(1, 1.0, -62 * DEG)],
+    out = apply_filter_response(initial, [], [Adjustment(1, 1.0, -62 * DEG)],
                                 fov=120 * DEG, ray_gap=10 * DEG)
     # -62 deg falls outside the 120 deg field of view: adjustment dropped
     assert out.by_id(1) == initial.by_id(1)
