@@ -51,6 +51,9 @@ class RunConfig:
             raise ConfigError("theta_delta_deg must be >= 0 and tau_stop in [0, 1]")
         if self.success_threshold_m < 0 or self.d_max <= 0 or self.n_rays < 2:
             raise ConfigError("thresholds and sensing parameters must be positive")
+        if not 0.0 < self.fov_deg < 360.0:
+            # the fan's ray angles must increase strictly over [-fov/2, fov/2]
+            raise ConfigError(f"fov_deg must lie in (0, 360), not {self.fov_deg}")
         if self.r_min < 0 or self.agent_radius <= 0:
             raise ConfigError("r_min must be >= 0 and agent_radius positive")
         if not 0.0 <= self.epsilon_mask <= 1.0:

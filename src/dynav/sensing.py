@@ -7,6 +7,7 @@ of whatever was hit.
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -51,61 +52,6 @@ class Observation:
         return len(self.rays)
 
 
-def _grid_raycast(cells: bytes, stride: int, res: float, x0: float, y0: float,
-                  dx: float, dy: float, t_max: float) -> float:
-    """Distance along the ray to the first obstacle cell, or inf.
-
-    Exact voxel traversal (Amanatides & Woo) over ``WorldMap.framed_cells``,
-    from a start point inside the world; ties where the ray crosses a cell
-    corner step both axes at once so zero-length grazes are not reported as
-    hits.
-    """
-    ix = int(x0 / res)
-    iy = int(y0 / res)
-    if dx != 0.0:
-        nx = (ix + (1 if dx > 0 else 0)) * res
-        t_next_x = (nx - x0) / dx
-        dt_x = res / abs(dx)
-    else:
-        t_next_x = math.inf
-        dt_x = math.inf
-    if dy != 0.0:
-        ny = (iy + (1 if dy > 0 else 0)) * res
-        t_next_y = (ny - y0) / dy
-        dt_y = res / abs(dy)
-    else:
-        t_next_y = math.inf
-        dt_y = math.inf
-
-    # walk the flat index: one cell along x, along y, or both at a corner
-    step_x = 1 if dx > 0 else -1
-    step_y = stride if dy > 0 else -stride
-    step_xy = step_x + step_y
-    k = (iy + 1) * stride + ix + 1
-    cell = cells[k]
-    if cell:  # an obstacle, or the frame when rounding puts the start past the edge
-        return 0.0 if cell == OBSTACLE else math.inf
-    while True:
-        if t_next_x < t_next_y - _TIE:
-            t_enter = t_next_x
-            t_next_x += dt_x
-            k += step_x
-        elif t_next_y < t_next_x - _TIE:
-            t_enter = t_next_y
-            t_next_y += dt_y
-            k += step_y
-        else:  # corner crossing: skip the zero-chord diagonal neighbors
-            t_enter = t_next_x
-            t_next_x += dt_x
-            t_next_y += dt_y
-            k += step_xy
-        if t_enter > t_max:
-            return math.inf
-        cell = cells[k]
-        if cell:  # an obstacle, or the frame past the grid's edge
-            return t_enter if cell == OBSTACLE else math.inf
-
-
 def _object_raycast(world: WorldMap, x0: float, y0: float, dx: np.ndarray, dy: np.ndarray,
                     t_max: float) -> Tuple[List[float], List[int]]:
     """Per ray, the nearest positive ray-disc intersection among all objects.
@@ -130,6 +76,15 @@ def _object_raycast(world: WorldMap, x0: float, y0: float, dx: np.ndarray, dy: n
     return best_t.tolist(), best_i.tolist()
 
 
+@functools.lru_cache(maxsize=64, typed=True)
+def _fan(n_rays: int, fov: float) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    """The fan's ray angles relative to the heading, and the same wrapped by
+    ``normalize_angle`` as a ``Ray`` reports them."""
+    half = fov / 2.0
+    thetas = tuple(-half + fov * i / (n_rays - 1) for i in range(n_rays))
+    return thetas, tuple(normalize_angle(theta) for theta in thetas)
+
+
 def sense(world: WorldMap, pose: Pose, body: AgentBody, n_rays: int,
           fov: float = DEFAULT_FOV, step: int = 0) -> Observation:
     """Cast a fan of rays from the pose and report depth plus semantic hits.
@@ -137,32 +92,83 @@ def sense(world: WorldMap, pose: Pose, body: AgentBody, n_rays: int,
     Ray angles are strictly increasing and span exactly [-fov/2, +fov/2].
     Depth is the distance to the first obstacle cell or object disc along the
     ray, capped at the body's sensing range; occlusion follows depth order.
+
+    Walls come from the exact voxel traversal of Amanatides & Woo over
+    ``WorldMap.framed_cells``.  Every ray starts in the pose's cell, and the
+    first crossing and crossing spacing of all rays are set up together in
+    numpy, whose element-wise operations round as the scalar ones do; a ray
+    with no x (y) movement never crosses along x (y).  Ties where a ray
+    crosses a cell corner step both axes at once, so zero-length grazes are
+    not reported as hits.
     """
     if n_rays < 2:
         raise ValueError("at least two rays are required")
-    if not world.in_bounds(pose.x, pose.y):
-        raise PoseOutOfBounds(f"pose ({pose.x:.2f}, {pose.y:.2f}) is outside the world")
+    x0, y0 = pose.x, pose.y
+    if not world.in_bounds(x0, y0):
+        raise PoseOutOfBounds(f"pose ({x0:.2f}, {y0:.2f}) is outside the world")
     d_max = body.max_sense
-    half = fov / 2.0
-    thetas = [-half + fov * i / (n_rays - 1) for i in range(n_rays)]
+    thetas, rel_thetas = _fan(n_rays, fov)
     # math.cos/sin, not numpy's: they round differently in the last bit
     dxs = [math.cos(pose.heading + theta) for theta in thetas]
     dys = [math.sin(pose.heading + theta) for theta in thetas]
-    t_objs, obj_is = _object_raycast(world, pose.x, pose.y, np.array(dxs), np.array(dys), d_max)
+    dx_arr, dy_arr = np.array(dxs), np.array(dys)
+    t_objs, obj_is = _object_raycast(world, x0, y0, dx_arr, dy_arr, d_max)
+
+    res = world.resolution
+    ix = int(x0 / res)
+    iy = int(y0 / res)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_next_xs = np.where(dx_arr != 0.0, ((ix + (dx_arr > 0)) * res - x0) / dx_arr,
+                             math.inf).tolist()
+        t_next_ys = np.where(dy_arr != 0.0, ((iy + (dy_arr > 0)) * res - y0) / dy_arr,
+                             math.inf).tolist()
+        dt_xs = (res / np.abs(dx_arr)).tolist()
+        dt_ys = (res / np.abs(dy_arr)).tolist()
     cells = world.framed_cells()
     stride = world.width_cells + 2
-    res = world.resolution
+    k0 = (iy + 1) * stride + ix + 1
+    start = cells[k0]
     hits = [(o.name, o.attributes, tuple(sorted(o.tags))) for o in world.objects]
     rays: List[Ray] = []
-    for theta, dx, dy, t_obj, obj_i in zip(thetas, dxs, dys, t_objs, obj_is):
-        # a wall only matters up to the object the ray already hits
-        t_wall = _grid_raycast(cells, stride, res, pose.x, pose.y, dx, dy, min(d_max, t_obj))
-        if obj_i >= 0 and t_obj <= t_wall:
-            rays.append(Ray(normalize_angle(theta), t_obj, *hits[obj_i]))
-        elif t_wall <= d_max:
-            rays.append(Ray(normalize_angle(theta), t_wall, "wall"))
+    for theta, dx, dy, t_next_x, dt_x, t_next_y, dt_y, t_obj, obj_i in zip(
+            rel_thetas, dxs, dys, t_next_xs, dt_xs, t_next_ys, dt_ys, t_objs, obj_is):
+        if start:  # an obstacle, or the frame when rounding puts the start past the edge
+            t_wall = 0.0 if start == OBSTACLE else math.inf
         else:
-            rays.append(Ray(normalize_angle(theta), d_max, None))
+            # a wall only matters up to the object the ray already hits
+            t_max = min(d_max, t_obj)
+            # walk the flat index: one cell along x, along y, or both at a corner
+            step_x = 1 if dx > 0 else -1
+            step_y = stride if dy > 0 else -stride
+            step_xy = step_x + step_y
+            k = k0
+            while True:
+                if t_next_x < t_next_y - _TIE:
+                    t_enter = t_next_x
+                    t_next_x += dt_x
+                    k += step_x
+                elif t_next_y < t_next_x - _TIE:
+                    t_enter = t_next_y
+                    t_next_y += dt_y
+                    k += step_y
+                else:  # corner crossing: skip the zero-chord diagonal neighbors
+                    t_enter = t_next_x
+                    t_next_x += dt_x
+                    t_next_y += dt_y
+                    k += step_xy
+                if t_enter > t_max:
+                    t_wall = math.inf
+                    break
+                cell = cells[k]
+                if cell:  # an obstacle, or the frame past the grid's edge
+                    t_wall = t_enter if cell == OBSTACLE else math.inf
+                    break
+        if obj_i >= 0 and t_obj <= t_wall:
+            rays.append(Ray(theta, t_obj, *hits[obj_i]))
+        elif t_wall <= d_max:
+            rays.append(Ray(theta, t_wall, "wall"))
+        else:
+            rays.append(Ray(theta, d_max, None))
     return Observation(pose=pose, rays=tuple(rays), fov=fov, step=step)
 
 

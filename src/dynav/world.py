@@ -282,13 +282,15 @@ class WorldMap:
             k = int(np.argmin(dd))
             if dd[k] < best:
                 best = float(dd[k])
-                cx, cy = self._obj_centers[k]
+                # plain floats: a numpy scalar here would carry into the
+                # nudged pose and slow every later step's arithmetic
+                cx, cy = self._obj_centers[k].tolist()
+                r = float(self._obj_radii[k])
                 norm = math.hypot(x - cx, y - cy)
                 if norm > 1e-12:
-                    r = self._obj_radii[k]
                     nearest = (cx + (x - cx) / norm * r, cy + (y - cy) / norm * r)
                 else:
-                    nearest = (cx + self._obj_radii[k], cy)
+                    nearest = (cx + r, cy)
         return best, nearest
 
     def local_clearance(self, x: float, y: float,

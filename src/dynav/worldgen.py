@@ -190,7 +190,8 @@ def _try_generate(spec: WorldGenSpec, rng: random.Random) -> Optional[WorldMap]:
         radius = rng.uniform(*spec.object_radius_m)
         placed = False
         for _ in range(200):
-            iy, ix = free_cells[rng.randrange(len(free_cells))]
+            # plain ints, so the centre is a float and not a numpy scalar
+            iy, ix = free_cells[rng.randrange(len(free_cells))].tolist()
             x = (ix + 0.5) * res
             y = (iy + 0.5) * res
             standoff = radius + 2.0 * spec.agent_radius_m + spec.goal_threshold_m

@@ -289,6 +289,9 @@ def test_run_bad_config_file(tmp_path, episode_file):
 
 @pytest.mark.parametrize("flags, config", [
     (["--d-max", "nan"], {}),
+    (["--fov-deg=0"], {}),
+    (["--fov-deg=-30"], {}),
+    ([], {"fov_deg": 360}),
     ([], {"memory_hops": -1}),
     ([], {"memory_budget": -4}),
     ([], {"n_rays": 2.5}),

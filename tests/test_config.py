@@ -28,6 +28,10 @@ def test_defaults_are_valid():
     {"theta_delta_deg": -1.0},
     {"n_rays": 1},
     {"d_max": 0.0},
+    {"fov_deg": 0.0},
+    {"fov_deg": -30.0},
+    {"fov_deg": 360.0},
+    {"fov_deg": 400.0},
     {"success_threshold_m": -0.1},
     {"r_min": -0.2},
     {"agent_radius": 0.0},

@@ -19,12 +19,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from dynav import policy
+from dynav.backends import OracleBackend
+from dynav.config import RunConfig
+from dynav.episodes import EpisodeSpec, run_episode
 from dynav.errors import NoEscape
 from dynav.geometry import AgentBody, PolarAction, Pose, normalize_angle
+from dynav.goals import GoalSpec
 from dynav.motion import execute, reactive_avoid
 from dynav.sensing import DEFAULT_FOV, Observation, Ray, sense
 from dynav.world import OBSTACLE, SemanticObject, WorldMap
-from dynav.worldgen import WorldGenSpec, generate_world
+from dynav.worldgen import WorldGenSpec, generate_world, random_free_pose
 
 from conftest import empty_world
 
@@ -279,6 +284,65 @@ def test_sense_matches_reference_with_short_range_and_inside_a_wall(worlds):
               for x, y in free_cell_centers(world, rng, 40)]
     for pose in poses:
         assert ray_bits(sense(world, pose, body, 91)) == ray_bits(ref_sense(world, pose, body, 91))
+
+
+@pytest.fixture(scope="module")
+def recorded_trajectories():
+    """Worlds and poses of recorded gate-4 objectnav episodes, and the poses
+    that ``reactive_avoid`` nudged them to on the way."""
+    spec = WorldGenSpec.from_dict(dict(rooms=2, categories=["chair", "table"],
+                                       objects_per_category=2))
+    cfg = RunConfig(max_distance_m=10000.0)
+    nudged = []
+
+    def recording_avoid(*args):
+        pose = reactive_avoid(*args)
+        if pose != args[1]:
+            nudged.append(pose)
+        return pose
+
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(policy, "reactive_avoid", recording_avoid)
+        for seed in (2, 7, 21, 22):
+            world = generate_world(spec, seed)
+            start = random_free_pose(world, random.Random(seed + 1000), AgentBody())
+            episode = EpisodeSpec(episode_id=f"w{seed}", world=world,
+                                  goals=(GoalSpec.name_goal("chair"),), start=start, seed=seed)
+            backend = OracleBackend(hazard_clearance=cfg.hazard_clearance_m,
+                                    success_threshold=cfg.success_threshold_m,
+                                    r_scale=cfg.d_max)
+            del nudged[:]
+            trajectory = run_episode(episode, backend, cfg).trajectory
+            out.append((world, trajectory, list(nudged)))
+    return out
+
+
+def test_sense_matches_scalar_reference_on_recorded_poses(recorded_trajectories):
+    """Off-grid poses where episodes really went, nudged ones included."""
+    body = AgentBody()
+    checked = nudged = 0
+    for world, trajectory, nudged_poses in recorded_trajectories:
+        assert set(nudged_poses) <= set(trajectory)
+        for pose in trajectory:
+            assert ray_bits(sense(world, pose, body, 181)) == ray_bits(
+                ref_sense(world, pose, body, 181)), pose
+            checked += 1
+        nudged += len(nudged_poses)
+    assert checked >= 100 and nudged >= 20
+
+
+def test_fans_of_different_size_and_width_do_not_share_angles(recorded_trajectories):
+    world, trajectory, _ = recorded_trajectories[0]
+    pose = trajectory[len(trajectory) // 2]
+    body = AgentBody()
+    fans = [(181, DEFAULT_FOV), (91, DEFAULT_FOV), (181, 1.0), (7, 3.0), (2, DEFAULT_FOV)]
+    for n_rays, fov in fans + fans[::-1]:
+        got = sense(world, pose, body, n_rays, fov)
+        assert len(got.rays) == n_rays and got.fov == fov
+        assert ray_bits(got) == ray_bits(ref_sense(world, pose, body, n_rays, fov))
+        assert bits(got.rays[0].theta, got.rays[-1].theta) == bits(
+            normalize_angle(-fov / 2.0), normalize_angle(fov / 2.0))
 
 
 def clearance_points(world, rng):
