@@ -2,8 +2,9 @@
 
 Stands in for a remote vision-language endpoint during tests and benchmarks.
 It operates purely on the wire request (never on simulator internals): goal
-identity comes from parsing ``goal_text``, remembered object positions from
-parsing ``memory_text``, and hazards from ray tags and constraint keywords.
+identity comes from the ``goal`` record, remembered object positions from
+the ``memory`` records, and hazards from ray tags and constraint keywords.
+It reads neither ``goal_text`` nor ``memory_text``.
 """
 from __future__ import annotations
 
@@ -15,8 +16,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import SchemaViolation
-from ..goals import parse_goal_text
-from ..memory import MemoryGraph
 from .protocol import (FILTER, SCORE, STOP_CHECK, DecisionRequest, DecisionResponse,
                        MemoryOp, RequestContext, WireCandidate, WireRay)
 
@@ -42,16 +41,11 @@ def _tokens(text: str) -> set:
     return {w for w in re.split(r"[^a-z0-9]+", text.lower()) if w and w not in _STOPWORDS}
 
 
-def _matches(goal: Tuple[str, Tuple[str, ...]], name: str, attrs: Sequence[str]) -> bool:
-    """Whether a sighting of ``name`` with ``attrs`` fits a goal's
-    ``(category, attributes)``: the category, ignoring case, is part of the
-    name, and every attribute is among ``attrs``.  An empty goal fits nothing."""
-    category, attributes = goal
-    if category and category.lower() not in name.lower():
-        return False
-    if attributes and not set(attributes) <= set(attrs):
-        return False
-    return bool(category or attributes)
+def _matches(goal, name: str, attrs: Sequence[str]) -> bool:
+    """Whether a sighting of ``name`` with ``attrs`` fits a goal record: its
+    category, ignoring case, is part of the name, and each of its attributes
+    is among ``attrs``."""
+    return goal.category.lower() in name.lower() and set(goal.attributes) <= set(attrs)
 
 
 class OracleBackend:
@@ -176,19 +170,19 @@ class OracleBackend:
     # -- score ----------------------------------------------------------------
 
     def _goal_rays(self, ctx: RequestContext) -> List[WireRay]:
-        goal = parse_goal_text(ctx.goal_text)
         return [r for r in ctx.rays if r.label is not None and r.label != "wall"
-                and _matches(goal, r.label, r.attributes)]
+                and _matches(ctx.goal, r.label, r.attributes)]
 
     def _remembered_target(self, ctx: RequestContext) -> Optional[Tuple[float, float]]:
-        if not ctx.memory_text:
-            return None
-        goal = parse_goal_text(ctx.goal_text)
+        """The nearest located memory record that fits the goal, its
+        coordinates rounded to 0.1 m as the memory text shows them; the first
+        such record on a tie."""
         best = None
         best_d = math.inf
-        for name, attrs, (x, y) in MemoryGraph.located_clauses(ctx.memory_text):
-            if not _matches(goal, name, attrs):
+        for name, attrs, location in ctx.memory:
+            if location is None or not _matches(ctx.goal, name, attrs):
                 continue
+            x, y = round(location[0], 1), round(location[1], 1)
             d = math.hypot(x - ctx.pose[0], y - ctx.pose[1])
             if d < best_d:
                 best, best_d = (x, y), d

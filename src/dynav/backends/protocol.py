@@ -1,8 +1,10 @@
 """Wire protocol between the navigation policy and decision backends.
 
 Requests and responses are JSON with angles in degrees and distances in
-meters; both directions carry ``version: "dynav/4"``.  A request carries its
-step's rays as columns, plus one table of the distinct hits they index.
+meters; both directions carry ``version: "dynav/5"``.  A request carries its
+step's rays as columns, plus one table of the distinct hits they index, and
+its goal and memory excerpt twice: as records, which a backend reads, and as
+text for a prompt.
 A step sends exactly one request: ``score`` (prune/nudge the sampled
 candidates, rate the survivors and stop confidence, and optionally emit
 memory operations), or ``stop_check`` (rate stop confidence alone, for a
@@ -15,18 +17,19 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import repeat
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import (SchemaViolation, check, check_finite, check_integer, check_location,
                       check_strings, check_type)
+from ..goals import GoalSpec
+from ..memory import MemoryNode
 from ..proposer import Adjustment, CandidateSet
 from ..sensing import Observation
 
 log = logging.getLogger(__name__)
 
-PROTOCOL_VERSION = "dynav/4"
+PROTOCOL_VERSION = "dynav/5"
 
 FILTER = "filter"
 SCORE = "score"
@@ -56,17 +59,31 @@ class WireCandidate(NamedTuple):
     theta_deg: float
 
 
+class WireNode(NamedTuple):
+    """A node of the memory excerpt, its attributes sorted."""
+    name: str
+    attributes: Tuple[str, ...]
+    location_m: Optional[Tuple[float, float]]
+
+    def to_dict(self) -> dict:
+        return {"name": self.name, "attributes": list(self.attributes),
+                "location_m": None if self.location_m is None else list(self.location_m)}
+
+
 @dataclass(frozen=True)
 class RequestContext:
-    """Per-step identity, text and observation shared by every request of
-    that step; built by ``request_context``."""
+    """Per-step identity, goal, observation and memory excerpt shared by
+    every request of that step; built by ``request_context``.  The goal and
+    the excerpt come as records, which a backend reads, and as prompt text."""
 
     session_id: str
     step: int
     goal_text: str
+    goal: GoalSpec
     pose: Tuple[float, float, float]  # x_m, y_m, heading_deg
     rays: Tuple[WireRay, ...]
     memory_text: str = ""
+    memory: Tuple[WireNode, ...] = ()
     constraints: Tuple[str, ...] = ()
 
     def observation(self) -> dict:
@@ -80,13 +97,6 @@ class RequestContext:
                          "distance_m": [r.distance_m for r in self.rays], "hit": hit},
                 "hits": [{"label": label, "attributes": list(attributes), "tags": list(tags)}
                          for label, attributes, tags in table]}
-
-    @cached_property
-    def observation_json(self) -> str:
-        """``observation()`` as JSON text, encoded on first use: the requests
-        of a step share their context, so the step encodes it once.  Raises
-        ValueError on a non-finite number."""
-        return _encode(self.observation())
 
 
 @dataclass(frozen=True)
@@ -103,19 +113,12 @@ class DecisionRequest:
         return tuple(c.id for c in self.candidates)
 
     def to_dict(self) -> dict:
-        return {**self._head(), "observation": self.context.observation(), **self._tail()}
-
-    # to_dict on either side of the observation, which encode_request takes
-    # from the context; the order of the keys is the order on the wire
-    def _head(self) -> dict:
         ctx = self.context
-        return {"version": PROTOCOL_VERSION, "kind": self.kind, "session_id": ctx.session_id,
-                "step": ctx.step, "goal_text": ctx.goal_text}
-
-    def _tail(self) -> dict:
-        ctx = self.context
-        d = {"memory_text": ctx.memory_text, "constraints": list(ctx.constraints),
-             "template_id": self.template_id}
+        d = {"version": PROTOCOL_VERSION, "kind": self.kind, "session_id": ctx.session_id,
+             "step": ctx.step, "goal_text": ctx.goal_text, "goal": ctx.goal.to_dict(),
+             "observation": ctx.observation(), "memory_text": ctx.memory_text,
+             "memory": [node.to_dict() for node in ctx.memory],
+             "constraints": list(ctx.constraints), "template_id": self.template_id}
         if self.kind in (FILTER, SCORE):
             d["candidates"] = [{"id": c.id, "r_m": c.r_m, "theta_deg": c.theta_deg}
                                for c in self.candidates]
@@ -145,8 +148,10 @@ class DecisionRequest:
                 session_id=check_type(d["session_id"], str, "session_id"),
                 step=check_integer(d["step"], "step"),
                 goal_text=check_type(d.get("goal_text", ""), str, "goal_text"),
-                pose=pose, rays=rays,
+                goal=GoalSpec.from_dict(d["goal"]), pose=pose, rays=rays,
                 memory_text=check_type(d.get("memory_text", ""), str, "memory_text"),
+                memory=tuple(_wire_node(check_type(n, dict, "a memory node"), "memory node")
+                             for n in check_type(d.get("memory", []), list, "memory")),
                 constraints=check_strings(d.get("constraints", []), "constraints"))
             return cls(kind, context, cands,
                        check_type(d.get("template_id", ""), str, "template_id"))
@@ -196,6 +201,14 @@ def _parse_rays(columns, hits) -> Tuple[WireRay, ...]:
     return tuple(map(tuple.__new__, repeat(WireRay),
                      zip(thetas, dists, map(labels.__getitem__, index),
                          map(attributes.__getitem__, index), map(tags.__getitem__, index))))
+
+
+def _wire_node(raw: dict, what: str) -> WireNode:
+    """The name, attributes and location_m of a memory record or of an
+    add_node op."""
+    return WireNode(check_type(raw["name"], str, f"{what} name"),
+                    check_strings(raw.get("attributes", []), f"{what} attributes"),
+                    check_location(raw.get("location_m"), f"{what} location_m"))
 
 
 @dataclass(frozen=True)
@@ -279,15 +292,9 @@ def parse_response(payload: dict, request: DecisionRequest) -> DecisionResponse:
         s_stop = _clamp_unit(check_finite(payload.get("s_stop", 0.0), "s_stop"), "s_stop")
         ops: List[MemoryOp] = []
         for raw in lists["memory_ops"]:
-            check_type(raw, dict, "a memory op")
-            op = raw.get("op")
+            op = check_type(raw, dict, "a memory op").get("op")
             if op == "add_node":
-                ops.append(MemoryOp(op="add_node",
-                                    name=check_type(raw["name"], str, "memory op name"),
-                                    attributes=check_strings(raw.get("attributes", []),
-                                                             "memory op attributes"),
-                                    location=check_location(raw.get("location_m"),
-                                                            "memory op location_m")))
+                ops.append(MemoryOp("add_node", *_wire_node(raw, "memory op")))
             elif op == "add_edge":
                 ops.append(MemoryOp(
                     op="add_edge", start=check_type(raw["start"], str, "memory op start"),
@@ -316,37 +323,33 @@ _encode = json.JSONEncoder(allow_nan=False).encode
 
 def encode_request(req: DecisionRequest) -> bytes:
     """The request body: ``json.dumps(req.to_dict(), allow_nan=False).encode()``,
-    byte for byte.
-
-    The observation is the context's ``observation_json``, encoded once for
-    all the requests of a step.  Raises SchemaViolation on a non-finite
-    number.
-    """
+    byte for byte.  Raises SchemaViolation on a non-finite number."""
     try:
-        head, tail = _encode(req._head()), _encode(req._tail())
-        text = f'{head[:-1]}, "observation": {req.context.observation_json}, {tail[1:]}'
+        return _encode(req.to_dict()).encode()
     except (TypeError, ValueError) as e:
         raise SchemaViolation(f"request cannot be encoded: {e}") from e
-    return text.encode()
 
 
 # -- request builders --------------------------------------------------------
 
-def request_context(obs: Observation, session_id: str, goal_text: str,
-                    memory_text: str = "", constraints: Tuple[str, ...] = ()) -> RequestContext:
+def request_context(obs: Observation, session_id: str, goal: GoalSpec, memory_text: str = "",
+                    cut: Sequence = (), constraints: Tuple[str, ...] = ()) -> RequestContext:
     """The context of the step that sensed ``obs``.
 
-    The pose and rays are converted to wire form here, once: every request of
-    the step holds this context, whose observation ``encode_request`` encodes
-    once.
+    The pose and rays are converted to wire form here, once.  ``cut`` is the
+    memory excerpt (``MemoryGraph.cut``) whose text is ``memory_text``; its
+    nodes become the memory records, in its order.
     """
     degrees = math.degrees
     return RequestContext(
-        session_id=session_id, step=obs.step, goal_text=goal_text,
+        session_id=session_id, step=obs.step, goal_text=goal.text, goal=goal,
         pose=(obs.pose.x, obs.pose.y, degrees(obs.pose.heading)),
         rays=tuple(WireRay(degrees(theta), depth, label, attributes, tags)
                    for theta, depth, label, attributes, tags in obs.rays),
-        memory_text=memory_text, constraints=constraints)
+        memory_text=memory_text,
+        memory=tuple(WireNode(n.name, tuple(sorted(n.attributes)), n.location)
+                     for n in cut if isinstance(n, MemoryNode)),
+        constraints=constraints)
 
 
 def _wire_candidates(cands: CandidateSet) -> Tuple[WireCandidate, ...]:

@@ -1,6 +1,6 @@
 """HTTP client for a remote decision endpoint.
 
-POSTs each request as ``dynav/4`` JSON, whose observation carries the step's
+POSTs each request as ``dynav/5`` JSON, whose observation carries the step's
 rays as columns plus one table of the distinct hits (docs/protocol.md), to
 the configured ``http://`` or ``https://`` URL, and validates the reply
 against the wire schema.  A step waits on exactly one round trip: a score

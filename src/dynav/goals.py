@@ -7,9 +7,8 @@ Three goal styles are supported:
 * ``instance``: an attribute signature standing in for an image of one
   specific object; any object carrying every listed attribute matches.
 
-A goal reaches the decision backend as its text (``render_text``), and
-``parse_goal_text`` reads that text back; this module holds the whole
-grammar, and a goal whose text could not read back does not construct.
+A goal reaches the decision backend as a record (``to_dict``), which a
+backend reads, and as its text (``render_text``), which is prompt text only.
 """
 from __future__ import annotations
 
@@ -17,32 +16,16 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import SchemaViolation, check_strings, check_type
-from .memory import check_clause_attribute
 from .world import SemanticObject
 
 NAME = "name"
 DESCRIPTION = "description"
 INSTANCE = "instance"
 
-# what a goal of each kind holds: its text carries exactly these
+# what a goal of each kind holds
 _FIELDS = {NAME: "a category and no attributes",
            DESCRIPTION: "a category and at least one attribute",
            INSTANCE: "at least one attribute and no category"}
-_INSTANCE_PREFIX = "object with "
-
-
-def parse_goal_text(text: str) -> Tuple[str, Tuple[str, ...]]:
-    """The ``(category, attributes)`` of a goal text, the category ``""``
-    for an instance goal: the inverse of ``GoalSpec.render_text``.
-
-    Any text parses: one that no goal renders gets some pair, never an error.
-    """
-    if text.startswith(_INSTANCE_PREFIX):
-        return "", tuple(text[len(_INSTANCE_PREFIX):].split(", "))
-    category, paren, attributes = text.partition(" (")
-    if paren:
-        return category, tuple(attributes.removesuffix(")").split(", "))
-    return text, ()
 
 
 @dataclass(frozen=True)
@@ -58,21 +41,17 @@ class GoalSpec:
         if (bool(self.category) != (self.kind != INSTANCE)
                 or bool(self.attributes) != (self.kind != NAME)):
             raise ValueError(f"{self.kind} goals need {_FIELDS[self.kind]}")
-        # " (" opens a description's attributes, and the prefix marks an
-        # instance goal
-        if " (" in self.category or self.category.startswith(_INSTANCE_PREFIX):
-            raise ValueError(f"goal category {self.category!r} holds ' (' or starts "
-                             f"with {_INSTANCE_PREFIX!r}, which the goal text cannot carry")
-        for attribute in self.attributes:
-            check_clause_attribute(attribute, "goal attribute")
+        if "" in self.attributes:
+            raise ValueError("goal attributes must be non-empty")
 
     def render_text(self) -> str:
-        """Canonical text form, which ``parse_goal_text`` reads back."""
+        """The goal as prompt text: ``chair``, ``chair (red, wooden)`` or
+        ``object with red, tall``."""
         if self.kind == NAME:
             return self.category
         if self.kind == DESCRIPTION:
             return self.category + " (" + ", ".join(self.attributes) + ")"
-        return _INSTANCE_PREFIX + ", ".join(self.attributes)
+        return "object with " + ", ".join(self.attributes)
 
     text = property(render_text)
 
@@ -105,7 +84,3 @@ class GoalSpec:
     @classmethod
     def name_goal(cls, category: str) -> "GoalSpec":
         return cls(kind=NAME, category=category)
-
-    @classmethod
-    def instance_goal(cls, signature) -> "GoalSpec":
-        return cls(kind=INSTANCE, attributes=tuple(signature))

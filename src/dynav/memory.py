@@ -15,45 +15,13 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (EmptyName, SchemaViolation, SelfLoop, check_integer, check_location,
                      check_strings, check_type, read_json)
 
 GRAPH_FORMAT = "dynav-graph/1"
-
-# a located node clause of render_text: "chair_2 (red, wooden) at (3.0, 1.5)";
-# a name holds no " (" (check_clause_name), so the first one ends the name
-_LOCATED = re.compile(
-    r"(?P<name>(?:(?! \().)+?)(?: \((?P<attrs>[^)]*)\))?"
-    r" at \((?P<x>-?\d+(?:\.\d+)?), (?P<y>-?\d+(?:\.\d+)?)\)",
-    re.DOTALL)
-
-
-def check_clause_name(name: str, what: str) -> None:
-    """Refuse a node ``name`` or an edge relation that holds ". " or " (",
-    ends in ".", or is "at" or ends in " at": ``render_text`` joins its
-    clauses with ". " and ends in ".", ``located_clauses`` reads the first
-    " (" of a node clause as the start of its attributes or location (so
-    ``tv (old)`` would read back as ``tv`` with the attribute ``old``), and it
-    reads any clause that ends in " at (x, y)" as a located node (so an edge
-    ``a is near at (5, 6)`` would read back as a node ``a is near``)."""
-    if ". " in name or " (" in name or name.endswith(".") or f" {name}".endswith(" at"):
-        raise ValueError(f"{what} {name!r} holds '. ' or ' (', or ends in '.' or ' at', "
-                         "which the memory text cannot carry")
-
-
-def check_clause_attribute(attribute: str, what: str) -> None:
-    """Refuse an ``attribute`` that ``located_clauses`` could not read back
-    from ``render_text``'s ``name (attr, attr) at (x, y)``: one that holds
-    ",", ")" or ". ", is empty, or starts or ends in white space."""
-    if (not attribute or attribute != attribute.strip() or "," in attribute
-            or ")" in attribute or ". " in attribute):
-        raise ValueError(f"{what} {attribute!r} is empty, is padded with white space, or "
-                         "holds ',', ')' or '. ', which the memory text cannot carry")
-
 
 @dataclass(frozen=True)
 class MemoryNode:
@@ -66,17 +34,26 @@ class MemoryNode:
     def __post_init__(self):
         if not self.name:
             raise EmptyName("node name must be non-empty")
-        check_clause_name(self.name, "node name")
         if self.last_seen < 0:
             raise ValueError(f"node {self.name!r} last_seen must be >= 0")
         object.__setattr__(self, "attributes", frozenset(self.attributes))
-        for attribute in self.attributes:
-            check_clause_attribute(attribute, f"node {self.name!r} attribute")
+        if "" in self.attributes:
+            raise EmptyName(f"node {self.name!r} attributes must be non-empty")
         if self.location is not None:
             x, y = float(self.location[0]), float(self.location[1])
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"node {self.name!r} location must be finite")
             object.__setattr__(self, "location", (x, y))
+
+    def clause(self) -> str:
+        """``name (attr, attr) at (x, y)``, without the attributes or the
+        location when there are none; the location has one decimal."""
+        text = self.name
+        if self.attributes:
+            text += " (" + ", ".join(sorted(self.attributes)) + ")"
+        if self.location is not None:
+            text += f" at ({self.location[0]:.1f}, {self.location[1]:.1f})"
+        return text
 
 
 @dataclass(frozen=True)
@@ -90,11 +67,13 @@ class MemoryEdge:
             raise EmptyName("edge endpoints and relation must be non-empty")
         if self.start == self.target:
             raise SelfLoop(f"edge {self.start!r} -> itself")
-        check_clause_name(self.relation, "edge relation")
 
     @property
     def key(self) -> Tuple[str, str, str]:
         return (self.start, self.target, self.relation)
+
+    def clause(self) -> str:
+        return f"{self.start} is {self.relation} {self.target}"
 
 
 @dataclass(frozen=True)
@@ -209,47 +188,25 @@ class MemoryGraph:
         g.version = 1 if (g.nodes or g.edges) else 0
         return g
 
-    def render_text(self, budget: int) -> str:
-        """Natural-language listing: one clause per node and per edge.
+    def cut(self, budget: int) -> List[Union[MemoryNode, MemoryEdge]]:
+        """The nodes and edges that ``render_text`` lists, in its order.
 
         Items beyond the budget are dropped, most recently seen first (an
-        edge's recency is the max of its endpoints').  Output is stable for a
-        fixed graph.
+        edge's recency is the max of its endpoints'); on equal recency nodes
+        come first, by name, then edges, by ``start|relation|target``.
+        Stable for a fixed graph.
         """
-        if budget <= 0:
-            return ""
-        items: List[Tuple[int, int, str, str]] = []  # (-recency, kind_rank, sort_key, clause)
-        for name in self.nodes:
-            node = self.nodes[name]
-            clause = name
-            if node.attributes:
-                clause += " (" + ", ".join(sorted(node.attributes)) + ")"
-            if node.location is not None:
-                clause += f" at ({node.location[0]:.1f}, {node.location[1]:.1f})"
-            items.append((-node.last_seen, 0, name, clause))
-        for (s, t, r) in self.edges:
+        ranked = [((-node.last_seen, 0, name), node) for name, node in self.nodes.items()]
+        for (s, t, r), edge in self.edges.items():
             recency = max(self.nodes[s].last_seen, self.nodes[t].last_seen)
-            items.append((-recency, 1, f"{s}|{r}|{t}", f"{s} is {r} {t}"))
-        items.sort()
-        clauses = [clause for *_rank, clause in items[:budget]]
-        return ". ".join(clauses) + "." if clauses else ""
+            ranked.append(((-recency, 1, f"{s}|{r}|{t}", edge.clause()), edge))
+        ranked.sort(key=lambda item: item[0])
+        return [item for _rank, item in ranked[:max(0, budget)]]
 
-    @staticmethod
-    def located_clauses(text: str) -> Iterator[Tuple[str, Tuple[str, ...], Tuple[float, float]]]:
-        """(name, attributes, location) of each located node clause of a
-        ``render_text`` listing; unlocated nodes and edges yield nothing.
-        Clauses are split on render_text's ". " separator, so a name may hold
-        any other character."""
-        for clause in text.removesuffix(".").split(". "):
-            m = _LOCATED.fullmatch(clause)
-            if m:
-                attrs = tuple(a.strip() for a in (m.group("attrs") or "").split(",") if a.strip())
-                yield m.group("name"), attrs, (float(m.group("x")), float(m.group("y")))
-
-    # -- equality (for tests and merge laws; version excluded) ---------------
-
-    def same_content(self, other: "MemoryGraph") -> bool:
-        return self.nodes == other.nodes and set(self.edges) == set(other.edges)
+    def render_text(self, budget: int) -> str:
+        """Natural-language listing of ``cut(budget)``: one clause per node
+        and per edge."""
+        return render(self.cut(budget))
 
     # -- serialization --------------------------------------------------------
 
@@ -300,6 +257,11 @@ class MemoryGraph:
             raise SchemaViolation(f"bad graph payload: {e}") from e
         g.version = check_integer(d.get("version", 0), "graph version")
         return g
+
+
+def render(cut: Sequence[Union[MemoryNode, MemoryEdge]]) -> str:
+    """The clauses of ``cut`` joined by ". ", ending in "."; empty for no items."""
+    return ". ".join(item.clause() for item in cut) + "." if cut else ""
 
 
 def merge(a: MemoryGraph, b: MemoryGraph) -> MemoryGraph:

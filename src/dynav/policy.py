@@ -23,7 +23,7 @@ from .backends.protocol import (RequestContext, TEMPLATES, make_score_request,
 from .errors import BackendUnavailable, NoEscape
 from .geometry import AgentBody, PolarAction, Pose
 from .goals import GoalSpec, INSTANCE
-from .memory import MemoryGraph, SemanticFilter
+from .memory import MemoryGraph, SemanticFilter, render
 from .motion import execute, reactive_avoid
 from .proposer import CandidateSet, apply_filter_response, boundary
 from .sensing import Observation, sense, traversability_mask
@@ -67,11 +67,18 @@ def goal_filter(goal: GoalSpec, hops: int) -> SemanticFilter:
     return SemanticFilter(name_pattern=goal.category, hops=hops)
 
 
-def memory_excerpt(mem: Optional[MemoryGraph], goal: GoalSpec, cfg) -> str:
+def memory_cut(mem: Optional[MemoryGraph], goal: GoalSpec, cfg) -> list:
+    """The nodes and edges of the goal's memory excerpt, in render order,
+    within ``cfg.memory_budget``; none when memory is off."""
     if mem is None or not cfg.memory_enabled:
-        return ""
-    sub = mem.spatial_query(goal_filter(goal, cfg.memory_hops))
-    return sub.render_text(cfg.memory_budget)
+        return []
+    return mem.spatial_query(goal_filter(goal, cfg.memory_hops)).cut(cfg.memory_budget)
+
+
+def memory_excerpt(cut: Sequence) -> str:
+    """The memory text of a cut, which the request carries for a prompt; a
+    step renders it once, here."""
+    return render(cut)
 
 
 def pick_best(scores: Dict[int, float]) -> int:
@@ -170,8 +177,8 @@ def step(state: AgentState, world, mem: Optional[MemoryGraph], goal: GoalSpec,
     body = AgentBody(radius=cfg.agent_radius, max_sense=cfg.d_max)
     obs = sense(world, state.pose, body, cfg.n_rays, fov=cfg.fov, step=state.step_index)
     mask = traversability_mask(obs, cfg.epsilon_mask, rng)
-    ctx = request_context(obs, session_id, goal.text, memory_excerpt(mem, goal, cfg),
-                          constraints)
+    cut = memory_cut(mem, goal, cfg)
+    ctx = request_context(obs, session_id, goal, memory_excerpt(cut), cut, constraints)
     decision, candidates, memory_ops = select_action(
         ctx, obs, propose(obs, mask, cfg), TEMPLATES[goal.kind], backend, cfg,
         state.stop_streak)

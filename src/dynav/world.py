@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (SchemaViolation, check, check_finite, check_integer, check_strings,
                      check_type, read_json)
-from .memory import check_clause_attribute, check_clause_name
 
 FREE = 0
 OBSTACLE = 1
@@ -46,14 +45,13 @@ class SemanticObject:
         if self.name == "wall":
             # a ray that hits this object would be reported like a wall cell
             raise ValueError('object name "wall" is reserved for walls')
-        check_clause_name(self.name, "object name")
         if not 0.0 < self.radius < math.inf:
             raise ValueError(f"object radius must be positive and finite, not {self.radius}")
         if not (len(self.center) == 2 and all(map(math.isfinite, self.center))):
             raise ValueError(f"object center must be two finite numbers, not {self.center}")
         object.__setattr__(self, "attributes", tuple(self.attributes))
-        for attribute in self.attributes:
-            check_clause_attribute(attribute, f"object {self.name!r} attribute")
+        if "" in self.attributes:
+            raise ValueError(f"object {self.name!r} attributes must be non-empty")
         object.__setattr__(self, "tags", frozenset(self.tags))
 
     def boundary_distance(self, x: float, y: float) -> float:

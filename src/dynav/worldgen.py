@@ -11,7 +11,6 @@ import numpy as np
 from .errors import (GenerationFailed, SchemaViolation, check, check_finite, check_integer,
                      check_strings, check_type)
 from .geometry import AgentBody, Pose
-from .memory import check_clause_name
 from .world import FREE, OBSTACLE, SemanticObject, WorldMap
 
 # attribute palette keyed by nothing in particular; category-independent
@@ -49,8 +48,6 @@ class WorldGenSpec:
     def __post_init__(self):
         object.__setattr__(self, "categories", tuple(self.categories))
         object.__setattr__(self, "hazards", tuple(self.hazards))
-        for name in self.categories + self.hazards:
-            check_clause_name(name, "category")
         if self.category_counts is not None:
             object.__setattr__(self, "category_counts", tuple(self.category_counts))
             if len(self.category_counts) != len(self.categories):

@@ -1,4 +1,5 @@
-"""Shared fixtures and helpers: small deterministic worlds, and JSON fuzzing."""
+"""Shared fixtures and helpers: small deterministic worlds, goals and graph
+equality, and JSON fuzzing."""
 from __future__ import annotations
 
 import copy
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 
 from dynav.config import RunConfig
 from dynav.geometry import AgentBody, Pose
+from dynav.goals import INSTANCE, GoalSpec
+from dynav.memory import MemoryGraph
 from dynav.world import OBSTACLE, SemanticObject, WorldMap
 
 
@@ -82,6 +85,15 @@ def make_pose(x: float, y: float, heading_deg: float = 0.0) -> Pose:
     return Pose(x, y, math.radians(heading_deg))
 
 
+def instance_goal(signature) -> GoalSpec:
+    return GoalSpec(kind=INSTANCE, attributes=tuple(signature))
+
+
+def same_content(a: MemoryGraph, b: MemoryGraph) -> bool:
+    """Equal nodes and edges; the version is not compared (merge laws)."""
+    return a.nodes == b.nodes and set(a.edges) == set(b.edges)
+
+
 # -- fuzzing: arbitrary JSON, and valid payloads with one field replaced -------
 
 # json reads NaN, Infinity and integers of any size; Hypothesis draws them rarely
@@ -122,9 +134,6 @@ BAD_WORLDGEN = {
     "category-counts-floats": {"categories": ["chair"], "category_counts": [2.0]},
     "category-counts-misaligned": {"categories": ["chair"], "category_counts": [1, 2]},
     "categories-numbers": {"categories": [1, 2]},
-    # names the memory text could not read back whole
-    "category-with-separator": {"categories": ["a. b"]},
-    "hazard-ending-in-dot": {"hazards": ["tv."]},
     "radius-one-number": {"object_radius_m": [0.3]},
     "radius-string": {"object_radius_m": "0.3"},
     "radius-nan": {"object_radius_m": [0.2, math.nan]},

@@ -401,7 +401,7 @@ def test_6_stop_rule_exhaustive_truth_table():
     obs = sense(world, Pose(5.0, 4.0, 0.0), AgentBody(), n_rays=11)
     cset = CandidateSet((Candidate(1, 2.0, 0.0),), alpha=0.8,
                         theta_delta=math.radians(15.0))
-    ctx = request_context(obs, session_id="adhoc", goal_text="chair")
+    ctx = request_context(obs, session_id="adhoc", goal=GoalSpec.name_goal("chair"))
     problems = []
     for length in range(1, 5):
         for seq in itertools.product((0.0, tau, tau + eps), repeat=length):
@@ -473,7 +473,7 @@ def _plant_request():
     world = empty_world(10.0, 8.0, objects=[plant])
     obs = sense(world, Pose(5.0, 4.0, 0.0), AgentBody(), n_rays=3,
                 fov=math.radians(131.0), step=2)
-    ctx = request_context(obs, session_id="golden", goal_text="plant")
+    ctx = request_context(obs, session_id="golden", goal=GoalSpec.name_goal("plant"))
     cset = CandidateSet((Candidate(1, 2.16, 0.0),), alpha=0.8,
                         theta_delta=math.radians(15.0))
     return make_score_request(ctx, cset, TEMPLATES["name"])
@@ -494,8 +494,10 @@ def test_8_wire_protocol_conformance():
             problems.append(("request drifted on the wire", rec))
         rays = rec["observation"]["rays"]
         hit = rec["observation"]["hits"][rays["hit"][1]]
-        if not (rec["version"] == "dynav/4" and rec["kind"] == "score"
+        if not (rec["version"] == "dynav/5" and rec["kind"] == "score"
                 and rec["template_id"] == "goal-name/3"
+                and rec["goal"] == {"kind": "name", "category": "plant", "attributes": []}
+                and rec["memory"] == []
                 and hit["label"] == "plant_1" and abs(rays["distance_m"][1] - 2.7) < 1e-6
                 and rays["theta_deg"][1] == 0.0 and hit["attributes"] == ["green"]
                 and rec["candidates"] == [{"id": 1, "r_m": 2.16, "theta_deg": 0.0}]
@@ -590,7 +592,7 @@ def test_9_hazard_candidates_always_filtered():
         obs = sense(world, pose, body, n_rays=cfg.n_rays, fov=cfg.fov, step=i)
         initial = sample_initial(boundary(obs, [True] * obs.n_rays),
                                  cfg.alpha, cfg.theta_delta, cfg.r_min)
-        ctx = request_context(obs, session_id="adhoc", goal_text="",
+        ctx = request_context(obs, session_id="adhoc", goal=GoalSpec.name_goal("chair"),
                               constraints=constraints)
         # the step's one request: its reply's removals apply in select_action
         _, final, _ = select_action(ctx, obs, propose(obs, [True] * obs.n_rays, cfg),

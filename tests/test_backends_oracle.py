@@ -17,20 +17,28 @@ from dynav.backends.protocol import (
     DecisionRequest,
     RequestContext,
     WireCandidate,
+    WireNode,
     WireRay,
 )
 from dynav.config import RunConfig
 from dynav.episodes import load_episode_specs, run_episode
 from dynav.errors import SchemaViolation
+from dynav.goals import DESCRIPTION, INSTANCE, GoalSpec
 
 SPEC = Path(__file__).resolve().parent.parent / "specs" / "objectnav_small.json"
 
 
-def make_req(kind=SCORE, goal="chair", rays=(), candidates=(), memory="",
+def make_req(kind=SCORE, goal=GoalSpec.name_goal("chair"), rays=(), candidates=(), memory=(),
              constraints=(), pose=(0.0, 0.0, 0.0), session="s", step=0):
-    ctx = RequestContext(session_id=session, step=step, goal_text=goal, pose=pose,
-                         rays=tuple(rays), memory_text=memory, constraints=tuple(constraints))
+    """A request whose goal and memory records are ``goal`` and ``memory``,
+    with texts that say nothing: the oracle reads the records alone."""
+    ctx = RequestContext(session_id=session, step=step, goal_text="", goal=goal, pose=pose,
+                         rays=tuple(rays), memory=tuple(memory), constraints=tuple(constraints))
     return DecisionRequest(kind, ctx, tuple(candidates), "goal-name/3")
+
+
+def located(name, x, y, *attributes):
+    return WireNode(name, attributes, (x, y))
 
 
 @pytest.fixture
@@ -48,11 +56,14 @@ def test_goal_rays_match_label_and_attributes(backend):
             WireRay(2.0, 2.0, "wall", ("red",), ()),
             WireRay(3.0, 2.0, None),
             WireRay(4.0, 2.0, "table_1", ("red",), ())]
-    assert backend._goal_rays(make_req(goal="chair (red)", rays=rays).context) == rays[:1]
-    assert backend._goal_rays(make_req(goal="object with red", rays=rays).context) == [
-        rays[0], rays[4]]
-    assert backend._goal_rays(make_req(goal="Chair", rays=rays).context) == rays[:2]
-    assert backend._goal_rays(make_req(goal="", rays=rays).context) == []
+    red_chair = GoalSpec(DESCRIPTION, "chair", ("red",))
+    assert backend._goal_rays(make_req(goal=red_chair, rays=rays).context) == rays[:1]
+    red = GoalSpec(INSTANCE, "", ("red",))
+    assert backend._goal_rays(make_req(goal=red, rays=rays).context) == [rays[0], rays[4]]
+    chair = GoalSpec.name_goal("Chair")
+    assert backend._goal_rays(make_req(goal=chair, rays=rays).context) == rays[:2]
+    sofa = GoalSpec.name_goal("sofa")
+    assert backend._goal_rays(make_req(goal=sofa, rays=rays).context) == []
 
 
 # -- scoring: goal visible ----------------------------------------------------------
@@ -85,7 +96,7 @@ def test_frontier_prefers_longest_reach(backend):
     rays = [WireRay(0.0, 5.0, "wall")]
     cands = [WireCandidate(1, 2.0, -20.0), WireCandidate(2, 4.0, 0.0),
              WireCandidate(3, 3.0, 20.0)]
-    resp = backend.decide(make_req(rays=rays, candidates=cands, memory=""))
+    resp = backend.decide(make_req(rays=rays, candidates=cands, memory=()))
     assert max(resp.scores, key=resp.scores.get) == 2
     assert resp.scores[2] > resp.scores[3] > resp.scores[1]
 
@@ -116,14 +127,14 @@ def test_frontier_dither_varies_with_step(backend):
 
 
 def test_memory_steering_prefers_target_bearing(backend):
-    memory = "chair_2 (red) at (5.0, 5.0)"  # bearing 45 deg from the origin
+    memory = [located("chair_2", 5.0, 5.0, "red")]  # bearing 45 deg from the origin
     cands = [WireCandidate(1, 3.0, 40.0), WireCandidate(2, 3.0, -40.0)]
     resp = backend.decide(make_req(candidates=cands, memory=memory))
     assert resp.scores[1] > resp.scores[2]
 
 
 def test_memory_steering_picks_nearest_clause(backend):
-    memory = "chair_9 at (20.0, 0.0). chair_2 at (0.0, 6.0)"
+    memory = [located("chair_9", 20.0, 0.0), located("chair_2", 0.0, 6.0)]
     cands = [WireCandidate(1, 3.0, 85.0),    # toward the close chair at (0, 6)
              WireCandidate(2, 3.0, 0.0)]     # toward the far chair at (20, 0)
     resp = backend.decide(make_req(candidates=cands, memory=memory))
@@ -131,8 +142,8 @@ def test_memory_steering_picks_nearest_clause(backend):
 
 
 def test_memory_steering_ignores_non_matching_clauses(backend):
-    # memory only knows a table; a chair goal falls back to frontier mode
-    memory = "table_1 at (0.0, 6.0)"
+    # memory only locates a table; a chair goal falls back to frontier mode
+    memory = [located("table_1", 0.0, 6.0), WireNode("chair_1", (), None)]
     cands = [WireCandidate(1, 2.0, 85.0), WireCandidate(2, 4.0, 0.0)]
     resp = backend.decide(make_req(candidates=cands, memory=memory))
     assert resp.scores[2] > resp.scores[1]
@@ -140,14 +151,33 @@ def test_memory_steering_ignores_non_matching_clauses(backend):
 
 def test_memory_steering_gates_blocked_bearings(backend):
     # target dead ahead but that ray is nearly blocked; the clear flank wins
-    memory = "chair_2 at (6.0, 0.0)"
+    memory = [located("chair_2", 6.0, 0.0)]
     cands = [WireCandidate(1, 0.2, 0.0), WireCandidate(2, 4.0, 50.0)]
     resp = backend.decide(make_req(candidates=cands, memory=memory))
     assert resp.scores[2] > resp.scores[1]
 
 
+def test_memory_steering_reads_the_records_not_the_texts(backend):
+    # the texts place a chair dead ahead; the records place it at 90 deg
+    cands = [WireCandidate(1, 3.0, 0.0), WireCandidate(2, 3.0, 90.0)]
+    req = make_req(candidates=cands, memory=[located("chair_2", 0.0, 6.0)])
+    req = replace(req, context=replace(req.context, goal_text="chair",
+                                       memory_text="chair_1 at (6.0, 0.0)."))
+    resp = backend.decide(req)
+    assert resp.scores[2] > resp.scores[1]
+
+
+def test_memory_steering_skips_unlocated_records_and_rounds_to_the_text(backend):
+    memory = [WireNode("chair_1", (), None), located("chair_2", 0.04, 6.04),
+              located("chair_3", 6.0, -0.03)]
+    ctx = make_req(memory=memory).context
+    # chair_3 is nearer, but rounded to 0.1 m both lie 6 m away: the first wins
+    assert backend._remembered_target(ctx) == (0.0, 6.0)
+    assert backend._remembered_target(make_req(memory=memory[:1]).context) is None
+
+
 def test_goal_visibility_overrides_memory(backend):
-    memory = "chair_2 at (0.0, 6.0)"
+    memory = [located("chair_2", 0.0, 6.0)]
     rays = [WireRay(-10.0, 2.0, "chair_1")]
     cands = [WireCandidate(1, 3.0, -10.0), WireCandidate(2, 3.0, 85.0)]
     resp = backend.decide(make_req(rays=rays, candidates=cands, memory=memory))
@@ -322,6 +352,18 @@ def _observation(draw):
     return {"pose": draw(st.fixed_dictionaries({"x_m": _pose_number, "y_m": _pose_number,
                                                 "heading_deg": _pose_number})),
             "rays": rays, "hits": hits}
+_CHAIR = {"kind": "name", "category": "chair"}
+_goal = st.one_of(
+    st.sampled_from((_CHAIR, {"kind": "description", "category": "chair", "attributes": ["red"]},
+                     {"kind": "instance", "attributes": ["red"]},
+                     {"kind": "name", "category": "sign"})),
+    _json)
+# a memory record: a located chair or sign, or one field the parser refuses
+_memory_node = st.fixed_dictionaries({
+    "name": st.sampled_from(("chair_1", "chair_2", "sign_2", "")) | _json,
+    "attributes": st.lists(st.sampled_from(("red", "wooden")), max_size=2) | _json,
+    "location_m": st.one_of(st.none(), st.lists(_ray_number, min_size=2, max_size=2),
+                            st.sampled_from(([10 ** 400, 2.0], [math.nan, 1.0])), _json)})
 _request = st.fixed_dictionaries({
     "version": st.just(PROTOCOL_VERSION),
     "kind": st.sampled_from((FILTER, SCORE, STOP_CHECK)),
@@ -329,12 +371,14 @@ _request = st.fixed_dictionaries({
     "step": st.integers(-5, 10 ** 6),
     "goal_text": st.one_of(st.sampled_from(("chair", "chair (red)", "object with red", "")),
                            _text),
+    "goal": _goal,
     "observation": _observation(),
     "candidates": st.lists(st.fixed_dictionaries({
         "id": st.integers(0, 20), "r_m": _finite, "theta_deg": _finite}), max_size=4),
     "memory_text": st.one_of(
         st.sampled_from(("", "chair_1 (red) at (3.0, 1.5); sign_2 at (-1.0, 2.0)",
                          "chair_9 at (1" + "0" * 400 + ", 2.0)")), _text),
+    "memory": st.lists(_memory_node, max_size=3) | _json,
     "constraints": st.lists(st.sampled_from(("stay away from the oven", "avoid sign_1")),
                             max_size=2),
     "template_id": _text,
@@ -345,6 +389,7 @@ _POSE = {"x_m": 0.0, "y_m": 0.0, "heading_deg": 0.0}
 @settings(max_examples=600, deadline=None)
 @given(payload=_request)
 @example(payload={"version": PROTOCOL_VERSION, "kind": FILTER, "session_id": "s", "step": 0,
+                  "goal": _CHAIR,
                   "observation": {"pose": _POSE,
                                   "rays": {"theta_deg": ["inf"], "distance_m": [2.0],
                                            "hit": [0]},
@@ -352,6 +397,7 @@ _POSE = {"x_m": 0.0, "y_m": 0.0, "heading_deg": 0.0}
                                             "tags": ["hazard"]}]},
                   "candidates": [{"id": 1, "r_m": 1.0, "theta_deg": 0.0}]})
 @example(payload={"version": PROTOCOL_VERSION, "kind": SCORE, "session_id": "s", "step": 0,
+                  "goal": _CHAIR,
                   "observation": {"pose": _POSE,
                                   "rays": {"theta_deg": [-1.7976931348623157e308],
                                            "distance_m": [1e308], "hit": [0]},
@@ -359,12 +405,14 @@ _POSE = {"x_m": 0.0, "y_m": 0.0, "heading_deg": 0.0}
                                             "tags": []}]},
                   "candidates": [{"id": 1, "r_m": 1.0, "theta_deg": 0.0}]})
 @example(payload={"version": PROTOCOL_VERSION, "kind": FILTER, "session_id": "s", "step": 0,
+                  "goal": _CHAIR,
                   "observation": {"pose": _POSE,
                                   "rays": {"theta_deg": [], "distance_m": [], "hit": []},
                                   "hits": []},
                   "candidates": [{"id": 1, "r_m": 1.0, "theta_deg": 0.0}],
                   "constraints": ["stay away from the oven"]})
 @example(payload={"version": PROTOCOL_VERSION, "kind": FILTER, "session_id": "s", "step": 0,
+                  "goal": _CHAIR,
                   "observation": {"pose": {**_POSE, "heading_deg": -1.7976931348623157e308},
                                   "rays": {"theta_deg": [-1.7976931348623157e308],
                                            "distance_m": [2.0], "hit": [0]},
@@ -372,12 +420,22 @@ _POSE = {"x_m": 0.0, "y_m": 0.0, "heading_deg": 0.0}
                                             "tags": ["hazard"]}]},
                   "candidates": [{"id": 1, "r_m": 1.0, "theta_deg": 0.0}]})
 @example(payload={"version": PROTOCOL_VERSION, "kind": SCORE, "session_id": "s", "step": 0,
+                  "goal": _CHAIR,
                   "observation": {"pose": {**_POSE, "x_m": 1.7e308},
                                   "rays": {"theta_deg": [0.0], "distance_m": [1.7e308],
                                            "hit": [0]},
                                   "hits": [{"label": "chair_1", "attributes": [],
                                             "tags": []}]},
                   "candidates": [{"id": 1, "r_m": 1.0, "theta_deg": 0.0}]})
+@example(payload={"version": PROTOCOL_VERSION, "kind": SCORE, "session_id": "s", "step": 0,
+                  "goal": _CHAIR,
+                  "observation": {"pose": {**_POSE, "x_m": -1.7e308},
+                                  "rays": {"theta_deg": [0.0], "distance_m": [1.0],
+                                           "hit": [0]},
+                                  "hits": [{"label": None, "attributes": [], "tags": []}]},
+                  "candidates": [{"id": 1, "r_m": 1.0, "theta_deg": 0.0}],
+                  "memory": [{"name": "chair_1", "location_m": [1.7e308, 0.0]},
+                             {"name": "chair_2", "location_m": [0.0, 0.0]}]})
 def test_decide_returns_or_raises_schema_violation_on_any_parsed_request(payload):
     """A request the server's parser accepts either gets a reply that encodes
     as strict JSON, or is refused as a schema violation, never another
@@ -428,6 +486,7 @@ def stop_confidences(backend, req):
 @given(payload=_request)
 @example(payload={"version": PROTOCOL_VERSION, "kind": SCORE, "session_id": "s", "step": 0,
                   "goal_text": "chair (red)",
+                  "goal": {"kind": "description", "category": "chair", "attributes": ["red"]},
                   "observation": {"pose": _POSE,
                                   "rays": {"theta_deg": [-3.0, 4.0], "distance_m": [0.2, 0.25],
                                            "hit": [0, 1]},

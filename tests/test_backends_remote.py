@@ -31,6 +31,7 @@ from dynav.backends.protocol import (
     MemoryOp,
     RequestContext,
     WireCandidate,
+    WireNode,
     WireRay,
     encode_request,
     make_filter_request,
@@ -47,7 +48,8 @@ from dynav.config import RunConfig
 from dynav.episodes import EpisodeSpec, run_episode
 from dynav.errors import BindFailure, RequestTimeout, SchemaViolation, TransportError
 from dynav.geometry import AgentBody
-from dynav.goals import GoalSpec
+from dynav.goals import DESCRIPTION, INSTANCE, NAME, GoalSpec
+from dynav.memory import MemoryNode, render
 from dynav.policy import AgentState, step
 from dynav.proposer import Adjustment, BoundaryPoint, Candidate, CandidateSet
 from dynav.sensing import Ray, sense
@@ -56,11 +58,15 @@ from dynav.worldgen import WorldGenSpec, generate_world, random_free_pose
 from conftest import MISSING, dotted, json_values, make_pose, replaced, replacements
 
 
-def make_req(kind=SCORE, step=0, n_cands=2, rays=(), pose=(1.0, 2.0, 30.0)):
+CHAIR = GoalSpec.name_goal("chair")
+
+
+def make_req(kind=SCORE, step=0, n_cands=2, rays=(), pose=(1.0, 2.0, 30.0), memory=()):
     cands = tuple(WireCandidate(i + 1, 2.0 + i, 10.0 * i) for i in range(n_cands))
     if kind == STOP_CHECK:
         cands = ()
-    ctx = RequestContext(session_id="s1", step=step, goal_text="chair", pose=pose, rays=rays)
+    ctx = RequestContext(session_id="s1", step=step, goal_text="chair", goal=CHAIR, pose=pose,
+                         rays=rays, memory=memory)
     return DecisionRequest(kind, ctx, cands, "goal-name/3")
 
 
@@ -76,14 +82,22 @@ def ok_body(**extra):
 def test_score_request_golden(plant_world, body):
     obs = sense(plant_world, make_pose(5.0, 4.0, 0.0), body, n_rays=3, step=4)
     cands = CandidateSet((Candidate(1, 2.16, 0.0),), alpha=0.8, theta_delta=math.radians(15))
-    ctx = request_context(obs, session_id="ep1", goal_text="plant",
-                          memory_text="plant_1 at (8.0, 4.0)", constraints=("keep right",))
+    cut = [MemoryNode("plant_1", ("green", "potted"), (8.0, 4.0)), MemoryNode("pot_1")]
+    ctx = request_context(obs, "ep1", GoalSpec.name_goal("plant"), render(cut), cut,
+                          ("keep right",))
     d = make_score_request(ctx, cands, "goal-name/3").to_dict()
-    assert d["version"] == "dynav/4"
+    assert d["version"] == "dynav/5"
     assert d["kind"] == "score"
     assert d["session_id"] == "ep1" and d["step"] == 4
     assert d["goal_text"] == "plant"
-    assert d["memory_text"] == "plant_1 at (8.0, 4.0)"
+    assert d["goal"] == {"kind": "name", "category": "plant", "attributes": []}
+    assert d["memory_text"] == "plant_1 (green, potted) at (8.0, 4.0). pot_1."
+    assert d["memory"] == [
+        {"name": "plant_1", "attributes": ["green", "potted"], "location_m": [8.0, 4.0]},
+        {"name": "pot_1", "attributes": [], "location_m": None}]
+    assert list(d) == ["version", "kind", "session_id", "step", "goal_text", "goal",
+                       "observation", "memory_text", "memory", "constraints", "template_id",
+                       "candidates"]
     assert d["constraints"] == ["keep right"]
     assert d["template_id"] == "goal-name/3"
     pose = d["observation"]["pose"]
@@ -103,7 +117,7 @@ def test_score_request_golden(plant_world, body):
 def test_stop_requests_have_no_candidates(plant_world, body):
     obs = sense(plant_world, make_pose(5.0, 4.0, 0.0), body, n_rays=3)
     cands = CandidateSet((Candidate(1, 2.0, 0.0),), 0.8, 0.1)
-    ctx = request_context(obs, session_id="s", goal_text="plant")
+    ctx = request_context(obs, session_id="s", goal=GoalSpec.name_goal("plant"))
     stop = make_stop_request(ctx)
     filt = make_filter_request(ctx, cands)
     assert stop.kind == STOP_CHECK and "candidates" not in stop.to_dict()
@@ -130,7 +144,7 @@ def test_prompt_bundle_holds_one_text_per_template():
 def test_wire_rays_match_a_per_ray_conversion(cluttered_world, body):
     obs = sense(cluttered_world, make_pose(7.5, 5.0, 0.0), body, n_rays=61)
     assert any(r.attributes for r in obs.rays) and any(r.label == "wall" for r in obs.rays)
-    rays = request_context(obs, session_id="s", goal_text="chair").rays
+    rays = request_context(obs, session_id="s", goal=CHAIR).rays
     assert len(rays) == obs.n_rays
     for wire, r in zip(rays, obs.rays):
         assert wire == (math.degrees(r.theta), r.depth, r.label, r.attributes, r.tags)
@@ -139,8 +153,9 @@ def test_wire_rays_match_a_per_ray_conversion(cluttered_world, body):
 def test_request_dict_round_trip(plant_world, body):
     obs = sense(plant_world, make_pose(5.0, 4.0, 20.0), body, n_rays=5, step=7)
     cands = CandidateSet((Candidate(1, 2.0, 0.1), Candidate(2, 3.0, 0.4)), 0.8, 0.2)
-    ctx = request_context(obs, session_id="rt", goal_text="plant (green)",
-                          memory_text="m", constraints=("c1", "c2"))
+    cut = [MemoryNode("plant_1", ("green",), (1.0, 2.0))]
+    ctx = request_context(obs, session_id="rt", goal=GoalSpec(DESCRIPTION, "plant", ("green",)),
+                          memory_text="m", cut=cut, constraints=("c1", "c2"))
     req = make_score_request(ctx, cands, "goal-description/3")
     again = DecisionRequest.from_dict(json.loads(json.dumps(req.to_dict())))
     assert again == req
@@ -163,7 +178,8 @@ def test_request_from_dict_validation():
 @pytest.mark.parametrize("field, value", [
     ("constraints", "avoid"), ("constraints", [1]), ("constraints", None),
     ("session_id", 5), ("session_id", None), ("goal_text", ["chair"]),
-    ("memory_text", None), ("template_id", 1),
+    ("memory_text", None), ("template_id", 1), ("goal", "chair"), ("goal", None),
+    ("memory", "chair_1"), ("memory", None),
 ])
 def test_request_from_dict_refuses_mistyped_text(field, value):
     with pytest.raises(SchemaViolation, match=field):
@@ -237,7 +253,7 @@ def test_parse_response_memory_ops_and_defaults():
 @pytest.mark.parametrize("location", ["[NaN, 1.0]", "[1.0, Infinity]", "[-Infinity, NaN]"])
 def test_parse_response_rejects_non_finite_locations(location):
     # Python's json reads NaN and Infinity; a memory node must not store them
-    payload = json.loads('{"version": "dynav/4", "kind": "score", "memory_ops": '
+    payload = json.loads('{"version": "dynav/5", "kind": "score", "memory_ops": '
                          '[{"op": "add_node", "name": "chair_9", "location_m": %s}]}' % location)
     with pytest.raises(SchemaViolation, match="not finite"):
         parse_response(payload, make_req())
@@ -284,20 +300,20 @@ def test_remote_round_trip_records_request():
         assert resp.rationale == "canned"
         assert len(stub.requests) == 1
         seen = stub.requests[0]
-        assert seen["version"] == "dynav/4"
+        assert seen["version"] == "dynav/5"
         assert seen["step"] == 3
         # the recorded payload parses back into the identical request
         assert DecisionRequest.from_dict(seen) == make_req(step=3)
 
 
-def test_a_dynav_3_server_is_refused_at_once():
-    # a dynav/3 server scores a score request's candidates without filtering
-    # them, so an agent served by it could execute a candidate the filter
-    # would remove: its first reply is refused, and not retried
-    script = [{"kind": "score", "scores_all": 0.5, "body": {"version": "dynav/3"}}]
+def test_a_dynav_4_server_is_refused_at_once():
+    # a dynav/4 server reads the goal and the remembered objects by parsing
+    # goal_text and memory_text, which are prompt text only and misread some
+    # names: its first reply is refused, and not retried
+    script = [{"kind": "score", "scores_all": 0.5, "body": {"version": "dynav/4"}}]
     with StubServer(script=script) as stub:
         with closing(RemoteBackend(BackendConfig(endpoint=stub.endpoint))) as backend:
-            with pytest.raises(SchemaViolation, match="bad response version: 'dynav/3'"):
+            with pytest.raises(SchemaViolation, match="bad response version: 'dynav/4'"):
                 backend.decide(make_req())
         assert len(stub.requests) == 1
 
@@ -491,6 +507,29 @@ def test_parse_response_rejects_malformed_memory_ops(ops):
         parse_response(ok_body(memory_ops=ops), make_req())
 
 
+# memory records and goals that a request's parser refuses; a record is
+# checked as a reply's add_node op is
+@pytest.mark.parametrize("field, value", [
+    ("memory", [5]), ("memory", ["chair_1"]), ("memory", {"name": "a"}),
+    ("memory", [{"attributes": ["red"]}]),
+    ("memory", [{"name": "a", "location_m": [1]}]),
+    ("memory", [{"name": "a", "location_m": [1.0, math.nan]}]),
+    ("memory", [{"name": "a", "location_m": ["1", "2"]}]),
+    ("memory", [{"name": "a", "attributes": "red"}]),
+    ("memory", [{"name": "a", "attributes": [["red"]]}]),
+    ("memory", [{"name": None}]),
+    ("goal", {"kind": "name"}),
+    ("goal", {"kind": "name", "category": "chair", "text": "the chair"}),
+    ("goal", {"kind": "instance", "attributes": "red"}),
+    ("goal", {"kind": "instance", "attributes": [""]}),
+    ("goal", {"kind": "relation", "category": "chair"}),
+    ("goal", ["name", "chair"]),
+], ids=repr)
+def test_request_from_dict_rejects_malformed_records(field, value):
+    with pytest.raises(SchemaViolation):
+        DecisionRequest.from_dict(dict(make_req().to_dict(), **{field: value}))
+
+
 @pytest.mark.parametrize("field, value", [
     ("removals", "12"), ("removals", [1e300]), ("scores", {"id": 1, "s": 0.5}),
     ("scores", [[1, 0.5]]), ("adjustments", [3]), ("s_stop", None),
@@ -584,7 +623,8 @@ def test_parse_response_field_raises_only_schema_violation(path, value):
 VALID_REQ = make_req(rays=(
     WireRay(-10.0, 2.5, None),
     WireRay(10.0, 3.0, "chair_1", ("red",), ("hazard",)),
-    WireRay(20.0, 2.0, None)))
+    WireRay(20.0, 2.0, None)),
+    memory=(WireNode("chair_1", ("red",), (3.0, 1.5)), WireNode("chair_2", (), None)))
 VALID_REQUEST = VALID_REQ.to_dict()
 REQUEST_PATHS = [
     ("version",), ("kind",), ("session_id",), ("step",), ("goal_text",),
@@ -597,17 +637,28 @@ REQUEST_PATHS = [
     ("observation", "hits", 1, "tags"),
     ("candidates",), ("candidates", 0), ("candidates", 0, "id"), ("candidates", 0, "r_m"),
     ("memory_text",), ("constraints",), ("template_id",),
+    ("goal",), ("goal", "kind"), ("goal", "category"), ("goal", "attributes"),
+    ("memory",), ("memory", 0), ("memory", 0, "name"), ("memory", 0, "attributes"),
+    ("memory", 0, "location_m"), ("memory", 1, "location_m"),
 ]
 
 
 def parses_or_refuses_request(d):
     """``from_dict(d)`` raises SchemaViolation or gives rays that hold what
     the wire promises: finite floats, a label that is a string or null, and
-    attributes and tags that are tuples of strings."""
+    attributes and tags that are tuples of strings; and a goal and memory
+    records the oracle can read."""
     try:
         req = DecisionRequest.from_dict(d)
     except SchemaViolation:
         return
+    assert type(req.context.goal) is GoalSpec
+    for name, attributes, location in req.context.memory:
+        assert type(name) is str
+        assert type(attributes) is tuple and all(type(a) is str for a in attributes)
+        assert location is None or (type(location) is tuple and len(location) == 2
+                                    and all(type(v) is float and math.isfinite(v)
+                                            for v in location))
     for theta, dist, label, attributes, tags in req.context.rays:
         assert type(theta) is float and math.isfinite(theta)
         assert type(dist) is float and math.isfinite(dist)
@@ -687,22 +738,36 @@ _hit_keys = st.one_of(
 _wire_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
      -1.7976931348623157e308, 0.1, 1e16))
+def _names(min_size=0):
+    return st.lists(st.text(min_size=1, max_size=3), min_size=min_size, max_size=2).map(tuple)
+
+
+_goals = st.one_of(st.builds(GoalSpec, st.just(NAME), st.text(min_size=1, max_size=5)),
+                   st.builds(GoalSpec, st.just(DESCRIPTION), st.text(min_size=1, max_size=5),
+                             _names(1)),
+                   st.builds(GoalSpec, st.just(INSTANCE), st.just(""), _names(1)))
+_memory = st.lists(st.builds(WireNode, st.text(max_size=4), _names(),
+                             st.none() | st.tuples(_wire_floats, _wire_floats)),
+                   max_size=3).map(tuple)
 _contexts = st.builds(
     RequestContext, session_id=st.text(max_size=6), step=st.integers(0, 10 ** 6),
-    goal_text=st.text(max_size=8),
+    goal_text=st.text(max_size=8), goal=_goals,
     pose=st.tuples(_wire_floats, _wire_floats, _wire_floats),
     rays=st.lists(st.builds(lambda t, d, key: WireRay(t, d, *key),
                             _wire_floats, _wire_floats, _hit_keys), max_size=40).map(tuple),
-    memory_text=st.text(max_size=8), constraints=st.lists(st.text(max_size=4)).map(tuple))
+    memory_text=st.text(max_size=8), memory=_memory,
+    constraints=st.lists(st.text(max_size=4)).map(tuple))
 _candidates = st.lists(st.builds(WireCandidate, st.integers(0, 50), _wire_floats, _wire_floats),
                        min_size=1, max_size=4).map(tuple)
 
 
 def float_bits(req) -> bytes:
     """The bits of every float of a request: the pose, the rays' angles and
-    distances, and the candidates' ranges and angles."""
+    distances, the memory records' locations, and the candidates' ranges and
+    angles."""
     ctx = req.context
     values = [*ctx.pose, *(x for r in ctx.rays for x in r[:2]),
+              *(x for n in ctx.memory for x in n.location_m or ()),
               *(x for c in req.candidates for x in c[1:])]
     return struct.pack(f"<{len(values)}d", *values)
 
@@ -745,8 +810,9 @@ def recorded_encodings(monkeypatch):
                                    (FILTER, SCORE, STOP_CHECK)], ids="+".join)
 def test_encode_request_matches_json_dumps(kinds, cluttered_world, body, monkeypatch):
     obs = sense(cluttered_world, make_pose(7.5, 5.0, -0.0), body, n_rays=61, step=3)
-    ctx = request_context(obs, session_id="sé", goal_text="chair \"red\"",
-                          memory_text="chair_1 at (9.0, 5.0).", constraints=("keep right",))
+    cut = [MemoryNode("chair \"red\"_1", ("wooden",), (9.0, 5.0))]
+    ctx = request_context(obs, session_id="sé", goal=GoalSpec.name_goal("chair \"red\""),
+                          memory_text=render(cut), cut=cut, constraints=("keep right",))
     cands = CandidateSet((Candidate(1, 2.0, 0.1), Candidate(2, 1.5, -0.4)), 0.8, 0.2)
     build = {FILTER: lambda: make_filter_request(ctx, cands),
              SCORE: lambda: make_score_request(ctx, cands, "goal-name/3"),
@@ -755,12 +821,10 @@ def test_encode_request_matches_json_dumps(kinds, cluttered_world, body, monkeyp
     for kind in kinds:
         req = build[kind]()
         assert encode_request(req) == dumped(req)
-    # the requests of one context, each encoded on its own, encode its
-    # observation once: one text holds the ray columns, with one pose and
-    # each ray once
-    assert [t for t in texts if '"distance_m"' in t] == [ctx.observation_json]
-    assert sum(t.count('"heading_deg"') for t in texts) == 1
-    assert len(json.loads(ctx.observation_json)["rays"]["distance_m"]) == len(ctx.rays) == 61
+    # each request is encoded whole, once, with its one pose and each ray once
+    assert len(texts) == len(kinds)
+    assert all(t.count('"heading_deg"') == 1 for t in texts)
+    assert all(len(json.loads(t)["observation"]["rays"]["distance_m"]) == 61 for t in texts)
     for kind in kinds:
         assert encode_request(make_req(kind)) == dumped(make_req(kind))
 

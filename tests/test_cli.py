@@ -326,30 +326,35 @@ def test_run_refuses_a_goal_key_it_does_not_read(tmp_path, episode_file, capsys,
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("name, message", [
-    ("wall", '"wall" is reserved'),  # a ray could not tell it from a wall
-    ("a. b", "cannot carry"), ("tv.", "cannot carry"),  # nor the memory text read it
-    ("tv (old)", "cannot carry")],
-    ids=("wall", "a. b", "tv.", "tv (old)"))
-def test_run_refuses_an_object_name_a_ray_or_the_memory_text_cannot_carry(
-        tmp_path, episode_file, capsys, name, message):
+def test_run_refuses_an_object_name_a_ray_cannot_carry(tmp_path, episode_file, capsys):
     world = json.loads((tmp_path / "world.json").read_text())
-    world["objects"][0]["name"] = name
+    world["objects"][0]["name"] = "wall"  # a ray could not tell it from a wall
     (tmp_path / "world.json").write_text(json.dumps(world))
     assert main(["run", "--episodes", str(episode_file), "--out", str(tmp_path / "out")]) == 1
-    assert message in capsys.readouterr().err
+    assert '"wall" is reserved' in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("attribute", ["red, tall", "x)"])
-def test_run_refuses_an_object_attribute_the_memory_text_cannot_carry(
-        tmp_path, episode_file, capsys, attribute):
+def test_run_refuses_an_empty_object_attribute(tmp_path, episode_file, capsys):
     world = json.loads((tmp_path / "world.json").read_text())
-    world["objects"][0]["attributes"] = [attribute]
+    world["objects"][0]["attributes"] = ["red", ""]
     (tmp_path / "world.json").write_text(json.dumps(world))
     assert main(["run", "--episodes", str(episode_file), "--out", str(tmp_path / "out")]) == 1
-    assert "cannot carry" in capsys.readouterr().err
+    assert "attributes must be non-empty" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, attribute", [
+    ("a. b", "red"), ("tv.", "red"), ("tv (old)", "red"), ("c", "red, tall"), ("c", "x)")],
+    ids=repr)
+def test_run_carries_any_other_object_name_and_attribute(tmp_path, episode_file, name,
+                                                         attribute):
+    # the memory text once misread each of these; the records carry them whole
+    world = json.loads((tmp_path / "world.json").read_text())
+    world["objects"][0].update(name=name, attributes=[attribute])
+    (tmp_path / "world.json").write_text(json.dumps(world))
+    assert main(["run", "--episodes", str(episode_file), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "results.jsonl").exists()
 
 
 def test_worldgen_writes_loadable_world(tmp_path, capsys):
@@ -378,12 +383,22 @@ HUGE_GRID = {"width_m": 1e7, "height_m": 1e7, "resolution": 0.1}  # 10**16 cells
 
 
 @pytest.mark.parametrize("payload", [["rooms", 2], {"seed": "9"}, {"categories": "chair"},
-                                     HUGE_GRID, {"categories": ["a. b"]}, {"hazards": ["tv."]}])
+                                     HUGE_GRID])
 def test_worldgen_bad_spec_exits_1(tmp_path, payload):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(payload))
     assert main(["worldgen", "--spec", str(spec), "--out", str(tmp_path / "w.json")]) == 1
     assert not (tmp_path / "w.json").exists()
+
+
+@pytest.mark.parametrize("payload, name", [({"categories": ["a. b"]}, "a. b_1"),
+                                           ({"hazards": ["tv."]}, "tv._1")])
+def test_worldgen_names_objects_after_any_category(tmp_path, payload, name):
+    # the memory text once misread such names; the records carry them whole
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(payload))
+    assert main(["worldgen", "--spec", str(spec), "--out", str(tmp_path / "w.json")]) == 0
+    assert name in {o.name for o in WorldMap.load(tmp_path / "w.json").objects}
 
 
 def test_run_refuses_a_grid_over_the_cell_limit(tmp_path, capsys):

@@ -3,7 +3,7 @@ import json
 import re
 from pathlib import Path
 
-from dynav.backends.protocol import DecisionRequest
+from dynav.backends.protocol import PROTOCOL_VERSION, DecisionRequest
 from dynav.goals import GoalSpec
 from dynav.worldgen import WorldGenSpec
 
@@ -28,3 +28,8 @@ def test_the_episode_spec_example_loads():
 def test_the_request_example_parses():
     example = first_json_example("protocol.md", "## Request body")
     assert DecisionRequest.from_dict(example).to_dict() == example
+
+
+def test_the_protocol_doc_names_the_protocol_version():
+    title = (DOCS / "protocol.md").read_text().splitlines()[0]
+    assert title == f"# Decision protocol (`{PROTOCOL_VERSION}`)"

@@ -1,7 +1,8 @@
 """Module layering: the proposer is pure geometry and never reaches a backend,
-the clearance kernels stay inside the world module, the package runs on
-numpy alone, no code writes into a frozen record it did not build, and only
-the protocol module builds request records.
+the world and goals know nothing of the graph memory, the oracle reads only
+the wire records, the clearance kernels stay inside the world module, the
+package runs on numpy alone, no code writes into a frozen record it did not
+build, and only the protocol module builds request records.
 
 ``dynav.backends.protocol`` imports ``dynav.proposer`` for ``CandidateSet``;
 an import in the other direction, even one deferred into a function, would
@@ -53,6 +54,29 @@ def test_proposer_imports_nothing_from_backends():
     offending = [(n, line) for n, line, _ in imported_modules(SRC / "proposer.py")
                  if n == "dynav.backends" or n.startswith("dynav.backends.")]
     assert offending == []
+
+
+# a module and the modules it may not import: world objects, generated worlds
+# and goals name things by their own rules, not the memory's, and the oracle
+# answers from the request's records, not from the goal or memory types
+FORBIDDEN_IMPORTS = [
+    ("world.py", "dynav.memory"), ("worldgen.py", "dynav.memory"), ("goals.py", "dynav.memory"),
+    ("backends/oracle.py", "dynav.memory"), ("backends/oracle.py", "dynav.goals"),
+]
+
+
+def imports_of(module: str, forbidden: str):
+    return [(n, line) for n, line, _ in imported_modules(SRC / module)
+            if n == forbidden or n.startswith(forbidden + ".")]
+
+
+def test_imports_of_finds_the_policys_memory_import():
+    assert imports_of("policy.py", "dynav.memory")
+
+
+@pytest.mark.parametrize("module, forbidden", FORBIDDEN_IMPORTS, ids="-".join)
+def test_module_does_not_import(module, forbidden):
+    assert imports_of(module, forbidden) == []
 
 
 @pytest.mark.parametrize("module", ["proposer.py", "episodes.py"])

@@ -12,7 +12,7 @@ from dynav.motion import execute, reactive_avoid, success
 from dynav.sensing import sense
 from dynav.world import OBSTACLE, SemanticObject, WorldMap
 
-from conftest import empty_world, make_pose
+from conftest import empty_world, instance_goal, make_pose
 
 REF_STEP = 5e-4
 
@@ -148,7 +148,7 @@ def test_success_threshold_is_inclusive(plant_world):
 
 def test_success_requires_matching_category(plant_world):
     # the instance goal matches on attributes, the unresolvable one on nothing
-    assert success(plant_world, make_pose(7.6, 4.0), GoalSpec.instance_goal(["green"]), None, 0.3)
+    assert success(plant_world, make_pose(7.6, 4.0), instance_goal(["green"]), None, 0.3)
     with pytest.raises(UnresolvableGoal):
         success(plant_world, make_pose(7.6, 4.0), GoalSpec.name_goal("sofa"), None, 0.3)
 

@@ -20,6 +20,7 @@ from dynav.backends.protocol import (
     DecisionResponse,
     MemoryOp,
     TEMPLATES,
+    WireNode,
     request_context,
 )
 from dynav.config import RunConfig
@@ -33,6 +34,7 @@ from dynav.policy import (
     AgentState,
     apply_memory_ops,
     goal_filter,
+    memory_cut,
     memory_excerpt,
     pick_best,
     propose,
@@ -44,7 +46,7 @@ from dynav.proposer import (Adjustment, BoundaryPoint, Candidate, CandidateSet, 
 from dynav.sensing import sense, traversability_mask
 from dynav.world import SemanticObject
 
-from conftest import empty_world, make_pose
+from conftest import empty_world, instance_goal, make_pose
 
 
 class Scripted:
@@ -78,7 +80,7 @@ class Scripted:
 
 
 def ctx_of(obs):
-    return request_context(obs, session_id="s", goal_text="chair")
+    return request_context(obs, session_id="s", goal=GoalSpec.name_goal("chair"))
 
 
 def select_with(candidates, obs, backend, cfg, streak, points=()):
@@ -242,7 +244,7 @@ def test_an_adjustment_moves_its_candidate_within_the_clamps_and_keeps_its_score
 def test_goal_filter_shapes():
     f = goal_filter(GoalSpec.name_goal("chair"), hops=2)
     assert f.name_pattern == "chair" and f.hops == 2
-    f = goal_filter(GoalSpec.instance_goal(["red", "tall"]), hops=1)
+    f = goal_filter(instance_goal(["red", "tall"]), hops=1)
     assert f.required_attributes == frozenset({"red", "tall"})
 
 
@@ -250,10 +252,26 @@ def test_memory_excerpt_respects_toggle():
     mem = MemoryGraph()
     mem.add_node("chair_1", ["red"], (1.0, 2.0), step=1)
     goal = GoalSpec.name_goal("chair")
-    assert memory_excerpt(None, goal, RunConfig()) == ""
-    assert memory_excerpt(mem, goal, RunConfig(memory_enabled=False)) == ""
-    text = memory_excerpt(mem, goal, RunConfig())
-    assert "chair_1" in text and "(1.0, 2.0)" in text
+    assert memory_cut(None, goal, RunConfig()) == []
+    assert memory_cut(mem, goal, RunConfig(memory_enabled=False)) == []
+    assert memory_excerpt([]) == ""
+    cut = memory_cut(mem, goal, RunConfig())
+    assert cut == [mem.nodes["chair_1"]]
+    assert memory_excerpt(cut) == "chair_1 (red) at (1.0, 2.0)."
+
+
+def test_memory_cut_keeps_the_goals_excerpt_within_the_budget():
+    mem = MemoryGraph()
+    for step in range(5):
+        mem.add_node(f"chair_{step}", [], (float(step), 0.0), step=step)
+    mem.add_node("table_1", [], (9.0, 9.0), step=9)
+    mem.add_edge("chair_4", "table_1", "next to")
+    cfg = RunConfig(memory_budget=3, memory_hops=1)
+    cut = memory_cut(mem, GoalSpec.name_goal("chair"), cfg)
+    assert cut == [mem.nodes["table_1"], mem.edges[("chair_4", "table_1", "next to")],
+                   mem.nodes["chair_4"]]
+    assert memory_excerpt(cut) == "table_1 at (9.0, 9.0). chair_4 is next to table_1. " \
+                                  "chair_4 at (4.0, 0.0)."
 
 
 def test_apply_memory_ops_skips_malformed():
@@ -329,7 +347,7 @@ def test_no_removed_or_unfiltered_candidate_is_ever_chosen(flaky):
         obs = out.observation
         initial = sample_initial(boundary(obs, [True] * obs.n_rays), cfg.alpha,
                                  cfg.theta_delta, cfg.r_min)
-        ctx = request_context(obs, "s", "chair", "", constraints)
+        ctx = request_context(obs, "s", GoalSpec.name_goal("chair"), constraints=constraints)
         removed = set(backend.oracle.decide(
             protocol.make_filter_request(ctx, initial)).removals)
         removed_total += len(removed)
@@ -370,7 +388,9 @@ def test_a_step_sends_one_score_request_with_its_context(box_world):
     assert (ctx.session_id, ctx.step, ctx.goal_text, ctx.memory_text, ctx.constraints) == (
         "ep1", 7, "chair", "chair_9 at (3.0, 3.0).", ("keep right",))
     assert seen[0].template_id == "goal-name/3"
-    assert seen[0].to_dict()["version"] == "dynav/4"
+    assert ctx.goal == GoalSpec.name_goal("chair")
+    assert ctx.memory == (WireNode("chair_9", (), (3.0, 3.0)),)
+    assert seen[0].to_dict()["version"] == "dynav/5"
 
 
 def test_step_without_traversable_ray_checks_stop_and_rotates(box_world):

@@ -125,6 +125,14 @@ def test_spec_from_dict_refuses_bad_values(d):
         WorldGenSpec.from_dict(d)
 
 
+@pytest.mark.parametrize("d, name", [({"categories": ["a. b"]}, "a. b_1"),
+                                     ({"hazards": ["tv."]}, "tv._1")], ids=repr)
+def test_spec_takes_any_category_text(d, name):
+    # names travel as records on the wire, so no category text is refused
+    world = generate_world(WorldGenSpec.from_dict(d), 0)
+    assert name in {o.name for o in world.objects}
+
+
 def test_spec_from_dict_takes_integers_for_numbers():
     spec = WorldGenSpec.from_dict({"width_m": 10, "object_radius_m": [0.25, 1],
                                    "category_counts": None})
