@@ -5,19 +5,25 @@ It operates purely on the wire request (never on simulator internals): goal
 identity comes from the ``goal`` record, remembered object positions from
 the ``memory`` records, and hazards from ray tags and constraint keywords.
 It reads neither ``goal_text`` nor ``memory_text``.
+
+Rays are read as the request's columns.  Whether a hit is a hazard, matches
+the goal or is labelled is decided once per entry of the hits table; only
+the rays whose entry matters are then visited, in ray order, so first-minimum
+and tie rules are those of a scan over every ray.
 """
 from __future__ import annotations
 
 import hashlib
 import math
 import re
+from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import SchemaViolation
 from .protocol import (FILTER, SCORE, STOP_CHECK, DecisionRequest, DecisionResponse,
-                       MemoryOp, RequestContext, WireCandidate, WireRay)
+                       MemoryOp, RequestContext, WireCandidate)
 
 # two objects sighted within this distance of each other get a "next to" edge
 ADJACENCY_M = 1.0
@@ -39,6 +45,13 @@ def _hash_unit(session_id: str, step: int, cid: int) -> float:
 
 def _tokens(text: str) -> set:
     return {w for w in re.split(r"[^a-z0-9]+", text.lower()) if w and w not in _STOPWORDS}
+
+
+def _rays_of(ctx: RequestContext, wanted: Sequence[bool]) -> List[int]:
+    """The indices, in ray order, of the rays whose hits entry is wanted."""
+    if not any(wanted):
+        return []
+    return list(compress(range(len(ctx.hit)), map(wanted.__getitem__, ctx.hit)))
 
 
 def _matches(goal, name: str, attrs: Sequence[str]) -> bool:
@@ -109,14 +122,15 @@ class OracleBackend:
         hazard_groups: Dict[str, List[Tuple[float, float]]] = {}
         gaps: Dict[str, float] = {}
         prev: Dict[str, Tuple[float, float]] = {}
-        for ray in ctx.rays:
-            if ray.label and "hazard" in ray.tags:
-                pt = self._endpoint(ctx.pose, ray.theta_deg, ray.distance_m)
-                hazard_groups.setdefault(ray.label, []).append(pt)
-                if ray.label in prev:
-                    gap = math.dist(prev[ray.label], pt)
-                    gaps[ray.label] = max(gaps.get(ray.label, 0.0), gap)
-                prev[ray.label] = pt
+        hazardous = [bool(label) and "hazard" in tags for label, _, tags in ctx.hits]
+        for i in _rays_of(ctx, hazardous):
+            label = ctx.hits[ctx.hit[i]][0]
+            pt = self._endpoint(ctx.pose, ctx.theta_deg[i], ctx.distance_m[i])
+            hazard_groups.setdefault(label, []).append(pt)
+            if label in prev:
+                gap = math.dist(prev[label], pt)
+                gaps[label] = max(gaps.get(label, 0.0), gap)
+            prev[label] = pt
         # the visible endpoints trace only the near arc; pad the standoff by
         # the apparent extent (plus sampling slack) so a candidate behind the
         # object is still caught
@@ -129,8 +143,11 @@ class OracleBackend:
         constraint_words = set()
         for c in ctx.constraints:
             constraint_words |= _tokens(c)
-        nearest = (self._nearest_rays(ctx.rays, candidates)
+        nearest = (self._nearest_rays(ctx.theta_deg, candidates)
                    if constraint_words and candidates else None)
+        if nearest is not None:
+            constrained = [bool(label and label != "wall" and _tokens(label) & constraint_words)
+                           for label, _, _ in ctx.hits]
 
         removals: List[int] = []
         for k, cand in enumerate(candidates):
@@ -138,27 +155,26 @@ class OracleBackend:
             hit = any(min(math.dist((cx, cy), p) for p in pts) <= reach
                       for pts, reach in hazards)
             if not hit and nearest is not None:
-                ray = ctx.rays[nearest[k]]
-                hit = bool(ray.label and ray.label != "wall"
-                           and _tokens(ray.label) & constraint_words)
+                hit = constrained[ctx.hit[nearest[k]]]
             if hit:
                 removals.append(cand.id)
         return tuple(removals)
 
     @staticmethod
-    def _nearest_rays(rays: Sequence[WireRay],
+    def _nearest_rays(theta_deg: Sequence[float],
                       candidates: Sequence[WireCandidate]) -> List[int]:
-        """Per candidate, the index that ``min(rays, key=lambda r:
-        abs(r.theta_deg - cand.theta_deg))`` picks: the first least difference,
-        where a NaN difference never wins unless it is the first ray's.
+        """Per candidate, the index that ``min(range(len(theta_deg)), key=lambda
+        i: abs(theta_deg[i] - cand.theta_deg))`` picks: the first least
+        difference, where a NaN difference never wins unless it is the first
+        ray's.
 
         Raises SchemaViolation when there are no rays, where that ``min``
         raises ValueError.
         """
-        if not rays:
+        if not theta_deg:
             raise SchemaViolation("a constrained request with candidates needs a ray to match "
                                   "each candidate against")
-        thetas = np.array([r.theta_deg for r in rays])
+        thetas = np.array(theta_deg)
         with np.errstate(over="ignore", invalid="ignore"):
             diff = np.abs(thetas - np.array([[c.theta_deg] for c in candidates]))
         first_nan = np.isnan(diff[:, 0])
@@ -169,9 +185,12 @@ class OracleBackend:
 
     # -- score ----------------------------------------------------------------
 
-    def _goal_rays(self, ctx: RequestContext) -> List[WireRay]:
-        return [r for r in ctx.rays if r.label is not None and r.label != "wall"
-                and _matches(ctx.goal, r.label, r.attributes)]
+    @staticmethod
+    def _goal_rays(ctx: RequestContext) -> List[int]:
+        """The indices of the rays that hit a sighting of the goal."""
+        return _rays_of(ctx, [label is not None and label != "wall"
+                              and _matches(ctx.goal, label, attrs)
+                              for label, attrs, _ in ctx.hits])
 
     def _remembered_target(self, ctx: RequestContext) -> Optional[Tuple[float, float]]:
         """The nearest located memory record that fits the goal, its
@@ -195,9 +214,9 @@ class OracleBackend:
         scores: Dict[int, float] = {}
         goal_rays = self._goal_rays(ctx)
         if goal_rays:
-            ref = min(goal_rays, key=lambda r: r.distance_m)
+            ref_theta = ctx.theta_deg[min(goal_rays, key=ctx.distance_m.__getitem__)]
             for c in survivors:
-                delta = abs(math.radians(c.theta_deg - ref.theta_deg))
+                delta = abs(math.radians(c.theta_deg - ref_theta))
                 scores[c.id] = max(0.0, 1.0 - delta / math.pi)
         else:
             target = self._remembered_target(ctx)
@@ -230,37 +249,38 @@ class OracleBackend:
                     scores[c.id] = min(1.0, 0.99 * coarse / self.r_scale
                                        + 0.01 * _hash_unit(ctx.session_id, ctx.step, c.id))
         return DecisionResponse(kind=SCORE, removals=removals, scores=scores,
-                                s_stop=self._s_stop(goal_rays),
+                                s_stop=self._s_stop(ctx, goal_rays),
                                 memory_ops=self._memory_ops(ctx))
 
     # -- stop -----------------------------------------------------------------
 
     def _stop(self, req: DecisionRequest) -> DecisionResponse:
-        return DecisionResponse(kind=STOP_CHECK,
-                                s_stop=self._s_stop(self._goal_rays(req.context)))
+        ctx = req.context
+        return DecisionResponse(kind=STOP_CHECK, s_stop=self._s_stop(ctx, self._goal_rays(ctx)))
 
-    def _s_stop(self, goal_rays: Sequence[WireRay]) -> float:
+    def _s_stop(self, ctx: RequestContext, goal_rays: Sequence[int]) -> float:
         """Full confidence exactly when a goal ray ends within the success
         distance."""
-        near = any(r.distance_m <= self.success_threshold for r in goal_rays)
+        near = any(ctx.distance_m[i] <= self.success_threshold for i in goal_rays)
         return 1.0 if near else 0.0
 
     # -- memory operations, sent on score replies -------------------------------
 
     def _memory_ops(self, ctx: RequestContext) -> Tuple[MemoryOp, ...]:
-        sightings: Dict[str, WireRay] = {}
-        for ray in ctx.rays:
-            if ray.label is None or ray.label == "wall":
-                continue
-            cur = sightings.get(ray.label)
-            if cur is None or ray.distance_m < cur.distance_m:
-                sightings[ray.label] = ray
+        dist = ctx.distance_m
+        sightings: Dict[str, int] = {}  # label -> the ray of its nearest sighting
+        for i in _rays_of(ctx, [label is not None and label != "wall"
+                                for label, _, _ in ctx.hits]):
+            label = ctx.hits[ctx.hit[i]][0]
+            cur = sightings.get(label)
+            if cur is None or dist[i] < dist[cur]:
+                sightings[label] = i
         ops: List[MemoryOp] = []
         located: List[Tuple[str, Tuple[float, float]]] = []
         for label in sorted(sightings):
-            ray = sightings[label]
-            pt = self._endpoint(ctx.pose, ray.theta_deg, ray.distance_m)
-            ops.append(MemoryOp(op="add_node", name=label, attributes=ray.attributes,
+            i = sightings[label]
+            pt = self._endpoint(ctx.pose, ctx.theta_deg[i], dist[i])
+            ops.append(MemoryOp(op="add_node", name=label, attributes=ctx.hits[ctx.hit[i]][1],
                                 location=pt))
             located.append((label, pt))
         for i, (name_a, pt_a) in enumerate(located):

@@ -4,7 +4,8 @@ Requests and responses are JSON with angles in degrees and distances in
 meters; both directions carry ``version: "dynav/5"``.  A request carries its
 step's rays as columns, plus one table of the distinct hits they index, and
 its goal and memory excerpt twice: as records, which a backend reads, and as
-text for a prompt.
+text for a prompt.  ``RequestContext`` holds the rays in that same form, as
+the sensor's ``Observation`` does, so neither side builds a record per ray.
 A step sends exactly one request: ``score`` (prune/nudge the sampled
 candidates, rate the survivors and stop confidence, and optionally emit
 memory operations), or ``stop_check`` (rate stop confidence alone, for a
@@ -17,7 +18,6 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import (SchemaViolation, check, check_finite, check_integer, check_location,
@@ -25,7 +25,7 @@ from ..errors import (SchemaViolation, check, check_finite, check_integer, check
 from ..goals import GoalSpec
 from ..memory import MemoryNode
 from ..proposer import Adjustment, CandidateSet
-from ..sensing import Observation
+from ..sensing import HitEntry, Observation
 
 log = logging.getLogger(__name__)
 
@@ -43,14 +43,6 @@ TEMPLATES = {
     "stop": "stop-check/1",
     "filter": "filter/1",
 }
-
-
-class WireRay(NamedTuple):
-    theta_deg: float
-    distance_m: float
-    label: Optional[str]
-    attributes: Tuple[str, ...] = ()
-    tags: Tuple[str, ...] = ()
 
 
 class WireCandidate(NamedTuple):
@@ -74,29 +66,33 @@ class WireNode(NamedTuple):
 class RequestContext:
     """Per-step identity, goal, observation and memory excerpt shared by
     every request of that step; built by ``request_context``.  The goal and
-    the excerpt come as records, which a backend reads, and as prompt text."""
+    the excerpt come as records, which a backend reads, and as prompt text.
+
+    The rays are the wire's columns: ray i points at ``theta_deg[i]``
+    relative to the heading, ends at ``distance_m[i]`` and hit
+    ``hits[hit[i]]``, a ``(label, attributes, tags)`` entry."""
 
     session_id: str
     step: int
     goal_text: str
     goal: GoalSpec
     pose: Tuple[float, float, float]  # x_m, y_m, heading_deg
-    rays: Tuple[WireRay, ...]
+    theta_deg: Tuple[float, ...]
+    distance_m: Tuple[float, ...]
+    hit: Tuple[int, ...]
+    hits: Tuple[HitEntry, ...]
     memory_text: str = ""
     memory: Tuple[WireNode, ...] = ()
     constraints: Tuple[str, ...] = ()
 
     def observation(self) -> dict:
-        """The pose, the rays as three columns, and the table of distinct
-        ``(label, attributes, tags)`` hits in order of first appearance,
-        which ``rays.hit`` indexes."""
-        table: Dict[tuple, int] = {}  # (label, attributes, tags) -> its index
-        hit = [table.setdefault(r[2:], len(table)) for r in self.rays]
+        """The pose, the rays as three columns, and the table of hits that
+        ``rays.hit`` indexes."""
         return {"pose": {"x_m": self.pose[0], "y_m": self.pose[1], "heading_deg": self.pose[2]},
-                "rays": {"theta_deg": [r.theta_deg for r in self.rays],
-                         "distance_m": [r.distance_m for r in self.rays], "hit": hit},
+                "rays": {"theta_deg": list(self.theta_deg),
+                         "distance_m": list(self.distance_m), "hit": list(self.hit)},
                 "hits": [{"label": label, "attributes": list(attributes), "tags": list(tags)}
-                         for label, attributes, tags in table]}
+                         for label, attributes, tags in self.hits]}
 
 
 @dataclass(frozen=True)
@@ -135,7 +131,7 @@ class DecisionRequest:
                 raise SchemaViolation(f"unknown request kind: {kind!r}")
             obs = check_type(d["observation"], dict, "observation")
             pose = tuple(check_finite(obs["pose"][k], k) for k in ("x_m", "y_m", "heading_deg"))
-            rays = _parse_rays(obs["rays"], obs["hits"])
+            thetas, dists, index, table = _parse_rays(obs["rays"], obs["hits"])
             cands = tuple(
                 WireCandidate(check_integer(c["id"], "candidate id"),
                               check_finite(c["r_m"], "candidate r_m"),
@@ -148,7 +144,8 @@ class DecisionRequest:
                 session_id=check_type(d["session_id"], str, "session_id"),
                 step=check_integer(d["step"], "step"),
                 goal_text=check_type(d.get("goal_text", ""), str, "goal_text"),
-                goal=GoalSpec.from_dict(d["goal"]), pose=pose, rays=rays,
+                goal=GoalSpec.from_dict(d["goal"]), pose=pose, theta_deg=thetas,
+                distance_m=dists, hit=index, hits=table,
                 memory_text=check_type(d.get("memory_text", ""), str, "memory_text"),
                 memory=tuple(_wire_node(check_type(n, dict, "a memory node"), "memory node")
                              for n in check_type(d.get("memory", []), list, "memory")),
@@ -162,22 +159,24 @@ class DecisionRequest:
 _NUMBER_TYPES = frozenset((float, int))
 
 
-def _numbers(values, what: str) -> List[float]:
+def _numbers(values, what: str) -> Tuple[float, ...]:
     """A ray column of finite JSON numbers, as floats.  A valid column is
     checked and converted in C-level passes, not per ray."""
     types = set(map(type, check_type(values, list, what)))
     try:
         if types <= _NUMBER_TYPES and all(map(math.isfinite, values)):
-            return values if types == {float} else list(map(float, values))
+            return tuple(values if types == {float} else map(float, values))
     except OverflowError:  # an integer too large for a float
         pass
-    return [check_finite(v, what) for v in values]  # raises at the first value at fault
+    return tuple(check_finite(v, what) for v in values)  # raises at the first value at fault
 
 
-def _parse_rays(columns, hits) -> Tuple[WireRay, ...]:
-    """The rays of ``observation.rays`` and ``observation.hits``.  A column
-    of the wrong type or length, a malformed hits entry, or a ``hit`` that is
-    not an index into the hits raises SchemaViolation."""
+def _parse_rays(columns, hits) -> Tuple[Tuple[float, ...], Tuple[float, ...], Tuple[int, ...],
+                                         Tuple[HitEntry, ...]]:
+    """The ``theta_deg``, ``distance_m`` and ``hit`` columns of
+    ``observation.rays`` and the table of ``observation.hits``, as parsed.  A
+    column of the wrong type or length, a malformed hits entry, or a ``hit``
+    that is not an index into the hits raises SchemaViolation."""
     check_type(columns, dict, "observation rays")
     thetas = _numbers(columns["theta_deg"], "ray theta_deg")
     dists = _numbers(columns["distance_m"], "ray distance_m")
@@ -185,22 +184,19 @@ def _parse_rays(columns, hits) -> Tuple[WireRay, ...]:
     if not len(thetas) == len(dists) == len(index):
         raise SchemaViolation(f"ray columns differ in length: {len(thetas)} theta_deg, "
                               f"{len(dists)} distance_m, {len(index)} hit")
-    labels, attributes, tags = [], [], []
+    table = []
     for entry in check_type(hits, list, "observation hits"):
         check_type(entry, dict, "a hits entry")
         label = entry["label"]
-        labels.append(check(label, label is None or type(label) is str,
-                            "a hits entry label must be a string or null"))
-        attributes.append(check_strings(entry["attributes"], "a hits entry attributes"))
-        tags.append(check_strings(entry["tags"], "a hits entry tags"))
-    n = len(labels)
+        table.append((check(label, label is None or type(label) is str,
+                            "a hits entry label must be a string or null"),
+                      check_strings(entry["attributes"], "a hits entry attributes"),
+                      check_strings(entry["tags"], "a hits entry tags")))
+    n = len(table)
     if index and not (set(map(type, index)) <= {int} and 0 <= min(index) and max(index) < n):
         for i in index:  # raises at the first index at fault
             check(i, type(i) is int and 0 <= i < n, f"ray hit must index the {n} hits")
-    # WireRay._make of each row, without a Python-level call per ray
-    return tuple(map(tuple.__new__, repeat(WireRay),
-                     zip(thetas, dists, map(labels.__getitem__, index),
-                         map(attributes.__getitem__, index), map(tags.__getitem__, index))))
+    return thetas, dists, tuple(index), tuple(table)
 
 
 def _wire_node(raw: dict, what: str) -> WireNode:
@@ -312,7 +308,8 @@ def parse_response(payload: dict, request: DecisionRequest) -> DecisionResponse:
                 raise SchemaViolation(f"{what} references unknown candidate id {i}")
     return DecisionResponse(
         kind=kind, removals=removals, adjustments=adjustments, scores=scores, s_stop=s_stop,
-        memory_ops=tuple(ops), rationale=str(payload.get("rationale", "")),
+        memory_ops=tuple(ops),
+        rationale=check_type(payload.get("rationale", ""), str, "rationale"),
     )
 
 
@@ -332,20 +329,37 @@ def encode_request(req: DecisionRequest) -> bytes:
 
 # -- request builders --------------------------------------------------------
 
+# bearings in degrees per fan, keyed on the identity of the fan's tuple of
+# bearings in radians, not on its value: equal tuples may differ in the sign
+# of a zero.  Each entry holds that tuple, so no other tuple can take its id.
+_FAN_DEGREES: Dict[int, Tuple[tuple, Tuple[float, ...]]] = {}
+_FAN_DEGREES_MAX = 64
+
+
+def _fan_degrees(thetas: Tuple[float, ...]) -> Tuple[float, ...]:
+    """``thetas`` in degrees, computed once per fan: every observation of one
+    fan shares its tuple of bearings, and every context the tuple returned."""
+    entry = _FAN_DEGREES.get(id(thetas))
+    if entry is None:
+        if len(_FAN_DEGREES) >= _FAN_DEGREES_MAX:
+            _FAN_DEGREES.clear()
+        entry = _FAN_DEGREES[id(thetas)] = (thetas, tuple(map(math.degrees, thetas)))
+    return entry[1]
+
+
 def request_context(obs: Observation, session_id: str, goal: GoalSpec, memory_text: str = "",
                     cut: Sequence = (), constraints: Tuple[str, ...] = ()) -> RequestContext:
     """The context of the step that sensed ``obs``.
 
-    The pose and rays are converted to wire form here, once.  ``cut`` is the
-    memory excerpt (``MemoryGraph.cut``) whose text is ``memory_text``; its
-    nodes become the memory records, in its order.
+    The pose is converted to wire form here; the ray columns and the hits
+    table are the observation's own.  ``cut`` is the memory excerpt
+    (``MemoryGraph.cut``) whose text is ``memory_text``; its nodes become the
+    memory records, in its order.
     """
-    degrees = math.degrees
     return RequestContext(
         session_id=session_id, step=obs.step, goal_text=goal.text, goal=goal,
-        pose=(obs.pose.x, obs.pose.y, degrees(obs.pose.heading)),
-        rays=tuple(WireRay(degrees(theta), depth, label, attributes, tags)
-                   for theta, depth, label, attributes, tags in obs.rays),
+        pose=(obs.pose.x, obs.pose.y, math.degrees(obs.pose.heading)),
+        theta_deg=_fan_degrees(obs.thetas), distance_m=obs.depths, hit=obs.hit, hits=obs.hits,
         memory_text=memory_text,
         memory=tuple(WireNode(n.name, tuple(sorted(n.attributes)), n.location)
                      for n in cut if isinstance(n, MemoryNode)),

@@ -187,5 +187,5 @@ def success(world: WorldMap, pose: Pose, goal: GoalSpec, obs: Optional[Observati
         if obs is None:
             return False
         names = {o.name for o in matching}
-        return any(r.label in names for r in obs.rays)
+        return any(label in names for label, _, _ in obs.hits)
     return True

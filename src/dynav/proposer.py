@@ -12,6 +12,8 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import gt
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .geometry import TWO_PI, angular_distance
@@ -80,9 +82,12 @@ def boundary(obs: Observation, traversability: Sequence[bool]) -> List[BoundaryP
     """
     if len(traversability) != obs.n_rays:
         raise ValueError("mask length must equal the ray count")
-    return [BoundaryPoint(depth, theta)
-            for (theta, depth, _, _, _), ok in zip(obs.rays, traversability)
-            if ok and depth > 0.0]
+    # the columns zipped with the mask in C-level passes; BoundaryPoint._make
+    # of each kept row without a Python-level call per ray
+    depths = list(compress(obs.depths, traversability))
+    rows = zip(depths, compress(obs.thetas, traversability))
+    return list(map(tuple.__new__, repeat(BoundaryPoint),
+                    compress(rows, map(gt, depths, repeat(0.0)))))
 
 
 def sample_initial(points: Sequence[BoundaryPoint], alpha: float, theta_delta: float,

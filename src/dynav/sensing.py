@@ -1,9 +1,11 @@
 """Depth-and-label raycast sensor over the occupancy world.
 
-``sense`` casts ``n_rays`` rays uniformly across the field of view and returns,
-per ray, the exact distance to the first blocking surface (obstacle cell or
-object disc) capped at the sensing range, together with the semantic identity
-of whatever was hit.
+``sense`` casts ``n_rays`` rays uniformly across the field of view and returns
+the fan as columns: per ray, the exact distance to the first blocking surface
+(obstacle cell or object disc) capped at the sensing range, and the index of
+what was hit in a table of the distinct hits.  The wire carries the same
+columns and table (``dynav.backends.protocol``), so no layer builds a record
+per ray.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -23,33 +25,39 @@ DEFAULT_FOV = math.radians(131.0)
 
 _TIE = 1e-12
 
+# hit codes of the walk that are not object indices
+_WALL = -1
+_NOTHING = -2
 
-class Ray(NamedTuple):
-    """One ray of the fan, as every consumer of the observation sees it.
-
-    ``label`` is ``"wall"`` for an obstacle cell, the object's name for an
-    object disc (no object may be named ``"wall"``) and None when nothing lies
-    within range; ``attributes`` and ``tags`` are the hit object's, tags
-    sorted, and empty otherwise.
-    """
-
-    theta: float          # relative to agent heading, radians
-    depth: float          # meters, capped at the sensing range
-    label: Optional[str]
-    attributes: Tuple[str, ...] = ()
-    tags: Tuple[str, ...] = ()
+# (label, attributes, tags): ``label`` is ``"wall"`` for an obstacle cell, the
+# object's name for an object disc (no object may be named ``"wall"``) and
+# None when nothing lies within range; ``attributes`` and ``tags`` are the hit
+# object's, tags sorted, and empty otherwise
+HitEntry = Tuple[Optional[str], Tuple[str, ...], Tuple[str, ...]]
 
 
 @dataclass(frozen=True)
 class Observation:
+    """The fan of one step, as columns.
+
+    ``thetas`` are the ray bearings relative to the heading, in radians and
+    wrapped by ``normalize_angle``; every observation of one fan shares the
+    one tuple.  ``depths[i]`` is ray i's depth in meters, capped at the
+    sensing range, and ``hits[hit[i]]`` what it hit.  ``hits`` holds each
+    distinct entry once, in order of first appearance along the fan.
+    """
+
     pose: Pose
-    rays: Tuple[Ray, ...]
+    thetas: Tuple[float, ...]
+    depths: Tuple[float, ...]
+    hit: Tuple[int, ...]
+    hits: Tuple[HitEntry, ...]
     fov: float
     step: int = 0
 
     @property
     def n_rays(self) -> int:
-        return len(self.rays)
+        return len(self.thetas)
 
 
 def _object_raycast(world: WorldMap, x0: float, y0: float, dx: np.ndarray, dy: np.ndarray,
@@ -79,7 +87,7 @@ def _object_raycast(world: WorldMap, x0: float, y0: float, dx: np.ndarray, dy: n
 @functools.lru_cache(maxsize=64, typed=True)
 def _fan(n_rays: int, fov: float) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
     """The fan's ray angles relative to the heading, and the same wrapped by
-    ``normalize_angle`` as a ``Ray`` reports them."""
+    ``normalize_angle`` as an ``Observation`` reports them."""
     half = fov / 2.0
     thetas = tuple(-half + fov * i / (n_rays - 1) for i in range(n_rays))
     return thetas, tuple(normalize_angle(theta) for theta in thetas)
@@ -88,6 +96,9 @@ def _fan(n_rays: int, fov: float) -> Tuple[Tuple[float, ...], Tuple[float, ...]]
 def sense(world: WorldMap, pose: Pose, body: AgentBody, n_rays: int,
           fov: float = DEFAULT_FOV, step: int = 0) -> Observation:
     """Cast a fan of rays from the pose and report depth plus semantic hits.
+
+    The walk appends one depth and one hit code per ray; the table of
+    distinct hits is built from the codes once the fan is done.
 
     Ray angles are strictly increasing and span exactly [-fov/2, +fov/2].
     Depth is the distance to the first obstacle cell or object disc along the
@@ -128,10 +139,10 @@ def sense(world: WorldMap, pose: Pose, body: AgentBody, n_rays: int,
     stride = world.width_cells + 2
     k0 = (iy + 1) * stride + ix + 1
     start = cells[k0]
-    hits = [(o.name, o.attributes, tuple(sorted(o.tags))) for o in world.objects]
-    rays: List[Ray] = []
-    for theta, dx, dy, t_next_x, dt_x, t_next_y, dt_y, t_obj, obj_i in zip(
-            rel_thetas, dxs, dys, t_next_xs, dt_xs, t_next_ys, dt_ys, t_objs, obj_is):
+    depths: List[float] = []
+    codes: List[int] = []  # an object's index, _WALL or _NOTHING
+    for dx, dy, t_next_x, dt_x, t_next_y, dt_y, t_obj, obj_i in zip(
+            dxs, dys, t_next_xs, dt_xs, t_next_ys, dt_ys, t_objs, obj_is):
         if start:  # an obstacle, or the frame when rounding puts the start past the edge
             t_wall = 0.0 if start == OBSTACLE else math.inf
         else:
@@ -164,12 +175,25 @@ def sense(world: WorldMap, pose: Pose, body: AgentBody, n_rays: int,
                     t_wall = t_enter if cell == OBSTACLE else math.inf
                     break
         if obj_i >= 0 and t_obj <= t_wall:
-            rays.append(Ray(theta, t_obj, *hits[obj_i]))
+            depths.append(t_obj)
+            codes.append(obj_i)
         elif t_wall <= d_max:
-            rays.append(Ray(theta, t_wall, "wall"))
+            depths.append(t_wall)
+            codes.append(_WALL)
         else:
-            rays.append(Ray(theta, d_max, None))
-    return Observation(pose=pose, rays=tuple(rays), fov=fov, step=step)
+            depths.append(d_max)
+            codes.append(_NOTHING)
+    # object names are unique and never "wall", so distinct codes are
+    # distinct entries; dict order is the order of first appearance
+    index = {code: i for i, code in enumerate(dict.fromkeys(codes))}
+    hits = tuple(("wall", (), ()) if code == _WALL else (None, (), ()) if code == _NOTHING
+                 else _object_entry(world.objects[code]) for code in index)
+    return Observation(pose=pose, thetas=rel_thetas, depths=tuple(depths),
+                       hit=tuple(map(index.__getitem__, codes)), hits=hits, fov=fov, step=step)
+
+
+def _object_entry(obj) -> HitEntry:
+    return obj.name, obj.attributes, tuple(sorted(obj.tags))
 
 
 def traversability_mask(obs: Observation, epsilon: float = 0.0,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -22,6 +23,9 @@ OBSTACLE = 1
 OUTSIDE = 2  # the frame around the grid in ``WorldMap.framed_cells``
 
 WORLD_FORMAT = "dynav-world/1"
+
+# the exact bits of a point, so -0.0 and 0.0 are different points
+_point_bits = struct.Struct("<2d").pack
 
 
 @dataclass(frozen=True)
@@ -115,6 +119,9 @@ class WorldMap:
         self._edge_cells: Optional[tuple] = None
         self._occupancy = None
         self._free_cache: dict = {}
+        # (point bits, answer) of the last full clearance query, as one
+        # tuple, so threads sharing the world read a consistent entry
+        self._last_query: Optional[tuple] = None
         if self.objects:
             self._obj_centers = np.array([o.center for o in self.objects], dtype=float)
             self._obj_radii = np.array([o.radius for o in self.objects], dtype=float)
@@ -252,8 +259,16 @@ class WorldMap:
         """Clearance plus the closest point on the nearest blocking surface.
 
         ``scan``, for ``local_clearance``, receives the squared distances to
-        the edge cells if the search measures them.
+        the edge cells if the search measures them.  A repeat of the last
+        query at the same point, given as plain floats, is answered from
+        memory and measures nothing.
         """
+        key = None
+        if type(x) is float and type(y) is float:
+            key = _point_bits(x, y)
+            last = self._last_query
+            if last is not None and last[0] == key:
+                return last[1]
         best = min(x, y, self.width_m - x, self.height_m - y)
         # border: closest point is the orthogonal projection onto that wall
         if best == x:
@@ -289,7 +304,10 @@ class WorldMap:
                     nearest = (cx + (x - cx) / norm * r, cy + (y - cy) / norm * r)
                 else:
                     nearest = (cx + r, cy)
-        return best, nearest
+        result = best, nearest
+        if key is not None:
+            self._last_query = (key, result)
+        return result
 
     def local_clearance(self, x: float, y: float,
                         reach: float) -> Tuple[float, Callable[[float, float], float]]:

@@ -1,19 +1,22 @@
 """Shared fixtures and helpers: small deterministic worlds, goals and graph
-equality, and JSON fuzzing."""
+equality, ray fans written as rows, and JSON fuzzing."""
 from __future__ import annotations
 
 import copy
 import math
 import random
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from dynav.backends.protocol import RequestContext
 from dynav.config import RunConfig
 from dynav.geometry import AgentBody, Pose
 from dynav.goals import INSTANCE, GoalSpec
 from dynav.memory import MemoryGraph
+from dynav.sensing import Observation
 from dynav.world import OBSTACLE, SemanticObject, WorldMap
 
 
@@ -92,6 +95,42 @@ def instance_goal(signature) -> GoalSpec:
 def same_content(a: MemoryGraph, b: MemoryGraph) -> bool:
     """Equal nodes and edges; the version is not compared (merge laws)."""
     return a.nodes == b.nodes and set(a.edges) == set(b.edges)
+
+
+# -- ray fans as rows ------------------------------------------------------------
+
+class Row(NamedTuple):
+    """One ray of a fan as a test writes or reads it: the bearing (radians in
+    an ``Observation``, degrees in a ``RequestContext``), the depth in meters
+    and what it hit."""
+    theta: float
+    depth: float
+    label: Optional[str]
+    attributes: Tuple[str, ...] = ()
+    tags: Tuple[str, ...] = ()
+
+
+def with_rays(record, rows, **fields):
+    """An ``Observation`` or a ``RequestContext`` (``record``) whose fan is
+    ``rows``: the bearing and depth columns, and the hit column indexing the
+    table of distinct ``(label, attributes, tags)`` in order of first
+    appearance, as ``sense`` and the wire build them."""
+    rows = [Row(*r) for r in rows]
+    table: dict = {}
+    hit = tuple(table.setdefault(r[2:], len(table)) for r in rows)
+    thetas, depths = tuple(r.theta for r in rows), tuple(r.depth for r in rows)
+    if record is Observation:
+        return Observation(thetas=thetas, depths=depths, hit=hit, hits=tuple(table), **fields)
+    assert record is RequestContext
+    return RequestContext(theta_deg=thetas, distance_m=depths, hit=hit, hits=tuple(table),
+                          **fields)
+
+
+def rays_of(x) -> List[Row]:
+    """The rows of an observation's or a request context's fan."""
+    thetas, depths = ((x.thetas, x.depths) if isinstance(x, Observation)
+                      else (x.theta_deg, x.distance_m))
+    return [Row(t, d, *x.hits[h]) for t, d, h in zip(thetas, depths, x.hit)]
 
 
 # -- fuzzing: arbitrary JSON, and valid payloads with one field replaced -------

@@ -332,7 +332,7 @@ class _SightingRecorder:
 
     def decide(self, req):
         if req.kind == SCORE and req.context.goal_text == "chair":
-            if any(r.label and "table" in r.label for r in req.context.rays):
+            if any(label and "table" in label for label, _, _ in req.context.hits):
                 self.seen = True
         return self.inner.decide(req)
 

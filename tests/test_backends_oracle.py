@@ -18,12 +18,13 @@ from dynav.backends.protocol import (
     RequestContext,
     WireCandidate,
     WireNode,
-    WireRay,
 )
 from dynav.config import RunConfig
 from dynav.episodes import load_episode_specs, run_episode
 from dynav.errors import SchemaViolation
 from dynav.goals import DESCRIPTION, INSTANCE, GoalSpec
+
+from conftest import Row, rays_of, with_rays
 
 SPEC = Path(__file__).resolve().parent.parent / "specs" / "objectnav_small.json"
 
@@ -32,8 +33,8 @@ def make_req(kind=SCORE, goal=GoalSpec.name_goal("chair"), rays=(), candidates=(
              constraints=(), pose=(0.0, 0.0, 0.0), session="s", step=0):
     """A request whose goal and memory records are ``goal`` and ``memory``,
     with texts that say nothing: the oracle reads the records alone."""
-    ctx = RequestContext(session_id=session, step=step, goal_text="", goal=goal, pose=pose,
-                         rays=tuple(rays), memory=tuple(memory), constraints=tuple(constraints))
+    ctx = with_rays(RequestContext, rays, session_id=session, step=step, goal_text="", goal=goal,
+                    pose=pose, memory=tuple(memory), constraints=tuple(constraints))
     return DecisionRequest(kind, ctx, tuple(candidates), "goal-name/3")
 
 
@@ -51,26 +52,30 @@ def backend():
 
 def test_goal_rays_match_label_and_attributes(backend):
     # a goal ray is a labelled, non-wall ray whose label and attributes match
-    rays = [WireRay(0.0, 2.0, "chair_1", ("red", "wooden"), ()),
-            WireRay(1.0, 2.0, "chair_1", ("blue",), ()),
-            WireRay(2.0, 2.0, "wall", ("red",), ()),
-            WireRay(3.0, 2.0, None),
-            WireRay(4.0, 2.0, "table_1", ("red",), ())]
+    rays = [Row(0.0, 2.0, "chair_1", ("red", "wooden"), ()),
+            Row(1.0, 2.0, "chair_1", ("blue",), ()),
+            Row(2.0, 2.0, "wall", ("red",), ()),
+            Row(3.0, 2.0, None),
+            Row(4.0, 2.0, "table_1", ("red",), ())]
+    def goal_rays(goal):
+        ctx = make_req(goal=goal, rays=rays).context
+        return [rays_of(ctx)[i] for i in backend._goal_rays(ctx)]
+
     red_chair = GoalSpec(DESCRIPTION, "chair", ("red",))
-    assert backend._goal_rays(make_req(goal=red_chair, rays=rays).context) == rays[:1]
+    assert goal_rays(red_chair) == rays[:1]
     red = GoalSpec(INSTANCE, "", ("red",))
-    assert backend._goal_rays(make_req(goal=red, rays=rays).context) == [rays[0], rays[4]]
+    assert goal_rays(red) == [rays[0], rays[4]]
     chair = GoalSpec.name_goal("Chair")
-    assert backend._goal_rays(make_req(goal=chair, rays=rays).context) == rays[:2]
+    assert goal_rays(chair) == rays[:2]
     sofa = GoalSpec.name_goal("sofa")
-    assert backend._goal_rays(make_req(goal=sofa, rays=rays).context) == []
+    assert goal_rays(sofa) == []
 
 
 # -- scoring: goal visible ----------------------------------------------------------
 
 
 def test_goal_visible_scores_by_angular_proximity(backend):
-    rays = [WireRay(10.0, 3.0, "chair_1")]
+    rays = [Row(10.0, 3.0, "chair_1")]
     cands = [WireCandidate(1, 2.0, 0.0), WireCandidate(2, 2.0, 12.0),
              WireCandidate(3, 2.0, -30.0)]
     resp = backend.decide(make_req(rays=rays, candidates=cands))
@@ -83,7 +88,7 @@ def test_goal_visible_scores_by_angular_proximity(backend):
 
 def test_goal_reference_is_nearest_sighting(backend):
     # two chairs in view: the closer one at -20 deg sets the reference bearing
-    rays = [WireRay(30.0, 6.0, "chair_1"), WireRay(-20.0, 2.0, "chair_2")]
+    rays = [Row(30.0, 6.0, "chair_1"), Row(-20.0, 2.0, "chair_2")]
     cands = [WireCandidate(1, 2.0, 28.0), WireCandidate(2, 2.0, -18.0)]
     resp = backend.decide(make_req(rays=rays, candidates=cands))
     assert resp.scores[2] > resp.scores[1]
@@ -93,7 +98,7 @@ def test_goal_reference_is_nearest_sighting(backend):
 
 
 def test_frontier_prefers_longest_reach(backend):
-    rays = [WireRay(0.0, 5.0, "wall")]
+    rays = [Row(0.0, 5.0, "wall")]
     cands = [WireCandidate(1, 2.0, -20.0), WireCandidate(2, 4.0, 0.0),
              WireCandidate(3, 3.0, 20.0)]
     resp = backend.decide(make_req(rays=rays, candidates=cands, memory=()))
@@ -178,7 +183,7 @@ def test_memory_steering_skips_unlocated_records_and_rounds_to_the_text(backend)
 
 def test_goal_visibility_overrides_memory(backend):
     memory = [located("chair_2", 0.0, 6.0)]
-    rays = [WireRay(-10.0, 2.0, "chair_1")]
+    rays = [Row(-10.0, 2.0, "chair_1")]
     cands = [WireCandidate(1, 3.0, -10.0), WireCandidate(2, 3.0, 85.0)]
     resp = backend.decide(make_req(rays=rays, candidates=cands, memory=memory))
     assert resp.scores[1] > resp.scores[2]
@@ -188,7 +193,7 @@ def test_goal_visibility_overrides_memory(backend):
 
 
 def test_filter_removes_candidates_near_hazards(backend):
-    rays = [WireRay(0.0, 2.0, "sign_1", (), ("hazard",))]
+    rays = [Row(0.0, 2.0, "sign_1", (), ("hazard",))]
     cands = [WireCandidate(1, 1.8, 0.0),    # lands 0.2 m short of the sign
              WireCandidate(2, 2.0, -40.0)]  # far from it
     resp = backend.decide(make_req(kind=FILTER, rays=rays, candidates=cands))
@@ -199,15 +204,15 @@ def test_filter_removes_candidates_near_hazards(backend):
 
 def test_filter_hazard_padding_covers_hidden_extent(backend):
     # two sightings of one hazard 0.8 m apart: the pad grows with the extent
-    rays = [WireRay(-10.0, 2.0, "sign_1", (), ("hazard",)),
-            WireRay(10.0, 2.2, "sign_1", (), ("hazard",))]
+    rays = [Row(-10.0, 2.0, "sign_1", (), ("hazard",)),
+            Row(10.0, 2.2, "sign_1", (), ("hazard",))]
     wide = backend.decide(make_req(kind=FILTER, rays=rays,
                                    candidates=[WireCandidate(1, 3.4, 0.0)]))
     assert wide.removals == (1,)
 
 
 def test_filter_removes_constraint_keyword_matches(backend):
-    rays = [WireRay(0.0, 3.0, "oven_3"), WireRay(30.0, 3.0, "chair_1")]
+    rays = [Row(0.0, 3.0, "oven_3"), Row(30.0, 3.0, "chair_1")]
     cands = [WireCandidate(1, 2.4, 1.0), WireCandidate(2, 2.4, 29.0)]
     resp = backend.decide(make_req(kind=FILTER, rays=rays, candidates=cands,
                                    constraints=("stay away from the oven",)))
@@ -215,7 +220,7 @@ def test_filter_removes_constraint_keyword_matches(backend):
 
 
 def test_filter_clean_scene_removes_nothing(backend):
-    rays = [WireRay(0.0, 3.0, "chair_1"), WireRay(20.0, 9.0, None)]
+    rays = [Row(0.0, 3.0, "chair_1"), Row(20.0, 9.0, None)]
     cands = [WireCandidate(1, 2.4, 0.0), WireCandidate(2, 7.0, 20.0)]
     resp = backend.decide(make_req(kind=FILTER, rays=rays, candidates=cands))
     assert resp.removals == ()
@@ -228,9 +233,10 @@ def reference_filter(backend, req):
     ctx = req.context
     removals = []
     hazard_groups, gaps, prev = {}, {}, {}
-    for ray in ctx.rays:
+    rays = rays_of(ctx)
+    for ray in rays:
         if ray.label and "hazard" in ray.tags:
-            pt = backend._endpoint(ctx.pose, ray.theta_deg, ray.distance_m)
+            pt = backend._endpoint(ctx.pose, ray.theta, ray.depth)
             hazard_groups.setdefault(ray.label, []).append(pt)
             if ray.label in prev:
                 gap = math.dist(prev[ray.label], pt)
@@ -249,7 +255,7 @@ def reference_filter(backend, req):
                 hit = True
                 break
         if not hit and constraint_words:
-            ray = min(ctx.rays, key=lambda r: abs(r.theta_deg - cand.theta_deg))
+            ray = min(rays, key=lambda r: abs(r.theta - cand.theta_deg))
             if ray.label and ray.label != "wall" and _tokens(ray.label) & constraint_words:
                 hit = True
         if hit:
@@ -273,7 +279,7 @@ _thetas = st.one_of(st.floats(-200.0, 200.0), st.floats(-60.0, 60.0),
                     st.sampled_from((-30.0, 0.0, 12.5, 90.0)),
                     st.sampled_from((math.nan, math.inf, -math.inf, 0.0, 5.0, 10.0)))
 _rays = st.lists(st.builds(
-    WireRay, _thetas, st.one_of(st.floats(0.05, 5.0), st.just(math.nan)),
+    Row, _thetas, st.one_of(st.floats(0.05, 5.0), st.just(math.nan)),
     st.sampled_from((None, "wall", "sign_1", "sign_2", "oven_3", "cone_4", "chair_1")),
     st.just(()), st.sampled_from(((), ("hazard",)))), max_size=40)
 _cands = st.lists(st.builds(WireCandidate, st.integers(0, 40), st.floats(0.1, 5.0),
@@ -284,11 +290,11 @@ _constraints = st.sampled_from(((), ("stay away from the oven",), ("avoid sign a
 @settings(max_examples=400, deadline=None)
 @given(rays=_rays, cands=_cands, constraints=_constraints,
        pose=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.floats(-180.0, 180.0)))
-@example(rays=[WireRay(math.nan, 3.0, "chair_1"), WireRay(0.0, 3.0, "oven_3")],
+@example(rays=[Row(math.nan, 3.0, "chair_1"), Row(0.0, 3.0, "oven_3")],
          cands=[WireCandidate(1, 2.0, 0.0)], constraints=("stay away from the oven",),
          pose=(0.0, 0.0, 0.0))
-@example(rays=[WireRay(0.0, 3.0, "oven_3"), WireRay(math.nan, 3.0, "chair_1"),
-               WireRay(0.0, 3.0, "chair_1"), WireRay(math.inf, 3.0, "oven_3")],
+@example(rays=[Row(0.0, 3.0, "oven_3"), Row(math.nan, 3.0, "chair_1"),
+               Row(0.0, 3.0, "chair_1"), Row(math.inf, 3.0, "oven_3")],
          cands=[WireCandidate(1, 2.0, 5.0)], constraints=("stay away from the oven",),
          pose=(0.0, 0.0, 0.0))
 @example(rays=[], cands=[WireCandidate(1, 2.0, 5.0)], constraints=("stay away from the oven",),
@@ -455,9 +461,9 @@ def test_decide_returns_or_raises_schema_violation_on_any_parsed_request(payload
 
 
 def test_stop_confidence_requires_goal_within_threshold(backend):
-    near = make_req(kind=STOP_CHECK, rays=[WireRay(5.0, 0.29, "chair_1")])
-    far = make_req(kind=STOP_CHECK, rays=[WireRay(5.0, 0.31, "chair_1")])
-    none = make_req(kind=STOP_CHECK, rays=[WireRay(5.0, 0.2, "table_1")])
+    near = make_req(kind=STOP_CHECK, rays=[Row(5.0, 0.29, "chair_1")])
+    far = make_req(kind=STOP_CHECK, rays=[Row(5.0, 0.31, "chair_1")])
+    none = make_req(kind=STOP_CHECK, rays=[Row(5.0, 0.2, "table_1")])
     assert backend.decide(near).s_stop == 1.0
     assert backend.decide(far).s_stop == 0.0
     assert backend.decide(none).s_stop == 0.0
@@ -466,9 +472,9 @@ def test_stop_confidence_requires_goal_within_threshold(backend):
 
 def test_score_replies_rate_stop_confidence(backend):
     cands = [WireCandidate(1, 1.0, 0.0)]
-    near = make_req(rays=[WireRay(5.0, 0.29, "chair_1")], candidates=cands)
-    far = make_req(rays=[WireRay(5.0, 0.31, "chair_1")], candidates=cands)
-    none = make_req(rays=[WireRay(5.0, 0.2, "table_1")], candidates=cands)
+    near = make_req(rays=[Row(5.0, 0.29, "chair_1")], candidates=cands)
+    far = make_req(rays=[Row(5.0, 0.31, "chair_1")], candidates=cands)
+    none = make_req(rays=[Row(5.0, 0.2, "table_1")], candidates=cands)
     assert backend.decide(near).s_stop == 1.0
     assert backend.decide(far).s_stop == 0.0
     assert backend.decide(none).s_stop == 0.0
@@ -531,8 +537,8 @@ def test_score_and_stop_check_agree_on_every_step_of_a_spec():
 
 
 def test_memory_ops_add_nodes_at_ray_endpoints(backend):
-    rays = [WireRay(0.0, 2.0, "chair_1", ("red",)), WireRay(90.0, 3.0, "wall"),
-            WireRay(45.0, 9.0, None)]
+    rays = [Row(0.0, 2.0, "chair_1", ("red",)), Row(90.0, 3.0, "wall"),
+            Row(45.0, 9.0, None)]
     resp = backend.decide(make_req(kind=SCORE, rays=rays, pose=(1.0, 1.0, 0.0)))
     assert resp.kind == SCORE
     assert len(resp.memory_ops) == 1
@@ -544,7 +550,7 @@ def test_memory_ops_add_nodes_at_ray_endpoints(backend):
 
 
 def test_memory_ops_keep_nearest_sighting(backend):
-    rays = [WireRay(0.0, 2.0, "chair_1"), WireRay(2.0, 1.5, "chair_1")]
+    rays = [Row(0.0, 2.0, "chair_1"), Row(2.0, 1.5, "chair_1")]
     resp = backend.decide(make_req(kind=SCORE, rays=rays))
     assert len(resp.memory_ops) == 1
     assert math.hypot(*resp.memory_ops[0].location) == pytest.approx(1.5)
@@ -552,8 +558,8 @@ def test_memory_ops_keep_nearest_sighting(backend):
 
 def test_memory_ops_adjacency_edge(backend):
     # endpoints 0.4 m apart: adjacent; a third object far away is not linked
-    rays = [WireRay(0.0, 2.0, "chair_1"), WireRay(11.0, 2.1, "table_1"),
-            WireRay(-60.0, 6.0, "sofa_1")]
+    rays = [Row(0.0, 2.0, "chair_1"), Row(11.0, 2.1, "table_1"),
+            Row(-60.0, 6.0, "sofa_1")]
     resp = backend.decide(make_req(kind=SCORE, rays=rays))
     edges = [op for op in resp.memory_ops if op.op == "add_edge"]
     assert len(edges) == 1
@@ -565,7 +571,7 @@ def test_memory_ops_adjacency_edge(backend):
 
 
 def test_score_requests_also_emit_memory_ops(backend):
-    rays = [WireRay(0.0, 2.0, "chair_1")]
+    rays = [Row(0.0, 2.0, "chair_1")]
     resp = backend.decide(make_req(rays=rays, candidates=[WireCandidate(1, 1.6, 0.0)]))
     assert any(op.op == "add_node" and op.name == "chair_1" for op in resp.memory_ops)
 
@@ -575,7 +581,7 @@ def test_score_requests_also_emit_memory_ops(backend):
 
 def test_oracle_is_deterministic(backend):
     req = make_req(candidates=[WireCandidate(1, 2.0, 0.0), WireCandidate(2, 3.0, 30.0)],
-                   rays=[WireRay(0.0, 5.0, "wall")], session="fixed", step=9)
+                   rays=[Row(0.0, 5.0, "wall")], session="fixed", step=9)
     assert backend.decide(req) == backend.decide(req)
 
 

@@ -32,7 +32,6 @@ from dynav.backends.protocol import (
     RequestContext,
     WireCandidate,
     WireNode,
-    WireRay,
     encode_request,
     make_filter_request,
     make_score_request,
@@ -52,10 +51,11 @@ from dynav.goals import DESCRIPTION, INSTANCE, NAME, GoalSpec
 from dynav.memory import MemoryNode, render
 from dynav.policy import AgentState, step
 from dynav.proposer import Adjustment, BoundaryPoint, Candidate, CandidateSet
-from dynav.sensing import Ray, sense
+from dynav.sensing import sense
 from dynav.worldgen import WorldGenSpec, generate_world, random_free_pose
 
-from conftest import MISSING, dotted, json_values, make_pose, replaced, replacements
+from conftest import (MISSING, Row, dotted, json_values, make_pose, rays_of, replaced, replacements,
+                      with_rays)
 
 
 CHAIR = GoalSpec.name_goal("chair")
@@ -65,8 +65,8 @@ def make_req(kind=SCORE, step=0, n_cands=2, rays=(), pose=(1.0, 2.0, 30.0), memo
     cands = tuple(WireCandidate(i + 1, 2.0 + i, 10.0 * i) for i in range(n_cands))
     if kind == STOP_CHECK:
         cands = ()
-    ctx = RequestContext(session_id="s1", step=step, goal_text="chair", goal=CHAIR, pose=pose,
-                         rays=rays, memory=memory)
+    ctx = with_rays(RequestContext, rays, session_id="s1", step=step, goal_text="chair",
+                    goal=CHAIR, pose=pose, memory=memory)
     return DecisionRequest(kind, ctx, cands, "goal-name/3")
 
 
@@ -143,10 +143,10 @@ def test_prompt_bundle_holds_one_text_per_template():
 
 def test_wire_rays_match_a_per_ray_conversion(cluttered_world, body):
     obs = sense(cluttered_world, make_pose(7.5, 5.0, 0.0), body, n_rays=61)
-    assert any(r.attributes for r in obs.rays) and any(r.label == "wall" for r in obs.rays)
-    rays = request_context(obs, session_id="s", goal=CHAIR).rays
+    assert any(r.attributes for r in rays_of(obs)) and any(r.label == "wall" for r in rays_of(obs))
+    rays = rays_of(request_context(obs, session_id="s", goal=CHAIR))
     assert len(rays) == obs.n_rays
-    for wire, r in zip(rays, obs.rays):
+    for wire, r in zip(rays, rays_of(obs)):
         assert wire == (math.degrees(r.theta), r.depth, r.label, r.attributes, r.tags)
 
 
@@ -533,10 +533,18 @@ def test_request_from_dict_rejects_malformed_records(field, value):
 @pytest.mark.parametrize("field, value", [
     ("removals", "12"), ("removals", [1e300]), ("scores", {"id": 1, "s": 0.5}),
     ("scores", [[1, 0.5]]), ("adjustments", [3]), ("s_stop", None),
+    # a rationale is text; nothing else is turned into its str()
+    ("rationale", [1, 2]), ("rationale", None), ("rationale", {"a": 1}), ("rationale", 5),
+    ("rationale", True),
 ])
 def test_parse_response_rejects_malformed_fields(field, value):
     with pytest.raises(SchemaViolation):
         parse_response(ok_body(**{field: value}), make_req())
+
+
+def test_parse_response_keeps_a_string_rationale():
+    assert parse_response(ok_body(rationale="chair ahead"), make_req()).rationale == "chair ahead"
+    assert parse_response(ok_body(), make_req()).rationale == ""
 
 
 def test_response_to_dict_parses_back():
@@ -600,6 +608,7 @@ def parses_or_violates(payload):
         resp = parse_response(payload, make_req())
     except SchemaViolation:
         return
+    assert type(resp.rationale) is str
     for op in resp.memory_ops:
         assert all(isinstance(a, str) for a in op.attributes)
         assert op.location is None or all(map(math.isfinite, op.location))
@@ -621,9 +630,9 @@ def test_parse_response_field_raises_only_schema_violation(path, value):
 
 
 VALID_REQ = make_req(rays=(
-    WireRay(-10.0, 2.5, None),
-    WireRay(10.0, 3.0, "chair_1", ("red",), ("hazard",)),
-    WireRay(20.0, 2.0, None)),
+    Row(-10.0, 2.5, None),
+    Row(10.0, 3.0, "chair_1", ("red",), ("hazard",)),
+    Row(20.0, 2.0, None)),
     memory=(WireNode("chair_1", ("red",), (3.0, 1.5)), WireNode("chair_2", (), None)))
 VALID_REQUEST = VALID_REQ.to_dict()
 REQUEST_PATHS = [
@@ -659,7 +668,7 @@ def parses_or_refuses_request(d):
         assert location is None or (type(location) is tuple and len(location) == 2
                                     and all(type(v) is float and math.isfinite(v)
                                             for v in location))
-    for theta, dist, label, attributes, tags in req.context.rays:
+    for theta, dist, label, attributes, tags in rays_of(req.context):
         assert type(theta) is float and math.isfinite(theta)
         assert type(dist) is float and math.isfinite(dist)
         assert label is None or type(label) is str
@@ -721,10 +730,10 @@ def test_request_from_dict_checks_each_ray(path, value, match):
 
 def test_request_from_dict_reads_integer_ray_numbers_as_floats():
     d = replaced(VALID_REQUEST, ("observation", "rays", "distance_m"), [2, 3, -0.0])
-    rays = DecisionRequest.from_dict(d).context.rays
-    assert [r.distance_m for r in rays] == [2.0, 3.0, 0.0]
-    assert [type(r.distance_m) for r in rays] == [float] * 3
-    assert math.copysign(1.0, rays[2].distance_m) == -1.0
+    rays = rays_of(DecisionRequest.from_dict(d).context)
+    assert [r.depth for r in rays] == [2.0, 3.0, 0.0]
+    assert [type(r.depth) for r in rays] == [float] * 3
+    assert math.copysign(1.0, rays[2].depth) == -1.0
 
 
 # the table of hits: null, wall and object labels, one label with two
@@ -750,11 +759,12 @@ _memory = st.lists(st.builds(WireNode, st.text(max_size=4), _names(),
                              st.none() | st.tuples(_wire_floats, _wire_floats)),
                    max_size=3).map(tuple)
 _contexts = st.builds(
-    RequestContext, session_id=st.text(max_size=6), step=st.integers(0, 10 ** 6),
+    with_rays, st.just(RequestContext),
+    st.lists(st.builds(lambda t, d, key: Row(t, d, *key),
+                       _wire_floats, _wire_floats, _hit_keys), max_size=40),
+    session_id=st.text(max_size=6), step=st.integers(0, 10 ** 6),
     goal_text=st.text(max_size=8), goal=_goals,
     pose=st.tuples(_wire_floats, _wire_floats, _wire_floats),
-    rays=st.lists(st.builds(lambda t, d, key: WireRay(t, d, *key),
-                            _wire_floats, _wire_floats, _hit_keys), max_size=40).map(tuple),
     memory_text=st.text(max_size=8), memory=_memory,
     constraints=st.lists(st.text(max_size=4)).map(tuple))
 _candidates = st.lists(st.builds(WireCandidate, st.integers(0, 50), _wire_floats, _wire_floats),
@@ -766,7 +776,7 @@ def float_bits(req) -> bytes:
     distances, the memory records' locations, and the candidates' ranges and
     angles."""
     ctx = req.context
-    values = [*ctx.pose, *(x for r in ctx.rays for x in r[:2]),
+    values = [*ctx.pose, *(x for r in rays_of(ctx) for x in r[:2]),
               *(x for n in ctx.memory for x in n.location_m or ()),
               *(x for c in req.candidates for x in c[1:])]
     return struct.pack(f"<{len(values)}d", *values)
@@ -783,7 +793,7 @@ def test_request_round_trips_through_the_wire_bit_for_bit(ctx, kind, cands):
     # one table entry per distinct hit, in order of first appearance
     table = [(e["label"], tuple(e["attributes"]), tuple(e["tags"]))
              for e in d["observation"]["hits"]]
-    assert table == list(dict.fromkeys(r[2:] for r in ctx.rays))
+    assert table == list(dict.fromkeys(r[2:] for r in rays_of(ctx)))
 
 
 # -- encoding ------------------------------------------------------------------------
@@ -850,19 +860,33 @@ def step_requests(world, pose):
 
 def test_request_dict_round_trip_of_a_real_step(cluttered_world):
     for req in step_requests(cluttered_world, make_pose(7.5, 5.0, 0.0)):
-        assert any(r.attributes for r in req.context.rays)  # object hits, not only walls
+        assert any(r.attributes for r in rays_of(req.context))  # object hits, not only walls
         assert DecisionRequest.from_dict(req.to_dict()) == req
         assert DecisionRequest.from_dict(json.loads(encode_request(req))) == req
 
 
-@pytest.mark.parametrize("record", [
-    Ray(0.1, 2.0, "chair_1", ("red",), ("hazard",)), BoundaryPoint(2.0, 0.1),
-    WireRay(5.0, 2.0, "chair_1", ("red",), ("hazard",)), WireCandidate(1, 2.0, 5.0)],
-    ids=lambda record: type(record).__name__)
+@pytest.mark.parametrize("record", [BoundaryPoint(2.0, 0.1), WireCandidate(1, 2.0, 5.0)],
+                         ids=lambda record: type(record).__name__)
 def test_per_ray_records_are_immutable(record):
     for name in record._fields:
         with pytest.raises(AttributeError):
             setattr(record, name, 1.0)
+
+
+def test_ray_columns_are_immutable(cluttered_world, body):
+    """The fan's columns and hits table are tuples in the observation and in
+    the context that hands them on, so no reader can change what another
+    reads."""
+    obs = sense(cluttered_world, make_pose(7.5, 5.0, 0.0), body, n_rays=61)
+    ctx = request_context(obs, session_id="s", goal=CHAIR)
+    for record, names in ((obs, ("thetas", "depths", "hit", "hits")),
+                          (ctx, ("theta_deg", "distance_m", "hit", "hits"))):
+        for name in names:
+            assert type(getattr(record, name)) is tuple
+            with pytest.raises(AttributeError):
+                setattr(record, name, ())
+    assert all(type(entry) is tuple for entry in obs.hits)
+    assert (ctx.distance_m, ctx.hit, ctx.hits) == (obs.depths, obs.hit, obs.hits)
 
 
 def test_encode_request_of_a_real_step(cluttered_world):
@@ -872,7 +896,9 @@ def test_encode_request_of_a_real_step(cluttered_world):
     for req in seen:
         assert encode_request(req) == dumped(req)
     # a changed context, even one with the same rays, encodes its own observation
-    for other in (replace(ctx, pose=(1.0, -0.0, 45.5)), replace(ctx, rays=ctx.rays[:5])):
+    fewer_rays = replace(ctx, theta_deg=ctx.theta_deg[:5], distance_m=ctx.distance_m[:5],
+                         hit=ctx.hit[:5])
+    for other in (replace(ctx, pose=(1.0, -0.0, 45.5)), fewer_rays):
         req = replace(seen[2], context=other)
         assert encode_request(req) == dumped(req)
 

@@ -14,6 +14,8 @@ from dynav.geometry import Pose
 from dynav.goals import DESCRIPTION, INSTANCE, NAME, GoalSpec
 from dynav.sensing import Observation
 
+from conftest import with_rays
+
 
 def test_a_goal_has_three_fields():
     assert [f.name for f in dataclasses.fields(GoalSpec)] == ["kind", "category", "attributes"]
@@ -28,7 +30,8 @@ def test_goal_text_forms():
 
 def wire_goal(goal: GoalSpec) -> GoalSpec:
     """The goal record of a request for ``goal``, as a server parses it."""
-    ctx = request_context(Observation(Pose(0.0, 0.0, 0.0), (), math.pi), "s", goal)
+    obs = with_rays(Observation, (), pose=Pose(0.0, 0.0, 0.0), fov=math.pi)
+    ctx = request_context(obs, "s", goal)
     req = DecisionRequest.from_dict(json.loads(encode_request(make_stop_request(ctx))))
     assert req.context.goal_text == goal.text
     return req.context.goal

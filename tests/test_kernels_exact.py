@@ -27,11 +27,11 @@ from dynav.errors import NoEscape
 from dynav.geometry import AgentBody, PolarAction, Pose, normalize_angle
 from dynav.goals import GoalSpec
 from dynav.motion import execute, reactive_avoid
-from dynav.sensing import DEFAULT_FOV, Observation, Ray, sense
+from dynav.sensing import DEFAULT_FOV, Observation, sense
 from dynav.world import OBSTACLE, SemanticObject, WorldMap
 from dynav.worldgen import WorldGenSpec, generate_world, random_free_pose
 
-from conftest import empty_world
+from conftest import Row, empty_world, rays_of, with_rays
 
 _TIE = 1e-12
 
@@ -113,13 +113,13 @@ def ref_sense(world, pose, body, n_rays, fov=DEFAULT_FOV, step=0):
         t_obj, obj_i = ref_object_raycast(world, pose.x, pose.y, dx, dy, d_max)
         if obj_i is not None and t_obj <= t_wall:
             o = world.objects[obj_i]
-            rays.append(Ray(normalize_angle(theta), t_obj, o.name, o.attributes,
+            rays.append(Row(normalize_angle(theta), t_obj, o.name, o.attributes,
                             tuple(sorted(o.tags))))
         elif t_wall <= d_max:
-            rays.append(Ray(normalize_angle(theta), t_wall, "wall"))
+            rays.append(Row(normalize_angle(theta), t_wall, "wall"))
         else:
-            rays.append(Ray(normalize_angle(theta), d_max, None))
-    return Observation(pose=pose, rays=tuple(rays), fov=fov, step=step)
+            rays.append(Row(normalize_angle(theta), d_max, None))
+    return with_rays(Observation, rays, pose=pose, fov=fov, step=step)
 
 
 class RefClearance:
@@ -210,7 +210,7 @@ def bits(*values):
 
 
 def ray_bits(obs):
-    return [(bits(r.theta, r.depth), r[2:]) for r in obs.rays]
+    return [(bits(r.theta, r.depth), r[2:]) for r in rays_of(obs)]
 
 
 @pytest.fixture(scope="module")
@@ -339,9 +339,9 @@ def test_fans_of_different_size_and_width_do_not_share_angles(recorded_trajector
     fans = [(181, DEFAULT_FOV), (91, DEFAULT_FOV), (181, 1.0), (7, 3.0), (2, DEFAULT_FOV)]
     for n_rays, fov in fans + fans[::-1]:
         got = sense(world, pose, body, n_rays, fov)
-        assert len(got.rays) == n_rays and got.fov == fov
+        assert len(rays_of(got)) == n_rays and got.fov == fov
         assert ray_bits(got) == ray_bits(ref_sense(world, pose, body, n_rays, fov))
-        assert bits(got.rays[0].theta, got.rays[-1].theta) == bits(
+        assert bits(rays_of(got)[0].theta, rays_of(got)[-1].theta) == bits(
             normalize_angle(-fov / 2.0), normalize_angle(fov / 2.0))
 
 
@@ -389,6 +389,44 @@ def test_clearance_ties_between_cells_keep_the_reference_winner(worlds):
         assert left == right == d
         assert bits(nx, ny) == bits(29 * world.resolution, y)  # the left cell's right edge
         assert bits(world.clearance(x, y)) == bits(d)
+
+
+def test_a_repeated_clearance_query_is_answered_from_memory(worlds):
+    """The last full query is kept: a repeat at the same point measures
+    nothing and gives the same answer.  Points are the exact bits of plain
+    floats, so -0.0 is not 0.0, and other numbers are measured each time; a
+    scan caller (``local_clearance``) still gets its exact view."""
+    world = worlds[0]
+
+    def fresh():  # the same world with nothing in memory
+        return WorldMap(world.grid, world.resolution, world.objects)
+
+    searched = []
+    search = world._nearest_cell
+    world._nearest_cell = lambda *args: searched.append(args[:2]) or search(*args)
+    try:
+        x, y = 3.3, 2.7
+        first = world.clearance_with_nearest(x, y)
+        assert len(searched) == 1
+        assert world.clearance_with_nearest(x, y) is first and len(searched) == 1
+        assert world.clearance(x, y) == first[0] and len(searched) == 1
+        assert world.clearance_with_nearest(x, 2.7000000000000006) is not first
+        assert len(searched) == 2
+        y = world.height_m / 2
+        for point in [(0.0, y), (-0.0, y), (-0.0, y), (0.0, y), (1, 2), (1.0, 2.0), (1, 2),
+                      (np.float64(1.0), 2.0)]:
+            assert repr(world.clearance_with_nearest(*point)) == repr(
+                fresh().clearance_with_nearest(*point)), point
+        for point in [(2.5, 2.5), (2.5, 2.5), (2.55, 2.48)]:
+            world.clearance_with_nearest(*point)
+            c, view = world.local_clearance(*point, 0.1)
+            c_ref, view_ref = fresh().local_clearance(*point, 0.1)
+            assert bits(c) == bits(c_ref)
+            for dx, dy in [(0.0, 0.0), (0.07, 0.0), (-0.05, 0.06), (0.0, -0.1)]:
+                q = (point[0] + dx, point[1] + dy)
+                assert bits(view(*q)) == bits(view_ref(*q)) == bits(fresh().clearance(*q)), q
+    finally:
+        del world._nearest_cell
 
 
 def nudge_cases(world, rng, n):

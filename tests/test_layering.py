@@ -2,7 +2,8 @@
 the world and goals know nothing of the graph memory, the oracle reads only
 the wire records, the clearance kernels stay inside the world module, the
 package runs on numpy alone, no code writes into a frozen record it did not
-build, and only the protocol module builds request records.
+build, only the protocol module builds request records, only the sensor
+builds observations, and a fan's bearings are built once, not per step.
 
 ``dynav.backends.protocol`` imports ``dynav.proposer`` for ``CandidateSet``;
 an import in the other direction, even one deferred into a function, would
@@ -16,6 +17,13 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from dynav.backends.protocol import request_context
+from dynav.geometry import AgentBody
+from dynav.goals import GoalSpec
+from dynav.sensing import sense
+
+from conftest import empty_world, make_pose
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "dynav"
@@ -58,10 +66,12 @@ def test_proposer_imports_nothing_from_backends():
 
 # a module and the modules it may not import: world objects, generated worlds
 # and goals name things by their own rules, not the memory's, and the oracle
-# answers from the request's records, not from the goal or memory types
+# answers from the request's records and columns, not from the goal, memory,
+# sensor or world types
 FORBIDDEN_IMPORTS = [
     ("world.py", "dynav.memory"), ("worldgen.py", "dynav.memory"), ("goals.py", "dynav.memory"),
     ("backends/oracle.py", "dynav.memory"), ("backends/oracle.py", "dynav.goals"),
+    ("backends/oracle.py", "dynav.sensing"), ("backends/oracle.py", "dynav.world"),
 ]
 
 
@@ -183,14 +193,15 @@ def test_frozen_records_are_only_set_up_by_themselves():
 REQUEST_RECORDS = {"DecisionRequest", "RequestContext"}
 
 
-def record_calls(source: str):
-    """(name, line) of every call of a request record's class, bare or dotted."""
+def record_calls(source: str, records=REQUEST_RECORDS):
+    """(name, line) of every call of one of the ``records`` classes, bare or
+    dotted."""
     found = []
     for n in ast.walk(ast.parse(source)):
         if isinstance(n, ast.Call):
             name = (n.func.id if isinstance(n.func, ast.Name)
                     else n.func.attr if isinstance(n.func, ast.Attribute) else None)
-            if name in REQUEST_RECORDS:
+            if name in records:
                 found.append((name, n.lineno))
     return sorted(found, key=lambda f: f[1])
 
@@ -211,3 +222,31 @@ def test_request_records_are_built_only_by_the_protocol_module():
              for path in sorted(SRC.rglob("*.py")) if path != protocol
              for name, line in record_calls(path.read_text())]
     assert found == []
+
+
+def test_observations_are_built_only_by_the_sensor():
+    """One ray record: the fan's columns come from ``sense`` alone, and every
+    other layer reads or hands on the observation it made."""
+    sensing = SRC / "sensing.py"
+    assert record_calls(sensing.read_text(), {"Observation"}) != []
+    found = [(str(path.relative_to(SRC)), name, line)
+             for path in sorted(SRC.rglob("*.py")) if path != sensing
+             for name, line in record_calls(path.read_text(), {"Observation"})]
+    assert found == []
+
+
+def test_one_fan_shares_one_tuple_of_bearings():
+    """Observations of one fan share its bearings, and their contexts share
+    the bearings in degrees: a step that rebuilt the fan would not."""
+    world, body = empty_world(10.0, 8.0), AgentBody()
+    goal = GoalSpec.name_goal("chair")
+    a = sense(world, make_pose(5.0, 4.0, 0.0), body, n_rays=31, step=1)
+    b = sense(world, make_pose(3.0, 2.0, 75.0), body, n_rays=31, step=2)
+    assert a.thetas is b.thetas
+    ctx_a, ctx_b = (request_context(obs, "s", goal) for obs in (a, b))
+    assert ctx_a.theta_deg is ctx_b.theta_deg
+    assert len(ctx_a.theta_deg) == 31
+    # another fan has bearings of its own
+    c = sense(world, make_pose(5.0, 4.0, 0.0), body, n_rays=21, step=3)
+    assert c.thetas is not a.thetas
+    assert request_context(c, "s", goal).theta_deg is not ctx_a.theta_deg

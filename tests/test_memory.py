@@ -31,7 +31,8 @@ from dynav.policy import apply_memory_ops, memory_cut, memory_excerpt
 from dynav.sensing import Observation
 from dynav.world import SemanticObject
 
-from conftest import MISSING, dotted, json_values, replaced, replacements, same_content
+from conftest import (MISSING, dotted, json_values, replaced, replacements, same_content,
+                      with_rays)
 
 NAMES = ("lamp", "sofa", "door", "sink", "oven", "rug")
 ATTRS = ("red", "tall", "metal", "soft")
@@ -296,7 +297,7 @@ def text_recall(ctx):
     return best
 
 
-_OBS = Observation(Pose(5.0, 5.0, 0.0), (), math.pi)
+_OBS = with_rays(Observation, (), pose=Pose(5.0, 5.0, 0.0), fov=math.pi)
 
 
 def wire_context(g, goal, cfg=RunConfig()):
@@ -441,7 +442,8 @@ def test_a_reply_may_name_anything_but_the_empty_string(caplog):
     """Memory ops with any name, attribute or relation land; one with an
     empty one is dropped as malformed where the node or edge would be made."""
     request = DecisionRequest(
-        SCORE, RequestContext("s", 1, "tv", GoalSpec.name_goal("tv"), (0.0, 0.0, 0.0), ()),
+        SCORE, with_rays(RequestContext, (), session_id="s", step=1, goal_text="tv",
+                         goal=GoalSpec.name_goal("tv"), pose=(0.0, 0.0, 0.0)),
         (WireCandidate(1, 1.0, 0.0),), "goal-name/3")
     names = ("a. b", "tv.", "tv (old)", "lamp at (9.0, 9.0)", "look at", "at", "tv(old)")
     attributes = ("red, tall", "x)", " red", "red\n", "# at (1.0")

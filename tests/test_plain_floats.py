@@ -20,7 +20,7 @@ from dynav.goals import GoalSpec
 from dynav.world import OBSTACLE, SemanticObject, WorldMap
 from dynav.worldgen import WorldGenSpec, generate_world, random_free_pose
 
-from conftest import empty_world
+from conftest import empty_world, rays_of
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -55,7 +55,7 @@ def _non_floats(world, result, outcomes, graphs):
     values += [("goal", v) for g in result.goal_results for v in (g.path_length, g.shortest)]
     for o in outcomes:
         values += [("pose", v) for v in (o.observation.pose.x, o.observation.pose.y)]
-        values += [("depth", r.depth) for r in o.observation.rays]
+        values += [("depth", r.depth) for r in rays_of(o.observation)]
         values += [("candidate", v) for c in o.candidates.candidates for v in (c.r, c.theta)]
         values += [("score", s) for s in o.decision.scores.values()]
         values += [("s_stop", o.decision.s_stop), ("traveled", o.traveled)]

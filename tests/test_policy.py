@@ -46,7 +46,7 @@ from dynav.proposer import (Adjustment, BoundaryPoint, Candidate, CandidateSet, 
 from dynav.sensing import sense, traversability_mask
 from dynav.world import SemanticObject
 
-from conftest import empty_world, instance_goal, make_pose
+from conftest import empty_world, instance_goal, make_pose, rays_of
 
 
 class Scripted:
@@ -204,7 +204,8 @@ def adjustment_set(obs):
     """Four candidates 0.35 rad or more apart on a boundary of 5 m, except
     1 m on ray 9 (about -0.114 rad), with ids 1..4 at -0.5, 0.0, 0.35 and
     just inside the right edge of the field of view."""
-    points = [BoundaryPoint(1.0 if i == 9 else 5.0, ray.theta) for i, ray in enumerate(obs.rays)]
+    points = [BoundaryPoint(1.0 if i == 9 else 5.0, ray.theta)
+              for i, ray in enumerate(rays_of(obs))]
     cands = [Candidate(1, 4.0, -0.5), Candidate(2, 4.0, 0.0), Candidate(3, 4.0, 0.35),
              Candidate(4, 4.0, obs.fov / 2 - 0.02)]
     return cands, points

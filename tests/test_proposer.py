@@ -17,7 +17,7 @@ from dynav.proposer import (
 )
 from dynav.sensing import sense
 
-from conftest import make_pose
+from conftest import make_pose, rays_of
 
 DEG = math.radians(1.0)
 
@@ -156,8 +156,8 @@ def test_boundary_masking(box_world, body):
     obs = sense(box_world, make_pose(5.0, 4.0, 0.0), body, n_rays=5)
     pts = boundary(obs, [True] * 5)
     assert len(pts) == 5
-    assert [p.theta for p in pts] == [r.theta for r in obs.rays]
-    assert [p.r for p in pts] == [r.depth for r in obs.rays]
+    assert [p.theta for p in pts] == [r.theta for r in rays_of(obs)]
+    assert [p.r for p in pts] == [r.depth for r in rays_of(obs)]
 
     pts = boundary(obs, [True, False, True, False, True])
     assert len(pts) == 3

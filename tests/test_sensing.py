@@ -10,7 +10,7 @@ from dynav.geometry import AgentBody, Pose
 from dynav.sensing import DEFAULT_FOV, sense, traversability_mask
 from dynav.world import OBSTACLE, SemanticObject
 
-from conftest import empty_world, make_pose
+from conftest import empty_world, make_pose, rays_of
 
 STEP = 5e-4  # reference march step; bounds the depth error of the oracle
 
@@ -42,7 +42,7 @@ def test_depth_matches_dense_sampling(cluttered_world, body):
             poses.append(make_pose(x, y, rng.uniform(0.0, 360.0)))
     for pose in poses:
         obs = sense(cluttered_world, pose, body, n_rays=11)
-        for ray in obs.rays:
+        for ray in rays_of(obs):
             ref = brute_depth(cluttered_world, pose.x, pose.y,
                               pose.heading + ray.theta, body.max_sense)
             expected = min(ref, body.max_sense)
@@ -52,33 +52,33 @@ def test_depth_matches_dense_sampling(cluttered_world, body):
 def test_frozen_depths(box_world, plant_world, body):
     # facing +x from the center of the 10x8 box: wall face at x = 9.9
     obs = sense(box_world, make_pose(5.0, 4.0, 0.0), body, n_rays=61)
-    center = obs.rays[30]
+    center = rays_of(obs)[30]
     assert center.theta == pytest.approx(0.0, abs=1e-12)
     assert center.depth == pytest.approx(4.9, abs=1e-9)
     assert center[2:] == ("wall", (), ())
 
     # plant disc center (8, 4) radius 0.3 dead ahead: 3.0 - 0.3
     obs = sense(plant_world, make_pose(5.0, 4.0, 0.0), body, n_rays=61)
-    center = obs.rays[30]
+    center = rays_of(obs)[30]
     assert center.depth == pytest.approx(2.7, abs=1e-9)
     assert center[2:] == ("plant_1", ("green",), ())
 
     # facing +y: wall face at y = 7.9
     obs = sense(box_world, make_pose(5.0, 4.0, 90.0), body, n_rays=61)
-    assert obs.rays[30].depth == pytest.approx(3.9, abs=1e-9)
+    assert rays_of(obs)[30].depth == pytest.approx(3.9, abs=1e-9)
 
 
 def test_out_of_range_reports_no_hit(body):
     world = empty_world(30.0, 8.0, walled=False)
     obs = sense(world, make_pose(2.0, 4.0, 0.0), body, n_rays=5)
-    center = obs.rays[2]
+    center = rays_of(obs)[2]
     assert center.depth == body.max_sense
     assert center[2:] == (None, (), ())
 
 
 def test_ray_fan_geometry(box_world, body):
     obs = sense(box_world, make_pose(5.0, 4.0, 137.0), body, n_rays=21)
-    thetas = [r.theta for r in obs.rays]
+    thetas = [r.theta for r in rays_of(obs)]
     assert thetas[0] == pytest.approx(-DEFAULT_FOV / 2)
     assert thetas[-1] == pytest.approx(DEFAULT_FOV / 2)
     assert all(b > a for a, b in zip(thetas, thetas[1:]))
@@ -92,7 +92,7 @@ def test_occlusion_orders_by_depth(body):
     far = SemanticObject(name="far", category="chair", center=(6.0, 4.0), radius=0.3)
     world = empty_world(10.0, 8.0, objects=[near, far])
     obs = sense(world, make_pose(1.0, 4.0, 0.0), body, n_rays=3)
-    center = obs.rays[1]
+    center = rays_of(obs)[1]
     assert center[2:] == ("near", (), ("fragile", "hazard"))  # tags sorted
     assert center.depth == pytest.approx(1.7, abs=1e-9)
 
@@ -106,7 +106,7 @@ def test_wall_occludes_object(body):
 
     world = WorldMap(grid, world.resolution, [hidden])
     obs = sense(world, make_pose(2.0, 4.0, 0.0), body, n_rays=3)
-    center = obs.rays[1]
+    center = rays_of(obs)[1]
     assert center.label == "wall"
     assert center.depth == pytest.approx(3.0, abs=1e-9)
 
