@@ -262,9 +262,9 @@ def parse_response(payload: dict, request: DecisionRequest) -> DecisionResponse:
     """Validate a raw response dict against its request and normalize it.
 
     Finite out-of-range scores are clamped with a warning; structural problems
-    (wrong version, kind mismatch, unknown candidate ids, malformed fields, an
-    id that is not an integer, a number that is not a finite JSON number)
-    raise SchemaViolation.
+    (wrong version, kind mismatch, unknown candidate ids, a candidate scored
+    or adjusted twice, malformed fields, an id that is not an integer, a
+    number that is not a finite JSON number) raise SchemaViolation.
     """
     check_type(payload, dict, "a response")
     if payload.get("version") != PROTOCOL_VERSION:
@@ -301,11 +301,15 @@ def parse_response(payload: dict, request: DecisionRequest) -> DecisionResponse:
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise SchemaViolation(f"bad response payload: {e}") from e
 
-    for what, ids in (("removal", removals), ("adjustment", [a.id for a in adjustments]),
-                      ("score", scores)):
+    adjusted, scored = [a.id for a in adjustments], [e["id"] for e in lists["scores"]]
+    for what, ids in (("removal", removals), ("adjustment", adjusted), ("score", scored)):
         for i in ids:
             if i not in known:
                 raise SchemaViolation(f"{what} references unknown candidate id {i}")
+    for what, ids in (("adjustment", adjusted), ("score", scored)):
+        if len(set(ids)) != len(ids):
+            twice = next(i for i in ids if ids.count(i) > 1)
+            raise SchemaViolation(f"more than one {what} names candidate id {twice}")
     return DecisionResponse(
         kind=kind, removals=removals, adjustments=adjustments, scores=scores, s_stop=s_stop,
         memory_ops=tuple(ops),

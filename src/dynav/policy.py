@@ -97,12 +97,12 @@ def propose(obs: Observation, traversability: Sequence[bool], cfg) -> CandidateS
     """Boundary and far-first sampling; no backend call.
 
     ``cfg`` supplies alpha, theta_delta, and r_min.  The set keeps the
-    boundary points it was sampled from, which bound the adjustments of the
-    step's reply.  An observation without a traversable ray gives an empty
-    set.
+    boundary it was sampled from, which bounds the adjustments of the step's
+    reply and shares the observation's tuple of bearings.  An observation
+    without a traversable ray gives an empty set.
     """
-    points = boundary(obs, traversability)
-    return proposer.sample_initial(points, cfg.alpha, cfg.theta_delta, cfg.r_min)
+    return proposer.sample_initial(boundary(obs, traversability), cfg.alpha, cfg.theta_delta,
+                                   cfg.r_min)
 
 
 def select_action(ctx: RequestContext, obs: Observation, candidates: CandidateSet,

@@ -2,19 +2,23 @@
 
 A candidate action is a (range, bearing) pair selected from the navigable
 boundary of the current observation: per traversable ray, the farthest
-contiguous free extent.  Sampling keeps far points first while enforcing a
-minimum angular gap.  This module is pure geometry: the policy sends the
-sampled set to a decision backend, whose reply may remove or nudge candidates,
-and ``apply_filter_response`` applies the reply under safety clamps.
+contiguous free extent.  The boundary is kept as the fan's columns (a
+``Boundary``), with no record per ray.  Sampling keeps far points first while
+enforcing a minimum angular gap: points are ordered in one numpy sort, and a
+point is tested against the points already kept with one lookup in a
+per-fan table of conflicting rays.  This module is pure geometry: the policy
+sends the sampled set to a decision backend, whose reply may remove or nudge
+candidates, and ``apply_filter_response`` applies the reply under safety
+clamps.
 """
 from __future__ import annotations
 
 import logging
 import math
 from dataclasses import dataclass, field
-from itertools import compress, repeat
-from operator import gt
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .geometry import TWO_PI, angular_distance
 from .sensing import Observation
@@ -22,9 +26,26 @@ from .sensing import Observation
 log = logging.getLogger(__name__)
 
 
-class BoundaryPoint(NamedTuple):
-    r: float      # meters of contiguous traversable extent along the ray
-    theta: float  # ray bearing relative to heading, radians
+class Boundary(NamedTuple):
+    """The navigable boundary of one fan, as columns.
+
+    ``thetas`` holds the bearings of every ray of the fan (an observation's
+    own tuple, shared by every step of that fan); ``index`` the rays on the
+    boundary, in ascending order; ``depths[i]`` the extent in meters along ray
+    ``index[i]``.  ``index`` and ``depths`` are read-only numpy arrays.
+    """
+
+    thetas: Tuple[float, ...]
+    index: np.ndarray
+    depths: np.ndarray
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+EMPTY_BOUNDARY = Boundary((), _frozen(np.zeros(0, dtype=np.intp)), _frozen(np.zeros(0)))
 
 
 class Adjustment(NamedTuple):  # a backend's nudge of one candidate
@@ -52,7 +73,7 @@ class CandidateSet:
     alpha: float
     theta_delta: float
     # the boundary sampled from, which bounds adjustments (none without one)
-    points: Tuple[BoundaryPoint, ...] = field(default=(), compare=False, repr=False)
+    points: Boundary = field(default=EMPTY_BOUNDARY, compare=False, repr=False)
 
     def __post_init__(self):
         ids = [c.id for c in self.candidates]
@@ -72,7 +93,7 @@ class CandidateSet:
         return len(self.candidates)
 
 
-def boundary(obs: Observation, traversability: Sequence[bool]) -> List[BoundaryPoint]:
+def boundary(obs: Observation, traversability: Sequence[bool]) -> Boundary:
     """Navigable boundary: one point per traversable ray at its sensed depth.
 
     The first non-traversable surface terminates the contiguous extent, which
@@ -82,53 +103,117 @@ def boundary(obs: Observation, traversability: Sequence[bool]) -> List[BoundaryP
     """
     if len(traversability) != obs.n_rays:
         raise ValueError("mask length must equal the ray count")
-    # the columns zipped with the mask in C-level passes; BoundaryPoint._make
-    # of each kept row without a Python-level call per ray
-    depths = list(compress(obs.depths, traversability))
-    rows = zip(depths, compress(obs.thetas, traversability))
-    return list(map(tuple.__new__, repeat(BoundaryPoint),
-                    compress(rows, map(gt, depths, repeat(0.0)))))
+    depths = np.fromiter(obs.depths, float, obs.n_rays)
+    keep = depths > 0.0
+    if not all(traversability):
+        keep &= np.fromiter(traversability, bool, obs.n_rays)
+    index = np.flatnonzero(keep)
+    return Boundary(obs.thetas, _frozen(index), _frozen(depths[index]))
 
 
-def sample_initial(points: Sequence[BoundaryPoint], alpha: float, theta_delta: float,
+class _ConflictTable:
+    """Which rays of a fan lie too close to each other for ``theta_delta``.
+
+    ``row(k)`` is an int whose byte p (little-endian) is 1 when ray p may not
+    be kept next to a kept ray k and 0 otherwise: a conflict is
+    ``not abs((theta_p - theta_k + pi) % TWO_PI - pi) >= theta_delta``, the
+    float operations of ``angular_distance(theta_p, theta_k)`` in the same
+    order (numpy's element-wise operations round as the scalar ones do), so
+    a NaN distance is a conflict.  OR-ed rows turn into ``bytes`` that answer
+    "does ray p conflict with a kept ray" with one lookup.  Rows are built
+    when first asked for.
+    ``rank`` orders the rays by ``(abs(theta), theta)``; rays with equal keys
+    (-0.0 and 0.0, a repeated bearing) share a rank.
+    """
+
+    __slots__ = ("thetas", "theta_delta", "rank", "rows", "_array")
+
+    def __init__(self, thetas: Tuple[float, ...], theta_delta: float):
+        self.thetas = thetas
+        self.theta_delta = theta_delta
+        keys = [(abs(theta), theta) for theta in thetas]
+        self.rank = np.empty(len(thetas), dtype=np.intp)
+        level, prev = -1, None
+        for i in sorted(range(len(thetas)), key=keys.__getitem__):
+            if keys[i] != prev:
+                level, prev = level + 1, keys[i]
+            self.rank[i] = level
+        self.rows: List[Optional[int]] = [None] * len(thetas)
+        self._array = np.array(thetas, dtype=float)
+
+    def row(self, k: int) -> int:
+        row = self.rows[k]
+        if row is None:
+            with np.errstate(invalid="ignore"):
+                far = np.abs((self._array - self.thetas[k] + math.pi) % TWO_PI - math.pi) \
+                    >= self.theta_delta
+            row = self.rows[k] = int.from_bytes((~far).tobytes(), "little")
+        return row
+
+
+# conflict tables keyed on the identity of the fan's tuple of bearings, not
+# on its value (equal tuples may differ in the sign of a zero), and on
+# theta_delta.  Each entry holds that tuple, so no other tuple can take its id.
+_CONFLICT_TABLES: Dict[Tuple[int, float], _ConflictTable] = {}
+_CONFLICT_TABLES_MAX = 64
+
+
+def _conflict_table(thetas: Tuple[float, ...], theta_delta: float) -> _ConflictTable:
+    key = (id(thetas), theta_delta)
+    table = _CONFLICT_TABLES.get(key)
+    if table is None:
+        if len(_CONFLICT_TABLES) >= _CONFLICT_TABLES_MAX:
+            _CONFLICT_TABLES.clear()
+        table = _CONFLICT_TABLES[key] = _ConflictTable(thetas, theta_delta)
+    return table
+
+
+def sample_initial(points: Boundary, alpha: float, theta_delta: float,
                    r_min: float) -> CandidateSet:
     """Greedy far-first selection with a minimum angular gap.
 
     Points are scaled by the safety factor alpha, those falling under r_min
     are dropped, and the rest are kept in descending-range order provided they
     sit at least theta_delta away from every already-kept point.  Range ties
-    prefer straight ahead (smaller |theta|), then smaller theta.  Ids are
-    assigned 1..n in ascending bearing order.
+    prefer straight ahead (smaller |theta|), then smaller theta, then the
+    earlier ray.  Ids are assigned 1..n in ascending bearing order.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     if theta_delta < 0:
         raise ValueError("theta_delta must be >= 0")
-    scaled = [(r * alpha, theta) for r, theta in points if r * alpha >= r_min]
-    scaled.sort(key=lambda rt: (-rt[0], abs(rt[1]), rt[1]))
-    pi = math.pi
-    kept: List[Tuple[float, float]] = []
-    for r, theta in scaled:
-        for _, k_theta in kept:
-            # angular_distance(theta, k_theta) inlined: the same float
-            # operations in the same order, so the same bits; "not >=" keeps
-            # its handling of NaN
-            if not abs((theta - k_theta + pi) % TWO_PI - pi) >= theta_delta:
-                break
-        else:
-            kept.append((r, theta))
-    kept.sort(key=lambda rt: rt[1])
-    cands = tuple(Candidate(i + 1, r, theta) for i, (r, theta) in enumerate(kept))
-    return CandidateSet(cands, alpha, theta_delta, tuple(points))
+    thetas = points.thetas
+    table = _conflict_table(thetas, theta_delta)
+    scaled = points.depths * alpha
+    usable = scaled >= r_min
+    rs = scaled[usable]
+    index = points.index[usable]
+    # a stable sort by range, descending, then by the tie rank
+    order = np.lexsort((table.rank[index], -rs))
+    n = len(thetas)
+    blocked, conflicts = 0, bytes(n)  # byte p: ray p conflicts with a kept ray
+    kept: List[Tuple[int, float]] = []
+    for k, r in zip(index[order].tolist(), rs[order].tolist()):
+        if not conflicts[k]:
+            kept.append((k, r))
+            blocked |= table.row(k)
+            conflicts = blocked.to_bytes(n, "little")
+    kept_thetas = [thetas[k] for k, _ in kept]
+    by_bearing = sorted(range(len(kept)), key=kept_thetas.__getitem__)
+    cands = tuple(Candidate(i + 1, kept[j][1], kept_thetas[j])
+                  for i, j in enumerate(by_bearing))
+    return CandidateSet(cands, alpha, theta_delta, points)
 
 
-def _boundary_limit(points: Sequence[BoundaryPoint], theta: float, gap: float) -> float:
+def _boundary_limit(points: Boundary, theta: float, gap: float) -> float:
     """Conservative traversable extent at an arbitrary bearing.
 
     Takes the minimum extent over boundary points within one ray spacing of
     the bearing; -inf when no boundary support exists there.
     """
-    near = [p.r for p in points if angular_distance(p.theta, theta) <= gap]
+    thetas = points.thetas
+    near = [r for r, k in zip(points.depths.tolist(), points.index.tolist())
+            if angular_distance(thetas[k], theta) <= gap]
     return min(near) if near else -math.inf
 
 
@@ -149,6 +234,7 @@ def apply_filter_response(initial: CandidateSet, removals: Sequence[int],
     adj_by_id = {a.id: a for a in adjustments}
 
     out: List[Candidate] = []
+    moved = False
     for c in survivors:
         a = adj_by_id.get(c.id)
         if a is None:
@@ -165,6 +251,9 @@ def apply_filter_response(initial: CandidateSet, removals: Sequence[int],
             out.append(c)
             continue
         out.append(Candidate(c.id, a.r, a.theta))
+        moved = True
+    if not moved:  # the check below reverts only a moved candidate
+        return CandidateSet(tuple(out), initial.alpha, initial.theta_delta, initial.points)
 
     # re-validate pairwise separation after adjustments, in id order; a
     # violating adjustment reverts to the original candidate

@@ -3,9 +3,11 @@
 ``sense`` casts ``n_rays`` rays uniformly across the field of view and returns
 the fan as columns: per ray, the exact distance to the first blocking surface
 (obstacle cell or object disc) capped at the sensing range, and the index of
-what was hit in a table of the distinct hits.  The wire carries the same
-columns and table (``dynav.backends.protocol``), so no layer builds a record
-per ray.
+what was hit in a table of the distinct hits.  The only per-ray Python loop
+is the grid walk, which yields the wall distance; the ray set-up, the object
+discs and the choice of depth and hit are numpy passes over the whole fan.
+The wire carries the same columns and table (``dynav.backends.protocol``),
+so no layer builds a record per ray.
 """
 from __future__ import annotations
 
@@ -61,27 +63,29 @@ class Observation:
 
 
 def _object_raycast(world: WorldMap, x0: float, y0: float, dx: np.ndarray, dy: np.ndarray,
-                    t_max: float) -> Tuple[List[float], List[int]]:
+                    t_max: float) -> Tuple[np.ndarray, np.ndarray]:
     """Per ray, the nearest positive ray-disc intersection among all objects.
 
     Returns the distances (inf on a miss) and the object indices (-1 on a
-    miss).  Rays are processed together, one object at a time; each ray sees
-    the same operations, in the same order, as a ray-by-ray loop would do.
+    miss).  All objects and rays are cast in one (objects x rays) broadcast;
+    each pair sees the same operations, in the same order, as a scalar ray-disc
+    test would do, and the first least distance wins, as a per-object scan
+    that replaces its best only on a strictly nearer hit would decide.
     """
-    best_t = np.full(len(dx), math.inf)
-    best_i = np.full(len(dx), -1)
-    for i, obj in enumerate(world.objects):
-        ocx = obj.center[0] - x0
-        ocy = obj.center[1] - y0
-        b = ocx * dx + ocy * dy
-        disc = b * b - (ocx * ocx + ocy * ocy - obj.radius * obj.radius)
-        # a disc at or below _TIE is a miss; clamping it keeps sqrt defined
-        t = b - np.sqrt(np.maximum(disc, 0.0))
-        # t <= 1e-9: behind the sensor, or the sensor sits inside the disc
-        hit = (disc > _TIE) & (t > 1e-9) & (t <= t_max) & (t < best_t)
-        best_t[hit] = t[hit]
-        best_i[hit] = i
-    return best_t.tolist(), best_i.tolist()
+    if not world.objects:
+        return np.full(len(dx), math.inf), np.full(len(dx), -1)
+    ocx = np.array([obj.center[0] for obj in world.objects], dtype=float)[:, None] - x0
+    ocy = np.array([obj.center[1] for obj in world.objects], dtype=float)[:, None] - y0
+    radius = np.array([obj.radius for obj in world.objects], dtype=float)[:, None]
+    b = ocx * dx + ocy * dy
+    disc = b * b - (ocx * ocx + ocy * ocy - radius * radius)
+    # a disc at or below _TIE is a miss; clamping it keeps sqrt defined
+    t = b - np.sqrt(np.maximum(disc, 0.0))
+    # t <= 1e-9: behind the sensor, or the sensor sits inside the disc
+    t[~((disc > _TIE) & (t > 1e-9) & (t <= t_max))] = math.inf
+    first = t.argmin(axis=0)
+    best_t = t[first, np.arange(len(dx))]
+    return best_t, np.where(best_t < math.inf, first, -1)
 
 
 @functools.lru_cache(maxsize=64, typed=True)
@@ -97,8 +101,9 @@ def sense(world: WorldMap, pose: Pose, body: AgentBody, n_rays: int,
           fov: float = DEFAULT_FOV, step: int = 0) -> Observation:
     """Cast a fan of rays from the pose and report depth plus semantic hits.
 
-    The walk appends one depth and one hit code per ray; the table of
-    distinct hits is built from the codes once the fan is done.
+    The walk appends one wall distance per ray; depth and hit code are then
+    chosen for all rays at once, and the table of distinct hits is built
+    from the codes.
 
     Ray angles are strictly increasing and span exactly [-fov/2, +fov/2].
     Depth is the distance to the first obstacle cell or object disc along the
@@ -120,10 +125,10 @@ def sense(world: WorldMap, pose: Pose, body: AgentBody, n_rays: int,
     d_max = body.max_sense
     thetas, rel_thetas = _fan(n_rays, fov)
     # math.cos/sin, not numpy's: they round differently in the last bit
-    dxs = [math.cos(pose.heading + theta) for theta in thetas]
-    dys = [math.sin(pose.heading + theta) for theta in thetas]
-    dx_arr, dy_arr = np.array(dxs), np.array(dys)
-    t_objs, obj_is = _object_raycast(world, x0, y0, dx_arr, dy_arr, d_max)
+    angles = list(map(pose.heading.__add__, thetas))
+    dx_arr = np.fromiter(map(math.cos, angles), float, n_rays)
+    dy_arr = np.fromiter(map(math.sin, angles), float, n_rays)
+    t_obj, obj_i = _object_raycast(world, x0, y0, dx_arr, dy_arr, d_max)
 
     res = world.resolution
     ix = int(x0 / res)
@@ -137,21 +142,20 @@ def sense(world: WorldMap, pose: Pose, body: AgentBody, n_rays: int,
         dt_ys = (res / np.abs(dy_arr)).tolist()
     cells = world.framed_cells()
     stride = world.width_cells + 2
+    # per ray, the flat-index step along x, along y, and across a corner
+    step_xs = np.where(dx_arr > 0, 1, -1)
+    step_ys = np.where(dy_arr > 0, stride, -stride)
     k0 = (iy + 1) * stride + ix + 1
     start = cells[k0]
-    depths: List[float] = []
-    codes: List[int] = []  # an object's index, _WALL or _NOTHING
-    for dx, dy, t_next_x, dt_x, t_next_y, dt_y, t_obj, obj_i in zip(
-            dxs, dys, t_next_xs, dt_xs, t_next_ys, dt_ys, t_objs, obj_is):
-        if start:  # an obstacle, or the frame when rounding puts the start past the edge
-            t_wall = 0.0 if start == OBSTACLE else math.inf
-        else:
-            # a wall only matters up to the object the ray already hits
-            t_max = min(d_max, t_obj)
+    if start:  # an obstacle, or the frame when rounding puts the start past the edge
+        t_wall = np.full(n_rays, 0.0 if start == OBSTACLE else math.inf)
+    else:
+        walls: List[float] = []
+        # a wall only matters up to the object the ray already hits
+        for step_x, step_y, step_xy, t_max, t_next_x, dt_x, t_next_y, dt_y in zip(
+                step_xs.tolist(), step_ys.tolist(), (step_xs + step_ys).tolist(),
+                np.minimum(t_obj, d_max).tolist(), t_next_xs, dt_xs, t_next_ys, dt_ys):
             # walk the flat index: one cell along x, along y, or both at a corner
-            step_x = 1 if dx > 0 else -1
-            step_y = stride if dy > 0 else -stride
-            step_xy = step_x + step_y
             k = k0
             while True:
                 if t_next_x < t_next_y - _TIE:
@@ -168,21 +172,20 @@ def sense(world: WorldMap, pose: Pose, body: AgentBody, n_rays: int,
                     t_next_y += dt_y
                     k += step_xy
                 if t_enter > t_max:
-                    t_wall = math.inf
+                    walls.append(math.inf)
                     break
                 cell = cells[k]
                 if cell:  # an obstacle, or the frame past the grid's edge
-                    t_wall = t_enter if cell == OBSTACLE else math.inf
+                    walls.append(t_enter if cell == OBSTACLE else math.inf)
                     break
-        if obj_i >= 0 and t_obj <= t_wall:
-            depths.append(t_obj)
-            codes.append(obj_i)
-        elif t_wall <= d_max:
-            depths.append(t_wall)
-            codes.append(_WALL)
-        else:
-            depths.append(d_max)
-            codes.append(_NOTHING)
+        t_wall = np.array(walls)
+    # per ray: the object when it lies no farther than the wall, else the
+    # wall within range, else nothing at the sensing range; np.where copies
+    # the chosen values bit for bit
+    on_object = (obj_i >= 0) & (t_obj <= t_wall)
+    on_wall = t_wall <= d_max
+    depths = np.where(on_object, t_obj, np.where(on_wall, t_wall, d_max)).tolist()
+    codes = np.where(on_object, obj_i, np.where(on_wall, _WALL, _NOTHING)).tolist()
     # object names are unique and never "wall", so distinct codes are
     # distinct entries; dict order is the order of first appearance
     index = {code: i for i, code in enumerate(dict.fromkeys(codes))}

@@ -1,5 +1,5 @@
 """Shared fixtures and helpers: small deterministic worlds, goals and graph
-equality, ray fans written as rows, and JSON fuzzing."""
+equality, ray fans and boundaries written as rows, and JSON fuzzing."""
 from __future__ import annotations
 
 import copy
@@ -16,6 +16,7 @@ from dynav.config import RunConfig
 from dynav.geometry import AgentBody, Pose
 from dynav.goals import INSTANCE, GoalSpec
 from dynav.memory import MemoryGraph
+from dynav.proposer import Boundary
 from dynav.sensing import Observation
 from dynav.world import OBSTACLE, SemanticObject, WorldMap
 
@@ -131,6 +132,27 @@ def rays_of(x) -> List[Row]:
     thetas, depths = ((x.thetas, x.depths) if isinstance(x, Observation)
                       else (x.theta_deg, x.distance_m))
     return [Row(t, d, *x.hits[h]) for t, d, h in zip(thetas, depths, x.hit)]
+
+
+class Point(NamedTuple):
+    """One point of a boundary as a test writes or reads it: the extent in
+    meters and the bearing in radians."""
+    r: float
+    theta: float
+
+
+def boundary_of(points) -> Boundary:
+    """The ``Boundary`` of a fan whose ray i has bearing ``points[i][1]`` and
+    extent ``points[i][0]``, every ray on the boundary, in the order given."""
+    points = [Point(*p) for p in points]
+    index, depths = np.arange(len(points)), np.array([p.r for p in points], dtype=float)
+    index.flags.writeable = depths.flags.writeable = False
+    return Boundary(tuple(p.theta for p in points), index, depths)
+
+
+def points_of(b: Boundary) -> List[Point]:
+    """The points of a boundary, in its order."""
+    return [Point(r, b.thetas[k]) for r, k in zip(b.depths.tolist(), b.index.tolist())]
 
 
 # -- fuzzing: arbitrary JSON, and valid payloads with one field replaced -------

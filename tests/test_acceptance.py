@@ -40,7 +40,6 @@ from dynav.planning import SQRT2, goal_cells, shortest_path
 from dynav.policy import propose, select_action
 from dynav.proposer import (
     Adjustment,
-    BoundaryPoint,
     Candidate,
     CandidateSet,
     apply_filter_response,
@@ -51,7 +50,7 @@ from dynav.sensing import sense
 from dynav.world import OBSTACLE, SemanticObject, WorldMap
 from dynav.worldgen import WorldGenSpec, generate_world, random_free_pose
 
-from conftest import empty_world, random_grid_world
+from conftest import Point, boundary_of, empty_world, random_grid_world
 
 
 def _verdict(k, label, problems):
@@ -236,12 +235,12 @@ def test_3_candidate_sampling_invariants_in_bulk():
         fov = math.radians(rng.uniform(20.0, 300.0))
         n = rng.randrange(3, 61)
         thetas = [-fov / 2 + fov * i / (n - 1) for i in range(n)]
-        points = [BoundaryPoint(0.0 if rng.random() < 0.1 else rng.uniform(0.0, 12.0), t)
+        points = [Point(0.0 if rng.random() < 0.1 else rng.uniform(0.0, 12.0), t)
                   for t in thetas]
         alpha = rng.uniform(0.2, 1.0)
         theta_delta = math.radians(rng.uniform(0.0, 40.0))
         r_min = rng.uniform(0.0, 0.5)
-        out = sample_initial(points, alpha, theta_delta, r_min)
+        out = sample_initial(boundary_of(points), alpha, theta_delta, r_min)
         got = [(round(c.r, 12), round(c.theta, 12)) for c in out.candidates]
         ref = [(round(r, 12), round(t, 12))
                for r, t in _reference_sample(points, alpha, theta_delta, r_min)]

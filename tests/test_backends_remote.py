@@ -50,12 +50,12 @@ from dynav.geometry import AgentBody
 from dynav.goals import DESCRIPTION, INSTANCE, NAME, GoalSpec
 from dynav.memory import MemoryNode, render
 from dynav.policy import AgentState, step
-from dynav.proposer import Adjustment, BoundaryPoint, Candidate, CandidateSet
+from dynav.proposer import Adjustment, Candidate, CandidateSet
 from dynav.sensing import sense
 from dynav.worldgen import WorldGenSpec, generate_world, random_free_pose
 
-from conftest import (MISSING, Row, dotted, json_values, make_pose, rays_of, replaced, replacements,
-                      with_rays)
+from conftest import (MISSING, Row, boundary_of, dotted, json_values, make_pose, rays_of, replaced,
+                      replacements, with_rays)
 
 
 CHAIR = GoalSpec.name_goal("chair")
@@ -229,6 +229,11 @@ def test_parse_response_structural_errors():
         parse_response(ok_body(scores=[{"id": 1, "s": "high"}]), req)
     with pytest.raises(SchemaViolation):
         parse_response(ok_body(memory_ops=[{"op": "forget_everything"}]), req)
+    with pytest.raises(SchemaViolation, match="more than one score names candidate id 1"):
+        parse_response(ok_body(scores=[{"id": 1, "s": 0.9}, {"id": 1, "s": 0.1}]), req)
+    with pytest.raises(SchemaViolation, match="more than one adjustment names candidate id 2"):
+        parse_response(ok_body(adjustments=[{"id": 2, "r_m": 1.0, "theta_deg": 0.0},
+                                            {"id": 2, "r_m": 1.5, "theta_deg": 1.0}]), req)
 
 
 def test_parse_response_memory_ops_and_defaults():
@@ -865,7 +870,7 @@ def test_request_dict_round_trip_of_a_real_step(cluttered_world):
         assert DecisionRequest.from_dict(json.loads(encode_request(req))) == req
 
 
-@pytest.mark.parametrize("record", [BoundaryPoint(2.0, 0.1), WireCandidate(1, 2.0, 5.0)],
+@pytest.mark.parametrize("record", [boundary_of([(2.0, 0.1)]), WireCandidate(1, 2.0, 5.0)],
                          ids=lambda record: type(record).__name__)
 def test_per_ray_records_are_immutable(record):
     for name in record._fields:

@@ -3,7 +3,8 @@ the world and goals know nothing of the graph memory, the oracle reads only
 the wire records, the clearance kernels stay inside the world module, the
 package runs on numpy alone, no code writes into a frozen record it did not
 build, only the protocol module builds request records, only the sensor
-builds observations, and a fan's bearings are built once, not per step.
+builds observations, a fan's bearings are built once, not per step, and the
+proposer hands them on in its boundary without a record per ray.
 
 ``dynav.backends.protocol`` imports ``dynav.proposer`` for ``CandidateSet``;
 an import in the other direction, even one deferred into a function, would
@@ -19,8 +20,10 @@ from pathlib import Path
 import pytest
 
 from dynav.backends.protocol import request_context
+from dynav.config import RunConfig
 from dynav.geometry import AgentBody
 from dynav.goals import GoalSpec
+from dynav.policy import propose
 from dynav.sensing import sense
 
 from conftest import empty_world, make_pose
@@ -250,3 +253,32 @@ def test_one_fan_shares_one_tuple_of_bearings():
     c = sense(world, make_pose(5.0, 4.0, 0.0), body, n_rays=21, step=3)
     assert c.thetas is not a.thetas
     assert request_context(c, "s", goal).theta_deg is not ctx_a.theta_deg
+
+
+def test_propose_hands_on_the_observations_bearings():
+    """The boundary a step samples from holds the fan's own tuple of
+    bearings: a proposer that rebuilt the fan per step would not."""
+    world, body = empty_world(10.0, 8.0), AgentBody()
+    for i in range(3):
+        obs = sense(world, make_pose(2.0 + 2.0 * i, 4.0, 60.0 * i), body, n_rays=31, step=i)
+        cands = propose(obs, [True] * 31, RunConfig())
+        assert len(cands) > 0 and cands.points.thetas is obs.thetas
+
+
+# what one instance of each class of proposer.py stands for: none is built per ray
+PROPOSER_CLASSES = {
+    "Boundary": "the boundary of one fan, as columns",
+    "Adjustment": "a reply's nudge of one candidate",
+    "Candidate": "one sampled candidate",
+    "CandidateSet": "one step's candidates",
+    "_ConflictTable": "one fan at one theta_delta",
+}
+RECORD_FACTORIES = {"namedtuple", "NamedTuple", "make_dataclass"}
+
+
+def test_proposer_defines_no_per_ray_record():
+    tree = ast.parse((SRC / "proposer.py").read_text())
+    assert {n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)} == set(PROPOSER_CLASSES)
+    factories = [name for name, _ in record_calls((SRC / "proposer.py").read_text(),
+                                                  RECORD_FACTORIES)]
+    assert factories == []

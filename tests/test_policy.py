@@ -41,12 +41,12 @@ from dynav.policy import (
     select_action,
     step,
 )
-from dynav.proposer import (Adjustment, BoundaryPoint, Candidate, CandidateSet, boundary,
-                            sample_initial)
+from dynav.proposer import Adjustment, Candidate, CandidateSet, boundary, sample_initial
 from dynav.sensing import sense, traversability_mask
 from dynav.world import SemanticObject
 
-from conftest import empty_world, instance_goal, make_pose, rays_of
+from conftest import (Point, boundary_of, empty_world, instance_goal, make_pose, points_of,
+                      rays_of)
 
 
 class Scripted:
@@ -86,7 +86,7 @@ def ctx_of(obs):
 def select_with(candidates, obs, backend, cfg, streak, points=()):
     """select_action on a hand-made candidate set: (decision, survivors, memory ops)."""
     cset = CandidateSet(tuple(candidates), alpha=0.8, theta_delta=math.radians(15.0),
-                        points=tuple(points))
+                        points=boundary_of(points))
     return select_action(ctx_of(obs), obs, cset, TEMPLATES["name"], backend, cfg, streak)
 
 
@@ -204,7 +204,7 @@ def adjustment_set(obs):
     """Four candidates 0.35 rad or more apart on a boundary of 5 m, except
     1 m on ray 9 (about -0.114 rad), with ids 1..4 at -0.5, 0.0, 0.35 and
     just inside the right edge of the field of view."""
-    points = [BoundaryPoint(1.0 if i == 9 else 5.0, ray.theta)
+    points = [Point(1.0 if i == 9 else 5.0, ray.theta)
               for i, ray in enumerate(rays_of(obs))]
     cands = [Candidate(1, 4.0, -0.5), Candidate(2, 4.0, 0.0), Candidate(3, 4.0, 0.35),
              Candidate(4, 4.0, obs.fov / 2 - 0.02)]
@@ -297,7 +297,7 @@ def test_propose_samples_the_boundary_without_a_backend_call(box_world, body, ru
     points = boundary(obs, [True] * 21)
     out = propose(obs, [True] * 21, run_cfg)
     assert out == sample_initial(points, run_cfg.alpha, run_cfg.theta_delta, run_cfg.r_min)
-    assert len(out) > 0 and out.points == tuple(points)
+    assert len(out) > 0 and points_of(out.points) == points_of(points)
 
 
 SIGN = SemanticObject(name="sign_1", category="sign", center=(5.0, 1.2), radius=0.25,
