@@ -1,11 +1,13 @@
 """Wire protocol between the navigation policy and decision backends.
 
 Requests and responses are JSON with angles in degrees and distances in
-meters; both directions carry ``version: "dynav/5"``.  A request carries its
-step's rays as columns, plus one table of the distinct hits they index, and
-its goal and memory excerpt twice: as records, which a backend reads, and as
-text for a prompt.  ``RequestContext`` holds the rays in that same form, as
-the sensor's ``Observation`` does, so neither side builds a record per ray.
+meters; both directions carry ``version: PROTOCOL_VERSION``.  A request
+carries its step's rays as columns, plus one table of the distinct hits they
+index, and its goal and memory excerpt twice: as records, which a backend
+reads, and as text for a prompt.  The bearing and distance columns travel
+packed, as base64 of their float64 values.  ``RequestContext`` holds the rays
+as columns too, as the sensor's ``Observation`` does, so neither side builds
+a record per ray.
 A step sends exactly one request: ``score`` (prune/nudge the sampled
 candidates, rate the survivors and stop confidence, and optionally emit
 memory operations), or ``stop_check`` (rate stop confidence alone, for a
@@ -17,8 +19,12 @@ from __future__ import annotations
 import json
 import logging
 import math
+import struct
+from binascii import a2b_base64, b2a_base64
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import (SchemaViolation, check, check_finite, check_integer, check_location,
                       check_strings, check_type)
@@ -29,7 +35,7 @@ from ..sensing import HitEntry, Observation
 
 log = logging.getLogger(__name__)
 
-PROTOCOL_VERSION = "dynav/5"
+PROTOCOL_VERSION = "dynav/6"
 
 FILTER = "filter"
 SCORE = "score"
@@ -86,11 +92,13 @@ class RequestContext:
     constraints: Tuple[str, ...] = ()
 
     def observation(self) -> dict:
-        """The pose, the rays as three columns, and the table of hits that
-        ``rays.hit`` indexes."""
+        """The pose, the rays as three columns, the first two packed, and the
+        table of hits that ``rays.hit`` indexes.  A packed column that holds
+        anything but finite floats raises SchemaViolation."""
         return {"pose": {"x_m": self.pose[0], "y_m": self.pose[1], "heading_deg": self.pose[2]},
-                "rays": {"theta_deg": list(self.theta_deg),
-                         "distance_m": list(self.distance_m), "hit": list(self.hit)},
+                "rays": {"theta_deg": _pack(self.theta_deg, "ray theta_deg"),
+                         "distance_m": _pack(self.distance_m, "ray distance_m"),
+                         "hit": list(self.hit)},
                 "hits": [{"label": label, "attributes": list(attributes), "tags": list(tags)}
                          for label, attributes, tags in self.hits]}
 
@@ -156,30 +164,58 @@ class DecisionRequest:
             raise SchemaViolation(f"bad request payload: {e}") from e
 
 
-_NUMBER_TYPES = frozenset((float, int))
+_FLOAT = frozenset((float,))
 
 
-def _numbers(values, what: str) -> Tuple[float, ...]:
-    """A ray column of finite JSON numbers, as floats.  A valid column is
-    checked and converted in C-level passes, not per ray."""
-    types = set(map(type, check_type(values, list, what)))
+def _pack(column: Tuple[float, ...], what: str) -> str:
+    """A column of finite floats as the wire carries it: padded base64 (RFC
+    4648, standard alphabet, no line breaks) of its float64 values,
+    little-endian, in ray order."""
+    if not (set(map(type, column)) <= _FLOAT and all(map(math.isfinite, column))):
+        bad = next(v for v in column if type(v) is not float or not math.isfinite(v))
+        raise SchemaViolation(f"request cannot be encoded: {what} must hold finite floats, "
+                              f"not {bad!r:.60}")
+    return b2a_base64(struct.pack(f"<{len(column)}d", *column), newline=False).decode("ascii")
+
+
+# the last column of each name that ``_unpack`` read, and its values: every
+# request of one fan carries the same bearings, so their text repeats
+_UNPACKED: Dict[str, Tuple[str, Tuple[float, ...]]] = {}
+
+
+def _unpack(text, what: str) -> Tuple[float, ...]:
+    """The floats of a packed column.  Text that is not a string, not strict
+    padded base64 or not a whole number of float64 values, and a value that
+    is NaN or infinite, raise SchemaViolation naming the column."""
+    check(text, type(text) is str, f"{what} must be a base64 string")
+    last = _UNPACKED.get(what)
+    if last is not None and last[0] == text:
+        return last[1]
     try:
-        if types <= _NUMBER_TYPES and all(map(math.isfinite, values)):
-            return tuple(values if types == {float} else map(float, values))
-    except OverflowError:  # an integer too large for a float
-        pass
-    return tuple(check_finite(v, what) for v in values)  # raises at the first value at fault
+        raw = a2b_base64(text, strict_mode=True)
+    except ValueError as e:  # binascii.Error, or text that is not ASCII
+        raise SchemaViolation(f"{what} is not padded base64: {e}") from None
+    if len(raw) % 8:
+        raise SchemaViolation(f"{what} holds {len(raw)} bytes, not whole float64 values")
+    column = np.frombuffer(raw, "<f8")
+    finite = np.isfinite(column)
+    if not finite.all():
+        raise SchemaViolation(f"{what} is not finite: {column[~finite][0].item()!r}")
+    values = tuple(column.tolist())
+    _UNPACKED[what] = (text, values)
+    return values
 
 
 def _parse_rays(columns, hits) -> Tuple[Tuple[float, ...], Tuple[float, ...], Tuple[int, ...],
                                          Tuple[HitEntry, ...]]:
     """The ``theta_deg``, ``distance_m`` and ``hit`` columns of
     ``observation.rays`` and the table of ``observation.hits``, as parsed.  A
-    column of the wrong type or length, a malformed hits entry, or a ``hit``
-    that is not an index into the hits raises SchemaViolation."""
+    malformed packed column, a column of the wrong type or length, a
+    malformed hits entry, or a ``hit`` that is not an index into the hits
+    raises SchemaViolation."""
     check_type(columns, dict, "observation rays")
-    thetas = _numbers(columns["theta_deg"], "ray theta_deg")
-    dists = _numbers(columns["distance_m"], "ray distance_m")
+    thetas = _unpack(columns["theta_deg"], "ray theta_deg")
+    dists = _unpack(columns["distance_m"], "ray distance_m")
     index = check_type(columns["hit"], list, "ray hit")
     if not len(thetas) == len(dists) == len(index):
         raise SchemaViolation(f"ray columns differ in length: {len(thetas)} theta_deg, "
@@ -324,7 +360,8 @@ _encode = json.JSONEncoder(allow_nan=False).encode
 
 def encode_request(req: DecisionRequest) -> bytes:
     """The request body: ``json.dumps(req.to_dict(), allow_nan=False).encode()``,
-    byte for byte.  Raises SchemaViolation on a non-finite number."""
+    byte for byte.  Raises SchemaViolation on a non-finite number, and on a
+    packed ray column that holds anything but floats."""
     try:
         return _encode(req.to_dict()).encode()
     except (TypeError, ValueError) as e:

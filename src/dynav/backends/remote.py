@@ -1,8 +1,9 @@
 """HTTP client for a remote decision endpoint.
 
-POSTs each request as ``dynav/5`` JSON, whose observation carries the step's
-rays as columns plus one table of the distinct hits (docs/protocol.md), to
-the configured ``http://`` or ``https://`` URL, and validates the reply
+POSTs each request as JSON of the wire protocol's ``PROTOCOL_VERSION``,
+whose observation carries the step's rays as columns, bearings and distances
+packed, plus one table of the distinct hits (docs/protocol.md), to the
+configured ``http://`` or ``https://`` URL, and validates the reply
 against the wire schema.  A step waits on exactly one round trip: a score
 request, whose reply removes or nudges candidates, rates the survivors and
 rates stop confidence together (a step without candidates sends one

@@ -1,10 +1,16 @@
 """Shared fixtures and helpers: small deterministic worlds, goals and graph
-equality, ray fans and boundaries written as rows, and JSON fuzzing."""
+equality, ray fans and boundaries written as rows, packed wire columns, JSON
+fuzzing, and child interpreters."""
 from __future__ import annotations
 
+import base64
 import copy
 import math
 import random
+import struct
+import subprocess
+import sys
+from pathlib import Path
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -134,6 +140,18 @@ def rays_of(x) -> List[Row]:
     return [Row(t, d, *x.hits[h]) for t, d, h in zip(thetas, depths, x.hit)]
 
 
+def packed(values) -> str:
+    """A ray column as the wire carries it, built with base64 and struct
+    alone: padded base64 of its float64 values, little-endian."""
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
+
+
+def unpacked(text: str) -> List[float]:
+    """The values of a packed ray column, read with base64 and struct alone."""
+    raw = base64.b64decode(text, validate=True)
+    return list(struct.unpack(f"<{len(raw) // 8}d", raw))
+
+
 class Point(NamedTuple):
     """One point of a boundary as a test writes or reads it: the extent in
     meters and the bearing in radians."""
@@ -185,6 +203,16 @@ def replaced(valid: dict, path: tuple, value) -> dict:
 
 def dotted(path) -> str:
     return ".".join(map(str, path))
+
+
+def run_python(code: str, cwd: Optional[Path] = None) -> str:
+    """What ``python -c code`` prints, run on this checkout's ``src`` and
+    nothing else of the environment; ``-B`` keeps the child from writing
+    bytecode into the tree under test."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, "-B", "-c", code], cwd=cwd, env={"PYTHONPATH": str(src), "PATH": ""},
+        capture_output=True, text=True, check=True).stdout.strip()
 
 
 # worldgen values that WorldGenSpec.from_dict, and so the spec loader, refuses

@@ -7,10 +7,12 @@ implementations embedded below (brute-force aggregation, a sparse-graph
 shortest-path solver, and a greedy re-implementation of candidate sampling),
 not from the code under test.
 """
+import base64
 import itertools
 import json
 import math
 import random
+import struct
 import time
 from dataclasses import replace
 
@@ -493,12 +495,15 @@ def test_8_wire_protocol_conformance():
             problems.append(("request drifted on the wire", rec))
         rays = rec["observation"]["rays"]
         hit = rec["observation"]["hits"][rays["hit"][1]]
-        if not (rec["version"] == "dynav/5" and rec["kind"] == "score"
+        # the bearings and distances travel as base64 of little-endian float64s
+        theta_deg, distance_m = (struct.unpack("<3d", base64.b64decode(rays[k], validate=True))
+                                 for k in ("theta_deg", "distance_m"))
+        if not (rec["version"] == "dynav/6" and rec["kind"] == "score"
                 and rec["template_id"] == "goal-name/3"
                 and rec["goal"] == {"kind": "name", "category": "plant", "attributes": []}
                 and rec["memory"] == []
-                and hit["label"] == "plant_1" and abs(rays["distance_m"][1] - 2.7) < 1e-6
-                and rays["theta_deg"][1] == 0.0 and hit["attributes"] == ["green"]
+                and hit["label"] == "plant_1" and abs(distance_m[1] - 2.7) < 1e-6
+                and theta_deg[1] == 0.0 and hit["attributes"] == ["green"]
                 and rec["candidates"] == [{"id": 1, "r_m": 2.16, "theta_deg": 0.0}]
                 and rec["observation"]["pose"] == {"x_m": 5.0, "y_m": 4.0,
                                                    "heading_deg": 0.0}):

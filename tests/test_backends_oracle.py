@@ -24,7 +24,7 @@ from dynav.episodes import load_episode_specs, run_episode
 from dynav.errors import SchemaViolation
 from dynav.goals import DESCRIPTION, INSTANCE, GoalSpec
 
-from conftest import Row, rays_of, with_rays
+from conftest import Row, packed, rays_of, with_rays
 
 SPEC = Path(__file__).resolve().parent.parent / "specs" / "objectnav_small.json"
 
@@ -327,9 +327,11 @@ _hit_entry = st.fixed_dictionaries({
     "label": st.sampled_from((None, "wall", "chair_1", "chair_2", "sign_1", "oven_3", "")),
     "attributes": st.lists(st.sampled_from(("red", "wooden", "hazard")), max_size=2),
     "tags": st.lists(st.sampled_from(("hazard", "red")), max_size=2)})
-# values the parser refuses somewhere in a ray column or a hits entry
+# values the parser refuses somewhere in the hit column or a hits entry, and
+# in a packed column
 _bad_value = st.one_of(st.floats() | st.booleans(), _json,
                        st.sampled_from(("1e400", "-inf", "nan", "7.5", " 3 ", -1, 9)))
+_bad_float = st.sampled_from((math.nan, math.inf, -math.inf))
 # lone surrogates are valid in a JSON string
 _text = st.text(st.one_of(st.characters(), st.characters(categories=("Cs",))), max_size=6)
 _finite = st.floats(-1e6, 1e6)
@@ -345,16 +347,17 @@ def _observation(draw):
     its columns or hits is replaced by one the parser refuses."""
     hits = draw(st.lists(_hit_entry, min_size=1, max_size=4))
     n = draw(st.integers(0, 8))
-    rays = {"theta_deg": draw(st.lists(_ray_number, min_size=n, max_size=n)),
-            "distance_m": draw(st.lists(_ray_number, min_size=n, max_size=n)),
+    rays = {"theta_deg": list(map(float, draw(st.lists(_ray_number, min_size=n, max_size=n)))),
+            "distance_m": list(map(float, draw(st.lists(_ray_number, min_size=n, max_size=n)))),
             "hit": draw(st.lists(st.integers(0, len(hits) - 1), min_size=n, max_size=n))}
     if draw(st.integers(0, 3)) == 0:
         column, i = draw(st.sampled_from(sorted(rays))), draw(st.integers(0, 8))
         if i < n:
-            rays[column][i] = draw(_bad_value)
+            rays[column][i] = draw(_bad_value if column == "hit" else _bad_float)
         else:
             key = draw(st.sampled_from(("label", "attributes", "tags")))
             draw(st.sampled_from(hits))[key] = draw(_bad_value)
+    rays.update(theta_deg=packed(rays["theta_deg"]), distance_m=packed(rays["distance_m"]))
     return {"pose": draw(st.fixed_dictionaries({"x_m": _pose_number, "y_m": _pose_number,
                                                 "heading_deg": _pose_number})),
             "rays": rays, "hits": hits}
@@ -397,7 +400,8 @@ _POSE = {"x_m": 0.0, "y_m": 0.0, "heading_deg": 0.0}
 @example(payload={"version": PROTOCOL_VERSION, "kind": FILTER, "session_id": "s", "step": 0,
                   "goal": _CHAIR,
                   "observation": {"pose": _POSE,
-                                  "rays": {"theta_deg": ["inf"], "distance_m": [2.0],
+                                  "rays": {"theta_deg": packed([math.inf]),
+                                           "distance_m": packed([2.0]),
                                            "hit": [0]},
                                   "hits": [{"label": "sign_1", "attributes": [],
                                             "tags": ["hazard"]}]},
@@ -405,30 +409,32 @@ _POSE = {"x_m": 0.0, "y_m": 0.0, "heading_deg": 0.0}
 @example(payload={"version": PROTOCOL_VERSION, "kind": SCORE, "session_id": "s", "step": 0,
                   "goal": _CHAIR,
                   "observation": {"pose": _POSE,
-                                  "rays": {"theta_deg": [-1.7976931348623157e308],
-                                           "distance_m": [1e308], "hit": [0]},
+                                  "rays": {"theta_deg": packed([-1.7976931348623157e308]),
+                                           "distance_m": packed([1e308]), "hit": [0]},
                                   "hits": [{"label": "chair_1", "attributes": [],
                                             "tags": []}]},
                   "candidates": [{"id": 1, "r_m": 1.0, "theta_deg": 0.0}]})
 @example(payload={"version": PROTOCOL_VERSION, "kind": FILTER, "session_id": "s", "step": 0,
                   "goal": _CHAIR,
                   "observation": {"pose": _POSE,
-                                  "rays": {"theta_deg": [], "distance_m": [], "hit": []},
+                                  "rays": {"theta_deg": packed([]),
+                                           "distance_m": packed([]), "hit": []},
                                   "hits": []},
                   "candidates": [{"id": 1, "r_m": 1.0, "theta_deg": 0.0}],
                   "constraints": ["stay away from the oven"]})
 @example(payload={"version": PROTOCOL_VERSION, "kind": FILTER, "session_id": "s", "step": 0,
                   "goal": _CHAIR,
                   "observation": {"pose": {**_POSE, "heading_deg": -1.7976931348623157e308},
-                                  "rays": {"theta_deg": [-1.7976931348623157e308],
-                                           "distance_m": [2.0], "hit": [0]},
+                                  "rays": {"theta_deg": packed([-1.7976931348623157e308]),
+                                           "distance_m": packed([2.0]), "hit": [0]},
                                   "hits": [{"label": "sign_1", "attributes": [],
                                             "tags": ["hazard"]}]},
                   "candidates": [{"id": 1, "r_m": 1.0, "theta_deg": 0.0}]})
 @example(payload={"version": PROTOCOL_VERSION, "kind": SCORE, "session_id": "s", "step": 0,
                   "goal": _CHAIR,
                   "observation": {"pose": {**_POSE, "x_m": 1.7e308},
-                                  "rays": {"theta_deg": [0.0], "distance_m": [1.7e308],
+                                  "rays": {"theta_deg": packed([0.0]),
+                                           "distance_m": packed([1.7e308]),
                                            "hit": [0]},
                                   "hits": [{"label": "chair_1", "attributes": [],
                                             "tags": []}]},
@@ -436,7 +442,8 @@ _POSE = {"x_m": 0.0, "y_m": 0.0, "heading_deg": 0.0}
 @example(payload={"version": PROTOCOL_VERSION, "kind": SCORE, "session_id": "s", "step": 0,
                   "goal": _CHAIR,
                   "observation": {"pose": {**_POSE, "x_m": -1.7e308},
-                                  "rays": {"theta_deg": [0.0], "distance_m": [1.0],
+                                  "rays": {"theta_deg": packed([0.0]),
+                                           "distance_m": packed([1.0]),
                                            "hit": [0]},
                                   "hits": [{"label": None, "attributes": [], "tags": []}]},
                   "candidates": [{"id": 1, "r_m": 1.0, "theta_deg": 0.0}],
@@ -494,7 +501,8 @@ def stop_confidences(backend, req):
                   "goal_text": "chair (red)",
                   "goal": {"kind": "description", "category": "chair", "attributes": ["red"]},
                   "observation": {"pose": _POSE,
-                                  "rays": {"theta_deg": [-3.0, 4.0], "distance_m": [0.2, 0.25],
+                                  "rays": {"theta_deg": packed([-3.0, 4.0]),
+                                           "distance_m": packed([0.2, 0.25]),
                                            "hit": [0, 1]},
                                   "hits": [{"label": "chair_1", "attributes": [], "tags": []},
                                            {"label": "chair_2", "attributes": ["red"],

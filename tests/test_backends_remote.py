@@ -1,12 +1,11 @@
 """Wire protocol serialization plus the HTTP client against the scriptable stub."""
+import base64
 import http.client
 import json
 import logging
 import math
 import random
 import struct
-import subprocess
-import sys
 import threading
 import time
 from contextlib import closing
@@ -54,8 +53,8 @@ from dynav.proposer import Adjustment, Candidate, CandidateSet
 from dynav.sensing import sense
 from dynav.worldgen import WorldGenSpec, generate_world, random_free_pose
 
-from conftest import (MISSING, Row, boundary_of, dotted, json_values, make_pose, rays_of, replaced,
-                      replacements, with_rays)
+from conftest import (MISSING, Row, boundary_of, dotted, json_values, make_pose, packed, rays_of,
+                      replaced, replacements, run_python, unpacked, with_rays)
 
 
 CHAIR = GoalSpec.name_goal("chair")
@@ -86,7 +85,7 @@ def test_score_request_golden(plant_world, body):
     ctx = request_context(obs, "ep1", GoalSpec.name_goal("plant"), render(cut), cut,
                           ("keep right",))
     d = make_score_request(ctx, cands, "goal-name/3").to_dict()
-    assert d["version"] == "dynav/5"
+    assert d["version"] == "dynav/6"
     assert d["kind"] == "score"
     assert d["session_id"] == "ep1" and d["step"] == 4
     assert d["goal_text"] == "plant"
@@ -104,13 +103,17 @@ def test_score_request_golden(plant_world, body):
     assert pose == {"x_m": 5.0, "y_m": 4.0, "heading_deg": 0.0}
     rays, hits = d["observation"]["rays"], d["observation"]["hits"]
     assert set(rays) == {"theta_deg", "distance_m", "hit"}
-    assert rays["theta_deg"] == pytest.approx([-65.5, 0.0, 65.5])
+    # the bearings and distances travel packed, as the context holds them
+    assert rays["theta_deg"] == packed(ctx.theta_deg)
+    assert rays["distance_m"] == packed(ctx.distance_m)
+    thetas, dists = unpacked(rays["theta_deg"]), unpacked(rays["distance_m"])
+    assert thetas == pytest.approx([-65.5, 0.0, 65.5])
     # the two walls share the table's first entry, the plant is its second
     assert rays["hit"] == [0, 1, 0]
-    assert rays["theta_deg"][1] == 0.0 and rays["distance_m"][1] == pytest.approx(2.7)
+    assert thetas[1] == 0.0 and dists[1] == pytest.approx(2.7)
     assert hits[rays["hit"][1]] == {"label": "plant_1", "attributes": ["green"], "tags": []}
     assert hits[rays["hit"][0]] == {"label": "wall", "attributes": [], "tags": []}
-    assert rays["distance_m"][0] == pytest.approx(3.9 / math.sin(math.radians(65.5)))
+    assert dists[0] == pytest.approx(3.9 / math.sin(math.radians(65.5)))
     assert d["candidates"] == [{"id": 1, "r_m": 2.16, "theta_deg": 0.0}]
 
 
@@ -258,7 +261,7 @@ def test_parse_response_memory_ops_and_defaults():
 @pytest.mark.parametrize("location", ["[NaN, 1.0]", "[1.0, Infinity]", "[-Infinity, NaN]"])
 def test_parse_response_rejects_non_finite_locations(location):
     # Python's json reads NaN and Infinity; a memory node must not store them
-    payload = json.loads('{"version": "dynav/5", "kind": "score", "memory_ops": '
+    payload = json.loads('{"version": "dynav/6", "kind": "score", "memory_ops": '
                          '[{"op": "add_node", "name": "chair_9", "location_m": %s}]}' % location)
     with pytest.raises(SchemaViolation, match="not finite"):
         parse_response(payload, make_req())
@@ -305,7 +308,7 @@ def test_remote_round_trip_records_request():
         assert resp.rationale == "canned"
         assert len(stub.requests) == 1
         seen = stub.requests[0]
-        assert seen["version"] == "dynav/5"
+        assert seen["version"] == "dynav/6"
         assert seen["step"] == 3
         # the recorded payload parses back into the identical request
         assert DecisionRequest.from_dict(seen) == make_req(step=3)
@@ -319,6 +322,17 @@ def test_a_dynav_4_server_is_refused_at_once():
     with StubServer(script=script) as stub:
         with closing(RemoteBackend(BackendConfig(endpoint=stub.endpoint))) as backend:
             with pytest.raises(SchemaViolation, match="bad response version: 'dynav/4'"):
+                backend.decide(make_req())
+        assert len(stub.requests) == 1
+
+
+def test_a_dynav_5_server_is_refused_at_once():
+    # a dynav/5 server reads the bearings and distances as lists of numbers,
+    # not as the packed columns this client sends
+    script = [{"kind": "score", "scores_all": 0.5, "body": {"version": "dynav/5"}}]
+    with StubServer(script=script) as stub:
+        with closing(RemoteBackend(BackendConfig(endpoint=stub.endpoint))) as backend:
+            with pytest.raises(SchemaViolation, match="bad response version: 'dynav/5'"):
                 backend.decide(make_req())
         assert len(stub.requests) == 1
 
@@ -426,6 +440,20 @@ def test_non_finite_request_is_never_sent(monkeypatch):
     req = make_req(pose=(math.nan, 2.0, 30.0))
     with pytest.raises(SchemaViolation, match="encoded"):
         backend.decide(req)
+    assert conn.calls == []
+
+
+@pytest.mark.parametrize("column", ["theta_deg", "distance_m"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, None, "1.0", 2, True],
+                         ids=repr)
+def test_a_packed_column_of_anything_but_finite_floats_is_never_sent(monkeypatch, column,
+                                                                      value):
+    # struct would pack an integer or a bool as a float and refuse None or a
+    # string with struct.error; the encoder refuses each before packing
+    backend, conn = fake_backend(monkeypatch, [])
+    ctx = replace(VALID_REQ.context, **{column: (1.0, value, 2.0)})
+    with pytest.raises(SchemaViolation, match=f"encoded: ray {column} must hold finite floats"):
+        backend.decide(replace(VALID_REQ, context=ctx))
     assert conn.calls == []
 
 
@@ -645,7 +673,6 @@ REQUEST_PATHS = [
     ("observation",), ("observation", "pose"), ("observation", "pose", "x_m"),
     ("observation", "rays"), ("observation", "rays", "theta_deg"),
     ("observation", "rays", "distance_m"), ("observation", "rays", "hit"),
-    ("observation", "rays", "theta_deg", 1), ("observation", "rays", "distance_m", 1),
     ("observation", "rays", "hit", 1), ("observation", "hits"), ("observation", "hits", 1),
     ("observation", "hits", 1, "label"), ("observation", "hits", 1, "attributes"),
     ("observation", "hits", 1, "tags"),
@@ -696,23 +723,50 @@ def test_request_from_dict_field_raises_only_schema_violation(path, value):
     parses_or_refuses_request(replaced(VALID_REQUEST, path, value))
 
 
+# a packed column: base64 of arbitrary bytes, whose length may be ragged, or
+# of whole float64 values, which may be NaN or infinite and may be fewer or
+# more than the valid request's three rays
+packed_columns = (st.binary(max_size=40).map(lambda raw: base64.b64encode(raw).decode())
+                  | st.lists(st.floats() | st.sampled_from((math.nan, math.inf, -math.inf)),
+                             max_size=5).map(packed))
+PACKED_PATHS = [("observation", "rays", "theta_deg"), ("observation", "rays", "distance_m")]
+
+
+@pytest.mark.parametrize("path", PACKED_PATHS, ids=dotted)
+@settings(max_examples=150, deadline=None)
+@given(value=packed_columns)
+def test_request_from_dict_packed_column_raises_only_schema_violation(path, value):
+    parses_or_refuses_request(replaced(VALID_REQUEST, path, value))
+
+
 def test_valid_request_parses():
     # the fuzzed and the refused requests are this one with one field changed
     assert VALID_REQUEST["observation"]["rays"]["hit"] == [0, 1, 0]
+    assert VALID_REQUEST["observation"]["rays"]["distance_m"] == packed([2.5, 3.0, 2.0])
     assert DecisionRequest.from_dict(VALID_REQUEST) == VALID_REQ
 
 
+def test_a_dynav_5_request_is_refused():
+    # dynav/5 sent the bearing and distance columns as lists of numbers
+    rays = VALID_REQUEST["observation"]["rays"]
+    lists = {"theta_deg": unpacked(rays["theta_deg"]),
+             "distance_m": unpacked(rays["distance_m"]), "hit": rays["hit"]}
+    old = dict(replaced(VALID_REQUEST, ("observation", "rays"), lists), version="dynav/5")
+    with pytest.raises(SchemaViolation, match="bad request version: 'dynav/5'"):
+        DecisionRequest.from_dict(old)
+    # nor is the list form read beside the packed one
+    with pytest.raises(SchemaViolation, match="ray theta_deg must be a base64 string"):
+        DecisionRequest.from_dict(dict(old, version=PROTOCOL_VERSION))
+
+
 @pytest.mark.parametrize("path, value, match", [
-    (("observation", "rays", "theta_deg"), [0.0, 1.0], "columns differ in length"),
-    (("observation", "rays", "distance_m"), [], "columns differ in length"),
+    (("observation", "rays", "distance_m"), packed([]), "columns differ in length"),
     (("observation", "rays", "hit"), [0, 1, 0, 1], "columns differ in length"),
-    (("observation", "rays", "theta_deg", 1), True, "ray theta_deg must be a number"),
-    (("observation", "rays", "theta_deg", 1), "10.0", "ray theta_deg must be a number"),
-    (("observation", "rays", "theta_deg", 2), math.nan, "ray theta_deg is not finite"),
-    (("observation", "rays", "distance_m", 0), math.inf, "ray distance_m is not finite"),
-    (("observation", "rays", "distance_m", 0), 10 ** 400, "ray distance_m is not finite"),
-    (("observation", "rays", "distance_m", 0), None, "ray distance_m must be a number"),
-    (("observation", "rays", "distance_m"), "2.5", "ray distance_m must be a list"),
+    (("observation", "rays", "theta_deg"), True, "ray theta_deg must be a base64 string"),
+    (("observation", "rays", "theta_deg"), "10.0", "ray theta_deg is not padded base64"),
+    (("observation", "rays", "distance_m"), None, "ray distance_m must be a base64 string"),
+    (("observation", "rays", "distance_m"), [2.5, 3.0, 2.0],
+     "ray distance_m must be a base64 string"),
     (("observation", "rays", "hit", 1), -1, "ray hit must index the 2 hits"),
     (("observation", "rays", "hit", 1), 2, "ray hit must index the 2 hits"),
     (("observation", "rays", "hit", 1), True, "ray hit must index the 2 hits"),
@@ -733,12 +787,41 @@ def test_request_from_dict_checks_each_ray(path, value, match):
         DecisionRequest.from_dict(replaced(VALID_REQUEST, path, value))
 
 
-def test_request_from_dict_reads_integer_ray_numbers_as_floats():
-    d = replaced(VALID_REQUEST, ("observation", "rays", "distance_m"), [2, 3, -0.0])
-    rays = rays_of(DecisionRequest.from_dict(d).context)
-    assert [r.depth for r in rays] == [2.0, 3.0, 0.0]
-    assert [type(r.depth) for r in rays] == [float] * 3
-    assert math.copysign(1.0, rays[2].depth) == -1.0
+_THREE = packed([2.5, 3.0, 2.0])  # 24 bytes, 32 characters, no padding
+
+
+@pytest.mark.parametrize("column", ["theta_deg", "distance_m"])
+@pytest.mark.parametrize("text, match", [
+    (base64.b64encode(bytes(7)).decode(), "holds 7 bytes, not whole float64 values"),
+    (base64.b64encode(bytes(25)).decode(), "holds 25 bytes"),
+    (packed([2.5])[:-1], "is not padded base64"),  # a missing pad
+    (packed([2.5]) + "=", "is not padded base64"),  # one pad too many
+    (_THREE[:16] + "\n" + _THREE[16:], "is not padded base64"),
+    (_THREE + "\n", "is not padded base64"),
+    (" " + _THREE, "is not padded base64"),
+    (_THREE[:8] + "-_" + _THREE[10:], "is not padded base64"),  # the URL-safe alphabet
+    (_THREE[:-4] + "\u00c5AAA", "is not padded base64"),  # not ASCII
+    (packed([math.nan, 3.0, 2.0]), "is not finite: nan"),
+    (packed([2.5, math.inf, 2.0]), "is not finite: inf"),
+    (packed([2.5, 3.0, -math.inf]), "is not finite: -inf"),
+    (packed([2.5, 3.0, 2.0, 1.0]), "columns differ in length"),
+    (packed([2.5, 3.0]), "columns differ in length"),
+], ids=repr)
+def test_request_from_dict_refuses_a_malformed_packed_column(column, text, match):
+    path = ("observation", "rays", column)
+    if "columns" not in match:
+        match = f"ray {column} {match}"
+    with pytest.raises(SchemaViolation, match=match):
+        DecisionRequest.from_dict(replaced(VALID_REQUEST, path, text))
+
+
+def test_request_from_dict_reads_packed_columns_bit_for_bit():
+    # a negative zero, subnormals and the extremes keep their bits, as floats
+    values = [-0.0, 5e-324, -1.7976931348623157e308]
+    d = replaced(VALID_REQUEST, ("observation", "rays", "distance_m"), packed(values))
+    depths = DecisionRequest.from_dict(d).context.distance_m
+    assert type(depths) is tuple and [type(v) for v in depths] == [float] * 3
+    assert struct.pack("<3d", *depths) == struct.pack("<3d", *values)
 
 
 # the table of hits: null, wall and object labels, one label with two
@@ -839,7 +922,8 @@ def test_encode_request_matches_json_dumps(kinds, cluttered_world, body, monkeyp
     # each request is encoded whole, once, with its one pose and each ray once
     assert len(texts) == len(kinds)
     assert all(t.count('"heading_deg"') == 1 for t in texts)
-    assert all(len(json.loads(t)["observation"]["rays"]["distance_m"]) == 61 for t in texts)
+    assert all(len(unpacked(json.loads(t)["observation"]["rays"]["distance_m"])) == 61
+               for t in texts)
     for kind in kinds:
         assert encode_request(make_req(kind)) == dumped(make_req(kind))
 
@@ -1064,9 +1148,6 @@ def test_a_remote_run_writes_the_in_process_run_byte_for_byte(tmp_path):
 
 def test_cli_import_leaves_requests_out():
     # nor the test stub's http.server, which the CLI imports only for serve-stub
-    src = Path(__file__).resolve().parent.parent / "src"
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, dynav.cli; print('requests' in sys.modules, 'http.server' in sys.modules)"],
-        env={"PYTHONPATH": str(src), "PATH": ""}, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False False"
+    out = run_python(
+        "import sys, dynav.cli; print('requests' in sys.modules, 'http.server' in sys.modules)")
+    assert out == "False False"

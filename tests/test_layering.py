@@ -13,8 +13,6 @@ it as a reference, and importing its ``ndimage`` and ``spatial`` would cost
 a run about half a second.
 """
 import ast
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -26,7 +24,7 @@ from dynav.goals import GoalSpec
 from dynav.policy import propose
 from dynav.sensing import sense
 
-from conftest import empty_world, make_pose
+from conftest import empty_world, make_pose, run_python
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "dynav"
@@ -133,11 +131,8 @@ def test_no_module_imports_scipy():
     assert found == []
 
 
-def run_python(code: str, cwd: Path) -> str:
-    return subprocess.run(
-        [sys.executable, "-c", code], cwd=cwd,
-        env={"PYTHONPATH": str(ROOT / "src"), "PATH": ""},
-        capture_output=True, text=True, check=True).stdout.strip()
+def test_child_interpreters_write_no_bytecode(tmp_path):
+    assert run_python("import sys; print(sys.dont_write_bytecode)", tmp_path) == "True"
 
 
 def test_cli_import_and_run_leave_scipy_out(tmp_path):

@@ -391,7 +391,7 @@ def test_a_step_sends_one_score_request_with_its_context(box_world):
     assert seen[0].template_id == "goal-name/3"
     assert ctx.goal == GoalSpec.name_goal("chair")
     assert ctx.memory == (WireNode("chair_9", (), (3.0, 3.0)),)
-    assert seen[0].to_dict()["version"] == "dynav/5"
+    assert seen[0].to_dict()["version"] == "dynav/6"
 
 
 def test_step_without_traversable_ray_checks_stop_and_rotates(box_world):
