@@ -24,8 +24,6 @@ from binascii import a2b_base64, b2a_base64
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..errors import (SchemaViolation, check, check_finite, check_integer, check_location,
                       check_strings, check_type)
 from ..goals import GoalSpec
@@ -178,31 +176,46 @@ def _pack(column: Tuple[float, ...], what: str) -> str:
     return b2a_base64(struct.pack(f"<{len(column)}d", *column), newline=False).decode("ascii")
 
 
-# the last column of each name that ``_unpack`` read, and its values: every
-# request of one fan carries the same bearings, so their text repeats
-_UNPACKED: Dict[str, Tuple[str, Tuple[float, ...]]] = {}
-
-
 def _unpack(text, what: str) -> Tuple[float, ...]:
-    """The floats of a packed column.  Text that is not a string, not strict
-    padded base64 or not a whole number of float64 values, and a value that
-    is NaN or infinite, raise SchemaViolation naming the column."""
+    """The floats of a packed column, the inverse of ``_pack``.  Text that is
+    not a string, not the canonical padded base64 of its bytes or not a whole
+    number of float64 values, and a value that is NaN or infinite, raise
+    SchemaViolation naming the column."""
     check(text, type(text) is str, f"{what} must be a base64 string")
-    last = _UNPACKED.get(what)
-    if last is not None and last[0] == text:
-        return last[1]
     try:
-        raw = a2b_base64(text, strict_mode=True)
+        raw = a2b_base64(text)
     except ValueError as e:  # binascii.Error, or text that is not ASCII
         raise SchemaViolation(f"{what} is not padded base64: {e}") from None
+    # the one text ``_pack`` writes for these bytes: refuses whitespace, a
+    # missing or extra pad, the URL-safe alphabet and stray bits in the last
+    # character, none of which a2b_base64 refuses by itself
+    if b2a_base64(raw, newline=False).decode("ascii") != text:
+        raise SchemaViolation(f"{what} is not padded base64: not the text of its bytes")
     if len(raw) % 8:
         raise SchemaViolation(f"{what} holds {len(raw)} bytes, not whole float64 values")
-    column = np.frombuffer(raw, "<f8")
-    finite = np.isfinite(column)
-    if not finite.all():
-        raise SchemaViolation(f"{what} is not finite: {column[~finite][0].item()!r}")
-    values = tuple(column.tolist())
-    _UNPACKED[what] = (text, values)
+    values = struct.unpack(f"<{len(raw) >> 3}d", raw)
+    # NaN or an infinity in any value makes the sum NaN or infinite; a finite
+    # sum thus clears the column in one C pass, and only an overflowing one
+    # needs the value-by-value check
+    if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+        raise SchemaViolation(f"{what} is not finite: "
+                              f"{next(v for v in values if not math.isfinite(v))!r}")
+    return values
+
+
+# the last bearing column read, and its floats: every request of one fan
+# carries the same bearings, so the text repeats from step to step
+_BEARINGS: Tuple[str, Tuple[float, ...]] = ("", ())
+
+
+def _unpack_bearings(text) -> Tuple[float, ...]:
+    """``_unpack`` of a ``theta_deg`` column, skipped when the text is that
+    of the last one read."""
+    global _BEARINGS
+    last_text, values = _BEARINGS
+    if text != last_text:
+        values = _unpack(text, "ray theta_deg")
+        _BEARINGS = (text, values)
     return values
 
 
@@ -214,7 +227,7 @@ def _parse_rays(columns, hits) -> Tuple[Tuple[float, ...], Tuple[float, ...], Tu
     malformed hits entry, or a ``hit`` that is not an index into the hits
     raises SchemaViolation."""
     check_type(columns, dict, "observation rays")
-    thetas = _unpack(columns["theta_deg"], "ray theta_deg")
+    thetas = _unpack_bearings(columns["theta_deg"])
     dists = _unpack(columns["distance_m"], "ray distance_m")
     index = check_type(columns["hit"], list, "ray hit")
     if not len(thetas) == len(dists) == len(index):

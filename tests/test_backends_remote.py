@@ -801,6 +801,7 @@ _THREE = packed([2.5, 3.0, 2.0])  # 24 bytes, 32 characters, no padding
     (" " + _THREE, "is not padded base64"),
     (_THREE[:8] + "-_" + _THREE[10:], "is not padded base64"),  # the URL-safe alphabet
     (_THREE[:-4] + "\u00c5AAA", "is not padded base64"),  # not ASCII
+    ("AAAAAAAAAAB=", "is not padded base64"),  # stray bits: AAAAAAAAAAA= is 8 zero bytes
     (packed([math.nan, 3.0, 2.0]), "is not finite: nan"),
     (packed([2.5, math.inf, 2.0]), "is not finite: inf"),
     (packed([2.5, 3.0, -math.inf]), "is not finite: -inf"),
@@ -813,6 +814,18 @@ def test_request_from_dict_refuses_a_malformed_packed_column(column, text, match
         match = f"ray {column} {match}"
     with pytest.raises(SchemaViolation, match=match):
         DecisionRequest.from_dict(replaced(VALID_REQUEST, path, text))
+
+
+def test_request_from_dict_reads_a_changed_bearing_column():
+    # a repeated bearing column is read once; a changed one, or a refused
+    # one between two valid ones, is read anew
+    column = ("observation", "rays", "theta_deg")
+    for values in ([-10.0, 0.0, 10.0], [-5.0, 0.0, 5.0], [-10.0, 0.0, 10.0]):
+        d = replaced(VALID_REQUEST, column, packed(values))
+        assert DecisionRequest.from_dict(d).context.theta_deg == tuple(values)
+        bad = replaced(VALID_REQUEST, column, packed([values[0], math.nan, values[2]]))
+        with pytest.raises(SchemaViolation, match="ray theta_deg is not finite: nan"):
+            DecisionRequest.from_dict(bad)
 
 
 def test_request_from_dict_reads_packed_columns_bit_for_bit():
