@@ -68,9 +68,9 @@ class WireNode(NamedTuple):
 
 @dataclass(frozen=True)
 class RequestContext:
-    """Per-step identity, goal, observation and memory excerpt shared by
-    every request of that step; built by ``request_context``.  The goal and
-    the excerpt come as records, which a backend reads, and as prompt text.
+    """Per-step identity, goal, observation and memory excerpt of the
+    step's request; built by ``request_context``.  The goal and the excerpt
+    come as records, which a backend reads, and as prompt text.
 
     The rays are the wire's columns: ray i points at ``theta_deg[i]``
     relative to the heading, ends at ``distance_m[i]`` and hit
@@ -146,6 +146,8 @@ class DecisionRequest:
             )
             if kind in (FILTER, SCORE) and not cands:
                 raise SchemaViolation(f"{kind} requests must carry at least one candidate")
+            if kind == STOP_CHECK and "candidates" in d:
+                raise SchemaViolation("stop_check requests carry no candidates")
             context = RequestContext(
                 session_id=check_type(d["session_id"], str, "session_id"),
                 step=check_integer(d["step"], "step"),
@@ -383,37 +385,19 @@ def encode_request(req: DecisionRequest) -> bytes:
 
 # -- request builders --------------------------------------------------------
 
-# bearings in degrees per fan, keyed on the identity of the fan's tuple of
-# bearings in radians, not on its value: equal tuples may differ in the sign
-# of a zero.  Each entry holds that tuple, so no other tuple can take its id.
-_FAN_DEGREES: Dict[int, Tuple[tuple, Tuple[float, ...]]] = {}
-_FAN_DEGREES_MAX = 64
-
-
-def _fan_degrees(thetas: Tuple[float, ...]) -> Tuple[float, ...]:
-    """``thetas`` in degrees, computed once per fan: every observation of one
-    fan shares its tuple of bearings, and every context the tuple returned."""
-    entry = _FAN_DEGREES.get(id(thetas))
-    if entry is None:
-        if len(_FAN_DEGREES) >= _FAN_DEGREES_MAX:
-            _FAN_DEGREES.clear()
-        entry = _FAN_DEGREES[id(thetas)] = (thetas, tuple(map(math.degrees, thetas)))
-    return entry[1]
-
-
 def request_context(obs: Observation, session_id: str, goal: GoalSpec, memory_text: str = "",
                     cut: Sequence = (), constraints: Tuple[str, ...] = ()) -> RequestContext:
     """The context of the step that sensed ``obs``.
 
-    The pose is converted to wire form here; the ray columns and the hits
-    table are the observation's own.  ``cut`` is the memory excerpt
-    (``MemoryGraph.cut``) whose text is ``memory_text``; its nodes become the
-    memory records, in its order.
+    The pose is converted to wire form here; the bearings in degrees are the
+    fan's, and the other ray columns and the hits table the observation's
+    own.  ``cut`` is the memory excerpt (``MemoryGraph.cut``) whose text is
+    ``memory_text``; its nodes become the memory records, in its order.
     """
     return RequestContext(
         session_id=session_id, step=obs.step, goal_text=goal.text, goal=goal,
         pose=(obs.pose.x, obs.pose.y, math.degrees(obs.pose.heading)),
-        theta_deg=_fan_degrees(obs.thetas), distance_m=obs.depths, hit=obs.hit, hits=obs.hits,
+        theta_deg=obs.fan.degrees, distance_m=obs.depths, hit=obs.hit, hits=obs.hits,
         memory_text=memory_text,
         memory=tuple(WireNode(n.name, tuple(sorted(n.attributes)), n.location)
                      for n in cut if isinstance(n, MemoryNode)),

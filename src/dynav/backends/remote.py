@@ -102,8 +102,8 @@ class RemoteBackend:
     connection.
 
     Serves one thread: ``dynav run`` builds one backend per episode, and the
-    benchmark's pool one per thread.  It holds no encoding state: the requests
-    of a step share one context, which encodes the observation once.
+    benchmark's pool one per thread.  It holds no encoding state: ``decide``
+    encodes its request once and sends the same body on every attempt.
     """
 
     def __init__(self, cfg: BackendConfig):

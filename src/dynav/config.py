@@ -56,6 +56,8 @@ class RunConfig:
             raise ConfigError(f"fov_deg must lie in (0, 360), not {self.fov_deg}")
         if self.r_min < 0 or self.agent_radius <= 0:
             raise ConfigError("r_min must be >= 0 and agent_radius positive")
+        if (self.avoid_clearance_m or 0.0) < 0 or self.hazard_clearance_m < 0:
+            raise ConfigError("avoid_clearance_m and hazard_clearance_m must be >= 0")
         if not 0.0 <= self.epsilon_mask <= 1.0:
             raise ConfigError("epsilon_mask must lie in [0, 1]")
         if self.workers < 1 or self.max_steps < 1 or self.max_distance_m <= 0:

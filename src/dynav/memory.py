@@ -241,6 +241,8 @@ class MemoryGraph:
             for nd in check_type(d.get("nodes", []), list, "nodes"):
                 check_type(nd, dict, "a node")
                 name = check_type(nd.get("name"), str, "node name")
+                if name in g.nodes:
+                    raise SchemaViolation(f"node {name!r:.60} is listed twice")
                 g.nodes[name] = MemoryNode(
                     name, frozenset(check_strings(nd.get("attributes", []), "node attributes")),
                     check_location(nd.get("location"), "node location"),

@@ -101,12 +101,17 @@ def reactive_avoid(world: WorldMap, pose: Pose, body: AgentBody, clearance: floa
     still-collision-free sample along the ray is returned; if even that fails
     the agent is boxed in and NoEscape is raised.
 
-    Samples lie every ``min(0.01, clearance / 10)`` along the ray.  Clearance
-    is 1-Lipschitz in position, so a sample at offset t has at most
-    ``c + |t - s|`` for any sample at offset s already measured at c; samples
-    this bound rules out are never measured, and those near a measured one
-    are answered from local views.
+    Samples lie every ``min(0.01, clearance / 10)`` along the ray, up to
+    where it leaves the world: the pose lies in the world (PoseOutOfBounds
+    otherwise), a rectangle, and each coordinate of the samples moves one
+    way, so no later sample is back in.  Clearance is 1-Lipschitz in
+    position, so a sample at offset t has at most ``c + |t - s|`` for any
+    sample at offset s already measured at c; samples this bound rules out
+    are never measured, and those near a measured one are answered from
+    local views.
     """
+    if not world.in_bounds(pose.x, pose.y):
+        raise PoseOutOfBounds(f"pose ({pose.x:.2f}, {pose.y:.2f}) is outside the world")
     c0, nearest = world.clearance_with_nearest(pose.x, pose.y)
     if c0 >= clearance:
         return pose
@@ -124,8 +129,9 @@ def reactive_avoid(world: WorldMap, pose: Pose, body: AgentBody, clearance: floa
     cap = 2.0 * clearance
     while t <= cap + _EPS:
         x, y = pose.x + dx * t, pose.y + dy * t
-        if world.in_bounds(x, y):
-            samples.append((t, x, y))
+        if not world.in_bounds(x, y):
+            break  # each coordinate moves one way, so no later sample is back in
+        samples.append((t, x, y))
         t += step
 
     clearance_at = _RayClearance(world)

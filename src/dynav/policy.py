@@ -98,8 +98,8 @@ def propose(obs: Observation, traversability: Sequence[bool], cfg) -> CandidateS
 
     ``cfg`` supplies alpha, theta_delta, and r_min.  The set keeps the
     boundary it was sampled from, which bounds the adjustments of the step's
-    reply and shares the observation's tuple of bearings.  An observation
-    without a traversable ray gives an empty set.
+    reply and holds the observation's fan.  An observation without a
+    traversable ray gives an empty set.
     """
     return proposer.sample_initial(boundary(obs, traversability), cfg.alpha, cfg.theta_delta,
                                    cfg.r_min)
@@ -130,8 +130,7 @@ def select_action(ctx: RequestContext, obs: Observation, candidates: CandidateSe
         return (_fallback(cfg.theta_delta, stop_streak, failed=True),
                 replace(candidates, candidates=()), ())
 
-    kept = apply_filter_response(candidates, resp.removals, resp.adjustments, obs.fov,
-                                 obs.fov / max(1, obs.n_rays - 1))
+    kept = apply_filter_response(candidates, resp.removals, resp.adjustments)
     scores: Dict[int, float] = {}
     for c in kept.candidates:
         if c.id not in resp.scores:

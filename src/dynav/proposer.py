@@ -5,23 +5,24 @@ boundary of the current observation: per traversable ray, the farthest
 contiguous free extent.  The boundary is kept as the fan's columns (a
 ``Boundary``), with no record per ray.  Sampling keeps far points first while
 enforcing a minimum angular gap: points are ordered in one numpy sort, and a
-point is tested against the points already kept with one lookup in a
-per-fan table of conflicting rays.  This module is pure geometry: the policy
-sends the sampled set to a decision backend, whose reply may remove or nudge
-candidates, and ``apply_filter_response`` applies the reply under safety
-clamps.
+point is tested against the points already kept with one lookup in a table
+of conflicting rays, built once for each fan and gap.  This module is pure
+geometry: the policy sends the sampled set to a decision backend, whose reply
+may remove or nudge candidates, and ``apply_filter_response`` applies the
+reply under safety clamps.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .geometry import TWO_PI, angular_distance
-from .sensing import Observation
+from .sensing import Fan, Observation
 
 log = logging.getLogger(__name__)
 
@@ -29,13 +30,13 @@ log = logging.getLogger(__name__)
 class Boundary(NamedTuple):
     """The navigable boundary of one fan, as columns.
 
-    ``thetas`` holds the bearings of every ray of the fan (an observation's
-    own tuple, shared by every step of that fan); ``index`` the rays on the
-    boundary, in ascending order; ``depths[i]`` the extent in meters along ray
-    ``index[i]``.  ``index`` and ``depths`` are read-only numpy arrays.
+    ``fan`` is the observation's own fan, shared by every step of that fan;
+    ``index`` the rays on the boundary, in ascending order; ``depths[i]`` the
+    extent in meters along ray ``index[i]``.  ``index`` and ``depths`` are
+    read-only numpy arrays.
     """
 
-    thetas: Tuple[float, ...]
+    fan: Fan
     index: np.ndarray
     depths: np.ndarray
 
@@ -45,7 +46,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-EMPTY_BOUNDARY = Boundary((), _frozen(np.zeros(0, dtype=np.intp)), _frozen(np.zeros(0)))
+EMPTY_BOUNDARY = Boundary(Fan((), 0.0), _frozen(np.zeros(0, dtype=np.intp)),
+                          _frozen(np.zeros(0)))
 
 
 class Adjustment(NamedTuple):  # a backend's nudge of one candidate
@@ -108,7 +110,7 @@ def boundary(obs: Observation, traversability: Sequence[bool]) -> Boundary:
     if not all(traversability):
         keep &= np.fromiter(traversability, bool, obs.n_rays)
     index = np.flatnonzero(keep)
-    return Boundary(obs.thetas, _frozen(index), _frozen(depths[index]))
+    return Boundary(obs.fan, _frozen(index), _frozen(depths[index]))
 
 
 class _ConflictTable:
@@ -122,50 +124,29 @@ class _ConflictTable:
     a NaN distance is a conflict.  OR-ed rows turn into ``bytes`` that answer
     "does ray p conflict with a kept ray" with one lookup.  Rows are built
     when first asked for.
-    ``rank`` orders the rays by ``(abs(theta), theta)``; rays with equal keys
-    (-0.0 and 0.0, a repeated bearing) share a rank.
     """
 
-    __slots__ = ("thetas", "theta_delta", "rank", "rows", "_array")
+    __slots__ = ("thetas", "theta_delta", "array", "rows")
 
-    def __init__(self, thetas: Tuple[float, ...], theta_delta: float):
-        self.thetas = thetas
+    def __init__(self, fan: Fan, theta_delta: float):
+        self.thetas = fan.thetas
         self.theta_delta = theta_delta
-        keys = [(abs(theta), theta) for theta in thetas]
-        self.rank = np.empty(len(thetas), dtype=np.intp)
-        level, prev = -1, None
-        for i in sorted(range(len(thetas)), key=keys.__getitem__):
-            if keys[i] != prev:
-                level, prev = level + 1, keys[i]
-            self.rank[i] = level
-        self.rows: List[Optional[int]] = [None] * len(thetas)
-        self._array = np.array(thetas, dtype=float)
+        self.array = np.array(fan.thetas, dtype=float)
+        self.rows: List[Optional[int]] = [None] * len(fan.thetas)
 
     def row(self, k: int) -> int:
         row = self.rows[k]
         if row is None:
             with np.errstate(invalid="ignore"):
-                far = np.abs((self._array - self.thetas[k] + math.pi) % TWO_PI - math.pi) \
+                far = np.abs((self.array - self.thetas[k] + math.pi) % TWO_PI - math.pi) \
                     >= self.theta_delta
             row = self.rows[k] = int.from_bytes((~far).tobytes(), "little")
         return row
 
 
-# conflict tables keyed on the identity of the fan's tuple of bearings, not
-# on its value (equal tuples may differ in the sign of a zero), and on
-# theta_delta.  Each entry holds that tuple, so no other tuple can take its id.
-_CONFLICT_TABLES: Dict[Tuple[int, float], _ConflictTable] = {}
-_CONFLICT_TABLES_MAX = 64
-
-
-def _conflict_table(thetas: Tuple[float, ...], theta_delta: float) -> _ConflictTable:
-    key = (id(thetas), theta_delta)
-    table = _CONFLICT_TABLES.get(key)
-    if table is None:
-        if len(_CONFLICT_TABLES) >= _CONFLICT_TABLES_MAX:
-            _CONFLICT_TABLES.clear()
-        table = _CONFLICT_TABLES[key] = _ConflictTable(thetas, theta_delta)
-    return table
+# one table per fan and gap, built on first use and kept: a fan hashes as
+# itself, the sensor builds each fan once, and a run samples at one gap
+_conflict_table = functools.lru_cache(maxsize=None)(_ConflictTable)
 
 
 def sample_initial(points: Boundary, alpha: float, theta_delta: float,
@@ -180,16 +161,18 @@ def sample_initial(points: Boundary, alpha: float, theta_delta: float,
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    if theta_delta < 0:
+    if not theta_delta >= 0:  # NaN too
         raise ValueError("theta_delta must be >= 0")
-    thetas = points.thetas
-    table = _conflict_table(thetas, theta_delta)
+    thetas = points.fan.thetas
+    table = _conflict_table(points.fan, theta_delta)
     scaled = points.depths * alpha
     usable = scaled >= r_min
     rs = scaled[usable]
     index = points.index[usable]
-    # a stable sort by range, descending, then by the tie rank
-    order = np.lexsort((table.rank[index], -rs))
+    th = table.array[index]
+    # a stable sort by range, descending, then by abs(theta), then by theta;
+    # equal keys (-0.0 and 0.0, a repeated bearing) keep ray order
+    order = np.lexsort((th, np.abs(th), -rs))
     n = len(thetas)
     blocked, conflicts = 0, bytes(n)  # byte p: ray p conflicts with a kept ray
     kept: List[Tuple[int, float]] = []
@@ -205,30 +188,30 @@ def sample_initial(points: Boundary, alpha: float, theta_delta: float,
     return CandidateSet(cands, alpha, theta_delta, points)
 
 
-def _boundary_limit(points: Boundary, theta: float, gap: float) -> float:
+def _boundary_limit(points: Boundary, theta: float) -> float:
     """Conservative traversable extent at an arbitrary bearing.
 
-    Takes the minimum extent over boundary points within one ray spacing of
-    the bearing; -inf when no boundary support exists there.
+    Takes the minimum extent over boundary points within one ray gap of the
+    bearing; -inf when no boundary support exists there.
     """
-    thetas = points.thetas
+    thetas, gap = points.fan.thetas, points.fan.gap
     near = [r for r, k in zip(points.depths.tolist(), points.index.tolist())
             if angular_distance(thetas[k], theta) <= gap]
     return min(near) if near else -math.inf
 
 
 def apply_filter_response(initial: CandidateSet, removals: Sequence[int],
-                          adjustments: Sequence[Adjustment], fov: float,
-                          ray_gap: float) -> CandidateSet:
+                          adjustments: Sequence[Adjustment]) -> CandidateSet:
     """Apply backend removals and adjustments under the safety clamps.
 
     An adjustment is dropped (keeping the original candidate) unless all of:
     it references a surviving id, moves the bearing by at most theta_delta/2,
-    stays inside the field of view, keeps a positive range no larger than the
-    candidate's original range, respects the traversable extent of
-    ``initial.points`` at the new bearing, and preserves the pairwise angular
-    separation of the set.
+    stays inside the field of view of ``initial.points``' fan, keeps a
+    positive range no larger than the candidate's original range, respects
+    the traversable extent of ``initial.points`` at the new bearing, and
+    preserves the pairwise angular separation of the set.
     """
+    half_fov = initial.points.fan.fov / 2.0
     removed = set(removals)
     survivors = [c for c in initial.candidates if c.id not in removed]
     adj_by_id = {a.id: a for a in adjustments}
@@ -243,8 +226,8 @@ def apply_filter_response(initial: CandidateSet, removals: Sequence[int],
         ok = (
             math.isfinite(a.r) and 0.0 < a.r <= c.r + 1e-9
             and angular_distance(a.theta, c.theta) <= initial.theta_delta / 2.0 + 1e-9
-            and abs(a.theta) <= fov / 2.0 + 1e-9
-            and a.r <= initial.alpha * _boundary_limit(initial.points, a.theta, ray_gap) + 1e-9
+            and abs(a.theta) <= half_fov + 1e-9
+            and a.r <= initial.alpha * _boundary_limit(initial.points, a.theta) + 1e-9
         )
         if not ok:
             log.warning("dropping invalid adjustment for candidate %d", c.id)

@@ -38,28 +38,51 @@ _NOTHING = -2
 HitEntry = Tuple[Optional[str], Tuple[str, ...], Tuple[str, ...]]
 
 
+@dataclass(frozen=True, eq=False)
+class Fan:
+    """The bearings of a fan of rays, which every observation of that fan
+    shares: ``_fan`` builds each fan once.
+
+    ``thetas`` are the ray bearings relative to the heading, in radians and
+    wrapped by ``normalize_angle``; ``fov`` is the field of view they span.
+    A fan equals and hashes as itself alone (equal bearings may differ in the
+    sign of a zero), so it keys what is worked out once per fan.
+    """
+
+    thetas: Tuple[float, ...]
+    fov: float
+
+    @functools.cached_property
+    def degrees(self) -> Tuple[float, ...]:
+        """The bearings in degrees, as the wire carries them."""
+        return tuple(map(math.degrees, self.thetas))
+
+    @property
+    def gap(self) -> float:
+        """The angle between neighbouring rays."""
+        return self.fov / max(1, len(self.thetas) - 1)
+
+
 @dataclass(frozen=True)
 class Observation:
     """The fan of one step, as columns.
 
-    ``thetas`` are the ray bearings relative to the heading, in radians and
-    wrapped by ``normalize_angle``; every observation of one fan shares the
-    one tuple.  ``depths[i]`` is ray i's depth in meters, capped at the
-    sensing range, and ``hits[hit[i]]`` what it hit.  ``hits`` holds each
-    distinct entry once, in order of first appearance along the fan.
+    ``fan`` holds the ray bearings; ``depths[i]`` is ray i's depth in meters,
+    capped at the sensing range, and ``hits[hit[i]]`` what it hit.  ``hits``
+    holds each distinct entry once, in order of first appearance along the
+    fan.
     """
 
     pose: Pose
-    thetas: Tuple[float, ...]
+    fan: Fan
     depths: Tuple[float, ...]
     hit: Tuple[int, ...]
     hits: Tuple[HitEntry, ...]
-    fov: float
     step: int = 0
 
     @property
     def n_rays(self) -> int:
-        return len(self.thetas)
+        return len(self.depths)
 
 
 def _object_raycast(world: WorldMap, x0: float, y0: float, dx: np.ndarray, dy: np.ndarray,
@@ -88,13 +111,13 @@ def _object_raycast(world: WorldMap, x0: float, y0: float, dx: np.ndarray, dy: n
     return best_t, np.where(best_t < math.inf, first, -1)
 
 
-@functools.lru_cache(maxsize=64, typed=True)
-def _fan(n_rays: int, fov: float) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
-    """The fan's ray angles relative to the heading, and the same wrapped by
-    ``normalize_angle`` as an ``Observation`` reports them."""
+@functools.lru_cache(maxsize=None, typed=True)
+def _fan(n_rays: int, fov: float) -> Tuple[Tuple[float, ...], Fan]:
+    """The fan's ray angles relative to the heading, and its ``Fan``, whose
+    bearings are the same angles wrapped by ``normalize_angle``."""
     half = fov / 2.0
     thetas = tuple(-half + fov * i / (n_rays - 1) for i in range(n_rays))
-    return thetas, tuple(normalize_angle(theta) for theta in thetas)
+    return thetas, Fan(tuple(normalize_angle(theta) for theta in thetas), fov)
 
 
 def sense(world: WorldMap, pose: Pose, body: AgentBody, n_rays: int,
@@ -123,7 +146,7 @@ def sense(world: WorldMap, pose: Pose, body: AgentBody, n_rays: int,
     if not world.in_bounds(x0, y0):
         raise PoseOutOfBounds(f"pose ({x0:.2f}, {y0:.2f}) is outside the world")
     d_max = body.max_sense
-    thetas, rel_thetas = _fan(n_rays, fov)
+    thetas, fan = _fan(n_rays, fov)
     # math.cos/sin, not numpy's: they round differently in the last bit
     angles = list(map(pose.heading.__add__, thetas))
     dx_arr = np.fromiter(map(math.cos, angles), float, n_rays)
@@ -191,8 +214,8 @@ def sense(world: WorldMap, pose: Pose, body: AgentBody, n_rays: int,
     index = {code: i for i, code in enumerate(dict.fromkeys(codes))}
     hits = tuple(("wall", (), ()) if code == _WALL else (None, (), ()) if code == _NOTHING
                  else _object_entry(world.objects[code]) for code in index)
-    return Observation(pose=pose, thetas=rel_thetas, depths=tuple(depths),
-                       hit=tuple(map(index.__getitem__, codes)), hits=hits, fov=fov, step=step)
+    return Observation(pose=pose, fan=fan, depths=tuple(depths),
+                       hit=tuple(map(index.__getitem__, codes)), hits=hits, step=step)
 
 
 def _object_entry(obj) -> HitEntry:

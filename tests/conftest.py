@@ -23,7 +23,7 @@ from dynav.geometry import AgentBody, Pose
 from dynav.goals import INSTANCE, GoalSpec
 from dynav.memory import MemoryGraph
 from dynav.proposer import Boundary
-from dynav.sensing import Observation
+from dynav.sensing import DEFAULT_FOV, Fan, Observation
 from dynav.world import OBSTACLE, SemanticObject, WorldMap
 
 
@@ -121,13 +121,15 @@ def with_rays(record, rows, **fields):
     """An ``Observation`` or a ``RequestContext`` (``record``) whose fan is
     ``rows``: the bearing and depth columns, and the hit column indexing the
     table of distinct ``(label, attributes, tags)`` in order of first
-    appearance, as ``sense`` and the wire build them."""
+    appearance, as ``sense`` and the wire build them.  An observation's fan
+    spans ``fov``, which ``fields`` must give."""
     rows = [Row(*r) for r in rows]
     table: dict = {}
     hit = tuple(table.setdefault(r[2:], len(table)) for r in rows)
     thetas, depths = tuple(r.theta for r in rows), tuple(r.depth for r in rows)
     if record is Observation:
-        return Observation(thetas=thetas, depths=depths, hit=hit, hits=tuple(table), **fields)
+        return Observation(fan=Fan(thetas, fields.pop("fov")), depths=depths, hit=hit,
+                           hits=tuple(table), **fields)
     assert record is RequestContext
     return RequestContext(theta_deg=thetas, distance_m=depths, hit=hit, hits=tuple(table),
                           **fields)
@@ -135,7 +137,7 @@ def with_rays(record, rows, **fields):
 
 def rays_of(x) -> List[Row]:
     """The rows of an observation's or a request context's fan."""
-    thetas, depths = ((x.thetas, x.depths) if isinstance(x, Observation)
+    thetas, depths = ((x.fan.thetas, x.depths) if isinstance(x, Observation)
                       else (x.theta_deg, x.distance_m))
     return [Row(t, d, *x.hits[h]) for t, d, h in zip(thetas, depths, x.hit)]
 
@@ -159,18 +161,19 @@ class Point(NamedTuple):
     theta: float
 
 
-def boundary_of(points) -> Boundary:
-    """The ``Boundary`` of a fan whose ray i has bearing ``points[i][1]`` and
-    extent ``points[i][0]``, every ray on the boundary, in the order given."""
+def boundary_of(points, fov: float = DEFAULT_FOV) -> Boundary:
+    """The ``Boundary`` of a fan over ``fov`` whose ray i has bearing
+    ``points[i][1]`` and extent ``points[i][0]``, every ray on the boundary,
+    in the order given."""
     points = [Point(*p) for p in points]
     index, depths = np.arange(len(points)), np.array([p.r for p in points], dtype=float)
     index.flags.writeable = depths.flags.writeable = False
-    return Boundary(tuple(p.theta for p in points), index, depths)
+    return Boundary(Fan(tuple(p.theta for p in points), fov), index, depths)
 
 
 def points_of(b: Boundary) -> List[Point]:
     """The points of a boundary, in its order."""
-    return [Point(r, b.thetas[k]) for r, k in zip(b.depths.tolist(), b.index.tolist())]
+    return [Point(r, b.fan.thetas[k]) for r, k in zip(b.depths.tolist(), b.index.tolist())]
 
 
 # -- fuzzing: arbitrary JSON, and valid payloads with one field replaced -------

@@ -242,7 +242,7 @@ def test_3_candidate_sampling_invariants_in_bulk():
         alpha = rng.uniform(0.2, 1.0)
         theta_delta = math.radians(rng.uniform(0.0, 40.0))
         r_min = rng.uniform(0.0, 0.5)
-        out = sample_initial(boundary_of(points), alpha, theta_delta, r_min)
+        out = sample_initial(boundary_of(points, fov), alpha, theta_delta, r_min)
         got = [(round(c.r, 12), round(c.theta, 12)) for c in out.candidates]
         ref = [(round(r, 12), round(t, 12))
                for r, t in _reference_sample(points, alpha, theta_delta, r_min)]
@@ -280,8 +280,7 @@ def test_3_candidate_sampling_invariants_in_bulk():
                 adjustments.append(Adjustment(c.id, c.r * rng.choice((1.5, -1.0)), c.theta))
             elif roll < 0.35:  # invalid: angular move beyond the half-gap
                 adjustments.append(Adjustment(c.id, c.r, c.theta + theta_delta * 1.1))
-        gap = fov / (n - 1)
-        final = apply_filter_response(out, removals, adjustments, fov, gap)
+        final = apply_filter_response(out, removals, adjustments)
         if not {c.id for c in final.candidates} <= set(ids) - set(removals):
             problems.append((trial, "subset law broken"))
         for a, b in itertools.combinations(final.candidates, 2):

@@ -391,7 +391,8 @@ _request = st.fixed_dictionaries({
     "constraints": st.lists(st.sampled_from(("stay away from the oven", "avoid sign_1")),
                             max_size=2),
     "template_id": _text,
-})
+}).map(lambda d: {k: v for k, v in d.items()  # a stop check carries no candidates key
+                  if not (k == "candidates" and d["kind"] == STOP_CHECK)})
 _POSE = {"x_m": 0.0, "y_m": 0.0, "heading_deg": 0.0}
 
 

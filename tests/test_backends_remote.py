@@ -178,6 +178,19 @@ def test_request_from_dict_validation():
         DecisionRequest.from_dict({"version": PROTOCOL_VERSION, "kind": SCORE})
 
 
+@pytest.mark.parametrize("candidates", [[], [{"id": 1, "r_m": 2.0, "theta_deg": 0.0}]],
+                         ids=["empty", "one"])
+def test_a_stop_check_with_candidates_is_refused(candidates):
+    """A stop check omits the candidates key, so its parse is the identity
+    on the way back through ``to_dict``; one that carries the key, even an
+    empty list, is refused rather than parsed into candidates ``to_dict``
+    would drop."""
+    stop = make_req(STOP_CHECK).to_dict()
+    assert DecisionRequest.from_dict(stop).to_dict() == stop
+    with pytest.raises(SchemaViolation, match="stop_check"):
+        DecisionRequest.from_dict(dict(stop, candidates=candidates))
+
+
 @pytest.mark.parametrize("field, value", [
     ("constraints", "avoid"), ("constraints", [1]), ("constraints", None),
     ("session_id", 5), ("session_id", None), ("goal_text", ["chair"]),
@@ -976,17 +989,20 @@ def test_per_ray_records_are_immutable(record):
 
 
 def test_ray_columns_are_immutable(cluttered_world, body):
-    """The fan's columns and hits table are tuples in the observation and in
-    the context that hands them on, so no reader can change what another
-    reads."""
+    """The fan's columns and hits table are tuples in the observation, its
+    fan and the context that hands them on, so no reader can change what
+    another reads."""
     obs = sense(cluttered_world, make_pose(7.5, 5.0, 0.0), body, n_rays=61)
     ctx = request_context(obs, session_id="s", goal=CHAIR)
-    for record, names in ((obs, ("thetas", "depths", "hit", "hits")),
+    for record, names in ((obs.fan, ("thetas", "degrees")), (obs, ("depths", "hit", "hits")),
                           (ctx, ("theta_deg", "distance_m", "hit", "hits"))):
         for name in names:
             assert type(getattr(record, name)) is tuple
             with pytest.raises(AttributeError):
                 setattr(record, name, ())
+    for record, name in ((obs, "fan"), (obs.fan, "fov")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
     assert all(type(entry) is tuple for entry in obs.hits)
     assert (ctx.distance_m, ctx.hit, ctx.hits) == (obs.depths, obs.hit, obs.hits)
 

@@ -48,6 +48,8 @@ def test_defaults_are_valid():
     {"tau_stop": math.nan},
     {"max_distance_m": math.inf},
     {"avoid_clearance_m": -math.inf},
+    {"avoid_clearance_m": -0.1},
+    {"hazard_clearance_m": -0.5},
 ])
 def test_validation_rejects(bad):
     with pytest.raises(ConfigError):

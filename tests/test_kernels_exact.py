@@ -339,7 +339,7 @@ def test_fans_of_different_size_and_width_do_not_share_angles(recorded_trajector
     fans = [(181, DEFAULT_FOV), (91, DEFAULT_FOV), (181, 1.0), (7, 3.0), (2, DEFAULT_FOV)]
     for n_rays, fov in fans + fans[::-1]:
         got = sense(world, pose, body, n_rays, fov)
-        assert len(rays_of(got)) == n_rays and got.fov == fov
+        assert len(rays_of(got)) == n_rays and got.fan.fov == fov
         assert ray_bits(got) == ray_bits(ref_sense(world, pose, body, n_rays, fov))
         assert bits(rays_of(got)[0].theta, rays_of(got)[-1].theta) == bits(
             normalize_angle(-fov / 2.0), normalize_angle(fov / 2.0))
@@ -518,6 +518,27 @@ def test_reactive_avoid_measures_fewer_samples_than_a_full_scan(box_world):
     out = reactive_avoid(Counting(), pose, AgentBody(), 0.32)
     assert out == ref_reactive_avoid(box_world, pose, AgentBody(), 0.32)
     assert len(calls) <= 4  # a full scan measures 18
+
+
+def test_avoid_samples_the_ray_only_up_to_the_worlds_edge(box_world):
+    """A clearance far past the world's size samples the ray up to the
+    world's edge alone, and picks what a scan of the whole capped ray picks."""
+    asked = []
+
+    class Counting:
+        def __getattr__(self, name):
+            return getattr(box_world, name)
+
+        def in_bounds(self, x, y):
+            asked.append((x, y))
+            return box_world.in_bounds(x, y)
+
+    pose = Pose(0.25, 4.0, 0.0)
+    out = reactive_avoid(Counting(), pose, AgentBody(), 1e4)
+    # no clearance in the box reaches 50 m and 2 x 50 m spans the box, so
+    # the reference picks for 50 m what it would for 1e4 m, in less time
+    assert out == ref_reactive_avoid(box_world, pose, AgentBody(), 50.0)
+    assert len(asked) <= box_world.width_m / 0.01 + 2
 
 
 # -- local clearance views ---------------------------------------------------------

@@ -234,30 +234,30 @@ def test_observations_are_built_only_by_the_sensor():
 
 
 def test_one_fan_shares_one_tuple_of_bearings():
-    """Observations of one fan share its bearings, and their contexts share
-    the bearings in degrees: a step that rebuilt the fan would not."""
+    """Observations of one fan share its ``Fan``, and their contexts share
+    the fan's bearings in degrees: a step that rebuilt the fan would not."""
     world, body = empty_world(10.0, 8.0), AgentBody()
     goal = GoalSpec.name_goal("chair")
     a = sense(world, make_pose(5.0, 4.0, 0.0), body, n_rays=31, step=1)
     b = sense(world, make_pose(3.0, 2.0, 75.0), body, n_rays=31, step=2)
-    assert a.thetas is b.thetas
+    assert a.fan is b.fan
     ctx_a, ctx_b = (request_context(obs, "s", goal) for obs in (a, b))
-    assert ctx_a.theta_deg is ctx_b.theta_deg
+    assert ctx_a.theta_deg is ctx_b.theta_deg is a.fan.degrees
     assert len(ctx_a.theta_deg) == 31
     # another fan has bearings of its own
     c = sense(world, make_pose(5.0, 4.0, 0.0), body, n_rays=21, step=3)
-    assert c.thetas is not a.thetas
+    assert c.fan is not a.fan and c.fan != a.fan
     assert request_context(c, "s", goal).theta_deg is not ctx_a.theta_deg
 
 
 def test_propose_hands_on_the_observations_bearings():
-    """The boundary a step samples from holds the fan's own tuple of
-    bearings: a proposer that rebuilt the fan per step would not."""
+    """The boundary a step samples from holds the observation's own fan: a
+    proposer that rebuilt the fan per step would not."""
     world, body = empty_world(10.0, 8.0), AgentBody()
     for i in range(3):
         obs = sense(world, make_pose(2.0 + 2.0 * i, 4.0, 60.0 * i), body, n_rays=31, step=i)
         cands = propose(obs, [True] * 31, RunConfig())
-        assert len(cands) > 0 and cands.points.thetas is obs.thetas
+        assert len(cands) > 0 and cands.points.fan is obs.fan
 
 
 # what one instance of each class of proposer.py stands for: none is built per ray

@@ -728,6 +728,17 @@ def test_a_negative_last_seen_is_refused():
         MemoryGraph.from_dict(replaced(VALID_GRAPH, ("nodes", 0, "last_seen"), -1))
 
 
+def test_a_node_listed_twice_is_refused():
+    """No record order decides which sighting a graph holds: a file listing
+    chair_1 twice, a newer located sighting and an older unlocated one, is
+    refused in either order."""
+    newer = {"name": "chair_1", "attributes": ["red"], "location": [1.0, 2.0], "last_seen": 9}
+    older = {"name": "chair_1", "attributes": ["blue"], "location": None, "last_seen": 1}
+    for nodes in ([newer, older], [older, newer]):
+        with pytest.raises(SchemaViolation, match="chair_1"):
+            MemoryGraph.from_dict({"format": "dynav-graph/1", "nodes": nodes})
+
+
 def test_load_refuses_an_infinite_last_seen(tmp_path):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(VALID_GRAPH).replace('"last_seen": 2', '"last_seen": Infinity'))

@@ -105,6 +105,11 @@ def test_avoid_keeps_clear_pose(box_world, body):
     assert reactive_avoid(box_world, pose, body, clearance=0.5) == pose
 
 
+def test_avoid_refuses_a_pose_outside_the_world(box_world, body):
+    with pytest.raises(PoseOutOfBounds):
+        reactive_avoid(box_world, make_pose(-0.05, 4.0, 0.0), body, clearance=0.4)
+
+
 def test_avoid_pushes_away_from_wall(box_world, body):
     pose = make_pose(0.2, 4.0, 0.0)  # 0.1 m from the wall face at x = 0.1
     out = reactive_avoid(box_world, pose, body, clearance=0.4)

@@ -6,6 +6,7 @@ from collections import Counter, defaultdict
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,12 +42,12 @@ from dynav.policy import (
     select_action,
     step,
 )
-from dynav.proposer import Adjustment, Candidate, CandidateSet, boundary, sample_initial
+from dynav.proposer import (Adjustment, Boundary, Candidate, CandidateSet, boundary,
+                            sample_initial)
 from dynav.sensing import sense, traversability_mask
 from dynav.world import SemanticObject
 
-from conftest import (Point, boundary_of, empty_world, instance_goal, make_pose, points_of,
-                      rays_of)
+from conftest import empty_world, instance_goal, make_pose, points_of
 
 
 class Scripted:
@@ -83,10 +84,13 @@ def ctx_of(obs):
     return request_context(obs, session_id="s", goal=GoalSpec.name_goal("chair"))
 
 
-def select_with(candidates, obs, backend, cfg, streak, points=()):
-    """select_action on a hand-made candidate set: (decision, survivors, memory ops)."""
+def select_with(candidates, obs, backend, cfg, streak, depths=()):
+    """select_action on a hand-made candidate set: (decision, survivors, memory ops).
+    The set's boundary lies on ``obs``'s fan, with ray i at ``depths[i]`` for
+    each depth given."""
+    points = Boundary(obs.fan, np.arange(len(depths)), np.array(depths, dtype=float))
     cset = CandidateSet(tuple(candidates), alpha=0.8, theta_delta=math.radians(15.0),
-                        points=boundary_of(points))
+                        points=points)
     return select_action(ctx_of(obs), obs, cset, TEMPLATES["name"], backend, cfg, streak)
 
 
@@ -203,12 +207,12 @@ def test_a_removed_candidate_is_never_chosen(obs):
 def adjustment_set(obs):
     """Four candidates 0.35 rad or more apart on a boundary of 5 m, except
     1 m on ray 9 (about -0.114 rad), with ids 1..4 at -0.5, 0.0, 0.35 and
-    just inside the right edge of the field of view."""
-    points = [Point(1.0 if i == 9 else 5.0, ray.theta)
-              for i, ray in enumerate(rays_of(obs))]
+    just inside the right edge of the field of view; the boundary's depths
+    come second."""
+    depths = [1.0 if i == 9 else 5.0 for i in range(obs.n_rays)]
     cands = [Candidate(1, 4.0, -0.5), Candidate(2, 4.0, 0.0), Candidate(3, 4.0, 0.35),
-             Candidate(4, 4.0, obs.fov / 2 - 0.02)]
-    return cands, points
+             Candidate(4, 4.0, obs.fan.fov / 2 - 0.02)]
+    return cands, depths
 
 
 @pytest.mark.parametrize("adj, moved", [
@@ -226,11 +230,11 @@ def test_an_adjustment_moves_its_candidate_within_the_clamps_and_keeps_its_score
     one that breaks a clamp leaves the original.  Either way the candidate
     keeps its score."""
     if adj.theta is None:
-        adj = adj._replace(theta=obs.fov / 2 + 0.02)
-    cands, points = adjustment_set(obs)
+        adj = adj._replace(theta=obs.fan.fov / 2 + 0.02)
+    cands, depths = adjustment_set(obs)
     scores = {c.id: 0.9 if c.id == adj.id else 0.1 * c.id for c in cands}
     backend = Scripted(scores=scores, adjustments=[adj])
-    decision, kept, _ = select_with(cands, obs, backend, RunConfig(), 0, points=points)
+    decision, kept, _ = select_with(cands, obs, backend, RunConfig(), 0, depths=depths)
     before = {c.id: c for c in cands}
     after = {c.id: c for c in kept.candidates}
     expected = Candidate(adj.id, adj.r, adj.theta) if moved else before[adj.id]

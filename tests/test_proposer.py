@@ -21,7 +21,7 @@ from dynav.proposer import (
     boundary,
     sample_initial,
 )
-from dynav.sensing import sense, traversability_mask
+from dynav.sensing import Fan, sense, traversability_mask
 from dynav.worldgen import WorldGenSpec, generate_world, random_free_pose
 
 from conftest import Point, boundary_of, make_pose, points_of, rays_of
@@ -77,8 +77,9 @@ def test_sample_validates_parameters():
         sample_initial(boundary_of(points), alpha=0.0, theta_delta=0.1, r_min=0.1)
     with pytest.raises(ValueError):
         sample_initial(boundary_of(points), alpha=1.2, theta_delta=0.1, r_min=0.1)
-    with pytest.raises(ValueError):
-        sample_initial(boundary_of(points), alpha=0.8, theta_delta=-0.1, r_min=0.1)
+    for theta_delta in (-0.1, math.nan):  # a NaN gap would key a new table per call
+        with pytest.raises(ValueError):
+            sample_initial(boundary_of(points), alpha=0.8, theta_delta=theta_delta, r_min=0.1)
 
 
 points_strategy = st.lists(
@@ -162,7 +163,7 @@ def test_sample_initial_equals_reference_bit_for_bit(points, alpha, theta_delta,
 def fan_points(obs, mask):
     """The (r, theta) pairs of the traversable rays with a positive depth,
     read from the observation's columns."""
-    return [Point(d, t) for d, t, m in zip(obs.depths, obs.thetas, mask) if m and d > 0]
+    return [Point(d, t) for d, t, m in zip(obs.depths, obs.fan.thetas, mask) if m and d > 0]
 
 
 @pytest.mark.parametrize("seed", [2, 7, 21, 38])
@@ -198,7 +199,6 @@ def test_fans_and_gaps_never_share_a_conflict_table(box_world, body):
     """Fans of three (n_rays, fov) shapes, each sampled at two gaps, in turn:
     each pair of fan and gap has a table of its own, and every sample is the
     reference's."""
-    proposer._CONFLICT_TABLES.clear()
     shapes = [(181, math.radians(131.0)), (61, math.radians(131.0)), (181, math.radians(90.0))]
     gaps = [15 * DEG, 7 * DEG]
     tables = {}
@@ -211,18 +211,19 @@ def test_fans_and_gaps_never_share_a_conflict_table(box_world, body):
                 out = sample_initial(boundary(obs, mask), 0.8, gap, 0.1)
                 assert bits((c.r, c.theta) for c in out.candidates) == bits(
                     reference_sample(fan_points(obs, mask), 0.8, gap, 0.1))
-                table = proposer._conflict_table(obs.thetas, gap)
-                assert table.thetas is obs.thetas and table.theta_delta == gap
+                table = proposer._conflict_table(obs.fan, gap)
+                assert table.thetas is obs.fan.thetas and table.theta_delta == gap
                 assert tables.setdefault((n_rays, fov, gap), table) is table
     assert len({id(t) for t in tables.values()}) == len(shapes) * len(gaps)
 
 
 def test_a_wide_fan_builds_rows_only_for_the_rays_it_keeps(cluttered_world, body):
-    proposer._CONFLICT_TABLES.clear()
     obs = sense(cluttered_world, make_pose(3.0, 5.0, 0.0), body, n_rays=2001)
-    out = sample_initial(boundary(obs, [True] * 2001), 0.8, 15 * DEG, 0.1)
-    ray = {theta: i for i, theta in enumerate(obs.thetas)}
-    built = [k for k, row in enumerate(proposer._conflict_table(obs.thetas, 15 * DEG).rows)
+    # a fan of its own, whose table no earlier sample can have filled
+    fan = Fan(obs.fan.thetas, obs.fan.fov)
+    out = sample_initial(boundary(obs, [True] * 2001)._replace(fan=fan), 0.8, 15 * DEG, 0.1)
+    ray = {theta: i for i, theta in enumerate(fan.thetas)}
+    built = [k for k, row in enumerate(proposer._conflict_table(fan, 15 * DEG).rows)
              if row is not None]
     assert len(out) > 3
     assert built == sorted(ray[c.theta] for c in out.candidates)
@@ -246,15 +247,16 @@ def test_boundary_masking(box_world, body):
 
 
 def make_set():
+    # a fan of three rays 30 degrees apart
     points = [Point(5.0, -30 * DEG), Point(4.0, 0.0), Point(5.0, 30 * DEG)]
-    initial = sample_initial(boundary_of(points), alpha=0.8, theta_delta=15 * DEG, r_min=0.1)
+    initial = sample_initial(boundary_of(points, fov=60 * DEG), alpha=0.8,
+                             theta_delta=15 * DEG, r_min=0.1)
     return points, initial
 
 
 def apply(initial, points, removals=(), adjustments=()):
     assert points_of(initial.points) == points  # the set keeps the boundary it was sampled from
-    return apply_filter_response(initial, removals, adjustments,
-                                 fov=math.radians(131.0), ray_gap=31 * DEG)
+    return apply_filter_response(initial, removals, adjustments)
 
 
 def test_filter_removals():
@@ -293,9 +295,9 @@ def test_filter_respects_boundary_extent():
 
 def test_filter_fov_clamp():
     points = [Point(5.0, -60 * DEG), Point(4.0, -52 * DEG)]
-    initial = sample_initial(boundary_of(points), alpha=1.0, theta_delta=5 * DEG, r_min=0.1)
-    out = apply_filter_response(initial, [], [Adjustment(1, 1.0, -62 * DEG)],
-                                fov=120 * DEG, ray_gap=10 * DEG)
+    initial = sample_initial(boundary_of(points, fov=120 * DEG), alpha=1.0,
+                             theta_delta=5 * DEG, r_min=0.1)
+    out = apply_filter_response(initial, [], [Adjustment(1, 1.0, -62 * DEG)])
     # -62 deg falls outside the 120 deg field of view: adjustment dropped
     assert out.by_id(1) == initial.by_id(1)
 

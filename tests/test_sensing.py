@@ -82,7 +82,7 @@ def test_ray_fan_geometry(box_world, body):
     assert thetas[0] == pytest.approx(-DEFAULT_FOV / 2)
     assert thetas[-1] == pytest.approx(DEFAULT_FOV / 2)
     assert all(b > a for a, b in zip(thetas, thetas[1:]))
-    assert obs.fov == DEFAULT_FOV
+    assert obs.fan.fov == DEFAULT_FOV
     assert obs.n_rays == 21
 
 
