@@ -15,42 +15,6 @@ _CONTACT = 1e-4
 _EPS = 1e-9
 # bound on the rounding in a Lipschitz bound on computed clearances
 _SLACK = 1e-9
-# radius of a local clearance view (``WorldMap.local_clearance``)
-_REACH = 0.1
-
-
-class _RayClearance:
-    """Exact clearance at points of one ray, each named by its offset.
-
-    A point within ``_REACH`` of the last view's centre is answered from that
-    view.  Where the points come densely, a point within ``_REACH`` of the
-    last one measured builds a new view; any other point takes a full query.
-    Offsets stand for distances along the ray: a unit direction and the
-    rounding of the points stretch them by far less than the view's margin.
-    """
-
-    __slots__ = ("world", "last", "centre", "view")
-
-    def __init__(self, world: WorldMap):
-        self.world = world
-        self.last = -math.inf  # offset of the last point measured
-        self.centre = math.inf  # offset of the view's centre
-        self.view = None
-
-    def __call__(self, t: float, x: float, y: float) -> float:
-        if abs(t - self.centre) <= _REACH:
-            return self.view(x, y)
-        if abs(t - self.last) <= _REACH:
-            c, self.view = self.world.local_clearance(x, y, _REACH)
-            self.centre = t
-        else:
-            c = self.world.clearance(x, y)
-        self.last = t
-        return c
-
-    def known(self, t: float) -> None:
-        """Note that the clearance at offset ``t`` was measured elsewhere."""
-        self.last = t
 
 
 def _max_travel(world: WorldMap, x0: float, y0: float, ux: float, uy: float,
@@ -59,12 +23,11 @@ def _max_travel(world: WorldMap, x0: float, y0: float, ux: float, uy: float,
 
     Conservative distance marching (sphere tracing): each step advances by
     the current clearance minus the body radius, which can never jump past a
-    contact.  Short steps near a surface are answered from local views.
+    contact.
     """
-    clearance_at = _RayClearance(world)
     t = 0.0
     while t < r - _EPS:
-        c = clearance_at(t, x0 + t * ux, y0 + t * uy) - radius
+        c = world.clearance(x0 + t * ux, y0 + t * uy) - radius
         if c <= _CONTACT:
             break
         t += min(c, r - t)
@@ -107,8 +70,7 @@ def reactive_avoid(world: WorldMap, pose: Pose, body: AgentBody, clearance: floa
     way, so no later sample is back in.  Clearance is 1-Lipschitz in
     position, so a sample at offset t has at most ``c + |t - s|`` for any
     sample at offset s already measured at c; samples this bound rules out
-    are never measured, and those near a measured one are answered from
-    local views.
+    are never measured.
     """
     if not world.in_bounds(pose.x, pose.y):
         raise PoseOutOfBounds(f"pose ({pose.x:.2f}, {pose.y:.2f}) is outside the world")
@@ -134,15 +96,13 @@ def reactive_avoid(world: WorldMap, pose: Pose, body: AgentBody, clearance: floa
         samples.append((t, x, y))
         t += step
 
-    clearance_at = _RayClearance(world)
-    clearance_at.known(0.0)
     # the first sample that restores the clearance
     found = []  # offset and clearance of the samples measured here, in order
     low = c0  # min of c - s over the pose and the measured samples
     for t, x, y in samples:
         if low + t + _SLACK < clearance:
             continue
-        c = clearance_at(t, x, y)
+        c = world.clearance(x, y)
         if c >= clearance:
             return Pose(x, y, pose.heading)
         found.append((t, c))
@@ -153,19 +113,17 @@ def reactive_avoid(world: WorldMap, pose: Pose, body: AgentBody, clearance: floa
     best_pose = pose if c0 >= body.radius else None
     best_c = c0 if best_pose is not None else -math.inf
     low = c0
-    clearance_at.known(0.0)
     ahead = iter(found + [(math.inf, math.inf)])
     t_next, c_next = next(ahead)
     for t, x, y in samples:
         if t == t_next:
             c = c_next
             t_next, c_next = next(ahead)
-            clearance_at.known(t)
         else:
             bound = min(low + t, c_next + (t_next - t)) + _SLACK
             if bound <= best_c or bound < body.radius:
                 continue
-            c = clearance_at(t, x, y)
+            c = world.clearance(x, y)
         low = min(low, c - t)
         if c > best_c and c >= body.radius:
             best_c = c

@@ -105,9 +105,8 @@ def propose(obs: Observation, traversability: Sequence[bool], cfg) -> CandidateS
                                    cfg.r_min)
 
 
-def select_action(ctx: RequestContext, obs: Observation, candidates: CandidateSet,
-                  template_id: str, backend, cfg,
-                  stop_streak: int) -> Tuple[StepDecision, CandidateSet, Tuple]:
+def select_action(ctx: RequestContext, candidates: CandidateSet, template_id: str, backend,
+                  cfg, stop_streak: int) -> Tuple[StepDecision, CandidateSet, Tuple]:
     """Send the step's one request, update the stop streak, and choose the action.
 
     Candidates go in a score request, whose reply's removals and adjustments
@@ -179,8 +178,7 @@ def step(state: AgentState, world, mem: Optional[MemoryGraph], goal: GoalSpec,
     cut = memory_cut(mem, goal, cfg)
     ctx = request_context(obs, session_id, goal, memory_excerpt(cut), cut, constraints)
     decision, candidates, memory_ops = select_action(
-        ctx, obs, propose(obs, mask, cfg), TEMPLATES[goal.kind], backend, cfg,
-        state.stop_streak)
+        ctx, propose(obs, mask, cfg), TEMPLATES[goal.kind], backend, cfg, state.stop_streak)
     if mem is not None and cfg.memory_enabled and memory_ops:
         apply_memory_ops(mem, memory_ops, step_index=state.step_index, agent=session_id)
 

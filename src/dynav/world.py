@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-import struct
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,8 +23,20 @@ OUTSIDE = 2  # the frame around the grid in ``WorldMap.framed_cells``
 
 WORLD_FORMAT = "dynav-world/1"
 
-# the exact bits of a point, so -0.0 and 0.0 are different points
-_point_bits = struct.Struct("<2d").pack
+
+def _row_runs(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, first and last column of each maximal run of True in ``mask``'s rows."""
+    # +1 where a run starts and -1 one past its end; nonzero lists both row
+    # by row, so the k-th start pairs with the k-th end
+    steps = np.diff(np.pad(mask, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+    rows, first = np.nonzero(steps == 1)
+    return rows, first, np.nonzero(steps == -1)[1] - 1
+
+
+def _near(k: int, lo: int, hi: int) -> range:
+    """Indices in [lo, hi] within one of k, once k is clamped to [lo, hi]."""
+    k = min(max(k, lo), hi)
+    return range(max(k - 1, lo), min(k + 1, hi) + 1)
 
 
 @dataclass(frozen=True)
@@ -116,18 +127,12 @@ class WorldMap:
                 raise ValueError(f"object {o.name} center lies outside the world")
         # per-world indexes, built on first use
         self._framed: Optional[bytes] = None
-        self._edge_cells: Optional[tuple] = None
+        self._runs: Optional[list] = None
         self._occupancy = None
         self._free_cache: dict = {}
-        # (point bits, answer) of the last full clearance query, as one
-        # tuple, so threads sharing the world read a consistent entry
-        self._last_query: Optional[tuple] = None
-        if self.objects:
-            self._obj_centers = np.array([o.center for o in self.objects], dtype=float)
-            self._obj_radii = np.array([o.radius for o in self.objects], dtype=float)
-        else:
-            self._obj_centers = np.zeros((0, 2))
-            self._obj_radii = np.zeros(0)
+        # (cx, cy, r) of each object, in plain floats
+        self._discs = [(float(o.center[0]), float(o.center[1]), float(o.radius))
+                       for o in self.objects]
 
     # -- geometry helpers ---------------------------------------------------
 
@@ -167,34 +172,40 @@ class WorldMap:
             self._framed = np.pad(self.grid, 1, constant_values=OUTSIDE).tobytes()
         return self._framed
 
-    def _edge_index(self) -> tuple:
-        """Obstacle cells with a free 8-neighbour: their indices, the edges of
-        their squares as arrays, and the four edges of each square as rows.
+    def _wall_runs(self) -> list:
+        """Maximal runs of edge cells, as ``(ax, bx, ay, by, (ix0, ix1, iy0,
+        iy1))``: the float bounds of the run's squares and its cell range.
 
-        Seen from a point outside every obstacle cell, any other obstacle cell
-        lies at least one resolution farther than some edge cell, so the
-        nearest cell is always an edge cell.
+        An edge cell is an obstacle cell with a free 8-neighbour.  Seen from a
+        point outside every obstacle cell, any other obstacle cell lies at
+        least one resolution farther than some edge cell, so the nearest cell
+        is always an edge cell.  Each row's runs of two or more cells are
+        kept, and the single cells left over merge into runs along their
+        columns, so that both horizontal and vertical walls take few runs.
         """
-        if self._edge_cells is None:
+        if self._runs is None:
             free = np.pad(self.grid == FREE, 1)
             near_free = np.zeros_like(self.grid, dtype=bool)
             h, w = self.grid.shape
             for oy in range(3):
                 for ox in range(3):
                     near_free |= free[oy: oy + h, ox: ox + w]
-            iys, ixs = np.nonzero((self.grid == OBSTACLE) & near_free)
+            edge = (self.grid == OBSTACLE) & near_free
+            iys, x0s, x1s = _row_runs(edge)
+            single = x0s == x1s
+            alone = np.zeros_like(edge)
+            alone[iys[single], x0s[single]] = True
+            ixs, y0s, y1s = _row_runs(alone.T)
+            kept = ~single
+            ix0 = np.concatenate([x0s[kept], ixs])
+            ix1 = np.concatenate([x1s[kept], ixs])
+            iy0 = np.concatenate([iys[kept], y0s])
+            iy1 = np.concatenate([iys[kept], y1s])
             res = self.resolution
-            x0, x1, y0, y1 = ixs * res, (ixs + 1) * res, iys * res, (iys + 1) * res
-            self._edge_cells = (list(zip(ixs.tolist(), iys.tolist())), x0, x1, y0, y1,
-                                np.stack([x0, x1, y0, y1], axis=1))
-        return self._edge_cells
-
-    def _edge_d2(self, x: float, y: float) -> np.ndarray:
-        """Squared distances from a point to the square of every edge cell."""
-        _, x0, x1, y0, y1, _ = self._edge_index()
-        dx = np.maximum(np.maximum(x0 - x, x - x1), 0.0)
-        dy = np.maximum(np.maximum(y0 - y, y - y1), 0.0)
-        return dx * dx + dy * dy
+            self._runs = list(zip((ix0 * res).tolist(), ((ix1 + 1) * res).tolist(),
+                                  (iy0 * res).tolist(), ((iy1 + 1) * res).tolist(),
+                                  zip(ix0.tolist(), ix1.tolist(), iy0.tolist(), iy1.tolist())))
+        return self._runs
 
     def _cell_rect_distance(self, x: float, y: float, ix: int, iy: int) -> float:
         res = self.resolution
@@ -202,49 +213,64 @@ class WorldMap:
         dy = max(iy * res - y, 0.0, y - (iy + 1) * res)
         return math.hypot(dx, dy)
 
-    def _nearest_cell(self, x: float, y: float, bound: float, scan: Optional[list] = None):
-        """Distance to and nearest point on the closest obstacle cell, when
-        that distance is below ``bound``; None otherwise.  The point must lie
-        strictly inside the world.  Candidates come in row-major order and the
-        first strictly nearer one is kept, so an exact tie between cells goes
-        to the lowest ``iy``, then the lowest ``ix``.  The squared distances to
-        the edge cells, when measured, are appended to ``scan``.
-        """
-        res = self.resolution
-        w, h = self.width_cells, self.height_cells
-        ix = min(int(x / res), w - 1)
-        iy = min(int(y / res), h - 1)
-        if self.framed_cells()[(iy + 1) * (w + 2) + ix + 1] == OBSTACLE:
-            # within rounding of this cell: no cell outside its 3x3 block
-            # comes within a resolution of the point
-            cands = [(jx, jy) for jy in range(max(iy - 1, 0), min(iy + 2, h))
-                     for jx in range(max(ix - 1, 0), min(ix + 2, w))
-                     if self.grid[jy, jx] == OBSTACLE]
-        else:
-            cells = self._edge_index()[0]
-            if not cells:
-                return None
-            d2 = self._edge_d2(x, y)
-            if scan is not None:
-                scan.append(d2)
-            # squares order the cells as hypot does, up to rounding: keep a
-            # relative margin far above it and decide with hypot below
-            d2_min = float(d2.min())
-            if d2_min > bound * bound * (1.0 + 1e-9):
-                return None
-            cands = [cells[k] for k in np.flatnonzero(d2 <= d2_min * (1.0 + 1e-9)).tolist()]
-        best, nearest = bound, None
-        for jx, jy in cands:
-            d = self._cell_rect_distance(x, y, jx, jy)
-            if d < best:
-                best, nearest = d, (jx, jy)
-        if nearest is None:
-            return None
-        return best, self._clamp_to_cell(x, y, *nearest)
-
     def _clamp_to_cell(self, x: float, y: float, ix: int, iy: int) -> Tuple[float, float]:
         res = self.resolution
         return (min(max(x, ix * res), (ix + 1) * res), min(max(y, iy * res), (iy + 1) * res))
+
+    def _scan(self, x: float, y: float) -> Tuple[float, list, Optional[tuple]]:
+        """Clearance at a point and what sets it, as ``(best, spans, disc)``.
+
+        ``disc`` is the nearest disc ``(cx, cy, r)`` when a disc sets the
+        clearance.  Otherwise ``spans`` holds the cell ranges ``(ix0, ix1,
+        iy0, iy1)`` exactly at that distance: the tied runs, or the nearest
+        cell of the 3x3 block around a point inside an obstacle cell.  An
+        empty ``spans`` means the border.
+        """
+        best = min(x, y, self.width_m - x, self.height_m - y)
+        spans: list = []
+        # a cell must come strictly closer than the border, so it can only
+        # win for a point strictly inside the world
+        if best > 0.0:
+            res, w, h = self.resolution, self.width_cells, self.height_cells
+            ix = min(int(x / res), w - 1)
+            iy = min(int(y / res), h - 1)
+            if self.framed_cells()[(iy + 1) * (w + 2) + ix + 1] == OBSTACLE:
+                # within rounding of this cell: no cell outside its 3x3 block
+                # comes within a resolution of the point
+                for jy in range(max(iy - 1, 0), min(iy + 2, h)):
+                    for jx in range(max(ix - 1, 0), min(ix + 2, w)):
+                        if self.grid[jy, jx] == OBSTACLE:
+                            d = self._cell_rect_distance(x, y, jx, jy)
+                            if d < best:
+                                best, spans = d, [(jx, jx, jy, jy)]
+            else:
+                # a run's gaps are those of its nearest cell: the same float
+                # bounds enter the same expressions, so the bits agree
+                for ax, bx, ay, by, span in self._wall_runs():
+                    dx = max(ax - x, 0.0, x - bx)
+                    if dx > best:
+                        continue
+                    dy = max(ay - y, 0.0, y - by)
+                    if dy > best:
+                        continue
+                    d = math.hypot(dx, dy)
+                    if d < best:
+                        best, spans = d, [span]
+                    elif d == best and spans:
+                        spans.append(span)
+        # an object comes closer than best only if its centre lies within
+        # best + radius: a screen in plain floats, with a margin over rounding;
+        # the strict < keeps the first of tied discs, as an argmin does
+        disc = None
+        for o in self._discs:
+            cx, cy, r = o
+            if (x - cx) ** 2 + (y - cy) ** 2 < (best + r + 1e-9) ** 2:
+                # plain floats: a numpy scalar here would carry into the
+                # nudged pose and slow every later step's arithmetic
+                d = float(np.hypot(cx - x, cy - y)) - r
+                if d < best:
+                    best, disc = d, o
+        return best, spans, disc
 
     def clearance(self, x: float, y: float) -> float:
         """Exact distance from a point to the nearest blocking surface.
@@ -252,113 +278,38 @@ class WorldMap:
         Obstacle cells are axis-aligned squares, objects are discs, and the
         map border counts as a wall (the world ends there).
         """
-        return self.clearance_with_nearest(x, y)[0]
+        return self._scan(x, y)[0]
 
-    def clearance_with_nearest(self, x: float, y: float, *, scan: Optional[list] = None
-                               ) -> Tuple[float, Tuple[float, float]]:
+    def clearance_with_nearest(self, x: float, y: float) -> Tuple[float, Tuple[float, float]]:
         """Clearance plus the closest point on the nearest blocking surface.
 
-        ``scan``, for ``local_clearance``, receives the squared distances to
-        the edge cells if the search measures them.  A repeat of the last
-        query at the same point, given as plain floats, is answered from
-        memory and measures nothing.
+        Of exactly tied obstacle cells the first in row-major order wins: the
+        lowest ``iy``, then the lowest ``ix``.
         """
-        key = None
-        if type(x) is float and type(y) is float:
-            key = _point_bits(x, y)
-            last = self._last_query
-            if last is not None and last[0] == key:
-                return last[1]
-        best = min(x, y, self.width_m - x, self.height_m - y)
+        best, spans, disc = self._scan(x, y)
+        if disc is not None:
+            cx, cy, r = disc
+            norm = math.hypot(x - cx, y - cy)
+            if norm > 1e-12:
+                return best, (cx + (x - cx) / norm * r, cy + (y - cy) / norm * r)
+            return best, (cx + r, cy)
+        if spans:
+            # a span's cells at that distance lie within one index of the
+            # point's own cell along it
+            res = self.resolution
+            jy, jx = min((jy, jx) for ix0, ix1, iy0, iy1 in spans
+                         for jy in _near(int(y / res), iy0, iy1)
+                         for jx in _near(int(x / res), ix0, ix1)
+                         if self._cell_rect_distance(x, y, jx, jy) == best)
+            return best, self._clamp_to_cell(x, y, jx, jy)
         # border: closest point is the orthogonal projection onto that wall
         if best == x:
-            nearest = (0.0, y)
-        elif best == y:
-            nearest = (x, 0.0)
-        elif best == self.width_m - x:
-            nearest = (self.width_m, y)
-        else:
-            nearest = (x, self.height_m)
-
-        # a cell must come strictly closer than the border, so it can only
-        # win for a point strictly inside the world
-        if best > 0.0:
-            cell = self._nearest_cell(x, y, best, scan)
-            if cell is not None:
-                best, nearest = cell
-
-        # an object comes closer than best only if its centre lies within
-        # best + radius: a screen in plain floats, with a margin over rounding
-        if any((x - o.center[0]) ** 2 + (y - o.center[1]) ** 2 < (best + o.radius + 1e-9) ** 2
-               for o in self.objects):
-            dd = np.hypot(self._obj_centers[:, 0] - x, self._obj_centers[:, 1] - y) - self._obj_radii
-            k = int(np.argmin(dd))
-            if dd[k] < best:
-                best = float(dd[k])
-                # plain floats: a numpy scalar here would carry into the
-                # nudged pose and slow every later step's arithmetic
-                cx, cy = self._obj_centers[k].tolist()
-                r = float(self._obj_radii[k])
-                norm = math.hypot(x - cx, y - cy)
-                if norm > 1e-12:
-                    nearest = (cx + (x - cx) / norm * r, cy + (y - cy) / norm * r)
-                else:
-                    nearest = (cx + r, cy)
-        result = best, nearest
-        if key is not None:
-            self._last_query = (key, result)
-        return result
-
-    def local_clearance(self, x: float, y: float,
-                        reach: float) -> Tuple[float, Callable[[float, float], float]]:
-        """Clearance at p = (x, y), and a function giving ``clearance(q)``,
-        bit for bit, for any q within ``reach`` of p.
-
-        Clearance is 1-Lipschitz, so c(q) <= c(p) + reach, and whatever sets
-        c(q) lies within c(p) + 2*reach of p.  The full query at p keeps its
-        squared distances to the edge cells, and the cells and objects that
-        come that close are kept, with a margin far above rounding (it also
-        covers a q a rounding error beyond ``reach``).  A query scans only
-        those in plain Python, with the float expressions of the full query
-        and the same ``np.hypot`` for objects; a q inside an obstacle cell
-        takes the full query.  The kept cells give the same least distance,
-        not always the same tied cell, so the function gives the value alone.
-        """
-        scan: list = []
-        c = self.clearance_with_nearest(x, y, scan=scan)[0]
-        within = c + 2.0 * reach + 1e-6
-        cells, *_, rows = self._edge_index()
-        rects: list = []
-        if within > 0.0 and cells:
-            d2 = scan[0] if scan else self._edge_d2(x, y)
-            rects = rows[np.flatnonzero(d2 <= within * within)].tolist()
-        objs = [(*o.center, o.radius) for o in self.objects
-                if o.boundary_distance(x, y) <= within]
-        res, w, h = self.resolution, self.width_cells, self.height_cells
-        width_m, height_m = self.width_m, self.height_m
-        framed = self.framed_cells()
-        hypot = np.hypot
-
-        def clearance_near(qx: float, qy: float) -> float:
-            best = min(qx, qy, width_m - qx, height_m - qy)
-            if best > 0.0:
-                ix = min(int(qx / res), w - 1)
-                iy = min(int(qy / res), h - 1)
-                if framed[(iy + 1) * (w + 2) + ix + 1] == OBSTACLE:
-                    return self.clearance(qx, qy)
-                for ax, bx, ay, by in rects:
-                    d = math.hypot(max(ax - qx, 0.0, qx - bx), max(ay - qy, 0.0, qy - by))
-                    if d < best:
-                        best = d
-            for ox, oy, r in objs:
-                # the full query's screen, then its hypot on this one object
-                if (qx - ox) ** 2 + (qy - oy) ** 2 < (best + r + 1e-9) ** 2:
-                    d = float(hypot(ox - qx, oy - qy)) - r
-                    if d < best:
-                        best = d
-            return best
-
-        return c, clearance_near
+            return best, (0.0, y)
+        if best == y:
+            return best, (x, 0.0)
+        if best == self.width_m - x:
+            return best, (self.width_m, y)
+        return best, (x, self.height_m)
 
     def occupancy_with_objects(self) -> np.ndarray:
         """Boolean grid: cell blocked by an obstacle cell or an object disc.
@@ -370,7 +321,7 @@ class WorldMap:
             occ = self.grid == OBSTACLE
             h, w = occ.shape
             res = self.resolution
-            for (ox, oy), r in zip(self._obj_centers.tolist(), self._obj_radii.tolist()):
+            for ox, oy, r in self._discs:
                 x0, x1 = max(int((ox - r) / res) - 1, 0), min(int((ox + r) / res) + 2, w)
                 y0, y1 = max(int((oy - r) / res) - 1, 0), min(int((oy + r) / res) + 2, h)
                 cx = (np.arange(x0, x1) + 0.5) * res

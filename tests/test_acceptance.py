@@ -410,8 +410,7 @@ def test_6_stop_rule_exhaustive_truth_table():
             backend = _StopScript(seq)
             streak, got = 0, None
             for i in range(length):
-                decision = select_action(ctx, obs, cset, TEMPLATES["name"],
-                                         backend, cfg, streak)[0]
+                decision = select_action(ctx, cset, TEMPLATES["name"], backend, cfg, streak)[0]
                 streak = decision.stop_streak
                 if decision.chosen.stop:
                     got = i
@@ -598,7 +597,7 @@ def test_9_hazard_candidates_always_filtered():
         ctx = request_context(obs, session_id="adhoc", goal=GoalSpec.name_goal("chair"),
                               constraints=constraints)
         # the step's one request: its reply's removals apply in select_action
-        _, final, _ = select_action(ctx, obs, propose(obs, [True] * obs.n_rays, cfg),
+        _, final, _ = select_action(ctx, propose(obs, [True] * obs.n_rays, cfg),
                                     TEMPLATES["name"], backend, cfg, 0)
         removed_total += len(initial.candidates) - len(final.candidates)
         for c in final.candidates:

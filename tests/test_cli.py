@@ -2,6 +2,8 @@
 import argparse
 import dataclasses
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,17 @@ from dynav.memory import MemoryGraph, load_graph, merge, save_graph
 from dynav.world import OBSTACLE, WorldMap, SemanticObject
 
 from conftest import empty_world
+
+
+def test_package_runs_as_a_module(tmp_path):
+    """``python -m dynav`` is the ``dynav`` command."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-m", "dynav", "--help"], cwd=tmp_path,
+        env={"PYTHONPATH": str(src), "PATH": "", "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, check=True).stdout
+    assert out.startswith("usage: dynav ")
+    assert all(cmd in out for cmd in ("run", "worldgen", "memory", "serve-stub", "eval"))
 
 
 @pytest.fixture()

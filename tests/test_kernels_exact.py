@@ -1,11 +1,11 @@
 """The simulator kernels against plain scalar reference versions, bit for bit.
 
-``sense``, ``WorldMap.clearance_with_nearest``, ``WorldMap.local_clearance``,
+``sense``, ``WorldMap.clearance_with_nearest``, ``WorldMap.clearance``,
 ``reactive_avoid`` and ``execute`` use a flat framed grid, numpy over rays, a
-search over edge cells, local clearance views and Lipschitz skipping of
-avoidance samples.  The references below are the straightforward versions: a
-DDA over ``grid[iy, ix]``, one ray-disc test per ray and object, a kd-tree
-search over every obstacle cell, a full query for every point and a scan of
+scan over merged runs of edge cells and Lipschitz skipping of avoidance
+samples.  The references below are the straightforward versions: a DDA over
+``grid[iy, ix]``, one ray-disc test per ray and object, a kd-tree search over
+every obstacle cell, a full query for every marching point and a scan of
 every avoidance sample.  Each test requires equal bits, not closeness.  Of
 equally near obstacle cells the one first in row-major order wins: the lowest
 ``iy``, then the lowest ``ix``.
@@ -391,44 +391,6 @@ def test_clearance_ties_between_cells_keep_the_reference_winner(worlds):
         assert bits(world.clearance(x, y)) == bits(d)
 
 
-def test_a_repeated_clearance_query_is_answered_from_memory(worlds):
-    """The last full query is kept: a repeat at the same point measures
-    nothing and gives the same answer.  Points are the exact bits of plain
-    floats, so -0.0 is not 0.0, and other numbers are measured each time; a
-    scan caller (``local_clearance``) still gets its exact view."""
-    world = worlds[0]
-
-    def fresh():  # the same world with nothing in memory
-        return WorldMap(world.grid, world.resolution, world.objects)
-
-    searched = []
-    search = world._nearest_cell
-    world._nearest_cell = lambda *args: searched.append(args[:2]) or search(*args)
-    try:
-        x, y = 3.3, 2.7
-        first = world.clearance_with_nearest(x, y)
-        assert len(searched) == 1
-        assert world.clearance_with_nearest(x, y) is first and len(searched) == 1
-        assert world.clearance(x, y) == first[0] and len(searched) == 1
-        assert world.clearance_with_nearest(x, 2.7000000000000006) is not first
-        assert len(searched) == 2
-        y = world.height_m / 2
-        for point in [(0.0, y), (-0.0, y), (-0.0, y), (0.0, y), (1, 2), (1.0, 2.0), (1, 2),
-                      (np.float64(1.0), 2.0)]:
-            assert repr(world.clearance_with_nearest(*point)) == repr(
-                fresh().clearance_with_nearest(*point)), point
-        for point in [(2.5, 2.5), (2.5, 2.5), (2.55, 2.48)]:
-            world.clearance_with_nearest(*point)
-            c, view = world.local_clearance(*point, 0.1)
-            c_ref, view_ref = fresh().local_clearance(*point, 0.1)
-            assert bits(c) == bits(c_ref)
-            for dx, dy in [(0.0, 0.0), (0.07, 0.0), (-0.05, 0.06), (0.0, -0.1)]:
-                q = (point[0] + dx, point[1] + dy)
-                assert bits(view(*q)) == bits(view_ref(*q)) == bits(fresh().clearance(*q)), q
-    finally:
-        del world._nearest_cell
-
-
 def nudge_cases(world, rng, n):
     """Cell-centre poses closer to a surface than the avoidance clearance."""
     poses = []
@@ -489,7 +451,7 @@ def test_reactive_avoid_boxed_in_cases_match_full_scan():
 def test_reactive_avoid_measures_fewer_samples_than_a_full_scan(box_world):
     """Next to a single wall the clearance grows along the ray, and the
     Lipschitz bound skips the samples that cannot restore it yet.  Every
-    measured sample counts, whether a full query or a local view answers it."""
+    measured sample counts."""
     calls = []
     measure = box_world.clearance_with_nearest
 
@@ -503,16 +465,6 @@ def test_reactive_avoid_measures_fewer_samples_than_a_full_scan(box_world):
 
         def clearance(self, x, y):
             return self.clearance_with_nearest(x, y)[0]
-
-        def local_clearance(self, x, y, reach):
-            calls.append((x, y))
-            c, view = box_world.local_clearance(x, y, reach)
-
-            def counted(qx, qy):
-                calls.append((qx, qy))
-                return view(qx, qy)
-
-            return c, counted
 
     pose = Pose(0.25, 4.0, 0.0)  # 0.15 m from the wall face at x = 0.1
     out = reactive_avoid(Counting(), pose, AgentBody(), 0.32)
@@ -541,11 +493,11 @@ def test_avoid_samples_the_ray_only_up_to_the_worlds_edge(box_world):
     assert len(asked) <= box_world.width_m / 0.01 + 2
 
 
-# -- local clearance views ---------------------------------------------------------
+# -- wall runs -----------------------------------------------------------------------
 
 
 @st.composite
-def view_worlds(draw):
+def walled_worlds(draw):
     """Rooms cut by walls along rows and columns, so that slots and corridors
     with cells tied in distance are common, plus a few lone cells and discs."""
     res = draw(st.one_of(st.sampled_from((0.05, 0.1, 0.25)), st.floats(0.05, 0.25)))
@@ -595,7 +547,7 @@ def slot_ties(world, rng, n):
     return out
 
 
-def view_probes(world, rng):
+def probes(world, rng):
     """Special points, each with a direction: cell edges and corners, free cell
     centres, obstacle interiors, the map border, disc boundaries and centres,
     and slot ties."""
@@ -621,58 +573,110 @@ def view_probes(world, rng):
     return out + slot_ties(world, rng, 6)
 
 
+def edge_cells(world):
+    """Obstacle cells with a free 8-neighbour, found cell by cell."""
+    h, w = world.grid.shape
+    return [(ix, iy) for iy in range(h) for ix in range(w)
+            if world.grid[iy, ix] == OBSTACLE
+            and any(world.grid[jy, jx] != OBSTACLE
+                    for jy in range(max(iy - 1, 0), min(iy + 2, h))
+                    for jx in range(max(ix - 1, 0), min(ix + 2, w)))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(world=walled_worlds())
+def test_wall_runs_cover_the_edge_cells_once(world):
+    """Each run is a row or a column of cells and carries its squares' float
+    bounds; together the runs hold every edge cell, once, and nothing else."""
+    res = world.resolution
+    covered = []
+    for ax, bx, ay, by, (ix0, ix1, iy0, iy1) in world._wall_runs():
+        assert ix0 == ix1 or iy0 == iy1
+        assert bits(ax, bx, ay, by) == bits(ix0 * res, (ix1 + 1) * res,
+                                            iy0 * res, (iy1 + 1) * res)
+        covered += [(ix, iy) for iy in range(iy0, iy1 + 1) for ix in range(ix0, ix1 + 1)]
+    assert sorted(covered) == sorted(edge_cells(world))
+
+
 @settings(max_examples=150, deadline=None)
-@given(world=view_worlds(), seed=st.integers(0, 2 ** 32 - 1),
+@given(world=walled_worlds(), seed=st.integers(0, 2 ** 32 - 1),
        reach=st.one_of(st.just(0.1), st.floats(0.01, 0.6)))
-def test_local_view_matches_full_query(world, seed, reach):
-    """Each probe point s is queried from a view centred on it and from one
-    centred ``reach`` away along its direction, so that s lies on the edge of
-    the view; other points lie anywhere within ``reach`` of the centre."""
+def test_clearance_matches_reference_near_special_points(world, seed, reach):
+    """Each probe point s, and the point ``reach`` from s along its direction:
+    ``clearance_with_nearest`` gives the reference's distance and nearest
+    point, and ``clearance`` the same distance."""
     rng = random.Random(seed)
-    for (sx, sy), (ux, uy) in view_probes(world, rng):
-        for px, py in ((sx, sy), (sx + reach * ux, sy + reach * uy)):
-            c, view = world.local_clearance(px, py, reach)
-            assert bits(c) == bits(world.clearance(px, py))
-            qs = [(sx, sy), (px - reach * ux, py - reach * uy)]
-            for _ in range(3):
-                a, d = rng.uniform(-math.pi, math.pi), reach * rng.random()
-                qs.append((px + d * math.cos(a), py + d * math.sin(a)))
-            for qx, qy in qs:
-                assert bits(view(qx, qy)) == bits(world.clearance(qx, qy)), (px, py, qx, qy)
+    ref = RefClearance(world)
+    for (sx, sy), (ux, uy) in probes(world, rng):
+        for x, y in ((sx, sy), (sx + reach * ux, sy + reach * uy)):
+            d, (nx, ny) = world.clearance_with_nearest(x, y)
+            rd, (rx, ry) = ref(x, y)
+            assert bits(d, nx, ny) == bits(rd, rx, ry), (x, y)
+            assert bits(world.clearance(x, y)) == bits(d), (x, y)
 
 
-def test_local_view_keeps_both_cells_of_a_slot_tie():
-    """Across a slot, the point s halfway between the two walls is, in exact
-    arithmetic, as near to one as to the other, and a view centred ``reach``
-    from s toward one wall sees the other at exactly c + 2*reach.  Rounding
-    decides which wall is nearer to s, and to s as computed back from the
-    centre, which may lie a rounding error beyond ``reach``; the view must keep
-    the far wall, and the margin on c + 2*reach is what keeps it.  Walls run
-    the height of a tall room, so that the slot's walls are the nearest."""
+def test_clearance_ties_across_runs_keep_the_reference_winner():
+    """Slots between walls one cell thick that cross a long room, as columns
+    (vertical runs) and, in the transposed room, as rows (horizontal runs).
+    A point halfway across a slot is, in exact arithmetic, as near to one
+    wall as to the other, and rounding decides; where it leaves an exact tie,
+    the wall first in row-major order wins, as in the reference."""
     rng = random.Random(3)
-    checked = 0
+    checked = ties = 0
     for res in (0.05, 0.07, 0.1, 0.13, 0.17, 0.25):
         grid = np.zeros((40, 400), dtype=np.uint8)
         walls = [0]
         while walls[-1] + 17 < 400:  # slots of 3 to 16 free cells
             walls.append(walls[-1] + rng.randint(4, 17))
         grid[:, walls] = OBSTACLE
+        for flip in (False, True):
+            world = WorldMap(grid.T.copy() if flip else grid, res)
+            spans = [span for *_, span in world._wall_runs()]
+            along = [(iy0 == iy1 if flip else ix0 == ix1) and max(ix1 - ix0, iy1 - iy0) == 39
+                     for ix0, ix1, iy0, iy1 in spans]
+            assert len(spans) == len(walls) and all(along)
+            ref = RefClearance(world)
+            for a, b in zip(walls, walls[1:]):
+                s = ((a + 1) * res + b * res) / 2
+                for k in (19, 20):
+                    for t in (k * res, (k + 0.5) * res, (k + rng.random()) * res):
+                        x, y = (t, s) if flip else (s, t)
+                        d, (nx, ny) = world.clearance_with_nearest(x, y)
+                        rd, (rx, ry) = ref(x, y)
+                        assert bits(d, nx, ny) == bits(rd, rx, ry), (res, flip, x, y)
+                        assert bits(world.clearance(x, y)) == bits(d)
+                        near = [world._cell_rect_distance(x, y, *((k, j) if flip else (j, k)))
+                                for j in (a, b)]
+                        ties += near[0] == near[1] == d
+                        checked += 1
+    assert checked > 2000 and ties > 100
+
+
+def test_clearance_ties_between_a_row_run_and_a_column_run_keep_the_reference_winner():
+    """A column wall and a row wall above it: on their bisector the two walls
+    are equally near in exact arithmetic.  The column wall's cell, with the
+    lower ``iy``, comes first in row-major order and wins an exact tie, the
+    row wall's cell being no nearer even when it is measured first."""
+    rng = random.Random(4)
+    checked = ties = 0
+    for res in (0.05, 0.07, 0.1, 0.13, 0.17, 0.25):
+        grid = np.zeros((100, 100), dtype=np.uint8)
+        grid[30:56, 40] = OBSTACLE
+        grid[70, 45:] = OBSTACLE
         world = WorldMap(grid, res)
-        for a, b in zip(walls, walls[1:]):
-            sx = ((a + 1) * res + b * res) / 2
-            half = (b - a - 1) * res / 2
-            for reach in (0.1, 0.5 * half, 0.9 * half):
-                if reach >= half:
-                    continue
-                for iy in (19, 20):
-                    sy = (iy + rng.random()) * res
-                    for ux in (-1.0, 1.0):
-                        px = sx + reach * ux
-                        c, view = world.local_clearance(px, sy, reach)
-                        for qx in (sx, px - reach * ux):
-                            assert bits(view(qx, sy)) == bits(world.clearance(qx, sy)), (res, qx)
-                            checked += 1
-    assert checked > 3000
+        ref = RefClearance(world)
+        for iy in range(45, 55):
+            for y in (iy * res, (iy + 0.5) * res, (iy + rng.random()) * res):
+                x = 41 * res + (70 * res - y)
+                d, (nx, ny) = world.clearance_with_nearest(x, y)
+                rd, (rx, ry) = ref(x, y)
+                assert bits(d, nx, ny) == bits(rd, rx, ry), (res, x, y)
+                assert bits(world.clearance(x, y)) == bits(d)
+                jx, jy = world.cell_of(x, y)
+                column, row = (world._cell_rect_distance(x, y, *cell) for cell in ((40, jy), (jx, 70)))
+                ties += column == row == d
+                checked += 1
+    assert checked == 180 and ties > 20
 
 
 def march_by_full_queries(world, pose, body, action):
@@ -689,8 +693,7 @@ def march_by_full_queries(world, pose, body, action):
 
 
 def test_execute_matches_a_march_of_full_queries(worlds):
-    """Marches that graze walls, slots and discs, so that many points are
-    answered from local views."""
+    """Marches that graze walls, slots and discs."""
     body = AgentBody()
     rng = random.Random(13)
     for world in worlds:

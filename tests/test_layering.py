@@ -95,11 +95,11 @@ def test_no_function_level_imports(module):
     assert [(n, line) for n, line, nested in imported_modules(SRC / module) if nested] == []
 
 
-# ``WorldMap``'s private clearance kernel: its edge-cell index, the nearest-cell
-# search and the object arrays.  Motion asks ``clearance`` or
-# ``local_clearance``; which cells can matter is the world's business.
-WORLD_KERNEL = {"_edge_index", "_edge_d2", "_nearest_cell", "_cell_rect_distance",
-                "_obj_centers", "_obj_radii"}
+# ``WorldMap``'s private clearance kernel: its wall runs, the scan over them,
+# the cell distance and the disc list.  Motion asks ``clearance`` or
+# ``clearance_with_nearest``; which cells can matter is the world's business.
+WORLD_KERNEL = {"_wall_runs", "_runs", "_scan", "_cell_rect_distance", "_clamp_to_cell",
+                "_discs"}
 
 
 def kernel_uses(path: Path):
@@ -112,8 +112,7 @@ def kernel_uses(path: Path):
 
 
 def test_kernel_uses_finds_the_world_modules_own_uses():
-    assert {name for name, _ in kernel_uses(SRC / "world.py")} >= {
-        "_edge_index", "_nearest_cell", "_obj_centers", "_obj_radii"}
+    assert {name for name, _ in kernel_uses(SRC / "world.py")} == WORLD_KERNEL
 
 
 def test_world_kernel_stays_in_the_world_module():

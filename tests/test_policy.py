@@ -91,7 +91,7 @@ def select_with(candidates, obs, backend, cfg, streak, depths=()):
     points = Boundary(obs.fan, np.arange(len(depths)), np.array(depths, dtype=float))
     cset = CandidateSet(tuple(candidates), alpha=0.8, theta_delta=math.radians(15.0),
                         points=points)
-    return select_action(ctx_of(obs), obs, cset, TEMPLATES["name"], backend, cfg, streak)
+    return select_action(ctx_of(obs), cset, TEMPLATES["name"], backend, cfg, streak)
 
 
 @pytest.fixture
