@@ -94,7 +94,7 @@ class RequestContext:
         table of hits that ``rays.hit`` indexes.  A packed column that holds
         anything but finite floats raises SchemaViolation."""
         return {"pose": {"x_m": self.pose[0], "y_m": self.pose[1], "heading_deg": self.pose[2]},
-                "rays": {"theta_deg": _pack(self.theta_deg, "ray theta_deg"),
+                "rays": {"theta_deg": _pack_bearings(self.theta_deg),
                          "distance_m": _pack(self.distance_m, "ray distance_m"),
                          "hit": list(self.hit)},
                 "hits": [{"label": label, "attributes": list(attributes), "tags": list(tags)}
@@ -176,6 +176,24 @@ def _pack(column: Tuple[float, ...], what: str) -> str:
         raise SchemaViolation(f"request cannot be encoded: {what} must hold finite floats, "
                               f"not {bad!r:.60}")
     return b2a_base64(struct.pack(f"<{len(column)}d", *column), newline=False).decode("ascii")
+
+
+# the last bearing column packed, and its text: every request of one fan
+# carries the fan's own tuple.  The column is told by identity, not value:
+# 0.0 == -0.0, so a value key would hand one fan another's text, and the
+# memo's reference keeps the id from passing to a new tuple
+_PACKED: Tuple[Optional[Tuple[float, ...]], str] = (None, "")
+
+
+def _pack_bearings(column: Tuple[float, ...]) -> str:
+    """``_pack`` of a ``theta_deg`` column, skipped when the column is the
+    very tuple packed last."""
+    global _PACKED
+    last, text = _PACKED
+    if column is not last:
+        text = _pack(column, "ray theta_deg")
+        _PACKED = (column, text)
+    return text
 
 
 def _unpack(text, what: str) -> Tuple[float, ...]:

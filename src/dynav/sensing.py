@@ -3,11 +3,12 @@
 ``sense`` casts ``n_rays`` rays uniformly across the field of view and returns
 the fan as columns: per ray, the exact distance to the first blocking surface
 (obstacle cell or object disc) capped at the sensing range, and the index of
-what was hit in a table of the distinct hits.  The only per-ray Python loop
-is the grid walk, which yields the wall distance; the ray set-up, the object
-discs and the choice of depth and hit are numpy passes over the whole fan.
-The wire carries the same columns and table (``dynav.backends.protocol``),
-so no layer builds a record per ray.
+what was hit in a table of the distinct hits.  Every stage is a numpy pass
+over the whole fan: the ray set-up, the object discs, the wall distances
+(``WorldMap.wall_distances``, a cast against the world's wall runs that walks
+cell by cell only the rays grazing a grid corner) and the choice of depth
+and hit.  The wire carries the same columns and table
+(``dynav.backends.protocol``), so no layer builds a record per ray.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import PoseOutOfBounds
 from .geometry import AgentBody, Pose, normalize_angle
-from .world import OBSTACLE, WorldMap
+from .world import WorldMap
 
 DEFAULT_FOV = math.radians(131.0)
 
@@ -124,21 +125,17 @@ def sense(world: WorldMap, pose: Pose, body: AgentBody, n_rays: int,
           fov: float = DEFAULT_FOV, step: int = 0) -> Observation:
     """Cast a fan of rays from the pose and report depth plus semantic hits.
 
-    The walk appends one wall distance per ray; depth and hit code are then
-    chosen for all rays at once, and the table of distinct hits is built
-    from the codes.
-
     Ray angles are strictly increasing and span exactly [-fov/2, +fov/2].
     Depth is the distance to the first obstacle cell or object disc along the
     ray, capped at the body's sensing range; occlusion follows depth order.
 
-    Walls come from the exact voxel traversal of Amanatides & Woo over
-    ``WorldMap.framed_cells``.  Every ray starts in the pose's cell, and the
-    first crossing and crossing spacing of all rays are set up together in
-    numpy, whose element-wise operations round as the scalar ones do; a ray
-    with no x (y) movement never crosses along x (y).  Ties where a ray
-    crosses a cell corner step both axes at once, so zero-length grazes are
-    not reported as hits.
+    Walls come from the exact voxel traversal of Amanatides & Woo over the
+    grid, whose rules ``WorldMap.wall_distances`` states.  It casts all rays
+    at once against the world's wall runs and rebuilds each wall distance as
+    the traversal's own sum, bit for bit; only a ray whose wall entry lies
+    within 1e-7 cells of a grid corner, or every ray of a pose on a grid
+    line, is walked cell by cell.  Depth and hit code are then chosen for all
+    rays at once, and the table of distinct hits is built from the codes.
     """
     if n_rays < 2:
         raise ValueError("at least two rays are required")
@@ -153,55 +150,8 @@ def sense(world: WorldMap, pose: Pose, body: AgentBody, n_rays: int,
     dy_arr = np.fromiter(map(math.sin, angles), float, n_rays)
     t_obj, obj_i = _object_raycast(world, x0, y0, dx_arr, dy_arr, d_max)
 
-    res = world.resolution
-    ix = int(x0 / res)
-    iy = int(y0 / res)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_next_xs = np.where(dx_arr != 0.0, ((ix + (dx_arr > 0)) * res - x0) / dx_arr,
-                             math.inf).tolist()
-        t_next_ys = np.where(dy_arr != 0.0, ((iy + (dy_arr > 0)) * res - y0) / dy_arr,
-                             math.inf).tolist()
-        dt_xs = (res / np.abs(dx_arr)).tolist()
-        dt_ys = (res / np.abs(dy_arr)).tolist()
-    cells = world.framed_cells()
-    stride = world.width_cells + 2
-    # per ray, the flat-index step along x, along y, and across a corner
-    step_xs = np.where(dx_arr > 0, 1, -1)
-    step_ys = np.where(dy_arr > 0, stride, -stride)
-    k0 = (iy + 1) * stride + ix + 1
-    start = cells[k0]
-    if start:  # an obstacle, or the frame when rounding puts the start past the edge
-        t_wall = np.full(n_rays, 0.0 if start == OBSTACLE else math.inf)
-    else:
-        walls: List[float] = []
-        # a wall only matters up to the object the ray already hits
-        for step_x, step_y, step_xy, t_max, t_next_x, dt_x, t_next_y, dt_y in zip(
-                step_xs.tolist(), step_ys.tolist(), (step_xs + step_ys).tolist(),
-                np.minimum(t_obj, d_max).tolist(), t_next_xs, dt_xs, t_next_ys, dt_ys):
-            # walk the flat index: one cell along x, along y, or both at a corner
-            k = k0
-            while True:
-                if t_next_x < t_next_y - _TIE:
-                    t_enter = t_next_x
-                    t_next_x += dt_x
-                    k += step_x
-                elif t_next_y < t_next_x - _TIE:
-                    t_enter = t_next_y
-                    t_next_y += dt_y
-                    k += step_y
-                else:  # corner crossing: skip the zero-chord diagonal neighbors
-                    t_enter = t_next_x
-                    t_next_x += dt_x
-                    t_next_y += dt_y
-                    k += step_xy
-                if t_enter > t_max:
-                    walls.append(math.inf)
-                    break
-                cell = cells[k]
-                if cell:  # an obstacle, or the frame past the grid's edge
-                    walls.append(t_enter if cell == OBSTACLE else math.inf)
-                    break
-        t_wall = np.array(walls)
+    # a wall only matters up to the object the ray already hits
+    t_wall = world.wall_distances(x0, y0, dx_arr, dy_arr, np.minimum(t_obj, d_max))
     # per ray: the object when it lies no farther than the wall, else the
     # wall within range, else nothing at the sensing range; np.where copies
     # the chosen values bit for bit

@@ -23,6 +23,11 @@ OUTSIDE = 2  # the frame around the grid in ``WorldMap.framed_cells``
 
 WORLD_FORMAT = "dynav-world/1"
 
+# the ray traversal's tie between the next x and y crossings
+_TIE = 1e-12
+# cells from a grid line within which a ray's start or wall entry is walked
+_NEAR_LINE = 1e-7
+
 
 def _row_runs(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row, first and last column of each maximal run of True in ``mask``'s rows."""
@@ -128,6 +133,7 @@ class WorldMap:
         # per-world indexes, built on first use
         self._framed: Optional[bytes] = None
         self._runs: Optional[list] = None
+        self._faces: Optional[tuple] = None
         self._occupancy = None
         self._free_cache: dict = {}
         # (cx, cy, r) of each object, in plain floats
@@ -206,6 +212,163 @@ class WorldMap:
                                   (iy0 * res).tolist(), ((iy1 + 1) * res).tolist(),
                                   zip(ix0.tolist(), ix1.tolist(), iy0.tolist(), iy1.tolist())))
         return self._runs
+
+    def _run_faces(self) -> tuple:
+        """The wall runs as columns, ``(ax, bx, ay, by, lines)``: the float
+        bounds of ``_wall_runs``, each of shape (runs, 1), and the grid lines
+        of the runs' faces as rows ``ix0``, ``-(ix1 + 1)``, ``iy0`` and
+        ``-(iy1 + 1)``, of shape (4, runs)."""
+        if self._faces is None:
+            runs = self._wall_runs()
+            ax, bx, ay, by = (np.array([run[i] for run in runs], dtype=float)[:, None]
+                              for i in range(4))
+            lines = np.array([run[4] for run in runs], dtype=np.intp).reshape(-1, 4).T
+            self._faces = (ax, bx, ay, by, (lines + [[0], [1], [0], [1]]) * [[1], [-1], [1], [-1]])
+        return self._faces
+
+    def wall_distances(self, x0: float, y0: float, dx: np.ndarray, dy: np.ndarray,
+                       t_max: np.ndarray) -> np.ndarray:
+        """Per ray from the in-bounds point (x0, y0) along the unit direction
+        ``(dx[i], dy[i])``, the distance at which the voxel traversal of
+        Amanatides & Woo (1987) first enters an obstacle cell: 0 when the
+        point's own cell is one, and inf when the ray leaves the grid or
+        passes ``t_max[i]`` first.
+
+        The traversal's rules fix every bit.  The first crossing and the
+        crossing spacing of each ray along x and y are set up in numpy, whose
+        element-wise operations round as the scalar ones do; a ray with no x
+        (y) movement never crosses along x (y).  The distance of a crossing
+        is the first crossing plus one spacing per earlier crossing along
+        its axis, added in order.  Where the two next crossings lie within
+        1e-12 of each other the ray passes a cell corner and steps both axes
+        at once, at the x crossing's distance, so a zero-length graze is not
+        a hit.
+
+        Most rays are not walked cell by cell but cast, all at once, against
+        the wall runs (``_cast``); the walk (``_walk``) takes only the rays
+        that the cast leaves to it.
+        """
+        n = len(dx)
+        res = self.resolution
+        ix, iy = int(x0 / res), int(y0 / res)
+        k0 = (iy + 1) * (self.width_cells + 2) + ix + 1
+        start = self.framed_cells()[k0]
+        if start:  # an obstacle, or the frame when rounding puts the point past the edge
+            return np.full(n, 0.0 if start == OBSTACLE else math.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_next_x = np.where(dx != 0.0, ((ix + (dx > 0)) * res - x0) / dx, math.inf)
+            t_next_y = np.where(dy != 0.0, ((iy + (dy > 0)) * res - y0) / dy, math.inf)
+            dt_x = res / np.abs(dx)
+            dt_y = res / np.abs(dy)
+        t_wall, walk = self._cast(x0, y0, dx, dy, t_max, t_next_x, dt_x, t_next_y, dt_y)
+        if len(walk):
+            t_wall[walk] = self._walk(k0, dx[walk], dy[walk], t_max[walk], t_next_x[walk],
+                                      dt_x[walk], t_next_y[walk], dt_y[walk])
+        return t_wall
+
+    def _cast(self, x0: float, y0: float, dx: np.ndarray, dy: np.ndarray, t_max: np.ndarray,
+              t_next_x: np.ndarray, dt_x: np.ndarray, t_next_y: np.ndarray,
+              dt_y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(t_wall, walk)``: the traversal's wall distance of every ray
+        found without walking it, and the indices of the rays left to the
+        walk, whose entries in ``t_wall`` are unset.
+
+        From a free cell the traversal first enters an obstacle cell from a
+        free 8-neighbour, so that cell is an edge cell and lies in a wall
+        run.  One (runs x rays) slab test finds each ray's nearest entry into
+        a run; a ray that enters none leaves the grid first.  The entered run
+        and face give the axis and the number k of earlier crossings along
+        it, and a row-wise ``np.add.accumulate`` over ``[t0, dt, dt, ...]``
+        adds the spacing k times in order, as the traversal does.  The slab
+        times only choose the run and face; the distance is that sum.
+
+        Left to the walk: every ray of a point within 1e-7 cells of a grid
+        line, every ray of a world without runs, and each ray whose entry
+        lies within 1e-7 cells of a grid corner, where the traversal may step
+        both axes at once and enter another cell at another sum, or whose k
+        is negative.
+        """
+        n = len(dx)
+        res = self.resolution
+        ax, bx, ay, by, lines = self._run_faces()
+        u, v = x0 / res, y0 / res
+        if not lines.size or abs(u - round(u)) < _NEAR_LINE or abs(v - round(v)) < _NEAR_LINE:
+            return np.empty(n), np.arange(n)
+        ix, iy = int(u), int(v)
+        with np.errstate(divide="ignore"):
+            inv_x, inv_y = 1.0 / dx, 1.0 / dy
+        # the point lies on no grid line, so no product below is 0 * inf
+        tx0, tx1 = (ax - x0) * inv_x, (bx - x0) * inv_x
+        ty0, ty1 = (ay - y0) * inv_y, (by - y0) * inv_y
+        near_x, near_y = np.minimum(tx0, tx1), np.minimum(ty0, ty1)
+        near = np.maximum(near_x, near_y)
+        far = np.minimum(np.maximum(tx0, tx1), np.maximum(ty0, ty1))
+        near[(near > far) | (far <= 0.0)] = math.inf
+        run = near.argmin(axis=0)
+        t = near[run, np.arange(n)]
+        t_wall = np.full(n, math.inf)
+        # past its limit, a ray's wall is not seen; the margin covers the
+        # slab time's rounding, and the exact sum is checked below
+        live = np.flatnonzero(t <= t_max + 1e-6)
+        run, t, dxl, dyl = run[live], t[live], dx[live], dy[live]
+        on_x = near_x[run, live] >= near_y[run, live]
+        # k: the entered grid line less the first line the ray crosses, per
+        # axis and direction of travel
+        k = (lines + [[-1 - ix], [ix], [-1 - iy], [iy]])[
+            np.where(on_x, dxl <= 0.0, (dyl <= 0.0) + 2), run]
+        # the entry's other coordinate, in cells: near a grid line, the entry
+        # is near a grid corner, be it the run's own or one between its cells
+        w = np.where(on_x, y0 + t * dyl, x0 + t * dxl) / res
+        cast = (np.abs(w - np.rint(w)) >= _NEAR_LINE) & (k >= 0)
+        rays, k, on_x = live[cast], k[cast], on_x[cast]
+        if len(rays):
+            sums = np.empty((len(rays), k.max() + 1))
+            sums[:, 0] = np.where(on_x, t_next_x[rays], t_next_y[rays])
+            sums[:, 1:] = np.where(on_x, dt_x[rays], dt_y[rays])[:, None]
+            depth = np.add.accumulate(sums, axis=1)[np.arange(len(rays)), k]
+            t_wall[rays] = np.where(depth <= t_max[rays], depth, math.inf)
+        return t_wall, live[~cast]
+
+    def _walk(self, k0: int, dx: np.ndarray, dy: np.ndarray, t_max: np.ndarray,
+              t_next_x: np.ndarray, dt_x: np.ndarray, t_next_y: np.ndarray,
+              dt_y: np.ndarray) -> list:
+        """The traversal of the given rays, cell by cell over
+        ``framed_cells`` from the flat index ``k0`` of their free start cell:
+        their wall distances, as ``wall_distances`` gives them."""
+        cells = self.framed_cells()
+        stride = self.width_cells + 2
+        # per ray, the flat-index step along x, along y, and across a corner
+        step_xs = np.where(dx > 0, 1, -1)
+        step_ys = np.where(dy > 0, stride, -stride)
+        walls = []
+        for step_x, step_y, step_xy, limit, next_x, d_x, next_y, d_y in zip(
+                step_xs.tolist(), step_ys.tolist(), (step_xs + step_ys).tolist(),
+                t_max.tolist(), t_next_x.tolist(), dt_x.tolist(), t_next_y.tolist(),
+                dt_y.tolist()):
+            # walk the flat index: one cell along x, along y, or both at a corner
+            k = k0
+            while True:
+                if next_x < next_y - _TIE:
+                    t_enter = next_x
+                    next_x += d_x
+                    k += step_x
+                elif next_y < next_x - _TIE:
+                    t_enter = next_y
+                    next_y += d_y
+                    k += step_y
+                else:  # corner crossing: skip the zero-chord diagonal neighbors
+                    t_enter = next_x
+                    next_x += d_x
+                    next_y += d_y
+                    k += step_xy
+                if t_enter > limit:
+                    walls.append(math.inf)
+                    break
+                cell = cells[k]
+                if cell:  # an obstacle, or the frame past the grid's edge
+                    walls.append(t_enter if cell == OBSTACLE else math.inf)
+                    break
+        return walls
 
     def _cell_rect_distance(self, x: float, y: float, ix: int, iy: int) -> float:
         res = self.resolution

@@ -954,6 +954,32 @@ def test_encode_request_matches_json_dumps(kinds, cluttered_world, body, monkeyp
         assert encode_request(make_req(kind)) == dumped(make_req(kind))
 
 
+def test_a_fans_bearings_are_packed_once(cluttered_world, body, monkeypatch):
+    """Every request of one fan carries the fan's tuple of bearings, and its
+    text is packed once; an equal column whose zero has the other sign gets
+    its own text."""
+    packs = []
+    pack = protocol._pack
+
+    def counting(column, what):
+        packs.append(what)
+        return pack(column, what)
+
+    monkeypatch.setattr(protocol, "_pack", counting)
+    monkeypatch.setattr(protocol, "_PACKED", (None, ""))
+    for i, heading in enumerate((0.0, 1.0, 2.0)):
+        obs = sense(cluttered_world, make_pose(7.5, 5.0, heading), body, n_rays=61, step=i)
+        req = make_stop_request(request_context(obs, session_id="s", goal=CHAIR))
+        assert encode_request(req) == dumped(req)
+    # each request built its dict twice, once per encoder
+    assert packs.count("ray theta_deg") == 1 and packs.count("ray distance_m") == 6
+    ctx = request_context(obs, session_id="s", goal=CHAIR)
+    texts = [json.loads(encode_request(make_stop_request(replace(
+        ctx, theta_deg=(zero,) + ctx.theta_deg[1:]))))["observation"]["rays"]["theta_deg"]
+        for zero in (0.0, -0.0, 0.0)]
+    assert [math.copysign(1.0, unpacked(t)[0]) for t in texts] == [1.0, -1.0, 1.0]
+
+
 def step_requests(world, pose):
     """The one score request of a real step, between a filter request on its
     candidates, which a backend still answers, and a stop check on its

@@ -1,8 +1,8 @@
 """Module layering: the proposer is pure geometry and never reaches a backend,
 the world and goals know nothing of the graph memory, the oracle reads only
-the wire records, the clearance kernels stay inside the world module, the
-package runs on numpy alone, no code writes into a frozen record it did not
-build, only the protocol module builds request records, only the sensor
+the wire records, the clearance and ray kernels stay inside the world module,
+the package runs on numpy alone, no code writes into a frozen record it did
+not build, only the protocol module builds request records, only the sensor
 builds observations, a fan's bearings are built once, not per step, and the
 proposer hands them on in its boundary without a record per ray.
 
@@ -95,11 +95,13 @@ def test_no_function_level_imports(module):
     assert [(n, line) for n, line, nested in imported_modules(SRC / module) if nested] == []
 
 
-# ``WorldMap``'s private clearance kernel: its wall runs, the scan over them,
-# the cell distance and the disc list.  Motion asks ``clearance`` or
-# ``clearance_with_nearest``; which cells can matter is the world's business.
-WORLD_KERNEL = {"_wall_runs", "_runs", "_scan", "_cell_rect_distance", "_clamp_to_cell",
-                "_discs"}
+# ``WorldMap``'s private clearance and ray kernels: its wall runs and their
+# columns, the scan over them, the cast against them and the walk it falls
+# back on, the cell distance and the disc list.  Motion asks ``clearance`` or
+# ``clearance_with_nearest`` and the sensor ``wall_distances``; which cells
+# can matter is the world's business.
+WORLD_KERNEL = {"_wall_runs", "_runs", "_run_faces", "_faces", "_scan", "_cast", "_walk",
+                "_cell_rect_distance", "_clamp_to_cell", "_discs"}
 
 
 def kernel_uses(path: Path):
