@@ -86,27 +86,27 @@ def reactive_avoid(world: WorldMap, pose: Pose, body: AgentBody, clearance: floa
         dx /= norm
         dy /= norm
     step = min(0.01, clearance / 10.0)
+    # the ray's end, with a slack under half a step over the sum's rounding:
+    # 2 * clearance / step samples (20 below 0.1 m), none for a zero-length ray
+    end = 2.0 * clearance + min(_EPS, step / 2.0)
+    width, height = world.width_m, world.height_m
     samples = []  # offset and position of every in-bounds sample, in order
-    t = step
-    cap = 2.0 * clearance
-    while t <= cap + _EPS:
-        x, y = pose.x + dx * t, pose.y + dy * t
-        if not world.in_bounds(x, y):
-            break  # each coordinate moves one way, so no later sample is back in
-        samples.append((t, x, y))
-        t += step
-
-    # the first sample that restores the clearance
     found = []  # offset and clearance of the samples measured here, in order
     low = c0  # min of c - s over the pose and the measured samples
-    for t, x, y in samples:
-        if low + t + _SLACK < clearance:
-            continue
-        c = world.clearance(x, y)
-        if c >= clearance:
-            return Pose(x, y, pose.heading)
-        found.append((t, c))
-        low = min(low, c - t)
+    # the first sample that restores the clearance; samples past it are not made
+    t = step
+    while 0.0 < t <= end:
+        x, y = pose.x + dx * t, pose.y + dy * t
+        if not (0.0 <= x < width and 0.0 <= y < height):
+            break  # each coordinate moves one way, so no later sample is back in
+        samples.append((t, x, y))
+        if low + t + _SLACK >= clearance:
+            c = world.clearance(x, y)
+            if c >= clearance:
+                return Pose(x, y, pose.heading)
+            found.append((t, c))
+            low = min(low, c - t)
+        t += step
 
     # boxed in: the first sample with the most clearance, if that keeps the
     # body clear; bounded by the measured samples on both sides

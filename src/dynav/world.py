@@ -125,6 +125,10 @@ class WorldMap:
         self.resolution = float(resolution)
         self.grid = grid
         self.grid.setflags(write=False)
+        # the extents, fixed here so that a scan reads plain numbers
+        self.height_cells, self.width_cells = grid.shape
+        self.width_m = self.width_cells * self.resolution
+        self.height_m = self.height_cells * self.resolution
         self.objects: Tuple[SemanticObject, ...] = tuple(objects)
         for o in self.objects:
             x, y = o.center
@@ -141,22 +145,6 @@ class WorldMap:
                        for o in self.objects]
 
     # -- geometry helpers ---------------------------------------------------
-
-    @property
-    def height_cells(self) -> int:
-        return self.grid.shape[0]
-
-    @property
-    def width_cells(self) -> int:
-        return self.grid.shape[1]
-
-    @property
-    def width_m(self) -> float:
-        return self.width_cells * self.resolution
-
-    @property
-    def height_m(self) -> float:
-        return self.height_cells * self.resolution
 
     def in_bounds(self, x: float, y: float) -> bool:
         return 0.0 <= x < self.width_m and 0.0 <= y < self.height_m
@@ -372,9 +360,9 @@ class WorldMap:
 
     def _cell_rect_distance(self, x: float, y: float, ix: int, iy: int) -> float:
         res = self.resolution
-        dx = max(ix * res - x, 0.0, x - (ix + 1) * res)
-        dy = max(iy * res - y, 0.0, y - (iy + 1) * res)
-        return math.hypot(dx, dy)
+        ax, bx, ay, by = ix * res, (ix + 1) * res, iy * res, (iy + 1) * res
+        return math.hypot(ax - x if ax > x else (x - bx if x > bx else 0.0),
+                          ay - y if ay > y else (y - by if y > by else 0.0))
 
     def _clamp_to_cell(self, x: float, y: float, ix: int, iy: int) -> Tuple[float, float]:
         res = self.resolution
@@ -389,15 +377,21 @@ class WorldMap:
         cell of the 3x3 block around a point inside an obstacle cell.  An
         empty ``spans`` means the border.
         """
-        best = min(x, y, self.width_m - x, self.height_m - y)
+        # plain comparisons, cheaper than calls to min: each keeps the first
+        # of tied values, as min does
+        best = y if y < x else x
+        right, top = self.width_m - x, self.height_m - y
+        best = right if right < best else best
+        best = top if top < best else best
         spans: list = []
         # a cell must come strictly closer than the border, so it can only
         # win for a point strictly inside the world
         if best > 0.0:
             res, w, h = self.resolution, self.width_cells, self.height_cells
-            ix = min(int(x / res), w - 1)
-            iy = min(int(y / res), h - 1)
-            if self.framed_cells()[(iy + 1) * (w + 2) + ix + 1] == OBSTACLE:
+            ix, iy = int(x / res), int(y / res)
+            # rounding can put a point just short of the far edge past it
+            ix, iy = (ix if ix < w else w - 1), (iy if iy < h else h - 1)
+            if (self._framed or self.framed_cells())[(iy + 1) * (w + 2) + ix + 1] == OBSTACLE:
                 # within rounding of this cell: no cell outside its 3x3 block
                 # comes within a resolution of the point
                 for jy in range(max(iy - 1, 0), min(iy + 2, h)):
@@ -408,12 +402,14 @@ class WorldMap:
                                 best, spans = d, [(jx, jx, jy, jy)]
             else:
                 # a run's gaps are those of its nearest cell: the same float
-                # bounds enter the same expressions, so the bits agree
-                for ax, bx, ay, by, span in self._wall_runs():
-                    dx = max(ax - x, 0.0, x - bx)
+                # bounds enter the same expressions, so the bits agree.  A
+                # gap is ``max(ax - x, 0.0, x - bx)``: ``ax - x > 0`` exactly
+                # when ``ax > x``, and between, the gap is +0.0
+                for ax, bx, ay, by, span in self._runs or self._wall_runs():
+                    dx = ax - x if ax > x else (x - bx if x > bx else 0.0)
                     if dx > best:
                         continue
-                    dy = max(ay - y, 0.0, y - by)
+                    dy = ay - y if ay > y else (y - by if y > by else 0.0)
                     if dy > best:
                         continue
                     d = math.hypot(dx, dy)
@@ -427,7 +423,8 @@ class WorldMap:
         disc = None
         for o in self._discs:
             cx, cy, r = o
-            if (x - cx) ** 2 + (y - cy) ** 2 < (best + r + 1e-9) ** 2:
+            ex, ey, reach = x - cx, y - cy, best + r + 1e-9
+            if ex * ex + ey * ey < reach * reach:
                 # plain floats: a numpy scalar here would carry into the
                 # nudged pose and slow every later step's arithmetic
                 d = float(np.hypot(cx - x, cy - y)) - r

@@ -208,14 +208,15 @@ def dotted(path) -> str:
     return ".".join(map(str, path))
 
 
-def run_python(code: str, cwd: Optional[Path] = None) -> str:
+def run_python(code: str, cwd: Optional[Path] = None, timeout: Optional[float] = None) -> str:
     """What ``python -c code`` prints, run on this checkout's ``src`` and
     nothing else of the environment; ``-B`` keeps the child from writing
-    bytecode into the tree under test."""
+    bytecode into the tree under test.  A child still running after
+    ``timeout`` seconds is killed and raises ``subprocess.TimeoutExpired``."""
     src = Path(__file__).resolve().parent.parent / "src"
     return subprocess.run(
         [sys.executable, "-B", "-c", code], cwd=cwd, env={"PYTHONPATH": str(src), "PATH": ""},
-        capture_output=True, text=True, check=True).stdout.strip()
+        capture_output=True, text=True, check=True, timeout=timeout).stdout.strip()
 
 
 # worldgen values that WorldGenSpec.from_dict, and so the spec loader, refuses

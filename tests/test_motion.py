@@ -12,7 +12,7 @@ from dynav.motion import execute, reactive_avoid, success
 from dynav.sensing import sense
 from dynav.world import OBSTACLE, SemanticObject, WorldMap
 
-from conftest import empty_world, instance_goal, make_pose
+from conftest import empty_world, instance_goal, make_pose, run_python
 
 REF_STEP = 5e-4
 
@@ -138,6 +138,30 @@ def test_avoid_raises_when_boxed_in(body):
     world = WorldMap(grid, 0.1)
     with pytest.raises(NoEscape):
         reactive_avoid(world, make_pose(1.5, 0.45, 0.0), body, clearance=0.3)
+
+
+def test_avoid_from_inside_a_disc_ends_at_tiny_clearances(tmp_path):
+    """The samples lie ``clearance / 10`` apart over ``2 * clearance``: their
+    count stays bounded as the clearance falls to 0, where the ray has no
+    length and there are none.  A pose inside a disc then has no free pose
+    to go to.  Run in a child with a time limit and a memory cap, so that an
+    unbounded sample list fails the test instead of hanging the suite."""
+    out = run_python(
+        "import resource\n"
+        "from dynav.errors import NoEscape\n"
+        "from dynav.geometry import AgentBody, Pose\n"
+        "from dynav.motion import reactive_avoid\n"
+        "from dynav.world import SemanticObject, WorldMap\n"
+        "import numpy as np\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "disc = SemanticObject('box', 'box', (2.0, 2.0), 0.5)\n"
+        "world = WorldMap(np.zeros((40, 40), dtype=np.uint8), 0.1, [disc])\n"
+        "for clearance in (0.0, 1e-13):\n"
+        "    try:\n"
+        "        reactive_avoid(world, Pose(2.1, 2.0, 0.0), AgentBody(), clearance)\n"
+        "    except NoEscape:\n"
+        "        print('NoEscape')\n", tmp_path, timeout=5.0)
+    assert out.split() == ["NoEscape", "NoEscape"]
 
 
 # -- success predicate ----------------------------------------------------------
