@@ -35,7 +35,7 @@ from dynav.sensing import DEFAULT_FOV, Observation, sense
 from dynav.world import OBSTACLE, SemanticObject, WorldMap
 from dynav.worldgen import WorldGenSpec, generate_world, random_free_pose
 
-from conftest import Row, empty_world, rays_of, with_rays
+from conftest import Row, empty_world, rays_of, run_python, with_rays
 
 _TIE = 1e-12
 
@@ -459,6 +459,33 @@ def test_reactive_avoid_matches_full_scan(worlds):
     assert kinds["restored"] > 0 and kinds["best"] > 0
 
 
+def test_reactive_avoid_matches_full_scan_at_small_clearances(worlds):
+    """Poses moved toward their nearest surface to within a fraction of a
+    small clearance, onto it, or into a disc.  2e-8 m is the smallest
+    clearance whose ray ends where the reference's does: there half a step
+    equals the reference's 1e-9 m slack."""
+    body = AgentBody()
+    rng = random.Random(6)
+    kinds = {"restored": 0, "NoEscape": 0}
+    for world in worlds:
+        for pose in nudge_cases(world, rng, 20):
+            c, (nx, ny) = world.clearance_with_nearest(pose.x, pose.y)
+            for clearance in (2e-8, 1e-6, 0.05):
+                for f in (0.0, 0.3, 0.9):
+                    s = f * clearance / c
+                    p = Pose(nx + (pose.x - nx) * s, ny + (pose.y - ny) * s, pose.heading)
+                    got = outcome(reactive_avoid, world, p, body, clearance)
+                    assert got == outcome(ref_reactive_avoid, world, p, body, clearance), p
+                    kinds["NoEscape" if got == "NoEscape" else "restored"] += 1
+        for o in world.objects:
+            p = Pose(o.center[0] + o.radius / 2, o.center[1], 0.0)
+            for clearance in (2e-8, 1e-6, 0.05):
+                got = outcome(reactive_avoid, world, p, body, clearance)
+                assert got == outcome(ref_reactive_avoid, world, p, body, clearance), p
+    # a clearance below the body's radius restores or leaves nothing to pick
+    assert all(kinds.values()), kinds
+
+
 def test_reactive_avoid_boxed_in_cases_match_full_scan():
     """A corridor too narrow to restore the clearance, and a slot too narrow
     for the body: the best sample, then NoEscape, as the full scan gives."""
@@ -503,25 +530,29 @@ def test_reactive_avoid_measures_fewer_samples_than_a_full_scan(box_world):
     assert len(calls) <= 4  # a full scan measures 18
 
 
-def test_avoid_samples_the_ray_only_up_to_the_worlds_edge(box_world):
+def test_avoid_samples_the_ray_only_up_to_the_worlds_edge(box_world, tmp_path):
     """A clearance far past the world's size samples the ray up to the
-    world's edge alone, and picks what a scan of the whole capped ray picks."""
-    asked = []
-
-    class Counting:
-        def __getattr__(self, name):
-            return getattr(box_world, name)
-
-        def in_bounds(self, x, y):
-            asked.append((x, y))
-            return box_world.in_bounds(x, y)
-
+    world's edge alone, and picks what a scan of the whole capped ray picks.
+    At 1e9 m a ray sampled past the edge would hold 2e11 samples, so the run
+    is made in a child with a time limit and a memory cap: a loop that went
+    on past the edge fails the test instead of hanging the suite."""
+    out = run_python(
+        "import resource\n"
+        "import numpy as np\n"
+        "from dynav.geometry import AgentBody, Pose\n"
+        "from dynav.motion import reactive_avoid\n"
+        "from dynav.world import OBSTACLE, WorldMap\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "grid = np.zeros((80, 100), dtype=np.uint8)\n"
+        "grid[0, :] = grid[-1, :] = grid[:, 0] = grid[:, -1] = OBSTACLE\n"
+        "p = reactive_avoid(WorldMap(grid, 0.1), Pose(0.25, 4.0, 0.0), AgentBody(), 1e9)\n"
+        "print(p.x.hex(), p.y.hex(), p.heading.hex())\n", tmp_path, timeout=10.0)
     pose = Pose(0.25, 4.0, 0.0)
-    out = reactive_avoid(Counting(), pose, AgentBody(), 1e4)
     # no clearance in the box reaches 50 m and 2 x 50 m spans the box, so
-    # the reference picks for 50 m what it would for 1e4 m, in less time
-    assert out == ref_reactive_avoid(box_world, pose, AgentBody(), 50.0)
-    assert len(asked) <= box_world.width_m / 0.01 + 2
+    # the reference picks for 50 m what it would for 1e9 m, in less time
+    want = ref_reactive_avoid(box_world, pose, AgentBody(), 50.0)
+    assert tuple(out.split()) == bits(want.x, want.y, want.heading)
+    assert reactive_avoid(box_world, pose, AgentBody(), 1e4) == want
 
 
 # -- wall runs -----------------------------------------------------------------------
