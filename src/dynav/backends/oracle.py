@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from itertools import compress
+from itertools import combinations, compress, repeat, starmap
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -136,7 +136,10 @@ class OracleBackend:
         # object is still caught
         hazards: List[Tuple[List[Tuple[float, float]], float]] = []
         for label, pts in hazard_groups.items():
-            extent = max(math.dist(p, q) for p in pts for q in pts) if len(pts) > 1 else 0.0
+            # the greatest distance between two endpoints: math.dist is
+            # symmetric bit for bit (a - b == -(b - a) in IEEE arithmetic),
+            # so each pair is measured once
+            extent = max(starmap(math.dist, combinations(pts, 2)), default=0.0)
             pad = extent + 2.0 * gaps.get(label, 0.0) + 0.05
             hazards.append((pts, self.hazard_clearance + pad))
 
@@ -151,9 +154,8 @@ class OracleBackend:
 
         removals: List[int] = []
         for k, cand in enumerate(candidates):
-            cx, cy = self._endpoint(ctx.pose, cand.theta_deg, cand.r_m)
-            hit = any(min(math.dist((cx, cy), p) for p in pts) <= reach
-                      for pts, reach in hazards)
+            end = self._endpoint(ctx.pose, cand.theta_deg, cand.r_m)
+            hit = any(min(map(math.dist, repeat(end), pts)) <= reach for pts, reach in hazards)
             if not hit and nearest is not None:
                 hit = constrained[ctx.hit[nearest[k]]]
             if hit:

@@ -268,8 +268,9 @@ def _episode_from_dict(e, i: int, base: str, cfg: RunConfig, worlds: dict) -> Ep
     if "start" in e:
         s = check_type(e["start"], dict, "start")
         heading = check_finite(s.get("heading_deg", 0.0), "start heading_deg")
-        start = Pose(check_finite(s["x"], "start x"), check_finite(s["y"], "start y"),
-                     math.radians(heading))
+        x, y = check_finite(s["x"], "start x"), check_finite(s["y"], "start y")
+        check((x, y), world.in_bounds(x, y), "start must lie inside the world")
+        start = Pose(x, y, math.radians(heading))
     goals = check_type(e["goals"], list, "goals")
     max_steps, max_dist = e.get("max_steps"), e.get("max_distance_m")
     if max_steps is not None:

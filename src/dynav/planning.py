@@ -16,32 +16,43 @@ import numpy as np
 from .errors import Unreachable, UnresolvableGoal
 from .geometry import AgentBody, Pose
 from .goals import GoalSpec
-from .world import WorldMap
+from .world import WorldMap, cell_span
 
 SQRT2 = math.sqrt(2.0)
+# the A* bound's relative slack, far above the rounding of its few operations
+_SLACK = 1e-9
+
+
+def _goal_reach(world: WorldMap, threshold: float, body: AgentBody) -> float:
+    """The distance from a matching object's boundary within which a cell
+    centre is in the goal region.
+
+    It never drops below agent radius plus one cell: anything tighter admits
+    no pose the body could legally occupy.
+    """
+    return max(threshold, body.radius + world.resolution)
 
 
 def goal_cells(world: WorldMap, goal: GoalSpec, threshold: float,
                body: AgentBody = AgentBody()) -> np.ndarray:
     """Boolean mask of inflated-free cells within the goal region.
 
-    The effective threshold never drops below agent radius plus one cell:
-    anything tighter admits no pose the body could legally occupy.  Each
-    matching object is measured only on the cells of its bounding box padded
-    by that threshold plus one cell; every cell outside lies farther away.
+    Each matching object is measured only on the cells of its bounding box
+    padded by the goal reach plus one cell; every cell outside lies farther
+    away.
     """
     matching = [o for o in world.objects if goal.matches(o)]
     if not matching:
         raise UnresolvableGoal(f"no object matches goal {goal.text!r}")
     free = world.free_with_clearance(body.radius)
-    eff = max(threshold, body.radius + world.resolution)
+    eff = _goal_reach(world, threshold, body)
     h, w = free.shape
     res = world.resolution
     near = np.full(free.shape, np.inf)
     for o in matching:
         (ox, oy), reach = o.center, o.radius + eff
-        x0, x1 = max(int((ox - reach) / res) - 1, 0), min(int((ox + reach) / res) + 2, w)
-        y0, y1 = max(int((oy - reach) / res) - 1, 0), min(int((oy + reach) / res) + 2, h)
+        x0, x1 = cell_span(ox - reach, ox + reach, res, w)
+        y0, y1 = cell_span(oy - reach, oy + reach, res, h)
         cx = (np.arange(x0, x1) + 0.5) * res
         cy = (np.arange(y0, y1) + 0.5) * res
         box = near[y0: y1, x0: x1]
@@ -53,21 +64,62 @@ def shortest_path(world: WorldMap, start: Pose, goal: GoalSpec, threshold: float
                   body: AgentBody = AgentBody()) -> float:
     """Metric length of the shortest grid path from start into the goal region.
 
-    Dijkstra over flat lists of a grid framed by one blocked cell, so a move
-    needs no bounds test.  Float addition is monotone, so the popped distance
-    of a cell is the least sequentially rounded path sum whatever order the
-    heap breaks ties in.
+    A* (Hart, Nilsson & Raphael 1968) over a grid framed by one blocked cell,
+    so a move needs no bounds test.  It returns the bits Dijkstra would:
+
+    * Float addition is monotone, so the least distance ``D`` of a cell, the
+      least sequentially rounded sum over the paths reaching it, obeys
+      ``D(j) = min(D(i) + w)`` over its neighbours, and the goal's ``G*`` is
+      the least ``D`` of a goal cell.  Heap entries are ``(g + h, g, cell)``;
+      a stale entry (``g`` above the cell's best) is skipped, and a cell is
+      pushed again whenever its ``g`` improves, so the search stays exact
+      even where the bound is not consistent.
+    * ``h`` is a lower bound, in cells, on the length of every path from the
+      cell into the goal region: the distance from the cell centre to the
+      nearest matching disc grown by the goal reach, less a relative slack
+      of 1e-9 on each term (far above the rounding of ``hypot`` and the
+      subtractions) and an absolute one of 1e-6 + 2e-16 * cells**2 (above
+      the rounding of a sum of at most ``cells`` moves).
+    * Until a goal cell pops, some cell on the path that realises ``G*``
+      sits in the heap with its least ``g`` and a key of at most ``G*``, so
+      no goal cell with a larger ``g`` pops first.  A goal cell's centre
+      lies within the goal reach of a disc, so the slack makes its ``h``
+      exactly 0 and its key its ``g``.  (A negative ``h`` there would let a
+      goal whose ``g`` exceeds ``G*`` by a rounding error pop first.)
     """
     goals = goal_cells(world, goal, threshold, body)
     if not goals.any():
         raise Unreachable(f"goal region for {goal.text!r} is empty after inflation")
     h, w = goals.shape
-    six, siy = world.cell_of(start.x, start.y)
-    if not (0 <= six < w and 0 <= siy < h):
+    if not world.in_bounds(start.x, start.y):
         raise Unreachable("start pose lies outside the world")
+    six, siy = world.cell_of(start.x, start.y)
+    if six >= w or siy >= h:  # x / res may round up to the width just inside it
+        raise Unreachable("start pose lies outside the world")
+    res = world.resolution
     stride = w + 2
-    free = np.pad(world.free_with_clearance(body.radius), 1).ravel().tolist()
-    is_goal = np.pad(goals, 1).ravel().tolist()
+    free = np.pad(world.free_with_clearance(body.radius), 1).tobytes()
+    is_goal = np.pad(goals, 1).tobytes()
+
+    # the centres goal_cells measures, indexed by framed column and row
+    xs = [0.0, *((np.arange(w) + 0.5) * res).tolist()]
+    ys = [0.0, *((np.arange(h) + 0.5) * res).tolist()]
+    eff = _goal_reach(world, threshold, body)
+    discs = [(*o.center, (o.radius + eff) * (1.0 + _SLACK))
+             for o in world.objects if goal.matches(o)]
+    shrink, scale = 1.0 - _SLACK, (1.0 - _SLACK) / res
+    tol = 1e-6 + 2e-16 * float(h * w) ** 2
+
+    def bound(j: int) -> float:
+        iy, ix = divmod(j, stride)
+        x, y = xs[ix], ys[iy]
+        low = math.inf
+        for ox, oy, grown in discs:
+            v = (math.hypot(x - ox, y - oy) * shrink - grown) * scale - tol
+            if v < low:
+                low = v
+        return low if low > 0.0 else 0.0
+
     # a start cell the mask blocks is still trusted: the search expands it
     # without a test, and the only other use of its mask, as the corner of a
     # diagonal between two of its neighbours, cannot matter, since the start
@@ -79,24 +131,24 @@ def shortest_path(world: WorldMap, start: Pose, goal: GoalSpec, threshold: float
                      for dy in (-1, 1) for dx in (-1, 1))
     dist = [math.inf] * len(free)
     dist[src] = 0.0
-    pq: List[Tuple[float, int]] = [(0.0, src)]
+    pq: List[Tuple[float, float, int]] = [(0.0, 0.0, src)]
     push, pop = heapq.heappush, heapq.heappop
     while pq:
-        d, i = pop(pq)
+        _, d, i = pop(pq)
         if d > dist[i]:
             continue
         if is_goal[i]:
-            return d * world.resolution
+            return d * res
         nd = d + 1.0
         for off in straight:
             j = i + off
             if free[j] and nd < dist[j]:
                 dist[j] = nd
-                push(pq, (nd, j))
+                push(pq, (nd + bound(j), nd, j))
         nd = d + SQRT2
         for off, oy, ox in diagonal:
             j = i + off
             if free[j] and free[i + oy] and free[i + ox] and nd < dist[j]:
                 dist[j] = nd
-                push(pq, (nd, j))
+                push(pq, (nd + bound(j), nd, j))
     raise Unreachable(f"no collision-free path reaches {goal.text!r}")

@@ -38,6 +38,18 @@ def _row_runs(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, first, np.nonzero(steps == -1)[1] - 1
 
 
+def cell_span(lo: float, hi: float, res: float, n: int) -> Tuple[int, int]:
+    """The cells ``[i0, i1)`` of an axis of ``n`` cells that hold the span
+    ``[lo, hi]`` metres, with one more cell on each side, clipped to the axis.
+
+    The ends are clamped in floats before ``int()``, so an infinite or huge
+    span gives the whole axis instead of an OverflowError; any clamped end
+    lies past the axis, so the cells are those of the unclamped span.
+    """
+    return (max(int(min(max(lo / res, -1.0), n + 1.0)) - 1, 0),
+            min(int(min(max(hi / res, -2.0), float(n))) + 2, n))
+
+
 def _near(k: int, lo: int, hi: int) -> range:
     """Indices in [lo, hi] within one of k, once k is clamped to [lo, hi]."""
     k = min(max(k, lo), hi)
@@ -482,8 +494,8 @@ class WorldMap:
             h, w = occ.shape
             res = self.resolution
             for ox, oy, r in self._discs:
-                x0, x1 = max(int((ox - r) / res) - 1, 0), min(int((ox + r) / res) + 2, w)
-                y0, y1 = max(int((oy - r) / res) - 1, 0), min(int((oy + r) / res) + 2, h)
+                x0, x1 = cell_span(ox - r, ox + r, res, w)
+                y0, y1 = cell_span(oy - r, oy + r, res, h)
                 cx = (np.arange(x0, x1) + 0.5) * res
                 cy = (np.arange(y0, y1) + 0.5) * res
                 occ[y0: y1, x0: x1] |= np.hypot(cx - ox, cy[:, None] - oy) <= r

@@ -310,6 +310,49 @@ def test_filter_matches_reference(rays, cands, constraints, pose):
     assert got == want
 
 
+
+# hazard layouts: up to 120 sightings of two hazards, often on shared bearings
+# and depths so that points repeat, some so far out that the difference of two
+# points overflows to inf
+_hazard_rays = st.lists(st.builds(
+    Row, st.one_of(st.floats(-90.0, 90.0), st.sampled_from((-45.0, 0.0, 30.0, 180.0))),
+    st.one_of(st.floats(0.05, 5.0), st.sampled_from((1.0, 2.0, 1.5e308))),
+    st.sampled_from(("sign_1", "cone_2")), st.just(()), st.just(("hazard",))),
+    min_size=1, max_size=120)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rays=_hazard_rays, cands=_cands, clearance=st.sampled_from((0.0, 0.45, 0.5)),
+       pose=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.floats(-180.0, 180.0)))
+@example(rays=[Row(0.0, 2.0, "sign_1", (), ("hazard",))],  # one point, candidates at reach
+         cands=[WireCandidate(1, 1.5, 0.0), WireCandidate(2, 2.5, 0.0),
+                WireCandidate(3, math.nextafter(1.5, 0.0), 0.0)],
+         clearance=0.45, pose=(0.0, 0.0, 0.0))
+@example(rays=[Row(30.0, 2.0, "sign_1", (), ("hazard",))] * 3,  # duplicates: extent 0.0
+         cands=[WireCandidate(1, 1.5, 30.0)], clearance=0.45, pose=(1.0, -1.0, 0.0))
+@example(rays=[Row(0.0, 1.5e308, "sign_1", (), ("hazard",)),  # 3e308 apart: extent inf
+               Row(180.0, 1.5e308, "sign_1", (), ("hazard",))],
+         cands=[WireCandidate(1, 1.0, 90.0)], clearance=0.5, pose=(0.0, 0.0, 0.0))
+def test_hazard_filter_matches_double_loop(rays, cands, clearance, pose):
+    """The filter's C-level pair and nearest-point scans keep the bits of the
+    double loops they replaced, on hazard layouts alone."""
+    backend = OracleBackend(hazard_clearance=clearance)
+    req = make_req(kind=FILTER, rays=rays, candidates=cands, pose=pose)
+    assert outcome(backend._removals, req.context, req.candidates) == \
+        outcome(reference_filter, backend, req)
+
+
+def test_hazard_filter_keeps_its_reach_inclusive():
+    # one sighting at (2, 0): reach is 0.45 + 0.05 = 0.5 exactly, and a
+    # candidate that lands exactly 0.5 m away is removed
+    backend = OracleBackend(hazard_clearance=0.45)
+    cands = [WireCandidate(1, 1.5, 0.0), WireCandidate(2, 2.5, 0.0),
+             WireCandidate(3, math.nextafter(1.5, 0.0), 0.0)]
+    req = make_req(kind=FILTER, rays=[Row(0.0, 2.0, "sign_1", (), ("hazard",))],
+                   candidates=cands)
+    assert backend.decide(req).removals == (1, 2)
+
+
 # -- requests the parser accepts ------------------------------------------------------
 
 # JSON values of any shape

@@ -327,6 +327,41 @@ def test_run_rejects_a_bad_episode_record_before_running(tmp_path, episode_file,
     assert not (tmp_path / "out").exists()
 
 
+
+@pytest.mark.parametrize("x", [1e308, -0.05, 10.0])
+def test_run_refuses_a_start_outside_the_world(tmp_path, episode_file, capsys, x):
+    payload = json.loads(episode_file.read_text())
+    payload["episodes"][1]["start"]["x"] = x
+    episode_file.write_text(json.dumps(payload))
+    assert main(["run", "--episodes", str(episode_file), "--out", str(tmp_path / "out")]) == 1
+    assert "start must lie inside the world" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_takes_a_success_threshold_past_any_box(tmp_path, episode_file):
+    # the goal box is the whole grid: every free cell is in the goal region
+    out = tmp_path / "out"
+    assert main(["run", "--episodes", str(episode_file), "--out", str(out),
+                 "--success-threshold-m", "1e308"]) == 0
+    results = [json.loads(l) for l in (out / "results.jsonl").read_text().splitlines()]
+    assert [r["goals"][0]["shortest"] for r in results] == [0.0, 0.0]
+
+
+def test_run_takes_an_object_past_any_box(tmp_path, episode_file):
+    # a disc of radius 1e308 blocks the whole grid of its world: the episode
+    # there has no reachable goal, and the other episode runs as before
+    world = json.loads((tmp_path / "world.json").read_text())
+    world["objects"][0]["radius"] = 1e308
+    (tmp_path / "huge.json").write_text(json.dumps(world))
+    payload = json.loads(episode_file.read_text())
+    payload["episodes"][1]["world"] = "huge.json"
+    episode_file.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    assert main(["run", "--episodes", str(episode_file), "--out", str(out)]) == 0
+    a, b = [json.loads(l) for l in (out / "results.jsonl").read_text().splitlines()]
+    assert a["goals"][0]["success"] and a["goals"][0]["shortest"] > 0.0
+    assert b["goals"][0]["unreachable"] and b["termination"] == "stopped"
+
 @pytest.mark.parametrize("key, value", [("relation_hints", ["near the door"]),
                                         ("text", "the red chair")])
 def test_run_refuses_a_goal_key_it_does_not_read(tmp_path, episode_file, capsys, key, value):

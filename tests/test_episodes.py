@@ -184,6 +184,19 @@ def test_unreachable_goal_is_flagged_and_skipped():
     assert res.termination == STOPPED
 
 
+
+@pytest.mark.parametrize("x", [-0.05, 1e308])
+def test_start_outside_the_world_leaves_every_goal_unreachable(x):
+    # a spec built in code skips the file's checks: the planner refuses the
+    # start, so no step runs from it
+    cfg = RunConfig(n_rays=61)
+    start = make_pose(x, 4.0, 0.0)
+    spec = EpisodeSpec(episode_id="out", world=chair_world(),
+                       goals=(GoalSpec.name_goal("chair"),) * 2, start=start)
+    res = run_episode(spec, oracle(cfg), cfg)
+    assert [g.unreachable for g in res.goal_results] == [True, True]
+    assert res.termination == STOPPED and res.trajectory == (start,)
+
 def test_caller_memory_is_copied_not_mutated():
     cfg = RunConfig(n_rays=61)
     mem0 = MemoryGraph()

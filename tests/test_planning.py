@@ -1,19 +1,24 @@
 """Grid shortest-path ground truth, checked against a sparse-graph solver and,
-for exact equality, against the planner as first written."""
+for exact equality, against the planner as first written: Dijkstra, which the
+A* planner must match bit for bit."""
 import heapq
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+import dynav.planning
 from dynav.errors import Unreachable, UnresolvableGoal
 from dynav.geometry import AgentBody, Pose
 from dynav.goals import GoalSpec
 from dynav.planning import SQRT2, goal_cells, shortest_path
 from dynav.world import FREE, OBSTACLE, SemanticObject, WorldMap
+from dynav.worldgen import WorldGenSpec, generate_world, random_free_pose
 
 from conftest import empty_world, make_pose, random_grid_world
 
@@ -276,3 +281,141 @@ def test_planner_matches_reference_exactly_on_edge_cases(world, start, want, bod
     else:
         # the empty region fails before the search, the sealed one after it
         assert got is Unreachable and region.any() == (want == "sealed region")
+
+
+@st.composite
+def planner_cases(draw):
+    """A small grid with blocks, one to four boxes and balls, a body, a goal
+    threshold and a start anywhere inside the world: in a wall, in the
+    inflated margin, in the goal region or in the open."""
+    res = draw(st.one_of(st.sampled_from((0.05, 0.1, 0.25)), st.floats(0.05, 0.3)))
+    w, h = draw(st.integers(4, 32)), draw(st.integers(4, 32))
+    grid = np.zeros((h, w), dtype=np.uint8)
+    if draw(st.booleans()):
+        grid[0, :] = grid[-1, :] = grid[:, 0] = grid[:, -1] = OBSTACLE
+    for _ in range(draw(st.integers(0, 12))):
+        iy, ix = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+        grid[iy: iy + draw(st.integers(1, 4)), ix: ix + draw(st.integers(1, 4))] = OBSTACLE
+    grid[draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))] = FREE
+    width, height = w * res, h * res
+    objects = [SemanticObject(name=f"o{k}", category=draw(st.sampled_from(("box", "ball"))),
+                              center=(draw(st.floats(0.0, width)), draw(st.floats(0.0, height))),
+                              radius=draw(st.floats(0.02, 0.6)))
+               for k in range(draw(st.integers(1, 4)))]
+    world = WorldMap(grid, res, objects)
+    if draw(st.booleans()):
+        # beside an object, so that the goal region often holds the start
+        ox, oy = objects[0].center
+        x = min(max(ox + draw(st.floats(-0.5, 0.5)), 0.0), math.nextafter(width, 0.0))
+        y = min(max(oy + draw(st.floats(-0.5, 0.5)), 0.0), math.nextafter(height, 0.0))
+    else:
+        x = draw(st.floats(0.0, width, exclude_max=True))
+        y = draw(st.floats(0.0, height, exclude_max=True))
+    return (world, Pose(x, y, 0.0), draw(st.floats(0.0, 2.5)),
+            AgentBody(radius=draw(st.sampled_from((0.05, 0.17, 0.3)))))
+
+
+def _case(world, start):
+    return world, start, 0.3, AgentBody()
+
+
+@settings(max_examples=150, deadline=None)
+@given(planner_cases())
+@example(_case(box_world((8.0, 4.0)), make_pose(0.15, 4.05)))  # a blocked start
+@example(_case(box_world((5.0, 4.0)), make_pose(5.0, 4.55)))  # a start in the goal
+@example(_case(box_world((8.0, 4.0), [(slice(None), 60)]), make_pose(2.0, 4.0)))  # sealed
+@example(_case(WorldMap(np.zeros((6, 6), dtype=np.uint8), 0.1,
+                        [SemanticObject("b", "ball", (0.3, 0.3), 0.1)]),
+               make_pose(0.05, 0.05)))  # no box
+def test_astar_equals_dijkstra_bit_for_bit(case):
+    world, start, threshold, body = case
+    assert_matches_reference(world, start, GoalSpec.name_goal("box"), threshold, body)
+
+
+def test_endless_goal_reach_plans_one_move():
+    # every free cell is in the goal region, and the blocked start moves one
+    # cell straight into it: a bound that turned NaN would order the heap at
+    # random and could take the diagonal
+    world = box_world((8.0, 4.0))
+    for threshold in (math.inf, 1e308):
+        got = assert_matches_reference(world, make_pose(0.15, 4.05), GoalSpec.name_goal("box"),
+                                       threshold, AgentBody())
+        assert got == world.resolution
+
+
+@pytest.mark.parametrize("x, y", [(-0.05, 4.0), (4.0, -1e-300), (1e308, 1.0), (-1e308, 1.0),
+                                  (10.0, 4.0), (4.0, 8.0)])
+def test_start_outside_the_world_is_unreachable(x, y):
+    world = box_world((8.0, 4.0))
+    with pytest.raises(Unreachable, match="outside the world"):
+        shortest_path(world, make_pose(x, y), GoalSpec.name_goal("box"), 0.3)
+
+
+def test_start_whose_cell_rounds_past_the_edge_is_unreachable():
+    # the largest x inside 17 cells of 0.05 m divides to column 17
+    obj = SemanticObject(name="t", category="box", center=(0.4, 0.1), radius=0.05)
+    world = WorldMap(np.zeros((4, 17), dtype=np.uint8), 0.05, [obj])
+    x = math.nextafter(world.width_m, 0.0)
+    assert world.in_bounds(x, 0.1) and world.cell_of(x, 0.1)[0] == 17
+    assert outcome(shortest_path, world, make_pose(x, 0.1), GoalSpec.name_goal("box"),
+                   0.3, AgentBody()) is Unreachable
+
+
+def test_huge_object_blocks_the_whole_grid():
+    obj = SemanticObject(name="t", category="box", center=(8.0, 4.0), radius=1e308)
+    world = WorldMap(empty_world(10.0, 8.0).grid, 0.1, [obj])
+    assert world.occupancy_with_objects().all()
+    assert outcome(shortest_path, world, make_pose(2.0, 4.0), GoalSpec.name_goal("box"),
+                   0.3, AgentBody()) is Unreachable
+
+
+class LivePops:
+    """``heapq`` for a planner that counts the pops of live entries, those
+    that expand a cell: an entry is live when its distance is the least yet
+    pushed for its cell in its search.  ``key`` splits an entry into
+    distance and cell."""
+
+    def __init__(self, key):
+        self.key, self.count = key, 0
+        self.pq, self.best = None, {}
+        self.push, self.pop = heapq.heappush, heapq.heappop
+
+    def search(self, pq) -> dict:
+        """The least distance pushed per cell, anew for each search's heap."""
+        if pq is not self.pq:
+            self.pq, self.best = pq, {}
+        return self.best
+
+    def heappush(self, pq, entry):
+        d, cell = self.key(entry)
+        best = self.search(pq)
+        best[cell] = min(d, best.get(cell, math.inf))
+        self.push(pq, entry)
+
+    def heappop(self, pq):
+        entry = self.pop(pq)
+        d, cell = self.key(entry)
+        self.count += d <= self.search(pq).get(cell, d)
+        return entry
+
+
+def test_astar_expands_under_a_third_of_dijkstras_cells(monkeypatch):
+    """On the objectnav benchmark set, A*'s bound saves more than two thirds
+    of the cells that Dijkstra expands: 11,571 against 43,341 here (the
+    planner's Dijkstra broke ties by flat index and expanded 43,345)."""
+    spec = WorldGenSpec.from_dict(dict(categories=["chair", "table"], rooms=2,
+                                       objects_per_category=2))
+    cases = []
+    for seed in range(50):
+        world = generate_world(spec, seed)
+        cases.append((world, random_free_pose(world, random.Random(seed + 1000), AgentBody())))
+    chair = GoalSpec.name_goal("chair")
+    astar = LivePops(lambda e: (e[1], e[2]))
+    monkeypatch.setattr(dynav.planning, "heapq", astar)
+    lengths = [shortest_path(world, start, chair, 0.3) for world, start in cases]
+    ref = LivePops(lambda e: (e[0], e[1:]))
+    monkeypatch.setitem(globals(), "heapq", ref)
+    assert lengths == [reference_shortest_path(world, start, chair, 0.3, AgentBody())
+                       for world, start in cases]
+    assert ref.count == 43341
+    assert astar.count * 3 <= ref.count
