@@ -6,7 +6,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from .episodes import EpisodeResult
+from .episodes import ABORTED, EpisodeResult
 from .errors import EmptyInput, read_json
 
 log = logging.getLogger(__name__)
@@ -41,7 +41,7 @@ class Report:
     sr: float                      # over sub-tasks
     spl: float
     acd_m: Optional[float]         # mean traveled distance over successes
-    per_episode_sr: float          # episodes with every sub-task successful
+    per_episode_sr: float          # episodes that ran to the end and succeeded at every sub-task
     per_category: Dict[str, CategoryStats] = field(default_factory=dict)
     excluded_unreachable: int = 0
 
@@ -80,7 +80,9 @@ def compute_metrics(results: Sequence[EpisodeResult]) -> Report:
     """Aggregate per-sub-task success, efficiency, and distance metrics.
 
     Sub-tasks whose shortest path was unreachable are excluded with a warning
-    and counted in the report.  Raises EmptyInput when nothing remains.
+    and counted in the report.  Raises EmptyInput when nothing remains.  An
+    episode is fully successful when it did not abort, kept at least one
+    sub-task, and succeeded at every sub-task it kept.
     """
     if not results:
         raise EmptyInput("no episode results to aggregate")
@@ -88,14 +90,17 @@ def compute_metrics(results: Sequence[EpisodeResult]) -> Report:
     excluded = 0
     episode_all_ok: List[bool] = []
     for ep in results:
-        ok_all = True
+        # an aborted episode never reached the goals after the last one it lists
+        ok_all = ep.termination != ABORTED
+        kept = 0
         for g in ep.goal_results:
             if g.unreachable or g.shortest is None:
                 excluded += 1
                 continue
             subtasks.append(g)
+            kept += 1
             ok_all = ok_all and g.success
-        episode_all_ok.append(ok_all and bool(ep.goal_results))
+        episode_all_ok.append(ok_all and kept > 0)
     if excluded:
         log.warning("excluded %d unreachable sub-task(s) from metrics", excluded)
     if not subtasks:

@@ -21,13 +21,16 @@ def _max_travel(world: WorldMap, x0: float, y0: float, ux: float, uy: float,
                 r: float, radius: float) -> float:
     """Farthest collision-free advance of a disc along a segment.
 
-    Conservative distance marching (sphere tracing): each step advances by
-    the current clearance minus the body radius, which can never jump past a
-    contact.
+    Conservative distance marching (sphere tracing, Hart 1996): each step
+    advances by the current clearance minus the body radius, which can never
+    jump past a contact.  Every point it measures lies on the segment, so
+    each clearance is read from the surfaces along it, nearest first
+    (``WorldMap.surfaces_along``), with the bits of a full scan.
     """
+    near = world.surfaces_along(x0, y0, ux, uy, r)
     t = 0.0
     while t < r - _EPS:
-        c = world.clearance(x0 + t * ux, y0 + t * uy) - radius
+        c = world.clearance_along(x0 + t * ux, y0 + t * uy, near)[0] - radius
         if c <= _CONTACT:
             break
         t += min(c, r - t)
@@ -70,7 +73,12 @@ def reactive_avoid(world: WorldMap, pose: Pose, body: AgentBody, clearance: floa
     way, so no later sample is back in.  Clearance is 1-Lipschitz in
     position, so a sample at offset t has at most ``c + |t - s|`` for any
     sample at offset s already measured at c; samples this bound rules out
-    are never measured.
+    are never measured.  Once no sample can restore the clearance, neither
+    is a sample that the surface which set the last measured clearance
+    already rules out: the clearance never exceeds the distance to that
+    surface, taken by the scan's own expression.  Every sample lies on the
+    ray, so each clearance is read from the surfaces along it, nearest first
+    (``WorldMap.surfaces_along``), with the bits of a full scan.
     """
     if not world.in_bounds(pose.x, pose.y):
         raise PoseOutOfBounds(f"pose ({pose.x:.2f}, {pose.y:.2f}) is outside the world")
@@ -89,9 +97,10 @@ def reactive_avoid(world: WorldMap, pose: Pose, body: AgentBody, clearance: floa
     # the ray's end, with a slack under half a step over the sum's rounding:
     # 2 * clearance / step samples (20 below 0.1 m), none for a zero-length ray
     end = 2.0 * clearance + min(_EPS, step / 2.0)
+    near = world.surfaces_along(pose.x, pose.y, dx, dy, end)
     width, height = world.width_m, world.height_m
     samples = []  # offset and position of every in-bounds sample, in order
-    found = []  # offset and clearance of the samples measured here, in order
+    found = []  # offset, clearance and nearest surface of the samples measured here
     low = c0  # min of c - s over the pose and the measured samples
     # the first sample that restores the clearance; samples past it are not made
     t = step
@@ -101,29 +110,35 @@ def reactive_avoid(world: WorldMap, pose: Pose, body: AgentBody, clearance: floa
             break  # each coordinate moves one way, so no later sample is back in
         samples.append((t, x, y))
         if low + t + _SLACK >= clearance:
-            c = world.clearance(x, y)
+            c, surface = world.clearance_along(x, y, near)
             if c >= clearance:
                 return Pose(x, y, pose.heading)
-            found.append((t, c))
+            found.append((t, c, surface))
             low = min(low, c - t)
         t += step
 
     # boxed in: the first sample with the most clearance, if that keeps the
-    # body clear; bounded by the measured samples on both sides
+    # body clear; bounded by the measured samples on both sides, and capped
+    # by the surface that set the last measured clearance
     best_pose = pose if c0 >= body.radius else None
     best_c = c0 if best_pose is not None else -math.inf
     low = c0
-    ahead = iter(found + [(math.inf, math.inf)])
-    t_next, c_next = next(ahead)
+    last = None
+    ahead = iter(found + [(math.inf, math.inf, None)])
+    t_next, c_next, s_next = next(ahead)
     for t, x, y in samples:
         if t == t_next:
-            c = c_next
-            t_next, c_next = next(ahead)
+            c, last = c_next, s_next
+            t_next, c_next, s_next = next(ahead)
         else:
             bound = min(low + t, c_next + (t_next - t)) + _SLACK
             if bound <= best_c or bound < body.radius:
                 continue
-            c = world.clearance(x, y)
+            if last is not None:
+                cap = world.surface_distance(last, x, y)
+                if cap <= best_c or cap < body.radius:
+                    continue
+            c, last = world.clearance_along(x, y, near)
         low = min(low, c - t)
         if c > best_c and c >= body.radius:
             best_c = c

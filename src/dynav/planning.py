@@ -84,8 +84,10 @@ def shortest_path(world: WorldMap, start: Pose, goal: GoalSpec, threshold: float
       sits in the heap with its least ``g`` and a key of at most ``G*``, so
       no goal cell with a larger ``g`` pops first.  A goal cell's centre
       lies within the goal reach of a disc, so the slack makes its ``h``
-      exactly 0 and its key its ``g``.  (A negative ``h`` there would let a
-      goal whose ``g`` exceeds ``G*`` by a rounding error pop first.)
+      exactly 0 and its key its ``g``.  (An ``h`` there below -1e-6, the
+      absolute slack of every other bound, would let a goal whose ``g``
+      exceeds ``G*`` by a rounding error pop first; a pinned grid in
+      ``tests/test_planning.py`` shows it.)
     """
     goals = goal_cells(world, goal, threshold, body)
     if not goals.any():

@@ -27,6 +27,8 @@ WORLD_FORMAT = "dynav-world/1"
 _TIE = 1e-12
 # cells from a grid line within which a ray's start or wall entry is walked
 _NEAR_LINE = 1e-7
+# a lower bound's relative margin over the rounding of a distance
+_SHRINK = 1.0 - 1e-12
 
 
 def _row_runs(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -48,6 +50,14 @@ def cell_span(lo: float, hi: float, res: float, n: int) -> Tuple[int, int]:
     """
     return (max(int(min(max(lo / res, -1.0), n + 1.0)) - 1, 0),
             min(int(min(max(hi / res, -2.0), float(n))) + 2, n))
+
+
+def _disc_distance(x: float, y: float, cx: float, cy: float, r: float) -> float:
+    """Signed distance from a point to a disc's boundary, as the clearance
+    scan takes it."""
+    # plain floats: a numpy scalar here would carry into the nudged pose and
+    # slow every later step's arithmetic
+    return float(np.hypot(cx - x, cy - y)) - r
 
 
 def _near(k: int, lo: int, hi: int) -> range:
@@ -150,6 +160,7 @@ class WorldMap:
         self._framed: Optional[bytes] = None
         self._runs: Optional[list] = None
         self._faces: Optional[tuple] = None
+        self._everywhere: Optional[tuple] = None
         self._occupancy = None
         self._free_cache: dict = {}
         # (cx, cy, r) of each object, in plain floats
@@ -371,16 +382,73 @@ class WorldMap:
         return walls
 
     def _cell_rect_distance(self, x: float, y: float, ix: int, iy: int) -> float:
+        return self._span_distance(x, y, (ix, ix, iy, iy))
+
+    def _span_distance(self, x: float, y: float, span: tuple) -> float:
+        """Distance from a point to the cells ``(ix0, ix1, iy0, iy1)``: the
+        hypot of its gaps to their squares' float bounds, as the scan takes
+        it for a run."""
         res = self.resolution
-        ax, bx, ay, by = ix * res, (ix + 1) * res, iy * res, (iy + 1) * res
+        ix0, ix1, iy0, iy1 = span
+        ax, bx, ay, by = ix0 * res, (ix1 + 1) * res, iy0 * res, (iy1 + 1) * res
         return math.hypot(ax - x if ax > x else (x - bx if x > bx else 0.0),
                           ay - y if ay > y else (y - by if y > by else 0.0))
+
+    def _border_distance(self, x: float, y: float) -> float:
+        """Distance from a point to the map border, negative outside the
+        world."""
+        # plain comparisons, cheaper than calls to min: each keeps the first
+        # of tied values, as min does
+        best = y if y < x else x
+        right, top = self.width_m - x, self.height_m - y
+        best = right if right < best else best
+        return top if top < best else best
 
     def _clamp_to_cell(self, x: float, y: float, ix: int, iy: int) -> Tuple[float, float]:
         res = self.resolution
         return (min(max(x, ix * res), (ix + 1) * res), min(max(y, iy * res), (iy + 1) * res))
 
-    def _scan(self, x: float, y: float) -> Tuple[float, list, Optional[tuple]]:
+    def _surfaces(self) -> tuple:
+        """Every wall run and disc of the world, in its own order, as the
+        scan reads them: ``(runs, discs)``, with ``(bound, ax, bx, ay, by,
+        span)`` per run and ``(bound, cx, cy, r)`` per disc, every bound
+        -inf, so that the scan visits them all."""
+        if self._everywhere is None:
+            self._everywhere = ([(-math.inf, *run) for run in self._runs or self._wall_runs()],
+                                [(-math.inf, *disc) for disc in self._discs])
+        return self._everywhere
+
+    def surfaces_along(self, x0: float, y0: float, ux: float, uy: float,
+                       length: float) -> tuple:
+        """The wall runs and discs as ``clearance_along`` reads them for the
+        points ``(x0 + t * ux, y0 + t * uy)``, ``0 <= t <= length``, nearest
+        first.
+
+        Each surface carries a lower bound on its distance from every such
+        point: its gap to the box between the two ends, taken with the
+        scan's own expressions and cut by a relative margin of 1e-12, far
+        above the rounding of ``hypot`` (and of ``np.hypot``, which measures
+        discs and can differ from ``math.hypot`` in the last bit).  Rounding
+        is monotone, so each point computed as above lies in that box, and
+        each of its gaps to a surface is at least the box's.
+        """
+        x1, y1 = x0 + length * ux, y0 + length * uy
+        lx, hx = (x0, x1) if x0 < x1 else (x1, x0)
+        ly, hy = (y0, y1) if y0 < y1 else (y1, y0)
+        hypot = math.hypot
+        runs = [(hypot(ax - hx if ax > hx else (lx - bx if lx > bx else 0.0),
+                       ay - hy if ay > hy else (ly - by if ly > by else 0.0)) * _SHRINK,
+                 ax, bx, ay, by, span)
+                for ax, bx, ay, by, span in self._runs or self._wall_runs()]
+        discs = [(hypot(cx - hx if cx > hx else (lx - cx if lx > cx else 0.0),
+                        cy - hy if cy > hy else (ly - cy if ly > cy else 0.0)) * _SHRINK - r,
+                  cx, cy, r)
+                 for cx, cy, r in self._discs]
+        runs.sort()
+        discs.sort()
+        return runs, discs
+
+    def _scan(self, x: float, y: float, surfaces: tuple) -> Tuple[float, list, Optional[tuple]]:
         """Clearance at a point and what sets it, as ``(best, spans, disc)``.
 
         ``disc`` is the nearest disc ``(cx, cy, r)`` when a disc sets the
@@ -388,13 +456,17 @@ class WorldMap:
         iy0, iy1)`` exactly at that distance: the tied runs, or the nearest
         cell of the 3x3 block around a point inside an obstacle cell.  An
         empty ``spans`` means the border.
+
+        ``surfaces`` is ``(runs, discs)`` as ``_surfaces`` or
+        ``surfaces_along`` gives them, each list in order of its lower
+        bounds.  The scan walks each list in order and stops at the first
+        bound above the best distance so far: every later surface lies
+        farther, so the clearance is the least distance over all of them,
+        and no run left out ties it.  The spans and the disc are those of a
+        scan over every surface in the world's order only for ``_surfaces``.
         """
-        # plain comparisons, cheaper than calls to min: each keeps the first
-        # of tied values, as min does
-        best = y if y < x else x
-        right, top = self.width_m - x, self.height_m - y
-        best = right if right < best else best
-        best = top if top < best else best
+        runs, discs = surfaces
+        best = self._border_distance(x, y)
         spans: list = []
         # a cell must come strictly closer than the border, so it can only
         # win for a point strictly inside the world
@@ -417,7 +489,9 @@ class WorldMap:
                 # bounds enter the same expressions, so the bits agree.  A
                 # gap is ``max(ax - x, 0.0, x - bx)``: ``ax - x > 0`` exactly
                 # when ``ax > x``, and between, the gap is +0.0
-                for ax, bx, ay, by, span in self._runs or self._wall_runs():
+                for bound, ax, bx, ay, by, span in runs:
+                    if bound > best:
+                        break
                     dx = ax - x if ax > x else (x - bx if x > bx else 0.0)
                     if dx > best:
                         continue
@@ -433,15 +507,14 @@ class WorldMap:
         # best + radius: a screen in plain floats, with a margin over rounding;
         # the strict < keeps the first of tied discs, as an argmin does
         disc = None
-        for o in self._discs:
-            cx, cy, r = o
+        for bound, cx, cy, r in discs:
+            if bound > best:
+                break
             ex, ey, reach = x - cx, y - cy, best + r + 1e-9
             if ex * ex + ey * ey < reach * reach:
-                # plain floats: a numpy scalar here would carry into the
-                # nudged pose and slow every later step's arithmetic
-                d = float(np.hypot(cx - x, cy - y)) - r
+                d = _disc_distance(x, y, cx, cy, r)
                 if d < best:
-                    best, disc = d, o
+                    best, disc = d, (cx, cy, r)
         return best, spans, disc
 
     def clearance(self, x: float, y: float) -> float:
@@ -450,7 +523,23 @@ class WorldMap:
         Obstacle cells are axis-aligned squares, objects are discs, and the
         map border counts as a wall (the world ends there).
         """
-        return self._scan(x, y)[0]
+        return self._scan(x, y, self._everywhere or self._surfaces())[0]
+
+    def clearance_along(self, x: float, y: float, surfaces: tuple) -> Tuple[float, tuple]:
+        """``clearance(x, y)``, bit for bit, at a point of the segment that
+        ``surfaces_along`` gave ``surfaces`` for, and a surface that sets it:
+        a disc ``(cx, cy, r)``, a cell range ``(ix0, ix1, iy0, iy1)``, or
+        ``()`` for the border.  ``surface_distance`` measures it elsewhere."""
+        best, spans, disc = self._scan(x, y, surfaces)
+        return best, disc or (spans[0] if spans else ())
+
+    def surface_distance(self, surface: tuple, x: float, y: float) -> float:
+        """Distance from a point to a surface that ``clearance_along`` named,
+        by the scan's own expression for it, so never below the clearance
+        at that point."""
+        if len(surface) == 3:
+            return _disc_distance(x, y, *surface)
+        return self._span_distance(x, y, surface) if surface else self._border_distance(x, y)
 
     def clearance_with_nearest(self, x: float, y: float) -> Tuple[float, Tuple[float, float]]:
         """Clearance plus the closest point on the nearest blocking surface.
@@ -458,7 +547,7 @@ class WorldMap:
         Of exactly tied obstacle cells the first in row-major order wins: the
         lowest ``iy``, then the lowest ``ix``.
         """
-        best, spans, disc = self._scan(x, y)
+        best, spans, disc = self._scan(x, y, self._everywhere or self._surfaces())
         if disc is not None:
             cx, cy, r = disc
             norm = math.hypot(x - cx, y - cy)

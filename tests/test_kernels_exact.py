@@ -506,28 +506,112 @@ def test_reactive_avoid_boxed_in_cases_match_full_scan():
     assert "NoEscape" in seen and ("moved" in seen or "stayed" in seen)
 
 
+class Counting:
+    """A world that logs each point it measures, with ``"full"`` for a scan
+    of the whole world and ``"along"`` for one through the surfaces along a
+    segment.  It passes on only what ``reactive_avoid`` reads, so a query
+    added later raises AttributeError here instead of going uncounted."""
+
+    def __init__(self, world):
+        self.world = world
+        self.calls = []
+        self.width_m, self.height_m = world.width_m, world.height_m
+        self.in_bounds = world.in_bounds
+        self.surfaces_along = world.surfaces_along
+        self.surface_distance = world.surface_distance
+
+    def clearance_with_nearest(self, x, y):
+        self.calls.append(("full", x, y))
+        return self.world.clearance_with_nearest(x, y)
+
+    def clearance(self, x, y):
+        self.calls.append(("full", x, y))
+        return self.world.clearance(x, y)
+
+    def clearance_along(self, x, y, surfaces):
+        self.calls.append(("along", x, y))
+        return self.world.clearance_along(x, y, surfaces)
+
+
 def test_reactive_avoid_measures_fewer_samples_than_a_full_scan(box_world):
     """Next to a single wall the clearance grows along the ray, and the
     Lipschitz bound skips the samples that cannot restore it yet.  Every
     measured sample counts."""
-    calls = []
-    measure = box_world.clearance_with_nearest
-
-    class Counting:
-        def __getattr__(self, name):
-            return getattr(box_world, name)
-
-        def clearance_with_nearest(self, x, y):
-            calls.append((x, y))
-            return measure(x, y)
-
-        def clearance(self, x, y):
-            return self.clearance_with_nearest(x, y)[0]
-
+    world = Counting(box_world)
     pose = Pose(0.25, 4.0, 0.0)  # 0.15 m from the wall face at x = 0.1
-    out = reactive_avoid(Counting(), pose, AgentBody(), 0.32)
+    out = reactive_avoid(world, pose, AgentBody(), 0.32)
     assert out == ref_reactive_avoid(box_world, pose, AgentBody(), 0.32)
-    assert len(calls) <= 4  # a full scan measures 18
+    # the pose, then the ray; a full scan measures 18
+    assert [kind for kind, *_ in world.calls] == ["full", "along"]
+
+
+def test_reactive_avoid_scans_boxed_in_rays_few_times():
+    """The corridor and slot of the boxed-in cases, and a dead end 0.5 m
+    wide: one full scan per call, of the pose, then only the samples that
+    neither the Lipschitz bound nor the surface that set the last measured
+    clearance rules out, with the full scan's outcome.  In the dead end the
+    ray runs along the side walls, and past its first 0.2 m the clearance
+    is flat: each side wall caps every later sample at the best so far.
+    The counts are pinned."""
+    body = AgentBody()
+    grid = empty_world(4.0, 3.0).grid.copy()
+    grid[10:13, 5:35] = OBSTACLE
+    grid[16:19, 5:35] = OBSTACLE      # corridor rows 13-15: 0.3 m wide
+    grid[5:8, 5:35] = OBSTACLE        # slot row 8-9 with row 10 above: 0.2 m wide
+    dead_end = empty_world(4.0, 3.0).grid.copy()
+    dead_end[10:13, 5:35] = OBSTACLE
+    dead_end[18:21, 5:35] = OBSTACLE  # rows 13-17: 0.5 m wide
+    dead_end[13:18, 4] = OBSTACLE     # closed at x = 0.5
+    cases = [(WorldMap(grid, 0.1), Pose(float(x), y, 0.3))
+             for y in (1.45, 1.5, 0.85, 0.9, 0.95) for x in np.arange(0.55, 3.45, 0.1)]
+    cases += [(WorldMap(dead_end, 0.1), Pose(x, y, 0.0))
+              for x in (0.55, 0.6, 0.65) for y in (1.5, 1.55, 1.6)]
+    along = []
+    for plain, pose in cases:
+        world = Counting(plain)
+        got = outcome(reactive_avoid, world, pose, body, 0.32)
+        assert got == outcome(ref_reactive_avoid, plain, pose, body, 0.32), pose
+        kinds = [kind for kind, *_ in world.calls]
+        assert kinds[0] == "full" and "full" not in kinds[1:], pose
+        along.append(len(kinds) - 1)
+    # the corridor and slot per row, then the dead end, where the Lipschitz
+    # bound alone leaves 53-63 samples to measure
+    assert along == [5] * 30 + [2] * 30 + [4] * 60 + [6] * 30 + [8, 15, 8, 9, 17, 9, 8, 17, 8]
+
+
+def test_reactive_avoid_finds_the_last_of_slowly_rising_samples():
+    """A disc in a corridor 0.5 m wide sets the nudge direction 1e-5 rad
+    off the corridor's axis, away from the nearer wall.  Past the disc the
+    clearance is that wall's distance, which rises by 1e-7 m per sample and
+    never reaches 0.32 m, so the last sample has the most.  The wall caps
+    each next sample only that far above the best so far: a cap taken 1e-6
+    m short of exact would skip them all."""
+    grid = empty_world(4.0, 3.0).grid.copy()
+    grid[10:13, 5:35] = OBSTACLE
+    grid[18:21, 5:35] = OBSTACLE  # rows 13-17: 0.5 m wide
+    world = WorldMap(grid, 0.1, [SemanticObject("d", "t", (1.85, 1.5 - 1e-5 * 0.15), 0.05)])
+    pose, body = Pose(2.0, 1.5, 0.0), AgentBody()
+    got = outcome(reactive_avoid, world, pose, body, 0.32)
+    assert got == outcome(ref_reactive_avoid, world, pose, body, 0.32)
+    assert float.fromhex(got[0]) > 2.6  # the ray's last sample
+
+
+def test_reactive_avoid_reads_the_surfaces_up_to_the_rays_end():
+    """A pose inside a disc in a walled room 0.8 m wide, with two more
+    discs.  The nudge ray heads for the bottom wall, and its last sample,
+    1.27 m out, is nearer to that wall than to anything else.  A list of
+    surfaces built for a ray one step shorter ranks the wall by its gap to
+    a box that ends 0.01 m before that sample, stops at a disc, overstates
+    the sample's clearance and picks another pose."""
+    grid = np.zeros((36, 8), dtype=np.uint8)
+    grid[0, :] = grid[-1, :] = grid[:, 0] = grid[:, -1] = OBSTACLE
+    world = WorldMap(grid, 0.1, [
+        SemanticObject("o0", "t", (0.3667410298326231, 1.94963332445152), 0.22088133070657134),
+        SemanticObject("o1", "t", (0.5753967311224072, 1.2398761260790445), 0.4228487380415597),
+        SemanticObject("o2", "t", (0.11482439869145829, 1.0578734125921663), 0.1707338636252018)])
+    pose, body = Pose(0.6184592067692315, 1.5885115040457198, 0.0), AgentBody()
+    got = outcome(reactive_avoid, world, pose, body, 0.6350506349885302)
+    assert got == outcome(ref_reactive_avoid, world, pose, body, 0.6350506349885302)
 
 
 def test_avoid_samples_the_ray_only_up_to_the_worlds_edge(box_world, tmp_path):
@@ -715,6 +799,54 @@ def test_clearance_matches_reference_near_special_points(world, seed, reach):
             assert bits(world.clearance(x, y)) == bits(d), (x, y)
 
 
+def disc_border_ties(world, rng):
+    """Points of a disc's tie with the left map border that rounding alone
+    decides, each with the direction away from the disc along x: the scan's
+    ``np.hypot`` puts the disc nearer than the border, but ``math.hypot`` of
+    the same gaps, less the radius, does not.  Moving away from the disc,
+    the point is the corner of its segment's box nearest to the disc, so a
+    bound on the disc without its margin would pass the border distance."""
+    out = []
+    for cx, cy, r in ((*o.center, o.radius) for o in world.objects):
+        ys = cy + np.array([rng.uniform(-1.5, 1.5) for _ in range(4000)])
+        xs = (cx * cx + (ys - cy) ** 2 - r * r) / (2.0 * (r + cx))
+        keep = (xs > 0.0) & (xs < cx) & (ys >= 0.0) & (ys < world.height_m)
+        for x, y in zip(xs[keep].tolist(), ys[keep].tolist()):
+            if float(np.hypot(cx - x, cy - y)) - r < x <= math.hypot(cx - x, cy - y) - r:
+                out.append(((x, y), (-1.0, 0.0)))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(world=walled_worlds(), seed=st.integers(0, 2 ** 32 - 1),
+       length=st.one_of(st.just(0.0), st.just(0.32), st.floats(0.0, 3.0)))
+def test_clearance_along_a_segment_matches_the_full_scan(world, seed, length):
+    """Segments that start at each probe point (grid corners, the border,
+    obstacle interiors, disc boundaries, slot ties and disc-border ties) or
+    end there, each way along its direction.  At the segment's ends and at
+    points between, computed as the motion computes them, the clearance
+    through the surfaces along the segment has the full scan's bits, and the
+    surface it names lies at exactly that distance there and at no less
+    than the clearance elsewhere on the segment."""
+    rng = random.Random(seed)
+    for (px, py), (ux, uy) in probes(world, rng) + disc_border_ties(world, rng):
+        for sx, sy in ((ux, uy), (-ux, -uy)):
+            for x0, y0 in ((px, py), (px - length * sx, py - length * sy)):
+                near = world.surfaces_along(x0, y0, sx, sy, length)
+                ts = [0.0, length, length * rng.random(), length * rng.random()]
+                surfaces = []
+                for t in ts:
+                    x, y = x0 + t * sx, y0 + t * sy
+                    c, surface = world.clearance_along(x, y, near)
+                    assert bits(c) == bits(world.clearance(x, y)), (x0, y0, sx, sy, t)
+                    assert bits(world.surface_distance(surface, x, y)) == bits(c)
+                    surfaces.append(surface)
+                for surface in surfaces:
+                    for t in ts:
+                        x, y = x0 + t * sx, y0 + t * sy
+                        assert world.surface_distance(surface, x, y) >= world.clearance(x, y)
+
+
 def test_clearance_ties_across_runs_keep_the_reference_winner():
     """Slots between walls one cell thick that cross a long room, as columns
     (vertical runs) and, in the transposed room, as rows (horizontal runs).
@@ -790,6 +922,24 @@ def march_by_full_queries(world, pose, body, action):
             break
         t += min(c, action.r - t)
     return Pose(pose.x + t * ux, pose.y + t * uy, heading)
+
+
+def test_execute_reads_the_surfaces_up_to_the_segments_end():
+    """A pose in a slot 0.35 m wide, 0.175 m from both side walls, moving
+    5.5 cm along it toward a block that spans most of the slot: the march
+    creeps in steps of a few millimetres, and the block is nearest only at
+    its last two points, within 2 mm of the segment's end.  A list of
+    surfaces built for a segment 1 cm shorter misses the block there, and
+    the march ends elsewhere."""
+    grid = np.zeros((28, 9), dtype=np.uint8)
+    grid[0, :] = grid[-1, :] = grid[:, 0] = grid[:, -1] = OBSTACLE
+    grid[11:13, 2:7] = OBSTACLE
+    world = WorldMap(grid, 0.05)
+    pose = Pose(0.225, 0.325, 1.236857310387923)
+    action = PolarAction(0.05534621707453201, 0.29063285879899636)
+    got = execute(world, pose, AgentBody(), action).new_pose
+    want = march_by_full_queries(world, pose, AgentBody(), action)
+    assert bits(got.x, got.y, got.heading) == bits(want.x, want.y, want.heading)
 
 
 def test_execute_matches_a_march_of_full_queries(worlds):

@@ -95,6 +95,20 @@ def test_unreachable_subtasks_are_excluded():
         compute_metrics([])
 
 
+def test_aborted_and_wholly_excluded_episodes_are_not_fully_successful():
+    """A chair-then-sofa episode in a world without a sofa aborts after its
+    successful first goal and lists only that goal; another episode's only
+    goal was excluded as unreachable.  Neither succeeded at every goal."""
+    aborted = EpisodeResult(episode_id="a", seed=0, goal_results=(goal_result(True),),
+                            trajectory=(Pose(1.0, 1.0, 0.0),), termination="aborted",
+                            abort_reason="no object matches goal 'sofa'")
+    excluded = episode("b", [goal_result(unreachable=True)])
+    rep = compute_metrics([aborted, excluded, episode("c", [goal_result(True)])])
+    assert rep.n_subtasks == 2 and rep.sr == 1.0
+    assert rep.per_episode_sr == pytest.approx(1 / 3)
+    assert "episodes fully successful: 33.3 % of 3" in rep.to_text()
+
+
 def test_all_failures_have_no_acd():
     rep = compute_metrics([episode("a", [goal_result(False)])])
     assert rep.acd_m is None

@@ -332,6 +332,27 @@ def test_astar_equals_dijkstra_bit_for_bit(case):
     assert_matches_reference(world, start, GoalSpec.name_goal("box"), threshold, body)
 
 
+def test_astar_keeps_the_least_goal_when_a_bound_is_tight():
+    """The goal cell (4, 3) lies straight above the disc: the disc grown by
+    the goal reach (0.67 m here) ends at that cell's centre, less 1e-13 of
+    its radius.  So the bound of the cell above it falls short of the one
+    move between them by barely more than its absolute slack of 1e-6 cells.
+    The least goal distance is six straight and three diagonal moves,
+    10.242640687119284 cells summed in the best order, and another goal cell
+    is reached at the next float up.  A goal-cell bound of -1.01e-6 lets
+    that cell pop before the cell above (4, 3) and end the search; one above
+    -1e-6, such as -1e-9, cannot, since the absolute slack of every other
+    cell's bound keeps that cell ahead of it."""
+    grid = np.zeros((14, 12), dtype=np.uint8)
+    grid[7, 2] = OBSTACLE
+    disc = SemanticObject("t", "box", (2.25, 0.5546217847764676), 0.5253782152236521)
+    world = WorldMap(grid, 0.5, [disc])
+    start = Pose(0.75, 6.25, 0.0)
+    want = reference_shortest_path(world, start, GoalSpec.name_goal("box"), 0.3, AgentBody())
+    assert want == 5.121320343559642
+    assert shortest_path(world, start, GoalSpec.name_goal("box"), 0.3, AgentBody()) == want
+
+
 def test_endless_goal_reach_plans_one_move():
     # every free cell is in the goal region, and the blocked start moves one
     # cell straight into it: a bound that turned NaN would order the heap at
