@@ -3,7 +3,7 @@
 from .config import RunConfig
 from .geometry import AgentBody, MotionResult, PolarAction, Pose
 from .goals import GoalSpec
-from .memory import MemoryGraph, SemanticFilter, merge
+from .memory import MemoryGraph, merge
 from .proposer import Candidate, CandidateSet
 from .sensing import Observation
 from .world import SemanticObject, WorldMap
@@ -13,6 +13,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AgentBody", "Candidate", "CandidateSet", "GoalSpec",
     "MemoryGraph", "MotionResult", "Observation", "PolarAction", "Pose",
-    "RunConfig", "SemanticFilter", "SemanticObject", "WorldMap", "merge",
+    "RunConfig", "SemanticObject", "WorldMap", "merge",
     "__version__",
 ]

@@ -54,13 +54,6 @@ def _rays_of(ctx: RequestContext, wanted: Sequence[bool]) -> List[int]:
     return list(compress(range(len(ctx.hit)), map(wanted.__getitem__, ctx.hit)))
 
 
-def _matches(goal, name: str, attrs: Sequence[str]) -> bool:
-    """Whether a sighting of ``name`` with ``attrs`` fits a goal record: its
-    category, ignoring case, is part of the name, and each of its attributes
-    is among ``attrs``."""
-    return goal.category.lower() in name.lower() and set(goal.attributes) <= set(attrs)
-
-
 class OracleBackend:
     """Deterministic scoring, filtering, and stop checks.
 
@@ -191,7 +184,7 @@ class OracleBackend:
     def _goal_rays(ctx: RequestContext) -> List[int]:
         """The indices of the rays that hit a sighting of the goal."""
         return _rays_of(ctx, [label is not None and label != "wall"
-                              and _matches(ctx.goal, label, attrs)
+                              and ctx.goal.fits(label, attrs)
                               for label, attrs, _ in ctx.hits])
 
     def _remembered_target(self, ctx: RequestContext) -> Optional[Tuple[float, float]]:
@@ -201,7 +194,7 @@ class OracleBackend:
         best = None
         best_d = math.inf
         for name, attrs, location in ctx.memory:
-            if location is None or not _matches(ctx.goal, name, attrs):
+            if location is None or not ctx.goal.fits(name, attrs):
                 continue
             x, y = round(location[0], 1), round(location[1], 1)
             d = math.hypot(x - ctx.pose[0], y - ctx.pose[1])

@@ -105,8 +105,10 @@ def cmd_memory(args) -> int:
             raise ConfigError("memory merge needs two input files")
         save_graph(functools.reduce(merge, map(load_graph, args.paths)), args.out)
     elif args.action == "show":
+        if args.budget < 0:
+            raise ConfigError(f"memory show needs a --budget of at least 0, not {args.budget}")
         g = load_graph(args.paths[0])
-        print(g.render_text(budget=args.budget) or "(empty graph)")
+        print(g.render_text(budget=args.budget) if g.nodes or g.edges else "(empty graph)")
         print(f"nodes: {len(g.nodes)}, edges: {len(g.edges)}, version: {g.version}")
     return 0
 

@@ -31,6 +31,7 @@ log = logging.getLogger(__name__)
 STOPPED = "stopped"
 BUDGET_EXHAUSTED = "budget_exhausted"
 ABORTED = "aborted"
+TERMINATIONS = (STOPPED, BUDGET_EXHAUSTED, ABORTED)
 
 
 @dataclass(frozen=True)
@@ -75,9 +76,11 @@ class GoalResult:
         return cls(check_type(d.get("goal_text"), str, "goal_text"),
                    check_type(d.get("category"), str, "category"),
                    check_type(d.get("success"), bool, "success"),
-                   check_finite(d.get("path_length"), "path_length"),
-                   None if shortest is None else check_finite(shortest, "shortest"),
-                   check_integer(d.get("steps"), "steps"),
+                   _non_negative(check_finite(d.get("path_length"), "path_length"),
+                                 "path_length"),
+                   None if shortest is None else _non_negative(
+                       check_finite(shortest, "shortest"), "shortest"),
+                   _non_negative(check_integer(d.get("steps"), "steps"), "steps"),
                    check_type(d.get("stopped"), bool, "stopped"),
                    check_type(d.get("unreachable", False), bool, "unreachable"))
 
@@ -107,7 +110,7 @@ class EpisodeResult:
     def from_dict(cls, d) -> "EpisodeResult":
         """A result from its JSON form; anything malformed raises SchemaViolation."""
         check_type(d, dict, "an episode result")
-        reason = d.get("abort_reason")
+        reason, termination = d.get("abort_reason"), d.get("termination")
         return cls(
             episode_id=check_type(d.get("episode_id"), str, "episode_id"),
             seed=check_integer(d.get("seed", 0), "seed"),
@@ -115,9 +118,14 @@ class EpisodeResult:
                                for g in check_type(d.get("goals"), list, "goals")),
             trajectory=tuple(_trajectory_pose(p)
                              for p in check_type(d.get("trajectory", []), list, "trajectory")),
-            termination=check_type(d.get("termination"), str, "termination"),
+            termination=check(termination, termination in TERMINATIONS,
+                              f"termination must be one of {', '.join(TERMINATIONS)}"),
             abort_reason=None if reason is None else check_type(reason, str, "abort_reason"),
         )
+
+
+def _non_negative(value, what: str):
+    return check(value, value >= 0, f"{what} must not be negative")
 
 
 def _trajectory_pose(p) -> Pose:

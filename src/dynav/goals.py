@@ -9,14 +9,19 @@ Three goal styles are supported:
 
 A goal reaches the decision backend as a record (``to_dict``), which a
 backend reads, and as its text (``render_text``), which is prompt text only.
+
+What fits a goal is decided here and nowhere else: ``matches`` for world
+objects, by category, and ``fits`` for anything known only by a name and
+attributes: the oracle's sightings and memory records, and the nodes that
+memory retrieval selects.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Collection, List, Tuple
 
-from .errors import SchemaViolation, check_strings, check_type
-from .world import SemanticObject
+from .errors import SchemaViolation, UnresolvableGoal, check_strings, check_type
+from .world import SemanticObject, WorldMap
 
 NAME = "name"
 DESCRIPTION = "description"
@@ -61,6 +66,21 @@ class GoalSpec:
         if self.kind == DESCRIPTION:
             return obj.category == self.category and set(self.attributes) <= set(obj.attributes)
         return set(self.attributes) <= set(obj.attributes)
+
+    def matching_objects(self, world: WorldMap) -> List[SemanticObject]:
+        """The world's objects that match, in world order; UnresolvableGoal
+        when there are none."""
+        matching = [o for o in world.objects if self.matches(o)]
+        if not matching:
+            raise UnresolvableGoal(f"no object matches goal {self.text!r}")
+        return matching
+
+    def fits(self, name: str, attributes: Collection[str]) -> bool:
+        """Whether a thing called ``name`` with ``attributes`` fits the goal:
+        the category, ignoring case, is part of the name, and every goal
+        attribute is among ``attributes``.  An instance goal has no category,
+        so any name fits it."""
+        return self.category.lower() in name.lower() and set(self.attributes) <= set(attributes)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "category": self.category,

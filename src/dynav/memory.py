@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (EmptyName, SchemaViolation, SelfLoop, check_integer, check_location,
                      check_strings, check_type, read_json)
@@ -74,25 +74,6 @@ class MemoryEdge:
 
     def clause(self) -> str:
         return f"{self.start} is {self.relation} {self.target}"
-
-
-@dataclass(frozen=True)
-class SemanticFilter:
-    """Node selector for spatial queries.
-
-    ``name_pattern`` is a case-insensitive substring; ``required_attributes``
-    must all be present.  ``hops`` expands the matched set along edges (both
-    directions) before the induced subgraph is taken.
-    """
-
-    name_pattern: Optional[str] = None
-    required_attributes: frozenset = frozenset()
-    hops: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "required_attributes", frozenset(self.required_attributes))
-        if self.hops < 0:
-            raise ValueError("hops must be >= 0")
 
 
 def _merge_node(a: MemoryNode, b: MemoryNode) -> MemoryNode:
@@ -156,21 +137,19 @@ class MemoryGraph:
 
     # -- queries ------------------------------------------------------------
 
-    def _matches(self, node: MemoryNode, flt: SemanticFilter) -> bool:
-        if flt.name_pattern is not None and flt.name_pattern.lower() not in node.name.lower():
-            return False
-        return flt.required_attributes <= node.attributes
-
-    def spatial_query(self, flt: SemanticFilter) -> "MemoryGraph":
-        """Induced subgraph around filter matches, expanded ``flt.hops`` hops."""
-        selected = {n for n, node in self.nodes.items() if self._matches(node, flt)}
+    def spatial_query(self, fits: Callable[[str, frozenset], bool],
+                      hops: int = 0) -> "MemoryGraph":
+        """The subgraph induced by the nodes for which ``fits(name,
+        attributes)`` holds, expanded ``hops`` hops along edges (both
+        directions)."""
+        selected = {n for n, node in self.nodes.items() if fits(n, node.attributes)}
         neighbours: Dict[str, set] = {}
-        if flt.hops:
+        if hops:
             for s, t, _r in self.edges:
                 neighbours.setdefault(s, set()).add(t)
                 neighbours.setdefault(t, set()).add(s)
         frontier = set(selected)
-        for _ in range(flt.hops):
+        for _ in range(hops):
             nxt = set()
             for name in frontier:
                 nxt.update(neighbours.get(name, ()))

@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .errors import NoEscape, PoseOutOfBounds, UnresolvableGoal
+from .errors import NoEscape, PoseOutOfBounds
 from .geometry import AgentBody, MotionResult, PolarAction, Pose, normalize_angle
 from .sensing import Observation
 from .goals import GoalSpec
@@ -156,9 +156,7 @@ def success(world: WorldMap, pose: Pose, goal: GoalSpec, obs: Optional[Observati
     ``visibility_required`` some ray of the supplied observation must also hit
     a matching object.
     """
-    matching = [o for o in world.objects if goal.matches(o)]
-    if not matching:
-        raise UnresolvableGoal(f"no object matches goal {goal.text!r}")
+    matching = goal.matching_objects(world)
     d = min(o.boundary_distance(pose.x, pose.y) for o in matching)
     if d > threshold:
         return False

@@ -13,7 +13,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .errors import Unreachable, UnresolvableGoal
+from .errors import Unreachable
 from .geometry import AgentBody, Pose
 from .goals import GoalSpec
 from .world import WorldMap, cell_span
@@ -41,9 +41,7 @@ def goal_cells(world: WorldMap, goal: GoalSpec, threshold: float,
     padded by the goal reach plus one cell; every cell outside lies farther
     away.
     """
-    matching = [o for o in world.objects if goal.matches(o)]
-    if not matching:
-        raise UnresolvableGoal(f"no object matches goal {goal.text!r}")
+    matching = goal.matching_objects(world)
     free = world.free_with_clearance(body.radius)
     eff = _goal_reach(world, threshold, body)
     h, w = free.shape
@@ -108,7 +106,7 @@ def shortest_path(world: WorldMap, start: Pose, goal: GoalSpec, threshold: float
     ys = [0.0, *((np.arange(h) + 0.5) * res).tolist()]
     eff = _goal_reach(world, threshold, body)
     discs = [(*o.center, (o.radius + eff) * (1.0 + _SLACK))
-             for o in world.objects if goal.matches(o)]
+             for o in goal.matching_objects(world)]
     shrink, scale = 1.0 - _SLACK, (1.0 - _SLACK) / res
     tol = 1e-6 + 2e-16 * float(h * w) ** 2
 

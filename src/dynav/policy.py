@@ -22,8 +22,8 @@ from .backends.protocol import (RequestContext, TEMPLATES, make_score_request,
                                 make_stop_request, request_context)
 from .errors import BackendUnavailable, NoEscape
 from .geometry import AgentBody, PolarAction, Pose
-from .goals import GoalSpec, INSTANCE
-from .memory import MemoryGraph, SemanticFilter, render
+from .goals import GoalSpec
+from .memory import MemoryGraph, render
 from .motion import execute, reactive_avoid
 from .proposer import CandidateSet, apply_filter_response, boundary
 from .sensing import Observation, sense, traversability_mask
@@ -60,19 +60,13 @@ class StepOutcome:
     truncated: bool
 
 
-def goal_filter(goal: GoalSpec, hops: int) -> SemanticFilter:
-    """Memory retrieval filter derived from the goal's terms."""
-    if goal.kind == INSTANCE:
-        return SemanticFilter(required_attributes=frozenset(goal.attributes), hops=hops)
-    return SemanticFilter(name_pattern=goal.category, hops=hops)
-
-
 def memory_cut(mem: Optional[MemoryGraph], goal: GoalSpec, cfg) -> list:
-    """The nodes and edges of the goal's memory excerpt, in render order,
-    within ``cfg.memory_budget``; none when memory is off."""
+    """The nodes and edges of the goal's memory excerpt, in render order:
+    the nodes that fit the goal and those within ``cfg.memory_hops`` hops of
+    them, cut by recency to ``cfg.memory_budget``; none when memory is off."""
     if mem is None or not cfg.memory_enabled:
         return []
-    return mem.spatial_query(goal_filter(goal, cfg.memory_hops)).cut(cfg.memory_budget)
+    return mem.spatial_query(goal.fits, cfg.memory_hops).cut(cfg.memory_budget)
 
 
 def memory_excerpt(cut: Sequence) -> str:

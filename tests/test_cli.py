@@ -492,6 +492,25 @@ def test_memory_export_merge_show(tmp_path, capsys):
     assert "lamp_1" in shown and "nodes: 2" in shown
 
 
+def test_memory_show_budget(tmp_path, capsys):
+    one, empty = MemoryGraph(), MemoryGraph()
+    one.add_node("lamp_1", ["tall"], (1.0, 2.0), step=1)
+    paths = {"one": tmp_path / "one.json", "empty": tmp_path / "empty.json"}
+    save_graph(one, paths["one"])
+    save_graph(empty, paths["empty"])
+
+    def show(name, budget):
+        code = main(["memory", "show", str(paths[name]), "--budget", str(budget)])
+        return code, capsys.readouterr()
+
+    assert show("one", 1)[1].out == "lamp_1 (tall) at (1.0, 2.0).\nnodes: 1, edges: 0, version: 1\n"
+    assert show("one", 0)[1].out == "\nnodes: 1, edges: 0, version: 1\n"
+    assert show("empty", 0)[1].out == "(empty graph)\nnodes: 0, edges: 0, version: 0\n"
+    code, captured = show("one", -1)
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: memory show needs a --budget of at least 0, not -1\n"
+
+
 def test_memory_merge_needs_two_inputs(tmp_path):
     _, _, pa, _ = graph_pair(tmp_path)
     assert main(["memory", "merge", str(pa), "--out", str(tmp_path / "m.json")]) == 1
@@ -563,6 +582,20 @@ def test_mistyped_record_exits_1(tmp_path, capsys, argv, content):
     bad.write_text(json.dumps(content))
     assert main([a.format(bad=bad) for a in argv]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_eval_refuses_negative_lengths(tmp_path, capsys):
+    # these two goals once gave an SPL of 0.2, one term being -0.6
+    goal = {"goal_text": "chair", "category": "chair", "success": True, "path_length": 2.0,
+            "shortest": 1.0, "steps": 3, "stopped": True, "unreachable": False}
+    results = tmp_path / "results.jsonl"
+    results.write_text(json.dumps({
+        "episode_id": "e", "termination": "stopped", "trajectory": [],
+        "goals": [dict(goal, shortest=-3.0, path_length=-2.0), goal]}) + "\n")
+    assert main(["eval", "--results", str(results), "--out", str(tmp_path / "ev")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: path_length must not be")
+    assert not (tmp_path / "ev").exists()
 
 
 def test_eval_refuses_a_success_that_is_not_a_boolean(tmp_path, episode_file, capsys):

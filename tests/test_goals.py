@@ -1,4 +1,5 @@
-"""Goals: what a goal refuses, its text, and its record on the wire."""
+"""Goals: what a goal refuses, its text, its record on the wire, and the one
+rule that decides what fits a goal."""
 import dataclasses
 import json
 import math
@@ -7,14 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dynav.backends.protocol import (DecisionRequest, encode_request, make_stop_request,
-                                     request_context)
+from dynav.backends.oracle import OracleBackend
+from dynav.backends.protocol import (DecisionRequest, RequestContext, WireNode, encode_request,
+                                     make_stop_request, request_context)
 from dynav.errors import SchemaViolation
 from dynav.geometry import Pose
 from dynav.goals import DESCRIPTION, INSTANCE, NAME, GoalSpec
+from dynav.memory import MemoryGraph
 from dynav.sensing import Observation
 
-from conftest import with_rays
+from conftest import Row, with_rays
 
 
 def test_a_goal_has_three_fields():
@@ -93,3 +96,74 @@ def test_malformed_goals_are_refused(kind, category, attributes):
     with pytest.raises(SchemaViolation, match="bad goal"):
         GoalSpec.from_dict({"kind": kind, "category": category,
                             "attributes": list(attributes)})
+
+
+# -- the one goal-fit rule ---------------------------------------------------------
+
+def fits_reference(goal: GoalSpec, name: str, attributes) -> bool:
+    """The rule as written out: the category, ignoring case, is part of the
+    name, and every goal attribute is among the attributes."""
+    if goal.category.lower() not in name.lower():
+        return False
+    return all(a in attributes for a in goal.attributes)
+
+
+# labels over letters of both cases, so a category may be part of a label
+# only when case is ignored
+_label = st.text(st.sampled_from("aAbB_1"), min_size=1, max_size=5)
+_attribute = st.sampled_from(("red", "Red", "tall", "x"))
+
+
+@st.composite
+def fit_cases(draw):
+    """Sightings (label, attributes, location) and a goal whose category is
+    often part of one of the labels and whose attributes often fit."""
+    labels = draw(st.lists(_label, min_size=1, max_size=6, unique=True))
+    sightings = [(label, tuple(sorted(draw(st.sets(_attribute, max_size=3)))),
+                  draw(st.none() | st.tuples(st.integers(-5, 5), st.integers(-5, 5))))
+                 for label in labels]
+    kind = draw(st.sampled_from((NAME, DESCRIPTION, INSTANCE)))
+    category = ""
+    if kind != INSTANCE:
+        label = draw(st.sampled_from(labels) | _label)
+        i = draw(st.integers(0, len(label) - 1))
+        category = label[i:draw(st.integers(i + 1, len(label)))]
+        if draw(st.booleans()):
+            category = category.swapcase()
+    attributes = () if kind == NAME else tuple(draw(st.sets(_attribute, min_size=1,
+                                                            max_size=2)))
+    return sightings, GoalSpec(kind, category, attributes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=fit_cases())
+def test_goal_rays_recall_and_retrieval_follow_one_rule(case):
+    sightings, goal = case
+    fit = [fits_reference(goal, label, attrs) for label, attrs, _ in sightings]
+    assert [goal.fits(label, attrs) for label, attrs, _ in sightings] == fit
+
+    # the oracle's goal rays: the labelled, non-wall rays whose hit fits
+    rows = [Row(float(i), 1.0 + i, label, attrs) for i, (label, attrs, _) in enumerate(sightings)]
+    rows += [Row(10.0, 1.0, "wall", goal.attributes), Row(11.0, 1.0, None)]
+    records = tuple(WireNode(label, attrs, None if loc is None else tuple(map(float, loc)))
+                    for label, attrs, loc in sightings)
+    ctx = with_rays(RequestContext, rows, session_id="s", step=0, goal_text="", goal=goal,
+                    pose=(0.0, 0.0, 0.0), memory=records, constraints=())
+    assert OracleBackend._goal_rays(ctx) == [i for i, f in enumerate(fit) if f]
+
+    # recall reads the records that fit, and only those
+    oracle = OracleBackend()
+    kept = tuple(r for r, f in zip(records, fit) if f)
+    dropped = tuple(r for r, f in zip(records, fit) if not f)
+    assert oracle._remembered_target(ctx) == oracle._remembered_target(
+        dataclasses.replace(ctx, memory=kept))
+    assert oracle._remembered_target(dataclasses.replace(ctx, memory=dropped)) is None
+
+    # retrieval without hops selects exactly the nodes that fit
+    g = MemoryGraph()
+    for label, attrs, loc in sightings:
+        g.add_node(label, attrs, loc, step=1)
+    for (a, *_), (b, *_) in zip(sightings, sightings[1:]):
+        g.add_edge(a, b, "next to")
+    selected = g.spatial_query(goal.fits, 0)
+    assert set(selected.nodes) == {label for (label, _, _), f in zip(sightings, fit) if f}

@@ -21,7 +21,6 @@ from dynav.memory import (
     MemoryEdge,
     MemoryGraph,
     MemoryNode,
-    SemanticFilter,
     load_graph,
     merge,
     render,
@@ -167,26 +166,26 @@ def demo_graph():
 
 def test_spatial_query_by_name_and_attributes():
     g = demo_graph()
-    sub = g.spatial_query(SemanticFilter(name_pattern="LAMP"))
+    sub = g.spatial_query(GoalSpec.name_goal("LAMP").fits)
     assert set(sub.nodes) == {"red_lamp"}
     assert not sub.edges
 
-    sub = g.spatial_query(SemanticFilter(required_attributes={"metal"}))
+    sub = g.spatial_query(GoalSpec(INSTANCE, attributes=("metal",)).fits)
     assert set(sub.nodes) == {"oven"}
 
 
 def test_spatial_query_hop_expansion():
     g = demo_graph()
-    sub = g.spatial_query(SemanticFilter(name_pattern="lamp", hops=1))
+    sub = g.spatial_query(GoalSpec.name_goal("lamp").fits, 1)
     assert set(sub.nodes) == {"red_lamp", "blue_sofa"}
-    sub = g.spatial_query(SemanticFilter(name_pattern="lamp", hops=2))
+    sub = g.spatial_query(GoalSpec.name_goal("lamp").fits, 2)
     assert set(sub.nodes) == {"red_lamp", "blue_sofa", "rug"}
     assert ("blue_sofa", "rug", "on") in sub.edges
 
 
 def test_spatial_query_result_is_detached():
     g = demo_graph()
-    sub = g.spatial_query(SemanticFilter(name_pattern="lamp"))
+    sub = g.spatial_query(GoalSpec.name_goal("lamp").fits)
     sub.add_node("intruder")
     assert "intruder" not in g.nodes
 

@@ -160,6 +160,9 @@ VALID_RESULT["abort_reason"] = "why"
     (("goals", 0, "path_length"), float("nan")),
     (("goals", 1, "shortest"), [8.0]),
     (("goals", 0, "steps"), 12.0),
+    (("goals", 0, "steps"), -1),
+    (("goals", 0, "path_length"), -2.0),  # an SPL term of a negative path is negative
+    (("goals", 0, "shortest"), -3.0),
     (("goals", 0, "goal_text"), None),
     (("goals", 0), "chair"),
     (("goals",), {}),
@@ -169,6 +172,7 @@ VALID_RESULT["abort_reason"] = "why"
     (("episode_id",), 5),
     (("seed",), "0"),
     (("termination",), None),
+    (("termination",), "success"),
     (("abort_reason",), 3),
 ], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else repr(v))
 def test_load_results_refuses_a_wrong_type(tmp_path, path, value):

@@ -34,7 +34,6 @@ from dynav.geometry import AgentBody
 from dynav.policy import (
     AgentState,
     apply_memory_ops,
-    goal_filter,
     memory_cut,
     memory_excerpt,
     pick_best,
@@ -47,7 +46,7 @@ from dynav.proposer import (Adjustment, Boundary, Candidate, CandidateSet, bound
 from dynav.sensing import sense, traversability_mask
 from dynav.world import SemanticObject
 
-from conftest import empty_world, instance_goal, make_pose, points_of
+from conftest import empty_world, make_pose, points_of
 
 
 class Scripted:
@@ -246,11 +245,17 @@ def test_an_adjustment_moves_its_candidate_within_the_clamps_and_keeps_its_score
 # -- memory plumbing -------------------------------------------------------------
 
 
-def test_goal_filter_shapes():
-    f = goal_filter(GoalSpec.name_goal("chair"), hops=2)
-    assert f.name_pattern == "chair" and f.hops == 2
-    f = goal_filter(instance_goal(["red", "tall"]), hops=1)
-    assert f.required_attributes == frozenset({"red", "tall"})
+def test_description_goal_excerpt_holds_only_nodes_with_its_attributes():
+    mem = MemoryGraph()
+    mem.add_node("chair_1", ["red"], (1.0, 2.0), step=1)
+    mem.add_node("chair_2", ["blue"], (3.0, 4.0), step=2)
+    mem.add_node("table_1", [], (5.0, 6.0), step=3)
+    mem.add_edge("chair_2", "table_1", "next to")
+    red = memory_cut(mem, GoalSpec("description", "chair", ("red",)), RunConfig())
+    assert red == [mem.nodes["chair_1"]]
+    blue = memory_cut(mem, GoalSpec("description", "chair", ("blue",)), RunConfig())
+    assert blue == [mem.nodes["table_1"], mem.edges[("chair_2", "table_1", "next to")],
+                    mem.nodes["chair_2"]]
 
 
 def test_memory_excerpt_respects_toggle():
