@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import (SchemaViolation, check, check_finite, check_integer, check_location,
-                      check_strings, check_type)
+                      check_strings, check_type, refuse)
 from ..goals import GoalSpec
 from ..memory import MemoryNode
 from ..proposer import Adjustment, CandidateSet
@@ -155,7 +155,7 @@ class DecisionRequest:
                 goal=GoalSpec.from_dict(d["goal"]), pose=pose, theta_deg=thetas,
                 distance_m=dists, hit=index, hits=table,
                 memory_text=check_type(d.get("memory_text", ""), str, "memory_text"),
-                memory=tuple(_wire_node(check_type(n, dict, "a memory node"), "memory node")
+                memory=tuple(_wire_node(check_type(n, dict, "a memory node"), _RECORD_FIELDS)
                              for n in check_type(d.get("memory", []), list, "memory")),
                 constraints=check_strings(d.get("constraints", []), "constraints"))
             return cls(kind, context, cands,
@@ -201,7 +201,8 @@ def _unpack(text, what: str) -> Tuple[float, ...]:
     not a string, not the canonical padded base64 of its bytes or not a whole
     number of float64 values, and a value that is NaN or infinite, raise
     SchemaViolation naming the column."""
-    check(text, type(text) is str, f"{what} must be a base64 string")
+    if type(text) is not str:
+        refuse(text, f"{what} must be a base64 string")
     try:
         raw = a2b_base64(text)
     except ValueError as e:  # binascii.Error, or text that is not ASCII
@@ -268,12 +269,18 @@ def _parse_rays(columns, hits) -> Tuple[Tuple[float, ...], Tuple[float, ...], Tu
     return thetas, dists, tuple(index), tuple(table)
 
 
-def _wire_node(raw: dict, what: str) -> WireNode:
+# what error messages call the fields of a memory record and of an add_node op
+_RECORD_FIELDS = ("memory node name", "memory node attributes", "memory node location_m")
+_OP_FIELDS = ("memory op name", "memory op attributes", "memory op location_m")
+
+
+def _wire_node(raw: dict, fields: Tuple[str, str, str]) -> WireNode:
     """The name, attributes and location_m of a memory record or of an
-    add_node op."""
-    return WireNode(check_type(raw["name"], str, f"{what} name"),
-                    check_strings(raw.get("attributes", []), f"{what} attributes"),
-                    check_location(raw.get("location_m"), f"{what} location_m"))
+    add_node op; ``fields`` names the three in error messages."""
+    name, attributes, location = fields
+    return WireNode(check_type(raw["name"], str, name),
+                    check_strings(raw.get("attributes", []), attributes),
+                    check_location(raw.get("location_m"), location))
 
 
 @dataclass(frozen=True)
@@ -359,7 +366,7 @@ def parse_response(payload: dict, request: DecisionRequest) -> DecisionResponse:
         for raw in lists["memory_ops"]:
             op = check_type(raw, dict, "a memory op").get("op")
             if op == "add_node":
-                ops.append(MemoryOp("add_node", *_wire_node(raw, "memory op")))
+                ops.append(MemoryOp("add_node", *_wire_node(raw, _OP_FIELDS)))
             elif op == "add_edge":
                 ops.append(MemoryOp(
                     op="add_edge", start=check_type(raw["start"], str, "memory op start"),

@@ -90,32 +90,43 @@ def read_json(path, error=SchemaViolation, lines: bool = False):
         raise error(f"{path}: not valid JSON: {e}") from e
 
 
+def refuse(value, what: str):
+    """Raise the SchemaViolation saying what ``value`` must be."""
+    raise SchemaViolation(f"{what}, not {value!r:.60}")
+
+
 def check(value, ok: bool, what: str):
     """``value``, or a SchemaViolation saying what it must be."""
     if not ok:
-        raise SchemaViolation(f"{what}, not {value!r:.60}")
+        refuse(value, what)
     return value
 
+
+# Each check below builds its message only when it raises: the wire loaders
+# run them on every field of every message.
 
 _JSON_NAMES = {dict: "an object", list: "a list", str: "a string", bool: "true or false"}
 
 
 def check_type(value, kind: type, what: str):
     """``value`` if its JSON type is ``kind``: dict, list, str or bool."""
-    return check(value, type(value) is kind, f"{what} must be {_JSON_NAMES[kind]}")
+    if type(value) is not kind:
+        refuse(value, f"{what} must be {_JSON_NAMES[kind]}")
+    return value
 
 
 def check_strings(value, what: str) -> Tuple[str, ...]:
     """A JSON list of strings, as a tuple; a bare string is refused, not split."""
-    return tuple(check(value, isinstance(value, list)
-                       and all(isinstance(v, str) for v in value),
-                       f"{what} must be a list of strings"))
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        refuse(value, f"{what} must be a list of strings")
+    return tuple(value)
 
 
 def check_finite(value, what: str) -> float:
     """A finite JSON number (an integer, or a float but not NaN or infinity)."""
-    check(value, isinstance(value, (int, float)) and not isinstance(value, bool),
-          f"{what} must be a number")
+    if type(value) is not float and (not isinstance(value, (int, float))
+                                     or isinstance(value, bool)):
+        refuse(value, f"{what} must be a number")
     try:
         if math.isfinite(value):
             return float(value)
@@ -125,14 +136,15 @@ def check_finite(value, what: str) -> float:
 
 
 def check_integer(value, what: str) -> int:
-    return check(value, isinstance(value, int) and not isinstance(value, bool),
-                 f"{what} must be an integer")
+    if not isinstance(value, int) or isinstance(value, bool):
+        refuse(value, f"{what} must be an integer")
+    return value
 
 
 def check_location(value, what: str) -> Optional[Tuple[float, float]]:
     """A place: null, or a list of two finite numbers (as a tuple of floats)."""
     if value is None:
         return None
-    check(value, isinstance(value, list) and len(value) == 2,
-          f"{what} must be null or a list of two numbers")
+    if not (isinstance(value, list) and len(value) == 2):
+        refuse(value, f"{what} must be null or a list of two numbers")
     return check_finite(value[0], what), check_finite(value[1], what)

@@ -17,7 +17,9 @@ memory retrieval selects.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Collection, List, Tuple
 
 from .errors import SchemaViolation, UnresolvableGoal, check_strings, check_type
@@ -26,6 +28,20 @@ from .world import SemanticObject, WorldMap
 NAME = "name"
 DESCRIPTION = "description"
 INSTANCE = "instance"
+
+_NOT_ALNUM = re.compile(r"[\W_]+")
+
+
+# fits runs for every sighting and every remembered node of every step, on
+# names that repeat from step to step
+@lru_cache(maxsize=4096)
+def _words(text: str) -> str:
+    """The words of ``text``, lower-cased, each with a space on either side:
+    ``" dining table 1 "`` for ``Dining_Table-1``, and ``" "`` for a text
+    without words.  One such string holds another only as whole words in a
+    row."""
+    return " " + "".join(word + " " for word in _NOT_ALNUM.split(text.lower()) if word)
+
 
 # what a goal of each kind holds
 _FIELDS = {NAME: "a category and no attributes",
@@ -77,10 +93,13 @@ class GoalSpec:
 
     def fits(self, name: str, attributes: Collection[str]) -> bool:
         """Whether a thing called ``name`` with ``attributes`` fits the goal:
-        the category, ignoring case, is part of the name, and every goal
-        attribute is among ``attributes``.  An instance goal has no category,
-        so any name fits it."""
-        return self.category.lower() in name.lower() and set(self.attributes) <= set(attributes)
+        the category's words are whole words of the name, in a row, and every
+        goal attribute is among ``attributes``.  Words are the runs of letters
+        and digits, compared ignoring case: ``chair_1`` and ``Chair-2`` fit
+        ``chair`` and ``dining_table_1`` fits ``dining table``, but
+        ``armchair_1`` does not fit ``chair``.  An instance goal has no
+        category, so any name fits it."""
+        return _words(self.category) in _words(name) and set(self.attributes) <= set(attributes)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "category": self.category,

@@ -7,6 +7,7 @@ import base64
 import copy
 import math
 import random
+import re
 import struct
 import subprocess
 import sys
@@ -206,6 +207,16 @@ def replaced(valid: dict, path: tuple, value) -> dict:
 
 def dotted(path) -> str:
     return ".".join(map(str, path))
+
+
+def words_in_a_row(category: str, name: str) -> bool:
+    """The category test of the goal-fit rule, written out: the words of
+    ``category`` are words of ``name``, one after another, ignoring case.
+    Words are the runs of letters and digits."""
+    wanted = re.findall(r"[^\W_]+", category.lower())
+    words = re.findall(r"[^\W_]+", name.lower())
+    n = len(wanted)
+    return any(words[i:i + n] == wanted for i in range(len(words) - n + 1))
 
 
 def run_python(code: str, cwd: Optional[Path] = None, timeout: Optional[float] = None) -> str:

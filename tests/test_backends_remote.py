@@ -5,6 +5,8 @@ import json
 import logging
 import math
 import random
+import select
+import socket
 import struct
 import threading
 import time
@@ -12,6 +14,8 @@ from contextlib import closing
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from types import SimpleNamespace
+from urllib.parse import urlsplit
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +44,7 @@ from dynav.backends.protocol import (
 )
 from dynav import cli
 from dynav.backends import protocol, remote
-from dynav.backends.remote import BackendConfig, RemoteBackend
+from dynav.backends.remote import MAX_HEADERS, MAX_LINE, BackendConfig, RemoteBackend
 from dynav.backends.stub import POLL_INTERVAL_S, StubServer
 from dynav.config import RunConfig
 from dynav.episodes import EpisodeSpec, run_episode
@@ -527,6 +531,14 @@ def test_backend_config_validation():
         with pytest.raises(ValueError):
             BackendConfig(endpoint=bad)
     BackendConfig(endpoint="https://[::1]:8443/decide?v=1")
+
+
+def test_an_endpoint_that_cannot_be_a_request_target_is_refused():
+    # the path and query go into the request line as they are
+    for bad in ("http://x/a b", "http://x/d\u00e9cide", "http://x/decide?q=\x01"):
+        with pytest.raises(ValueError, match="printable ASCII"):
+            BackendConfig(endpoint=bad)
+    BackendConfig(endpoint="http://x/a%20b?q=%C3%A9")
 
 
 # -- malformed replies ---------------------------------------------------------------
@@ -1202,7 +1214,203 @@ def test_a_remote_run_writes_the_in_process_run_byte_for_byte(tmp_path):
 
 
 def test_cli_import_leaves_requests_out():
-    # nor the test stub's http.server, which the CLI imports only for serve-stub
-    out = run_python(
-        "import sys, dynav.cli; print('requests' in sys.modules, 'http.server' in sys.modules)")
-    assert out == "False False"
+    # nor the test stub's http.server, which the CLI imports only for
+    # serve-stub, nor http.client and its email parser, nor ssl, which only
+    # an https endpoint needs
+    out = run_python("import sys, dynav.cli; print(*(m in sys.modules for m in "
+                     "('requests', 'http.server', 'http.client', 'email', 'ssl')))")
+    assert out == "False False False False False"
+
+
+def test_backend_counts_requests_retries_and_reconnects(monkeypatch):
+    monkeypatch.setattr(time, "sleep", lambda s: None)
+    script = [{"kind": "stop_check", "body": {"s_stop": 0.0}},
+              {"kind": "stop_check", "step": 1, "status": 503}]
+    with StubServer(script=script) as stub:
+        with closing(RemoteBackend(BackendConfig(endpoint=stub.endpoint,
+                                                 max_retries=1))) as backend:
+            backend.decide(make_req(STOP_CHECK, step=0))
+            with pytest.raises(TransportError, match="503"):
+                backend.decide(make_req(STOP_CHECK, step=1))
+            backend.decide(make_req(STOP_CHECK, step=2))
+            assert (backend.requests, backend.retries, backend.reconnects) == (4, 1, 0)
+    with KeepAliveServer(hang_up=True) as server:
+        with closing(RemoteBackend(BackendConfig(endpoint=server.endpoint))) as backend:
+            backend.decide(make_req(STOP_CHECK, step=0))
+            assert server.hung_up.acquire(timeout=5)
+            backend.decide(make_req(STOP_CHECK, step=1))
+            assert (backend.requests, backend.retries, backend.reconnects) == (2, 0, 1)
+
+
+def test_an_idle_hang_up_is_seen_without_poll(monkeypatch):
+    # as on Windows, where the client looks with select() instead
+    monkeypatch.setattr(remote, "select", SimpleNamespace(select=select.select))
+    monkeypatch.setattr(time, "sleep", lambda s: pytest.fail("an attempt was lost"))
+    with KeepAliveServer(hang_up=True) as server:
+        with closing(RemoteBackend(BackendConfig(endpoint=server.endpoint))) as backend:
+            backend.decide(make_req(STOP_CHECK, step=0))
+            assert server.hung_up.acquire(timeout=5)
+            backend.decide(make_req(STOP_CHECK, step=1))
+            assert (backend.requests, backend.retries, backend.reconnects) == (2, 0, 1)
+
+
+# -- reply framing, against a server that writes raw bytes ---------------------------
+
+
+class RawServer:
+    """A one-thread server on a raw socket.  It reads each request (its head,
+    then ``Content-Length`` bytes of body), records it, and writes
+    ``replies[i]`` for the i-th request (the last entry for any later one)
+    as given.  A reply is ``(data, then)``: ``then`` is ``"close"`` to hang
+    up after writing, ``"keep"`` to read the next request on the same
+    connection, and ``"trickle"`` to keep it after writing the data three
+    bytes at a time."""
+
+    def __init__(self, replies):
+        self.replies = replies
+        self.requests = []  # (connection number, head, body)
+        self.connections = 0
+        self._stop = threading.Event()
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(POLL_INTERVAL_S)
+        self.endpoint = f"http://127.0.0.1:{self._listener.getsockname()[1]}/decide"
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while not self._stop.is_set():
+            try:
+                sock, _ = self._listener.accept()
+            except TimeoutError:
+                continue
+            self.connections += 1
+            with sock, sock.makefile("rb") as rfile:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                while self._answer(sock, rfile):
+                    pass
+
+    def _answer(self, sock, rfile) -> bool:
+        """Answers one request; False when the connection is done."""
+        head = b""
+        while not head.endswith(b"\r\n\r\n"):
+            line = rfile.readline()
+            if not line:
+                return False
+            head += line
+        length = int(head.lower().split(b"content-length: ")[1].split(b"\r\n")[0])
+        self.requests.append((self.connections, head, rfile.read(length)))
+        data, then = self.replies[min(len(self.requests), len(self.replies)) - 1]
+        if then == "trickle":
+            for i in range(0, len(data), 3):
+                sock.sendall(data[i:i + 3])
+                time.sleep(0.001)
+        else:
+            sock.sendall(data)
+        return then != "close"
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._stop.set()
+        self._thread.join(timeout=5)
+        assert not self._thread.is_alive()
+        self._listener.close()
+
+
+def stop_reply(s_stop: float) -> bytes:
+    return json.dumps({"version": PROTOCOL_VERSION, "kind": STOP_CHECK,
+                       "s_stop": s_stop}).encode()
+
+
+def framed(body: bytes, *fields: bytes, status=b"HTTP/1.1 200 OK") -> bytes:
+    return b"\r\n".join((status, b"Content-Length: %d" % len(body), *fields, b"", body))
+
+
+def chunked(body: bytes) -> bytes:
+    """``body`` in two chunks, the first with an extension, then a trailer."""
+    a, b = body[:5], body[5:]
+    return (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + b"%x;name=value\r\n%s\r\n" % (len(a), a)
+            + b"%X\r\n%s\r\n" % (len(b), b) + b"0\r\nX-Trailer: yes\r\n\r\n")
+
+
+@pytest.mark.parametrize("reply, then, connections", [
+    (chunked(stop_reply(0.25)), "keep", 1),
+    (b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n" + stop_reply(0.25),
+     "close", 2),
+    (framed(stop_reply(0.25), b"Connection: close"), "keep", 2),
+    (b"HTTP/1.1 100 Continue\r\n\r\n" + framed(stop_reply(0.25)), "keep", 1),
+    (framed(stop_reply(0.25)), "trickle", 1),
+    (framed(stop_reply(0.25)) + framed(stop_reply(0.75)), "keep", 2),
+    (framed(stop_reply(0.25), b"X-Long: " + b"a" * (MAX_LINE - 10)), "keep", 1),
+    (framed(stop_reply(0.25), *[b"X-%d: a" % i for i in range(MAX_HEADERS - 1)]), "keep", 1),
+], ids=["chunked", "http/1.0 to close", "connection close", "100 continue", "trickled",
+        "bytes past the reply", "longest header line", "most header lines"])
+def test_replies_framed_every_way_parse(reply, then, connections):
+    # two requests: a reply that ends its connection sends the next request
+    # out on a new one, and any other keeps the connection
+    with RawServer([(reply, then)]) as server:
+        with closing(RemoteBackend(BackendConfig(endpoint=server.endpoint,
+                                                 timeout_ms=2000))) as backend:
+            for step in range(2):
+                assert backend.decide(make_req(STOP_CHECK, step=step)).s_stop == 0.25
+            assert (backend.requests, backend.retries) == (2, 0)
+        assert server.connections == connections
+        assert [number for number, _, _ in server.requests] == [1, connections]
+
+
+@pytest.mark.parametrize("reply", [
+    framed(stop_reply(0.25))[:-10],
+    framed(stop_reply(0.25), b"X-Long: " + b"a" * (MAX_LINE - 9)),
+    framed(stop_reply(0.25), *[b"X-%d: a" % i for i in range(MAX_HEADERS)]),
+    b"HTTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n",
+], ids=["truncated body", "header line of 65537 bytes", "101 header lines", "garbage status"])
+def test_malformed_replies_are_retried_then_refused(monkeypatch, reply):
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    with RawServer([(reply, "close")]) as server:
+        with closing(RemoteBackend(BackendConfig(endpoint=server.endpoint, timeout_ms=2000,
+                                                 max_retries=2))) as backend:
+            with pytest.raises(TransportError):
+                backend.decide(make_req(STOP_CHECK))
+            assert (backend.requests, backend.retries) == (3, 2)
+        assert len(server.requests) == 3
+    assert sleeps == [0.25, 0.5]
+
+
+def test_a_request_is_its_head_then_its_body(monkeypatch):
+    monkeypatch.setenv("DYNAV_TOKEN", "sesame")
+    with RawServer([(framed(stop_reply(0.5)), "keep")]) as server:
+        with closing(RemoteBackend(BackendConfig(endpoint=server.endpoint))) as backend:
+            req = make_req(STOP_CHECK, step=4)
+            backend.decide(req)
+        port = server.endpoint.split(":")[2].split("/")[0]
+        (_, head, body), = server.requests
+    body_bytes = encode_request(req)
+    assert head == (b"POST /decide HTTP/1.1\r\nHost: 127.0.0.1:%s\r\n"
+                    b"Accept-Encoding: identity\r\nContent-Type: application/json\r\n"
+                    b"Authorization: Bearer sesame\r\nContent-Length: %d\r\n\r\n"
+                    % (port.encode(), len(body_bytes)))
+    assert body == body_bytes
+
+
+@pytest.mark.parametrize("endpoint, host", [
+    ("http://example.org/decide", b"example.org"),
+    ("http://example.org:80/decide", b"example.org"),
+    ("https://example.org:443/decide", b"example.org"),
+    ("http://example.org:443/decide", b"example.org:443"),
+    ("https://[::1]:8443/decide?v=1", b"[::1]:8443"),
+    ("http://[::1]/decide", b"[::1]"),
+])
+def test_host_is_written_as_http_client_writes_it(endpoint, host):
+    # http.client writes the request line, then Host (an IPv6 address in
+    # brackets, no port when it is the scheme's default), then Accept-Encoding
+    sent = []
+    url = urlsplit(endpoint)
+    cls = http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
+    conn = cls(url.hostname, url.port or cls.default_port)
+    conn.send = sent.append
+    conn.request("POST", (url.path or "/") + (f"?{url.query}" if url.query else ""), b"")
+    assert remote._request_head(url) == sent[0].split(b"Content-Length")[0]
+    assert b"\r\nHost: " + host + b"\r\n" in remote._request_head(url)

@@ -17,7 +17,7 @@ from dynav.goals import DESCRIPTION, INSTANCE, NAME, GoalSpec
 from dynav.memory import MemoryGraph
 from dynav.sensing import Observation
 
-from conftest import Row, with_rays
+from conftest import Row, with_rays, words_in_a_row
 
 
 def test_a_goal_has_three_fields():
@@ -101,16 +101,26 @@ def test_malformed_goals_are_refused(kind, category, attributes):
 # -- the one goal-fit rule ---------------------------------------------------------
 
 def fits_reference(goal: GoalSpec, name: str, attributes) -> bool:
-    """The rule as written out: the category, ignoring case, is part of the
-    name, and every goal attribute is among the attributes."""
-    if goal.category.lower() not in name.lower():
+    """The rule as written out: the category's words, ignoring case, are
+    words of the name, one after another, and every goal attribute is among
+    the attributes."""
+    if not words_in_a_row(goal.category, name):
         return False
     return all(a in attributes for a in goal.attributes)
 
 
-# labels over letters of both cases, so a category may be part of a label
-# only when case is ignored
-_label = st.text(st.sampled_from("aAbB_1"), min_size=1, max_size=5)
+def test_a_category_fits_whole_words_of_a_name_only():
+    chair = GoalSpec.name_goal("chair")
+    assert chair.fits("chair_1", ()) and chair.fits("Chair-2", ())
+    assert GoalSpec.name_goal("dining table").fits("dining_table_1", ())
+    # an armchair is no chair to motion.success, which compares categories
+    assert not chair.fits("armchair_1", ())
+    assert not GoalSpec(DESCRIPTION, "chair", ("red",)).fits("armchair_1", ("red",))
+
+
+# labels over letters of both cases and two separators, so a category may be
+# part of a label only when case is ignored, and part of a word of it
+_label = st.text(st.sampled_from("aAbB_-1"), min_size=1, max_size=5)
 _attribute = st.sampled_from(("red", "Red", "tall", "x"))
 
 

@@ -31,7 +31,7 @@ from dynav.sensing import Observation
 from dynav.world import SemanticObject
 
 from conftest import (MISSING, dotted, json_values, replaced, replacements, same_content,
-                      with_rays)
+                      with_rays, words_in_a_row)
 
 NAMES = ("lamp", "sofa", "door", "sink", "oven", "rug")
 ATTRS = ("red", "tall", "metal", "soft")
@@ -288,7 +288,7 @@ def text_recall(ctx):
     category, attributes = parse_goal_text(ctx.goal_text)
     best, best_d = None, math.inf
     for name, attrs, (x, y) in located_clauses(ctx.memory_text):
-        if category.lower() not in name.lower() or not set(attributes) <= set(attrs):
+        if not words_in_a_row(category, name) or not set(attributes) <= set(attrs):
             continue
         d = math.hypot(x - ctx.pose[0], y - ctx.pose[1])
         if d < best_d:
