@@ -64,6 +64,9 @@ class GoalSpec:
             raise ValueError(f"{self.kind} goals need {_FIELDS[self.kind]}")
         if "" in self.attributes:
             raise ValueError("goal attributes must be non-empty")
+        # a category without words would fit every name, as a missing one does
+        if self.kind != INSTANCE and _words(self.category) == " ":
+            raise ValueError(f"goal category {self.category!r} holds no letter or digit")
 
     def render_text(self) -> str:
         """The goal as prompt text: ``chair``, ``chair (red, wooden)`` or

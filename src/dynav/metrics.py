@@ -4,7 +4,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .episodes import ABORTED, EpisodeResult
 from .errors import EmptyInput, read_json
@@ -12,6 +12,16 @@ from .errors import EmptyInput, read_json
 log = logging.getLogger(__name__)
 
 REPORT_FORMAT = "dynav-report/1"
+
+
+def _sum(values: Iterable[float]) -> float:
+    """The values added from left to right, rounding after each addition.
+    The built-in ``sum`` adds floats so before Python 3.12 and with
+    compensation from 3.12 on, which can change the last bit of a mean."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def spl_term(success: bool, shortest: float, traveled: float) -> float:
@@ -107,9 +117,9 @@ def compute_metrics(results: Sequence[EpisodeResult]) -> Report:
         raise EmptyInput("every sub-task was unreachable")
 
     sr = sum(g.success for g in subtasks) / len(subtasks)
-    spl = sum(spl_term(g.success, g.shortest, g.path_length) for g in subtasks) / len(subtasks)
+    spl = _sum(spl_term(g.success, g.shortest, g.path_length) for g in subtasks) / len(subtasks)
     successes = [g.path_length for g in subtasks if g.success]
-    acd = sum(successes) / len(successes) if successes else None
+    acd = _sum(successes) / len(successes) if successes else None
 
     per_cat: Dict[str, List] = {}
     for g in subtasks:
@@ -118,7 +128,7 @@ def compute_metrics(results: Sequence[EpisodeResult]) -> Report:
         cat: CategoryStats(
             n=len(gs),
             sr=sum(g.success for g in gs) / len(gs),
-            spl=sum(spl_term(g.success, g.shortest, g.path_length) for g in gs) / len(gs),
+            spl=_sum(spl_term(g.success, g.shortest, g.path_length) for g in gs) / len(gs),
         )
         for cat, gs in per_cat.items()
     }

@@ -31,13 +31,30 @@ _NEAR_LINE = 1e-7
 _SHRINK = 1.0 - 1e-12
 
 
+def flat_runs(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The maximal runs of True in ``mask``'s rows, as ``[start, stop)`` in a
+    row-major layout with one column after each row: cell ``(iy, ix)`` at
+    ``iy * (w + 1) + ix``, for ``w`` columns.
+
+    The mask is copied once into that layout, flat and behind one leading
+    False, with False in the extra columns, so that every run ends within
+    its row.  One comparison of neighbours along the flat array then finds
+    each start and each stop, in raster order and alternating.
+    """
+    h, w = mask.shape
+    flat = np.zeros(h * (w + 1) + 1, dtype=bool)
+    flat[1:].reshape(h, w + 1)[:, :w] = mask
+    change = np.flatnonzero(flat[1:] != flat[:-1])
+    return change[0::2], change[1::2]
+
+
 def _row_runs(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row, first and last column of each maximal run of True in ``mask``'s rows."""
-    # +1 where a run starts and -1 one past its end; nonzero lists both row
-    # by row, so the k-th start pairs with the k-th end
-    steps = np.diff(np.pad(mask, ((0, 0), (1, 1))).astype(np.int8), axis=1)
-    rows, first = np.nonzero(steps == 1)
-    return rows, first, np.nonzero(steps == -1)[1] - 1
+    """Row, first and last column of each maximal run of True in ``mask``'s
+    rows, in raster order."""
+    starts, stops = flat_runs(mask)
+    stride = mask.shape[1] + 1
+    rows, first = np.divmod(starts, stride)
+    return rows, first, stops - 1 - rows * stride
 
 
 def cell_span(lo: float, hi: float, res: float, n: int) -> Tuple[int, int]:
@@ -136,7 +153,11 @@ class WorldMap:
     def __init__(self, grid: np.ndarray, resolution: float, objects: Sequence[SemanticObject] = ()):
         if not 0.0 < resolution < math.inf:
             raise ValueError(f"resolution must be positive and finite, not {resolution}")
-        grid = np.ascontiguousarray(grid, dtype=np.uint8)
+        # the world keeps a read-only grid of its own: any other array is
+        # copied, so the caller's stays as it was and cannot change the world
+        if not (isinstance(grid, np.ndarray) and grid.dtype == np.uint8 and grid.flags.owndata
+                and grid.flags.c_contiguous and not grid.flags.writeable):
+            grid = np.array(grid, dtype=np.uint8, order="C")
         if grid.ndim != 2 or grid.size == 0:
             raise ValueError("grid must be a non-empty 2D array")
         if not np.any(grid == FREE):
@@ -167,6 +188,14 @@ class WorldMap:
         self._discs = [(float(o.center[0]), float(o.center[1]), float(o.radius))
                        for o in self.objects]
 
+    def with_objects(self, objects: Sequence[SemanticObject]) -> "WorldMap":
+        """A world of this grid with the given objects.  The grid's indexes
+        (the framed grid, the wall runs and their columns) depend on the grid
+        alone, so the new world takes over those built so far."""
+        world = WorldMap(self.grid, self.resolution, objects)
+        world._framed, world._runs, world._faces = self._framed, self._runs, self._faces
+        return world
+
     # -- geometry helpers ---------------------------------------------------
 
     def in_bounds(self, x: float, y: float) -> bool:
@@ -186,7 +215,10 @@ class WorldMap:
         and the cell with a single lookup.
         """
         if self._framed is None:
-            self._framed = np.pad(self.grid, 1, constant_values=OUTSIDE).tobytes()
+            h, w = self.grid.shape
+            framed = np.full((h + 2, w + 2), OUTSIDE, dtype=np.uint8)
+            framed[1: h + 1, 1: w + 1] = self.grid
+            self._framed = framed.tobytes()
         return self._framed
 
     def _wall_runs(self) -> list:
@@ -199,14 +231,16 @@ class WorldMap:
         is always an edge cell.  Each row's runs of two or more cells are
         kept, and the single cells left over merge into runs along their
         columns, so that both horizontal and vertical walls take few runs.
+        Both passes are one ``flat_runs`` each.  The list is built once per
+        grid: ``with_objects`` hands it on.
         """
         if self._runs is None:
-            free = np.pad(self.grid == FREE, 1)
-            near_free = np.zeros_like(self.grid, dtype=bool)
+            # the 3x3 free-neighbour test, separable: along rows, then columns
             h, w = self.grid.shape
-            for oy in range(3):
-                for ox in range(3):
-                    near_free |= free[oy: oy + h, ox: ox + w]
+            free = np.zeros((h + 2, w + 2), dtype=bool)
+            free[1: h + 1, 1: w + 1] = self.grid == FREE
+            across = free[:, :-2] | free[:, 1:-1] | free[:, 2:]
+            near_free = across[:-2] | across[1:-1] | across[2:]
             edge = (self.grid == OBSTACLE) & near_free
             iys, x0s, x1s = _row_runs(edge)
             single = x0s == x1s
@@ -600,11 +634,12 @@ class WorldMap:
         cell lies at an offset (dx, dy) with ``sqrt((dy*res)**2 + (dx*res)**2)
         <= radius``, in the transform's float operations.  For each row offset
         the blocking column offsets form an interval [-m, m], so the mask takes
-        one sliding-window count per row offset.  It differs from the transform
-        only where that has no answer or picks one arbitrarily: with no
-        occupied cell every cell is free, and of two exactly tied offsets whose
-        floats differ in the last bit, such as (9, 2) and (6, 7), the nearer
-        float decides.
+        one sliding-window test per row offset: two slices of one edge-padded
+        cumulative sum along the rows, compared.  It differs from the
+        transform only where that has no answer or picks one arbitrarily:
+        with no occupied cell every cell is free, and of two exactly tied
+        offsets whose floats differ in the last bit, such as (9, 2) and
+        (6, 7), the nearer float decides.
         """
         if radius not in self._free_cache:
             occ = self.occupancy_with_objects()
@@ -615,18 +650,22 @@ class WorldMap:
                 a, b = dy * res, dx * res
                 return math.sqrt(a * a + b * b) <= radius
 
-            counts = np.zeros((h, w + 1), dtype=np.int32)  # occupied cells left of each column
-            np.cumsum(occ, axis=1, out=counts[:, 1:])
-            cols = np.arange(w)
+            # past the widest blocking offset, or the width
+            pad = m = max(int(min(radius / res + 2, w)), 0)
+            # the occupied cells left of each column c at ``counts[:, pad + c]``,
+            # held at the row's ends for pad more columns on either side, so
+            # that each window's ends are two slices
+            counts = np.zeros((h, w + 1 + 2 * pad), dtype=np.int32)
+            np.cumsum(occ, axis=1, out=counts[:, pad + 1: pad + 1 + w])
+            counts[:, pad + 1 + w:] = counts[:, pad + w: pad + w + 1]
             blocked = np.zeros((h, w), dtype=bool)
-            m = int(min(radius / res + 2, w))  # past the widest blocking offset, or the width
             for dy in range(h):
                 while m >= 0 and not blocks(dy, m):
                     m -= 1
                 if m < 0:
                     break
                 # rows holding an occupied cell within m columns of each column
-                near = counts[:, np.minimum(cols + m + 1, w)] > counts[:, np.maximum(cols - m, 0)]
+                near = counts[:, pad + m + 1: pad + m + 1 + w] > counts[:, pad - m: pad - m + w]
                 blocked[dy:] |= near[: h - dy]
                 blocked[: h - dy] |= near[dy:]
             mask = ~blocked

@@ -11,7 +11,7 @@ import numpy as np
 from .errors import (GenerationFailed, SchemaViolation, check, check_finite, check_integer,
                      check_strings, check_type)
 from .geometry import AgentBody, Pose
-from .world import FREE, OBSTACLE, SemanticObject, WorldMap
+from .world import FREE, OBSTACLE, SemanticObject, WorldMap, cell_span, flat_runs
 
 # attribute palette keyed by nothing in particular; category-independent
 _PALETTE = (
@@ -110,42 +110,47 @@ def _main_component(free: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The largest 4-connected component of ``free``, and the sizes of all.
 
     Run-based two-scan labelling (He, Chao & Suzuki, IEEE TIP 2008): the
-    horizontal runs of free cells are the nodes of a union-find, joined where
-    runs in adjacent rows share a column.  Components are numbered in raster
-    order of their first cell, as ``scipy.ndimage.label`` numbers them, so the
-    sizes come in the same order and a tie for the largest goes the same way.
+    horizontal runs of free cells (``flat_runs``) are the nodes of a
+    union-find, joined where runs in adjacent rows share a column.  Components
+    are numbered in raster order of their first cell, as
+    ``scipy.ndimage.label`` numbers them, so the sizes come in the same order
+    and a tie for the largest goes the same way.
     """
     h, w = free.shape
-    edges = np.diff(free.astype(np.int8), axis=1, prepend=0, append=0)  # (h, w + 1)
-    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
-    if not len(starts):
+    starts, stops = flat_runs(free)
+    n = len(starts)
+    if not n:
         return np.zeros_like(free, dtype=bool), np.zeros(0, dtype=np.int64)
     # a run in row y touches the runs of row y - 1 that end after it starts
     # and start before it ends: a contiguous range of run indices
-    above = w + 1
-    first = np.searchsorted(ends, starts - above, side="right")
-    last = np.searchsorted(starts, ends - above, side="left")
-    parent = list(range(len(starts)))
-
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for run, (lo, hi) in enumerate(zip(first.tolist(), last.tolist())):
-        for other in range(lo, hi):
-            a, b = root(run), root(other)
-            # the earlier run stays the root, so a root is its component's first run
-            parent[max(a, b)] = min(a, b)
-    roots = np.array([root(i) for i in range(len(starts))])
-    _, labels = np.unique(roots, return_inverse=True)
-    sizes = np.bincount(labels, weights=ends - starts).astype(np.int64)
-    marks = np.zeros(h * above, dtype=np.int8)
+    stride = w + 1
+    first = np.searchsorted(stops, starts - stride, side="right").tolist()
+    last = np.searchsorted(starts, stops - stride, side="left").tolist()
+    # every union links two roots, the later to the earlier, so a root is
+    # its component's first run and a parent always precedes its child
+    parent = list(range(n))
+    for run in range(n):
+        a = run  # the root of this run's component; no earlier union reached it
+        for b in range(first[run], last[run]):
+            while parent[b] != b:  # b's root, halving the path
+                parent[b] = b = parent[parent[b]]
+            if b < a:
+                parent[a] = a = b
+            elif a < b:
+                parent[b] = a
+    # in run order each parent already holds its root
+    for run in range(n):
+        parent[run] = parent[parent[run]]
+    roots = np.array(parent)
+    root_labels = np.cumsum(roots == np.arange(n)) - 1  # roots numbered in run order
+    labels = root_labels[roots]
+    sizes = np.bincount(labels, weights=stops - starts).astype(np.int64)
+    # each kept run's start and stop toggle the mask along the layout
+    marks = np.zeros(h * stride, dtype=bool)
     keep = labels == int(np.argmax(sizes))
-    marks[starts[keep]] = 1
-    marks[ends[keep]] = -1
-    main = np.cumsum(marks).reshape(h, above)[:, :w] > 0
+    marks[starts[keep]] = True
+    marks[stops[keep]] = True
+    main = np.logical_xor.accumulate(marks).reshape(h, stride)[:, :w]
     return main, sizes
 
 
@@ -174,13 +179,15 @@ def _try_generate(spec: WorldGenSpec, rng: random.Random) -> Optional[WorldMap]:
         _carve_rect(grid, min(ax, bx) - half, ay - half, max(ax, bx) + half, ay + half)
         _carve_rect(grid, bx - half, min(ay, by) - half, bx + half, max(ay, by) + half)
 
-    # place objects on free floor with enough standoff from walls
+    # place objects on free floor with enough standoff from walls; the
+    # grid is done, and frozen, so the worlds below share it uncopied
+    grid.setflags(write=False)
     objects: List[SemanticObject] = []
     probe = WorldMap(grid, res)
     wanted = [(cat, ()) for cat, n in zip(spec.categories, spec.counts) for _ in range(n)]
     wanted += [(cat, ("hazard",)) for cat in spec.hazards]
     counters: dict = {}
-    free_cells = np.argwhere(grid == FREE)
+    free_cells = np.flatnonzero(grid == FREE)
     if not len(free_cells):
         return None
     for category, tags in wanted:
@@ -188,7 +195,7 @@ def _try_generate(spec: WorldGenSpec, rng: random.Random) -> Optional[WorldMap]:
         placed = False
         for _ in range(200):
             # plain ints, so the centre is a float and not a numpy scalar
-            iy, ix = free_cells[rng.randrange(len(free_cells))].tolist()
+            iy, ix = divmod(int(free_cells[rng.randrange(len(free_cells))]), w)
             x = (ix + 0.5) * res
             y = (iy + 0.5) * res
             standoff = radius + 2.0 * spec.agent_radius_m + spec.goal_threshold_m
@@ -212,21 +219,26 @@ def _try_generate(spec: WorldGenSpec, rng: random.Random) -> Optional[WorldMap]:
         if not placed:
             return None
 
-    world = WorldMap(grid, res, objects)
+    # the probe's grid indexes serve the world too
+    world = probe.with_objects(objects)
     # reject layouts whose walkable space (inflated by the agent) is split, or
     # where some object's goal band is not reachable from the main component
     free = world.free_with_clearance(spec.agent_radius_m)
     main, sizes = _main_component(free)
-    if main.sum() < 10:
+    if np.count_nonzero(main) < 10:
         return None
     if len(sizes) > 1 and sorted(sizes)[-2] > 25:  # a second sizable pocket means split space
         return None
-    ys, xs = np.nonzero(main)
-    cx = (xs + 0.5) * res
-    cy = (ys + 0.5) * res
+    # a cell of the goal band lies within the band's reach of the centre, so
+    # within the cells that ``cell_span`` gives for that reach
     for o in objects:
-        d = np.hypot(cx - o.center[0], cy - o.center[1]) - o.radius
-        if not np.any(d <= spec.goal_threshold_m):
+        (ox, oy), reach = o.center, o.radius + spec.goal_threshold_m
+        x0, x1 = cell_span(ox - reach, ox + reach, res, w)
+        y0, y1 = cell_span(oy - reach, oy + reach, res, h)
+        cx = (np.arange(x0, x1) + 0.5) * res
+        cy = (np.arange(y0, y1) + 0.5) * res
+        d = np.hypot(cx - ox, cy[:, None] - oy) - o.radius
+        if not np.any((d <= spec.goal_threshold_m) & main[y0: y1, x0: x1]):
             return None
     return world
 
@@ -247,9 +259,9 @@ def random_free_pose(world: WorldMap, rng: random.Random,
     """A pose in the largest walkable component with body clearance plus margin."""
     free = world.free_with_clearance(body.radius + margin)
     main, _sizes = _main_component(free)
-    cells = np.argwhere(main)
+    cells = np.flatnonzero(main)  # in raster order
     if not len(cells):
         raise GenerationFailed("world has no free pose with the requested clearance")
-    iy, ix = cells[rng.randrange(len(cells))]
-    x, y = world.cell_center(int(ix), int(iy))
+    iy, ix = divmod(int(cells[rng.randrange(len(cells))]), world.width_cells)
+    x, y = world.cell_center(ix, iy)
     return Pose(x, y, rng.uniform(-math.pi, math.pi))

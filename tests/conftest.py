@@ -219,6 +219,12 @@ def words_in_a_row(category: str, name: str) -> bool:
     return any(words[i:i + n] == wanted for i in range(len(words) - n + 1))
 
 
+def has_words(text: str) -> bool:
+    """Whether ``text`` holds a word, a letter or digit: the category of a
+    name or description goal must."""
+    return re.search(r"[^\W_]", text) is not None
+
+
 def run_python(code: str, cwd: Optional[Path] = None, timeout: Optional[float] = None) -> str:
     """What ``python -c code`` prints, run on this checkout's ``src`` and
     nothing else of the environment; ``-B`` keeps the child from writing

@@ -57,8 +57,8 @@ from dynav.proposer import Adjustment, Candidate, CandidateSet
 from dynav.sensing import sense
 from dynav.worldgen import WorldGenSpec, generate_world, random_free_pose
 
-from conftest import (MISSING, Row, boundary_of, dotted, json_values, make_pose, packed, rays_of,
-                      replaced, replacements, run_python, unpacked, with_rays)
+from conftest import (MISSING, Row, boundary_of, dotted, has_words, json_values, make_pose,
+                      packed, rays_of, replaced, replacements, run_python, unpacked, with_rays)
 
 
 CHAIR = GoalSpec.name_goal("chair")
@@ -877,9 +877,9 @@ def _names(min_size=0):
     return st.lists(st.text(min_size=1, max_size=3), min_size=min_size, max_size=2).map(tuple)
 
 
-_goals = st.one_of(st.builds(GoalSpec, st.just(NAME), st.text(min_size=1, max_size=5)),
-                   st.builds(GoalSpec, st.just(DESCRIPTION), st.text(min_size=1, max_size=5),
-                             _names(1)),
+_category = st.text(min_size=1, max_size=5).filter(has_words)
+_goals = st.one_of(st.builds(GoalSpec, st.just(NAME), _category),
+                   st.builds(GoalSpec, st.just(DESCRIPTION), _category, _names(1)),
                    st.builds(GoalSpec, st.just(INSTANCE), st.just(""), _names(1)))
 _memory = st.lists(st.builds(WireNode, st.text(max_size=4), _names(),
                              st.none() | st.tuples(_wire_floats, _wire_floats)),

@@ -5,7 +5,7 @@ import json
 import math
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dynav.backends.oracle import OracleBackend
@@ -17,7 +17,7 @@ from dynav.goals import DESCRIPTION, INSTANCE, NAME, GoalSpec
 from dynav.memory import MemoryGraph
 from dynav.sensing import Observation
 
-from conftest import Row, with_rays, words_in_a_row
+from conftest import Row, has_words, with_rays, words_in_a_row
 
 
 def test_a_goal_has_three_fields():
@@ -58,7 +58,7 @@ def test_every_goal_that_constructs_reaches_the_backend_whole(kind, category, at
         goal = GoalSpec(kind, category, attributes)
     except ValueError:
         assert (bool(category) != (kind != INSTANCE) or bool(attributes) != (kind != NAME)
-                or "" in attributes)
+                or "" in attributes or kind != INSTANCE and not has_words(category))
         return
     assert goal.text == goal.render_text()
     assert GoalSpec.from_dict(goal.to_dict()) == goal
@@ -89,6 +89,10 @@ def test_goals_the_goal_text_could_not_carry_construct(kind, category, attribute
     ("description", "", ("red",)),
     ("name", "", ()),
     ("relation", "chair", ()),
+    ("name", ".", ()),                        # a category without words would fit any name
+    ("name", " ", ()),
+    ("name", "_-", ()),                       # "_" separates words, as "-" does
+    ("description", "()", ("red",)),
 ], ids=repr)
 def test_malformed_goals_are_refused(kind, category, attributes):
     with pytest.raises(ValueError):
@@ -118,6 +122,14 @@ def test_a_category_fits_whole_words_of_a_name_only():
     assert not GoalSpec(DESCRIPTION, "chair", ("red",)).fits("armchair_1", ("red",))
 
 
+def test_a_category_fits_by_its_words_and_needs_one():
+    with pytest.raises(SchemaViolation, match="holds no letter or digit"):
+        GoalSpec.from_dict({"kind": "name", "category": "."})
+    dotted = GoalSpec.from_dict({"kind": "name", "category": "(a)."})
+    assert dotted.fits("a_2", ()) and not dotted.fits("table_2", ())
+    assert GoalSpec(INSTANCE, "", ("red",)).fits("table_2", ("red",))  # no category at all
+
+
 # labels over letters of both cases and two separators, so a category may be
 # part of a label only when case is ignored, and part of a word of it
 _label = st.text(st.sampled_from("aAbB_-1"), min_size=1, max_size=5)
@@ -140,6 +152,7 @@ def fit_cases(draw):
         category = label[i:draw(st.integers(i + 1, len(label)))]
         if draw(st.booleans()):
             category = category.swapcase()
+        assume(has_words(category))
     attributes = () if kind == NAME else tuple(draw(st.sets(_attribute, min_size=1,
                                                             max_size=2)))
     return sightings, GoalSpec(kind, category, attributes)

@@ -1,5 +1,6 @@
 """Aggregation of success rate, path efficiency, and distance metrics."""
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -59,6 +60,38 @@ def test_frozen_aggregate_example():
     assert rep.acd_m == pytest.approx(20.0)
     assert rep.per_episode_sr == pytest.approx(0.5)
     assert rep.n_episodes == 2 and rep.n_subtasks == 2
+
+
+# the SPL terms of the 42 sub-tasks of the multigoal benchmark, in order
+MULTIGOAL_SPL_TERMS = (
+    0.5163399154429239, 0.02754011339248613, 0.794155362106077, 0.03760710958777706, 0.0,
+    0.10831230047975487, 0.6917860398841376, 0.9426125156015408, 0.6593394156759682,
+    0.0501443504913273, 0.039484579437808136, 0.4990450240045708, 0.14040403310066465, 0.0,
+    0.7796464844215673, 0.9383193694811837, 0.0, 0.09180631218284432, 0.8572935520443866,
+    0.12053098004038941, 0.7869951114014504, 0.8038401256695707, 0.0, 0.30945886300400205,
+    0.603943523077911, 0.2670659679798178, 0.566449756969304, 0.4394655453038277, 0.0,
+    0.17767401346782682, 0.028183625974659014, 0.027251724376604853, 0.7948683433348359,
+    0.05630458162365451, 0.03310560216307928, 0.07370944323500862, 0.7720379311679201,
+    0.7390000749089248, 0.8842688363718392, 0.06019444669197286, 0.11164958563135925,
+    0.1920986362643151,
+)
+
+
+def test_means_add_from_left_to_right():
+    """Each mean adds its terms in order, rounding after each addition, on
+    every Python: a compensated sum, as the built-in ``sum`` adds floats from
+    Python 3.12 on, gives 0.35766507609507836 here."""
+    n = len(MULTIGOAL_SPL_TERMS)
+    mean = 0.3576650760950783
+    assert math.fsum(MULTIGOAL_SPL_TERMS) / n != mean
+    # l = term and p = 1 give the term itself; a term of 0 is a failure
+    rep = compute_metrics([episode("spl", [goal_result(t > 0.0, path=1.0, shortest=t)
+                                           for t in MULTIGOAL_SPL_TERMS])])
+    assert rep.spl == rep.per_category["chair"].spl == mean
+    # successes with these path lengths and l = 0 give them as the mean distance
+    rep = compute_metrics([episode("acd", [goal_result(True, path=t, shortest=0.0)
+                                           for t in MULTIGOAL_SPL_TERMS])])
+    assert rep.acd_m == mean
 
 
 def test_aggregate_matches_brute_force():

@@ -98,6 +98,22 @@ def test_grid_is_locked(box_world):
         box_world.grid[5, 5] = OBSTACLE
 
 
+@pytest.mark.parametrize("make", [
+    lambda: np.zeros((10, 10), dtype=np.uint8),
+    lambda: np.zeros((12, 10), dtype=np.uint8)[1:11],   # a view of a writable array
+    lambda: np.zeros((10, 10), dtype=np.uint8).T,       # not in row-major order
+    lambda: np.zeros((10, 10), dtype=bool),             # converted
+], ids=["array", "view", "transposed", "bool"])
+def test_the_callers_grid_stays_writable_and_apart(make):
+    grid = make()
+    world = WorldMap(grid, 0.1)
+    assert grid.flags.writeable and not world.grid.flags.writeable
+    grid[5, 5] = OBSTACLE
+    assert world.grid[5, 5] == FREE
+    # a frozen grid that no other array shares passes uncopied
+    assert WorldMap(world.grid, 0.1).grid is world.grid
+
+
 def test_constructor_rejects_bad_inputs():
     grid = np.zeros((4, 4), dtype=np.uint8)
     for resolution in (0.0, math.nan, math.inf):
