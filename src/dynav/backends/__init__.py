@@ -1,6 +1,6 @@
 """Decision backends: wire protocol, deterministic oracle, HTTP client.
 
-The scripted test stub lives in ``dynav.backends.stub``; it is not
+The decision server lives in ``dynav.backends.server``; it is not
 re-exported, so importing the package does not load ``http.server``.
 """
 from .oracle import OracleBackend

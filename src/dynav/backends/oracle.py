@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..config import RunConfig
 from ..errors import SchemaViolation
 from .protocol import (FILTER, SCORE, STOP_CHECK, DecisionRequest, DecisionResponse,
                        MemoryOp, RequestContext, WireCandidate)
@@ -82,6 +83,13 @@ class OracleBackend:
         # instead would stretch sub-centimeter differences between cramped
         # candidates past the dither amplitude and deadlock in corners
         self.r_scale = r_scale
+
+    @classmethod
+    def from_config(cls, cfg: RunConfig) -> "OracleBackend":
+        """The oracle of a run: its hazard clearance, success distance and
+        sensing range."""
+        return cls(hazard_clearance=cfg.hazard_clearance_m,
+                   success_threshold=cfg.success_threshold_m, r_scale=cfg.d_max)
 
     # -- plumbing -----------------------------------------------------------
 

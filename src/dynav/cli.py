@@ -1,10 +1,10 @@
 """Command line interface.
 
 Subcommands: ``run`` (navigate episodes), ``worldgen`` (generate a world
-file), ``memory`` (export / merge / show graph files), ``serve-stub`` (scripted
-protocol server), and ``eval`` (recompute a report from results).  Exit codes:
-0 success, 1 configuration or input error, 2 runtime failure (aborted
-episodes, generation failure), 130 interrupted.
+file), ``memory`` (export / merge / show graph files), ``serve`` (decision
+server: the oracle or a script), and ``eval`` (recompute a report from
+results).  Exit codes: 0 success, 1 configuration or input error, 2 runtime
+failure (aborted episodes, generation failure), 130 interrupted.
 """
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import argparse
 import concurrent.futures
 import dataclasses
 import functools
+import itertools
 import json
 import logging
 import os
@@ -38,9 +39,23 @@ def _backend_factory(cfg: RunConfig):
         except ValueError as e:
             raise ConfigError(str(e)) from e
         return lambda: RemoteBackend(bcfg)
-    return lambda: OracleBackend(hazard_clearance=cfg.hazard_clearance_m,
-                                 success_threshold=cfg.success_threshold_m,
-                                 r_scale=cfg.d_max)
+    return lambda: OracleBackend.from_config(cfg)
+
+
+def _run_on_threads(run_one, specs, workers: int) -> List[EpisodeResult]:
+    """``run_one`` of every spec on ``workers`` threads.  This thread hands
+    out each episode as a worker frees up, so after an interrupt no queued
+    episode starts; the running ones finish."""
+    queued = iter(specs)
+    results: List[EpisodeResult] = []
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        running = {pool.submit(run_one, s) for s in itertools.islice(queued, workers)}
+        while running:
+            done, running = concurrent.futures.wait(
+                running, return_when=concurrent.futures.FIRST_COMPLETED)
+            results += (f.result() for f in done)
+            running |= {pool.submit(run_one, s) for s in itertools.islice(queued, len(done))}
+    return results
 
 
 def cmd_run(args) -> int:
@@ -66,8 +81,7 @@ def cmd_run(args) -> int:
     results: List[EpisodeResult] = []
     try:
         if cfg.workers > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                results = list(pool.map(run_one, specs))
+            results = _run_on_threads(run_one, specs, cfg.workers)
         else:
             results = [run_one(s) for s in specs]
     except KeyboardInterrupt:
@@ -113,18 +127,18 @@ def cmd_memory(args) -> int:
     return 0
 
 
-def cmd_stub(args) -> int:
-    from .backends.stub import StubServer
+def cmd_serve(args) -> int:
+    from .backends.server import DecisionServer
 
     script = read_json(args.script) if args.script else None
-    server = StubServer(port=args.port, script=script)
-    print(f"stub listening on {server.endpoint}")
+    server = DecisionServer(port=args.port, script=script, record=False)
+    print(f"serving {args.script or 'the oracle'} on {server.endpoint}", flush=True)
     try:
-        server.start()
-        server._thread.join()
+        server.serve_forever()
     except KeyboardInterrupt:
-        server.stop()
         return 130
+    finally:
+        server.stop()
     return 0
 
 
@@ -179,10 +193,11 @@ def build_parser() -> argparse.ArgumentParser:
     mem.add_argument("--budget", type=int, default=20, help="clauses shown by 'show'")
     mem.set_defaults(func=cmd_memory)
 
-    stub = sub.add_parser("serve-stub", help="run the scripted protocol stub")
-    stub.add_argument("--port", type=int, default=8808)
-    stub.add_argument("--script", default=None, help="canned response script JSON")
-    stub.set_defaults(func=cmd_stub)
+    serve = sub.add_parser("serve", help="answer decision requests over HTTP")
+    serve.add_argument("--port", type=int, default=8808, help="listen port (0: any free one)")
+    serve.add_argument("--script", default=None,
+                       help="canned response script JSON (default: the oracle)")
+    serve.set_defaults(func=cmd_serve)
 
     ev = sub.add_parser("eval", help="recompute a report from results.jsonl")
     ev.add_argument("--results", required=True)

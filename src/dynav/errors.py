@@ -50,7 +50,7 @@ class RequestTimeout(BackendUnavailable):
 
 
 class BindFailure(DynavError):
-    """The stub server could not bind its port."""
+    """The decision server could not bind its port."""
 
 
 class EmptyInput(DynavError):

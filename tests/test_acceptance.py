@@ -14,6 +14,7 @@ import math
 import random
 import struct
 import time
+from contextlib import closing
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +31,7 @@ from dynav.backends.protocol import (
     make_score_request,
     request_context,
 )
-from dynav.backends.stub import StubServer
+from dynav.backends.server import DecisionServer
 from dynav.config import RunConfig
 from dynav.episodes import EpisodeResult, EpisodeSpec, GoalResult, STOPPED, run_episode
 from dynav.errors import RequestTimeout, SchemaViolation, TransportError, Unreachable
@@ -59,11 +60,6 @@ def _verdict(k, label, problems):
     ok = not problems
     print(f"[gate {k}/9] {label}: {'PASS' if ok else 'FAIL'}")
     assert ok, f"gate {k}/9 {label}: {problems[:5]}"
-
-
-def _oracle(cfg):
-    return OracleBackend(hazard_clearance=cfg.hazard_clearance_m,
-                         success_threshold=cfg.success_threshold_m, r_scale=cfg.d_max)
 
 
 # -- 1. metric aggregation vs. brute force -----------------------------------------
@@ -311,7 +307,7 @@ def test_4_oracle_backend_reaches_every_goal():
         start = random_free_pose(world, random.Random(seed + 1000), AgentBody())
         spec = EpisodeSpec(episode_id=f"w{seed}", world=world,
                            goals=(GoalSpec.name_goal("chair"),), start=start, seed=seed)
-        g = run_episode(spec, _oracle(cfg), cfg).goal_results[0]
+        g = run_episode(spec, OracleBackend.from_config(cfg), cfg).goal_results[0]
         if not g.success or g.steps > 200:
             problems.append((seed, g.success, g.steps))
     elapsed = time.monotonic() - t0
@@ -348,7 +344,7 @@ def test_5_memory_improves_revisit_efficiency():
             episode_id=f"p{seed}", world=world,
             goals=(GoalSpec.name_goal("chair"), GoalSpec.name_goal("table")),
             start=start, seed=seed)
-        rec = _SightingRecorder(_oracle(cfg))
+        rec = _SightingRecorder(OracleBackend.from_config(cfg))
         w = run_episode(spec, rec, replace(cfg, memory_enabled=True))
         wo = run_episode(spec, rec, replace(cfg, memory_enabled=False))
         if rec.seen:
@@ -482,9 +478,11 @@ def test_8_wire_protocol_conformance():
     problems = []
     req = _plant_request()
 
-    server = StubServer(port=0, script=[{"kind": "score", "scores_all": 0.25}]).start()
-    try:
-        backend = RemoteBackend(BackendConfig(endpoint=server.endpoint))
+    def client(server, **config):
+        return closing(RemoteBackend(BackendConfig(endpoint=server.endpoint, **config)))
+
+    server = DecisionServer(script=[{"kind": "score", "scores_all": 0.25}])
+    with server, client(server) as backend:
         resp = backend.decide(req)
         if resp.scores != {1: 0.25}:
             problems.append(("scores", resp.scores))
@@ -506,43 +504,31 @@ def test_8_wire_protocol_conformance():
                 and rec["observation"]["pose"] == {"x_m": 5.0, "y_m": 4.0,
                                                    "heading_deg": 0.0}):
             problems.append(("golden fields", rec))
-    finally:
-        server.stop()
 
-    server = StubServer(port=0, script=[{"kind": "score", "scores_all": 1.7}]).start()
-    try:
-        resp = RemoteBackend(BackendConfig(endpoint=server.endpoint)).decide(req)
+    server = DecisionServer(script=[{"kind": "score", "scores_all": 1.7}])
+    with server, client(server) as backend:
+        resp = backend.decide(req)
         if resp.scores != {1: 1.0}:
             problems.append(("clamp", resp.scores))
-    finally:
-        server.stop()
 
-    server = StubServer(port=0, script=[{"kind": "score", "raw_body": "{not json"}]).start()
-    try:
+    server = DecisionServer(script=[{"kind": "score", "raw_body": "{not json"}])
+    with server, client(server) as backend:
         with pytest.raises(SchemaViolation):
-            RemoteBackend(BackendConfig(endpoint=server.endpoint)).decide(req)
-    finally:
-        server.stop()
+            backend.decide(req)
 
-    server = StubServer(port=0, script=[{"kind": "score", "delay_ms": 300}]).start()
-    try:
+    server = DecisionServer(script=[{"kind": "score", "delay_ms": 300}])
+    with server, client(server, timeout_ms=80, max_retries=1) as backend:
         with pytest.raises(RequestTimeout):
-            RemoteBackend(BackendConfig(endpoint=server.endpoint, timeout_ms=80,
-                                        max_retries=1)).decide(req)
+            backend.decide(req)
         if len(server.requests) != 2:
             problems.append(("timeout retries", len(server.requests)))
-    finally:
-        server.stop()
 
-    server = StubServer(port=0, script=[{"kind": "score", "status": 500}]).start()
-    try:
+    server = DecisionServer(script=[{"kind": "score", "status": 500}])
+    with server, client(server, max_retries=2) as backend:
         with pytest.raises(TransportError):
-            RemoteBackend(BackendConfig(endpoint=server.endpoint,
-                                        max_retries=2)).decide(req)
+            backend.decide(req)
         if len(server.requests) != 3:
             problems.append(("transport retries", len(server.requests)))
-    finally:
-        server.stop()
 
     # a fully scripted episode stops exactly on the two-step confidence streak
     chair = SemanticObject(name="chair_1", category="chair", center=(8.0, 4.0),
@@ -554,21 +540,18 @@ def test_8_wire_protocol_conformance():
         {"kind": "score", "step": 4, "scores_all": 0.5, "body": {"s_stop": 0.9}},
         {"kind": "score", "step": 5, "scores_all": 0.5, "body": {"s_stop": 0.9}},
     ]
-    server = StubServer(port=0, script=script).start()
-    try:
+    server = DecisionServer(script=script)
+    with server, client(server) as backend:
         cfg = RunConfig(n_rays=31, backend="remote", endpoint=server.endpoint)
         spec = EpisodeSpec(episode_id="scripted", world=world,
                            goals=(GoalSpec.name_goal("chair"),),
                            start=Pose(2.0, 6.0, math.radians(180.0)))
-        res = run_episode(spec, RemoteBackend(BackendConfig(endpoint=server.endpoint)),
-                          cfg)
+        res = run_episode(spec, backend, cfg)
         g = res.goal_results[0]
         if not (g.steps == 6 and g.stopped and res.termination == STOPPED):
             problems.append(("scripted episode", g.steps, g.stopped, res.termination))
         if len(server.requests) != g.steps:  # one request per step
             problems.append(("requests per episode", len(server.requests), g.steps))
-    finally:
-        server.stop()
 
     _verdict(8, "wire protocol golden/timeout/retry/clamp/schema and scripted stop",
              problems)
@@ -584,7 +567,7 @@ def test_9_hazard_candidates_always_filtered():
     world = empty_world(10.0, 8.0, objects=[sign])
     cfg = RunConfig()
     body = AgentBody()
-    backend = _oracle(cfg)
+    backend = OracleBackend.from_config(cfg)
     constraints = ("avoid the caution sign",)
     rng = random.Random(99)
     problems = []

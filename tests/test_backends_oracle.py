@@ -568,8 +568,7 @@ def test_score_and_stop_check_agree_on_stop_confidence(payload):
 
 def test_score_and_stop_check_agree_on_every_step_of_a_spec():
     cfg = RunConfig()
-    oracle = OracleBackend(hazard_clearance=cfg.hazard_clearance_m,
-                           success_threshold=cfg.success_threshold_m, r_scale=cfg.d_max)
+    oracle = OracleBackend.from_config(cfg)
     pairs = []
 
     class Comparing:

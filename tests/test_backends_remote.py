@@ -12,7 +12,6 @@ import threading
 import time
 from contextlib import closing
 from dataclasses import replace
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from types import SimpleNamespace
 from urllib.parse import urlsplit
@@ -45,7 +44,7 @@ from dynav.backends.protocol import (
 from dynav import cli
 from dynav.backends import protocol, remote
 from dynav.backends.remote import MAX_HEADERS, MAX_LINE, BackendConfig, RemoteBackend
-from dynav.backends.stub import POLL_INTERVAL_S, StubServer
+from dynav.backends.server import POLL_INTERVAL_S, DecisionServer
 from dynav.config import RunConfig
 from dynav.episodes import EpisodeSpec, run_episode
 from dynav.errors import BindFailure, RequestTimeout, SchemaViolation, TransportError
@@ -311,13 +310,13 @@ def test_parse_response_refuses_mistyped_numbers(field, body):
         parse_response(ok_body(**body), make_req())
 
 
-# -- HTTP client against the stub ----------------------------------------------------
+# -- HTTP client against the decision server -----------------------------------------
 
 
 def test_remote_round_trip_records_request():
     script = [{"kind": "score", "scores_all": 0.5,
                "body": {"rationale": "canned"}}]
-    with StubServer(script=script) as stub:
+    with DecisionServer(script=script) as stub:
         cfg = BackendConfig(endpoint=stub.endpoint, timeout_ms=2000)
         with closing(RemoteBackend(cfg)) as backend:
             resp = backend.decide(make_req(step=3))
@@ -336,7 +335,7 @@ def test_a_dynav_4_server_is_refused_at_once():
     # goal_text and memory_text, which are prompt text only and misread some
     # names: its first reply is refused, and not retried
     script = [{"kind": "score", "scores_all": 0.5, "body": {"version": "dynav/4"}}]
-    with StubServer(script=script) as stub:
+    with DecisionServer(script=script) as stub:
         with closing(RemoteBackend(BackendConfig(endpoint=stub.endpoint))) as backend:
             with pytest.raises(SchemaViolation, match="bad response version: 'dynav/4'"):
                 backend.decide(make_req())
@@ -347,7 +346,7 @@ def test_a_dynav_5_server_is_refused_at_once():
     # a dynav/5 server reads the bearings and distances as lists of numbers,
     # not as the packed columns this client sends
     script = [{"kind": "score", "scores_all": 0.5, "body": {"version": "dynav/5"}}]
-    with StubServer(script=script) as stub:
+    with DecisionServer(script=script) as stub:
         with closing(RemoteBackend(BackendConfig(endpoint=stub.endpoint))) as backend:
             with pytest.raises(SchemaViolation, match="bad response version: 'dynav/5'"):
                 backend.decide(make_req())
@@ -358,7 +357,7 @@ def test_remote_timeout_retries_then_raises(monkeypatch):
     script = [{"kind": "score", "delay_ms": 400, "scores_all": 0.5}]
     sleeps = []
     monkeypatch.setattr(time, "sleep", sleeps.append)
-    with StubServer(script=script) as stub:
+    with DecisionServer(script=script) as stub:
         cfg = BackendConfig(endpoint=stub.endpoint, timeout_ms=100, max_retries=2)
         with closing(RemoteBackend(cfg)) as backend, pytest.raises(RequestTimeout):
             backend.decide(make_req())
@@ -476,14 +475,14 @@ def test_a_packed_column_of_anything_but_finite_floats_is_never_sent(monkeypatch
 
 def test_remote_non_json_body_raises():
     script = [{"kind": "score", "raw_body": "{not json"}]
-    with StubServer(script=script) as stub:
+    with DecisionServer(script=script) as stub:
         cfg = BackendConfig(endpoint=stub.endpoint)
         with closing(RemoteBackend(cfg)) as backend, pytest.raises(SchemaViolation):
             backend.decide(make_req())
 
 
 def test_remote_unscripted_kind_is_schema_error():
-    with StubServer(script=[]) as stub:
+    with DecisionServer(script=[]) as stub:
         cfg = BackendConfig(endpoint=stub.endpoint)
         with closing(RemoteBackend(cfg)) as backend, pytest.raises(SchemaViolation):
             backend.decide(make_req())
@@ -505,7 +504,7 @@ def test_remote_backend_class_and_scripted_stop():
         {"kind": "stop_check", "body": {"s_stop": 0.0}},
         {"kind": "stop_check", "step": 5, "body": {"s_stop": 0.95}},
     ]
-    with StubServer(script=script) as stub:
+    with DecisionServer(script=script) as stub:
         backend = RemoteBackend(BackendConfig(endpoint=stub.endpoint))
         try:
             early = backend.decide(make_req(kind=STOP_CHECK, step=2))
@@ -517,9 +516,40 @@ def test_remote_backend_class_and_scripted_stop():
 
 
 def test_stub_rejects_double_bind():
-    with StubServer() as stub:
+    with DecisionServer() as stub:
         with pytest.raises(BindFailure):
-            StubServer(port=stub.port)
+            DecisionServer(port=stub.port)
+
+
+UNUSABLE_BODIES = [b"{not json", b"[]", b'{"kind": "score", "step": "x"}',
+                   b'{"kind": "score", "step": 1, "candidates": [5]}']
+
+
+@pytest.mark.parametrize("script", [None, [{"kind": "score", "scores_all": 0.5}]],
+                         ids=["oracle", "script"])
+def test_server_answers_an_unusable_body_with_400_on_the_same_connection(script):
+    req = make_req(step=1)
+    with DecisionServer(script=script) as server, closing(
+            http.client.HTTPConnection("127.0.0.1", server.port, timeout=5)) as conn:
+
+        def post(body):
+            conn.request("POST", "/decide", body)
+            reply = conn.getresponse()
+            return reply.status, json.loads(reply.read())
+
+        assert post(encode_request(req))[0] == 200
+        sock = conn.sock
+        for body in UNUSABLE_BODIES:
+            status, reply = post(body)
+            assert status == 400 and reply["error"]
+            assert conn.sock is sock
+        status, reply = post(encode_request(req))
+        assert status == 200 and parse_response(reply, req).kind == SCORE
+        assert conn.sock is sock
+        # where the body ends is unknown, so the server hangs up after answering
+        conn.request("POST", "/decide", b"{}", headers={"Content-Length": "x"})
+        reply = conn.getresponse()
+        assert reply.status == 400 and reply.will_close and json.loads(reply.read())["error"]
 
 
 def test_backend_config_validation():
@@ -636,7 +666,7 @@ def test_response_to_dict_parses_back():
 ])
 def test_stub_refuses_a_malformed_script(script):
     with pytest.raises(SchemaViolation):
-        StubServer(port=0, script=script)
+        DecisionServer(port=0, script=script)
 
 
 # -- fuzzing the wire parsers --------------------------------------------------------
@@ -1086,175 +1116,7 @@ def test_request_bodies_are_at_most_half_of_the_per_ray_layout():
     assert sum(bodies) / len(bodies) <= V1_MEAN_BODY_BYTES / 2
 
 
-# -- the keep-alive connection -------------------------------------------------------
-
-
-class KeepAliveServer:
-    """HTTP/1.1 server answering every request with ``answer(request)``, by
-    default an empty reply of its kind.  Records the client port and the
-    kind of each request; with ``hang_up`` it closes each connection after
-    one reply, without saying so in the headers, as a server does when an
-    idle keep-alive connection times out."""
-
-    def __init__(self, hang_up: bool = False,
-                 answer=lambda req: {"version": PROTOCOL_VERSION, "kind": req["kind"]}):
-        self.ports = []
-        self.kinds = []
-        self.hung_up = threading.Semaphore(0)
-        outer = self
-
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-            disable_nagle_algorithm = True
-
-            def log_message(self, *args):
-                pass
-
-            def do_POST(self):
-                req = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-                outer.ports.append(self.client_address[1])
-                outer.kinds.append(req["kind"])
-                body = json.dumps(answer(req)).encode()
-                self.send_response(200)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-                self.close_connection = hang_up
-
-        class Server(ThreadingHTTPServer):
-            def shutdown_request(self, request):
-                super().shutdown_request(request)
-                outer.hung_up.release()
-
-        self._httpd = Server(("127.0.0.1", 0), Handler)
-        self.endpoint = f"http://127.0.0.1:{self._httpd.server_address[1]}/decide"
-        threading.Thread(target=self._httpd.serve_forever, args=(POLL_INTERVAL_S,),
-                         daemon=True).start()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._httpd.shutdown()
-        self._httpd.server_close()
-
-
-def test_remote_backend_keeps_one_connection():
-    with KeepAliveServer() as server:
-        backend = RemoteBackend(BackendConfig(endpoint=server.endpoint))
-        try:
-            for i in range(6):
-                assert backend.decide(make_req(STOP_CHECK, step=i)).s_stop == 0.0
-        finally:
-            backend.close()
-        assert len(server.ports) == 6 and len(set(server.ports)) == 1
-
-
-def test_remote_backend_reconnects_after_an_idle_hang_up(monkeypatch):
-    sleeps = []
-    monkeypatch.setattr(time, "sleep", sleeps.append)
-    with KeepAliveServer(hang_up=True) as server:
-        backend = RemoteBackend(BackendConfig(endpoint=server.endpoint, max_retries=2))
-        try:
-            backend.decide(make_req(STOP_CHECK, step=0))
-            assert server.hung_up.acquire(timeout=5)
-            backend.decide(make_req(STOP_CHECK, step=1))
-        finally:
-            backend.close()
-        # one POST each, on two connections, and no attempt lost to the stale one
-        assert len(server.ports) == 2 and len(set(server.ports)) == 2
-    assert sleeps == []
-
-
-def test_late_reply_is_not_read_as_the_next_answer():
-    script = [{"kind": "stop_check", "step": 1, "delay_ms": 300, "body": {"s_stop": 0.1}},
-              {"kind": "stop_check", "step": 2, "body": {"s_stop": 0.2}}]
-    with StubServer(script=script) as stub:
-        backend = RemoteBackend(BackendConfig(endpoint=stub.endpoint, timeout_ms=100,
-                                              max_retries=0))
-        try:
-            with pytest.raises(RequestTimeout):
-                backend.decide(make_req(STOP_CHECK, step=1))
-            assert backend.decide(make_req(STOP_CHECK, step=2)).s_stop == 0.2
-            time.sleep(0.4)  # the late step-1 reply has been sent by now
-            assert backend.decide(make_req(STOP_CHECK, step=2)).s_stop == 0.2
-        finally:
-            backend.close()
-
-
-SPEC = Path(__file__).resolve().parent.parent / "specs" / "objectnav_small.json"
-
-
-def test_a_remote_run_writes_the_in_process_run_byte_for_byte(tmp_path):
-    """``dynav run`` on the objectnav spec through RemoteBackend, against a
-    server answering with the oracle, writes the step logs and results of
-    the in-process run, byte for byte, and sends one request per step and no
-    filter request."""
-    cfg = RunConfig()
-    oracle = OracleBackend(hazard_clearance=cfg.hazard_clearance_m,
-                           success_threshold=cfg.success_threshold_m, r_scale=cfg.d_max)
-
-    def answer(payload):
-        return oracle.decide(DecisionRequest.from_dict(payload)).to_dict()
-
-    def outputs(name, *flags):
-        out = tmp_path / name
-        assert cli.main(["run", "--episodes", str(SPEC), "--out", str(out), *flags]) == 0
-        return {p.name: p.read_bytes() for p in sorted(out.iterdir())
-                if p.name.endswith(".steps.jsonl") or p.name == "results.jsonl"}
-
-    with KeepAliveServer(answer=answer) as server:
-        remote = outputs("remote", "--backend", "remote", "--endpoint", server.endpoint)
-    local = outputs("local")
-    assert remote == local
-    assert len(local) == 6  # five step logs and the results
-    steps = sum(text.count(b"\n") for name, text in local.items() if name != "results.jsonl")
-    assert len(server.kinds) == steps
-    assert FILTER not in server.kinds
-
-
-def test_cli_import_leaves_requests_out():
-    # nor the test stub's http.server, which the CLI imports only for
-    # serve-stub, nor http.client and its email parser, nor ssl, which only
-    # an https endpoint needs
-    out = run_python("import sys, dynav.cli; print(*(m in sys.modules for m in "
-                     "('requests', 'http.server', 'http.client', 'email', 'ssl')))")
-    assert out == "False False False False False"
-
-
-def test_backend_counts_requests_retries_and_reconnects(monkeypatch):
-    monkeypatch.setattr(time, "sleep", lambda s: None)
-    script = [{"kind": "stop_check", "body": {"s_stop": 0.0}},
-              {"kind": "stop_check", "step": 1, "status": 503}]
-    with StubServer(script=script) as stub:
-        with closing(RemoteBackend(BackendConfig(endpoint=stub.endpoint,
-                                                 max_retries=1))) as backend:
-            backend.decide(make_req(STOP_CHECK, step=0))
-            with pytest.raises(TransportError, match="503"):
-                backend.decide(make_req(STOP_CHECK, step=1))
-            backend.decide(make_req(STOP_CHECK, step=2))
-            assert (backend.requests, backend.retries, backend.reconnects) == (4, 1, 0)
-    with KeepAliveServer(hang_up=True) as server:
-        with closing(RemoteBackend(BackendConfig(endpoint=server.endpoint))) as backend:
-            backend.decide(make_req(STOP_CHECK, step=0))
-            assert server.hung_up.acquire(timeout=5)
-            backend.decide(make_req(STOP_CHECK, step=1))
-            assert (backend.requests, backend.retries, backend.reconnects) == (2, 0, 1)
-
-
-def test_an_idle_hang_up_is_seen_without_poll(monkeypatch):
-    # as on Windows, where the client looks with select() instead
-    monkeypatch.setattr(remote, "select", SimpleNamespace(select=select.select))
-    monkeypatch.setattr(time, "sleep", lambda s: pytest.fail("an attempt was lost"))
-    with KeepAliveServer(hang_up=True) as server:
-        with closing(RemoteBackend(BackendConfig(endpoint=server.endpoint))) as backend:
-            backend.decide(make_req(STOP_CHECK, step=0))
-            assert server.hung_up.acquire(timeout=5)
-            backend.decide(make_req(STOP_CHECK, step=1))
-            assert (backend.requests, backend.retries, backend.reconnects) == (2, 0, 1)
-
-
-# -- reply framing, against a server that writes raw bytes ---------------------------
+# -- the keep-alive connection, against a server that writes raw bytes --------------
 
 
 class RawServer:
@@ -1264,12 +1126,13 @@ class RawServer:
     as given.  A reply is ``(data, then)``: ``then`` is ``"close"`` to hang
     up after writing, ``"keep"`` to read the next request on the same
     connection, and ``"trickle"`` to keep it after writing the data three
-    bytes at a time."""
+    bytes at a time.  ``closed`` is set once it has closed a connection."""
 
     def __init__(self, replies):
         self.replies = replies
         self.requests = []  # (connection number, head, body)
         self.connections = 0
+        self.closed = threading.Event()
         self._stop = threading.Event()
         self._listener = socket.create_server(("127.0.0.1", 0))
         self._listener.settimeout(POLL_INTERVAL_S)
@@ -1288,6 +1151,7 @@ class RawServer:
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 while self._answer(sock, rfile):
                     pass
+            self.closed.set()
 
     def _answer(self, sock, rfile) -> bool:
         """Answers one request; False when the connection is done."""
@@ -1325,6 +1189,118 @@ def stop_reply(s_stop: float) -> bytes:
 
 def framed(body: bytes, *fields: bytes, status=b"HTTP/1.1 200 OK") -> bytes:
     return b"\r\n".join((status, b"Content-Length: %d" % len(body), *fields, b"", body))
+
+
+def test_remote_backend_keeps_one_connection():
+    with RawServer([(framed(stop_reply(0.0)), "keep")]) as server:
+        with closing(RemoteBackend(BackendConfig(endpoint=server.endpoint))) as backend:
+            for i in range(6):
+                assert backend.decide(make_req(STOP_CHECK, step=i)).s_stop == 0.0
+        assert [number for number, _, _ in server.requests] == [1] * 6
+
+
+# a server closes an idle keep-alive connection after a reply that did not
+# say so in its headers
+IDLE_HANG_UP = [(framed(stop_reply(0.0)), "close")]
+
+
+def test_remote_backend_reconnects_after_an_idle_hang_up(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    with RawServer(IDLE_HANG_UP) as server:
+        with closing(RemoteBackend(BackendConfig(endpoint=server.endpoint,
+                                                 max_retries=2))) as backend:
+            backend.decide(make_req(STOP_CHECK, step=0))
+            assert server.closed.wait(timeout=5)
+            backend.decide(make_req(STOP_CHECK, step=1))
+        # one POST each, on two connections, and no attempt lost to the stale one
+        assert [number for number, _, _ in server.requests] == [1, 2]
+    assert sleeps == []
+
+
+def test_late_reply_is_not_read_as_the_next_answer():
+    script = [{"kind": "stop_check", "step": 1, "delay_ms": 300, "body": {"s_stop": 0.1}},
+              {"kind": "stop_check", "step": 2, "body": {"s_stop": 0.2}}]
+    with DecisionServer(script=script) as stub:
+        backend = RemoteBackend(BackendConfig(endpoint=stub.endpoint, timeout_ms=100,
+                                              max_retries=0))
+        try:
+            with pytest.raises(RequestTimeout):
+                backend.decide(make_req(STOP_CHECK, step=1))
+            assert backend.decide(make_req(STOP_CHECK, step=2)).s_stop == 0.2
+            time.sleep(0.4)  # the late step-1 reply has been sent by now
+            assert backend.decide(make_req(STOP_CHECK, step=2)).s_stop == 0.2
+        finally:
+            backend.close()
+
+
+SPEC = Path(__file__).resolve().parent.parent / "specs" / "objectnav_small.json"
+
+
+def test_a_remote_run_writes_the_in_process_run_byte_for_byte(tmp_path):
+    """``dynav run`` on the objectnav spec through RemoteBackend, against a
+    server answering with the oracle, writes the step logs and results of
+    the in-process run, byte for byte, and sends one request per step and no
+    filter request."""
+    def outputs(name, *flags):
+        out = tmp_path / name
+        assert cli.main(["run", "--episodes", str(SPEC), "--out", str(out), *flags]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())
+                if p.name.endswith(".steps.jsonl") or p.name == "results.jsonl"}
+
+    with DecisionServer() as server:
+        remote = outputs("remote", "--backend", "remote", "--endpoint", server.endpoint)
+    local = outputs("local")
+    assert remote == local
+    assert len(local) == 6  # five step logs and the results
+    steps = sum(text.count(b"\n") for name, text in local.items() if name != "results.jsonl")
+    kinds = [req["kind"] for req in server.requests]
+    assert len(kinds) == steps
+    assert FILTER not in kinds
+
+
+def test_cli_import_leaves_requests_out():
+    # nor the decision server's http.server, which the CLI imports only for
+    # serve, nor http.client and its email parser, nor ssl, which only
+    # an https endpoint needs
+    out = run_python("import sys, dynav.cli; print(*(m in sys.modules for m in "
+                     "('requests', 'http.server', 'http.client', 'email', 'ssl')))")
+    assert out == "False False False False False"
+
+
+def test_backend_counts_requests_retries_and_reconnects(monkeypatch):
+    monkeypatch.setattr(time, "sleep", lambda s: None)
+    script = [{"kind": "stop_check", "body": {"s_stop": 0.0}},
+              {"kind": "stop_check", "step": 1, "status": 503}]
+    with DecisionServer(script=script) as stub:
+        with closing(RemoteBackend(BackendConfig(endpoint=stub.endpoint,
+                                                 max_retries=1))) as backend:
+            backend.decide(make_req(STOP_CHECK, step=0))
+            with pytest.raises(TransportError, match="503"):
+                backend.decide(make_req(STOP_CHECK, step=1))
+            backend.decide(make_req(STOP_CHECK, step=2))
+            assert (backend.requests, backend.retries, backend.reconnects) == (4, 1, 0)
+    with RawServer(IDLE_HANG_UP) as server:
+        with closing(RemoteBackend(BackendConfig(endpoint=server.endpoint))) as backend:
+            backend.decide(make_req(STOP_CHECK, step=0))
+            assert server.closed.wait(timeout=5)
+            backend.decide(make_req(STOP_CHECK, step=1))
+            assert (backend.requests, backend.retries, backend.reconnects) == (2, 0, 1)
+
+
+def test_an_idle_hang_up_is_seen_without_poll(monkeypatch):
+    # as on Windows, where the client looks with select() instead
+    monkeypatch.setattr(remote, "select", SimpleNamespace(select=select.select))
+    monkeypatch.setattr(time, "sleep", lambda s: pytest.fail("an attempt was lost"))
+    with RawServer(IDLE_HANG_UP) as server:
+        with closing(RemoteBackend(BackendConfig(endpoint=server.endpoint))) as backend:
+            backend.decide(make_req(STOP_CHECK, step=0))
+            assert server.closed.wait(timeout=5)
+            backend.decide(make_req(STOP_CHECK, step=1))
+            assert (backend.requests, backend.retries, backend.reconnects) == (2, 0, 1)
+
+
+# -- reply framing ------------------------------------------------------------------
 
 
 def chunked(body: bytes) -> bytes:

@@ -1,36 +1,83 @@
 """End-to-end command line checks: every subcommand plus exit-code mapping."""
+import _thread
 import argparse
 import dataclasses
 import json
+import signal
 import subprocess
 import sys
+import threading
+import time
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dynav.cli
-from dynav.backends import RemoteBackend
+from dynav.backends import BackendConfig, RemoteBackend
 from dynav.backends.oracle import OracleBackend
-from dynav.backends.stub import StubServer
+from dynav.backends.protocol import make_score_request, request_context
+from dynav.backends.server import DecisionServer
 from dynav.cli import build_parser, main
 from dynav.config import RunConfig
 from dynav.errors import ConfigError
+from dynav.geometry import AgentBody
+from dynav.goals import GoalSpec
 from dynav.memory import MemoryGraph, load_graph, merge, save_graph
+from dynav.proposer import Candidate, CandidateSet
+from dynav.sensing import sense
 from dynav.world import OBSTACLE, WorldMap, SemanticObject
 
-from conftest import empty_world
+from conftest import empty_world, make_pose
+
+ROOT = Path(__file__).resolve().parent.parent
+# the environment of a child ``python -m dynav``
+CHILD_ENV = {"PYTHONPATH": str(ROOT / "src"), "PATH": "", "PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def test_package_runs_as_a_module(tmp_path):
     """``python -m dynav`` is the ``dynav`` command."""
-    src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run(
-        [sys.executable, "-m", "dynav", "--help"], cwd=tmp_path,
-        env={"PYTHONPATH": str(src), "PATH": "", "PYTHONDONTWRITEBYTECODE": "1"},
+        [sys.executable, "-m", "dynav", "--help"], cwd=tmp_path, env=CHILD_ENV,
         capture_output=True, text=True, check=True).stdout
     assert out.startswith("usage: dynav ")
-    assert all(cmd in out for cmd in ("run", "worldgen", "memory", "serve-stub", "eval"))
+    assert all(cmd in out for cmd in ("run", "worldgen", "memory", "serve", "eval"))
+
+
+@pytest.fixture()
+def sigint_handled():
+    """Ctrl-C raises KeyboardInterrupt, here and in a child started here,
+    even when the suite runs as a background job, which ignores SIGINT."""
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    yield
+    signal.signal(signal.SIGINT, previous)
+
+
+def test_serve_answers_with_the_oracle_until_interrupted(tmp_path, sigint_handled):
+    chair = SemanticObject(name="chair_1", category="chair", center=(8.0, 4.0), radius=0.3)
+    obs = sense(empty_world(10.0, 8.0, objects=[chair]), make_pose(5.0, 4.0), AgentBody(),
+                n_rays=31)
+    req = make_score_request(
+        request_context(obs, session_id="serve", goal=GoalSpec.name_goal("chair")),
+        CandidateSet((Candidate(1, 2.0, 0.0), Candidate(2, 2.0, 0.5)), alpha=0.8,
+                     theta_delta=0.2), "goal-name/3")
+    with subprocess.Popen([sys.executable, "-m", "dynav", "serve", "--port", "0"],
+                          cwd=tmp_path, env=CHILD_ENV, stdout=subprocess.PIPE,
+                          text=True) as proc:
+        try:
+            line = proc.stdout.readline()
+            assert line.startswith("serving the oracle on http://127.0.0.1:")
+            endpoint = line.split()[-1]
+            with closing(RemoteBackend(BackendConfig(endpoint=endpoint))) as backend:
+                reply = backend.decide(req)
+            assert reply == OracleBackend.from_config(RunConfig()).decide(req)
+            assert reply.scores[1] > reply.scores[2]  # toward the chair
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=10) == 130
+        finally:
+            proc.terminate()
+            proc.wait(timeout=10)
 
 
 @pytest.fixture()
@@ -95,7 +142,7 @@ def test_run_no_memory_flag(tmp_path, episode_file):
 def test_run_aborts_give_exit_2(tmp_path, episode_file):
     script = [{"kind": k, "status": 500, "body": {}}
               for k in ("filter", "score", "stop_check")]
-    server = StubServer(port=0, script=script).start()
+    server = DecisionServer(port=0, script=script).start()
     try:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
@@ -123,9 +170,9 @@ def test_run_survives_a_malformed_backend_reply(tmp_path):
         {"kind": "score", "step": 3, "raw_body": "not json"},
         {"kind": "stop_check", "body": {"s_stop": 0.0}},
     ]
-    spec = Path(__file__).resolve().parent.parent / "specs" / "objectnav_small.json"
+    spec = ROOT / "specs" / "objectnav_small.json"
     out = tmp_path / "out"
-    with StubServer(script=script) as stub:
+    with DecisionServer(script=script) as stub:
         code = main(["run", "--episodes", str(spec), "--out", str(out),
                      "--backend", "remote", "--endpoint", stub.endpoint])
     assert code == 2
@@ -147,9 +194,9 @@ def test_run_survives_a_malformed_memory_op(tmp_path):
             {"op": "add_node", "name": "a", "location_m": [1]}]}},
         {"kind": "stop_check", "body": {"s_stop": 0.0}},
     ]
-    spec = Path(__file__).resolve().parent.parent / "specs" / "objectnav_small.json"
+    spec = ROOT / "specs" / "objectnav_small.json"
     out = tmp_path / "out"
-    with StubServer(script=script) as stub:
+    with DecisionServer(script=script) as stub:
         code = main(["run", "--episodes", str(spec), "--out", str(out),
                      "--backend", "remote", "--endpoint", stub.endpoint])
     assert code == 2
@@ -271,11 +318,34 @@ def test_run_closes_each_episode_backend(tmp_path, episode_file, monkeypatch, wo
                         lambda self: (closed.append(self), original(self)))
     script = [{"kind": "filter", "body": {}}, {"kind": "score", "scores_all": 0.5},
               {"kind": "stop_check", "body": {"s_stop": 0.0}}]
-    with StubServer(script=script) as stub:
+    with DecisionServer(script=script) as stub:
         assert main(["run", "--episodes", str(episode_file), "--out", str(tmp_path / "out"),
                      "--backend", "remote", "--endpoint", stub.endpoint, "--n-rays", "31",
                      "--max-steps", "5", "--workers", str(workers)]) == 0
     assert len(closed) == len(set(map(id, closed))) == 2
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_an_interrupt_starts_no_queued_episode(tmp_path, monkeypatch, capsys, sigint_handled,
+                                               workers):
+    # Ctrl-C once every worker runs an episode: those running finish, and
+    # none of the queued ones starts
+    started, lock = [], threading.Lock()
+
+    def run_episode(spec, backend, cfg, step_log=None):
+        with lock:
+            started.append(spec.episode_id)
+            last = len(started) == workers
+        if last:
+            _thread.interrupt_main()
+        time.sleep(0.2)
+
+    monkeypatch.setattr(dynav.cli, "run_episode", run_episode)
+    assert main(["run", "--episodes", str(ROOT / "specs" / "objectnav_small.json"),
+                 "--out", str(tmp_path / "out"), "--workers", str(workers)]) == 130
+    assert len(started) == workers
+    assert "interrupted" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "results.jsonl").exists()
 
 
 def test_run_rejects_a_non_http_endpoint(tmp_path, episode_file, capsys):
@@ -549,7 +619,7 @@ READERS = {
     "memory merge": ["memory", "merge", "{good}", "{bad}", "--out", "{out}"],
     "memory export": ["memory", "export", "{bad}", "--out", "{out}"],
     "eval --results": ["eval", "--results", "{bad}"],
-    "serve-stub --script": ["serve-stub", "--port", "0", "--script", "{bad}"],
+    "serve --script": ["serve", "--port", "0", "--script", "{bad}"],
 }
 UNUSABLE = {
     "nested": b"[" * 100_000,
@@ -575,7 +645,7 @@ def test_unusable_file_exits_1(tmp_path, episode_file, capsys, argv, content):
     (READERS["memory show"], {"format": "dynav-graph/1", "nodes": [5]}),
     (READERS["memory show"], {"format": "dynav-graph/1",
                               "nodes": [{"name": "a", "attributes": "red"}]}),
-    (READERS["serve-stub --script"], [{"kind": "score"}, 5]),
+    (READERS["serve --script"], [{"kind": "score"}, 5]),
 ], ids=["graph-node-not-an-object", "graph-attributes-string", "script-entry-not-an-object"])
 def test_mistyped_record_exits_1(tmp_path, capsys, argv, content):
     bad = tmp_path / "bad.json"

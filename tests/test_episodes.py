@@ -48,11 +48,6 @@ def sealed_world():
     return WorldMap(grid, base.resolution, [chair, table])
 
 
-def oracle(cfg):
-    return OracleBackend(hazard_clearance=cfg.hazard_clearance_m,
-                         success_threshold=cfg.success_threshold_m, r_scale=cfg.d_max)
-
-
 class AlwaysStop:
     def decide(self, req):
         return DecisionResponse(kind=req.kind, scores={c.id: 0.5 for c in req.candidates},
@@ -69,7 +64,7 @@ def test_visible_goal_reached_quickly():
     spec = EpisodeSpec(episode_id="e1", world=chair_world(),
                        goals=(GoalSpec.name_goal("chair"),),
                        start=make_pose(5.0, 4.0, 0.0))
-    res = run_episode(spec, oracle(cfg), cfg)
+    res = run_episode(spec, OracleBackend.from_config(cfg), cfg)
     g = res.goal_results[0]
     assert g.success and g.stopped
     assert g.steps <= 5
@@ -104,13 +99,13 @@ def test_visibility_required_judges_the_final_view(backend, start, expected):
     world = chair_world()
     goal = GoalSpec.name_goal("chair")
     spec = EpisodeSpec(episode_id="vis", world=world, goals=(goal,), start=start)
-    res = run_episode(spec, oracle(cfg) if backend == "oracle" else StopInPlace(), cfg)
+    res = run_episode(spec, OracleBackend.from_config(cfg) if backend == "oracle" else StopInPlace(), cfg)
     g = res.goal_results[0]
     assert g.stopped and res.termination == STOPPED
     final = res.trajectory[-1]
     assert g.success == fresh_success(world, final, goal, cfg) == expected
     # without the flag, standing within the threshold is enough
-    plain = run_episode(spec, oracle(cfg) if backend == "oracle" else StopInPlace(),
+    plain = run_episode(spec, OracleBackend.from_config(cfg) if backend == "oracle" else StopInPlace(),
                         replace(cfg, visibility_required=False))
     assert plain.goal_results[0].success
 
@@ -120,7 +115,7 @@ def test_step_budget_exhaustion():
     spec = EpisodeSpec(episode_id="e2", world=chair_world(),
                        goals=(GoalSpec.name_goal("chair"),),
                        start=make_pose(1.0, 7.0, 180.0), max_steps=1)
-    res = run_episode(spec, oracle(cfg), cfg)
+    res = run_episode(spec, OracleBackend.from_config(cfg), cfg)
     g = res.goal_results[0]
     assert not g.success and not g.stopped
     assert g.steps == 1
@@ -132,7 +127,7 @@ def test_distance_budget_exhaustion():
     spec = EpisodeSpec(episode_id="e3", world=chair_world(),
                        goals=(GoalSpec.name_goal("chair"),),
                        start=make_pose(1.0, 7.0, 180.0), max_distance_m=0.5)
-    res = run_episode(spec, oracle(cfg), cfg)
+    res = run_episode(spec, OracleBackend.from_config(cfg), cfg)
     g = res.goal_results[0]
     assert not g.success
     assert res.termination == BUDGET_EXHAUSTED
@@ -143,8 +138,8 @@ def test_runs_are_bit_reproducible():
     cfg = RunConfig(n_rays=61)
     spec = EpisodeSpec(episode_id="repro", world=chair_world(),
                        goals=(GoalSpec.name_goal("chair"),), seed=7)
-    a = run_episode(spec, oracle(cfg), cfg)
-    b = run_episode(spec, oracle(cfg), cfg)
+    a = run_episode(spec, OracleBackend.from_config(cfg), cfg)
+    b = run_episode(spec, OracleBackend.from_config(cfg), cfg)
     assert a == b  # includes the full trajectory, pose for pose
 
 
@@ -176,7 +171,7 @@ def test_unreachable_goal_is_flagged_and_skipped():
     spec = EpisodeSpec(episode_id="e6", world=sealed_world(),
                        goals=(GoalSpec.name_goal("chair"), GoalSpec.name_goal("table")),
                        start=make_pose(2.0, 4.0, 0.0))
-    res = run_episode(spec, oracle(cfg), cfg)
+    res = run_episode(spec, OracleBackend.from_config(cfg), cfg)
     first, second = res.goal_results
     assert first.unreachable and first.shortest is None and not first.success
     assert first.steps == 0
@@ -193,7 +188,7 @@ def test_start_outside_the_world_leaves_every_goal_unreachable(x):
     start = make_pose(x, 4.0, 0.0)
     spec = EpisodeSpec(episode_id="out", world=chair_world(),
                        goals=(GoalSpec.name_goal("chair"),) * 2, start=start)
-    res = run_episode(spec, oracle(cfg), cfg)
+    res = run_episode(spec, OracleBackend.from_config(cfg), cfg)
     assert [g.unreachable for g in res.goal_results] == [True, True]
     assert res.termination == STOPPED and res.trajectory == (start,)
 
@@ -205,7 +200,7 @@ def test_caller_memory_is_copied_not_mutated():
     spec = EpisodeSpec(episode_id="e7", world=chair_world(),
                        goals=(GoalSpec.name_goal("chair"),),
                        start=make_pose(5.0, 4.0, 0.0))
-    run_episode(spec, oracle(cfg), cfg, mem0=mem0)
+    run_episode(spec, OracleBackend.from_config(cfg), cfg, mem0=mem0)
     assert set(mem0.nodes) == {"landmark"}
     assert mem0.version == v0
 
@@ -216,7 +211,7 @@ def test_step_log_records_every_step():
                        goals=(GoalSpec.name_goal("chair"),),
                        start=make_pose(5.0, 4.0, 0.0))
     buf = io.StringIO()
-    res = run_episode(spec, oracle(cfg), cfg, step_log=buf)
+    res = run_episode(spec, OracleBackend.from_config(cfg), cfg, step_log=buf)
     lines = [json.loads(l) for l in buf.getvalue().splitlines()]
     assert len(lines) == res.goal_results[0].steps
     first = lines[0]

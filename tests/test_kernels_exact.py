@@ -313,9 +313,7 @@ def recorded_trajectories():
             start = random_free_pose(world, random.Random(seed + 1000), AgentBody())
             episode = EpisodeSpec(episode_id=f"w{seed}", world=world,
                                   goals=(GoalSpec.name_goal("chair"),), start=start, seed=seed)
-            backend = OracleBackend(hazard_clearance=cfg.hazard_clearance_m,
-                                    success_threshold=cfg.success_threshold_m,
-                                    r_scale=cfg.d_max)
+            backend = OracleBackend.from_config(cfg)
             del nudged[:]
             trajectory = run_episode(episode, backend, cfg).trajectory
             out.append((world, trajectory, list(nudged)))

@@ -28,11 +28,6 @@ ROOT = Path(__file__).resolve().parent.parent
 NUDGED_SEEDS = (2, 7, 38)
 
 
-def _oracle(cfg):
-    return OracleBackend(hazard_clearance=cfg.hazard_clearance_m,
-                         success_threshold=cfg.success_threshold_m, r_scale=cfg.d_max)
-
-
 def _recorded_run(monkeypatch, spec, cfg):
     """Run the episode; return its result, every step outcome and the graphs."""
     outcomes, graphs = [], []
@@ -45,7 +40,7 @@ def _recorded_run(monkeypatch, spec, cfg):
         return outcome
 
     monkeypatch.setattr(episodes, "step", recording_step)
-    return run_episode(spec, _oracle(cfg), cfg), outcomes, graphs
+    return run_episode(spec, OracleBackend.from_config(cfg), cfg), outcomes, graphs
 
 
 def _non_floats(world, result, outcomes, graphs):

@@ -319,9 +319,7 @@ class HazardSeeker:
     step raises BackendUnavailable."""
 
     def __init__(self, cfg, flaky):
-        self.oracle = OracleBackend(hazard_clearance=cfg.hazard_clearance_m,
-                                    success_threshold=cfg.success_threshold_m,
-                                    r_scale=cfg.d_max)
+        self.oracle = OracleBackend.from_config(cfg)
         self.flaky = flaky
         self.called = set()  # steps that have made a call
 
@@ -429,9 +427,7 @@ class KindRecorder:
     refused as unavailable."""
 
     def __init__(self, cfg):
-        self.oracle = OracleBackend(hazard_clearance=cfg.hazard_clearance_m,
-                                    success_threshold=cfg.success_threshold_m,
-                                    r_scale=cfg.d_max)
+        self.oracle = OracleBackend.from_config(cfg)
         self.tau = cfg.tau_stop
         self.kinds = defaultdict(list)  # (session, step) -> kinds sent
         self.confident = set()  # sessions whose last stop confidence exceeded tau

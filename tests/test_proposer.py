@@ -186,9 +186,7 @@ def test_propose_equals_reference_on_every_step_of_a_gate_4_episode(monkeypatch,
     start = random_free_pose(world, random.Random(seed + 1000), AgentBody())
     spec = EpisodeSpec(episode_id=f"w{seed}", world=world,
                        goals=(GoalSpec.name_goal("chair"),), start=start, seed=seed)
-    run_episode(spec, OracleBackend(hazard_clearance=cfg.hazard_clearance_m,
-                                    success_threshold=cfg.success_threshold_m,
-                                    r_scale=cfg.d_max), cfg)
+    run_episode(spec, OracleBackend.from_config(cfg), cfg)
     assert len(seen) > 3
     for points, cfg, out in seen:
         assert bits((c.r, c.theta) for c in out.candidates) == bits(
