@@ -112,6 +112,8 @@ def cmd_worldgen(args) -> int:
 def cmd_memory(args) -> int:
     if args.action in ("export", "merge") and args.out is None:
         raise ConfigError(f"memory {args.action} needs --out")
+    if args.action != "merge" and len(args.paths) > 1:
+        raise ConfigError(f"memory {args.action} takes one input file, not {len(args.paths)}")
     if args.action == "export":
         save_graph(load_graph(args.paths[0]), args.out)
     elif args.action == "merge":

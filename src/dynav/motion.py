@@ -30,7 +30,7 @@ def _max_travel(world: WorldMap, x0: float, y0: float, ux: float, uy: float,
     near = world.surfaces_along(x0, y0, ux, uy, r)
     t = 0.0
     while t < r - _EPS:
-        c = world.clearance_along(x0 + t * ux, y0 + t * uy, near)[0] - radius
+        c = world.clearance_along(x0 + t * ux, y0 + t * uy, near) - radius
         if c <= _CONTACT:
             break
         t += min(c, r - t)
@@ -63,22 +63,23 @@ def reactive_avoid(world: WorldMap, pose: Pose, body: AgentBody, clearance: floa
 
     If anything blocks within ``clearance`` of the pose, the pose is displaced
     along the away direction until the clearance is restored, up to a cap of
-    2x clearance.  When the cap is reached without restoration the best
-    still-collision-free sample along the ray is returned; if even that fails
-    the agent is boxed in and NoEscape is raised.
+    2x clearance.  When the cap is reached without restoration, the first
+    sample with the most clearance, if that is at least the body's radius,
+    is returned (the pose itself counts as the sample before the first);
+    if no sample keeps the body clear the agent is boxed in and NoEscape is
+    raised.
 
     Samples lie every ``min(0.01, clearance / 10)`` along the ray, up to
     where it leaves the world: the pose lies in the world (PoseOutOfBounds
     otherwise), a rectangle, and each coordinate of the samples moves one
     way, so no later sample is back in.  Clearance is 1-Lipschitz in
     position, so a sample at offset t has at most ``c + |t - s|`` for any
-    sample at offset s already measured at c; samples this bound rules out
-    are never measured.  Once no sample can restore the clearance, neither
-    is a sample that the surface which set the last measured clearance
-    already rules out: the clearance never exceeds the distance to that
-    surface, taken by the scan's own expression.  Every sample lies on the
-    ray, so each clearance is read from the surfaces along it, nearest first
-    (``WorldMap.surfaces_along``), with the bits of a full scan.
+    sample at offset s already measured at c; the search for a sample that
+    restores the clearance never measures one that this bound rules out.
+    Once none restores it, every sample is measured in order.  Every sample
+    lies on the ray, so each clearance is read from the surfaces along it,
+    nearest first (``WorldMap.surfaces_along``), with the bits of a full
+    scan.
     """
     if not world.in_bounds(pose.x, pose.y):
         raise PoseOutOfBounds(f"pose ({pose.x:.2f}, {pose.y:.2f}) is outside the world")
@@ -99,8 +100,7 @@ def reactive_avoid(world: WorldMap, pose: Pose, body: AgentBody, clearance: floa
     end = 2.0 * clearance + min(_EPS, step / 2.0)
     near = world.surfaces_along(pose.x, pose.y, dx, dy, end)
     width, height = world.width_m, world.height_m
-    samples = []  # offset and position of every in-bounds sample, in order
-    found = []  # offset, clearance and nearest surface of the samples measured here
+    samples = []  # position of every in-bounds sample, in order
     low = c0  # min of c - s over the pose and the measured samples
     # the first sample that restores the clearance; samples past it are not made
     t = step
@@ -108,38 +108,19 @@ def reactive_avoid(world: WorldMap, pose: Pose, body: AgentBody, clearance: floa
         x, y = pose.x + dx * t, pose.y + dy * t
         if not (0.0 <= x < width and 0.0 <= y < height):
             break  # each coordinate moves one way, so no later sample is back in
-        samples.append((t, x, y))
+        samples.append((x, y))
         if low + t + _SLACK >= clearance:
-            c, surface = world.clearance_along(x, y, near)
+            c = world.clearance_along(x, y, near)
             if c >= clearance:
                 return Pose(x, y, pose.heading)
-            found.append((t, c, surface))
             low = min(low, c - t)
         t += step
 
-    # boxed in: the first sample with the most clearance, if that keeps the
-    # body clear; bounded by the measured samples on both sides, and capped
-    # by the surface that set the last measured clearance
+    # boxed in: the first sample with the most clearance, if that keeps the body clear
     best_pose = pose if c0 >= body.radius else None
     best_c = c0 if best_pose is not None else -math.inf
-    low = c0
-    last = None
-    ahead = iter(found + [(math.inf, math.inf, None)])
-    t_next, c_next, s_next = next(ahead)
-    for t, x, y in samples:
-        if t == t_next:
-            c, last = c_next, s_next
-            t_next, c_next, s_next = next(ahead)
-        else:
-            bound = min(low + t, c_next + (t_next - t)) + _SLACK
-            if bound <= best_c or bound < body.radius:
-                continue
-            if last is not None:
-                cap = world.surface_distance(last, x, y)
-                if cap <= best_c or cap < body.radius:
-                    continue
-            c, last = world.clearance_along(x, y, near)
-        low = min(low, c - t)
+    for x, y in samples:
+        c = world.clearance_along(x, y, near)
         if c > best_c and c >= body.radius:
             best_c = c
             best_pose = Pose(x, y, pose.heading)

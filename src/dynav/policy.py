@@ -164,7 +164,8 @@ def step(state: AgentState, world, mem: Optional[MemoryGraph], goal: GoalSpec,
     """One full perceive-propose-decide-act cycle.
 
     Memory is updated in place when enabled.  A stop decision leaves the pose
-    untouched and marks the state terminated.
+    untouched and marks the state terminated.  With ``cfg.epsilon_mask`` above
+    0 the mask's corruption is drawn from ``rng``, which must then be given.
     """
     body = AgentBody(radius=cfg.agent_radius, max_sense=cfg.d_max)
     obs = sense(world, state.pose, body, cfg.n_rays, fov=cfg.fov, step=state.step_index)

@@ -178,11 +178,12 @@ def traversability_mask(obs: Observation, epsilon: float = 0.0,
 
     In the simulator every sensed direction is traversable floor up to its
     reported depth, so the ground truth mask is all True.  With probability
-    ``epsilon`` a ray is flipped to False to emulate segmentation misses.
+    ``epsilon`` a ray is flipped to False to emulate segmentation misses,
+    drawn from ``rng``, which the caller must give and keep across steps:
+    a generator seeded anew on each call would corrupt every step alike.
     """
-    mask = [True] * obs.n_rays
     if epsilon > 0.0:
         if rng is None:
-            rng = random.Random(0)
-        mask = [rng.random() >= epsilon for _ in range(obs.n_rays)]
-    return mask
+            raise ValueError("a corrupted traversability mask needs an rng")
+        return [rng.random() >= epsilon for _ in range(obs.n_rays)]
+    return [True] * obs.n_rays

@@ -416,15 +416,8 @@ class WorldMap:
         return walls
 
     def _cell_rect_distance(self, x: float, y: float, ix: int, iy: int) -> float:
-        return self._span_distance(x, y, (ix, ix, iy, iy))
-
-    def _span_distance(self, x: float, y: float, span: tuple) -> float:
-        """Distance from a point to the cells ``(ix0, ix1, iy0, iy1)``: the
-        hypot of its gaps to their squares' float bounds, as the scan takes
-        it for a run."""
         res = self.resolution
-        ix0, ix1, iy0, iy1 = span
-        ax, bx, ay, by = ix0 * res, (ix1 + 1) * res, iy0 * res, (iy1 + 1) * res
+        ax, bx, ay, by = ix * res, (ix + 1) * res, iy * res, (iy + 1) * res
         return math.hypot(ax - x if ax > x else (x - bx if x > bx else 0.0),
                           ay - y if ay > y else (y - by if y > by else 0.0))
 
@@ -559,21 +552,10 @@ class WorldMap:
         """
         return self._scan(x, y, self._everywhere or self._surfaces())[0]
 
-    def clearance_along(self, x: float, y: float, surfaces: tuple) -> Tuple[float, tuple]:
+    def clearance_along(self, x: float, y: float, surfaces: tuple) -> float:
         """``clearance(x, y)``, bit for bit, at a point of the segment that
-        ``surfaces_along`` gave ``surfaces`` for, and a surface that sets it:
-        a disc ``(cx, cy, r)``, a cell range ``(ix0, ix1, iy0, iy1)``, or
-        ``()`` for the border.  ``surface_distance`` measures it elsewhere."""
-        best, spans, disc = self._scan(x, y, surfaces)
-        return best, disc or (spans[0] if spans else ())
-
-    def surface_distance(self, surface: tuple, x: float, y: float) -> float:
-        """Distance from a point to a surface that ``clearance_along`` named,
-        by the scan's own expression for it, so never below the clearance
-        at that point."""
-        if len(surface) == 3:
-            return _disc_distance(x, y, *surface)
-        return self._span_distance(x, y, surface) if surface else self._border_distance(x, y)
+        ``surfaces_along`` gave ``surfaces`` for."""
+        return self._scan(x, y, surfaces)[0]
 
     def clearance_with_nearest(self, x: float, y: float) -> Tuple[float, Tuple[float, float]]:
         """Clearance plus the closest point on the nearest blocking surface.

@@ -586,6 +586,18 @@ def test_memory_merge_needs_two_inputs(tmp_path):
     assert main(["memory", "merge", str(pa), "--out", str(tmp_path / "m.json")]) == 1
 
 
+@pytest.mark.parametrize("argv", [["export", "{a}", "{b}", "--out", "{out}"],
+                                  ["show", "{a}", "{missing}"]])
+def test_memory_export_and_show_take_one_input(tmp_path, capsys, argv):
+    _, _, pa, pb = graph_pair(tmp_path)
+    out = tmp_path / "c.json"
+    paths = dict(a=pa, b=pb, out=out, missing=tmp_path / "missing.json")
+    assert main(["memory"] + [arg.format(**paths) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"error: memory {argv[0]} takes one input file, not 2\n"
+
+
 @pytest.mark.parametrize("action", ["export", "merge"])
 def test_memory_write_needs_out(tmp_path, capsys, action):
     _, _, pa, pb = graph_pair(tmp_path)

@@ -484,26 +484,6 @@ def test_reactive_avoid_matches_full_scan_at_small_clearances(worlds):
     assert all(kinds.values()), kinds
 
 
-def test_reactive_avoid_boxed_in_cases_match_full_scan():
-    """A corridor too narrow to restore the clearance, and a slot too narrow
-    for the body: the best sample, then NoEscape, as the full scan gives."""
-    body = AgentBody()
-    grid = empty_world(4.0, 3.0).grid.copy()
-    grid[10:13, 5:35] = OBSTACLE
-    grid[16:19, 5:35] = OBSTACLE      # corridor rows 13-15: 0.3 m wide
-    grid[5:8, 5:35] = OBSTACLE        # slot row 8-9 with row 10 above: 0.2 m wide
-    world = WorldMap(grid, 0.1)
-    seen = set()
-    for x in np.arange(0.55, 3.45, 0.1):
-        for y in (1.45, 1.5, 0.85, 0.9, 0.95):
-            pose = Pose(float(x), y, 0.3)
-            got = outcome(reactive_avoid, world, pose, body, 0.32)
-            assert got == outcome(ref_reactive_avoid, world, pose, body, 0.32), pose
-            seen.add("NoEscape" if got == "NoEscape" else "moved" if got != bits(
-                pose.x, pose.y, pose.heading) else "stayed")
-    assert "NoEscape" in seen and ("moved" in seen or "stayed" in seen)
-
-
 class Counting:
     """A world that logs each point it measures, with ``"full"`` for a scan
     of the whole world and ``"along"`` for one through the surfaces along a
@@ -516,7 +496,6 @@ class Counting:
         self.width_m, self.height_m = world.width_m, world.height_m
         self.in_bounds = world.in_bounds
         self.surfaces_along = world.surfaces_along
-        self.surface_distance = world.surface_distance
 
     def clearance_with_nearest(self, x, y):
         self.calls.append(("full", x, y))
@@ -543,14 +522,12 @@ def test_reactive_avoid_measures_fewer_samples_than_a_full_scan(box_world):
     assert [kind for kind, *_ in world.calls] == ["full", "along"]
 
 
-def test_reactive_avoid_scans_boxed_in_rays_few_times():
-    """The corridor and slot of the boxed-in cases, and a dead end 0.5 m
-    wide: one full scan per call, of the pose, then only the samples that
-    neither the Lipschitz bound nor the surface that set the last measured
-    clearance rules out, with the full scan's outcome.  In the dead end the
-    ray runs along the side walls, and past its first 0.2 m the clearance
-    is flat: each side wall caps every later sample at the best so far.
-    The counts are pinned."""
+def test_reactive_avoid_boxed_in_cases_match_full_scan():
+    """A corridor too narrow to restore the clearance, a slot too narrow for
+    the body, and a dead end 0.5 m wide, where the ray runs along the side
+    walls and the clearance goes flat: the best sample, then NoEscape, as
+    the full scan gives.  One full scan per call, of the pose; every sample
+    is read through the surfaces along the ray."""
     body = AgentBody()
     grid = empty_world(4.0, 3.0).grid.copy()
     grid[10:13, 5:35] = OBSTACLE
@@ -564,26 +541,41 @@ def test_reactive_avoid_scans_boxed_in_rays_few_times():
              for y in (1.45, 1.5, 0.85, 0.9, 0.95) for x in np.arange(0.55, 3.45, 0.1)]
     cases += [(WorldMap(dead_end, 0.1), Pose(x, y, 0.0))
               for x in (0.55, 0.6, 0.65) for y in (1.5, 1.55, 1.6)]
-    along = []
+    seen = set()
     for plain, pose in cases:
         world = Counting(plain)
         got = outcome(reactive_avoid, world, pose, body, 0.32)
         assert got == outcome(ref_reactive_avoid, plain, pose, body, 0.32), pose
         kinds = [kind for kind, *_ in world.calls]
         assert kinds[0] == "full" and "full" not in kinds[1:], pose
-        along.append(len(kinds) - 1)
-    # the corridor and slot per row, then the dead end, where the Lipschitz
-    # bound alone leaves 53-63 samples to measure
-    assert along == [5] * 30 + [2] * 30 + [4] * 60 + [6] * 30 + [8, 15, 8, 9, 17, 9, 8, 17, 8]
+        seen.add("NoEscape" if got == "NoEscape" else "moved" if got != bits(
+            pose.x, pose.y, pose.heading) else "stayed")
+    assert "NoEscape" in seen and ("moved" in seen or "stayed" in seen)
+
+
+def test_reactive_avoid_matches_full_scan_on_recorded_poses(recorded_trajectories):
+    """Every pose where recorded gate-4 episodes went, corridors and dead
+    ends included, at the run's own avoidance clearance."""
+    body, clearance = AgentBody(), RunConfig().avoid_clearance
+    kinds = {"stayed": 0, "restored": 0, "best": 0}
+    for world, trajectory, _ in recorded_trajectories:
+        for pose in trajectory:
+            got = outcome(reactive_avoid, world, pose, body, clearance)
+            assert got == outcome(ref_reactive_avoid, world, pose, body, clearance), pose
+            if got != "NoEscape":
+                p = Pose(*(float.fromhex(v) for v in got))
+                kinds["stayed" if p == pose else "restored"
+                      if world.clearance(p.x, p.y) >= clearance else "best"] += 1
+    assert all(kinds.values()), kinds
 
 
 def test_reactive_avoid_finds_the_last_of_slowly_rising_samples():
     """A disc in a corridor 0.5 m wide sets the nudge direction 1e-5 rad
     off the corridor's axis, away from the nearer wall.  Past the disc the
     clearance is that wall's distance, which rises by 1e-7 m per sample and
-    never reaches 0.32 m, so the last sample has the most.  The wall caps
-    each next sample only that far above the best so far: a cap taken 1e-6
-    m short of exact would skip them all."""
+    never reaches 0.32 m, so the last sample has the most.  Each sample
+    beats the best so far by only that much, so a scan that skips or
+    misreads any late sample keeps an earlier one."""
     grid = empty_world(4.0, 3.0).grid.copy()
     grid[10:13, 5:35] = OBSTACLE
     grid[18:21, 5:35] = OBSTACLE  # rows 13-17: 0.5 m wide
@@ -823,26 +815,16 @@ def test_clearance_along_a_segment_matches_the_full_scan(world, seed, length):
     obstacle interiors, disc boundaries, slot ties and disc-border ties) or
     end there, each way along its direction.  At the segment's ends and at
     points between, computed as the motion computes them, the clearance
-    through the surfaces along the segment has the full scan's bits, and the
-    surface it names lies at exactly that distance there and at no less
-    than the clearance elsewhere on the segment."""
+    through the surfaces along the segment has the full scan's bits."""
     rng = random.Random(seed)
     for (px, py), (ux, uy) in probes(world, rng) + disc_border_ties(world, rng):
         for sx, sy in ((ux, uy), (-ux, -uy)):
             for x0, y0 in ((px, py), (px - length * sx, py - length * sy)):
                 near = world.surfaces_along(x0, y0, sx, sy, length)
-                ts = [0.0, length, length * rng.random(), length * rng.random()]
-                surfaces = []
-                for t in ts:
+                for t in (0.0, length, length * rng.random(), length * rng.random()):
                     x, y = x0 + t * sx, y0 + t * sy
-                    c, surface = world.clearance_along(x, y, near)
-                    assert bits(c) == bits(world.clearance(x, y)), (x0, y0, sx, sy, t)
-                    assert bits(world.surface_distance(surface, x, y)) == bits(c)
-                    surfaces.append(surface)
-                for surface in surfaces:
-                    for t in ts:
-                        x, y = x0 + t * sx, y0 + t * sy
-                        assert world.surface_distance(surface, x, y) >= world.clearance(x, y)
+                    assert bits(world.clearance_along(x, y, near)) == bits(
+                        world.clearance(x, y)), (x0, y0, sx, sy, t)
 
 
 def test_clearance_ties_across_runs_keep_the_reference_winner():

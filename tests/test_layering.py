@@ -97,14 +97,14 @@ def test_no_function_level_imports(module):
 
 # ``WorldMap``'s private clearance and ray kernels: its wall runs and their
 # columns, the scan over them, the cast against them and the walk it falls
-# back on, the cell, span and border distances, the disc list, and the
-# world's own list of surfaces for the scan.  Motion asks ``clearance``,
-# ``clearance_with_nearest``, ``surfaces_along``, ``clearance_along`` or
-# ``surface_distance`` and the sensor ``wall_distances``; which cells can
-# matter is the world's business.
+# back on, the cell and border distances, the disc list, and the world's
+# own list of surfaces for the scan.  Motion asks ``clearance``,
+# ``clearance_with_nearest``, ``surfaces_along`` or ``clearance_along`` and
+# the sensor ``wall_distances``; which cells can matter is the world's
+# business.
 WORLD_KERNEL = {"_wall_runs", "_runs", "_run_faces", "_faces", "_scan", "_cast", "_walk",
                 "_cell_rect_distance", "_clamp_to_cell", "_discs", "_surfaces", "_everywhere",
-                "_span_distance", "_border_distance"}
+                "_border_distance"}
 
 
 def kernel_uses(path: Path):

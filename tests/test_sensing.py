@@ -126,3 +126,12 @@ def test_traversability_mask(box_world, body):
     again = traversability_mask(obs, epsilon=0.3, rng=random.Random(5))
     assert noisy == again
     assert 0 < sum(noisy) < 31
+
+
+def test_traversability_mask_refuses_to_corrupt_without_an_rng(box_world, body):
+    """A generator seeded anew on each call would give every step the same
+    corrupted mask; without an rng only the ground truth is given."""
+    obs = sense(box_world, make_pose(5.0, 4.0, 0.0), body, n_rays=31)
+    assert traversability_mask(obs, epsilon=0.0, rng=None) == [True] * 31
+    with pytest.raises(ValueError):
+        traversability_mask(obs, epsilon=0.3, rng=None)
