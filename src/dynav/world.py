@@ -616,12 +616,13 @@ class WorldMap:
         cell lies at an offset (dx, dy) with ``sqrt((dy*res)**2 + (dx*res)**2)
         <= radius``, in the transform's float operations.  For each row offset
         the blocking column offsets form an interval [-m, m], so the mask takes
-        one sliding-window test per row offset: two slices of one edge-padded
-        cumulative sum along the rows, compared.  It differs from the
-        transform only where that has no answer or picks one arbitrarily:
-        with no occupied cell every cell is free, and of two exactly tied
-        offsets whose floats differ in the last bit, such as (9, 2) and
-        (6, 7), the nearer float decides.
+        one sliding-window test per row offset: whether any cell of the 2m + 1
+        columns around each column is occupied, a boolean OR of two
+        overlapping power-of-two windows, each built once per mask by doubling
+        (van Herk, 1992).  It differs from the transform only where that has
+        no answer or picks one arbitrarily: with no occupied cell every cell
+        is free, and of two exactly tied offsets whose floats differ in the
+        last bit, such as (9, 2) and (6, 7), the nearer float decides.
         """
         if radius not in self._free_cache:
             occ = self.occupancy_with_objects()
@@ -634,20 +635,27 @@ class WorldMap:
 
             # past the widest blocking offset, or the width
             pad = m = max(int(min(radius / res + 2, w)), 0)
-            # the occupied cells left of each column c at ``counts[:, pad + c]``,
-            # held at the row's ends for pad more columns on either side, so
-            # that each window's ends are two slices
-            counts = np.zeros((h, w + 1 + 2 * pad), dtype=np.int32)
-            np.cumsum(occ, axis=1, out=counts[:, pad + 1: pad + 1 + w])
-            counts[:, pad + 1 + w:] = counts[:, pad + w: pad + w + 1]
+            # the occupancy with pad free columns on either side; ``wins[k][:, j]``
+            # holds whether any of its columns j .. j + 2**k - 1 is occupied
+            wins = [np.zeros((h, w + 2 * pad), dtype=bool)]
+            wins[0][:, pad: pad + w] = occ
             blocked = np.zeros((h, w), dtype=bool)
+            near_m = -1
             for dy in range(h):
                 while m >= 0 and not blocks(dy, m):
                     m -= 1
                 if m < 0:
                     break
-                # rows holding an occupied cell within m columns of each column
-                near = counts[:, pad + m + 1: pad + m + 1 + w] > counts[:, pad - m: pad - m + w]
+                if m != near_m:
+                    # rows holding an occupied cell within m columns of each
+                    # column: the window of 2**k <= 2m + 1 columns from either end
+                    k = (2 * m + 1).bit_length() - 1
+                    while len(wins) <= k:
+                        s = 1 << (len(wins) - 1)
+                        wins.append(wins[-1][:, :-s] | wins[-1][:, s:])
+                    lo, hi = pad - m, pad + m + 1 - (1 << k)
+                    near = wins[k][:, lo: lo + w] | wins[k][:, hi: hi + w]
+                    near_m = m
                 blocked[dy:] |= near[: h - dy]
                 blocked[: h - dy] |= near[dy:]
             mask = ~blocked

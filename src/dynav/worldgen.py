@@ -54,6 +54,18 @@ class WorldGenSpec:
                 raise ValueError("category_counts must align with categories")
         if self.width_m <= 2 or self.height_m <= 2 or self.resolution <= 0:
             raise ValueError("world dimensions must be positive and non-trivial")
+        if not all(r > 0 for r in self.object_radius_m):
+            raise ValueError(f"object radius bounds must be positive, not {self.object_radius_m}")
+        # a negative agent radius would free every cell, so that the
+        # connectivity check passes vacuously
+        for key in ("agent_radius_m", "goal_threshold_m", "corridor_width_m"):
+            if not getattr(self, key) >= 0:
+                raise ValueError(f"{key} must not be negative, not {getattr(self, key)}")
+        # _try_generate counts these lengths in cells
+        for key in ("room_min_m", "room_max_m", "corridor_width_m"):
+            if not math.isfinite(getattr(self, key) / self.resolution):
+                raise ValueError(f"{key} of {getattr(self, key)} m is not a finite number "
+                                 f"of {self.resolution} m cells")
         # refused before _try_generate allocates the grid and lists one
         # placement per wanted object
         cells = round(self.width_m / self.resolution) * round(self.height_m / self.resolution)

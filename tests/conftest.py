@@ -247,6 +247,15 @@ BAD_WORLDGEN = {
     "radius-one-number": {"object_radius_m": [0.3]},
     "radius-string": {"object_radius_m": "0.3"},
     "radius-nan": {"object_radius_m": [0.2, math.nan]},
+    "radius-negative": {"object_radius_m": [-0.3, -0.2]},
+    "radius-zero": {"object_radius_m": [0, 0]},
+    "radius-zero-lower": {"object_radius_m": [0, 0.3]},
+    "agent-radius-negative": {"agent_radius_m": -1},
+    "goal-threshold-negative": {"goal_threshold_m": -0.1},
+    "corridor-negative": {"corridor_width_m": -1.4},
+    "corridor-overflow": {"corridor_width_m": 1e308},  # 1e309 cells: int(inf)
+    "rooms-overflow": {"room_min_m": 1e308, "room_max_m": 1e308},
+    "room-max-overflow": {"room_max_m": 1e308},
     "width-nan": {"width_m": math.nan},
     "height-infinite": {"height_m": math.inf},
     "width-huge-int": {"width_m": 10 ** 400},

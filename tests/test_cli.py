@@ -29,7 +29,7 @@ from dynav.proposer import Candidate, CandidateSet
 from dynav.sensing import sense
 from dynav.world import OBSTACLE, WorldMap, SemanticObject
 
-from conftest import empty_world, make_pose
+from conftest import BAD_WORLDGEN, empty_world, make_pose
 
 ROOT = Path(__file__).resolve().parent.parent
 # the environment of a child ``python -m dynav``
@@ -500,12 +500,14 @@ def test_worldgen_spec_file_and_seed_precedence(tmp_path):
 HUGE_GRID = {"width_m": 1e7, "height_m": 1e7, "resolution": 0.1}  # 10**16 cells
 
 
-@pytest.mark.parametrize("payload", [["rooms", 2], {"seed": "9"}, {"categories": "chair"},
-                                     HUGE_GRID])
-def test_worldgen_bad_spec_exits_1(tmp_path, payload):
+@pytest.mark.parametrize("payload", [*BAD_WORLDGEN.values(), {"seed": "9"}],
+                         ids=[*BAD_WORLDGEN, "seed-string"])
+def test_worldgen_bad_spec_exits_1(tmp_path, capsys, payload):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(payload))
     assert main(["worldgen", "--spec", str(spec), "--out", str(tmp_path / "w.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "w.json").exists()
 
 

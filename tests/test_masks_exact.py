@@ -7,6 +7,7 @@ within the radius, with each distance in the float operations of
 labels runs of free cells; ``occupancy_with_objects`` tests each disc on its
 bounding box only.  scipy is imported here, never on the package's set-up path.
 """
+import itertools
 import math
 import random
 
@@ -109,11 +110,32 @@ def test_free_mask_matches_edt_at_the_radii_runs_use():
             assert np.array_equal(world.free_with_clearance(r), dist > r), (seed, r)
 
 
+def edge_shape_worlds(rng: random.Random):
+    """Grids of one row, one column, one cell and 5 x 7 cells: each with an
+    occupied and a free cell where it has two, and each with every cell
+    occupied once an object covers its one free cell."""
+    for h, w in ((1, rng.randrange(2, 40)), (rng.randrange(2, 40), 1), (1, 1), (5, 7)):
+        res = rng.choice([0.05, 0.1, 0.3])
+        cells = rng.sample(range(h * w), min(h * w, 2))
+        if h * w > 1:
+            grid = np.array([OBSTACLE * (rng.random() < 0.4) for _ in range(h * w)],
+                            dtype=np.uint8).reshape(h, w)
+            grid.flat[cells] = (0, OBSTACLE)
+            yield WorldMap(grid, res)
+        grid = np.full((h, w), OBSTACLE, dtype=np.uint8)
+        grid.flat[cells[0]] = 0
+        iy, ix = divmod(cells[0], w)
+        box = SemanticObject("box_1", "box", ((ix + 0.5) * res, (iy + 0.5) * res), res / 2)
+        world = WorldMap(grid, res, [box])
+        assert world.occupancy_with_objects().all()
+        yield world
+
+
 def test_free_mask_on_random_grids_and_far_radii():
     rng = random.Random(5)
-    for _ in range(20):
-        world = random_grid_world(rng, n=rng.randrange(6, 40), fill=rng.uniform(0.05, 0.5),
-                                  resolution=rng.choice([0.05, 0.1, 0.3]))
+    squares = (random_grid_world(rng, n=rng.randrange(6, 40), fill=rng.uniform(0.05, 0.5),
+                                 resolution=rng.choice([0.05, 0.1, 0.3])) for _ in range(20))
+    for world in itertools.chain(squares, edge_shape_worlds(random.Random(6))):
         dist = ndimage.distance_transform_edt(~world.occupancy_with_objects(),
                                               sampling=world.resolution)
         for r in (-1.0, 0.0, rng.uniform(0, 1.5), 1e6, math.inf):
