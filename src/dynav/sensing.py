@@ -16,6 +16,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -86,39 +87,43 @@ class Observation:
         return len(self.depths)
 
 
-def _object_raycast(world: WorldMap, x0: float, y0: float, dx: np.ndarray, dy: np.ndarray,
+def _object_raycast(world: WorldMap, x0: float, y0: float, dirs: np.ndarray,
                     t_max: float) -> Tuple[np.ndarray, np.ndarray]:
     """Per ray, the nearest positive ray-disc intersection among all objects.
 
-    Returns the distances (inf on a miss) and the object indices (-1 on a
-    miss).  All objects and rays are cast in one (objects x rays) broadcast;
-    each pair sees the same operations, in the same order, as a scalar ray-disc
-    test would do, and the first least distance wins, as a per-object scan
-    that replaces its best only on a strictly nearer hit would decide.
+    Returns the distances (inf on a miss) and the object indices (``_NOTHING``
+    on a miss).  All objects and rays are cast in one (objects x rays)
+    broadcast over the world's disc columns; each pair sees the same
+    operations, in the same order, as a scalar ray-disc test would do, and the
+    first least distance wins, as a per-object scan that replaces its best
+    only on a strictly nearer hit would decide.
     """
+    n = dirs.shape[1]
     if not world.objects:
-        return np.full(len(dx), math.inf), np.full(len(dx), -1)
-    ocx = np.array([obj.center[0] for obj in world.objects], dtype=float)[:, None] - x0
-    ocy = np.array([obj.center[1] for obj in world.objects], dtype=float)[:, None] - y0
-    radius = np.array([obj.radius for obj in world.objects], dtype=float)[:, None]
-    b = ocx * dx + ocy * dy
-    disc = b * b - (ocx * ocx + ocy * ocy - radius * radius)
+        return np.full(n, math.inf), np.full(n, _NOTHING)
+    centres, rr = world.disc_columns()
+    oc = centres - np.array((x0, y0))[:, None, None]
+    b, sq = oc * dirs[:, None], oc * oc
+    b = b[0] + b[1]
+    disc = b * b - (sq[0] + sq[1] - rr)
     # a disc at or below _TIE is a miss; clamping it keeps sqrt defined
     t = b - np.sqrt(np.maximum(disc, 0.0))
     # t <= 1e-9: behind the sensor, or the sensor sits inside the disc
-    t[~((disc > _TIE) & (t > 1e-9) & (t <= t_max))] = math.inf
+    np.putmask(t, (disc <= _TIE) | (t <= 1e-9) | (t > t_max), math.inf)
     first = t.argmin(axis=0)
-    best_t = t[first, np.arange(len(dx))]
-    return best_t, np.where(best_t < math.inf, first, -1)
+    best_t = t[first, np.arange(n)]
+    return best_t, np.where(best_t < math.inf, first, _NOTHING)
 
 
 @functools.lru_cache(maxsize=None, typed=True)
-def _fan(n_rays: int, fov: float) -> Tuple[Tuple[float, ...], Fan]:
-    """The fan's ray angles relative to the heading, and its ``Fan``, whose
-    bearings are the same angles wrapped by ``normalize_angle``."""
+def _fan(n_rays: int, fov: float) -> Tuple[np.ndarray, Fan]:
+    """The fan's ray angles relative to the heading, as a read-only array,
+    and its ``Fan``, whose bearings are them wrapped by ``normalize_angle``."""
     half = fov / 2.0
-    thetas = tuple(-half + fov * i / (n_rays - 1) for i in range(n_rays))
-    return thetas, Fan(tuple(normalize_angle(theta) for theta in thetas), fov)
+    thetas = [-half + fov * i / (n_rays - 1) for i in range(n_rays)]
+    angles = np.array(thetas)
+    angles.setflags(write=False)
+    return angles, Fan(tuple(map(normalize_angle, thetas)), fov)
 
 
 def sense(world: WorldMap, pose: Pose, body: AgentBody, n_rays: int,
@@ -134,8 +139,9 @@ def sense(world: WorldMap, pose: Pose, body: AgentBody, n_rays: int,
     at once against the world's wall runs and rebuilds each wall distance as
     the traversal's own sum, bit for bit; only a ray whose wall entry lies
     within 1e-7 cells of a grid corner, or every ray of a pose on a grid
-    line, is walked cell by cell.  Depth and hit code are then chosen for all
-    rays at once, and the table of distinct hits is built from the codes.
+    line, is walked cell by cell.  Each depth is the least of the object,
+    wall and range distances, each hit code follows from the same
+    comparisons, and the table of distinct hits is built from the codes.
     """
     if n_rays < 2:
         raise ValueError("at least two rays are required")
@@ -145,20 +151,18 @@ def sense(world: WorldMap, pose: Pose, body: AgentBody, n_rays: int,
     d_max = body.max_sense
     thetas, fan = _fan(n_rays, fov)
     # math.cos/sin, not numpy's: they round differently in the last bit
-    angles = list(map(pose.heading.__add__, thetas))
-    dx_arr = np.fromiter(map(math.cos, angles), float, n_rays)
-    dy_arr = np.fromiter(map(math.sin, angles), float, n_rays)
-    t_obj, obj_i = _object_raycast(world, x0, y0, dx_arr, dy_arr, d_max)
-
+    angles = (thetas + pose.heading).tolist()
+    dirs = np.fromiter(chain(map(math.cos, angles), map(math.sin, angles)), float,
+                       2 * n_rays).reshape(2, n_rays)
+    t_obj, codes = _object_raycast(world, x0, y0, dirs, d_max)
     # a wall only matters up to the object the ray already hits
-    t_wall = world.wall_distances(x0, y0, dx_arr, dy_arr, np.minimum(t_obj, d_max))
+    t_wall = world.wall_distances(x0, y0, dirs, np.minimum(t_obj, d_max))
     # per ray: the object when it lies no farther than the wall, else the
-    # wall within range, else nothing at the sensing range; np.where copies
-    # the chosen values bit for bit
-    on_object = (obj_i >= 0) & (t_obj <= t_wall)
-    on_wall = t_wall <= d_max
-    depths = np.where(on_object, t_obj, np.where(on_wall, t_wall, d_max)).tolist()
-    codes = np.where(on_object, obj_i, np.where(on_wall, _WALL, _NOTHING)).tolist()
+    # wall within range, else nothing at the sensing range; a missed object
+    # and a missed wall are both inf, and the miss's code is _NOTHING
+    depths = np.minimum(np.minimum(t_obj, t_wall), d_max).tolist()
+    np.putmask(codes, t_wall < t_obj, _WALL)
+    codes = codes.tolist()
     # object names are unique and never "wall", so distinct codes are
     # distinct entries; dict order is the order of first appearance
     index = {code: i for i, code in enumerate(dict.fromkeys(codes))}

@@ -184,14 +184,15 @@ class WorldMap:
         self._everywhere: Optional[tuple] = None
         self._occupancy = None
         self._free_cache: dict = {}
+        self._columns: Optional[tuple] = None
         # (cx, cy, r) of each object, in plain floats
         self._discs = [(float(o.center[0]), float(o.center[1]), float(o.radius))
                        for o in self.objects]
 
     def with_objects(self, objects: Sequence[SemanticObject]) -> "WorldMap":
         """A world of this grid with the given objects.  The grid's indexes
-        (the framed grid, the wall runs and their columns) depend on the grid
-        alone, so the new world takes over those built so far."""
+        (the framed grid, the wall runs and their face bounds) depend on the
+        grid alone, so the new world takes over those built so far."""
         world = WorldMap(self.grid, self.resolution, objects)
         world._framed, world._runs, world._faces = self._framed, self._runs, self._faces
         return world
@@ -259,73 +260,83 @@ class WorldMap:
         return self._runs
 
     def _run_faces(self) -> tuple:
-        """The wall runs as columns, ``(ax, bx, ay, by, lines)``: the float
-        bounds of ``_wall_runs``, each of shape (runs, 1), and the grid lines
-        of the runs' faces as rows ``ix0``, ``-(ix1 + 1)``, ``iy0`` and
-        ``-(iy1 + 1)``, of shape (4, runs)."""
+        """The wall runs as the cast reads them, ``(bounds, lines)``: the
+        float bounds of ``_wall_runs`` stacked as (low/high, x/y, runs, 1),
+        and the grid lines of the runs' faces as rows ``ix0``, ``-(ix1 + 1)``,
+        ``iy0`` and ``-(iy1 + 1)``, of shape (4, runs)."""
         if self._faces is None:
             runs = self._wall_runs()
-            ax, bx, ay, by = (np.array([run[i] for run in runs], dtype=float)[:, None]
-                              for i in range(4))
+            bounds = np.array([run[:4] for run in runs], dtype=float).reshape(-1, 2, 2)
             lines = np.array([run[4] for run in runs], dtype=np.intp).reshape(-1, 4).T
-            self._faces = (ax, bx, ay, by, (lines + [[0], [1], [0], [1]]) * [[1], [-1], [1], [-1]])
+            # in C order: the slab product takes its layout from these bounds
+            self._faces = (np.ascontiguousarray(bounds.transpose(2, 1, 0)[..., None]),
+                           (lines + [[0], [1], [0], [1]]) * [[1], [-1], [1], [-1]])
         return self._faces
 
-    def wall_distances(self, x0: float, y0: float, dx: np.ndarray, dy: np.ndarray,
+    def disc_columns(self) -> tuple:
+        """The objects' discs as columns, ``(centres, rr)``: the centres'
+        x over y, of shape (2, objects, 1), and the radii squared, of shape
+        (objects, 1)."""
+        if self._columns is None:
+            discs = np.array(self._discs, dtype=float).reshape(-1, 3).T.copy()[..., None]
+            self._columns = (discs[:2], discs[2] * discs[2])
+        return self._columns
+
+    def wall_distances(self, x0: float, y0: float, dirs: np.ndarray,
                        t_max: np.ndarray) -> np.ndarray:
         """Per ray from the in-bounds point (x0, y0) along the unit direction
-        ``(dx[i], dy[i])``, the distance at which the voxel traversal of
-        Amanatides & Woo (1987) first enters an obstacle cell: 0 when the
+        ``dirs[:, i]`` (x over y), the distance at which the voxel traversal
+        of Amanatides & Woo (1987) first enters an obstacle cell: 0 when the
         point's own cell is one, and inf when the ray leaves the grid or
         passes ``t_max[i]`` first.
 
         The traversal's rules fix every bit.  The first crossing and the
-        crossing spacing of each ray along x and y are set up in numpy, whose
-        element-wise operations round as the scalar ones do; a ray with no x
-        (y) movement never crosses along x (y).  The distance of a crossing
-        is the first crossing plus one spacing per earlier crossing along
-        its axis, added in order.  Where the two next crossings lie within
-        1e-12 of each other the ray passes a cell corner and steps both axes
-        at once, at the x crossing's distance, so a zero-length graze is not
-        a hit.
+        crossing spacing of a ray along an axis are set up in numpy, whose
+        element-wise operations round as the scalar ones do; a ray with no
+        movement along an axis never crosses along it.  The distance of a
+        crossing is the first crossing plus one spacing per earlier crossing
+        along its axis, added in order.  Where the two next crossings lie
+        within 1e-12 of each other the ray passes a cell corner and steps both
+        axes at once, at the x crossing's distance, so a zero-length graze is
+        not a hit.
 
         Most rays are not walked cell by cell but cast, all at once, against
-        the wall runs (``_cast``); the walk (``_walk``) takes only the rays
-        that the cast leaves to it.
+        the wall runs (``_cast``), which sets up only the crossings it sums;
+        the walk (``_walk``) takes the rays that the cast leaves to it.
         """
-        n = len(dx)
         res = self.resolution
         ix, iy = int(x0 / res), int(y0 / res)
         k0 = (iy + 1) * (self.width_cells + 2) + ix + 1
         start = self.framed_cells()[k0]
         if start:  # an obstacle, or the frame when rounding puts the point past the edge
-            return np.full(n, 0.0 if start == OBSTACLE else math.inf)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_next_x = np.where(dx != 0.0, ((ix + (dx > 0)) * res - x0) / dx, math.inf)
-            t_next_y = np.where(dy != 0.0, ((iy + (dy > 0)) * res - y0) / dy, math.inf)
-            dt_x = res / np.abs(dx)
-            dt_y = res / np.abs(dy)
-        t_wall, walk = self._cast(x0, y0, dx, dy, t_max, t_next_x, dt_x, t_next_y, dt_y)
+            return np.full(dirs.shape[1], 0.0 if start == OBSTACLE else math.inf)
+        t_wall, walk = self._cast(x0, y0, dirs, t_max)
         if len(walk):
-            t_wall[walk] = self._walk(k0, dx[walk], dy[walk], t_max[walk], t_next_x[walk],
-                                      dt_x[walk], t_next_y[walk], dt_y[walk])
+            # both axes, the cast's expressions, inf where a ray does not move
+            d = dirs[:, walk]
+            t_next, dt = np.full((2, 2, len(walk)), math.inf)
+            np.divide((np.array((ix, iy))[:, None] + (d > 0)) * res - np.array((x0, y0))[:, None],
+                      d, out=t_next, where=d != 0.0)
+            np.divide(res, np.abs(d), out=dt, where=d != 0.0)
+            t_wall[walk] = self._walk(k0, d[0], d[1], t_max[walk], t_next[0], dt[0],
+                                      t_next[1], dt[1])
         return t_wall
 
-    def _cast(self, x0: float, y0: float, dx: np.ndarray, dy: np.ndarray, t_max: np.ndarray,
-              t_next_x: np.ndarray, dt_x: np.ndarray, t_next_y: np.ndarray,
-              dt_y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def _cast(self, x0: float, y0: float, dirs: np.ndarray,
+              t_max: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(t_wall, walk)``: the traversal's wall distance of every ray
         found without walking it, and the indices of the rays left to the
         walk, whose entries in ``t_wall`` are unset.
 
         From a free cell the traversal first enters an obstacle cell from a
         free 8-neighbour, so that cell is an edge cell and lies in a wall
-        run.  One (runs x rays) slab test finds each ray's nearest entry into
-        a run; a ray that enters none leaves the grid first.  The entered run
-        and face give the axis and the number k of earlier crossings along
-        it, and a row-wise ``np.add.accumulate`` over ``[t0, dt, dt, ...]``
-        adds the spacing k times in order, as the traversal does.  The slab
-        times only choose the run and face; the distance is that sum.
+        run.  One slab test over (low/high, x/y, runs, rays) finds each ray's
+        nearest entry into a run; a ray that enters none leaves the grid
+        first.  The entered run and face give the axis and the number k of
+        earlier crossings along it, and ``np.add.accumulate`` over ``[t0,
+        dt, dt, ...]``, set up along that axis for the cast rays alone, adds
+        the spacing k times in order, as the traversal does.  The slab times
+        only choose the run and face; the distance is that sum.
 
         Left to the walk: every ray of a point within 1e-7 cells of a grid
         line, every ray of a world without runs, and each ray whose entry
@@ -333,46 +344,50 @@ class WorldMap:
         both axes at once and enter another cell at another sum, or whose k
         is negative.
         """
-        n = len(dx)
+        n = dirs.shape[1]
         res = self.resolution
-        ax, bx, ay, by, lines = self._run_faces()
+        bounds, lines = self._run_faces()
         u, v = x0 / res, y0 / res
         if not lines.size or abs(u - round(u)) < _NEAR_LINE or abs(v - round(v)) < _NEAR_LINE:
             return np.empty(n), np.arange(n)
         ix, iy = int(u), int(v)
         with np.errstate(divide="ignore"):
-            inv_x, inv_y = 1.0 / dx, 1.0 / dy
+            inv = 1.0 / dirs
+        start = np.array((x0, y0))
         # the point lies on no grid line, so no product below is 0 * inf
-        tx0, tx1 = (ax - x0) * inv_x, (bx - x0) * inv_x
-        ty0, ty1 = (ay - y0) * inv_y, (by - y0) * inv_y
-        near_x, near_y = np.minimum(tx0, tx1), np.minimum(ty0, ty1)
-        near = np.maximum(near_x, near_y)
-        far = np.minimum(np.maximum(tx0, tx1), np.maximum(ty0, ty1))
-        near[(near > far) | (far <= 0.0)] = math.inf
+        t = (bounds - start[:, None, None]) * inv[:, None]
+        near_xy, far_xy = np.minimum(t[0], t[1]), np.maximum(t[0], t[1])
+        near, far = np.maximum(near_xy[0], near_xy[1]), np.minimum(far_xy[0], far_xy[1])
+        np.putmask(near, (near > far) | (far <= 0.0), math.inf)
         run = near.argmin(axis=0)
-        t = near[run, np.arange(n)]
-        t_wall = np.full(n, math.inf)
+        fan = np.arange(n)
+        t = near[run, fan]
+        # a y face where the x slab's near time falls short of the entry's
+        on_y = near_xy[0, run, fan] != t
         # past its limit, a ray's wall is not seen; the margin covers the
         # slab time's rounding, and the exact sum is checked below
-        live = np.flatnonzero(t <= t_max + 1e-6)
-        run, t, dxl, dyl = run[live], t[live], dx[live], dy[live]
-        on_x = near_x[run, live] >= near_y[run, live]
+        live = t <= t_max + 1e-6
+        d = np.where(on_y, dirs[1], dirs[0])
         # k: the entered grid line less the first line the ray crosses, per
         # axis and direction of travel
-        k = (lines + [[-1 - ix], [ix], [-1 - iy], [iy]])[
-            np.where(on_x, dxl <= 0.0, (dyl <= 0.0) + 2), run]
-        # the entry's other coordinate, in cells: near a grid line, the entry
-        # is near a grid corner, be it the run's own or one between its cells
-        w = np.where(on_x, y0 + t * dyl, x0 + t * dxl) / res
-        cast = (np.abs(w - np.rint(w)) >= _NEAR_LINE) & (k >= 0)
-        rays, k, on_x = live[cast], k[cast], on_x[cast]
+        k = (lines + np.array((-1 - ix, ix, -1 - iy, iy))[:, None])[(d <= 0.0) + 2 * on_y, run]
+        # the entry's other coordinate in cells (0 where none is seen): near a
+        # grid line, the entry is near a corner, the run's or one between cells
+        entry = start[:, None] + np.where(live, t, 0.0) * dirs
+        w = np.where(on_y, entry[0], entry[1]) / res
+        cast = (np.abs(w - np.rint(w)) >= _NEAR_LINE) & (k >= 0) & live
+        walk = np.flatnonzero(live ^ cast)
+        rays = np.flatnonzero(cast)
+        t_wall = np.full(n, math.inf)
         if len(rays):
-            sums = np.empty((len(rays), k.max() + 1))
-            sums[:, 0] = np.where(on_x, t_next_x[rays], t_next_y[rays])
-            sums[:, 1:] = np.where(on_x, dt_x[rays], dt_y[rays])[:, None]
-            depth = np.add.accumulate(sums, axis=1)[np.arange(len(rays)), k]
+            # a ray that enters a run through an axis's face moves along it
+            k, on_y, d = k[rays], on_y[rays], d[rays]
+            sums = np.empty((k.max() + 1, len(rays)))
+            sums[0] = ((np.where(on_y, iy, ix) + (d > 0)) * res - np.where(on_y, y0, x0)) / d
+            sums[1:] = res / np.abs(d)
+            depth = np.add.accumulate(sums)[k, np.arange(len(rays))]
             t_wall[rays] = np.where(depth <= t_max[rays], depth, math.inf)
-        return t_wall, live[~cast]
+        return t_wall, walk
 
     def _walk(self, k0: int, dx: np.ndarray, dy: np.ndarray, t_max: np.ndarray,
               t_next_x: np.ndarray, dt_x: np.ndarray, t_next_y: np.ndarray,

@@ -56,9 +56,18 @@ class WorldGenSpec:
             raise ValueError("world dimensions must be positive and non-trivial")
         if not all(r > 0 for r in self.object_radius_m):
             raise ValueError(f"object radius bounds must be positive, not {self.object_radius_m}")
+        # rng.uniform draws radii and room sides from bounds in either order
+        if self.object_radius_m[0] > self.object_radius_m[1]:
+            raise ValueError(f"object radius bounds are not (low, high): {self.object_radius_m}")
+        if not 0 < self.room_min_m <= self.room_max_m:
+            raise ValueError(f"room sides must satisfy 0 < room_min_m <= room_max_m, not "
+                             f"{self.room_min_m} and {self.room_max_m}")
+        # a corridor is carved at least two cells wide, whatever its width
+        if not self.corridor_width_m > 0:
+            raise ValueError(f"corridor_width_m must be positive, not {self.corridor_width_m}")
         # a negative agent radius would free every cell, so that the
         # connectivity check passes vacuously
-        for key in ("agent_radius_m", "goal_threshold_m", "corridor_width_m"):
+        for key in ("agent_radius_m", "goal_threshold_m"):
             if not getattr(self, key) >= 0:
                 raise ValueError(f"{key} must not be negative, not {getattr(self, key)}")
         # _try_generate counts these lengths in cells

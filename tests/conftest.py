@@ -250,9 +250,14 @@ BAD_WORLDGEN = {
     "radius-negative": {"object_radius_m": [-0.3, -0.2]},
     "radius-zero": {"object_radius_m": [0, 0]},
     "radius-zero-lower": {"object_radius_m": [0, 0.3]},
+    "radius-reversed": {"object_radius_m": [0.5, 0.1]},
     "agent-radius-negative": {"agent_radius_m": -1},
     "goal-threshold-negative": {"goal_threshold_m": -0.1},
     "corridor-negative": {"corridor_width_m": -1.4},
+    "corridor-zero": {"corridor_width_m": 0},
+    "room-min-negative": {"room_min_m": -5},
+    "room-min-zero": {"room_min_m": 0, "room_max_m": 3},
+    "rooms-reversed": {"room_min_m": 7, "room_max_m": 3},
     "corridor-overflow": {"corridor_width_m": 1e308},  # 1e309 cells: int(inf)
     "rooms-overflow": {"room_min_m": 1e308, "room_max_m": 1e308},
     "room-max-overflow": {"room_max_m": 1e308},

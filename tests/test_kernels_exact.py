@@ -14,8 +14,10 @@ equal bits, not closeness, and the poses and headings aim rays through grid
 corners.  Of equally near obstacle cells the one first in row-major order
 wins: the lowest ``iy``, then the lowest ``ix``.
 """
+import itertools
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -359,6 +361,38 @@ def test_sense_walks_few_rays_cell_by_cell(recorded_trajectories):
         del walked[:]
         sense(world, Pose(ix * world.resolution, trajectory[0].y, 0.3), body, 181)
         assert sum(walked) == 181
+
+
+@pytest.mark.parametrize("objects", [True, False], ids=["objects", "no-objects"])
+def test_sense_casts_an_exactly_axis_parallel_ray(worlds, objects):
+    """Poses off every grid line, headed at ``-theta`` of one ray of the fan
+    (a ray whose ``-theta`` the pose keeps as it is when it wraps the
+    heading), so that the ray's angle is exactly 0.0 and its direction
+    (1.0, 0.0): the slab test divides by a zero y component and the ray
+    never crosses a y line.  The cast, not the walk, takes that ray, no
+    numpy warning is raised, and every ray has the reference's bits."""
+    world = worlds[-1] if objects else worlds[-1].with_objects(())
+    body, n_rays = AgentBody(), 31
+    half = DEFAULT_FOV / 2.0
+    walked = []
+    walk = WorldMap._walk
+
+    def recording_walk(self, k0, dx, dy, *rest):
+        walked.extend(dy.tolist())
+        return walk(self, k0, dx, dy, *rest)
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mp.setattr(WorldMap, "_walk", recording_walk)
+        # towards the solid block, and towards the room's right-hand wall
+        for (x, y), i in itertools.product([(1.05, 2.55), (3.35, 0.75)], [0, 9, 23, 30]):
+            theta = -half + DEFAULT_FOV * i / (n_rays - 1)
+            pose = Pose(x, y, -theta)
+            assert pose.heading + theta == 0.0
+            got = sense(world, pose, body, n_rays)
+            assert ray_bits(got) == ray_bits(ref_sense(world, pose, body, n_rays)), pose
+            assert got.hits[got.hit[i]][0] == "wall"
+    assert 0.0 not in walked
 
 
 def test_fans_of_different_size_and_width_do_not_share_angles(recorded_trajectories):

@@ -96,15 +96,15 @@ def test_no_function_level_imports(module):
 
 
 # ``WorldMap``'s private clearance and ray kernels: its wall runs and their
-# columns, the scan over them, the cast against them and the walk it falls
-# back on, the cell and border distances, the disc list, and the world's
-# own list of surfaces for the scan.  Motion asks ``clearance``,
-# ``clearance_with_nearest``, ``surfaces_along`` or ``clearance_along`` and
-# the sensor ``wall_distances``; which cells can matter is the world's
-# business.
+# stacked face bounds, the scan over them, the cast against them and the walk
+# it falls back on, the cell and border distances, the disc list and its
+# cached ray columns, and the world's own list of surfaces for the scan.
+# Motion asks ``clearance``, ``clearance_with_nearest``, ``surfaces_along`` or
+# ``clearance_along`` and the sensor ``wall_distances`` and ``disc_columns``;
+# which cells can matter is the world's business.
 WORLD_KERNEL = {"_wall_runs", "_runs", "_run_faces", "_faces", "_scan", "_cast", "_walk",
-                "_cell_rect_distance", "_clamp_to_cell", "_discs", "_surfaces", "_everywhere",
-                "_border_distance"}
+                "_cell_rect_distance", "_clamp_to_cell", "_discs", "_columns", "_surfaces",
+                "_everywhere", "_border_distance"}
 
 
 def kernel_uses(path: Path):
