@@ -23,6 +23,7 @@ import numpy as np
 
 from ..config import RunConfig
 from ..errors import SchemaViolation
+from ..geometry import angular_distance, normalize_angle
 from .protocol import (FILTER, SCORE, STOP_CHECK, DecisionRequest, DecisionResponse,
                        MemoryOp, RequestContext, WireCandidate)
 
@@ -75,8 +76,7 @@ class OracleBackend:
       success distance, zero otherwise.
     """
 
-    def __init__(self, hazard_clearance: float = 0.5, success_threshold: float = 0.3,
-                 r_scale: float = 10.0):
+    def __init__(self, hazard_clearance: float, success_threshold: float, r_scale: float):
         self.hazard_clearance = hazard_clearance
         self.success_threshold = success_threshold
         # fixed range normalization (sensor reach); normalizing by the set max
@@ -225,11 +225,10 @@ class OracleBackend:
             target = self._remembered_target(ctx)
             if target is not None:
                 bearing = math.atan2(target[1] - ctx.pose[1], target[0] - ctx.pose[0])
-                rel = bearing - math.radians(ctx.pose[2])
-                rel = (rel + math.pi) % (2 * math.pi) - math.pi
+                rel = normalize_angle(bearing - math.radians(ctx.pose[2]))
                 d_now = math.hypot(target[0] - ctx.pose[0], target[1] - ctx.pose[1])
                 for c in survivors:
-                    delta = abs((math.radians(c.theta_deg) - rel + math.pi) % (2 * math.pi) - math.pi)
+                    delta = angular_distance(math.radians(c.theta_deg), rel)
                     direction = 1.0 - delta / math.pi
                     # cubic reach gate: a blocked bearing loses its pull, so
                     # the agent slides around walls toward the target instead

@@ -438,9 +438,8 @@ def make_filter_request(ctx: RequestContext, candidates: CandidateSet) -> Decisi
     return DecisionRequest(FILTER, ctx, _wire_candidates(candidates), TEMPLATES["filter"])
 
 
-def make_score_request(ctx: RequestContext, candidates: CandidateSet,
-                       template_id: str) -> DecisionRequest:
-    return DecisionRequest(SCORE, ctx, _wire_candidates(candidates), template_id)
+def make_score_request(ctx: RequestContext, candidates: CandidateSet) -> DecisionRequest:
+    return DecisionRequest(SCORE, ctx, _wire_candidates(candidates), TEMPLATES[ctx.goal.kind])
 
 
 def make_stop_request(ctx: RequestContext) -> DecisionRequest:

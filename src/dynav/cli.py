@@ -132,6 +132,8 @@ def cmd_memory(args) -> int:
 def cmd_serve(args) -> int:
     from .backends.server import DecisionServer
 
+    if not 0 <= args.port <= 65535:
+        raise ConfigError(f"serve needs a --port in 0-65535, not {args.port}")
     script = read_json(args.script) if args.script else None
     server = DecisionServer(port=args.port, script=script, record=False)
     print(f"serving {args.script or 'the oracle'} on {server.endpoint}", flush=True)
@@ -203,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="recompute a report from results.jsonl")
     ev.add_argument("--results", required=True)
-    ev.add_argument("--out", default=None)
+    ev.add_argument("--out", default=None,
+                    help="directory to write report.json and report.txt into")
     ev.set_defaults(func=cmd_eval)
     return p
 

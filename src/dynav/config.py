@@ -7,6 +7,7 @@ from typing import Optional
 
 from .errors import (ConfigError, SchemaViolation, check_finite, check_integer, check_type,
                      read_json)
+from .geometry import AgentBody
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ class RunConfig:
         if self.backend == "remote" and not self.endpoint:
             raise ConfigError("remote backend needs --endpoint")
 
-    # radians views used throughout the geometry code
+    # radians views and the agent's body, as the geometry code takes them
     @property
     def theta_delta(self) -> float:
         return math.radians(self.theta_delta_deg)
@@ -85,6 +86,10 @@ class RunConfig:
         if self.avoid_clearance_m is not None:
             return self.avoid_clearance_m
         return self.agent_radius + 0.15
+
+    @property
+    def body(self) -> AgentBody:
+        return AgentBody(radius=self.agent_radius, max_sense=self.d_max)
 
 
 # each field's type, as written: "float", "int", "bool", "str" or "Optional[...]"

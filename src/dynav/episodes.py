@@ -17,7 +17,7 @@ from typing import IO, List, Optional, Tuple
 from .config import RunConfig
 from .errors import (GenerationFailed, SchemaViolation, Unreachable, UnresolvableGoal, check,
                      check_finite, check_integer, check_strings, check_type, read_json)
-from .geometry import AgentBody, Pose
+from .geometry import Pose
 from .goals import GoalSpec
 from .memory import MemoryGraph
 from .motion import success
@@ -163,7 +163,7 @@ def run_episode(spec: EpisodeSpec, backend, cfg: RunConfig,
     no object in the world, a backend reply violates the protocol or a step
     raises any other exception; the result names the reason.
     """
-    body = AgentBody(radius=cfg.agent_radius, max_sense=cfg.d_max)
+    body = cfg.body
     rng = random.Random(spec.seed)
     try:
         start = spec.start or random_free_pose(spec.world, rng, body)
@@ -230,7 +230,7 @@ def run_episode(spec: EpisodeSpec, backend, cfg: RunConfig,
             traveled += outcome.traveled
             trajectory.extend(outcome.segments)
             state = outcome.state
-            if state.terminated:
+            if outcome.decision.chosen.stop:
                 stopped = True
                 break
             if consecutive_failures > cfg.max_backend_failures:

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import Unreachable
 from .geometry import AgentBody, Pose
 from .goals import GoalSpec
-from .world import WorldMap, cell_span
+from .world import WorldMap
 
 SQRT2 = math.sqrt(2.0)
 # the A* bound's relative slack, far above the rounding of its few operations
@@ -37,24 +37,16 @@ def goal_cells(world: WorldMap, goal: GoalSpec, threshold: float,
                body: AgentBody = AgentBody()) -> np.ndarray:
     """Boolean mask of inflated-free cells within the goal region.
 
-    Each matching object is measured only on the cells of its bounding box
-    padded by the goal reach plus one cell; every cell outside lies farther
-    away.
+    Each matching object is measured only on its ``disc_cells`` for the
+    object radius plus the goal reach; every cell outside lies farther away.
     """
     matching = goal.matching_objects(world)
     free = world.free_with_clearance(body.radius)
     eff = _goal_reach(world, threshold, body)
-    h, w = free.shape
-    res = world.resolution
     near = np.full(free.shape, np.inf)
     for o in matching:
-        (ox, oy), reach = o.center, o.radius + eff
-        x0, x1 = cell_span(ox - reach, ox + reach, res, w)
-        y0, y1 = cell_span(oy - reach, oy + reach, res, h)
-        cx = (np.arange(x0, x1) + 0.5) * res
-        cy = (np.arange(y0, y1) + 0.5) * res
-        box = near[y0: y1, x0: x1]
-        np.minimum(box, np.hypot(cx - ox, cy[:, None] - oy) - o.radius, out=box)
+        box, dist = world.disc_cells(*o.center, o.radius + eff)
+        np.minimum(near[box], dist - o.radius, out=near[box])
     return free & (near <= eff)
 
 

@@ -18,10 +18,10 @@ from typing import Dict, Optional, Sequence, Tuple
 
 # sample_initial is called through its module, where perfbench/spans.py patches it
 from . import proposer
-from .backends.protocol import (RequestContext, TEMPLATES, make_score_request,
-                                make_stop_request, request_context)
+from .backends.protocol import (RequestContext, make_score_request, make_stop_request,
+                                request_context)
 from .errors import BackendUnavailable, NoEscape
-from .geometry import AgentBody, PolarAction, Pose
+from .geometry import PolarAction, Pose
 from .goals import GoalSpec
 from .memory import MemoryGraph, render
 from .motion import execute, reactive_avoid
@@ -46,7 +46,6 @@ class AgentState:
     pose: Pose
     step_index: int = 0
     stop_streak: int = 0
-    terminated: bool = False
 
 
 @dataclass(frozen=True)
@@ -99,8 +98,8 @@ def propose(obs: Observation, traversability: Sequence[bool], cfg) -> CandidateS
                                    cfg.r_min)
 
 
-def select_action(ctx: RequestContext, candidates: CandidateSet, template_id: str, backend,
-                  cfg, stop_streak: int) -> Tuple[StepDecision, CandidateSet, Tuple]:
+def select_action(ctx: RequestContext, candidates: CandidateSet, backend, cfg,
+                  stop_streak: int) -> Tuple[StepDecision, CandidateSet, Tuple]:
     """Send the step's one request, update the stop streak, and choose the action.
 
     Candidates go in a score request, whose reply's removals and adjustments
@@ -115,7 +114,7 @@ def select_action(ctx: RequestContext, candidates: CandidateSet, template_id: st
     """
     try:
         if candidates.candidates:
-            resp = backend.decide(make_score_request(ctx, candidates, template_id))
+            resp = backend.decide(make_score_request(ctx, candidates))
         else:
             resp = backend.decide(make_stop_request(ctx))
     except BackendUnavailable as e:
@@ -164,22 +163,21 @@ def step(state: AgentState, world, mem: Optional[MemoryGraph], goal: GoalSpec,
     """One full perceive-propose-decide-act cycle.
 
     Memory is updated in place when enabled.  A stop decision leaves the pose
-    untouched and marks the state terminated.  With ``cfg.epsilon_mask`` above
-    0 the mask's corruption is drawn from ``rng``, which must then be given.
+    untouched.  With ``cfg.epsilon_mask`` above 0 the mask's corruption is
+    drawn from ``rng``, which must then be given.
     """
-    body = AgentBody(radius=cfg.agent_radius, max_sense=cfg.d_max)
+    body = cfg.body
     obs = sense(world, state.pose, body, cfg.n_rays, fov=cfg.fov, step=state.step_index)
     mask = traversability_mask(obs, cfg.epsilon_mask, rng)
     cut = memory_cut(mem, goal, cfg)
     ctx = request_context(obs, session_id, goal, memory_excerpt(cut), cut, constraints)
     decision, candidates, memory_ops = select_action(
-        ctx, propose(obs, mask, cfg), TEMPLATES[goal.kind], backend, cfg, state.stop_streak)
+        ctx, propose(obs, mask, cfg), backend, cfg, state.stop_streak)
     if mem is not None and cfg.memory_enabled and memory_ops:
         apply_memory_ops(mem, memory_ops, step_index=state.step_index, agent=session_id)
 
     if decision.chosen.stop:
-        new_state = AgentState(state.pose, state.step_index + 1,
-                               decision.stop_streak, terminated=True)
+        new_state = AgentState(state.pose, state.step_index + 1, decision.stop_streak)
         return StepOutcome(new_state, decision, obs, candidates, (), 0.0, False)
 
     segments = []

@@ -603,22 +603,30 @@ class WorldMap:
             return best, (self.width_m, y)
         return best, (x, self.height_m)
 
+    def disc_cells(self, ox: float, oy: float, reach: float) -> Tuple[tuple, np.ndarray]:
+        """The cells near a disc: the box of cells that holds the square of
+        half-side ``reach`` around ``(ox, oy)``, plus one cell on each side and
+        clipped to the grid, as a ``grid[box]`` index, and each of its cell
+        centres' distance from ``(ox, oy)``.  Every cell outside the box lies
+        farther than ``reach`` away."""
+        res = self.resolution
+        x0, x1 = cell_span(ox - reach, ox + reach, res, self.width_cells)
+        y0, y1 = cell_span(oy - reach, oy + reach, res, self.height_cells)
+        cx = (np.arange(x0, x1) + 0.5) * res
+        cy = (np.arange(y0, y1) + 0.5) * res
+        return np.s_[y0: y1, x0: x1], np.hypot(cx - ox, cy[:, None] - oy)
+
     def occupancy_with_objects(self) -> np.ndarray:
         """Boolean grid: cell blocked by an obstacle cell or an object disc.
 
         A cell counts as object-blocked when its center lies inside the disc.
-        Each disc is tested only on the cells of its bounding box plus one.
+        Each disc is tested only on its ``disc_cells``.
         """
         if self._occupancy is None:
             occ = self.grid == OBSTACLE
-            h, w = occ.shape
-            res = self.resolution
             for ox, oy, r in self._discs:
-                x0, x1 = cell_span(ox - r, ox + r, res, w)
-                y0, y1 = cell_span(oy - r, oy + r, res, h)
-                cx = (np.arange(x0, x1) + 0.5) * res
-                cy = (np.arange(y0, y1) + 0.5) * res
-                occ[y0: y1, x0: x1] |= np.hypot(cx - ox, cy[:, None] - oy) <= r
+                box, dist = self.disc_cells(ox, oy, r)
+                occ[box] |= dist <= r
             self._occupancy = occ
             self._occupancy.setflags(write=False)
         return self._occupancy

@@ -11,7 +11,7 @@ import numpy as np
 from .errors import (GenerationFailed, SchemaViolation, check, check_finite, check_integer,
                      check_strings, check_type)
 from .geometry import AgentBody, Pose
-from .world import FREE, OBSTACLE, SemanticObject, WorldMap, cell_span, flat_runs
+from .world import FREE, OBSTACLE, SemanticObject, WorldMap, flat_runs
 
 # attribute palette keyed by nothing in particular; category-independent
 _PALETTE = (
@@ -251,15 +251,10 @@ def _try_generate(spec: WorldGenSpec, rng: random.Random) -> Optional[WorldMap]:
     if len(sizes) > 1 and sorted(sizes)[-2] > 25:  # a second sizable pocket means split space
         return None
     # a cell of the goal band lies within the band's reach of the centre, so
-    # within the cells that ``cell_span`` gives for that reach
+    # among the world's ``disc_cells`` for that reach
     for o in objects:
-        (ox, oy), reach = o.center, o.radius + spec.goal_threshold_m
-        x0, x1 = cell_span(ox - reach, ox + reach, res, w)
-        y0, y1 = cell_span(oy - reach, oy + reach, res, h)
-        cx = (np.arange(x0, x1) + 0.5) * res
-        cy = (np.arange(y0, y1) + 0.5) * res
-        d = np.hypot(cx - ox, cy[:, None] - oy) - o.radius
-        if not np.any((d <= spec.goal_threshold_m) & main[y0: y1, x0: x1]):
+        box, dist = world.disc_cells(*o.center, o.radius + spec.goal_threshold_m)
+        if not np.any((dist - o.radius <= spec.goal_threshold_m) & main[box]):
             return None
     return world
 

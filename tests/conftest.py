@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from dynav.backends.protocol import RequestContext
 from dynav.config import RunConfig
-from dynav.geometry import AgentBody, Pose
+from dynav.geometry import AgentBody, Pose, angular_distance
 from dynav.goals import INSTANCE, GoalSpec
 from dynav.memory import MemoryGraph
 from dynav.proposer import Boundary
@@ -175,6 +175,19 @@ def boundary_of(points, fov: float = DEFAULT_FOV) -> Boundary:
 def points_of(b: Boundary) -> List[Point]:
     """The points of a boundary, in its order."""
     return [Point(r, b.fan.thetas[k]) for r, k in zip(b.depths.tolist(), b.index.tolist())]
+
+
+def reference_sample(points, alpha, theta_delta, r_min):
+    """Independent reimplementation of the greedy far-first rule: the kept
+    ``(r, theta)`` pairs, by bearing."""
+    pool = [(p.r * alpha, p.theta) for p in points if p.r * alpha >= r_min]
+    kept = []
+    while pool:
+        best = min(pool, key=lambda rt: (-rt[0], abs(rt[1]), rt[1]))
+        pool.remove(best)
+        if min((angular_distance(best[1], k[1]) for k in kept), default=math.inf) >= theta_delta:
+            kept.append(best)
+    return sorted(kept, key=lambda rt: rt[1])
 
 
 # -- fuzzing: arbitrary JSON, and valid payloads with one field replaced -------

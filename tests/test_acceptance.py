@@ -2,9 +2,10 @@
 
 Every check is seed-frozen and prints one PASS/FAIL line, so running this
 module with ``pytest -s tests/test_acceptance.py`` doubles as the sign-off
-checklist.  Expected values come from the independent reference
-implementations embedded below (brute-force aggregation, a sparse-graph
-shortest-path solver, and a greedy re-implementation of candidate sampling),
+checklist.  Expected values come from independent reference
+implementations (brute-force aggregation and a sparse-graph shortest-path
+solver embedded below, and the greedy re-implementation of candidate
+sampling that ``conftest.reference_sample`` shares with the proposer tests),
 not from the code under test.
 """
 import base64
@@ -26,7 +27,6 @@ from dynav.backends import BackendConfig, OracleBackend, RemoteBackend
 from dynav.backends.protocol import (
     SCORE,
     STOP_CHECK,
-    TEMPLATES,
     DecisionResponse,
     make_score_request,
     request_context,
@@ -53,7 +53,7 @@ from dynav.sensing import sense
 from dynav.world import OBSTACLE, SemanticObject, WorldMap
 from dynav.worldgen import WorldGenSpec, generate_world, random_free_pose
 
-from conftest import Point, boundary_of, empty_world, random_grid_world
+from conftest import Point, boundary_of, empty_world, random_grid_world, reference_sample
 
 
 def _verdict(k, label, problems):
@@ -213,18 +213,6 @@ def test_2_shortest_path_matches_reference():
 # -- 3. candidate sampling and filter invariants ------------------------------------
 
 
-def _reference_sample(points, alpha, theta_delta, r_min):
-    pool = [(p.r * alpha, p.theta) for p in points if p.r * alpha >= r_min]
-    kept = []
-    while pool:
-        best = min(pool, key=lambda rt: (-rt[0], abs(rt[1]), rt[1]))
-        pool.remove(best)
-        if min((angular_distance(best[1], k[1]) for k in kept),
-               default=math.inf) >= theta_delta:
-            kept.append(best)
-    return sorted(kept, key=lambda rt: rt[1])
-
-
 def test_3_candidate_sampling_invariants_in_bulk():
     rng = random.Random(2024)
     t0 = time.monotonic()
@@ -241,7 +229,7 @@ def test_3_candidate_sampling_invariants_in_bulk():
         out = sample_initial(boundary_of(points, fov), alpha, theta_delta, r_min)
         got = [(round(c.r, 12), round(c.theta, 12)) for c in out.candidates]
         ref = [(round(r, 12), round(t, 12))
-               for r, t in _reference_sample(points, alpha, theta_delta, r_min)]
+               for r, t in reference_sample(points, alpha, theta_delta, r_min)]
         if got != ref:
             problems.append((trial, "greedy mismatch"))
             continue
@@ -406,7 +394,7 @@ def test_6_stop_rule_exhaustive_truth_table():
             backend = _StopScript(seq)
             streak, got = 0, None
             for i in range(length):
-                decision = select_action(ctx, cset, TEMPLATES["name"], backend, cfg, streak)[0]
+                decision = select_action(ctx, cset, backend, cfg, streak)[0]
                 streak = decision.stop_streak
                 if decision.chosen.stop:
                     got = i
@@ -471,7 +459,7 @@ def _plant_request():
     ctx = request_context(obs, session_id="golden", goal=GoalSpec.name_goal("plant"))
     cset = CandidateSet((Candidate(1, 2.16, 0.0),), alpha=0.8,
                         theta_delta=math.radians(15.0))
-    return make_score_request(ctx, cset, TEMPLATES["name"])
+    return make_score_request(ctx, cset)
 
 
 def test_8_wire_protocol_conformance():
@@ -581,7 +569,7 @@ def test_9_hazard_candidates_always_filtered():
                               constraints=constraints)
         # the step's one request: its reply's removals apply in select_action
         _, final, _ = select_action(ctx, propose(obs, [True] * obs.n_rays, cfg),
-                                    TEMPLATES["name"], backend, cfg, 0)
+                                    backend, cfg, 0)
         removed_total += len(initial.candidates) - len(final.candidates)
         for c in final.candidates:
             ex = pose.x + c.r * math.cos(pose.heading + c.theta)

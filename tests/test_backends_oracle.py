@@ -44,7 +44,7 @@ def located(name, x, y, *attributes):
 
 @pytest.fixture
 def backend():
-    return OracleBackend()
+    return OracleBackend.from_config(RunConfig())
 
 
 # -- goal matching -----------------------------------------------------------------
@@ -109,7 +109,7 @@ def test_frontier_prefers_longest_reach(backend):
 @settings(max_examples=60, deadline=None)
 @given(step=st.integers(0, 500), session=st.sampled_from(("a", "b", "c")))
 def test_frontier_order_is_stable_across_dither(step, session):
-    backend = OracleBackend()
+    backend = OracleBackend.from_config(RunConfig())
     cands = [WireCandidate(1, 2.0, -20.0), WireCandidate(2, 4.0, 0.0),
              WireCandidate(3, 3.0, 20.0)]
     resp = backend.decide(make_req(candidates=cands, session=session, step=step))
@@ -300,7 +300,7 @@ _constraints = st.sampled_from(((), ("stay away from the oven",), ("avoid sign a
 @example(rays=[], cands=[WireCandidate(1, 2.0, 5.0)], constraints=("stay away from the oven",),
          pose=(0.0, 0.0, 0.0))
 def test_filter_matches_reference(rays, cands, constraints, pose):
-    backend = OracleBackend()
+    backend = OracleBackend.from_config(RunConfig())
     req = make_req(kind=FILTER, rays=rays, candidates=cands, constraints=constraints,
                    pose=pose)
     want = outcome(reference_filter, backend, req)
@@ -336,7 +336,7 @@ _hazard_rays = st.lists(st.builds(
 def test_hazard_filter_matches_double_loop(rays, cands, clearance, pose):
     """The filter's C-level pair and nearest-point scans keep the bits of the
     double loops they replaced, on hazard layouts alone."""
-    backend = OracleBackend(hazard_clearance=clearance)
+    backend = OracleBackend.from_config(RunConfig(hazard_clearance_m=clearance))
     req = make_req(kind=FILTER, rays=rays, candidates=cands, pose=pose)
     assert outcome(backend._removals, req.context, req.candidates) == \
         outcome(reference_filter, backend, req)
@@ -345,7 +345,7 @@ def test_hazard_filter_matches_double_loop(rays, cands, clearance, pose):
 def test_hazard_filter_keeps_its_reach_inclusive():
     # one sighting at (2, 0): reach is 0.45 + 0.05 = 0.5 exactly, and a
     # candidate that lands exactly 0.5 m away is removed
-    backend = OracleBackend(hazard_clearance=0.45)
+    backend = OracleBackend.from_config(RunConfig(hazard_clearance_m=0.45))
     cands = [WireCandidate(1, 1.5, 0.0), WireCandidate(2, 2.5, 0.0),
              WireCandidate(3, math.nextafter(1.5, 0.0), 0.0)]
     req = make_req(kind=FILTER, rays=[Row(0.0, 2.0, "sign_1", (), ("hazard",))],
@@ -502,7 +502,7 @@ def test_decide_returns_or_raises_schema_violation_on_any_parsed_request(payload
     except SchemaViolation:
         return
     try:
-        reply = OracleBackend().decide(req)
+        reply = OracleBackend.from_config(RunConfig()).decide(req)
     except SchemaViolation:
         return
     json.dumps(reply.to_dict(), allow_nan=False)
@@ -560,7 +560,7 @@ def test_score_and_stop_check_agree_on_stop_confidence(payload):
     except SchemaViolation:
         return
     try:
-        scored, checked = stop_confidences(OracleBackend(), req)
+        scored, checked = stop_confidences(OracleBackend.from_config(RunConfig()), req)
     except SchemaViolation:
         return
     assert scored == checked

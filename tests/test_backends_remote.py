@@ -87,7 +87,7 @@ def test_score_request_golden(plant_world, body):
     cut = [MemoryNode("plant_1", ("green", "potted"), (8.0, 4.0)), MemoryNode("pot_1")]
     ctx = request_context(obs, "ep1", GoalSpec.name_goal("plant"), render(cut), cut,
                           ("keep right",))
-    d = make_score_request(ctx, cands, "goal-name/3").to_dict()
+    d = make_score_request(ctx, cands).to_dict()
     assert d["version"] == "dynav/6"
     assert d["kind"] == "score"
     assert d["session_id"] == "ep1" and d["step"] == 4
@@ -162,7 +162,7 @@ def test_request_dict_round_trip(plant_world, body):
     cut = [MemoryNode("plant_1", ("green",), (1.0, 2.0))]
     ctx = request_context(obs, session_id="rt", goal=GoalSpec(DESCRIPTION, "plant", ("green",)),
                           memory_text="m", cut=cut, constraints=("c1", "c2"))
-    req = make_score_request(ctx, cands, "goal-description/3")
+    req = make_score_request(ctx, cands)
     again = DecisionRequest.from_dict(json.loads(json.dumps(req.to_dict())))
     assert again == req
 
@@ -981,7 +981,7 @@ def test_encode_request_matches_json_dumps(kinds, cluttered_world, body, monkeyp
                           memory_text=render(cut), cut=cut, constraints=("keep right",))
     cands = CandidateSet((Candidate(1, 2.0, 0.1), Candidate(2, 1.5, -0.4)), 0.8, 0.2)
     build = {FILTER: lambda: make_filter_request(ctx, cands),
-             SCORE: lambda: make_score_request(ctx, cands, "goal-name/3"),
+             SCORE: lambda: make_score_request(ctx, cands),
              STOP_CHECK: lambda: make_stop_request(ctx)}
     texts = recorded_encodings(monkeypatch)
     for kind in kinds:
@@ -1034,7 +1034,7 @@ def step_requests(world, pose):
             return super().decide(req)
 
     step(AgentState(pose=pose), world, None,
-         GoalSpec.name_goal("chair"), Recording(), RunConfig())
+         GoalSpec.name_goal("chair"), Recording.from_config(RunConfig()), RunConfig())
     assert [r.kind for r in seen] == [SCORE]
     score = seen[0]
     filt = DecisionRequest(FILTER, score.context, score.candidates, TEMPLATES["filter"])
@@ -1106,12 +1106,13 @@ def test_request_bodies_are_at_most_half_of_the_per_ray_layout():
             return super().decide(req)
 
     spec = WorldGenSpec(categories=("chair", "table"), rooms=2, objects_per_category=2)
+    cfg = RunConfig(max_distance_m=10000.0)
     for seed in (0, 1):
         world = generate_world(spec, seed)
         start = random_free_pose(world, random.Random(seed + 1000), AgentBody())
         run_episode(EpisodeSpec(episode_id=f"w{seed}", world=world, start=start, seed=seed,
                                 goals=(GoalSpec.name_goal("chair"),)),
-                    Recording(), RunConfig(max_distance_m=10000.0))
+                    Recording.from_config(cfg), cfg)
     assert len(bodies) == 16  # the same 16 steps, each one score request
     assert sum(bodies) / len(bodies) <= V1_MEAN_BODY_BYTES / 2
 

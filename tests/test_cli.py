@@ -61,7 +61,7 @@ def test_serve_answers_with_the_oracle_until_interrupted(tmp_path, sigint_handle
     req = make_score_request(
         request_context(obs, session_id="serve", goal=GoalSpec.name_goal("chair")),
         CandidateSet((Candidate(1, 2.0, 0.0), Candidate(2, 2.0, 0.5)), alpha=0.8,
-                     theta_delta=0.2), "goal-name/3")
+                     theta_delta=0.2))
     with subprocess.Popen([sys.executable, "-m", "dynav", "serve", "--port", "0"],
                           cwd=tmp_path, env=CHILD_ENV, stdout=subprocess.PIPE,
                           text=True) as proc:
@@ -78,6 +78,20 @@ def test_serve_answers_with_the_oracle_until_interrupted(tmp_path, sigint_handle
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+
+
+@pytest.mark.parametrize("port", [-1, 65536, 70000])
+def test_serve_refuses_a_port_outside_0_to_65535_before_binding(capsys, monkeypatch, port):
+    import dynav.backends.server
+
+    def bind(*args, **kwargs):
+        raise AssertionError("the server was built")
+
+    monkeypatch.setattr(dynav.backends.server, "DecisionServer", bind)
+    assert main(["serve", "--port", str(port)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: serve needs a --port in 0-65535, not {port}\n"
 
 
 @pytest.fixture()

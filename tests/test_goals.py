@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dynav.backends.oracle import OracleBackend
 from dynav.backends.protocol import (DecisionRequest, RequestContext, WireNode, encode_request,
                                      make_stop_request, request_context)
+from dynav.config import RunConfig
 from dynav.errors import SchemaViolation
 from dynav.geometry import Pose
 from dynav.goals import DESCRIPTION, INSTANCE, NAME, GoalSpec
@@ -175,7 +176,7 @@ def test_goal_rays_recall_and_retrieval_follow_one_rule(case):
     assert OracleBackend._goal_rays(ctx) == [i for i, f in enumerate(fit) if f]
 
     # recall reads the records that fit, and only those
-    oracle = OracleBackend()
+    oracle = OracleBackend.from_config(RunConfig())
     kept = tuple(r for r, f in zip(records, fit) if f)
     dropped = tuple(r for r, f in zip(records, fit) if not f)
     assert oracle._remembered_target(ctx) == oracle._remembered_target(

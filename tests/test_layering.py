@@ -4,7 +4,9 @@ the wire records, the clearance and ray kernels stay inside the world module,
 the package runs on numpy alone, no code writes into a frozen record it did
 not build, only the protocol module builds request records, only the sensor
 builds observations, a fan's bearings are built once, not per step, and the
-proposer hands them on in its boundary without a record per ray.
+proposer hands them on in its boundary without a record per ray.  A rule that
+two modules once computed each has one home: the cells near a disc in the
+world, a request's template in the protocol, the agent's body in the config.
 
 ``dynav.backends.protocol`` imports ``dynav.proposer`` for ``CandidateSet``;
 an import in the other direction, even one deferred into a function, would
@@ -17,14 +19,14 @@ from pathlib import Path
 
 import pytest
 
-from dynav.backends.protocol import request_context
+from dynav.backends.protocol import TEMPLATES, make_score_request, request_context
 from dynav.config import RunConfig
 from dynav.geometry import AgentBody
-from dynav.goals import GoalSpec
+from dynav.goals import DESCRIPTION, GoalSpec
 from dynav.policy import propose
 from dynav.sensing import sense
 
-from conftest import empty_world, make_pose, run_python
+from conftest import empty_world, instance_goal, make_pose, run_python
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "dynav"
@@ -68,11 +70,12 @@ def test_proposer_imports_nothing_from_backends():
 # a module and the modules it may not import: world objects, generated worlds
 # and goals name things by their own rules, not the memory's, and the oracle
 # answers from the request's records and columns, not from the goal, memory,
-# sensor or world types
+# sensor or world types; the policy leaves a request's template to the protocol
 FORBIDDEN_IMPORTS = [
     ("world.py", "dynav.memory"), ("worldgen.py", "dynav.memory"), ("goals.py", "dynav.memory"),
     ("backends/oracle.py", "dynav.memory"), ("backends/oracle.py", "dynav.goals"),
     ("backends/oracle.py", "dynav.sensing"), ("backends/oracle.py", "dynav.world"),
+    ("policy.py", "dynav.backends.protocol.TEMPLATES"),
 ]
 
 
@@ -195,12 +198,12 @@ def test_frozen_records_are_only_set_up_by_themselves():
 REQUEST_RECORDS = {"DecisionRequest", "RequestContext"}
 
 
-def record_calls(source: str, records=REQUEST_RECORDS):
+def record_calls(source: str, records=REQUEST_RECORDS, with_arguments: bool = False):
     """(name, line) of every call of one of the ``records`` classes, bare or
-    dotted."""
+    dotted; with ``with_arguments``, only of the calls that pass one."""
     found = []
     for n in ast.walk(ast.parse(source)):
-        if isinstance(n, ast.Call):
+        if isinstance(n, ast.Call) and (n.args or n.keywords or not with_arguments):
             name = (n.func.id if isinstance(n.func, ast.Name)
                     else n.func.attr if isinstance(n.func, ast.Attribute) else None)
             if name in records:
@@ -213,6 +216,44 @@ def test_record_calls_finds_bare_and_dotted_calls():
                         "p.RequestContext(2)\n"
                         "isinstance(r, DecisionRequest)\n") == [
         ("DecisionRequest", 1), ("RequestContext", 2)]
+
+
+def test_record_calls_can_keep_the_calls_with_arguments():
+    assert record_calls("AgentBody()\n"
+                        "AgentBody(0.2)\n"
+                        "g.AgentBody(radius=r)\n", {"AgentBody"}, with_arguments=True) == [
+        ("AgentBody", 2), ("AgentBody", 3)]
+
+
+def test_the_agents_body_is_built_from_a_config_only_in_the_config_module():
+    """``RunConfig.body`` is the one body of a run: elsewhere a body is only
+    the default one, as a parameter's default."""
+    config = SRC / "config.py"
+    assert record_calls(config.read_text(), {"AgentBody"}, with_arguments=True) != []
+    found = [(str(path.relative_to(SRC)), line)
+             for path in sorted(SRC.rglob("*.py")) if path != config
+             for _, line in record_calls(path.read_text(), {"AgentBody"}, with_arguments=True)]
+    assert found == []
+
+
+def test_cell_span_is_imported_only_by_the_world_module():
+    """The cells near a disc come from ``WorldMap.disc_cells`` alone."""
+    # the scan names each imported member
+    assert "dynav.world.WorldMap" in {n for n, _, _ in imported_modules(SRC / "planning.py")}
+    found = [(str(path.relative_to(SRC)), line)
+             for path in sorted(SRC.rglob("*.py"))
+             for name, line, _ in imported_modules(path) if name == "dynav.world.cell_span"]
+    assert found == []
+
+
+@pytest.mark.parametrize("goal", [GoalSpec.name_goal("chair"),
+                                  GoalSpec(DESCRIPTION, "chair", ("red",)),
+                                  instance_goal(("red",))], ids=lambda g: g.kind)
+def test_a_score_request_carries_its_goal_kinds_template(goal):
+    obs = sense(empty_world(10.0, 8.0), make_pose(5.0, 4.0), AgentBody(), n_rays=31)
+    req = make_score_request(request_context(obs, "s", goal),
+                             propose(obs, [True] * 31, RunConfig()))
+    assert req.template_id == TEMPLATES[goal.kind]
 
 
 def test_request_records_are_built_only_by_the_protocol_module():

@@ -5,7 +5,7 @@ against scipy.ndimage and a whole-grid ``hypot``.
 within the radius, with each distance in the float operations of
 ``distance_transform_edt(..., sampling=res)``; ``worldgen._main_component``
 labels runs of free cells; ``occupancy_with_objects`` tests each disc on its
-bounding box only.  scipy is imported here, never on the package's set-up path.
+``disc_cells`` only.  scipy is imported here, never on the package's set-up path.
 """
 import itertools
 import math
@@ -13,6 +13,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from dynav.world import OBSTACLE, SemanticObject, WorldMap
@@ -231,3 +233,34 @@ def test_occupancy_matches_whole_grid_hypot():
         for o in objects:
             ref = ref | (np.hypot(cx - o.center[0], cy - o.center[1]) <= o.radius)
         assert np.array_equal(world.occupancy_with_objects(), ref)
+
+
+@st.composite
+def discs_on_grids(draw):
+    """A free grid, and a disc centre anywhere in or at the edge of its world
+    with a reach from below one cell to past the whole world."""
+    h, w = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    world = WorldMap(np.zeros((h, w), dtype=np.uint8),
+                     draw(st.sampled_from((0.05, 0.1, 0.13, 0.25))))
+    ox = draw(st.sampled_from((0.0, world.width_m)) | st.floats(0.0, world.width_m))
+    oy = draw(st.sampled_from((0.0, world.height_m)) | st.floats(0.0, world.height_m))
+    reach = draw(st.floats(0.0, 3 * max(world.width_m, world.height_m))
+                 | st.sampled_from((0.0, 1e300, math.inf)))
+    return world, ox, oy, reach
+
+
+@settings(max_examples=300, deadline=None)
+@given(discs_on_grids())
+def test_disc_cells_match_a_per_cell_loop(case):
+    """The box holds every cell centre within the reach, and its distances
+    are those of a ``hypot`` taken cell by cell over the whole grid."""
+    world, ox, oy, reach = case
+    box, dist = world.disc_cells(ox, oy, reach)
+    res = world.resolution
+    brute = np.array([[np.hypot((ix + 0.5) * res - ox, (iy + 0.5) * res - oy)
+                       for ix in range(world.width_cells)]
+                      for iy in range(world.height_cells)])
+    assert np.array_equal(dist, brute[box])
+    outside = np.ones(brute.shape, dtype=bool)
+    outside[box] = False
+    assert not np.any(brute[outside] <= reach)

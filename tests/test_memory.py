@@ -308,7 +308,7 @@ def wire_context(g, goal, cfg=RunConfig()):
 
 
 def recall(g, goal):
-    return OracleBackend()._remembered_target(wire_context(g, goal))
+    return OracleBackend.from_config(RunConfig())._remembered_target(wire_context(g, goal))
 
 
 # names, attributes and relations over the characters the memory text is made of
@@ -358,7 +358,7 @@ def test_the_oracle_recalls_from_the_records_what_it_recalled_from_the_text(node
     goal = data.draw(text_goals(names, sorted(set().union(*(n.attributes
                                                              for n in g.nodes.values())))))
     ctx = wire_context(g, goal)
-    assert OracleBackend()._remembered_target(ctx) == text_recall(ctx)
+    assert OracleBackend.from_config(RunConfig())._remembered_target(ctx) == text_recall(ctx)
 
 
 @pytest.mark.parametrize("nodes, goal, where", [
@@ -375,7 +375,8 @@ def test_text_and_record_recall_agree_on_chosen_graphs(nodes, goal, where):
     for name, attributes, location, step in nodes:
         g.add_node(name, attributes, location, step=step)
     ctx = wire_context(g, goal)
-    assert OracleBackend()._remembered_target(ctx) == text_recall(ctx) == where
+    oracle = OracleBackend.from_config(RunConfig())
+    assert oracle._remembered_target(ctx) == text_recall(ctx) == where
 
 
 def _node(name, attributes=(), location=None):
@@ -435,7 +436,7 @@ def test_what_the_memory_text_misread_loads_and_is_recalled_where_it_lies(case):
     for name, attributes, location in ctx.memory:  # each record is its node, whole
         node = g.nodes[name]
         assert (frozenset(attributes), location) == (node.attributes, node.location)
-    assert OracleBackend()._remembered_target(ctx) == where
+    assert OracleBackend.from_config(RunConfig())._remembered_target(ctx) == where
 
 
 def test_a_reply_may_name_anything_but_the_empty_string(caplog):
@@ -501,7 +502,8 @@ def test_every_node_that_constructs_reaches_the_oracle_whole(name, attributes):
         return  # no goal selects such a node
     ctx = wire_context(g, goal)
     assert ctx.memory == (WireNode(name, tuple(sorted(attributes)), (1.04, 2.05)),)
-    assert OracleBackend()._remembered_target(ctx) == (1.0, 2.0)  # as the text shows it
+    # as the text shows it
+    assert OracleBackend.from_config(RunConfig())._remembered_target(ctx) == (1.0, 2.0)
     assert ctx.memory_text == g.render_text(RunConfig().memory_budget)
 
 
@@ -523,7 +525,7 @@ def test_no_unlocated_node_or_edge_gives_a_located_record(start, target, relatio
     for name in filter(has_words, (start, target, relation)):  # a goal's category needs one
         ctx = wire_context(g, GoalSpec.name_goal(name))
         assert all(node.location_m is None for node in ctx.memory)
-        assert OracleBackend()._remembered_target(ctx) is None
+        assert OracleBackend.from_config(RunConfig())._remembered_target(ctx) is None
 
 
 def test_render_text_counts_clauses():

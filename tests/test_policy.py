@@ -20,7 +20,6 @@ from dynav.backends.protocol import (
     STOP_CHECK,
     DecisionResponse,
     MemoryOp,
-    TEMPLATES,
     WireNode,
     request_context,
 )
@@ -90,7 +89,7 @@ def select_with(candidates, obs, backend, cfg, streak, depths=()):
     points = Boundary(obs.fan, np.arange(len(depths)), np.array(depths, dtype=float))
     cset = CandidateSet(tuple(candidates), alpha=0.8, theta_delta=math.radians(15.0),
                         points=points)
-    return select_action(ctx_of(obs), cset, TEMPLATES["name"], backend, cfg, streak)
+    return select_action(ctx_of(obs), cset, backend, cfg, streak)
 
 
 @pytest.fixture
@@ -512,7 +511,7 @@ def test_step_moves_agent(box_world):
     assert out.state.step_index == 1
     assert out.traveled > 0.5
     assert out.state.pose != state.pose
-    assert not out.state.terminated
+    assert not out.decision.chosen.stop
     assert len(out.segments) >= 1
     assert out.segments[-1] == out.state.pose
 
@@ -523,7 +522,7 @@ def test_step_stop_freezes_pose(box_world):
     state = AgentState(pose=make_pose(5.0, 4.0, 0.0))
     out1 = step(state, box_world, None, GoalSpec.name_goal("chair"), backend, cfg)
     out2 = step(out1.state, box_world, None, GoalSpec.name_goal("chair"), backend, cfg)
-    assert out2.state.terminated
+    assert out2.decision.chosen.stop
     assert out2.state.pose == out1.state.pose
     assert out2.traveled == 0.0
 

@@ -24,21 +24,9 @@ from dynav.proposer import (
 from dynav.sensing import Fan, sense, traversability_mask
 from dynav.worldgen import WorldGenSpec, generate_world, random_free_pose
 
-from conftest import Point, boundary_of, make_pose, points_of, rays_of
+from conftest import Point, boundary_of, make_pose, points_of, rays_of, reference_sample
 
 DEG = math.radians(1.0)
-
-
-def reference_sample(points, alpha, theta_delta, r_min):
-    """Independent reimplementation of the greedy far-first rule."""
-    pool = [(p.r * alpha, p.theta) for p in points if p.r * alpha >= r_min]
-    kept = []
-    while pool:
-        best = min(pool, key=lambda rt: (-rt[0], abs(rt[1]), rt[1]))
-        pool.remove(best)
-        if min((angular_distance(best[1], k[1]) for k in kept), default=math.inf) >= theta_delta:
-            kept.append(best)
-    return sorted(kept, key=lambda rt: rt[1])
 
 
 def test_worked_example():
