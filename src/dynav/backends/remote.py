@@ -27,6 +27,7 @@ import logging
 import os
 import select
 import socket
+import threading
 import time
 from dataclasses import dataclass
 from typing import Dict, Tuple
@@ -59,8 +60,9 @@ class BackendConfig:
     max_retries: int = 2
 
     def __post_init__(self):
-        if self.timeout_ms <= 0:
-            raise ValueError("timeout must be positive")
+        # the socket refuses a timeout above threading.TIMEOUT_MAX seconds
+        if not 0 < self.timeout_ms <= threading.TIMEOUT_MAX * 1000:
+            raise ValueError(f"timeout_ms must lie in (0, {threading.TIMEOUT_MAX * 1000:.0f}]")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         url = urlsplit(self.endpoint)

@@ -176,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--d-max", dest="d_max", type=float, default=None)
     run.add_argument("--n-rays", dest="n_rays", type=int, default=None)
     run.add_argument("--fov-deg", dest="fov_deg", type=float, default=None)
-    run.add_argument("--epsilon-mask", dest="epsilon_mask", type=float, default=None)
     run.add_argument("--max-steps", dest="max_steps", type=int, default=None)
     run.add_argument("--max-distance-m", dest="max_distance_m", type=float, default=None)
     run.add_argument("--seed", type=int, default=None)

@@ -20,14 +20,11 @@ class RunConfig:
     r_min: float = 0.1                 # drop candidates shorter than this, meters
     tau_stop: float = 0.6              # stop-confidence threshold
     success_threshold_m: float = 0.3   # distance to goal boundary counting as success
-    visibility_required: bool = False  # success additionally needs the goal in view
     d_max: float = 10.0                # sensing range, meters
     n_rays: int = 181
     fov_deg: float = 131.0
     agent_radius: float = 0.17
-    avoid_clearance_m: Optional[float] = None  # default: agent_radius + 0.15
     hazard_clearance_m: float = 0.5
-    epsilon_mask: float = 0.0          # per-ray traversability corruption probability
     memory_enabled: bool = True
     memory_budget: int = 12            # clauses in a rendered memory excerpt
     memory_hops: int = 2
@@ -57,10 +54,8 @@ class RunConfig:
             raise ConfigError(f"fov_deg must lie in (0, 360), not {self.fov_deg}")
         if self.r_min < 0 or self.agent_radius <= 0:
             raise ConfigError("r_min must be >= 0 and agent_radius positive")
-        if (self.avoid_clearance_m or 0.0) < 0 or self.hazard_clearance_m < 0:
-            raise ConfigError("avoid_clearance_m and hazard_clearance_m must be >= 0")
-        if not 0.0 <= self.epsilon_mask <= 1.0:
-            raise ConfigError("epsilon_mask must lie in [0, 1]")
+        if self.hazard_clearance_m < 0:
+            raise ConfigError("hazard_clearance_m must be >= 0")
         if self.workers < 1 or self.max_steps < 1 or self.max_distance_m <= 0:
             raise ConfigError("workers and budgets must be positive")
         if self.memory_hops < 0 or self.memory_budget < 0:
@@ -83,8 +78,6 @@ class RunConfig:
 
     @property
     def avoid_clearance(self) -> float:
-        if self.avoid_clearance_m is not None:
-            return self.avoid_clearance_m
         return self.agent_radius + 0.15
 
     @property

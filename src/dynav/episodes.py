@@ -164,9 +164,8 @@ def run_episode(spec: EpisodeSpec, backend, cfg: RunConfig,
     raises any other exception; the result names the reason.
     """
     body = cfg.body
-    rng = random.Random(spec.seed)
     try:
-        start = spec.start or random_free_pose(spec.world, rng, body)
+        start = spec.start or random_free_pose(spec.world, random.Random(spec.seed), body)
     except GenerationFailed as e:
         log.warning("episode %s: %s", spec.episode_id, e)
         return EpisodeResult(spec.episode_id, spec.seed, (), (), ABORTED,
@@ -208,7 +207,7 @@ def run_episode(spec: EpisodeSpec, backend, cfg: RunConfig,
             try:
                 outcome = step(state, spec.world, mem, goal, backend, cfg,
                                constraints=spec.constraints,
-                               session_id=spec.episode_id, rng=rng)
+                               session_id=spec.episode_id)
             except SchemaViolation as e:
                 # retrying would not heal a malformed backend: end this
                 # episode, not the batch
@@ -237,10 +236,7 @@ def run_episode(spec: EpisodeSpec, backend, cfg: RunConfig,
                 abort_reason = f"{consecutive_failures} consecutive backend failures"
                 break
 
-        # a stop leaves the pose unchanged, so the stop step's scan is the
-        # view from the final pose
-        ok = stopped and success(spec.world, state.pose, goal, outcome.observation,
-                                 cfg.success_threshold_m, cfg.visibility_required)
+        ok = stopped and success(spec.world, state.pose, goal, cfg.success_threshold_m)
         results.append(GoalResult(goal.text, goal.category or goal.text, ok,
                                   traveled, l_opt, steps_used, stopped))
         if abort_reason is not None:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from .episodes import ABORTED, EpisodeResult
-from .errors import EmptyInput, read_json
+from .errors import EmptyInput, SchemaViolation, read_json
 
 log = logging.getLogger(__name__)
 
@@ -156,5 +156,9 @@ def export_report(report: Report, out_dir: str) -> None:
 
 
 def load_results(path: str) -> List[EpisodeResult]:
-    """Read an episode-results JSON-lines file back into memory."""
-    return [EpisodeResult.from_dict(d) for d in read_json(path, lines=True)]
+    """Read an episode-results JSON-lines file back into memory; a file
+    without a record raises SchemaViolation."""
+    records = read_json(path, lines=True)
+    if not records:
+        raise SchemaViolation(f"{path}: no episode result records")
+    return [EpisodeResult.from_dict(d) for d in records]

@@ -2,11 +2,9 @@
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from .errors import NoEscape, PoseOutOfBounds
 from .geometry import AgentBody, MotionResult, PolarAction, Pose, normalize_angle
-from .sensing import Observation
 from .goals import GoalSpec
 from .world import WorldMap
 
@@ -129,21 +127,8 @@ def reactive_avoid(world: WorldMap, pose: Pose, body: AgentBody, clearance: floa
     return best_pose
 
 
-def success(world: WorldMap, pose: Pose, goal: GoalSpec, obs: Optional[Observation],
-            threshold: float, visibility_required: bool = False) -> bool:
-    """True when the pose sits within ``threshold`` of a matching object boundary.
-
-    The check is inclusive at exactly the threshold.  With
-    ``visibility_required`` some ray of the supplied observation must also hit
-    a matching object.
-    """
-    matching = goal.matching_objects(world)
-    d = min(o.boundary_distance(pose.x, pose.y) for o in matching)
-    if d > threshold:
-        return False
-    if visibility_required:
-        if obs is None:
-            return False
-        names = {o.name for o in matching}
-        return any(label in names for label, _, _ in obs.hits)
-    return True
+def success(world: WorldMap, pose: Pose, goal: GoalSpec, threshold: float) -> bool:
+    """True when the pose sits within ``threshold`` of a matching object
+    boundary; inclusive at exactly the threshold."""
+    return min(o.boundary_distance(pose.x, pose.y)
+               for o in goal.matching_objects(world)) <= threshold

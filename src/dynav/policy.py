@@ -12,7 +12,6 @@ backend has not cleared is ever executed.
 from __future__ import annotations
 
 import logging
-import random
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -26,7 +25,7 @@ from .goals import GoalSpec
 from .memory import MemoryGraph, render
 from .motion import execute, reactive_avoid
 from .proposer import CandidateSet, apply_filter_response, boundary
-from .sensing import Observation, sense, traversability_mask
+from .sensing import Observation, sense
 
 log = logging.getLogger(__name__)
 
@@ -86,16 +85,15 @@ def _fallback(theta_delta: float, streak: int, failed: bool = False) -> StepDeci
                         fallback=True, backend_failed=failed)
 
 
-def propose(obs: Observation, traversability: Sequence[bool], cfg) -> CandidateSet:
+def propose(obs: Observation, cfg) -> CandidateSet:
     """Boundary and far-first sampling; no backend call.
 
     ``cfg`` supplies alpha, theta_delta, and r_min.  The set keeps the
     boundary it was sampled from, which bounds the adjustments of the step's
-    reply and holds the observation's fan.  An observation without a
-    traversable ray gives an empty set.
+    reply and holds the observation's fan.  An observation without a ray
+    long enough to pass ``r_min`` gives an empty set.
     """
-    return proposer.sample_initial(boundary(obs, traversability), cfg.alpha, cfg.theta_delta,
-                                   cfg.r_min)
+    return proposer.sample_initial(boundary(obs), cfg.alpha, cfg.theta_delta, cfg.r_min)
 
 
 def select_action(ctx: RequestContext, candidates: CandidateSet, backend, cfg,
@@ -159,20 +157,18 @@ def apply_memory_ops(mem: MemoryGraph, ops, step_index: int, agent: str) -> None
 
 def step(state: AgentState, world, mem: Optional[MemoryGraph], goal: GoalSpec,
          backend, cfg, constraints: Tuple[str, ...] = (),
-         session_id: str = "adhoc", rng: Optional[random.Random] = None) -> StepOutcome:
+         session_id: str = "adhoc") -> StepOutcome:
     """One full perceive-propose-decide-act cycle.
 
     Memory is updated in place when enabled.  A stop decision leaves the pose
-    untouched.  With ``cfg.epsilon_mask`` above 0 the mask's corruption is
-    drawn from ``rng``, which must then be given.
+    untouched.
     """
     body = cfg.body
     obs = sense(world, state.pose, body, cfg.n_rays, fov=cfg.fov, step=state.step_index)
-    mask = traversability_mask(obs, cfg.epsilon_mask, rng)
     cut = memory_cut(mem, goal, cfg)
     ctx = request_context(obs, session_id, goal, memory_excerpt(cut), cut, constraints)
     decision, candidates, memory_ops = select_action(
-        ctx, propose(obs, mask, cfg), backend, cfg, state.stop_streak)
+        ctx, propose(obs, cfg), backend, cfg, state.stop_streak)
     if mem is not None and cfg.memory_enabled and memory_ops:
         apply_memory_ops(mem, memory_ops, step_index=state.step_index, agent=session_id)
 

@@ -1,7 +1,7 @@
 """Dynamic polar action proposal.
 
 A candidate action is a (range, bearing) pair selected from the navigable
-boundary of the current observation: per traversable ray, the farthest
+boundary of the current observation: per ray of positive depth, the farthest
 contiguous free extent.  The boundary is kept as the fan's columns (a
 ``Boundary``), with no record per ray.  Sampling keeps far points first while
 enforcing a minimum angular gap: points are ordered in one numpy sort, and a
@@ -95,21 +95,15 @@ class CandidateSet:
         return len(self.candidates)
 
 
-def boundary(obs: Observation, traversability: Sequence[bool]) -> Boundary:
-    """Navigable boundary: one point per traversable ray at its sensed depth.
+def boundary(obs: Observation) -> Boundary:
+    """Navigable boundary: one point per ray of positive depth, at that depth.
 
-    The first non-traversable surface terminates the contiguous extent, which
-    is exactly what the ray depth measures; rays masked non-traversable are
-    omitted entirely, so an observation without a traversable ray has an
-    empty boundary.
+    In the simulator every sensed direction is free floor up to its depth,
+    and the first surface terminates the contiguous extent, which is exactly
+    what the ray depth measures.
     """
-    if len(traversability) != obs.n_rays:
-        raise ValueError("mask length must equal the ray count")
     depths = np.fromiter(obs.depths, float, obs.n_rays)
-    keep = depths > 0.0
-    if not all(traversability):
-        keep &= np.fromiter(traversability, bool, obs.n_rays)
-    index = np.flatnonzero(keep)
+    index = np.flatnonzero(depths > 0.0)
     return Boundary(obs.fan, _frozen(index), _frozen(depths[index]))
 
 

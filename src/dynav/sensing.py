@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import functools
 import math
-import random
 from dataclasses import dataclass
 from itertools import chain
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -174,20 +173,3 @@ def sense(world: WorldMap, pose: Pose, body: AgentBody, n_rays: int,
 
 def _object_entry(obj) -> HitEntry:
     return obj.name, obj.attributes, tuple(sorted(obj.tags))
-
-
-def traversability_mask(obs: Observation, epsilon: float = 0.0,
-                        rng: Optional[random.Random] = None) -> List[bool]:
-    """Per-ray ground-truth traversability, optionally corrupted.
-
-    In the simulator every sensed direction is traversable floor up to its
-    reported depth, so the ground truth mask is all True.  With probability
-    ``epsilon`` a ray is flipped to False to emulate segmentation misses,
-    drawn from ``rng``, which the caller must give and keep across steps:
-    a generator seeded anew on each call would corrupt every step alike.
-    """
-    if epsilon > 0.0:
-        if rng is None:
-            raise ValueError("a corrupted traversability mask needs an rng")
-        return [rng.random() >= epsilon for _ in range(obs.n_rays)]
-    return [True] * obs.n_rays

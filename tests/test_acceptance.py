@@ -563,13 +563,11 @@ def test_9_hazard_candidates_always_filtered():
     for i in range(100):
         pose = random_free_pose(world, rng, body)
         obs = sense(world, pose, body, n_rays=cfg.n_rays, fov=cfg.fov, step=i)
-        initial = sample_initial(boundary(obs, [True] * obs.n_rays),
-                                 cfg.alpha, cfg.theta_delta, cfg.r_min)
+        initial = sample_initial(boundary(obs), cfg.alpha, cfg.theta_delta, cfg.r_min)
         ctx = request_context(obs, session_id="adhoc", goal=GoalSpec.name_goal("chair"),
                               constraints=constraints)
         # the step's one request: its reply's removals apply in select_action
-        _, final, _ = select_action(ctx, propose(obs, [True] * obs.n_rays, cfg),
-                                    backend, cfg, 0)
+        _, final, _ = select_action(ctx, propose(obs, cfg), backend, cfg, 0)
         removed_total += len(initial.candidates) - len(final.candidates)
         for c in final.candidates:
             ex = pose.x + c.r * math.cos(pose.heading + c.theta)

@@ -553,14 +553,20 @@ def test_server_answers_an_unusable_body_with_400_on_the_same_connection(script)
 
 
 def test_backend_config_validation():
-    with pytest.raises(ValueError):
-        BackendConfig(endpoint="http://x", timeout_ms=0)
+    # the largest timeout is the socket's; past a float's range, building
+    # the backend would fail
+    most = int(threading.TIMEOUT_MAX * 1000)
+    RemoteBackend(BackendConfig(endpoint="http://x", timeout_ms=most))
+    for timeout_ms in (0, most + 1, 10 ** 400):
+        with pytest.raises(ValueError):
+            BackendConfig(endpoint="http://x", timeout_ms=timeout_ms)
     with pytest.raises(ValueError):
         BackendConfig(endpoint="http://x", max_retries=-1)
     for bad in ("ftp://x/decide", "localhost:8080/decide", "http:///decide", "http://x:port/"):
         with pytest.raises(ValueError):
             BackendConfig(endpoint=bad)
     BackendConfig(endpoint="https://[::1]:8443/decide?v=1")
+
 
 
 def test_an_endpoint_that_cannot_be_a_request_target_is_refused():

@@ -369,6 +369,18 @@ def test_run_rejects_a_non_http_endpoint(tmp_path, episode_file, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("timeout_ms", [10 ** 13, 10 ** 400], ids=["past-time_t", "past-float"])
+def test_run_refuses_a_timeout_past_the_sockets_limit(tmp_path, episode_file, capsys, timeout_ms):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"backend": "remote", "endpoint": "http://127.0.0.1:9/decide",
+                               "timeout_ms": timeout_ms}))
+    assert main(["run", "--episodes", str(episode_file), "--out", str(tmp_path / "out"),
+                 "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: timeout_ms must lie in (0, ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_missing_episode_file(tmp_path):
     assert main(["run", "--episodes", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "out")]) == 1
@@ -636,6 +648,16 @@ def test_eval_recomputes_report(tmp_path, episode_file, capsys):
 
 def test_eval_missing_results_exits_1(tmp_path):
     assert main(["eval", "--results", str(tmp_path / "nope.jsonl")]) == 1
+
+
+@pytest.mark.parametrize("content", ["", "\n  \n"], ids=["empty", "blank-lines"])
+def test_eval_refuses_a_results_file_without_a_record(tmp_path, capsys, content):
+    results = tmp_path / "results.jsonl"
+    results.write_text(content)
+    assert main(["eval", "--results", str(results), "--out", str(tmp_path / "ev")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {results}: no episode result records\n"
+    assert not (tmp_path / "ev").exists()
 
 # -- every command that reads a file exits 1 on one it cannot use ----------------------
 

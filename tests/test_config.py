@@ -18,7 +18,6 @@ def test_defaults_are_valid():
     assert cfg.theta_delta == pytest.approx(math.radians(15.0))
     assert cfg.fov == pytest.approx(math.radians(131.0))
     assert cfg.avoid_clearance == pytest.approx(0.17 + 0.15)
-    assert RunConfig(avoid_clearance_m=0.4).avoid_clearance == 0.4
 
 
 @pytest.mark.parametrize("bad", [
@@ -35,7 +34,6 @@ def test_defaults_are_valid():
     {"success_threshold_m": -0.1},
     {"r_min": -0.2},
     {"agent_radius": 0.0},
-    {"epsilon_mask": 1.5},
     {"workers": 0},
     {"max_steps": 0},
     {"max_distance_m": 0.0},
@@ -47,8 +45,7 @@ def test_defaults_are_valid():
     {"d_max": math.nan},
     {"tau_stop": math.nan},
     {"max_distance_m": math.inf},
-    {"avoid_clearance_m": -math.inf},
-    {"avoid_clearance_m": -0.1},
+    {"hazard_clearance_m": -math.inf},
     {"hazard_clearance_m": -0.5},
 ])
 def test_validation_rejects(bad):
@@ -104,7 +101,6 @@ def test_load_config_rejects_bad_override_key():
     {"n_rays": True},
     {"alpha": "0.5"},
     {"alpha": None},
-    {"avoid_clearance_m": "0.4"},
     {"endpoint": 8080},
     {"backend": ["oracle"]},
     {"d_max": 10 ** 400},
@@ -118,11 +114,19 @@ def test_load_config_refuses_a_wrong_type(tmp_path, raw):
 
 def test_load_config_takes_integers_for_floats_and_null_for_optionals(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"alpha": 1, "avoid_clearance_m": None, "endpoint": None,
-                                "memory_enabled": False, "backend": "oracle"}))
+    path.write_text(json.dumps({"alpha": 1, "endpoint": None, "memory_enabled": False,
+                                "backend": "oracle"}))
     cfg = load_config(str(path))
     assert cfg.alpha == 1.0 and isinstance(cfg.alpha, float)
-    assert cfg.avoid_clearance_m is None and cfg.memory_enabled is False
+    assert cfg.endpoint is None and cfg.memory_enabled is False
+
+
+@pytest.mark.parametrize("key", ["epsilon_mask", "visibility_required", "avoid_clearance_m"])
+def test_load_config_refuses_a_retired_key(tmp_path, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: None}))
+    with pytest.raises(ConfigError, match=f"unknown config keys: \\['{key}'\\]"):
+        load_config(str(path))
 
 
 def test_load_config_takes_a_file_of_every_default(tmp_path):
@@ -132,7 +136,7 @@ def test_load_config_takes_a_file_of_every_default(tmp_path):
     assert load_config(str(path)) == RunConfig()
 
 
-VALID_CONFIG = {"alpha": 0.5, "n_rays": 91, "memory_enabled": True, "avoid_clearance_m": 0.4,
+VALID_CONFIG = {"alpha": 0.5, "n_rays": 91, "memory_enabled": True, "hazard_clearance_m": 0.4,
                 "backend": "remote", "endpoint": "http://127.0.0.1:1/decide", "seed": 3}
 
 

@@ -88,7 +88,7 @@ def test_imports_of_finds_the_policys_memory_import():
     assert imports_of("policy.py", "dynav.memory")
 
 
-@pytest.mark.parametrize("module, forbidden", FORBIDDEN_IMPORTS, ids="-".join)
+@pytest.mark.parametrize("module, forbidden", FORBIDDEN_IMPORTS)
 def test_module_does_not_import(module, forbidden):
     assert imports_of(module, forbidden) == []
 
@@ -252,7 +252,7 @@ def test_cell_span_is_imported_only_by_the_world_module():
 def test_a_score_request_carries_its_goal_kinds_template(goal):
     obs = sense(empty_world(10.0, 8.0), make_pose(5.0, 4.0), AgentBody(), n_rays=31)
     req = make_score_request(request_context(obs, "s", goal),
-                             propose(obs, [True] * 31, RunConfig()))
+                             propose(obs, RunConfig()))
     assert req.template_id == TEMPLATES[goal.kind]
 
 
@@ -301,7 +301,7 @@ def test_propose_hands_on_the_observations_bearings():
     world, body = empty_world(10.0, 8.0), AgentBody()
     for i in range(3):
         obs = sense(world, make_pose(2.0 + 2.0 * i, 4.0, 60.0 * i), body, n_rays=31, step=i)
-        cands = propose(obs, [True] * 31, RunConfig())
+        cands = propose(obs, RunConfig())
         assert len(cands) > 0 and cands.points.fan is obs.fan
 
 

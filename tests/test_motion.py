@@ -9,7 +9,6 @@ from dynav.errors import NoEscape, PoseOutOfBounds, UnresolvableGoal
 from dynav.geometry import AgentBody, PolarAction, Pose
 from dynav.goals import GoalSpec
 from dynav.motion import execute, reactive_avoid, success
-from dynav.sensing import sense
 from dynav.world import OBSTACLE, SemanticObject, WorldMap
 
 from conftest import empty_world, instance_goal, make_pose, run_python
@@ -170,32 +169,21 @@ def test_avoid_from_inside_a_disc_ends_at_tiny_clearances(tmp_path):
 def test_success_threshold_is_inclusive(plant_world):
     goal = GoalSpec.name_goal("plant")
     # plant boundary at x = 7.7; (7.0, 4.0) sits exactly 0.7 from the surface
-    assert success(plant_world, make_pose(7.0, 4.0), goal, None, threshold=0.7)
-    assert not success(plant_world, make_pose(7.0, 4.0), goal, None, threshold=0.69)
-    assert success(plant_world, make_pose(7.6, 4.0), goal, None, threshold=0.3)
+    assert success(plant_world, make_pose(7.0, 4.0), goal, threshold=0.7)
+    assert not success(plant_world, make_pose(7.0, 4.0), goal, threshold=0.69)
+    assert success(plant_world, make_pose(7.6, 4.0), goal, threshold=0.3)
 
 
 def test_success_requires_matching_category(plant_world):
     # the instance goal matches on attributes, the unresolvable one on nothing
-    assert success(plant_world, make_pose(7.6, 4.0), instance_goal(["green"]), None, 0.3)
+    assert success(plant_world, make_pose(7.6, 4.0), instance_goal(["green"]), 0.3)
     with pytest.raises(UnresolvableGoal):
-        success(plant_world, make_pose(7.6, 4.0), GoalSpec.name_goal("sofa"), None, 0.3)
-
-
-def test_success_with_visibility(plant_world, body):
-    goal = GoalSpec.name_goal("plant")
-    near = make_pose(7.5, 4.0, 0.0)       # facing the plant
-    away = make_pose(7.5, 4.0, 180.0)     # facing away from it
-    obs_near = sense(plant_world, near, body, n_rays=31)
-    obs_away = sense(plant_world, away, body, n_rays=31)
-    assert success(plant_world, near, goal, obs_near, 0.3, visibility_required=True)
-    assert not success(plant_world, away, goal, obs_away, 0.3, visibility_required=True)
-    assert not success(plant_world, near, goal, None, 0.3, visibility_required=True)
+        success(plant_world, make_pose(7.6, 4.0), GoalSpec.name_goal("sofa"), 0.3)
 
 
 def test_success_picks_nearest_matching(body):
     a = SemanticObject(name="chair_a", category="chair", center=(2.0, 4.0), radius=0.3)
     b = SemanticObject(name="chair_b", category="chair", center=(8.0, 4.0), radius=0.3)
     world = empty_world(10.0, 8.0, objects=[a, b])
-    assert success(world, make_pose(2.5, 4.0), GoalSpec.name_goal("chair"), None, 0.3)
-    assert not success(world, make_pose(5.0, 4.0), GoalSpec.name_goal("chair"), None, 0.3)
+    assert success(world, make_pose(2.5, 4.0), GoalSpec.name_goal("chair"), 0.3)
+    assert not success(world, make_pose(5.0, 4.0), GoalSpec.name_goal("chair"), 0.3)

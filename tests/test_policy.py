@@ -1,7 +1,6 @@
 """Step policy: one request per step, the filter on the score reply, scoring,
 the two-consecutive-step stop rule, and fallbacks."""
 import math
-import random
 from collections import Counter, defaultdict
 from dataclasses import replace
 from pathlib import Path
@@ -42,7 +41,7 @@ from dynav.policy import (
 )
 from dynav.proposer import (Adjustment, Boundary, Candidate, CandidateSet, boundary,
                             sample_initial)
-from dynav.sensing import sense, traversability_mask
+from dynav.sensing import sense
 from dynav.world import SemanticObject
 
 from conftest import empty_world, make_pose, points_of
@@ -302,8 +301,8 @@ def test_apply_memory_ops_skips_malformed():
 
 def test_propose_samples_the_boundary_without_a_backend_call(box_world, body, run_cfg):
     obs = sense(box_world, make_pose(5.0, 4.0, 0.0), body, n_rays=21)
-    points = boundary(obs, [True] * 21)
-    out = propose(obs, [True] * 21, run_cfg)
+    points = boundary(obs)
+    out = propose(obs, run_cfg)
     assert out == sample_initial(points, run_cfg.alpha, run_cfg.theta_delta, run_cfg.r_min)
     assert len(out) > 0 and points_of(out.points) == points_of(points)
 
@@ -352,8 +351,7 @@ def test_no_removed_or_unfiltered_candidate_is_ever_chosen(flaky):
                    GoalSpec.name_goal("chair"), backend, cfg, constraints=constraints,
                    session_id="s")
         obs = out.observation
-        initial = sample_initial(boundary(obs, [True] * obs.n_rays), cfg.alpha,
-                                 cfg.theta_delta, cfg.r_min)
+        initial = sample_initial(boundary(obs), cfg.alpha, cfg.theta_delta, cfg.r_min)
         ctx = request_context(obs, "s", GoalSpec.name_goal("chair"), constraints=constraints)
         removed = set(backend.oracle.decide(
             protocol.make_filter_request(ctx, initial)).removals)
@@ -401,13 +399,12 @@ def test_a_step_sends_one_score_request_with_its_context(box_world):
 
 
 def test_step_without_traversable_ray_checks_stop_and_rotates(box_world):
-    """An empty boundary is an empty candidate set: one stop check, no score
-    request, and a rotation by theta_delta."""
-    cfg = RunConfig(n_rays=31, epsilon_mask=1.0)
+    """A step whose every ray falls short of ``r_min`` samples no candidate:
+    one stop check, no score request, and a rotation by theta_delta."""
+    cfg = RunConfig(n_rays=31, r_min=100.0)
     backend = Scripted(stops=[0.5])
     state = AgentState(pose=make_pose(5.0, 4.0, 0.0))
-    out = step(state, box_world, None, GoalSpec.name_goal("chair"), backend, cfg,
-               rng=random.Random(0))
+    out = step(state, box_world, None, GoalSpec.name_goal("chair"), backend, cfg)
     assert backend.kinds == [STOP_CHECK]
     assert len(out.candidates) == 0
     assert out.decision.fallback and out.decision.s_stop == 0.5
@@ -453,8 +450,8 @@ def test_request_kinds_sent_by_each_step(monkeypatch):
     """Over the objectnav spec, every step sends exactly one request.  A step
     with candidates sends score, whose reply carries the filter and the stop
     confidence; a step whose reply removed every candidate rotates with that
-    reply's confidence; a step with no traversable ray (here steps 5, 12,
-    19, ..., whose mask is blanked) sends only stop_check; and a score call
+    reply's confidence; a step that sampled no candidate (here steps 5, 12,
+    19, ..., whose candidates are blanked) sends only stop_check; and a score call
     that fails falls back, leaves the stop streak unchanged and sends
     nothing more."""
     cfg = RunConfig()
@@ -465,12 +462,12 @@ def test_request_kinds_sent_by_each_step(monkeypatch):
         outcomes[kw["session_id"], state.step_index] = (state.stop_streak, out)
         return out
 
-    def blinded(obs, epsilon, rng):
-        mask = traversability_mask(obs, epsilon, rng)
-        return [False] * len(mask) if obs.step % 7 == 5 else mask
+    def blinded(obs, cfg):
+        out = propose(obs, cfg)
+        return replace(out, candidates=()) if obs.step % 7 == 5 else out
 
     monkeypatch.setattr(episodes, "step", recorded_step)
-    monkeypatch.setattr(policy, "traversability_mask", blinded)
+    monkeypatch.setattr(policy, "propose", blinded)
     backend = KindRecorder(cfg)
     for spec in load_episode_specs(str(SPEC), cfg):
         run_episode(spec, backend, cfg)
@@ -485,7 +482,7 @@ def test_request_kinds_sent_by_each_step(monkeypatch):
             assert decision.fallback and decision.backend_failed
             assert streak == decision.stop_streak == 1
         elif index % 7 == 5:
-            case = "no traversable ray"
+            case = "no candidate"
             assert kinds == [STOP_CHECK] and len(out.candidates) == 0
         elif index % 7 == 3:
             case = "all removed"
@@ -498,7 +495,7 @@ def test_request_kinds_sent_by_each_step(monkeypatch):
         if case != "score failed":
             assert decision.s_stop == backend.s_stop[session, index]
         seen[case] += 1
-    assert set(seen) == {"score failed", "no traversable ray", "all removed", "scored"}, seen
+    assert set(seen) == {"score failed", "no candidate", "all removed", "scored"}, seen
 
 
 # -- full step cycle -------------------------------------------------------------

@@ -2,6 +2,7 @@
 and backend filter clamps."""
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from dynav.proposer import (
     boundary,
     sample_initial,
 )
-from dynav.sensing import Fan, sense, traversability_mask
+from dynav.sensing import Fan, sense
 from dynav.worldgen import WorldGenSpec, generate_world, random_free_pose
 
 from conftest import Point, boundary_of, make_pose, points_of, rays_of, reference_sample
@@ -148,10 +149,11 @@ def test_sample_initial_equals_reference_bit_for_bit(points, alpha, theta_delta,
         reference_sample(points, alpha, theta_delta, r_min))
 
 
-def fan_points(obs, mask):
-    """The (r, theta) pairs of the traversable rays with a positive depth,
-    read from the observation's columns."""
-    return [Point(d, t) for d, t, m in zip(obs.depths, obs.fan.thetas, mask) if m and d > 0]
+def fan_points(obs, keep=lambda k: True):
+    """The (r, theta) pairs of the rays with a positive depth whose index
+    ``keep`` admits, read from the observation's columns."""
+    return [Point(d, t) for k, (d, t) in enumerate(zip(obs.depths, obs.fan.thetas))
+            if d > 0 and keep(k)]
 
 
 @pytest.mark.parametrize("seed", [2, 7, 21, 38])
@@ -162,9 +164,9 @@ def test_propose_equals_reference_on_every_step_of_a_gate_4_episode(monkeypatch,
 
     original = policy.propose
 
-    def recording(obs, mask, cfg):
-        out = original(obs, mask, cfg)
-        seen.append((fan_points(obs, mask), cfg, out))
+    def recording(obs, cfg):
+        out = original(obs, cfg)
+        seen.append((fan_points(obs), cfg, out))
         return out
 
     monkeypatch.setattr(policy, "propose", recording)
@@ -184,7 +186,8 @@ def test_propose_equals_reference_on_every_step_of_a_gate_4_episode(monkeypatch,
 def test_fans_and_gaps_never_share_a_conflict_table(box_world, body):
     """Fans of three (n_rays, fov) shapes, each sampled at two gaps, in turn:
     each pair of fan and gap has a table of its own, and every sample is the
-    reference's."""
+    reference's.  Every fifth ray is dropped from the boundary, at an offset
+    that moves with the pose, so the tables also serve thinned boundaries."""
     shapes = [(181, math.radians(131.0)), (61, math.radians(131.0)), (181, math.radians(90.0))]
     gaps = [15 * DEG, 7 * DEG]
     tables = {}
@@ -192,11 +195,14 @@ def test_fans_and_gaps_never_share_a_conflict_table(box_world, body):
         pose = make_pose(2.0 + 1.5 * i, 3.0 + 0.5 * i, 40.0 * i)
         for n_rays, fov in shapes:
             obs = sense(box_world, pose, body, n_rays=n_rays, fov=fov)
-            mask = traversability_mask(obs, epsilon=0.2, rng=random.Random(i))
+            full = boundary(obs)
+            kept = (full.index + i) % 5 != 0
+            thinned = full._replace(index=full.index[kept], depths=full.depths[kept])
+            points = fan_points(obs, lambda k: (k + i) % 5 != 0)
             for gap in gaps:
-                out = sample_initial(boundary(obs, mask), 0.8, gap, 0.1)
+                out = sample_initial(thinned, 0.8, gap, 0.1)
                 assert bits((c.r, c.theta) for c in out.candidates) == bits(
-                    reference_sample(fan_points(obs, mask), 0.8, gap, 0.1))
+                    reference_sample(points, 0.8, gap, 0.1))
                 table = proposer._conflict_table(obs.fan, gap)
                 assert table.thetas is obs.fan.thetas and table.theta_delta == gap
                 assert tables.setdefault((n_rays, fov, gap), table) is table
@@ -207,7 +213,7 @@ def test_a_wide_fan_builds_rows_only_for_the_rays_it_keeps(cluttered_world, body
     obs = sense(cluttered_world, make_pose(3.0, 5.0, 0.0), body, n_rays=2001)
     # a fan of its own, whose table no earlier sample can have filled
     fan = Fan(obs.fan.thetas, obs.fan.fov)
-    out = sample_initial(boundary(obs, [True] * 2001)._replace(fan=fan), 0.8, 15 * DEG, 0.1)
+    out = sample_initial(boundary(obs)._replace(fan=fan), 0.8, 15 * DEG, 0.1)
     ray = {theta: i for i, theta in enumerate(fan.thetas)}
     built = [k for k, row in enumerate(proposer._conflict_table(fan, 15 * DEG).rows)
              if row is not None]
@@ -215,18 +221,17 @@ def test_a_wide_fan_builds_rows_only_for_the_rays_it_keeps(cluttered_world, body
     assert built == sorted(ray[c.theta] for c in out.candidates)
 
 
-def test_boundary_masking(box_world, body):
+def test_boundary_keeps_every_ray_of_positive_depth(box_world, body):
     obs = sense(box_world, make_pose(5.0, 4.0, 0.0), body, n_rays=5)
-    pts = points_of(boundary(obs, [True] * 5))
+    pts = points_of(boundary(obs))
     assert len(pts) == 5
     assert [p.theta for p in pts] == [r.theta for r in rays_of(obs)]
     assert [p.r for p in pts] == [r.depth for r in rays_of(obs)]
 
-    pts = points_of(boundary(obs, [True, False, True, False, True]))
-    assert len(pts) == 3
-    assert points_of(boundary(obs, [False] * 5)) == []
-    with pytest.raises(ValueError):
-        boundary(obs, [True] * 4)
+    touching = replace(obs, depths=(0.0, 2.0, 0.0, 1.5, 0.0))
+    assert points_of(boundary(touching)) == [Point(2.0, obs.fan.thetas[1]),
+                                             Point(1.5, obs.fan.thetas[3])]
+    assert points_of(boundary(replace(obs, depths=(0.0,) * 5))) == []
 
 
 # -- filter response clamps ---------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from dynav.errors import PoseOutOfBounds
 from dynav.geometry import AgentBody, Pose
-from dynav.sensing import DEFAULT_FOV, sense, traversability_mask
+from dynav.sensing import DEFAULT_FOV, sense
 from dynav.world import OBSTACLE, SemanticObject
 
 from conftest import empty_world, make_pose, rays_of
@@ -116,22 +116,3 @@ def test_sense_validates_inputs(box_world, body):
         sense(box_world, make_pose(5.0, 4.0), body, n_rays=1)
     with pytest.raises(PoseOutOfBounds):
         sense(box_world, make_pose(-1.0, 4.0), body, n_rays=5)
-
-
-def test_traversability_mask(box_world, body):
-    obs = sense(box_world, make_pose(5.0, 4.0, 0.0), body, n_rays=31)
-    assert traversability_mask(obs) == [True] * 31
-    assert traversability_mask(obs, epsilon=1.0, rng=random.Random(0)) == [False] * 31
-    noisy = traversability_mask(obs, epsilon=0.3, rng=random.Random(5))
-    again = traversability_mask(obs, epsilon=0.3, rng=random.Random(5))
-    assert noisy == again
-    assert 0 < sum(noisy) < 31
-
-
-def test_traversability_mask_refuses_to_corrupt_without_an_rng(box_world, body):
-    """A generator seeded anew on each call would give every step the same
-    corrupted mask; without an rng only the ground truth is given."""
-    obs = sense(box_world, make_pose(5.0, 4.0, 0.0), body, n_rays=31)
-    assert traversability_mask(obs, epsilon=0.0, rng=None) == [True] * 31
-    with pytest.raises(ValueError):
-        traversability_mask(obs, epsilon=0.3, rng=None)
