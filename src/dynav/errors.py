@@ -25,14 +25,6 @@ class GenerationFailed(DynavError):
     """Procedural world generation could not satisfy the request."""
 
 
-class EmptyName(DynavError):
-    """Graph node names must be non-empty."""
-
-
-class SelfLoop(DynavError):
-    """Graph edges must connect two distinct nodes."""
-
-
 class SchemaViolation(DynavError):
     """A payload (file or wire message) does not match its documented schema."""
 

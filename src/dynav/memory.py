@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .errors import (EmptyName, SchemaViolation, SelfLoop, check_integer, check_location,
-                     check_strings, check_type, read_json)
+from .errors import (SchemaViolation, check_integer, check_location, check_strings, check_type,
+                     read_json)
 
 GRAPH_FORMAT = "dynav-graph/1"
 
@@ -33,12 +33,12 @@ class MemoryNode:
 
     def __post_init__(self):
         if not self.name:
-            raise EmptyName("node name must be non-empty")
+            raise ValueError("node name must be non-empty")
         if self.last_seen < 0:
             raise ValueError(f"node {self.name!r} last_seen must be >= 0")
         object.__setattr__(self, "attributes", frozenset(self.attributes))
         if "" in self.attributes:
-            raise EmptyName(f"node {self.name!r} attributes must be non-empty")
+            raise ValueError(f"node {self.name!r} attributes must be non-empty")
         if self.location is not None:
             x, y = float(self.location[0]), float(self.location[1])
             if not (math.isfinite(x) and math.isfinite(y)):
@@ -64,9 +64,9 @@ class MemoryEdge:
 
     def __post_init__(self):
         if not self.start or not self.target or not self.relation:
-            raise EmptyName("edge endpoints and relation must be non-empty")
+            raise ValueError("edge endpoints and relation must be non-empty")
         if self.start == self.target:
-            raise SelfLoop(f"edge {self.start!r} -> itself")
+            raise ValueError(f"edge {self.start!r} -> itself")
 
     @property
     def key(self) -> Tuple[str, str, str]:
@@ -234,7 +234,7 @@ class MemoryGraph:
                 if edge.start not in g.nodes or edge.target not in g.nodes:
                     raise SchemaViolation(f"edge {edge.key} references a missing node")
                 g.edges[edge.key] = edge
-        except (EmptyName, SelfLoop, ValueError) as e:
+        except ValueError as e:
             raise SchemaViolation(f"bad graph payload: {e}") from e
         g.version = check_integer(d.get("version", 0), "graph version")
         return g

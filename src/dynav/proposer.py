@@ -82,9 +82,6 @@ class CandidateSet:
         if len(ids) != len(set(ids)):
             raise ValueError("candidate ids must be unique")
 
-    def ids(self) -> Tuple[int, ...]:
-        return tuple(c.id for c in self.candidates)
-
     def by_id(self, cid: int) -> Candidate:
         for c in self.candidates:
             if c.id == cid:

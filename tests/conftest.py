@@ -281,6 +281,10 @@ BAD_WORLDGEN = {
     "resolution-string": {"resolution": "0.1"},
     "rooms-float": {"rooms": 2.5},
     "rooms-bool": {"rooms": True},
+    "rooms-zero": {"rooms": 0},
+    "categories-empty": {"categories": []},
+    "objects-zero": {"objects_per_category": 0},
+    "objects-negative": {"objects_per_category": -2},
     "attempts-null": {"max_attempts": None},
     "a-list": ["rooms", 2],
 }

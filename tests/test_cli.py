@@ -558,8 +558,7 @@ def test_run_refuses_a_grid_over_the_cell_limit(tmp_path, capsys):
 
 def test_worldgen_impossible_spec_exits_2(tmp_path):
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"width_m": 4.0, "height_m": 4.0,
-                                "objects_per_category": 40, "max_attempts": 2}))
+    spec.write_text(json.dumps({"width_m": 4.0, "height_m": 4.0, "objects_per_category": 40}))
     assert main(["worldgen", "--spec", str(spec), "--out", str(tmp_path / "w.json")]) == 2
 
 

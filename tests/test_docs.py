@@ -57,6 +57,14 @@ def test_the_run_config_table_names_every_field_and_no_other():
     assert sorted(keys) == sorted(FIELDS)
 
 
+def test_the_worldgen_table_names_every_field_and_no_other():
+    text = section("formats.md", "## Episode spec file")
+    rows = [line for line in text.split("`worldgen` keys and their types")[1].splitlines()
+            if line.strip().startswith("| `")]
+    keys = [key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert sorted(keys) == sorted({f.name for f in dataclasses.fields(WorldGenSpec)} | {"seed"})
+
+
 def test_the_run_flags_in_the_docs_are_the_parsers():
     run = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction)).choices["run"]

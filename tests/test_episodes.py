@@ -333,11 +333,10 @@ BAD_RECORDS = {
                                          "goals": [{"kind": "name", "category": "chair"}]}]}
        for name, worldgen in BAD_WORLDGEN.items()},
     "worldgen-more-objects-than-cells": {"episodes": [{
-        "worldgen": {"objects_per_category": 2_000_000, "max_attempts": 1},
+        "worldgen": {"objects_per_category": 2_000_000},
         "goals": [{"kind": "name", "category": "chair"}]}]},
     "worldgen-impossible": {"episodes": [{
-        "worldgen": {"width_m": 4.0, "height_m": 4.0, "objects_per_category": 40,
-                     "max_attempts": 2},
+        "worldgen": {"width_m": 4.0, "height_m": 4.0, "objects_per_category": 40},
         "goals": [{"kind": "name", "category": "chair"}]}]},
 }
 

@@ -14,7 +14,7 @@ from dynav.backends.protocol import (PROTOCOL_VERSION, SCORE, DecisionRequest, M
                                     RequestContext, WireCandidate, WireNode, encode_request,
                                     make_stop_request, parse_response, request_context)
 from dynav.config import RunConfig
-from dynav.errors import EmptyName, SchemaViolation, SelfLoop
+from dynav.errors import SchemaViolation
 from dynav.geometry import Pose
 from dynav.goals import DESCRIPTION, INSTANCE, NAME, GoalSpec
 from dynav.memory import (
@@ -141,11 +141,11 @@ def test_add_edge_autocreates_and_validates():
     g = MemoryGraph()
     g.add_edge("lamp", "door", "near")
     assert set(g.nodes) == {"lamp", "door"}
-    with pytest.raises(SelfLoop):
+    with pytest.raises(ValueError, match="itself"):
         g.add_edge("lamp", "lamp", "near")
-    with pytest.raises(EmptyName):
+    with pytest.raises(ValueError, match="non-empty"):
         g.add_edge("", "door", "near")
-    with pytest.raises(EmptyName):
+    with pytest.raises(ValueError, match="non-empty"):
         g.add_node("", [])
 
 
@@ -463,11 +463,11 @@ def test_a_reply_may_name_anything_but_the_empty_string(caplog):
 
 
 def test_names_relations_and_attributes_must_be_non_empty():
-    with pytest.raises(EmptyName):
+    with pytest.raises(ValueError, match="non-empty"):
         MemoryNode("")
-    with pytest.raises(EmptyName):
+    with pytest.raises(ValueError, match="non-empty"):
         MemoryNode("chair_1", {"red", ""})
-    with pytest.raises(EmptyName):
+    with pytest.raises(ValueError, match="non-empty"):
         MemoryEdge("a", "b", "")
     for node in ({"name": ""}, {"name": "chair_1", "attributes": ["red", ""]}):
         with pytest.raises(SchemaViolation, match="non-empty"):
@@ -491,7 +491,7 @@ def test_every_node_that_constructs_reaches_the_oracle_whole(name, attributes):
     g = MemoryGraph()
     try:
         g.add_node(name, attributes, (1.04, 2.05))
-    except EmptyName:
+    except ValueError:
         assert "" in attributes
         return
     if has_words(name):
@@ -520,7 +520,8 @@ def test_no_unlocated_node_or_edge_gives_a_located_record(start, target, relatio
     try:
         g.add_node(start, attributes)
         g.add_edge(start, target, relation)
-    except SelfLoop:
+    except ValueError:
+        assert start == target
         return
     for name in filter(has_words, (start, target, relation)):  # a goal's category needs one
         ctx = wire_context(g, GoalSpec.name_goal(name))

@@ -189,7 +189,7 @@ def test_a_removed_candidate_is_never_chosen(obs):
     backend = Scripted(scores={1: 0.2, 2: 1.0, 3: 0.4}, removals=[2])
     decision, kept, _ = select_with(cands, obs, backend, RunConfig(), 0)
     assert backend.kinds == [SCORE]
-    assert kept.ids() == (1, 3)
+    assert [c.id for c in kept.candidates] == [1, 3]
     assert decision.scores == {1: 0.2, 3: 0.4}
     assert decision.chosen == PolarAction(2.0, 0.3)
     # a reply that removes every candidate rotates, with its stop confidence
@@ -366,7 +366,7 @@ def test_no_removed_or_unfiltered_candidate_is_ever_chosen(flaky):
             assert (out.state.pose.x, out.state.pose.y) == (pose.x, pose.y)
         else:
             assert not out.decision.fallback
-            assert not removed & set(out.candidates.ids())
+            assert not removed & {c.id for c in out.candidates.candidates}
     assert removed_total >= 12  # the filter rule removes a candidate at every step
 
 

@@ -92,7 +92,7 @@ def test_sampling_invariants(points, alpha, theta_delta, r_min):
     cands = out.candidates
 
     # ids are 1..n in ascending bearing order
-    assert list(out.ids()) == list(range(1, len(cands) + 1))
+    assert [c.id for c in cands] == list(range(1, len(cands) + 1))
     assert all(b.theta >= a.theta for a, b in zip(cands, cands[1:]))
 
     # every candidate comes from a scaled input point and respects r_min
@@ -253,7 +253,7 @@ def apply(initial, points, removals=(), adjustments=()):
 def test_filter_removals():
     points, initial = make_set()
     out = apply(initial, points, removals=[2])
-    assert out.ids() == (1, 3)
+    assert [c.id for c in out.candidates] == [1, 3]
 
 
 def test_filter_applies_valid_adjustment():
@@ -307,7 +307,7 @@ def test_filter_reverts_separation_breakers():
 def test_filter_ignores_adjustment_for_removed_id():
     points, initial = make_set()
     out = apply(initial, points, removals=[2], adjustments=[Adjustment(2, 1.0, 0.0)])
-    assert out.ids() == (1, 3)
+    assert [c.id for c in out.candidates] == [1, 3]
 
 
 def test_candidate_validation():

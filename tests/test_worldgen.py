@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from dynav.config import RunConfig
 from dynav.errors import GenerationFailed, SchemaViolation
 from dynav.geometry import AgentBody
 from dynav.worldgen import WorldGenSpec, generate_world, random_free_pose
@@ -12,6 +13,9 @@ from dynav.worldgen import WorldGenSpec, generate_world, random_free_pose
 from conftest import BAD_WORLDGEN
 
 SPEC = WorldGenSpec()
+# the body radius and success distance that placement and the checks serve
+AGENT_RADIUS = RunConfig().agent_radius
+GOAL_THRESHOLD = RunConfig().success_threshold_m
 
 
 def test_same_seed_same_world():
@@ -44,20 +48,10 @@ def test_object_inventory(seed):
     assert len(names) == len(set(names))
 
 
-def test_category_counts_override():
-    spec = WorldGenSpec(categories=("chair", "table"), category_counts=(3, 1))
-    world = generate_world(spec, seed=5)
-    cats = [o.category for o in world.objects]
-    assert cats.count("chair") == 3
-    assert cats.count("table") == 1
-    with pytest.raises(ValueError):
-        WorldGenSpec(categories=("chair",), category_counts=(1, 2))
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_walkable_space_is_connected(seed):
     world = generate_world(SPEC, seed)
-    free = world.free_with_clearance(SPEC.agent_radius_m)
+    free = world.free_with_clearance(AGENT_RADIUS)
     labels, n = ndimage.label(free)
     if n > 1:
         sizes = sorted(ndimage.sum(free, labels, index=range(1, n + 1)))
@@ -68,7 +62,7 @@ def test_walkable_space_is_connected(seed):
 @pytest.mark.parametrize("seed", range(8))
 def test_goal_bands_are_reachable(seed):
     world = generate_world(SPEC, seed)
-    free = world.free_with_clearance(SPEC.agent_radius_m)
+    free = world.free_with_clearance(AGENT_RADIUS)
     labels, n = ndimage.label(free)
     sizes = ndimage.sum(free, labels, index=range(1, n + 1))
     main = labels == int(np.argmax(sizes)) + 1
@@ -77,7 +71,7 @@ def test_goal_bands_are_reachable(seed):
     cy = (ys + 0.5) * world.resolution
     for o in world.objects:
         d = np.hypot(cx - o.center[0], cy - o.center[1]) - o.radius
-        assert np.any(d <= SPEC.goal_threshold_m), o.name
+        assert np.any(d <= GOAL_THRESHOLD), o.name
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -88,20 +82,20 @@ def test_object_standoff(seed):
 
     bare = WorldMap(probe_grid, world.resolution)
     for o in world.objects:
-        standoff = o.radius + 2 * SPEC.agent_radius_m + SPEC.goal_threshold_m
+        standoff = o.radius + 2 * AGENT_RADIUS + GOAL_THRESHOLD
         assert bare.clearance(*o.center) >= standoff - 1e-9
     for a in world.objects:
         for b in world.objects:
             if a.name >= b.name:
                 continue
             gap = np.hypot(a.center[0] - b.center[0], a.center[1] - b.center[1])
-            assert gap >= a.radius + b.radius + 4 * SPEC.agent_radius_m - 1e-9
+            assert gap >= a.radius + b.radius + 4 * AGENT_RADIUS - 1e-9
 
 
 def test_generation_failure_is_reported():
     # a demand that cannot fit: dozens of large objects in a tiny world
-    spec = WorldGenSpec(width_m=4.0, height_m=4.0, rooms=1, room_min_m=2.5, room_max_m=3.0,
-                        categories=("chair",), objects_per_category=40, max_attempts=3)
+    spec = WorldGenSpec(width_m=4.0, height_m=4.0, rooms=1, categories=("chair",),
+                        objects_per_category=40)
     with pytest.raises(GenerationFailed):
         generate_world(spec, seed=0)
 
@@ -109,11 +103,11 @@ def test_generation_failure_is_reported():
 def test_spec_from_dict():
     spec = WorldGenSpec.from_dict({
         "width_m": 10.0, "height_m": 8.0, "rooms": 2,
-        "categories": ["chair"], "category_counts": [2], "hazards": ["sign"],
+        "categories": ["chair"], "objects_per_category": 2, "hazards": ["sign"],
         "seed": 3,  # tolerated and ignored: episode files keep seed next to the spec
     })
     assert spec.categories == ("chair",)
-    assert spec.category_counts == (2,)
+    assert spec.objects_per_category == 2
     assert spec.hazards == ("sign",)
     with pytest.raises(SchemaViolation):
         WorldGenSpec.from_dict({"rooms": 2, "towers": 9})
@@ -134,17 +128,15 @@ def test_spec_takes_any_category_text(d, name):
 
 
 def test_spec_from_dict_takes_integers_for_numbers():
-    spec = WorldGenSpec.from_dict({"width_m": 10, "object_radius_m": [0.25, 1],
-                                   "category_counts": None})
-    assert spec.width_m == 10.0 and spec.object_radius_m == (0.25, 1.0)
-    assert spec.category_counts is None
+    spec = WorldGenSpec.from_dict({"width_m": 10, "height_m": 8})
+    assert spec.width_m == 10.0 and spec.height_m == 8.0
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
         WorldGenSpec(width_m=1.0)
-    with pytest.raises(GenerationFailed):
-        generate_world(WorldGenSpec(rooms=0), seed=0)
+    with pytest.raises(ValueError):
+        WorldGenSpec(rooms=0)
 
 
 def test_random_free_pose_is_clear_and_deterministic():
@@ -157,8 +149,8 @@ def test_random_free_pose_is_clear_and_deterministic():
 
 
 @pytest.mark.parametrize("d", [
-    {"objects_per_category": 2_000_000, "max_attempts": 1},  # 4 000 000 objects, 19 200 cells
-    {"categories": ["chair"], "category_counts": [19_200], "hazards": ["sign"]},
+    {"objects_per_category": 2_000_000},  # 4 000 000 objects, 19 200 cells
+    {"categories": ["chair"], "objects_per_category": 19_200, "hazards": ["sign"]},
     {"rooms": 19_201},
     {"width_m": 1e308, "resolution": 1e-300},  # too many cells to count
 ])
@@ -177,6 +169,18 @@ def test_spec_bound_on_grid_cells():
 def test_spec_bound_admits_one_object_per_cell():
     spec = WorldGenSpec(width_m=4.0, height_m=3.0, resolution=0.5, categories=("chair",),
                         objects_per_category=47, hazards=("sign",))  # 8 x 6 cells
-    assert sum(spec.counts) + len(spec.hazards) == 48
+    assert spec.objects_per_category + len(spec.hazards) == 48
     with pytest.raises(ValueError, match="48 cells"):
         WorldGenSpec(width_m=4.0, height_m=3.0, resolution=0.5, rooms=49)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_large_world_places_every_object(seed):
+    # a 64 m x 48 m world of 30 rooms: the scale of a multi-floor scene
+    spec = WorldGenSpec.from_dict({"width_m": 64, "height_m": 48, "rooms": 30,
+                                   "categories": ["chair", "table"], "objects_per_category": 8})
+    world = generate_world(spec, seed)
+    assert [o.category for o in world.objects].count("chair") == 8
+    assert len(world.objects) == 16
+    pose = random_free_pose(world, random.Random(seed), AgentBody())
+    assert world.clearance(pose.x, pose.y) >= AgentBody().radius + 0.05
